@@ -71,7 +71,6 @@ from .voa import (
     build_screening,
     build_vertex,
     contract,
-    normal_order,
     omega_conjugate,
     structure_series,
     theta_conjugate,
@@ -119,7 +118,6 @@ __all__ = [
     "theta_conjugate",
     "omega_conjugate",
     "contract",
-    "normal_order",
     "StructureFunctionSpec",
     "structure_series",
     "CheckReport",

@@ -40,7 +40,6 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -61,13 +60,12 @@ DEFAULTS = {
     "window": 4,
     "tol": None,
     "seed": 12345,
-    "threads": 1,
     "suite": ["all"],
     "json": False,
     "csv": False,
 }
 
-_INT_KEYS = {"ell", "k", "degree", "window", "seed", "threads"}
+_INT_KEYS = {"ell", "k", "degree", "window", "seed"}
 _FLOAT_KEYS = {"q", "t", "L", "r", "tol"}
 _BOOL_KEYS = {"json", "csv"}
 
@@ -86,7 +84,6 @@ class SuiteConfig:
     window: int
     tol: float | None
     seed: int
-    threads: int
     suites: tuple[str, ...]
 
     def __post_init__(self) -> None:
@@ -105,183 +102,133 @@ class SuiteConfig:
             raise ConfigError("degree and window must be non-negative")
         if self.ell < 0 or self.k < 0 or self.ell + self.k == 0:
             raise ConfigError("vertex labels need ell, k >= 0, not both zero")
-        if self.threads < 1:
-            raise ConfigError("threads must be >= 1")
 
     @property
     def params(self) -> QParams:
         return QParams(self.q, self.t)
+
+    @property
+    def label(self) -> int:
+        """First-kind vertex label of the suites: ``ell``, at least 1."""
+        return max(self.ell, 1)
 
 
 # ---------------------------------------------------------------------------
 # Suite registry
 
 
-def _tol(cfg: SuiteConfig, default: float) -> float:
-    return cfg.tol if cfg.tol is not None else default
-
-
-def _suite_defining(cfg: SuiteConfig) -> list[CheckReport]:
-    return [
-        relations.check_defining_relation(
-            cfg.params,
-            degree_cap=cfg.degree,
-            max_mode=cfg.window,
-            tolerance=_tol(cfg, 1e-8),
-        )
-    ]
-
-
-def _suite_screening(cfg: SuiteConfig) -> list[CheckReport]:
-    return [
-        relations.check_screening_relation(
-            cfg.params, +1, cfg.degree, cfg.window, tolerance=_tol(cfg, 1e-8)
-        )
-    ]
-
-
-def _suite_screening_mirror(cfg: SuiteConfig) -> list[CheckReport]:
-    return [
-        relations.check_screening_relation(
-            cfg.params, -1, cfg.degree, cfg.window, tolerance=_tol(cfg, 1e-8)
-        )
-    ]
-
-
-def _suite_vertex_exchange(cfg: SuiteConfig) -> list[CheckReport]:
-    ell = max(cfg.ell, 1)
-    return [
-        relations.check_vertex_exchange(
-            ell, cfg.params, v, cfg.degree, cfg.window, tolerance=_tol(cfg, 1e-8)
-        )
-        for v in ("plain", "theta", "mirror")
-    ]
-
-
-def _suite_current_vertex(cfg: SuiteConfig) -> list[CheckReport]:
-    return [
-        relations.check_current_vertex_exchange(
-            max(cfg.ell, 1),
-            cfg.params,
-            cfg.degree,
-            cfg.window,
-            tolerance=_tol(cfg, 1e-8),
-        )
-    ]
-
-
-def _suite_adjoint(cfg: SuiteConfig) -> list[CheckReport]:
-    return [
-        relations.check_adjoint_shift(
-            max(cfg.ell, 1),
-            cfg.params,
-            degree_cap=cfg.degree,
-            tolerance=_tol(cfg, 1e-8),
-        )
-    ]
-
-
-def _suite_rewrite(cfg: SuiteConfig) -> list[CheckReport]:
-    return [
-        relations.check_exchange_rewrite(
-            max(cfg.ell, 1),
-            cfg.params,
-            cfg.degree,
-            cfg.window,
-            tolerance=_tol(cfg, 1e-8),
-        )
-    ]
-
-
-def _suite_composite(cfg: SuiteConfig) -> list[CheckReport]:
-    return [
-        relations.check_composite_exchange(
-            max(cfg.ell, 1),
-            max(cfg.k, 1),
-            cfg.params,
-            cfg.degree,
-            cfg.window,
-            tolerance=_tol(cfg, 1e-8),
-        )
-    ]
-
-
-def _suite_fusion(cfg: SuiteConfig) -> list[CheckReport]:
-    return [
-        relations.check_fusion(max(cfg.ell, 1), cfg.params, tolerance=_tol(cfg, 1e-10))
-    ]
-
-
-def _suite_argument_shift(cfg: SuiteConfig) -> list[CheckReport]:
-    return [
-        relations.check_argument_shift(
-            max(cfg.ell, 1), cfg.params, tolerance=_tol(cfg, 1e-10)
-        )
-    ]
-
-
-def _suite_delta(cfg: SuiteConfig) -> list[CheckReport]:
-    rng = np.random.default_rng(cfg.seed)
-    return [relations.check_delta_identity(rng, tolerance=_tol(cfg, 1e-10))]
-
-
-def _suite_qspecial(cfg: SuiteConfig) -> list[CheckReport]:
-    return [relations.check_qspecial(tolerance=_tol(cfg, 1e-12))]
-
-
-def _suite_two_point(cfg: SuiteConfig) -> list[CheckReport]:
-    return [
-        correlators.check_two_point(
-            cfg.params, max(cfg.ell, 1), tolerance=_tol(cfg, 1e-12)
-        )
-    ]
-
-
-def _suite_four_point(cfg: SuiteConfig) -> list[CheckReport]:
-    return [
-        correlators.check_four_point(
-            cfg.params, max(cfg.ell, 1), cfg.L, tolerance=_tol(cfg, 1e-8)
-        )
-    ]
-
-
-def _suite_pseudo_constant(cfg: SuiteConfig) -> list[CheckReport]:
-    return [
-        correlators.check_pseudo_constant(
-            cfg.params, max(cfg.ell, 1), tolerance=_tol(cfg, 1e-10)
-        )
-    ]
-
-
-def _suite_connection(cfg: SuiteConfig) -> list[CheckReport]:
-    return [
-        correlators.check_connection_formula(
-            cfg.params,
-            max(cfg.ell, 1),
-            cfg.L,
-            cfg.r,
-            tolerance=_tol(cfg, 1e-6),
-        )
-    ]
-
-
+# name -> (default tolerance, call(cfg, tol) returning the reports).
+# Each call looks its checker up on the module when it runs, so a
+# wrapper installed on the module attribute sees every check.
 SUITES = {
-    "defining-relation": _suite_defining,
-    "screening": _suite_screening,
-    "screening-mirror": _suite_screening_mirror,
-    "vertex-exchange": _suite_vertex_exchange,
-    "current-vertex-exchange": _suite_current_vertex,
-    "adjoint-shift": _suite_adjoint,
-    "exchange-rewrite": _suite_rewrite,
-    "composite-exchange": _suite_composite,
-    "fusion": _suite_fusion,
-    "argument-shift": _suite_argument_shift,
-    "delta-identity": _suite_delta,
-    "qspecial": _suite_qspecial,
-    "two-point": _suite_two_point,
-    "four-point": _suite_four_point,
-    "pseudo-constant": _suite_pseudo_constant,
-    "connection": _suite_connection,
+    "defining-relation": (
+        1e-8,
+        lambda c, tol: [
+            relations.check_defining_relation(
+                c.params, c.degree, c.window, tolerance=tol
+            )
+        ],
+    ),
+    "screening": (
+        1e-8,
+        lambda c, tol: [
+            relations.check_screening_relation(
+                c.params, +1, c.degree, c.window, tolerance=tol
+            )
+        ],
+    ),
+    "screening-mirror": (
+        1e-8,
+        lambda c, tol: [
+            relations.check_screening_relation(
+                c.params, -1, c.degree, c.window, tolerance=tol
+            )
+        ],
+    ),
+    "vertex-exchange": (
+        1e-8,
+        lambda c, tol: [
+            relations.check_vertex_exchange(
+                c.label, c.params, v, c.degree, c.window, tolerance=tol
+            )
+            for v in ("plain", "theta", "mirror")
+        ],
+    ),
+    "current-vertex-exchange": (
+        1e-8,
+        lambda c, tol: [
+            relations.check_current_vertex_exchange(
+                c.label, c.params, c.degree, c.window, tolerance=tol
+            )
+        ],
+    ),
+    "adjoint-shift": (
+        1e-8,
+        lambda c, tol: [
+            relations.check_adjoint_shift(
+                c.label, c.params, degree_cap=c.degree, tolerance=tol
+            )
+        ],
+    ),
+    "exchange-rewrite": (
+        1e-8,
+        lambda c, tol: [
+            relations.check_exchange_rewrite(
+                c.label, c.params, c.degree, c.window, tolerance=tol
+            )
+        ],
+    ),
+    "composite-exchange": (
+        1e-8,
+        lambda c, tol: [
+            relations.check_composite_exchange(
+                c.label, max(c.k, 1), c.params, c.degree, c.window, tolerance=tol
+            )
+        ],
+    ),
+    "fusion": (
+        1e-10,
+        lambda c, tol: [relations.check_fusion(c.label, c.params, tolerance=tol)],
+    ),
+    "argument-shift": (
+        1e-10,
+        lambda c, tol: [
+            relations.check_argument_shift(c.label, c.params, tolerance=tol)
+        ],
+    ),
+    "delta-identity": (
+        1e-10,
+        lambda c, tol: [
+            relations.check_delta_identity(
+                np.random.default_rng(c.seed), tolerance=tol
+            )
+        ],
+    ),
+    "qspecial": (1e-12, lambda c, tol: [relations.check_qspecial(tolerance=tol)]),
+    "two-point": (
+        1e-12,
+        lambda c, tol: [correlators.check_two_point(c.params, c.label, tolerance=tol)],
+    ),
+    "four-point": (
+        1e-8,
+        lambda c, tol: [
+            correlators.check_four_point(c.params, c.label, c.L, tolerance=tol)
+        ],
+    ),
+    "pseudo-constant": (
+        1e-10,
+        lambda c, tol: [
+            correlators.check_pseudo_constant(c.params, c.label, tolerance=tol)
+        ],
+    ),
+    "connection": (
+        1e-6,
+        lambda c, tol: [
+            correlators.check_connection_formula(
+                c.params, c.label, c.L, c.r, tolerance=tol
+            )
+        ],
+    ),
 }
 
 
@@ -348,11 +295,8 @@ def _resolve(args: argparse.Namespace) -> tuple[SuiteConfig, str]:
         flag = getattr(args, key, None)
         if flag is not None and flag is not False:
             merged[key] = flag
-    suites = merged["suite"]
-    if isinstance(suites, str):
-        suites = [suites]
     expanded: list[str] = []
-    for s in suites:
+    for s in merged["suite"]:
         expanded.extend(x.strip() for x in str(s).split(",") if x.strip())
     if "all" in expanded:
         expanded = list(SUITES)
@@ -373,7 +317,6 @@ def _resolve(args: argparse.Namespace) -> tuple[SuiteConfig, str]:
         window=int(merged["window"]),
         tol=None if merged["tol"] is None else float(merged["tol"]),
         seed=int(merged["seed"]),
-        threads=int(merged["threads"]),
         suites=tuple(expanded),
     )
     fmt = "json" if merged["json"] else ("csv" if merged["csv"] else "text")
@@ -448,16 +391,13 @@ def emit_report(reports: list[CheckReport], cfg: SuiteConfig, fmt: str) -> str:
 
 
 def run(cfg: SuiteConfig) -> list[CheckReport]:
-    """Execute the selected suites; report order follows suite order
-    regardless of thread scheduling."""
-    jobs = [SUITES[name] for name in cfg.suites]
-    if cfg.threads > 1:
-        with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-            futures = [pool.submit(job, cfg) for job in jobs]
-            chunks = [f.result() for f in futures]
-    else:
-        chunks = [job(cfg) for job in jobs]
-    return [rep for chunk in chunks for rep in chunk]
+    """Execute the selected suites in order; ``--tol`` replaces every
+    suite's default tolerance."""
+    reports = []
+    for name in cfg.suites:
+        default_tol, call = SUITES[name]
+        reports.extend(call(cfg, default_tol if cfg.tol is None else cfg.tol))
+    return reports
 
 
 def _exit_status(reports: list[CheckReport]) -> int:
@@ -591,7 +531,6 @@ def _build_parser() -> _Parser:
     v.add_argument("--csv", action="store_true", default=False)
     v.add_argument("--config", type=str, default=None, help="flat key=value file")
     v.add_argument("--seed", type=int, default=None)
-    v.add_argument("--threads", type=int, default=None)
 
     e = sub.add_parser("eval", help="evaluate a single function")
     e.add_argument("function", choices=sorted(EVAL_FUNCTIONS))
@@ -611,7 +550,12 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "verify":
             cfg, fmt = _resolve(args)
             reports = run(cfg)
-            print(emit_report(reports, cfg, fmt))
+            try:
+                print(emit_report(reports, cfg, fmt))
+                sys.stdout.flush()
+            except BrokenPipeError:
+                # the reader left early (``| head``): send the rest to devnull
+                os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
             return _exit_status(reports)
         value = EVAL_FUNCTIONS[args.function](args)
         print(f"{value:.17g}")

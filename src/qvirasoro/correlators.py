@@ -28,7 +28,6 @@ pair onto the other; see ``check_connection_formula``.  Any positive
 
 from __future__ import annotations
 
-import math
 import time
 from dataclasses import dataclass
 
@@ -47,7 +46,7 @@ from .qspecial import (
     phi21,
     qpoch_inf,
 )
-from .report import CheckReport
+from .report import CheckReport, _report
 from .series import from_log_rule
 from .voa import pair_correlation_factor, pair_correlation_log_rule
 
@@ -310,21 +309,6 @@ def connection_matrix(u: float, cp: CorrelatorParams) -> np.ndarray:
 
 # ---------------------------------------------------------------------------
 # Checks
-
-
-def _report(identity, residual, tolerance, loc, config, t0, notes=(), status=""):
-    rep = CheckReport(
-        identity=identity,
-        residual=residual,
-        tolerance=tolerance,
-        worst_location=loc,
-        config=config,
-        status=status,
-        runtime_ms=(time.perf_counter() - t0) * 1e3,
-    )
-    for n in notes:
-        rep.add_note(n)
-    return rep
 
 
 def check_two_point(

@@ -21,19 +21,15 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
 from .errors import QVirasoroError, TruncationError
 from .qspecial import QParams
-from .series import Series
 
 MOMENTUM_TOL = 1e-12
-# Exponent metadata on coefficient tables is aligned to this tolerance
-# when two tables are compared.
-EXPONENT_TOL = 1e-9
 
 
 def partitions_of(n: int, max_part: int | None = None) -> Iterator[tuple[int, ...]]:
@@ -208,20 +204,6 @@ def vertex_data_distance(
     return worst
 
 
-@dataclass
-class OperatorProduct:
-    """An ordered product of vertices at tagged formal variables,
-    together with the scalar contraction data accumulated by normal
-    ordering (one factor per ordered pair, see voa.normal_order)."""
-
-    factors: list[tuple[NormalOrderedVertex, str]]
-    merged: NormalOrderedVertex | None = None
-    contractions: list = field(default_factory=list)
-
-    def total_charge(self) -> float:
-        return sum(v.charge for v, _ in self.factors)
-
-
 # ---------------------------------------------------------------------------
 # Coefficient tables (single formal variable)
 
@@ -229,23 +211,11 @@ class OperatorProduct:
 @dataclass
 class CoeffTable:
     """Monomial table of a matrix element: entries[k] is the coefficient
-    of var^{k + offset}.  Tables are comparable only when offsets agree
-    to EXPONENT_TOL."""
+    of var^{k + offset}."""
 
     entries: dict[int, float]
     offset: float = 0.0
     var: str = "z"
-
-    def compare(self, other: "CoeffTable") -> float:
-        if abs(self.offset - other.offset) > EXPONENT_TOL:
-            raise QVirasoroError(
-                f"tables not comparable: offsets {self.offset} vs {other.offset}"
-            )
-        keys = set(self.entries) | set(other.entries)
-        return max(
-            (abs(self.entries.get(k, 0.0) - other.entries.get(k, 0.0)) for k in keys),
-            default=0.0,
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -336,27 +306,16 @@ class PartitionBasis:
 
 
 def matrix_element(
-    op: NormalOrderedVertex | OperatorProduct,
+    op: NormalOrderedVertex,
     bra: FockState,
     ket: FockState,
     basis: PartitionBasis,
 ) -> CoeffTable:
     """<bra| op |ket> as a monomial table in the operator's variable.
 
-    Handles a single vertex (or an empty product, the identity).  The
-    pairing includes the Gram norm of the bra state.  Charge imbalance
+    The pairing includes the Gram norm of the bra state.  Charge imbalance
     returns the identically-zero table.
     """
-    if isinstance(op, OperatorProduct):
-        if not op.factors:
-            val = inner_product(bra, ket, basis.params)
-            return CoeffTable(entries={0: val} if val else {})
-        if len(op.factors) == 1:
-            return matrix_element(op.factors[0][0], bra, ket, basis)
-        raise QVirasoroError(
-            "matrix_element handles single-vertex products; identity "
-            "checkers assemble multi-factor tables directly"
-        )
     if max(bra.degree, ket.degree) > basis.max_degree:
         raise TruncationError("state degree exceeds the basis window")
     if abs(bra.momentum - (ket.momentum + op.momentum_shift())) > MOMENTUM_TOL:
@@ -369,12 +328,3 @@ def matrix_element(
     return CoeffTable(
         entries={key: val}, offset=op.h0_power * ket.momentum, var="z"
     )
-
-
-def series_of_table(table: CoeffTable, order: int) -> Series:
-    """Nonnegative-key part of a table as a Series (for tests)."""
-    c = np.zeros(order + 1)
-    for k, v in table.entries.items():
-        if 0 <= k <= order:
-            c[k] = v
-    return Series(c)

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,8 +31,8 @@ from .fock import (
     vertex_data_distance,
 )
 from .qspecial import QParams
-from .report import CheckReport
-from .series import check_delta_comb
+from .report import CheckReport, _report
+from .series import Series, check_delta_comb
 from .voa import (
     StructureFunctionSpec,
     build_current,
@@ -85,8 +84,8 @@ def _exchange_tables(
     keys: range,
     twist: int,
     arg_scale: float = 1.0,
-):
-    """Tables of  g(w/z) X(z) Y(w)  and  Y(w) X(z) (-z/w)^twist g(z/w).
+) -> dict[int, np.ndarray]:
+    """Tables of  g(w/z) X(z) Y(w) - Y(w) X(z) (-z/w)^twist g(z/w).
 
     x_left is X applied after Y (shifted momentum), x_right before.
     ``arg_scale`` is the numeric value of w baked into ``y_app``; the
@@ -96,7 +95,7 @@ def _exchange_tables(
     left = {d: x_left @ _stripe(basis, y_app, d) for d in range(-D, D + 1)}
     right = {d: _stripe(basis, y_app, d) @ x_right for d in range(-D, D + 1)}
     sign = (-1.0) ** twist * arg_scale ** (-twist)
-    t1, t2 = {}, {}
+    tables = {}
     for k in keys:
         acc1 = np.zeros_like(y_app)
         for s in range(0, k + D + 1):
@@ -115,51 +114,54 @@ def _exchange_tables(
                 if s >= len(g):
                     raise QVirasoroError("structure series too short for window")
                 acc2 += g[s] * arg_scale**-s * right[d]
-        t1[k] = acc1
-        t2[k] = sign * acc2
-    return t1, t2
+        tables[k] = acc1 - sign * acc2
+    return tables
 
 
-def _delta_conjugate(basis: PartitionBasis, w_app: np.ndarray, c: float) -> np.ndarray:
-    """Entrywise c^{-(deg bra - deg ket)} * W: the delta-function transfer
-    of z-powers onto w-powers for a term K delta(c w/z) W(w)."""
+def _exchange_lhs(params, x, y, g, twist, degree_cap, window, momentum, arg_scale=1.0):
+    """Basis and exchange tables of current (or branch) X against vertex
+    Y, one per key in [-window, window]; ``g`` is the structure function
+    as (spec, parameters).  The basis reaches degree_cap + window +
+    |twist|, enough for the compared corner to be exact."""
+    D = degree_cap + window + abs(twist)
+    basis = PartitionBasis(params, D)
+    gc = structure_series(*g, 2 * D + window + 2).c
+    y_app = _app(basis, y, momentum)
+    x_left = _app(basis, x, momentum + y.momentum_shift())
+    x_right = _app(basis, x, momentum)
+    keys = range(-window, window + 1)
+    return basis, _exchange_tables(
+        basis, x_left, x_right, y_app, gc, keys, twist, arg_scale=arg_scale
+    )
+
+
+def _delta_conjugate(basis: PartitionBasis, w, momentum: float, c: float) -> np.ndarray:
+    """Entrywise c^{-(deg bra - deg ket)} * W, W the matrix of vertex w:
+    the delta-function transfer of z-powers onto w-powers for a term
+    K delta(c w/z) W(w)."""
     cd = c ** basis.degrees.astype(float)
-    return (w_app * cd[None, :]) / cd[:, None]
+    return (_app(basis, w, momentum) * cd[None, :]) / cd[:, None]
 
 
-def _table_residual(lhs: dict, rhs: dict, basis: PartitionBasis, cap: int):
+def _table_residual(triples, basis: PartitionBasis, cap: int):
+    """Worst masked |lhs - rhs| over (label, lhs, rhs) triples on the
+    corner of bra and ket degree <= cap, and where it occurred; the
+    first triple wins ties."""
     mask = basis.corner_mask(cap)
-    worst, loc, scale = 0.0, "", 0.0
-    zero = np.zeros_like(next(iter(lhs.values())))
-    for k in sorted(set(lhs) | set(rhs)):
-        a = lhs.get(k, zero)
-        b = rhs.get(k, zero)
-        scale = max(
-            scale,
-            float(np.max(np.abs(a) * mask)),
-            float(np.max(np.abs(b) * mask)),
-        )
+    worst, loc = 0.0, ""
+    for label, a, b in triples:
         diff = np.abs(a - b) * mask
         m = float(diff.max())
         if m > worst:
             i, j = np.unravel_index(int(diff.argmax()), diff.shape)
             worst = m
-            loc = f"key={k} bra={basis.states[i]} ket={basis.states[j]}"
-    return worst, loc, scale
+            loc = f"{label} bra={basis.states[i]} ket={basis.states[j]}"
+    return worst, loc
 
 
-def _report(identity, residual, tolerance, loc, config, t0, notes=()):
-    rep = CheckReport(
-        identity=identity,
-        residual=residual,
-        tolerance=tolerance,
-        worst_location=loc,
-        config=config,
-        runtime_ms=(time.perf_counter() - t0) * 1e3,
-    )
-    for n in notes:
-        rep.add_note(n)
-    return rep
+def _keyed(lhs: dict, rhs: dict):
+    """(label, lhs, rhs) triples of two tables sharing their keys."""
+    return ((f"key={k}", lhs[k], rhs[k]) for k in lhs)
 
 
 # ---------------------------------------------------------------------------
@@ -210,23 +212,20 @@ def check_defining_relation(
             return -central(-n)
         return -eta1 * p ** (0.5 - n) * sum(p**i for i in range(2 * n))
 
-    mask = basis.corner_mask(degree_cap)
     ident = np.eye(basis.size)
-    worst, loc = 0.0, ""
-    for n in range(-max_mode, max_mode + 1):
-        for m in range(-max_mode, max_mode + 1):
-            acc = np.zeros((basis.size, basis.size))
-            for s in range(0, min(D + n, D - m) + 1):
-                acc += f[s] * tt(n - s, m + s)
-            for s in range(0, min(D + m, D - n) + 1):
-                acc -= f[s] * tt(m - s, n + s)
-            rhs = central(n) * ident if n + m == 0 else 0.0 * ident
-            diff = np.abs(acc - rhs) * mask
-            val = float(diff.max())
-            if val > worst:
-                i, j = np.unravel_index(int(diff.argmax()), diff.shape)
-                worst = val
-                loc = f"n={n} m={m} bra={basis.states[i]} ket={basis.states[j]}"
+
+    def triples():
+        for n in range(-max_mode, max_mode + 1):
+            for m in range(-max_mode, max_mode + 1):
+                acc = np.zeros((basis.size, basis.size))
+                for s in range(0, min(D + n, D - m) + 1):
+                    acc += f[s] * tt(n - s, m + s)
+                for s in range(0, min(D + m, D - n) + 1):
+                    acc -= f[s] * tt(m - s, n + s)
+                rhs = central(n) * ident if n + m == 0 else 0.0 * ident
+                yield f"n={n} m={m}", acc, rhs
+
+    worst, loc = _table_residual(triples(), basis, degree_cap)
     cfg = {
         "q": params.q,
         "t": params.t,
@@ -271,7 +270,7 @@ def check_screening_relation(
         lam = build_lambda(+1, params)
     c = base**-0.5
     w_vertex = merge_vertices([lam.at_scale(c), scr])
-    w_conj = _delta_conjugate(basis, _app(basis, w_vertex, m0), c)
+    w_conj = _delta_conjugate(basis, w_vertex, m0, c)
     prefactor = -(1.0 - 1.0 / other)
 
     lhs, rhs = {}, {}
@@ -282,7 +281,7 @@ def check_screening_relation(
         rhs[k] = (
             prefactor * (1.0 - base ** (1.0 + k + gamma_m)) * c**k * w_conj
         )
-    worst, loc, _ = _table_residual(lhs, rhs, basis, degree_cap)
+    worst, loc = _table_residual(_keyed(lhs, rhs), basis, degree_cap)
     cfg = {
         "q": params.q,
         "t": params.t,
@@ -356,22 +355,11 @@ def check_vertex_exchange(
     exchange combination collapses to one delta-localized shifted
     vertex."""
     t0 = time.perf_counter()
-    twist = 2 - ell
-    D = degree_cap + window + abs(twist)
-    basis = PartitionBasis(params, D)
-    x, y, (gspec, gparams), K, c, xi = _exchange_setup(ell, params, variant)
-    g = structure_series(gspec, gparams, 2 * D + window + 2).c
-    m0 = momentum
-    y_app = _app(basis, y, m0)
-    x_left = _app(basis, x, m0 + y.momentum_shift())
-    x_right = _app(basis, x, m0)
-    keys = range(-window, window + 1)
-    t1, t2 = _exchange_tables(basis, x_left, x_right, y_app, g, keys, twist)
-    shifted = _app(basis, y.at_scale(xi), m0)
-    conj = _delta_conjugate(basis, shifted, c)
-    lhs = {k: t1[k] - t2[k] for k in keys}
-    rhs = {k: K * c**k * conj for k in keys}
-    worst, loc, _ = _table_residual(lhs, rhs, basis, degree_cap)
+    x, y, g, K, c, xi = _exchange_setup(ell, params, variant)
+    basis, lhs = _exchange_lhs(params, x, y, g, 2 - ell, degree_cap, window, momentum)
+    conj = _delta_conjugate(basis, y.at_scale(xi), momentum, c)
+    rhs = {k: K * c**k * conj for k in lhs}
+    worst, loc = _table_residual(_keyed(lhs, rhs), basis, degree_cap)
     cfg = {
         "q": params.q,
         "t": params.t,
@@ -397,20 +385,11 @@ def check_current_vertex_exchange(
     current branch, with square-root-balanced constants."""
     t0 = time.perf_counter()
     q, t, p = params.q, params.t, params.p
-    twist = 2 - ell
-    D = degree_cap + window + abs(twist)
-    basis = PartitionBasis(params, D)
     y = build_vertex(ell, 0, params)
-    cur = build_current(params)
-    g = structure_series(
-        StructureFunctionSpec("exchange", ell, 0), params, 2 * D + window + 2
-    ).c
-    m0 = momentum
-    y_app = _app(basis, y, m0)
-    x_left = _app(basis, cur, m0 + y.momentum_shift())
-    x_right = _app(basis, cur, m0)
-    keys = range(-window, window + 1)
-    t1, t2 = _exchange_tables(basis, x_left, x_right, y_app, g, keys, twist)
+    g = StructureFunctionSpec("exchange", ell, 0), params
+    basis, lhs = _exchange_lhs(
+        params, build_current(params), y, g, 2 - ell, degree_cap, window, momentum
+    )
 
     big_pi = math.prod(
         t**-0.5 * q ** (j / (2 * ell)) - t**0.5 * q ** (-j / (2 * ell))
@@ -421,19 +400,14 @@ def check_current_vertex_exchange(
     coeff_up = (-1.0) ** ell * p**-0.5 * t**0.5 * q**e4
     c_down = p**0.5 * q ** (-1.0 / (2 * ell))
     c_up = p**-0.5 * q ** (1.0 / (2 * ell))
-    conj_down = _delta_conjugate(
-        basis, _app(basis, y.at_scale(q ** (-1.0 / ell)), m0), c_down
-    )
-    conj_up = _delta_conjugate(
-        basis, _app(basis, y.at_scale(q ** (1.0 / ell)), m0), c_up
-    )
-    lhs = {k: t1[k] - t2[k] for k in keys}
+    conj_down = _delta_conjugate(basis, y.at_scale(q ** (-1.0 / ell)), momentum, c_down)
+    conj_up = _delta_conjugate(basis, y.at_scale(q ** (1.0 / ell)), momentum, c_up)
     rhs = {
         k: big_pi
         * (coeff_down * c_down**k * conj_down - coeff_up * c_up**k * conj_up)
-        for k in keys
+        for k in lhs
     }
-    worst, loc, _ = _table_residual(lhs, rhs, basis, degree_cap)
+    worst, loc = _table_residual(_keyed(lhs, rhs), basis, degree_cap)
     cfg = {
         "q": params.q,
         "t": params.t,
@@ -462,54 +436,38 @@ def check_adjoint_shift(
     simple vertex equals an explicit two-term argument-shift operator."""
     t0 = time.perf_counter()
     q, t, p = params.q, params.t, params.p
-    twist = 2 - ell
     nmax = max(abs(int(n)) for n in modes)
     window = degree_cap + nmax
-    D = degree_cap + window + abs(twist)
-    basis = PartitionBasis(params, D)
     y = build_vertex(ell, 0, params).at_scale(scale) if scale != 1.0 else build_vertex(
         ell, 0, params
     )
     cur = build_current(params)
-    g = structure_series(
-        StructureFunctionSpec("exchange", ell, 0), params, 2 * D + window + 2
-    ).c
-    m0 = momentum
-    y_app = _app(basis, y, m0)
-    x_left = _app(basis, cur, m0 + y.momentum_shift())
-    x_right = _app(basis, cur, m0)
-    keys = range(-window, window + 1)
-    t1, t2 = _exchange_tables(
-        basis, x_left, x_right, y_app, g, keys, twist, arg_scale=scale
+    g = StructureFunctionSpec("exchange", ell, 0), params
+    basis, combo = _exchange_lhs(
+        params, cur, y, g, 2 - ell, degree_cap, window, momentum, arg_scale=scale
     )
-    combo = {k: t1[k] - t2[k] for k in keys}
 
     big_pi = math.prod(
         t**-0.5 * q ** (j / (2 * ell)) - t**0.5 * q ** (-j / (2 * ell))
         for j in range(ell - 1)
     )
-    v_down = _app(basis, y.at_scale(q ** (-1.0 / ell)), m0)
-    v_up = _app(basis, y.at_scale(q ** (1.0 / ell)), m0)
-
-    mask = basis.corner_mask(degree_cap)
-    worst, loc = 0.0, ""
+    v_down = _app(basis, y.at_scale(q ** (-1.0 / ell)), momentum)
+    v_up = _app(basis, y.at_scale(q ** (1.0 / ell)), momentum)
     deg_diff = basis.degrees[:, None] - basis.degrees[None, :]
-    for n in modes:
-        n = int(n)
-        extracted = np.zeros((basis.size, basis.size))
-        for k in keys:
-            sel = deg_diff == (k - n)
-            extracted = np.where(sel, combo[k], extracted)
-        e = ((ell - 1) * (ell - 2) + 2 * n) / (4.0 * ell)
-        a_n = p ** ((n + 1) / 2.0) * t**-0.5 * q**-e
-        b_n = (-1.0) ** ell * p ** (-(n + 1) / 2.0) * t**0.5 * q**e
-        rhs = big_pi * scale**n * (a_n * v_down - b_n * v_up)
-        diff = np.abs(extracted - rhs) * mask
-        val = float(diff.max())
-        if val > worst:
-            i, j = np.unravel_index(int(diff.argmax()), diff.shape)
-            worst = val
-            loc = f"mode={n} bra={basis.states[i]} ket={basis.states[j]}"
+
+    def triples():
+        for n in modes:
+            n = int(n)
+            extracted = np.zeros((basis.size, basis.size))
+            for k, table in combo.items():
+                extracted = np.where(deg_diff == (k - n), table, extracted)
+            e = ((ell - 1) * (ell - 2) + 2 * n) / (4.0 * ell)
+            a_n = p ** ((n + 1) / 2.0) * t**-0.5 * q**-e
+            b_n = (-1.0) ** ell * p ** (-(n + 1) / 2.0) * t**0.5 * q**e
+            rhs = big_pi * scale**n * (a_n * v_down - b_n * v_up)
+            yield f"mode={n}", extracted, rhs
+
+    worst, loc = _table_residual(triples(), basis, degree_cap)
     cfg = {
         "q": params.q,
         "t": params.t,
@@ -556,9 +514,7 @@ def check_exchange_rewrite(
     lam_plus = build_lambda(+1, params)
     phi_plus = contract(y, lam_plus, order).series
     prod = dual * phi_plus
-    unit = np.zeros(order + 1)
-    unit[0] = 1.0
-    res_a = float(np.max(np.abs(prod.c - unit)))
+    res_a = float(np.max(np.abs(prod.c - Series.one(order).c)))
 
     c1 = p**0.5 * q ** (-1.0 / (2 * ell))
     pf = current_vertex_factor(ell, params)
@@ -568,26 +524,17 @@ def check_exchange_rewrite(
     ok_d = math.isfinite(reduced) and abs(reduced) > 1e-6
     res_d = 0.0 if ok_d else float("inf")
 
-    twist = 2 - ell
-    D = degree_cap + window + abs(twist)
-    basis = PartitionBasis(params, D)
-    g = structure_series(
-        StructureFunctionSpec("exchange", ell, 0), params, 2 * D + window + 2
-    ).c
-    m0 = momentum
-    y_app = _app(basis, y, m0)
-    x_left = _app(basis, lam_plus, m0 + y.momentum_shift())
-    x_right = _app(basis, lam_plus, m0)
-    keys = range(-window, window + 1)
-    t1, t2 = _exchange_tables(basis, x_left, x_right, y_app, g, keys, twist)
+    g = StructureFunctionSpec("exchange", ell, 0), params
+    basis, lhs = _exchange_lhs(
+        params, lam_plus, y, g, 2 - ell, degree_cap, window, momentum
+    )
     K2 = t ** (-ell / 2.0) * math.prod(
         1.0 - t * q ** (-j / ell) for j in range(ell - 1)
     )
     w_vertex = merge_vertices([y, lam_plus.at_scale(c1)])
-    conj = _delta_conjugate(basis, _app(basis, w_vertex, m0), c1)
-    lhs = {k: t1[k] - t2[k] for k in keys}
-    rhs = {k: K2 * c1**k * conj for k in keys}
-    res_b, loc, _ = _table_residual(lhs, rhs, basis, degree_cap)
+    conj = _delta_conjugate(basis, w_vertex, momentum, c1)
+    rhs = {k: K2 * c1**k * conj for k in lhs}
+    res_b, loc = _table_residual(_keyed(lhs, rhs), basis, degree_cap)
 
     worst = max(res_a, res_b, res_c, res_d)
     cfg = {
@@ -630,22 +577,13 @@ def check_composite_exchange(
         raise QVirasoroError("composite exchange needs both labels positive")
     t0 = time.perf_counter()
     q, t, p = params.q, params.t, params.p
-    twist = 4 - ell - k
-    D = degree_cap + window + abs(twist)
-    basis = PartitionBasis(params, D)
     y = build_vertex(ell, k, params)
     lam_plus = build_lambda(+1, params)
     lam_minus = build_lambda(-1, params)
-    g = structure_series(
-        StructureFunctionSpec("exchange", ell, k), params, 2 * D + window + 2
-    ).c
-    m0 = momentum
-    y_app = _app(basis, y, m0)
-    x_left = _app(basis, lam_plus, m0 + y.momentum_shift())
-    x_right = _app(basis, lam_plus, m0)
-    keys = range(-window, window + 1)
-    t1, t2 = _exchange_tables(basis, x_left, x_right, y_app, g, keys, twist)
-    lhs = {kk: t1[kk] - t2[kk] for kk in keys}
+    g = StructureFunctionSpec("exchange", ell, k), params
+    basis, lhs = _exchange_lhs(
+        params, lam_plus, y, g, 4 - ell - k, degree_cap, window, momentum
+    )
 
     pref = q ** (k / 2.0) * t ** (-ell / 2.0)
     c1 = p**0.5 * q ** (-1.0 / (2 * ell))
@@ -670,20 +608,20 @@ def check_composite_exchange(
     )
     f_ell = current_vertex_factor(ell, params)
     f_k = mirror_vertex_factor(k, params)
-    rhs = {kk: np.zeros_like(y_app) for kk in keys}
+    rhs = {kk: np.zeros((basis.size, basis.size)) for kk in lhs}
     minus_weights = []
     for c_i, coeff_i in ((c1, coeff1), (c2, coeff2)):
         d_minus = f_ell.value(c_i) * f_k.value(c_i)
         minus_weights.append(d_minus)
         w_plus = _delta_conjugate(
-            basis, _app(basis, merge_vertices([y, lam_plus.at_scale(c_i)]), m0), c_i
+            basis, merge_vertices([y, lam_plus.at_scale(c_i)]), momentum, c_i
         )
         w_minus = _delta_conjugate(
-            basis, _app(basis, merge_vertices([y, lam_minus.at_scale(c_i)]), m0), c_i
+            basis, merge_vertices([y, lam_minus.at_scale(c_i)]), momentum, c_i
         )
-        for kk in keys:
+        for kk in lhs:
             rhs[kk] += pref * coeff_i * c_i**kk * (w_plus + d_minus * w_minus)
-    worst, loc, _ = _table_residual(lhs, rhs, basis, degree_cap)
+    worst, loc = _table_residual(_keyed(lhs, rhs), basis, degree_cap)
     cfg = {
         "q": params.q,
         "t": params.t,

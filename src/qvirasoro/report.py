@@ -9,6 +9,7 @@ serializes these to JSON/CSV; tests assert on ``passed`` and
 from __future__ import annotations
 
 import math
+import time
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -59,6 +60,16 @@ class CheckReport:
         )
 
 
-def worst(reports: list[CheckReport]) -> CheckReport:
-    """The report with the largest residual (ties broken by order)."""
-    return max(reports, key=lambda r: r.residual)
+def _report(identity, residual, tolerance, loc, config, t0, notes=(), status=""):
+    """The checkers' shared constructor: runtime is measured from the
+    ``time.perf_counter()`` value ``t0`` taken when the check started."""
+    return CheckReport(
+        identity=identity,
+        residual=residual,
+        tolerance=tolerance,
+        worst_location=loc,
+        config=config,
+        notes=list(notes),
+        status=status,
+        runtime_ms=(time.perf_counter() - t0) * 1e3,
+    )

@@ -9,6 +9,7 @@ window (no truncation error inside it).
 
 from __future__ import annotations
 
+import math
 from typing import Callable, Sequence
 
 import numpy as np
@@ -36,21 +37,10 @@ class Series:
         c[0] = 1.0
         return cls(c)
 
-    @classmethod
-    def zero(cls, order: int) -> "Series":
-        return cls(np.zeros(order + 1))
-
     def __getitem__(self, k: int) -> float:
         if 0 <= k <= self.order:
             return float(self.c[k])
         return 0.0
-
-    def truncate(self, order: int) -> "Series":
-        if order <= self.order:
-            return Series(self.c[: order + 1])
-        out = np.zeros(order + 1)
-        out[: self.c.size] = self.c
-        return Series(out)
 
     def __add__(self, other: "Series") -> "Series":
         n = min(self.order, other.order)
@@ -68,10 +58,6 @@ class Series:
         return Series(self.c * float(other))
 
     __rmul__ = __mul__
-
-    def scale_arg(self, s: float) -> "Series":
-        """x -> s*x, i.e. c_k -> c_k s^k."""
-        return Series(self.c * (float(s) ** np.arange(self.c.size)))
 
     def __repr__(self) -> str:
         head = ", ".join(f"{v:.6g}" for v in self.c[:6])
@@ -116,24 +102,18 @@ def from_log_rule(rule: Callable[[int], float], order: int) -> Series:
     return series_exp(Series(u))
 
 
-def linear_series(b: float, order: int, power: int = 1) -> Series:
-    """(1 - b x)^power for integer power (negative allowed)."""
-    if power == 0:
-        return Series.one(order)
-    if power > 0:
-        out = Series.one(order)
-        lin = np.zeros(order + 1)
-        lin[0] = 1.0
-        if order >= 1:
-            lin[1] = -b
-        for _ in range(power):
-            out = out * Series(lin)
-        return out
-    geo = Series(b ** np.arange(order + 1))  # 1/(1 - b x)
-    out = Series.one(order)
-    for _ in range(-power):
-        out = out * geo
-    return out
+def _comb_coefficients(roots: Sequence[float], order: int) -> np.ndarray:
+    """Coefficients 0..order of prod_i (1 - r_i x) / (1 - x): the
+    polynomial's coefficients, then their running sum (the factor
+    1/(1 - x)).  Roots above 1 cost no accuracy here, whereas the
+    exponential of the log series, whose terms grow like r^n / n, loses
+    every digit to cancellation."""
+    poly = np.array([1.0])
+    for r in roots:
+        poly = np.convolve(poly, [1.0, -r])
+    c = np.zeros(order + 1)
+    c[: poly.size] = poly
+    return np.cumsum(c)
 
 
 def check_delta_comb(rs: Sequence[float], window: int) -> float:
@@ -149,20 +129,10 @@ def check_delta_comb(rs: Sequence[float], window: int) -> float:
     """
     m = len(rs)
     order = window + m + 1
-
-    def log_plus(n: int) -> float:
-        return (1.0 - sum(r**n for r in rs)) / n
-
-    def log_minus(n: int) -> float:
-        return (1.0 - sum(r ** (-n) for r in rs)) / n
-
-    ep = from_log_rule(log_plus, order)
-    em = from_log_rule(log_minus, order)
-    prod_r = 1.0
-    const = 1.0
-    for r in rs:
-        prod_r *= r
-        const *= 1.0 - r
+    ep = _comb_coefficients(rs, order)
+    em = _comb_coefficients([1.0 / r for r in rs], order)
+    prod_r = math.prod(rs)
+    const = math.prod(1.0 - r for r in rs)
     sign = (-1.0) ** (m - 1)
     worst = 0.0
     for k in range(-window, window + 1):
@@ -172,4 +142,4 @@ def check_delta_comb(rs: Sequence[float], window: int) -> float:
         if k <= m - 1:
             val -= sign * prod_r * em[m - 1 - k]
         worst = max(worst, abs(val - const))
-    return worst
+    return float(worst)

@@ -27,12 +27,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
 from .errors import ConvergenceError, PoleError, QVirasoroError
-from .fock import NormalOrderedVertex, OperatorProduct, OperatorSum, merge_vertices
+from .fock import NormalOrderedVertex, OperatorSum, merge_vertices
 from .qspecial import QParams, ZERO_SNAP
 from .series import Series, from_log_rule
 
@@ -45,14 +45,12 @@ __all__ = [
     "omega_conjugate",
     "ContractionFactor",
     "contract",
-    "normal_order",
     "StructureFunctionSpec",
     "structure_log_rule",
     "structure_series",
     "ProductForm",
     "current_vertex_factor",
     "mirror_vertex_factor",
-    "exchange_dual_product",
     "pair_correlation_log_rule",
     "pair_correlation_factor",
 ]
@@ -280,20 +278,6 @@ def contract(
     )
 
 
-def normal_order(
-    factors: Sequence[NormalOrderedVertex], label: str | None = None
-) -> OperatorProduct:
-    """Normal-ordered product of vertices at one shared argument.
-
-    Under the normal-product convention no contraction scalars arise;
-    the result is the field-wise merge of the factor data.
-    """
-    merged = merge_vertices(list(factors), label=label)
-    return OperatorProduct(
-        factors=[(f, "z") for f in factors], merged=merged, contractions=[]
-    )
-
-
 # ---------------------------------------------------------------------------
 # Structure functions
 
@@ -463,15 +447,14 @@ def _family_inv_diff_squared(y: float, L: int, cut: float) -> list[tuple[int, fl
     return out
 
 
-def _family_inv_p_sum(p: float, cut: float, extra_half_power: int) -> list[tuple[int, float]]:
-    """p^{n*extra_half_power/2} / (p^{n/2} + p^{-n/2}) as an alternating
-    geometric family.  extra_half_power in {-1, 0, +1}."""
+def _family_inv_p_sum(p: float, cut: float) -> list[tuple[int, float]]:
+    """1 / (p^{n/2} + p^{-n/2}) as an alternating geometric family."""
     if p < 1.0:
-        # p^{e/2}/(p^{1/2}+p^{-1/2}) = p^{(e+1)/2} * 1/(1+p) per mode
-        c0 = p ** ((extra_half_power + 1) / 2.0)
+        # 1/(p^{1/2}+p^{-1/2}) = p^{1/2} * 1/(1+p) per mode
+        c0 = p**0.5
         step = p
     else:
-        c0 = p ** ((extra_half_power - 1) / 2.0)
+        c0 = p**-0.5
         step = 1.0 / p
     out = []
     c, s = c0, 1
@@ -522,35 +505,6 @@ def mirror_vertex_factor(k: int, params: QParams) -> ProductForm:
     return _expand(fams, overall_sign=+1)
 
 
-def exchange_dual_product(ell: int, k: int, params: QParams) -> ProductForm:
-    """Product form of the exchange-dual kernel (valid past its series
-    radius)."""
-    forms = []
-    if ell > 0:
-        fams = [
-            _family_eta(params),
-            _family_inv_diff(params.q, ell, _CUT),
-            _family_inv_p_sum(params.p, _CUT, extra_half_power=-1),
-        ]
-        forms.append(_expand(fams, overall_sign=-1))
-    if k > 0:
-        dual = QParams(1.0 / params.t, 1.0 / params.q, strict=False)
-        fams = [
-            _family_eta(dual),
-            _family_inv_diff(dual.q, k, _CUT),
-            _family_inv_p_sum(dual.p, _CUT, extra_half_power=-1),
-        ]
-        forms.append(_expand(fams, overall_sign=-1))
-    if not forms:
-        raise QVirasoroError("exchange-dual kernel needs a valid vertex label")
-    if len(forms) == 1:
-        return forms[0]
-    return ProductForm(
-        coeffs=np.concatenate([f.coeffs for f in forms]),
-        weights=np.concatenate([f.weights for f in forms]),
-    )
-
-
 def pair_correlation_log_rule(ell: int, params: QParams) -> Callable[[int], float]:
     """log-coefficients of the oscillator part of the radial-ordering
     scalar of two first-kind vertices:  the scalar is
@@ -576,6 +530,6 @@ def pair_correlation_factor(ell: int, params: QParams) -> ProductForm:
     fams = [
         _family_eta(params),
         _family_inv_diff_squared(params.q, ell, _CUT),
-        _family_inv_p_sum(params.p, _CUT, extra_half_power=0),
+        _family_inv_p_sum(params.p, _CUT),
     ]
     return _expand(fams, overall_sign=-1)

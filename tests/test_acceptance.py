@@ -5,9 +5,11 @@ and prints a single summary line; together they are the go/no-go signal
 for the package.
 """
 
+import os
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -232,11 +234,17 @@ def test_criterion_12_pseudo_constant_stability_full_suite():
                 f"{r6.identity} degraded: {r4.residual:.3e} -> {r6.residual:.3e}"
             )
 
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [src, env.get("PYTHONPATH")])
+        )
         proc = subprocess.run(
             [sys.executable, "-m", "qvirasoro", "verify", "--suite", "all"],
             capture_output=True,
             text=True,
             timeout=280,
+            env=env,
         )
         assert proc.returncode == 0, proc.stdout + proc.stderr
         assert "0 failed, 0 inconclusive" in proc.stdout

@@ -3,11 +3,15 @@ exit statuses, and the report record."""
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from qvirasoro.cli import DEFAULTS, SUITES, main
-from qvirasoro.report import CheckReport, worst
+from qvirasoro.report import CheckReport
 
 
 def run_cli(capsys, *argv):
@@ -164,12 +168,6 @@ class TestPrecedence:
         assert code == 3
         assert "cannot read config file" in err
 
-    def test_threads_preserve_report_order(self, capsys):
-        argv = ("verify", "--suite", "qspecial,delta-identity", "--json")
-        _, out1, _ = run_cli(capsys, *argv)
-        _, out2, _ = run_cli(capsys, *argv, "--threads", "2")
-        assert strip_runtime(json.loads(out1)) == strip_runtime(json.loads(out2))
-
 
 class TestEval:
     def test_phi21_at_origin(self, capsys):
@@ -222,9 +220,59 @@ class TestReportRecord:
         assert "demo" in line and "mode 3" in line
         assert rep.notes == ["extra"]
 
-    def test_worst_selector(self):
-        reports = [CheckReport("a", 1e-12, 1e-8), CheckReport("b", 1e-9, 1e-8)]
-        assert worst(reports).identity == "b"
-
     def test_suite_registry_is_complete(self):
         assert len(SUITES) == 16
+
+
+class TestSuiteTable:
+    # every identity of `--suite all`, in registry order, with its default
+    # tolerance
+    EXPECTED = [
+        ("defining-relation", 1e-8),
+        ("screening", 1e-8),
+        ("screening-mirror", 1e-8),
+        ("vertex-exchange", 1e-8),
+        ("vertex-exchange-theta", 1e-8),
+        ("vertex-exchange-mirror", 1e-8),
+        ("current-vertex-exchange", 1e-8),
+        ("adjoint-shift", 1e-8),
+        ("exchange-rewrite", 1e-8),
+        ("composite-exchange", 1e-8),
+        ("fusion", 1e-10),
+        ("argument-shift", 1e-10),
+        ("delta-identity", 1e-10),
+        ("qspecial", 1e-12),
+        ("two-point", 1e-12),
+        ("four-point", 1e-8),
+        ("pseudo-constant", 1e-10),
+        ("connection", 1e-6),
+    ]
+    ARGV = ("verify", "--suite", "all", "--degree", "2", "--window", "2", "--json")
+
+    def test_order_and_default_tolerances(self, capsys):
+        _, out, _ = run_cli(capsys, *self.ARGV)
+        got = [(r["identity"], r["tolerance"]) for r in json.loads(out)]
+        assert got == self.EXPECTED
+
+    def test_tol_replaces_every_default(self, capsys):
+        _, out, _ = run_cli(capsys, *self.ARGV, "--tol", "1e-3")
+        records = json.loads(out)
+        assert [r["identity"] for r in records] == [i for i, _ in self.EXPECTED]
+        assert {r["tolerance"] for r in records} == {1e-3}
+
+
+def test_closed_pipe_gives_no_traceback():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "qvirasoro", "verify", "--suite", "delta-identity"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    # the reader is gone before the report is written
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    assert proc.wait(timeout=60) == 0
+    assert "Traceback" not in err, err

@@ -104,6 +104,16 @@ def test_delta_identity_seeded():
     assert rep.passed, rep.summary_line()
 
 
+def test_delta_identity_small_roots_across_seeds():
+    # roots near 0.05 invert to ~20, whose powers once swamped the
+    # expansion at infinity (seeds 2, 4 and 5 failed)
+    for seed in range(1, 21):
+        rep = check_delta_identity(
+            np.random.default_rng(seed), m_values=(1, 2, 3), window=8
+        )
+        assert rep.passed, f"seed {seed}: {rep.summary_line()}"
+
+
 def test_qspecial_layer():
     rep = check_qspecial()
     assert rep.passed, rep.summary_line()

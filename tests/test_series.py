@@ -9,7 +9,6 @@ from qvirasoro.series import (
     Series,
     check_delta_comb,
     from_log_rule,
-    linear_series,
     series_exp,
     series_inverse,
 )
@@ -38,16 +37,6 @@ def test_exp_of_monomial_gives_exponential_coefficients():
         assert s.c[k] == pytest.approx(b**k / math.factorial(k), rel=1e-13)
 
 
-def test_linear_series_binomial_powers():
-    b = 0.6
-    cube = linear_series(b, 6, power=3)
-    assert np.allclose(
-        cube.c, [1.0, -3 * b, 3 * b**2, -(b**3), 0.0, 0.0, 0.0], atol=1e-15
-    )
-    geom = linear_series(b, 6, power=-1)
-    assert np.allclose(geom.c, [b**k for k in range(7)], atol=1e-14)
-
-
 def test_from_log_rule_geometric():
     # exp( sum x^n y^n / n ) = 1/(1 - x y)
     x = 0.44
@@ -67,15 +56,8 @@ def test_inverse_multiplies_to_one():
     assert np.allclose(prod, expect, atol=1e-13)
 
 
-def test_scale_arg_scales_by_powers():
-    s = Series([2.0, 3.0, 5.0])
-    scaled = s.scale_arg(0.5)
-    assert np.allclose(scaled.c, [2.0, 1.5, 1.25], atol=1e-15)
-
-
 def test_helpers_one_zero():
     assert np.array_equal(Series.one(2).c, [1.0, 0.0, 0.0])
-    assert np.array_equal(Series.zero(1).c, [0.0, 0.0])
 
 
 def test_delta_comb_residual_small():

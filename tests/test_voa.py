@@ -17,7 +17,6 @@ from qvirasoro.voa import (
     build_vertex,
     contract,
     current_vertex_factor,
-    exchange_dual_product,
     mirror_vertex_factor,
     omega_conjugate,
     pair_correlation_factor,
@@ -185,15 +184,6 @@ class TestProductForms:
         assert idx is not None
         reduced = form.drop(idx).value(c1)
         assert reduced != 0.0 and math.isfinite(reduced)
-
-    def test_dual_product_form_matches_series_inside_radius(self):
-        ell, k = 1, 1
-        form = exchange_dual_product(ell, k, P)
-        ser = structure_series(StructureFunctionSpec("exchange-dual", ell, k), P, 80)
-        for x in (0.1, 0.2):
-            assert form.value(x) == pytest.approx(
-                float(np.polyval(ser.c[::-1], x)), rel=1e-11
-            )
 
 
 class TestCurrentData:
