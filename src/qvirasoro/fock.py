@@ -260,18 +260,18 @@ class PartitionBasis:
                 sub_t = tuple(sorted(sub, reverse=True))
                 entry.append((self.index[sub_t], removed))
             self.subsets.append(entry)
-        self._stripe_cache: dict[int, np.ndarray] = {}
 
-    def degree_mask(self, d: int) -> np.ndarray:
-        """Boolean mask of entries with deg(bra) - deg(ket) = d."""
-        if d not in self._stripe_cache:
-            diff = self.degrees[:, None] - self.degrees[None, :]
-            self._stripe_cache[d] = diff == d
-        return self._stripe_cache[d]
+    def corner(self, cap: int) -> int:
+        """Number of states of degree <= cap: they lead the basis."""
+        return int(np.searchsorted(self.degrees, cap, side="right"))
 
-    def corner_mask(self, cap: int) -> np.ndarray:
-        keep = self.degrees <= cap
-        return keep[:, None] & keep[None, :]
+    def weigh(self, block: np.ndarray, weight: Callable[[int], float]) -> np.ndarray:
+        """Entrywise block * weight(deg bra - deg ket), block being a
+        leading (rows, columns) block of a matrix on this basis."""
+        D = self.max_degree
+        w = np.array([weight(d) for d in range(-D, D + 1)])
+        rows, cols = block.shape
+        return block * w[self.degrees[:rows, None] - self.degrees[None, :cols] + D]
 
     def application_matrix(
         self, vertex: NormalOrderedVertex, momentum: float

@@ -71,86 +71,57 @@ def _app(basis: PartitionBasis, op, momentum: float) -> np.ndarray:
     return basis.application_matrix(op, momentum)
 
 
-def _stripe(basis: PartitionBasis, mat: np.ndarray, d: int) -> np.ndarray:
-    return np.where(basis.degree_mask(d), mat, 0.0)
-
-
-def _exchange_tables(
-    basis: PartitionBasis,
-    x_left: np.ndarray,
-    x_right: np.ndarray,
-    y_app: np.ndarray,
-    g: np.ndarray,
-    keys: range,
-    twist: int,
-    arg_scale: float = 1.0,
-) -> dict[int, np.ndarray]:
-    """Tables of  g(w/z) X(z) Y(w) - Y(w) X(z) (-z/w)^twist g(z/w).
-
-    x_left is X applied after Y (shifted momentum), x_right before.
-    ``arg_scale`` is the numeric value of w baked into ``y_app``; the
-    kernel arguments w/z and z/w pick up matching powers of it.
-    """
-    D = basis.max_degree
-    left = {d: x_left @ _stripe(basis, y_app, d) for d in range(-D, D + 1)}
-    right = {d: _stripe(basis, y_app, d) @ x_right for d in range(-D, D + 1)}
-    sign = (-1.0) ** twist * arg_scale ** (-twist)
-    tables = {}
-    for k in keys:
-        acc1 = np.zeros_like(y_app)
-        for s in range(0, k + D + 1):
-            d = k - s
-            if d < -D:
-                break
-            if s >= len(g):
-                raise QVirasoroError("structure series too short for window")
-            acc1 += g[s] * arg_scale**s * left[d]
-        acc2 = np.zeros_like(y_app)
-        for s in range(0, D - k - twist + 1):
-            d = k + twist + s
-            if d > D:
-                break
-            if -D <= d:
-                if s >= len(g):
-                    raise QVirasoroError("structure series too short for window")
-                acc2 += g[s] * arg_scale**-s * right[d]
-        tables[k] = acc1 - sign * acc2
-    return tables
-
-
 def _exchange_lhs(params, x, y, g, twist, degree_cap, window, momentum, arg_scale=1.0):
-    """Basis and exchange tables of current (or branch) X against vertex
-    Y, one per key in [-window, window]; ``g`` is the structure function
-    as (spec, parameters).  The basis reaches degree_cap + window +
-    |twist|, enough for the compared corner to be exact."""
+    """Basis and corner tables of  g(w/z) X(z) Y(w) - Y(w) X(z) (-z/w)^twist
+    g(z/w)  for current (or branch) X against vertex Y, one per key in
+    [-window, window]; ``g`` is the structure function as (spec,
+    parameters).  The basis reaches degree_cap + window + |twist|, enough
+    for the compared corner to be exact.  ``arg_scale`` is the numeric
+    value of w baked into Y; the kernel arguments w/z and z/w pick up
+    matching powers of it.
+
+    With mu the bra, nu the intermediate and lambda the ket state, the
+    kernel power of key k is k - (deg nu - deg lambda) in the first term
+    and (deg mu - deg nu) - k - twist in the second."""
     D = degree_cap + window + abs(twist)
     basis = PartitionBasis(params, D)
+    c = basis.corner(degree_cap)
     gc = structure_series(*g, 2 * D + window + 2).c
+
+    def kernel(s: int, a: float) -> float:
+        if s < 0:
+            return 0.0
+        if s >= len(gc):
+            raise QVirasoroError("structure series too short for window")
+        return gc[s] * a**s
+
     y_app = _app(basis, y, momentum)
-    x_left = _app(basis, x, momentum + y.momentum_shift())
-    x_right = _app(basis, x, momentum)
-    keys = range(-window, window + 1)
-    return basis, _exchange_tables(
-        basis, x_left, x_right, y_app, gc, keys, twist, arg_scale=arg_scale
-    )
+    x_left = _app(basis, x, momentum + y.momentum_shift())[:c]
+    x_right = _app(basis, x, momentum)[:, :c]
+    y_in, y_out = y_app[:, :c], y_app[:c]
+    sign = (-1.0) ** twist * arg_scale ** (-twist)
+    tables = {}
+    for k in range(-window, window + 1):
+        up = basis.weigh(y_in, lambda d: kernel(k - d, arg_scale))
+        down = basis.weigh(y_out, lambda d: kernel(d - k - twist, 1.0 / arg_scale))
+        tables[k] = x_left @ up - sign * (down @ x_right)
+    return basis, tables
 
 
-def _delta_conjugate(basis: PartitionBasis, w, momentum: float, c: float) -> np.ndarray:
-    """Entrywise c^{-(deg bra - deg ket)} * W, W the matrix of vertex w:
-    the delta-function transfer of z-powers onto w-powers for a term
-    K delta(c w/z) W(w)."""
-    cd = c ** basis.degrees.astype(float)
-    return (_app(basis, w, momentum) * cd[None, :]) / cd[:, None]
+def _delta_conjugate(basis: PartitionBasis, w, momentum: float, c: float, cap: int):
+    """Entrywise c^{-(deg bra - deg ket)} * W on the corner of degree
+    <= cap, W the matrix of vertex w: the delta-function transfer of
+    z-powers onto w-powers for a term K delta(c w/z) W(w)."""
+    n = basis.corner(cap)
+    return basis.weigh(_app(basis, w, momentum)[:n, :n], lambda d: c ** -d)
 
 
-def _table_residual(triples, basis: PartitionBasis, cap: int):
-    """Worst masked |lhs - rhs| over (label, lhs, rhs) triples on the
-    corner of bra and ket degree <= cap, and where it occurred; the
-    first triple wins ties."""
-    mask = basis.corner_mask(cap)
+def _table_residual(triples, basis: PartitionBasis):
+    """Worst |lhs - rhs| over (label, lhs, rhs) triples of corner tables,
+    and where it occurred; the first triple wins ties."""
     worst, loc = 0.0, ""
     for label, a, b in triples:
-        diff = np.abs(a - b) * mask
+        diff = np.abs(a - b)
         m = float(diff.max())
         if m > worst:
             i, j = np.unravel_index(int(diff.argmax()), diff.shape)
@@ -188,19 +159,15 @@ def check_defining_relation(
     t0 = time.perf_counter()
     D = degree_cap + max_mode
     basis = PartitionBasis(params, D)
+    c = basis.corner(degree_cap)
     t_tot = _app(basis, build_current(params), momentum)
-    stripes = {d: _stripe(basis, t_tot, d) for d in range(-D, D + 1)}
+    t_out, t_in = t_tot[:c], t_tot[:, :c]
     f = structure_series(
         StructureFunctionSpec("current"), params, 2 * D + 2
     ).c
-    prod_cache: dict[tuple[int, int], np.ndarray] = {}
 
-    def tt(a: int, b: int) -> np.ndarray:
-        # T_a T_b with T_j = stripe(-j)
-        key = (a, b)
-        if key not in prod_cache:
-            prod_cache[key] = stripes[-a] @ stripes[-b]
-        return prod_cache[key]
+    def kernel(s: int) -> float:
+        return f[s] if s >= 0 else 0.0
 
     q, t, p = params.q, params.t, params.p
     eta1 = (q**0.5 - q**-0.5) * (t**0.5 - t**-0.5)
@@ -212,20 +179,22 @@ def check_defining_relation(
             return -central(-n)
         return -eta1 * p ** (0.5 - n) * sum(p**i for i in range(2 * n))
 
-    ident = np.eye(basis.size)
+    ident = np.eye(c)
 
     def triples():
+        # T_j lowers the degree by j, so with mu the bra, nu the
+        # intermediate and lambda the ket, f_s T_{n-s} T_{m+s} has
+        # s = (deg mu - deg nu) + n, f_s T_{m-s} T_{n+s} has
+        # s = -(deg nu - deg lambda) - n, and m = -(deg mu - deg lambda) - n.
         for n in range(-max_mode, max_mode + 1):
+            both = basis.weigh(t_out, lambda d: kernel(d + n)) @ t_in
+            both -= t_out @ basis.weigh(t_in, lambda d: kernel(-d - n))
             for m in range(-max_mode, max_mode + 1):
-                acc = np.zeros((basis.size, basis.size))
-                for s in range(0, min(D + n, D - m) + 1):
-                    acc += f[s] * tt(n - s, m + s)
-                for s in range(0, min(D + m, D - n) + 1):
-                    acc -= f[s] * tt(m - s, n + s)
+                acc = basis.weigh(both, lambda d: float(d == -(n + m)))
                 rhs = central(n) * ident if n + m == 0 else 0.0 * ident
                 yield f"n={n} m={m}", acc, rhs
 
-    worst, loc = _table_residual(triples(), basis, degree_cap)
+    worst, loc = _table_residual(triples(), basis)
     cfg = {
         "q": params.q,
         "t": params.t,
@@ -254,13 +223,14 @@ def check_screening_relation(
     t0 = time.perf_counter()
     D = degree_cap + window
     basis = PartitionBasis(params, D)
+    n = basis.corner(degree_cap)
     scr = build_screening(sign, params)
     cur = build_current(params)
     m0 = momentum
     m1 = m0 + scr.momentum_shift()
     s_app = _app(basis, scr, m0)
-    t_after = _app(basis, cur, m1)
-    t_before = _app(basis, cur, m0)
+    t_after = _app(basis, cur, m1)[:n]
+    t_before = _app(basis, cur, m0)[:, :n]
 
     if sign == +1:
         base, other = params.q, params.t
@@ -270,18 +240,19 @@ def check_screening_relation(
         lam = build_lambda(+1, params)
     c = base**-0.5
     w_vertex = merge_vertices([lam.at_scale(c), scr])
-    w_conj = _delta_conjugate(basis, w_vertex, m0, c)
+    w_conj = _delta_conjugate(basis, w_vertex, m0, c, degree_cap)
     prefactor = -(1.0 - 1.0 / other)
 
     lhs, rhs = {}, {}
     gamma_m = scr.h0_power * m0
     for k in range(-window, window + 1):
-        sk = _stripe(basis, s_app, k)
-        lhs[k] = t_after @ sk - sk @ t_before
+        s_in = basis.weigh(s_app[:, :n], lambda d: float(d == k))
+        s_out = basis.weigh(s_app[:n], lambda d: float(d == k))
+        lhs[k] = t_after @ s_in - s_out @ t_before
         rhs[k] = (
             prefactor * (1.0 - base ** (1.0 + k + gamma_m)) * c**k * w_conj
         )
-    worst, loc = _table_residual(_keyed(lhs, rhs), basis, degree_cap)
+    worst, loc = _table_residual(_keyed(lhs, rhs), basis)
     cfg = {
         "q": params.q,
         "t": params.t,
@@ -357,9 +328,9 @@ def check_vertex_exchange(
     t0 = time.perf_counter()
     x, y, g, K, c, xi = _exchange_setup(ell, params, variant)
     basis, lhs = _exchange_lhs(params, x, y, g, 2 - ell, degree_cap, window, momentum)
-    conj = _delta_conjugate(basis, y.at_scale(xi), momentum, c)
+    conj = _delta_conjugate(basis, y.at_scale(xi), momentum, c, degree_cap)
     rhs = {k: K * c**k * conj for k in lhs}
-    worst, loc = _table_residual(_keyed(lhs, rhs), basis, degree_cap)
+    worst, loc = _table_residual(_keyed(lhs, rhs), basis)
     cfg = {
         "q": params.q,
         "t": params.t,
@@ -400,14 +371,18 @@ def check_current_vertex_exchange(
     coeff_up = (-1.0) ** ell * p**-0.5 * t**0.5 * q**e4
     c_down = p**0.5 * q ** (-1.0 / (2 * ell))
     c_up = p**-0.5 * q ** (1.0 / (2 * ell))
-    conj_down = _delta_conjugate(basis, y.at_scale(q ** (-1.0 / ell)), momentum, c_down)
-    conj_up = _delta_conjugate(basis, y.at_scale(q ** (1.0 / ell)), momentum, c_up)
+    conj_down = _delta_conjugate(
+        basis, y.at_scale(q ** (-1.0 / ell)), momentum, c_down, degree_cap
+    )
+    conj_up = _delta_conjugate(
+        basis, y.at_scale(q ** (1.0 / ell)), momentum, c_up, degree_cap
+    )
     rhs = {
         k: big_pi
         * (coeff_down * c_down**k * conj_down - coeff_up * c_up**k * conj_up)
         for k in lhs
     }
-    worst, loc = _table_residual(_keyed(lhs, rhs), basis, degree_cap)
+    worst, loc = _table_residual(_keyed(lhs, rhs), basis)
     cfg = {
         "q": params.q,
         "t": params.t,
@@ -451,23 +426,25 @@ def check_adjoint_shift(
         t**-0.5 * q ** (j / (2 * ell)) - t**0.5 * q ** (-j / (2 * ell))
         for j in range(ell - 1)
     )
-    v_down = _app(basis, y.at_scale(q ** (-1.0 / ell)), momentum)
-    v_up = _app(basis, y.at_scale(q ** (1.0 / ell)), momentum)
-    deg_diff = basis.degrees[:, None] - basis.degrees[None, :]
+    c = basis.corner(degree_cap)
+    v_down = _app(basis, y.at_scale(q ** (-1.0 / ell)), momentum)[:c, :c]
+    v_up = _app(basis, y.at_scale(q ** (1.0 / ell)), momentum)[:c, :c]
 
     def triples():
         for n in modes:
             n = int(n)
-            extracted = np.zeros((basis.size, basis.size))
-            for k, table in combo.items():
-                extracted = np.where(deg_diff == (k - n), table, extracted)
+            # the z^{-n} mode of an entry lies in key n + (deg bra - deg ket)
+            extracted = sum(
+                basis.weigh(table, lambda d, k=k: float(d == k - n))
+                for k, table in combo.items()
+            )
             e = ((ell - 1) * (ell - 2) + 2 * n) / (4.0 * ell)
             a_n = p ** ((n + 1) / 2.0) * t**-0.5 * q**-e
             b_n = (-1.0) ** ell * p ** (-(n + 1) / 2.0) * t**0.5 * q**e
             rhs = big_pi * scale**n * (a_n * v_down - b_n * v_up)
             yield f"mode={n}", extracted, rhs
 
-    worst, loc = _table_residual(triples(), basis, degree_cap)
+    worst, loc = _table_residual(triples(), basis)
     cfg = {
         "q": params.q,
         "t": params.t,
@@ -532,9 +509,9 @@ def check_exchange_rewrite(
         1.0 - t * q ** (-j / ell) for j in range(ell - 1)
     )
     w_vertex = merge_vertices([y, lam_plus.at_scale(c1)])
-    conj = _delta_conjugate(basis, w_vertex, momentum, c1)
+    conj = _delta_conjugate(basis, w_vertex, momentum, c1, degree_cap)
     rhs = {k: K2 * c1**k * conj for k in lhs}
-    res_b, loc = _table_residual(_keyed(lhs, rhs), basis, degree_cap)
+    res_b, loc = _table_residual(_keyed(lhs, rhs), basis)
 
     worst = max(res_a, res_b, res_c, res_d)
     cfg = {
@@ -608,20 +585,20 @@ def check_composite_exchange(
     )
     f_ell = current_vertex_factor(ell, params)
     f_k = mirror_vertex_factor(k, params)
-    rhs = {kk: np.zeros((basis.size, basis.size)) for kk in lhs}
+    rhs = {kk: 0.0 for kk in lhs}
     minus_weights = []
     for c_i, coeff_i in ((c1, coeff1), (c2, coeff2)):
         d_minus = f_ell.value(c_i) * f_k.value(c_i)
         minus_weights.append(d_minus)
-        w_plus = _delta_conjugate(
-            basis, merge_vertices([y, lam_plus.at_scale(c_i)]), momentum, c_i
-        )
-        w_minus = _delta_conjugate(
-            basis, merge_vertices([y, lam_minus.at_scale(c_i)]), momentum, c_i
+        w_plus, w_minus = (
+            _delta_conjugate(
+                basis, merge_vertices([y, lam.at_scale(c_i)]), momentum, c_i, degree_cap
+            )
+            for lam in (lam_plus, lam_minus)
         )
         for kk in lhs:
             rhs[kk] += pref * coeff_i * c_i**kk * (w_plus + d_minus * w_minus)
-    worst, loc = _table_residual(_keyed(lhs, rhs), basis, degree_cap)
+    worst, loc = _table_residual(_keyed(lhs, rhs), basis)
     cfg = {
         "q": params.q,
         "t": params.t,
