@@ -278,12 +278,12 @@ def _read_config_file(path: str) -> dict:
 
 
 def _read_env() -> dict:
-    out = {}
-    for key in DEFAULTS:
-        env = os.environ.get(f"QVIR_{key.upper()}")
-        if env is not None:
-            out[key] = _parse_value(key, env)
-    return out
+    keys = {f"QVIR_{key.upper()}": key for key in DEFAULTS}
+    unknown = sorted(n for n in os.environ if n.startswith("QVIR_") and n not in keys)
+    if unknown:
+        raise ConfigError(f"unknown configuration variable(s) {', '.join(unknown)}")
+    env = {key: os.environ.get(name) for name, key in keys.items()}
+    return {key: _parse_value(key, raw) for key, raw in env.items() if raw is not None}
 
 
 def _resolve(args: argparse.Namespace) -> tuple[SuiteConfig, str]:

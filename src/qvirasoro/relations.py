@@ -2,18 +2,21 @@
 
 Every checker turns both sides of an operator identity in two formal
 variables (z for the current insertion, w for the vertex) into finite
-matrices on a degree-truncated partition basis, one matrix per
-"key" — the w-exponent relative to the momentum-dependent offset.  For
-an entry with bra degree d_mu and ket degree d_lambda the z-exponent is
-determined by the key, so matching keys matches complete monomials.
+matrices, one per "key" — the w-exponent relative to the
+momentum-dependent offset.  For an entry with bra degree d_mu and ket
+degree d_lambda the z-exponent is determined by the key, so matching
+keys matches complete monomials.
 
-Truncation is exact, not approximate: on the compared corner
-(bra and ket degree <= degree_cap) every intermediate state that can
-contribute has degree at most degree_cap + mode_window + |P| where P is
-the monomial twist exponent of the reversed product, so sizing the
-internal basis to that bound reproduces the true coefficients to
-rounding.  Residuals at the floor (~1e-13) therefore mean the identity
-holds exactly.
+Only the compared corner (bra and ket degree <= degree_cap, the leading
+states of the degree-ordered basis) is built, each table as one product
+of corner-sliced operators weighted entrywise by degree difference.
+This is exact: an intermediate state that contributes has degree at
+most degree_cap + mode_window + |P|, P the monomial twist exponent of
+the reversed product, and the internal basis reaches that bound.
+
+A residual is the worst |lhs - rhs| over max(scale, 1), scale being the
+largest |lhs| or |rhs| entry; the control, against (1 + 100 tolerance)
+* rhs, must exceed the tolerance, or else the check is inconclusive.
 """
 
 from __future__ import annotations
@@ -73,16 +76,13 @@ def _app(basis: PartitionBasis, op, momentum: float) -> np.ndarray:
 
 def _exchange_lhs(params, x, y, g, twist, degree_cap, window, momentum, arg_scale=1.0):
     """Basis and corner tables of  g(w/z) X(z) Y(w) - Y(w) X(z) (-z/w)^twist
-    g(z/w)  for current (or branch) X against vertex Y, one per key in
-    [-window, window]; ``g`` is the structure function as (spec,
-    parameters).  The basis reaches degree_cap + window + |twist|, enough
-    for the compared corner to be exact.  ``arg_scale`` is the numeric
-    value of w baked into Y; the kernel arguments w/z and z/w pick up
-    matching powers of it.
-
-    With mu the bra, nu the intermediate and lambda the ket state, the
-    kernel power of key k is k - (deg nu - deg lambda) in the first term
-    and (deg mu - deg nu) - k - twist in the second."""
+    g(z/w), one per key in [-window, window], for current (or branch) X
+    against vertex Y; ``g`` is the structure function as (spec,
+    parameters) and ``arg_scale`` the value of w baked into Y.  The basis
+    reaches degree_cap + window + |twist|, enough for the corner to be
+    exact.  With mu the bra, nu the intermediate and lambda the ket, key
+    k weighs the first term by g_s at s = k - (deg nu - deg lambda) and
+    the second by g_s at s = (deg mu - deg nu) - k - twist."""
     D = degree_cap + window + abs(twist)
     basis = PartitionBasis(params, D)
     c = basis.corner(degree_cap)
@@ -116,10 +116,11 @@ def _delta_conjugate(basis: PartitionBasis, w, momentum: float, c: float, cap: i
     return basis.weigh(_app(basis, w, momentum)[:n, :n], lambda d: c ** -d)
 
 
-def _table_residual(triples, basis: PartitionBasis):
-    """Worst |lhs - rhs| over (label, lhs, rhs) triples of corner tables,
-    and where it occurred; the first triple wins ties."""
-    worst, loc = 0.0, ""
+def _table_residual(triples, basis: PartitionBasis, tolerance: float):
+    """Residual of (label, lhs, rhs) triples of corner tables, where it
+    occurred (the first triple wins ties), the residual against the
+    control (1 + 100 tolerance) * rhs, and the scale."""
+    worst, loc, control, scale = 0.0, "", 0.0, 0.0
     for label, a, b in triples:
         diff = np.abs(a - b)
         m = float(diff.max())
@@ -127,7 +128,24 @@ def _table_residual(triples, basis: PartitionBasis):
             i, j = np.unravel_index(int(diff.argmax()), diff.shape)
             worst = m
             loc = f"{label} bra={basis.states[i]} ket={basis.states[j]}"
-    return worst, loc
+        control = max(control, float(np.abs(a - (1.0 + 100.0 * tolerance) * b).max()))
+        scale = max(scale, float(np.abs(a).max()), float(np.abs(b).max()))
+    norm = max(scale, 1.0)
+    return worst / norm, loc, control / norm, scale
+
+
+def _compared_report(name, compared, tolerance, cfg, t0, notes=()):
+    """Report of a (residual, location, control, scale) comparison.  A
+    control within the tolerance means the comparison cannot tell the
+    two sides from a 100-tolerance perturbation of one of them, so a
+    residual within it shows nothing: the check is inconclusive."""
+    residual, loc, control, scale = compared
+    if residual > tolerance or control > tolerance:
+        return _report(name, residual, tolerance, loc, cfg, t0, notes)
+    note = f"vacuous: residual {residual:.3e}, scale {scale:.3e}, control {control:.3e}"
+    return _report(
+        name, math.inf, tolerance, loc, cfg, t0, [*notes, note], "inconclusive"
+    )
 
 
 def _keyed(lhs: dict, rhs: dict):
@@ -194,7 +212,7 @@ def check_defining_relation(
                 rhs = central(n) * ident if n + m == 0 else 0.0 * ident
                 yield f"n={n} m={m}", acc, rhs
 
-    worst, loc = _table_residual(triples(), basis)
+    compared = _table_residual(triples(), basis, tolerance)
     cfg = {
         "q": params.q,
         "t": params.t,
@@ -202,7 +220,7 @@ def check_defining_relation(
         "window": max_mode,
         "momentum": momentum,
     }
-    return _report("defining-relation", worst, tolerance, loc, cfg, t0)
+    return _compared_report("defining-relation", compared, tolerance, cfg, t0)
 
 
 # ---------------------------------------------------------------------------
@@ -252,7 +270,7 @@ def check_screening_relation(
         rhs[k] = (
             prefactor * (1.0 - base ** (1.0 + k + gamma_m)) * c**k * w_conj
         )
-    worst, loc = _table_residual(_keyed(lhs, rhs), basis)
+    compared = _table_residual(_keyed(lhs, rhs), basis, tolerance)
     cfg = {
         "q": params.q,
         "t": params.t,
@@ -262,7 +280,7 @@ def check_screening_relation(
         "momentum": momentum,
     }
     name = "screening" if sign == +1 else "screening-mirror"
-    return _report(name, worst, tolerance, loc, cfg, t0)
+    return _compared_report(name, compared, tolerance, cfg, t0)
 
 
 # ---------------------------------------------------------------------------
@@ -330,7 +348,7 @@ def check_vertex_exchange(
     basis, lhs = _exchange_lhs(params, x, y, g, 2 - ell, degree_cap, window, momentum)
     conj = _delta_conjugate(basis, y.at_scale(xi), momentum, c, degree_cap)
     rhs = {k: K * c**k * conj for k in lhs}
-    worst, loc = _table_residual(_keyed(lhs, rhs), basis)
+    compared = _table_residual(_keyed(lhs, rhs), basis, tolerance)
     cfg = {
         "q": params.q,
         "t": params.t,
@@ -341,7 +359,7 @@ def check_vertex_exchange(
         "momentum": momentum,
     }
     name = "vertex-exchange" if variant == "plain" else f"vertex-exchange-{variant}"
-    return _report(name, worst, tolerance, loc, cfg, t0)
+    return _compared_report(name, compared, tolerance, cfg, t0)
 
 
 def check_current_vertex_exchange(
@@ -382,7 +400,7 @@ def check_current_vertex_exchange(
         * (coeff_down * c_down**k * conj_down - coeff_up * c_up**k * conj_up)
         for k in lhs
     }
-    worst, loc = _table_residual(_keyed(lhs, rhs), basis)
+    compared = _table_residual(_keyed(lhs, rhs), basis, tolerance)
     cfg = {
         "q": params.q,
         "t": params.t,
@@ -391,7 +409,7 @@ def check_current_vertex_exchange(
         "window": window,
         "momentum": momentum,
     }
-    return _report("current-vertex-exchange", worst, tolerance, loc, cfg, t0)
+    return _compared_report("current-vertex-exchange", compared, tolerance, cfg, t0)
 
 
 # ---------------------------------------------------------------------------
@@ -413,9 +431,7 @@ def check_adjoint_shift(
     q, t, p = params.q, params.t, params.p
     nmax = max(abs(int(n)) for n in modes)
     window = degree_cap + nmax
-    y = build_vertex(ell, 0, params).at_scale(scale) if scale != 1.0 else build_vertex(
-        ell, 0, params
-    )
+    y = build_vertex(ell, 0, params).at_scale(scale)
     cur = build_current(params)
     g = StructureFunctionSpec("exchange", ell, 0), params
     basis, combo = _exchange_lhs(
@@ -444,7 +460,7 @@ def check_adjoint_shift(
             rhs = big_pi * scale**n * (a_n * v_down - b_n * v_up)
             yield f"mode={n}", extracted, rhs
 
-    worst, loc = _table_residual(triples(), basis)
+    compared = _table_residual(triples(), basis, tolerance)
     cfg = {
         "q": params.q,
         "t": params.t,
@@ -454,7 +470,7 @@ def check_adjoint_shift(
         "momentum": momentum,
         "scale": scale,
     }
-    return _report("adjoint-shift", worst, tolerance, loc, cfg, t0)
+    return _compared_report("adjoint-shift", compared, tolerance, cfg, t0)
 
 
 # ---------------------------------------------------------------------------
@@ -490,8 +506,12 @@ def check_exchange_rewrite(
     y = build_vertex(ell, 0, params)
     lam_plus = build_lambda(+1, params)
     phi_plus = contract(y, lam_plus, order).series
-    prod = dual * phi_plus
-    res_a = float(np.max(np.abs(prod.c - Series.one(order).c)))
+    prod = (dual * phi_plus).c
+    one = Series.one(order).c
+    # each coefficient's deviation against the size of its convolution sum
+    bound = np.maximum(np.convolve(abs(dual.c), abs(phi_plus.c))[: order + 1], 1.0)
+    res_a = float(np.max(np.abs(prod - one) / bound))
+    ctrl_a = float(np.max(np.abs((1.0 + 100.0 * tolerance) * prod - one) / bound))
 
     c1 = p**0.5 * q ** (-1.0 / (2 * ell))
     pf = current_vertex_factor(ell, params)
@@ -511,7 +531,7 @@ def check_exchange_rewrite(
     w_vertex = merge_vertices([y, lam_plus.at_scale(c1)])
     conj = _delta_conjugate(basis, w_vertex, momentum, c1, degree_cap)
     rhs = {k: K2 * c1**k * conj for k in lhs}
-    res_b, loc = _table_residual(_keyed(lhs, rhs), basis)
+    res_b, loc, ctrl_b, scale = _table_residual(_keyed(lhs, rhs), basis, tolerance)
 
     worst = max(res_a, res_b, res_c, res_d)
     cfg = {
@@ -527,9 +547,8 @@ def check_exchange_rewrite(
         f"support value {res_c:.3e} (exact zero expected)",
         f"reduced support value {reduced:.6g} (finite nonzero expected)",
     ]
-    return _report(
-        "exchange-rewrite", worst, tolerance, loc or "series", cfg, t0, notes
-    )
+    compared = worst, loc or "series", min(ctrl_a, ctrl_b), scale
+    return _compared_report("exchange-rewrite", compared, tolerance, cfg, t0, notes)
 
 
 # ---------------------------------------------------------------------------
@@ -598,7 +617,7 @@ def check_composite_exchange(
         )
         for kk in lhs:
             rhs[kk] += pref * coeff_i * c_i**kk * (w_plus + d_minus * w_minus)
-    worst, loc = _table_residual(_keyed(lhs, rhs), basis)
+    compared = _table_residual(_keyed(lhs, rhs), basis, tolerance)
     cfg = {
         "q": params.q,
         "t": params.t,
@@ -611,7 +630,7 @@ def check_composite_exchange(
     notes = [
         f"minus-branch support weights {minus_weights[0]:.3e}, {minus_weights[1]:.3e}"
     ]
-    return _report("composite-exchange", worst, tolerance, loc, cfg, t0, notes)
+    return _compared_report("composite-exchange", compared, tolerance, cfg, t0, notes)
 
 
 # ---------------------------------------------------------------------------

@@ -19,9 +19,10 @@ class CheckReport:
     """Outcome of a single identity verification.
 
     residual
-        Worst absolute deviation found (max over all probed matrix
-        elements / coefficients), already normalized the way the check
-        documents.
+        Worst deviation over the probed matrix elements or coefficients,
+        normalized the way the check documents: the operator checks
+        divide by max(scale, 1), scale being the largest entry of either
+        side.  Infinity when the check is inconclusive.
     worst_location
         Human-readable tag of where the worst deviation occurred,
         e.g. ``"mode k=-2, bra (1,1), ket (2)"``.

@@ -163,6 +163,12 @@ class TestPrecedence:
         assert code == 0
         assert json.loads(out)[0]["params"]["r"] == pytest.approx(2.0)
 
+    def test_unknown_environment_variable(self, capsys, monkeypatch):
+        monkeypatch.setenv("QVIR_THREADS", "2")
+        code, _, err = run_cli(capsys, "verify", "--suite", "qspecial")
+        assert code == 3
+        assert "QVIR_THREADS" in err
+
     def test_missing_config_file(self, capsys):
         code, _, err = run_cli(capsys, "verify", "--config", "/nonexistent.cfg")
         assert code == 3
@@ -261,18 +267,45 @@ class TestSuiteTable:
         assert {r["tolerance"] for r in records} == {1e-3}
 
 
-def test_closed_pipe_gives_no_traceback():
+def _child_env():
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
+def test_closed_pipe_gives_no_traceback():
     proc = subprocess.Popen(
         [sys.executable, "-m", "qvirasoro", "verify", "--suite", "delta-identity"],
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
-        env=env,
+        env=_child_env(),
     )
     # the reader is gone before the report is written
     proc.stdout.close()
     err = proc.stderr.read().decode()
     assert proc.wait(timeout=60) == 0
     assert "Traceback" not in err, err
+
+
+def test_degree_7_suite_memory():
+    # the tables are built on the compared corner only: about 110 MB,
+    # where products over the whole basis took 1158 MB
+    script = (
+        "import resource, sys\n"
+        "from qvirasoro.cli import main\n"
+        "code = main(sys.argv[1:])\n"
+        "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss, file=sys.stderr)\n"
+        "sys.exit(code)\n"
+    )
+    argv = ["verify", "--suite", "all", "--degree", "7", "--json"]
+    proc = subprocess.run(
+        [sys.executable, "-c", script, *argv],
+        capture_output=True,
+        text=True,
+        env=_child_env(),
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    peak_mb = int(proc.stderr.split()[-1]) / 1024  # ru_maxrss is in KiB on Linux
+    assert peak_mb < 400, f"peak RSS {peak_mb:.0f} MB"

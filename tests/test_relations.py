@@ -1,8 +1,11 @@
 """Operator-identity checkers at generic parameter points and momenta."""
 
+import math
+
 import numpy as np
 import pytest
 
+from qvirasoro import relations
 from qvirasoro.qspecial import QParams
 from qvirasoro.relations import (
     check_adjoint_shift,
@@ -20,6 +23,9 @@ from qvirasoro.relations import (
 
 P = QParams(0.7, 0.3)
 P2 = QParams(0.6, 0.2)
+# at ell 3 the tables reach about 1e8, where rounding alone leaves
+# absolute deviations above 1e-8
+P_LARGE = QParams(0.9, 0.2)
 
 
 def test_defining_relation_generic_momentum():
@@ -84,6 +90,41 @@ def test_composite_exchange_generic_momentum():
     text = " ".join(rep.notes)
     # the minus-branch weights at the supports must vanish identically
     assert "0.000e+00" in text
+
+
+LARGE_TABLE_CHECKS = {
+    "screening": lambda: check_screening_relation(P_LARGE, +1, 4, 4),
+    "vertex-exchange": lambda: check_vertex_exchange(3, P_LARGE, "plain", 4, 4),
+    "vertex-exchange-theta": lambda: check_vertex_exchange(3, P_LARGE, "theta", 4, 4),
+    "current-vertex-exchange": lambda: check_current_vertex_exchange(3, P_LARGE, 4, 4),
+    "adjoint-shift": lambda: check_adjoint_shift(3, P_LARGE, degree_cap=4),
+    "exchange-rewrite": lambda: check_exchange_rewrite(3, P_LARGE, 4, 4),
+    "composite-exchange": lambda: check_composite_exchange(3, 2, P_LARGE, 4, 4),
+}
+
+
+@pytest.mark.parametrize("name", list(LARGE_TABLE_CHECKS))
+def test_residual_is_relative_to_the_table_scale(name):
+    rep = LARGE_TABLE_CHECKS[name]()
+    assert rep.identity == name
+    assert rep.passed, rep.summary_line()
+
+
+def test_zero_against_zero_is_inconclusive():
+    # with only n = m = 0 both sides vanish, so the control cannot fail
+    rep = check_defining_relation(P, degree_cap=3, max_mode=0)
+    assert rep.status == "inconclusive"
+    assert math.isinf(rep.residual)
+    assert any("vacuous" in note for note in rep.notes)
+
+
+def test_perturbed_kernel_constant_fails(monkeypatch):
+    exact = relations._first_kind_constant
+    monkeypatch.setattr(
+        relations, "_first_kind_constant", lambda ell, p: exact(ell, p) * (1 + 1e-6)
+    )
+    rep = check_vertex_exchange(1, P, "plain", degree_cap=3, window=3)
+    assert rep.status == "fail", rep.summary_line()
 
 
 @pytest.mark.parametrize("ell", [1, 2, 3])
