@@ -136,9 +136,9 @@ def _table_residual(triples, basis: PartitionBasis, tolerance: float):
 
 def _compared_report(name, compared, tolerance, cfg, t0, notes=()):
     """Report of a (residual, location, control, scale) comparison.  A
-    control within the tolerance means the comparison cannot tell the
-    two sides from a 100-tolerance perturbation of one of them, so a
-    residual within it shows nothing: the check is inconclusive."""
+    control within the tolerance means the comparison cannot tell rhs
+    from rhs scaled by 1 + 100 tolerance, so a residual within it shows
+    nothing: the check is inconclusive."""
     residual, loc, control, scale = compared
     if residual > tolerance or control > tolerance:
         return _report(name, residual, tolerance, loc, cfg, t0, notes)
