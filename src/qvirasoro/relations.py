@@ -1,18 +1,22 @@
 """Exact verification of operator identities on truncated Fock modules.
 
-Every checker turns both sides of an operator identity in two formal
-variables (z for the current insertion, w for the vertex) into finite
-matrices, one per "key" — the w-exponent relative to the
-momentum-dependent offset.  For an entry with bra degree d_mu and ket
-degree d_lambda the z-exponent is determined by the key, so matching
-keys matches complete monomials.
+Both sides of an operator identity in two formal variables (z for the
+current insertion, w for the vertex) become finite matrices, in one of
+two views.  Only the compared corner (bra and ket degree <= degree_cap,
+the leading states of the degree-ordered basis) is built, each table as
+one product of corner-sliced operators weighted entrywise by degree
+difference; the internal basis reaches the largest degree an
+intermediate state that contributes can have, so the corner is exact.
 
-Only the compared corner (bra and ket degree <= degree_cap, the leading
-states of the degree-ordered basis) is built, each table as one product
-of corner-sliced operators weighted entrywise by degree difference.
-This is exact: an intermediate state that contributes has degree at
-most degree_cap + mode_window + |P|, P the monomial twist exponent of
-the reversed product, and the internal basis reaches that bound.
+* Keys (``_exchange_lhs``): one table per w-exponent relative to the
+  momentum-dependent offset, for |key| <= window.  For an entry with
+  bra degree d_mu and ket degree d_lambda the z-exponent is determined
+  by the key, so matching keys matches complete monomials.  The basis
+  reaches degree_cap + window + |P|, P the monomial twist exponent of
+  the reversed product.
+* Modes (``_mode_table``): one table per z^{-n}-mode, summed over all
+  w-exponents, for the defining relation and the adjoint shift.  The
+  basis reaches degree_cap + max |n| + |P|.
 
 A residual is the worst |lhs - rhs| over max(scale, 1), scale being the
 largest |lhs| or |rhs| entry; the control, against (1 + 100 tolerance)
@@ -23,6 +27,7 @@ from __future__ import annotations
 
 import math
 import time
+from functools import partial
 
 import numpy as np
 
@@ -74,38 +79,52 @@ def _app(basis: PartitionBasis, op, momentum: float) -> np.ndarray:
     return basis.application_matrix(op, momentum)
 
 
-def _exchange_lhs(params, x, y, g, twist, degree_cap, window, momentum, arg_scale=1.0):
+def _kernel(g: np.ndarray, s: int, a: float = 1.0) -> float:
+    """Weight g_s a^s of the s-th coefficient of a structure series at
+    argument scale a; zero for s < 0."""
+    if s < 0:
+        return 0.0
+    if s >= len(g):
+        raise QVirasoroError("structure series too short for window")
+    return g[s] * a**s
+
+
+def _exchange_lhs(params, x, y, g, twist, degree_cap, window, momentum):
     """Basis and corner tables of  g(w/z) X(z) Y(w) - Y(w) X(z) (-z/w)^twist
     g(z/w), one per key in [-window, window], for current (or branch) X
-    against vertex Y; ``g`` is the structure function as (spec,
-    parameters) and ``arg_scale`` the value of w baked into Y.  The basis
-    reaches degree_cap + window + |twist|, enough for the corner to be
-    exact.  With mu the bra, nu the intermediate and lambda the ket, key
-    k weighs the first term by g_s at s = k - (deg nu - deg lambda) and
-    the second by g_s at s = (deg mu - deg nu) - k - twist."""
+    against vertex Y; ``g`` maps an order to the structure series
+    truncated there (``Series.one`` for the constant kernel 1).  The
+    basis reaches degree_cap + window + |twist|, enough for the corner to
+    be exact.  With mu the bra, nu the intermediate and lambda the ket,
+    key k weighs the first term by g_s at s = k - (deg nu - deg lambda)
+    and the second by g_s at s = (deg mu - deg nu) - k - twist."""
     D = degree_cap + window + abs(twist)
     basis = PartitionBasis(params, D)
     c = basis.corner(degree_cap)
-    gc = structure_series(*g, 2 * D + window + 2).c
-
-    def kernel(s: int, a: float) -> float:
-        if s < 0:
-            return 0.0
-        if s >= len(gc):
-            raise QVirasoroError("structure series too short for window")
-        return gc[s] * a**s
-
+    gc = g(2 * D + window + 2).c
     y_app = _app(basis, y, momentum)
     x_left = _app(basis, x, momentum + y.momentum_shift())[:c]
     x_right = _app(basis, x, momentum)[:, :c]
     y_in, y_out = y_app[:, :c], y_app[:c]
-    sign = (-1.0) ** twist * arg_scale ** (-twist)
+    sign = (-1.0) ** twist
     tables = {}
     for k in range(-window, window + 1):
-        up = basis.weigh(y_in, lambda d: kernel(k - d, arg_scale))
-        down = basis.weigh(y_out, lambda d: kernel(d - k - twist, 1.0 / arg_scale))
+        up = basis.weigh(y_in, lambda d: _kernel(gc, k - d))
+        down = basis.weigh(y_out, lambda d: _kernel(gc, d - k - twist))
         tables[k] = x_left @ up - sign * (down @ x_right)
     return basis, tables
+
+
+def _mode_table(basis, c, x_left, y, x_right, g, n, twist=0, a=1.0):
+    """Corner table of the z^{-n} mode of the combination of
+    ``_exchange_lhs``, Y's argument scaled by a (folded into ``y``), from
+    full application matrices and structure series coefficients ``g``:
+    the first term is weighted by g_s a^s at s = n + (deg mu - deg nu),
+    the second by g_s a^-s at s = -(deg nu - deg lambda) - n - twist."""
+    up = basis.weigh(x_left[:c], lambda d: _kernel(g, d + n, a))
+    down = basis.weigh(x_right[:, :c], lambda d: _kernel(g, -d - n - twist, 1.0 / a))
+    sign = (-1.0) ** twist * a ** (-twist)
+    return up @ y[:, :c] - sign * (y[:c] @ down)
 
 
 def _delta_conjugate(basis: PartitionBasis, w, momentum: float, c: float, cap: int):
@@ -179,13 +198,7 @@ def check_defining_relation(
     basis = PartitionBasis(params, D)
     c = basis.corner(degree_cap)
     t_tot = _app(basis, build_current(params), momentum)
-    t_out, t_in = t_tot[:c], t_tot[:, :c]
-    f = structure_series(
-        StructureFunctionSpec("current"), params, 2 * D + 2
-    ).c
-
-    def kernel(s: int) -> float:
-        return f[s] if s >= 0 else 0.0
+    f = structure_series(StructureFunctionSpec("current"), params, 2 * D + 2).c
 
     q, t, p = params.q, params.t, params.p
     eta1 = (q**0.5 - q**-0.5) * (t**0.5 - t**-0.5)
@@ -200,13 +213,11 @@ def check_defining_relation(
     ident = np.eye(c)
 
     def triples():
-        # T_j lowers the degree by j, so with mu the bra, nu the
-        # intermediate and lambda the ket, f_s T_{n-s} T_{m+s} has
-        # s = (deg mu - deg nu) + n, f_s T_{m-s} T_{n+s} has
-        # s = -(deg nu - deg lambda) - n, and m = -(deg mu - deg lambda) - n.
+        # T_j lowers the degree by j, so the z^{-n} mode table holds
+        # every m: with mu the bra and lambda the ket,
+        # m = -(deg mu - deg lambda) - n.
         for n in range(-max_mode, max_mode + 1):
-            both = basis.weigh(t_out, lambda d: kernel(d + n)) @ t_in
-            both -= t_out @ basis.weigh(t_in, lambda d: kernel(-d - n))
+            both = _mode_table(basis, c, t_tot, t_tot, t_tot, f, n)
             for m in range(-max_mode, max_mode + 1):
                 acc = basis.weigh(both, lambda d: float(d == -(n + m)))
                 rhs = central(n) * ident if n + m == 0 else 0.0 * ident
@@ -239,16 +250,10 @@ def check_screening_relation(
     normal-ordered product; the difference operator acts per w-monomial
     as the exact multiplier (1 - base^{exponent})/(1 - base)."""
     t0 = time.perf_counter()
-    D = degree_cap + window
-    basis = PartitionBasis(params, D)
-    n = basis.corner(degree_cap)
     scr = build_screening(sign, params)
-    cur = build_current(params)
-    m0 = momentum
-    m1 = m0 + scr.momentum_shift()
-    s_app = _app(basis, scr, m0)
-    t_after = _app(basis, cur, m1)[:n]
-    t_before = _app(basis, cur, m0)[:, :n]
+    basis, lhs = _exchange_lhs(
+        params, build_current(params), scr, Series.one, 0, degree_cap, window, momentum
+    )
 
     if sign == +1:
         base, other = params.q, params.t
@@ -258,18 +263,13 @@ def check_screening_relation(
         lam = build_lambda(+1, params)
     c = base**-0.5
     w_vertex = merge_vertices([lam.at_scale(c), scr])
-    w_conj = _delta_conjugate(basis, w_vertex, m0, c, degree_cap)
+    w_conj = _delta_conjugate(basis, w_vertex, momentum, c, degree_cap)
     prefactor = -(1.0 - 1.0 / other)
-
-    lhs, rhs = {}, {}
-    gamma_m = scr.h0_power * m0
-    for k in range(-window, window + 1):
-        s_in = basis.weigh(s_app[:, :n], lambda d: float(d == k))
-        s_out = basis.weigh(s_app[:n], lambda d: float(d == k))
-        lhs[k] = t_after @ s_in - s_out @ t_before
-        rhs[k] = (
-            prefactor * (1.0 - base ** (1.0 + k + gamma_m)) * c**k * w_conj
-        )
+    gamma_m = scr.h0_power * momentum
+    rhs = {
+        k: prefactor * (1.0 - base ** (1.0 + k + gamma_m)) * c**k * w_conj
+        for k in lhs
+    }
     compared = _table_residual(_keyed(lhs, rhs), basis, tolerance)
     cfg = {
         "q": params.q,
@@ -328,7 +328,7 @@ def _exchange_setup(ell: int, params: QParams, variant: str):
         xi = t ** (-1.0 / ell)
     else:
         raise QVirasoroError(f"unknown exchange variant {variant!r}")
-    return x, y, g, K, c, xi
+    return x, y, partial(structure_series, *g), K, c, xi
 
 
 def check_vertex_exchange(
@@ -362,6 +362,23 @@ def check_vertex_exchange(
     return _compared_report(name, compared, tolerance, cfg, t0)
 
 
+def _current_deltas(ell: int, params: QParams):
+    """Factor P and the constants K_i, supports c_i and argument shifts
+    xi_i of the full current's exchange with V_{ell,0}, whose right-hand
+    side is  P (K_1 delta(c_1 w/z) V(xi_1 w) - K_2 delta(c_2 w/z) V(xi_2 w))."""
+    q, t, p = params.q, params.t, params.p
+    big_pi = math.prod(
+        t**-0.5 * q ** (j / (2 * ell)) - t**0.5 * q ** (-j / (2 * ell))
+        for j in range(ell - 1)
+    )
+    e4 = (ell - 1) * (ell - 2) / (4.0 * ell)
+    K1 = p**0.5 * t**-0.5 * q**-e4
+    K2 = (-1.0) ** ell * p**-0.5 * t**0.5 * q**e4
+    c1 = p**0.5 * q ** (-1.0 / (2 * ell))
+    c2 = p**-0.5 * q ** (1.0 / (2 * ell))
+    return big_pi, (K1, c1, q ** (-1.0 / ell)), (K2, c2, q ** (1.0 / ell))
+
+
 def check_current_vertex_exchange(
     ell: int,
     params: QParams,
@@ -373,33 +390,16 @@ def check_current_vertex_exchange(
     """Full current against a simple vertex: two delta terms, one per
     current branch, with square-root-balanced constants."""
     t0 = time.perf_counter()
-    q, t, p = params.q, params.t, params.p
     y = build_vertex(ell, 0, params)
-    g = StructureFunctionSpec("exchange", ell, 0), params
+    g = partial(structure_series, StructureFunctionSpec("exchange", ell, 0), params)
     basis, lhs = _exchange_lhs(
         params, build_current(params), y, g, 2 - ell, degree_cap, window, momentum
     )
-
-    big_pi = math.prod(
-        t**-0.5 * q ** (j / (2 * ell)) - t**0.5 * q ** (-j / (2 * ell))
-        for j in range(ell - 1)
-    )
-    e4 = (ell - 1) * (ell - 2) / (4.0 * ell)
-    coeff_down = p**0.5 * t**-0.5 * q**-e4
-    coeff_up = (-1.0) ** ell * p**-0.5 * t**0.5 * q**e4
-    c_down = p**0.5 * q ** (-1.0 / (2 * ell))
-    c_up = p**-0.5 * q ** (1.0 / (2 * ell))
-    conj_down = _delta_conjugate(
-        basis, y.at_scale(q ** (-1.0 / ell)), momentum, c_down, degree_cap
-    )
-    conj_up = _delta_conjugate(
-        basis, y.at_scale(q ** (1.0 / ell)), momentum, c_up, degree_cap
-    )
-    rhs = {
-        k: big_pi
-        * (coeff_down * c_down**k * conj_down - coeff_up * c_up**k * conj_up)
-        for k in lhs
-    }
+    # each delta term read per key k as K c^k c^{-(deg bra - deg ket)} V
+    big_pi, (K1, c1, xi1), (K2, c2, xi2) = _current_deltas(ell, params)
+    conj1 = _delta_conjugate(basis, y.at_scale(xi1), momentum, c1, degree_cap)
+    conj2 = _delta_conjugate(basis, y.at_scale(xi2), momentum, c2, degree_cap)
+    rhs = {k: big_pi * (K1 * c1**k * conj1 - K2 * c2**k * conj2) for k in lhs}
     compared = _table_residual(_keyed(lhs, rhs), basis, tolerance)
     cfg = {
         "q": params.q,
@@ -426,39 +426,32 @@ def check_adjoint_shift(
     scale: float = 1.0,
 ) -> CheckReport:
     """The z^{-n}-mode of the weighted exchange combination acting on a
-    simple vertex equals an explicit two-term argument-shift operator."""
+    simple vertex equals an explicit two-term argument-shift operator:
+    the current-vertex exchange's delta terms, read per mode."""
     t0 = time.perf_counter()
-    q, t, p = params.q, params.t, params.p
     nmax = max(abs(int(n)) for n in modes)
-    window = degree_cap + nmax
+    twist = 2 - ell
+    D = degree_cap + nmax + abs(twist)
+    basis = PartitionBasis(params, D)
+    c = basis.corner(degree_cap)
     y = build_vertex(ell, 0, params).at_scale(scale)
     cur = build_current(params)
-    g = StructureFunctionSpec("exchange", ell, 0), params
-    basis, combo = _exchange_lhs(
-        params, cur, y, g, 2 - ell, degree_cap, window, momentum, arg_scale=scale
-    )
-
-    big_pi = math.prod(
-        t**-0.5 * q ** (j / (2 * ell)) - t**0.5 * q ** (-j / (2 * ell))
-        for j in range(ell - 1)
-    )
-    c = basis.corner(degree_cap)
-    v_down = _app(basis, y.at_scale(q ** (-1.0 / ell)), momentum)[:c, :c]
-    v_up = _app(basis, y.at_scale(q ** (1.0 / ell)), momentum)[:c, :c]
+    # weigh() looks the kernel up at every degree difference in [-D, D]
+    g = structure_series(StructureFunctionSpec("exchange", ell, 0), params, 2 * D).c
+    y_app = _app(basis, y, momentum)
+    x_left = _app(basis, cur, momentum + y.momentum_shift())
+    x_right = _app(basis, cur, momentum)
+    # each delta term read per z^{-n} mode as K c^n V
+    big_pi, (K1, c1, xi1), (K2, c2, xi2) = _current_deltas(ell, params)
+    v1 = _app(basis, y.at_scale(xi1), momentum)[:c, :c]
+    v2 = _app(basis, y.at_scale(xi2), momentum)[:c, :c]
 
     def triples():
         for n in modes:
             n = int(n)
-            # the z^{-n} mode of an entry lies in key n + (deg bra - deg ket)
-            extracted = sum(
-                basis.weigh(table, lambda d, k=k: float(d == k - n))
-                for k, table in combo.items()
-            )
-            e = ((ell - 1) * (ell - 2) + 2 * n) / (4.0 * ell)
-            a_n = p ** ((n + 1) / 2.0) * t**-0.5 * q**-e
-            b_n = (-1.0) ** ell * p ** (-(n + 1) / 2.0) * t**0.5 * q**e
-            rhs = big_pi * scale**n * (a_n * v_down - b_n * v_up)
-            yield f"mode={n}", extracted, rhs
+            lhs = _mode_table(basis, c, x_left, y_app, x_right, g, n, twist, scale)
+            rhs = big_pi * scale**n * (K1 * c1**n * v1 - K2 * c2**n * v2)
+            yield f"mode={n}", lhs, rhs
 
     compared = _table_residual(triples(), basis, tolerance)
     cfg = {
@@ -466,7 +459,7 @@ def check_adjoint_shift(
         "t": params.t,
         "ell": ell,
         "degree": degree_cap,
-        "window": window,
+        "window": degree_cap + nmax,
         "momentum": momentum,
         "scale": scale,
     }
@@ -521,7 +514,7 @@ def check_exchange_rewrite(
     ok_d = math.isfinite(reduced) and abs(reduced) > 1e-6
     res_d = 0.0 if ok_d else float("inf")
 
-    g = StructureFunctionSpec("exchange", ell, 0), params
+    g = partial(structure_series, StructureFunctionSpec("exchange", ell, 0), params)
     basis, lhs = _exchange_lhs(
         params, lam_plus, y, g, 2 - ell, degree_cap, window, momentum
     )
@@ -576,7 +569,7 @@ def check_composite_exchange(
     y = build_vertex(ell, k, params)
     lam_plus = build_lambda(+1, params)
     lam_minus = build_lambda(-1, params)
-    g = StructureFunctionSpec("exchange", ell, k), params
+    g = partial(structure_series, StructureFunctionSpec("exchange", ell, k), params)
     basis, lhs = _exchange_lhs(
         params, lam_plus, y, g, 4 - ell - k, degree_cap, window, momentum
     )
