@@ -511,7 +511,8 @@ def check_exchange_rewrite(
     res_c = abs(pf.value(c1))
     idx = pf.factor_index_at_zero(c1)
     reduced = pf.drop(idx).value(c1) if idx is not None else float("nan")
-    ok_d = math.isfinite(reduced) and abs(reduced) > 1e-6
+    # value() is an exact 0.0 where a remaining factor vanishes at c1
+    ok_d = math.isfinite(reduced) and reduced != 0.0
     res_d = 0.0 if ok_d else float("inf")
 
     g = partial(structure_series, StructureFunctionSpec("exchange", ell, 0), params)

@@ -288,9 +288,11 @@ def test_closed_pipe_gives_no_traceback():
     assert "Traceback" not in err, err
 
 
-def test_degree_7_suite_memory():
-    # the tables are built on the compared corner only: about 110 MB,
-    # where products over the whole basis took 1158 MB
+@pytest.mark.parametrize("degree", [7, 10])
+def test_deep_suite_memory(degree):
+    # the tables are built on the compared corner only, and adjoint-shift
+    # reads its modes directly: about 43 MB at degree 7 and 72 MB at 10,
+    # where products over the whole basis took 1158 MB at degree 7
     script = (
         "import resource, sys\n"
         "from qvirasoro.cli import main\n"
@@ -298,7 +300,7 @@ def test_degree_7_suite_memory():
         "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss, file=sys.stderr)\n"
         "sys.exit(code)\n"
     )
-    argv = ["verify", "--suite", "all", "--degree", "7", "--json"]
+    argv = ["verify", "--suite", "all", "--degree", str(degree), "--json"]
     proc = subprocess.run(
         [sys.executable, "-c", script, *argv],
         capture_output=True,

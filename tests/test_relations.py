@@ -68,11 +68,15 @@ def test_current_vertex_exchange():
     assert rep.passed, rep.summary_line()
 
 
-def test_adjoint_shift_with_modes_and_scale():
-    rep = check_adjoint_shift(1, P, modes=(-1, 0, 1), degree_cap=3)
+@pytest.mark.parametrize("ell", [1, 2, 3])
+def test_adjoint_shift_with_modes_and_scale(ell):
+    rep = check_adjoint_shift(ell, P, modes=(-1, 0, 1), degree_cap=3)
     assert rep.passed, rep.summary_line()
-    # the identity is covariant under rescaling the vertex argument
-    rep = check_adjoint_shift(1, P, modes=(-1, 0, 1), degree_cap=3, scale=1.3)
+    # the identity is covariant under rescaling the vertex argument; the
+    # twist 2 - ell runs over 1, 0 and -1, each with its own sign
+    rep = check_adjoint_shift(
+        ell, P, modes=(-1, 0, 1), degree_cap=3, momentum=0.37, scale=1.3
+    )
     assert rep.passed, rep.summary_line()
 
 
@@ -82,6 +86,14 @@ def test_exchange_rewrite_reports_all_ingredients():
     text = " ".join(rep.notes)
     assert "kernel-inverse" in text
     assert "support" in text
+
+
+def test_exchange_rewrite_small_reduced_support_value():
+    # the reduced support value is -2.8e-7, a product of 9855 factors none
+    # of which vanishes: finite and nonzero, however small
+    rep = check_exchange_rewrite(3, QParams(0.9401877, 0.0637690), 4, 4)
+    assert rep.passed, rep.summary_line()
+    assert "reduced support value -2.76685e-07" in " ".join(rep.notes)
 
 
 def test_composite_exchange_generic_momentum():
@@ -124,6 +136,27 @@ def test_perturbed_kernel_constant_fails(monkeypatch):
         relations, "_first_kind_constant", lambda ell, p: exact(ell, p) * (1 + 1e-6)
     )
     rep = check_vertex_exchange(1, P, "plain", degree_cap=3, window=3)
+    assert rep.status == "fail", rep.summary_line()
+
+
+@pytest.mark.parametrize("ell", [1, 2, 3])
+@pytest.mark.parametrize(
+    "check",
+    [
+        lambda ell: check_adjoint_shift(ell, P, degree_cap=3),
+        lambda ell: check_current_vertex_exchange(ell, P, degree_cap=3, window=3),
+    ],
+    ids=["adjoint-shift", "current-vertex-exchange"],
+)
+def test_perturbed_delta_constant_fails(monkeypatch, check, ell):
+    exact = relations._current_deltas
+
+    def perturbed(ell, p):
+        big_pi, (K1, c1, xi1), second = exact(ell, p)
+        return big_pi, (K1 * (1 + 1e-6), c1, xi1), second
+
+    monkeypatch.setattr(relations, "_current_deltas", perturbed)
+    rep = check(ell)
     assert rep.status == "fail", rep.summary_line()
 
 
