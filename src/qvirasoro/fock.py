@@ -19,8 +19,9 @@ formal variable.
 
 from __future__ import annotations
 
-import itertools
+import functools
 import math
+from collections import Counter, namedtuple
 from dataclasses import dataclass, replace
 from typing import Callable, Iterator, Sequence
 
@@ -77,18 +78,11 @@ class FockState:
         return sum(self.partition)
 
 
-def _multiplicities(partition: Sequence[int]) -> dict[int, int]:
-    mult: dict[int, int] = {}
-    for n in partition:
-        mult[n] = mult.get(n, 0) + 1
-    return mult
-
-
 def gram_norm(partition: Sequence[int], params: QParams) -> float:
     """<lambda|lambda> = prod_n c_n^{mult_n} mult_n! with
     c_n = [h_n, h_{-n}]."""
     out = 1.0
-    for n, m in _multiplicities(partition).items():
+    for n, m in Counter(partition).items():
         out *= mode_commutator(n, -n, params) ** m * math.factorial(m)
     return out
 
@@ -222,44 +216,56 @@ class CoeffTable:
 # Exact application of vertex operators on the truncated basis
 
 
+RemovalTable = namedtuple(
+    "RemovalTable", "states index degrees sup sub take binom fact"
+)
+
+
+@functools.lru_cache(maxsize=None)
+def removal_table(max_degree: int) -> RemovalTable:
+    """What an annihilation exponential can remove from each state of the
+    basis of degree <= max_degree, as flat arrays over every (state,
+    sub-multiset) pair: ``sup`` indexes the state, ``sub`` what remains of
+    it, ``take[:, n - 1]`` counts the h_{-n} removed, ``binom`` is
+    prod_n C(m_n, take_n) and ``fact`` prod_n take_n!.  Parameter-free, so
+    built once per degree and shared, read-only, by its bases."""
+    states = tuple(
+        lam for d in range(max_degree + 1) for lam in sorted(partitions_of(d))
+    )
+    mult = np.array(
+        [np.bincount(lam, minlength=max_degree + 1)[1:] for lam in states],
+        dtype=np.int8,
+    )
+    # the sub-multisets of each state, themselves states of the basis
+    contained = [np.flatnonzero((mult <= m).all(axis=1)) for m in mult]
+    sup = np.repeat(np.arange(len(states)), [len(c) for c in contained])
+    sub = np.concatenate(contained)
+    take = mult[sup] - mult[sub]
+    f = np.array([math.factorial(j) for j in range(max_degree + 1)], dtype=float)
+    fact = f[take].prod(axis=1)
+    binom = f[mult[sup]].prod(axis=1) / fact / f[mult[sub]].prod(axis=1)
+    index = {lam: i for i, lam in enumerate(states)}
+    degrees = mult @ np.arange(1, max_degree + 1)
+    for arr in (degrees, sup, sub, take, binom, fact):
+        arr.flags.writeable = False
+    return RemovalTable(states, index, degrees, sup, sub, take, binom, fact)
+
+
 class PartitionBasis:
     """All partitions of degree <= max_degree, ordered by (degree, parts).
 
-    Precomputes, for every partition, its sub-multisets (what an
-    annihilation exponential can remove) with their index and removal
-    vector; vertex applications then become two dense matrix factors.
+    The parameter-free tables come from ``removal_table``; only the mode
+    commutators ``cn`` (c_n for n = 1..max_degree) depend on ``params``.
     """
 
     def __init__(self, params: QParams, max_degree: int):
         self.params = params
         self.max_degree = max_degree
-        self.states: list[tuple[int, ...]] = []
-        for d in range(max_degree + 1):
-            self.states.extend(sorted(partitions_of(d)))
-        self.index = {lam: i for i, lam in enumerate(self.states)}
+        self.removals = removal_table(max_degree)
+        self.states, self.index, self.degrees = self.removals[:3]
         self.size = len(self.states)
-        self.degrees = np.array([sum(lam) for lam in self.states], dtype=np.int64)
-        self.cn = np.array(
-            [0.0]
-            + [mode_commutator(n, -n, params) for n in range(1, max_degree + 1)]
-        )
-        # subsets[i] = list of (sub_index, ((mode, count), ...)) for each
-        # way of removing a sub-multiset from state i.
-        self.subsets: list[list[tuple[int, tuple[tuple[int, int], ...]]]] = []
-        for lam in self.states:
-            mult = sorted(_multiplicities(lam).items())
-            entry = []
-            ranges = [range(m + 1) for _, m in mult]
-            for combo in itertools.product(*ranges):
-                removed = tuple(
-                    (n, j) for (n, _), j in zip(mult, combo) if j > 0
-                )
-                sub = []
-                for (n, m), j in zip(mult, combo):
-                    sub.extend([n] * (m - j))
-                sub_t = tuple(sorted(sub, reverse=True))
-                entry.append((self.index[sub_t], removed))
-            self.subsets.append(entry)
+        modes = range(1, max_degree + 1)
+        self.cn = np.array([mode_commutator(n, -n, params) for n in modes])
 
     def corner(self, cap: int) -> int:
         """Number of states of degree <= cap: they lead the basis."""
@@ -285,23 +291,14 @@ class PartitionBasis:
         (callers size the basis so dropped states never matter for the
         compared corner).
         """
-        D = self.max_degree
-        ann_coeff = np.array([0.0] + [vertex.mode_rule(n) for n in range(1, D + 1)])
-        cre_coeff = np.array([0.0] + [vertex.mode_rule(-n) for n in range(1, D + 1)])
-        size = self.size
-        ann = np.zeros((size, size))
-        cre = np.zeros((size, size))
-        for i, entry in enumerate(self.subsets):
-            mult = _multiplicities(self.states[i])
-            for sub_idx, removed in entry:
-                w_ann = 1.0
-                w_cre = 1.0
-                for n, j in removed:
-                    a = ann_coeff[n] * self.cn[n]
-                    w_ann *= math.comb(mult[n], j) * a**j
-                    w_cre *= cre_coeff[n] ** j / math.factorial(j)
-                ann[sub_idx, i] = w_ann
-                cre[i, sub_idx] = w_cre
+        r = self.removals
+        modes = range(1, self.max_degree + 1)
+        a = np.array([vertex.mode_rule(n) for n in modes]) * self.cn
+        b = np.array([vertex.mode_rule(-n) for n in modes])
+        ann = np.zeros((self.size, self.size))
+        cre = np.zeros_like(ann)
+        ann[r.sub, r.sup] = r.binom * np.prod(a**r.take, axis=1)
+        cre[r.sup, r.sub] = np.prod(b**r.take, axis=1) / r.fact
         return vertex.zero_mode_factor(momentum) * (cre @ ann)
 
 

@@ -158,3 +158,10 @@ class TestMatrixEngine:
         i, j = basis.index[()], basis.index[(2, 1)]
         # application matrix aggregates all w-powers of the bra/ket pair
         assert app[i, j] == pytest.approx(sum(tab.entries.values()), rel=1e-12)
+
+    def test_bases_of_one_degree_share_read_only_tables(self):
+        a, b = PartitionBasis(P, 4), PartitionBasis(P2, 4)
+        assert a.removals is b.removals and a.states is b.states
+        assert not np.array_equal(a.cn, b.cn)
+        with pytest.raises(ValueError):
+            a.removals.take[0, 0] = 1
