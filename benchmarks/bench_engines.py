@@ -3,8 +3,9 @@ self-contained pure-Python dictionary engine.
 
 Both compute the same object: the matrix of a normal-ordered vertex
 operator on the degree-truncated bosonic basis at fixed momentum.  The
-library engine precomputes sub-multiset weight tables once per basis
-and finishes with one matrix product; the reference engine below walks
+library engine builds its parameter-free sub-multiset tables once per
+degree, evaluates the weights as array products over them and finishes
+with one matrix product; the reference engine below walks
 partitions as multiplicity dictionaries and re-derives every entry from
 scratch.  The script prints timings for both and the worst entrywise
 deviation (which must sit at rounding level).

@@ -166,7 +166,8 @@ SUITES = {
         1e-8,
         lambda c, tol: [
             relations.check_adjoint_shift(
-                c.label, c.params, degree_cap=c.degree, tolerance=tol
+                c.label, c.params, range(-c.window, c.window + 1), c.degree,
+                tolerance=tol,
             )
         ],
     ),

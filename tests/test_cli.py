@@ -10,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+from qvirasoro import relations
 from qvirasoro.cli import DEFAULTS, SUITES, main
 from qvirasoro.report import CheckReport
 
@@ -265,6 +266,23 @@ class TestSuiteTable:
         records = json.loads(out)
         assert [r["identity"] for r in records] == [i for i, _ in self.EXPECTED]
         assert {r["tolerance"] for r in records} == {1e-3}
+
+    def test_window_sets_adjoint_shift_modes(self, capsys, monkeypatch):
+        seen = []
+        check = relations.check_adjoint_shift
+
+        def spy(ell, params, modes, *args, **kwargs):
+            seen.append(list(modes))
+            return check(ell, params, modes, *args, **kwargs)
+
+        monkeypatch.setattr(relations, "check_adjoint_shift", spy)
+        for window in ("1", "3"):
+            code, _, _ = run_cli(
+                capsys, "verify", "--suite", "adjoint-shift", "--degree", "3",
+                "--window", window,
+            )
+            assert code == 0
+        assert seen == [[-1, 0, 1], [-3, -2, -1, 0, 1, 2, 3]]
 
 
 def _child_env():

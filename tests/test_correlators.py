@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from qvirasoro.errors import ConvergenceError, PoleError, QVirasoroError, RegimeError
+from qvirasoro import correlators
 from qvirasoro.qspecial import QParams
+from qvirasoro.voa import ProductForm
 from qvirasoro.correlators import (
     CorrelatorParams,
     check_connection_formula,
@@ -79,6 +81,23 @@ class TestTwoPoint:
         assert rep.passed, rep.summary_line()
         rep = check_two_point(P2, ell=2)
         assert rep.passed, rep.summary_line()
+
+    def test_checker_compares_logs(self):
+        # p = 4.5: the series coefficients of exp(sum rule(n) x^n) reach
+        # 7e11 and evaluating them at x = 0.3 gave 2.343e-9, 13 % off the
+        # product's 2.047e-9; the logs agree to rounding
+        rep = check_two_point(QParams(0.9, 0.2), ell=3)
+        assert rep.passed, rep.summary_line()
+
+    @pytest.mark.parametrize("params, ell", [(P1, 1), (QParams(0.9, 0.2), 3)])
+    def test_checker_fails_on_perturbed_form(self, monkeypatch, params, ell):
+        form = correlators._pair_form(ell, params)
+        coeffs = form.coeffs.copy()
+        coeffs[np.argmax(np.abs(coeffs))] *= 1.0 + 1e-9
+        perturbed = ProductForm(coeffs, form.weights)
+        monkeypatch.setattr(correlators, "_pair_form", lambda *_: perturbed)
+        rep = check_two_point(params, ell=ell)
+        assert rep.status == "fail", rep.summary_line()
 
 
 class TestScreeningWave:
@@ -185,6 +204,14 @@ class TestConnection:
         rep = check_connection_formula(P1, r=3.0)
         assert rep.status == "fail"
         assert rep.residual > 0.1
+
+    def test_weak_control_within_tolerance_is_inconclusive(self):
+        # both branches have equal magnitude here, so the row swap cannot
+        # discriminate; the residual alone shows nothing
+        params = QParams(0.68, 0.14)
+        rep = check_connection_formula(params, ell=2, L=-1.075, r=1.0 / params.beta)
+        assert rep.status == "inconclusive", rep.summary_line()
+        assert "negative control did not fail" in rep.worst_location
 
     def test_degenerate_weight_is_detected(self):
         # L = 1/beta - ell makes both branches identical; the row-swapped

@@ -1,5 +1,8 @@
 """Oscillator Fock layer against brute-force word-reordering oracles."""
 
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -118,15 +121,29 @@ class TestMatrixEngine:
             lambda: build_lambda(+1, P),
             lambda: build_vertex(1, 0, P),
             lambda: build_screening(+1, P),
+            lambda: build_lambda(+1, P2),
+            lambda: build_vertex(1, 0, P2),
+            lambda: build_screening(+1, P2),
+            lambda: build_vertex(1, 1, P),
+            lambda: build_vertex(1, 1, P2),
         ],
-        ids=["lambda+", "vertex(2,1)", "screening+"],
+        ids=[
+            "lambda+",
+            "vertex(2,1)",
+            "screening+",
+            "lambda+@P2",
+            "vertex(2,1)@P2",
+            "screening+@P2",
+            "vertex(2,2)",
+            "vertex(2,2)@P2",
+        ],
     )
     @pytest.mark.parametrize("momentum", [0.0, 0.37])
     def test_tables_match_exponential_expansion_oracle(self, maker, momentum):
         vertex = maker()
         D = 3
-        basis = PartitionBasis(P, D)
-        engine = WordEngine(P)
+        basis = PartitionBasis(vertex.params, D)
+        engine = WordEngine(vertex.params)
         m_out = momentum + vertex.momentum_shift()
         states = [p for n in range(D + 1) for p in partitions_of(n)]
         for lam in states:
@@ -165,3 +182,23 @@ class TestMatrixEngine:
         assert not np.array_equal(a.cn, b.cn)
         with pytest.raises(ValueError):
             a.removals.take[0, 0] = 1
+
+    @pytest.mark.parametrize(
+        "params", [QParams(0.49, 0.7), QParams(0.9, 0.2)], ids=["p<1", "p>1"]
+    )
+    def test_application_matrix_matches_dict_engine(self, params):
+        # the pure-dictionary engine of the engine benchmark, at p < 1 and p > 1
+        path = Path(__file__).parents[1] / "benchmarks" / "bench_engines.py"
+        spec = importlib.util.spec_from_file_location("bench_engines", path)
+        bench_engines = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(bench_engines)
+        basis = PartitionBasis(params, 6)
+        for vertex in (
+            build_lambda(-1, params),
+            build_screening(+1, params),
+            build_vertex(2, 1, params),
+        ):
+            states, ref = bench_engines.dict_engine(vertex, 0.37, params, 6)
+            perm = [basis.index[lam] for lam in states]
+            got = basis.application_matrix(vertex, 0.37)[np.ix_(perm, perm)]
+            assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
