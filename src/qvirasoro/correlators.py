@@ -4,9 +4,9 @@ The objects here are scalar functions of the insertion points built
 from the radial-ordering data of the vertex layer: the two-vertex
 scalar (``two_point``), the screening-vertex wave factor
 (``screening_wave``), the two screened four-point functions evaluated
-either by lattice (Jackson) summation or in closed basic-hypergeometric
-form, and the elliptic connection matrix relating the two argument
-orders.
+either by lattice (Jackson) summation, one basic series per branch, or
+in closed basic-hypergeometric form, and the elliptic connection matrix
+relating the two argument orders.
 
 Conventions.  The deformation pair (q, t) is strict; ``ell`` labels the
 first-kind vertex V inserted twice; ``L`` is the back-charge weight and
@@ -41,14 +41,12 @@ from .qspecial import (
     BracketParams,
     QParams,
     beta_q,
+    basic_series,
     bracket,
-    jackson_bilateral,
-    jackson_to,
     phi21,
     qpoch_inf,
 )
 from .report import CheckReport, _report
-from .series import from_log_rule
 from .voa import pair_correlation_factor, pair_correlation_log_rule
 
 __all__ = [
@@ -57,7 +55,6 @@ __all__ = [
     "sv_scalar",
     "vs_scalar",
     "two_point",
-    "two_point_series",
     "two_point_reference",
     "four_point_closed",
     "four_point_jackson",
@@ -154,16 +151,6 @@ def two_point(z: float, w: float, cp: CorrelatorParams) -> float:
     return z ** (cp.ell**2 * cp.params.beta / 2.0) * form.value(w / z)
 
 
-def two_point_series(z: float, w: float, cp: CorrelatorParams, order: int = 64) -> float:
-    """Same scalar through the truncated power series in w/z (only
-    valid inside the series radius; used as a cross-check)."""
-    rule = pair_correlation_log_rule(cp.ell, cp.params)
-    ser = from_log_rule(rule, order)
-    x = w / z
-    val = float(np.polyval(ser.c[::-1], x))
-    return z ** (cp.ell**2 * cp.params.beta / 2.0) * val
-
-
 def two_point_reference(z: float, w: float, cp: CorrelatorParams) -> float:
     """Same scalar through the double-base infinite products (requires
     p^2 < 1; independent oracle for the product form)."""
@@ -202,40 +189,41 @@ def four_point_jackson(
     cp: CorrelatorParams,
     normalized: bool = True,
 ) -> float:
-    """Lattice (Jackson) evaluation of the screened four-point function.
+    """Lattice (Jackson) evaluation of the screened four-point function,
+    with A = t^{1/2} q^{1/(2l)} and B = t^{-1/2} q^{1/(2l)}:
 
-    branch "plus": screening integrated outward from t^{1/2} q^{1/(2l)} z;
-    branch "minus": screening integrated from 0 to t^{-1/2} q^{1/(2l)} w.
+    branch "plus": screening integrated outward from A z;
+    branch "minus": screening integrated from 0 to B w.
+
+    As F(Q y) = F(y) (1 - B y) / (1 - A y), each branch is one basic
+    series in the ratio of its lattice measure, from its first nonzero node.
     """
     _check_exponents(cp)
     P = cp.params
+    Q = cp.Q
     edge = P.q ** (1.0 / (2.0 * cp.ell))
+    A, B = P.t**0.5 * edge, P.t**-0.5 * edge
     pref = (z * w) ** (cp.L * cp.a / 2.0)
     if branch == "plus":
-        c = 2.0 * cp.a + 1.0 - cp.b
-        seed = P.t**0.5 * edge * z
-
-        def f(mu: float) -> float:
-            f1 = screening_wave(z / mu, cp)
-            if f1 == 0.0:
-                return 0.0
-            f2 = screening_wave(w / mu, cp)
-            return mu**-c * f1 * f2
-
-        # the inward half-lattice consists of structural zeros; the
-        # value lives on the outward half
-        val = jackson_bilateral(f, seed, cp.Q) - jackson_to(f, seed, cp.Q)
+        mu = A * z / Q
+        ratio = Q ** (2.0 * cp.a - cp.b)
+        weight = mu ** (cp.b - 2.0 * cp.a)
+        y1, y2 = z / mu, w / mu
     elif branch == "minus":
-        seed = P.t**-0.5 * edge * w
-
-        def f(mu: float) -> float:
-            f1 = screening_wave(mu / z, cp)
-            f2 = screening_wave(mu / w, cp)
-            return mu ** -(1.0 - cp.b) * f1 * f2
-
-        val = (z * w) ** -cp.a * jackson_to(f, seed, cp.Q)
+        mu = B * w
+        ratio = Q**cp.b
+        weight = (z * w) ** -cp.a * mu**cp.b
+        y1, y2 = mu / z, mu / w
     else:
         raise QVirasoroError(f"unknown branch {branch!r}")
+    # at w/z = Q^{-m} the first m nodes are structural zeros
+    f1, f2 = screening_wave(y1, cp), screening_wave(y2, cp)
+    while f1 == 0.0 or f2 == 0.0:
+        y1, y2, weight = Q * y1, Q * y2, ratio * weight
+        f1, f2 = screening_wave(y1, cp), screening_wave(y2, cp)
+    val = (1.0 - Q) * weight * f1 * f2 * basic_series(
+        (B * y1, B * y2), (A * y1, A * y2), Q, ratio
+    )
     out = pref * val
     if not normalized:
         out *= two_point(z, w, cp)
@@ -249,8 +237,11 @@ def four_point_closed(
     cp: CorrelatorParams,
     normalized: bool = True,
 ) -> float:
-    """Closed basic-hypergeometric form of the same function (valid
-    for |w/z| inside the unit Q^{1-a}-scaled disk).
+    """Closed basic-hypergeometric form of the same function, a series
+    phi21(u1, u2; c; Q, x) in x = Q^{1-a} w/z.  Where |x| >= 1 and
+    0 < u2 < 1 it is continued by Heine's transformation (Gasper and
+    Rahman, eq. 1.4.1); that form raises PoleError at the poles x in
+    Q^{-N} and at its removable singularities w/z in Q^{-1-N}.
 
     Unlike the lattice form this is the analytic continuation in the
     exponents: it stays finite where b <= 0 or 2a - b <= 0 (lattice
@@ -263,20 +254,21 @@ def four_point_closed(
     pref = (z * w) ** (cp.L * a / 2.0)
     arg = Q ** (1.0 - a) * w / z
     if branch == "plus":
-        val = (
-            beta_q(2.0 * a - b, 1.0 - a, Q)
-            * (P.t**0.5 / edge * z) ** (b - 2.0 * a)
-            * phi21(Q**a, Q ** (2.0 * a - b), Q ** (1.0 + a - b), Q, arg)
-        )
+        coef = beta_q(2.0 * a - b, 1.0 - a, Q) * (P.t**0.5 / edge * z) ** (b - 2.0 * a)
+        u1, u2, c = Q**a, Q ** (2.0 * a - b), Q ** (1.0 + a - b)
     elif branch == "minus":
-        val = (
-            beta_q(b, 1.0 - a, Q)
-            * (z * w) ** -a
-            * (P.t**-0.5 * edge * w) ** b
-            * phi21(Q**a, Q**b, Q ** (1.0 - a + b), Q, arg)
-        )
+        coef = beta_q(b, 1.0 - a, Q) * (z * w) ** -a * (P.t**-0.5 * edge * w) ** b
+        u1, u2, c = Q**a, Q**b, Q ** (1.0 - a + b)
     else:
         raise QVirasoroError(f"unknown branch {branch!r}")
+    if abs(arg) < 1.0 or not 0.0 < u2 < 1.0:
+        val = coef * phi21(u1, u2, c, Q, arg)
+    else:
+        den = qpoch_inf(c, Q) * qpoch_inf(arg, Q)
+        if den == 0.0:
+            raise PoleError(f"Heine transform pole at argument {arg!r}")
+        heine = qpoch_inf(u2, Q) * qpoch_inf(u1 * arg, Q) / den
+        val = coef * (heine * phi21(c / u2, arg, u1 * arg, Q, u2))
     out = pref * val
     if not normalized:
         out *= two_point(z, w, cp)
@@ -374,7 +366,7 @@ def check_four_point(
             d = abs(closed - lattice) / max(abs(closed), abs(lattice))
             if d > worst:
                 worst, loc = d, f"branch={branch}"
-    except ConvergenceError as exc:
+    except (ConvergenceError, PoleError) as exc:
         return _report(
             "four-point",
             float("inf"),

@@ -1,9 +1,10 @@
 """Scalar q-special functions.
 
 Pochhammer symbols (finite and infinite, single and multi base), the
-q-gamma / q-beta ladder, the multiplicative theta function, the basic
-hypergeometric series phi21, Jackson q-integration (unilateral and
-bilateral), and the elliptic bracket that builds connection matrices.
+q-gamma / q-beta ladder, the multiplicative theta function, one basic
+hypergeometric series routine (phi21 and the lattice four-point sums
+call it), Jackson q-integration (unilateral and bilateral), and the
+elliptic bracket that builds connection matrices.
 
 Everything in this module is plain float numerics; no Fock space or
 operator machinery.
@@ -179,39 +180,41 @@ def theta_q(z: float, q: float) -> float:
 # Basic hypergeometric series
 
 
-def phi21(a: float, b: float, c: float, q: float, z: float) -> float:
-    """The series phi21(a, b; c; q, z) = sum_n T_n with
-    T_n = (a;q)_n (b;q)_n / ((c;q)_n (q;q)_n) z^n.
+def basic_series(upper: tuple, lower: tuple, q: float, z: float) -> float:
+    """The series sum_n prod_i (u_i;q)_n / prod_j (l_j;q)_n z^n.
 
-    Terminates early if a numerator factor hits a structural zero
-    (terminating series); raises PoleError if a denominator factor
-    does.  Needs |z| < 1 unless the series terminates.
+    Terminates early if an upper factor hits a structural zero
+    (terminating series); raises PoleError if a lower factor does.
+    Needs |z| < 1 unless the series terminates.
     """
     if not (0 < q < 1):
-        raise RegimeError(f"phi21 needs base in (0,1), got {q}")
+        raise RegimeError(f"basic series needs base in (0,1), got {q}")
     total = 0.0
     term = 1.0
     small = 0
     for n in range(TERM_CAP):
         total += term
-        fa = 1.0 - a * q**n
-        fb = 1.0 - b * q**n
-        fc = 1.0 - c * q**n
-        fq = 1.0 - q ** (n + 1)
-        if abs(fc) < ZERO_SNAP:
-            raise PoleError(f"phi21 lower-parameter pole at term {n}")
-        if abs(fa) < ZERO_SNAP or abs(fb) < ZERO_SNAP:
+        fl = [1.0 - c * q**n for c in lower]
+        fu = [1.0 - a * q**n for a in upper]
+        if any(abs(f) < ZERO_SNAP for f in fl):
+            raise PoleError(f"lower-parameter pole at term {n}")
+        if any(abs(f) < ZERO_SNAP for f in fu):
             return total  # terminating series
-        term *= fa * fb / (fc * fq) * z
+        term *= math.prod(fu) / math.prod(fl) * z
         if not math.isfinite(term) or abs(term) > 1e100:
-            raise ConvergenceError("phi21 series diverges")
+            raise ConvergenceError("basic series diverges")
         if abs(term) <= REL_TOL * max(abs(total), 1e-300):
             small += 1
             if small >= 3:
                 return total + term
         else:
             small = 0
-    raise ConvergenceError(f"phi21 did not converge within {TERM_CAP} terms")
+    raise ConvergenceError(f"basic series did not converge within {TERM_CAP} terms")
+
+
+def phi21(a: float, b: float, c: float, q: float, z: float) -> float:
+    """phi21(a, b; c; q, z) = sum_n (a;q)_n (b;q)_n / ((c;q)_n (q;q)_n) z^n."""
+    return basic_series((a, b), (c, q), q, z)
 
 
 # ---------------------------------------------------------------------------

@@ -397,16 +397,20 @@ class ProductForm:
         return ProductForm(self.coeffs[keep], self.weights[keep])
 
     def value(self, x: float) -> float:
-        g = 1.0 - self.coeffs * x
+        """The product at x.  Factors vanishing at x net their weights: a
+        negative sum is a pole, a positive one a zero, a zero sum drops them."""
+        g, w = 1.0 - self.coeffs * x, self.weights
         small = np.abs(g) < ZERO_SNAP
         if np.any(small):
-            w = self.weights[small]
-            if np.any(w < 0):
+            net = int(w[small].sum())
+            if net < 0:
                 raise PoleError(f"product form has a pole at x={x!r}")
-            return 0.0
-        log_mag = float(np.dot(self.weights, np.log(np.abs(g))))
+            if net > 0:
+                return 0.0
+            g, w = g[~small], w[~small]
+        log_mag = float(np.dot(w, np.log(np.abs(g))))
         neg = g < 0.0
-        sign = -1.0 if (int(self.weights[neg].sum()) % 2) else 1.0
+        sign = -1.0 if (int(w[neg].sum()) % 2) else 1.0
         return sign * math.exp(log_mag)
 
 

@@ -132,3 +132,42 @@ def vertex_table(vertex, momentum, bra, ket, engine, max_degree):
             key = d_neg - d_pos
             table[key] = table.get(key, 0.0) + scalar * w_neg * w_pos * amp
     return {k: v for k, v in table.items() if v != 0.0}
+
+
+def four_point_lattice(branch, z, w, cp, normalized=True):
+    """The screened four-point function summed node by node: the
+    screening wave evaluated afresh at every lattice point and handed
+    to the generic Jackson integrators (the plus branch as the
+    bilateral sum less its inward half, which holds only structural
+    zeros)."""
+    from qvirasoro.correlators import screening_wave, two_point
+    from qvirasoro.qspecial import jackson_bilateral, jackson_to
+
+    P = cp.params
+    edge = P.q ** (1.0 / (2.0 * cp.ell))
+    if branch == "plus":
+        c = 2.0 * cp.a + 1.0 - cp.b
+        seed = P.t**0.5 * edge * z
+
+        def f(mu):
+            f1 = screening_wave(z / mu, cp)
+            if f1 == 0.0:
+                return 0.0
+            return mu**-c * f1 * screening_wave(w / mu, cp)
+
+        val = jackson_bilateral(f, seed, cp.Q) - jackson_to(f, seed, cp.Q)
+    else:
+        seed = P.t**-0.5 * edge * w
+
+        def f(mu):
+            return (
+                mu ** (cp.b - 1.0)
+                * screening_wave(mu / z, cp)
+                * screening_wave(mu / w, cp)
+            )
+
+        val = (z * w) ** -cp.a * jackson_to(f, seed, cp.Q)
+    out = (z * w) ** (cp.L * cp.a / 2.0) * val
+    if not normalized:
+        out *= two_point(z, w, cp)
+    return out

@@ -46,6 +46,18 @@ class TestExitStatus:
         assert code == 2
         assert "[INCONCLUSIVE]" in out
 
+    def test_poles_of_the_scalar_layer_are_inconclusive(self, capsys):
+        # t = q^2: the four-point closed form sits on a q-gamma pole and
+        # the connection matrix is singular at u = 0; every other check
+        # still gives its record
+        code, out, _ = run_cli(
+            capsys, "verify", "--suite", "all", "--q", "0.5", "--t", "0.25"
+        )
+        assert code == 2
+        lines = out.splitlines()
+        assert lines[-1] == "18 checks: 16 passed, 0 failed, 2 inconclusive"
+        assert "[INCONCLUSIVE] four-point" in out and "pole" in out
+
     def test_equal_deformation_parameters_are_refused(self, capsys):
         code, _, err = run_cli(
             capsys, "verify", "--suite", "qspecial", "--q", "0.5", "--t", "0.5"

@@ -1,12 +1,16 @@
 """Four-point functions, their closed forms, and the connection matrix."""
 
+import math
+
 import numpy as np
 import pytest
+
+from oracles import four_point_lattice
 
 from qvirasoro.errors import ConvergenceError, PoleError, QVirasoroError, RegimeError
 from qvirasoro import correlators
 from qvirasoro.qspecial import QParams
-from qvirasoro.voa import ProductForm
+from qvirasoro.voa import ProductForm, pair_correlation_log_rule
 from qvirasoro.correlators import (
     CorrelatorParams,
     check_connection_formula,
@@ -20,7 +24,6 @@ from qvirasoro.correlators import (
     sv_scalar,
     two_point,
     two_point_reference,
-    two_point_series,
     vs_scalar,
 )
 
@@ -54,10 +57,15 @@ class TestTwoPoint:
     @pytest.mark.parametrize("ell", [1, 2])
     def test_product_vs_series_and_reference(self, params, ell):
         cp = CorrelatorParams(params=params, ell=ell)
+        form = correlators._pair_form(ell, params)
+        radius = 1.0 / float(np.max(np.abs(form.coeffs)))
+        rule = pair_correlation_log_rule(ell, params)
         for x in (0.15, 0.3):
             v = two_point(1.0, x, cp)
-            s = two_point_series(1.0, x, cp, order=96)
-            assert v == pytest.approx(s, rel=1e-12)
+            # the log-series summed as check_two_point sums it
+            order = 1 + int(math.log(1e-17) / math.log(x / radius))
+            s = sum(rule(n) * x**n for n in range(1, order + 1))
+            assert math.log(v) == pytest.approx(s, rel=1e-12)
             r = two_point_reference(1.0, x, cp)
             assert v == pytest.approx(r, rel=1e-12)
 
@@ -156,6 +164,42 @@ class TestFourPoint:
         rep = check_four_point(P1, L=3.0)
         assert rep.status == "inconclusive"
         assert rep.residual == float("inf")
+
+    @pytest.mark.parametrize("branch", ["plus", "minus"])
+    @pytest.mark.parametrize("power", [None, 1, 2], ids=["0.4", "Q^-1", "Q^-2"])
+    def test_lattice_sum_matches_node_by_node_oracle(self, branch, power):
+        # at w/z = Q^-m the first m nodes are structural zeros; neither
+        # the closed form nor a series started at the first node is
+        # defined there, so only the oracle checks these points
+        cp = CorrelatorParams(params=P1, ell=1, L=0.5)
+        w = 0.4 if power is None else cp.Q**-power
+        got = four_point_jackson(branch, 1.0, w, cp)
+        assert got == pytest.approx(four_point_lattice(branch, 1.0, w, cp), rel=1e-12)
+        if power is None:
+            got = four_point_jackson(branch, 1.0, w, cp, normalized=False)
+            want = four_point_lattice(branch, 1.0, w, cp, normalized=False)
+            assert got == pytest.approx(want, rel=1e-12)
+        else:
+            # Q^-1 and Q^-2 are poles of the pair scalar at P1
+            with pytest.raises(PoleError):
+                four_point_jackson(branch, 1.0, w, cp, normalized=False)
+            with pytest.raises(PoleError):
+                four_point_lattice(branch, 1.0, w, cp, normalized=False)
+
+    def test_large_lattice_weights_match_closed_form(self):
+        # a node-by-node sum overflowed here (terms beyond 1e100)
+        cp = CorrelatorParams(params=QParams(0.14, 0.86), ell=1, L=12.56681255522402)
+        for branch in ("plus", "minus"):
+            c = four_point_closed(branch, 1.0, 0.4, cp)
+            assert four_point_jackson(branch, 1.0, 0.4, cp) == pytest.approx(c, rel=1e-12)
+
+    def test_closed_form_continued_past_unit_argument(self):
+        # Q^{1-a} w/z = 0.7^{0.5} * 3 > 1: Heine's transformation continues
+        # the closed form, which the lattice sum reaches directly
+        cp = CorrelatorParams(params=P1, ell=1, L=0.5)
+        for branch in ("plus", "minus"):
+            c = four_point_closed(branch, 1.0, 3.0, cp)
+            assert c == pytest.approx(four_point_jackson(branch, 1.0, 3.0, cp), rel=1e-12)
 
 
 class TestPseudoConstant:

@@ -1,0 +1,23 @@
+"""The benchmark's traced mode against the names it wraps."""
+
+import importlib
+import importlib.util
+from pathlib import Path
+
+TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+
+
+def test_every_traced_name_resolves():
+    # Tracer.install looks each SPANS name up with getattr, so a deleted
+    # one would make every traced benchmark run fail
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    missing = []
+    for mod_name, owner, attr, *_ in tracer.SPANS:
+        target = importlib.import_module(f"qvirasoro.{mod_name}")
+        if owner is not None:
+            target = getattr(target, owner, None)
+        if not callable(getattr(target, attr, None)):
+            missing.append(".".join(filter(None, (mod_name, owner, attr))))
+    assert not missing, missing

@@ -9,6 +9,7 @@ from qvirasoro.qspecial import (
     BracketParams,
     QParams,
     beta_q,
+    basic_series,
     bracket,
     gamma_q,
     jackson_between,
@@ -150,6 +151,15 @@ class TestPhi21:
     def test_lower_parameter_pole_raises(self):
         with pytest.raises(PoleError):
             phi21(0.3, 0.5, 0.5**-1, 0.5, 0.2)
+
+
+class TestBasicSeries:
+    @pytest.mark.parametrize("a, q, z", [(0.3, 0.6, 0.5), (1.7, 0.45, -0.8), (-2.0, 0.9, 0.3)])
+    def test_q_binomial_theorem(self, a, q, z):
+        # sum_n (a;q)_n / (q;q)_n z^n = (a z;q)_inf / (z;q)_inf
+        lhs = basic_series((a,), (q,), q, z)
+        rhs = qpoch_inf(a * z, q) / qpoch_inf(z, q)
+        assert lhs == pytest.approx(rhs, rel=1e-13)
 
 
 class TestJackson:

@@ -163,9 +163,15 @@ class TestProductForms:
                 ), (ell, x)
 
     def test_pair_correlation_pole_raises(self):
-        form = pair_correlation_factor(1, P)
+        # at P the factors vanishing at 1/q have weights -1 and +2: net a
+        # simple zero (value((1/q)(1 + eps)) is about 0.418 eps)
+        assert pair_correlation_factor(1, P).value(1.0 / P.q) == 0.0
+        # at (0.49, 0.7) they have weights -1 and -1: a double pole
+        P1 = QParams(0.49, 0.7)
         with pytest.raises(PoleError):
-            form.value(1.0 / P.q)
+            pair_correlation_factor(1, P1).value(1.0 / P1.q)
+        # weights +1, +1 and -1 vanish together at x = 2: a simple zero
+        assert current_vertex_factor(1, QParams(0.5, 0.25)).value(2.0) == 0.0
 
     def test_exchange_supports_are_exact_zeros(self):
         # the minus-branch transfer weight vanishes identically at both
