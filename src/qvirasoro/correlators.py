@@ -14,10 +14,11 @@ first-kind vertex V inserted twice; ``L`` is the back-charge weight and
 
     a = ell * beta,   b = 1 - L * beta,   Q = q^{1/ell}.
 
-Normalized correlators (default) are the full ones divided by the
-two-vertex scalar; the division removes the only factor whose lattice
-form requires p^2 < 1, so normalized evaluation works in both
-orderings of q and t.
+The four-point evaluators return normalized correlators: the full
+ones divided by the two-vertex scalar ``two_point(z, w, cp)``.  The
+division removes the only factor whose lattice form requires p^2 < 1,
+so they work in both orderings of q and t, and the scalar cancels from
+the connection formula (see ``check_connection_formula``).
 
 The bracket period ``r`` defaults to the admissible value 1/beta
 (equivalently t^r = q), the unique period at which the elliptic
@@ -33,8 +34,6 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
-
-from functools import lru_cache
 
 from .errors import ConvergenceError, PoleError, QVirasoroError, RegimeError
 from .qspecial import (
@@ -137,17 +136,12 @@ def vs_scalar(z: float, mu: float, cp: CorrelatorParams) -> float:
 # Two-vertex scalar
 
 
-@lru_cache(maxsize=32)
-def _pair_form(ell: int, params: QParams):
-    return pair_correlation_factor(ell, params)
-
-
 def two_point(z: float, w: float, cp: CorrelatorParams) -> float:
     """Radial-ordering scalar of two first-kind vertices, evaluated by
     its convergent product form (valid in both argument orders and in
     both orderings of q and t; a pole of the continuation raises
     PoleError)."""
-    form = _pair_form(cp.ell, cp.params)
+    form = pair_correlation_factor(cp.ell, cp.params)
     return z ** (cp.ell**2 * cp.params.beta / 2.0) * form.value(w / z)
 
 
@@ -187,7 +181,6 @@ def four_point_jackson(
     z: float,
     w: float,
     cp: CorrelatorParams,
-    normalized: bool = True,
 ) -> float:
     """Lattice (Jackson) evaluation of the screened four-point function,
     with A = t^{1/2} q^{1/(2l)} and B = t^{-1/2} q^{1/(2l)}:
@@ -197,6 +190,8 @@ def four_point_jackson(
 
     As F(Q y) = F(y) (1 - B y) / (1 - A y), each branch is one basic
     series in the ratio of its lattice measure, from its first nonzero node.
+    The value is normalized: the full correlator is it times
+    ``two_point(z, w, cp)``.
     """
     _check_exponents(cp)
     P = cp.params
@@ -224,10 +219,7 @@ def four_point_jackson(
     val = (1.0 - Q) * weight * f1 * f2 * basic_series(
         (B * y1, B * y2), (A * y1, A * y2), Q, ratio
     )
-    out = pref * val
-    if not normalized:
-        out *= two_point(z, w, cp)
-    return out
+    return pref * val
 
 
 def four_point_closed(
@@ -235,9 +227,9 @@ def four_point_closed(
     z: float,
     w: float,
     cp: CorrelatorParams,
-    normalized: bool = True,
 ) -> float:
-    """Closed basic-hypergeometric form of the same function, a series
+    """Closed basic-hypergeometric form of the same normalized function
+    (times ``two_point(z, w, cp)`` it is the full correlator), a series
     phi21(u1, u2; c; Q, x) in x = Q^{1-a} w/z.  Where |x| >= 1 and
     0 < u2 < 1 it is continued by Heine's transformation (Gasper and
     Rahman, eq. 1.4.1); that form raises PoleError at the poles x in
@@ -269,10 +261,7 @@ def four_point_closed(
             raise PoleError(f"Heine transform pole at argument {arg!r}")
         heine = qpoch_inf(u2, Q) * qpoch_inf(u1 * arg, Q) / den
         val = coef * (heine * phi21(c / u2, arg, u1 * arg, Q, u2))
-    out = pref * val
-    if not normalized:
-        out *= two_point(z, w, cp)
-    return out
+    return pref * val
 
 
 # ---------------------------------------------------------------------------
@@ -320,7 +309,7 @@ def check_two_point(
     7e11.)"""
     t0 = time.perf_counter()
     cp = CorrelatorParams(params=params, ell=ell)
-    form = _pair_form(ell, params)
+    form = pair_correlation_factor(ell, params)
     radius = 1.0 / float(np.max(np.abs(form.coeffs)))
     rule = pair_correlation_log_rule(ell, params)
     worst, loc = 0.0, ""
@@ -410,20 +399,24 @@ def check_connection_formula(
     L: float = 0.6,
     r: float | None = None,
     u_samples=(0.4, 0.8, 1.3),
-    method: str = "auto",
     tolerance: float = 1e-6,
     identity_tolerance: float = 1e-10,
     inverse_tolerance: float = 1e-8,
 ) -> CheckReport:
-    """The two-vector of four-point functions at (z, w) against the
-    elliptic connection matrix applied at (w, z), with the two-point
-    prefactor.
+    """The two-vector of normalized four-point functions at (z, w)
+    against the elliptic connection matrix applied to it at (w, z).
 
-    ``method`` selects the correlator evaluator: "jackson" (lattice
-    summation), "closed" (basic-hypergeometric closed form), or "auto"
-    (lattice where its exponent conditions b > 0, 2a - b > 0 hold, the
-    closed continuation otherwise; the two agree wherever both
-    converge, which is checked separately by ``check_four_point``).
+    The full correlators are the normalized ones N times the two-vertex
+    scalar T, and the formula carries the prefactor T(z, w) / T(w, z):
+    T(z, w) N(z, w) = [T(z, w) / T(w, z)] M(u) T(w, z) N(w, z).  Both
+    sides are T(z, w) times the normalized relation, and the residual
+    and the row-swapped control are both divided by the largest entry,
+    so T cancels exactly and is never evaluated.
+
+    The correlators are summed on the lattice where its exponent
+    conditions b > 0, 2a - b > 0 hold and by the closed continuation
+    otherwise (the two agree wherever both converge, which
+    ``check_four_point`` checks); ``config["method"]`` records which.
 
     Also verifies the u = 0 degeneration to the identity matrix, the
     two-sided inverse property M(u) M(-u) = 1, and that a deliberately
@@ -451,14 +444,11 @@ def check_connection_formula(
     r = cp.r
     bp = BracketParams(q=params.q, ell=ell, r=r)
     x = bp.x
-    if method == "auto":
-        try:
-            _check_exponents(cp)
-            method = "jackson"
-        except ConvergenceError:
-            method = "closed"
-    if method not in ("jackson", "closed"):
-        raise QVirasoroError(f"unknown evaluation method {method!r}")
+    try:
+        _check_exponents(cp)
+        method = "jackson"
+    except ConvergenceError:
+        method = "closed"
     evaluate = four_point_jackson if method == "jackson" else four_point_closed
     cfg = {
         "q": params.q,
@@ -503,29 +493,16 @@ def check_connection_formula(
         for u in u_samples:
             z = 1.0
             w = z * x ** (-2.0 * u)
-            lhs = np.array(
-                [
-                    evaluate("plus", z, w, cp, normalized=False),
-                    evaluate("minus", z, w, cp, normalized=False),
-                ]
-            )
-            swapped = np.array(
-                [
-                    evaluate("plus", w, z, cp, normalized=False),
-                    evaluate("minus", w, z, cp, normalized=False),
-                ]
-            )
-            prefactor = two_point(z, w, cp) / two_point(w, z, cp)
+            lhs = np.array([evaluate("plus", z, w, cp), evaluate("minus", z, w, cp)])
+            swapped = np.array([evaluate("plus", w, z, cp), evaluate("minus", w, z, cp)])
             mat = connection_matrix(u, cp)
-            rhs = prefactor * (mat @ swapped)
+            rhs = mat @ swapped
             scale = float(np.max(np.abs(np.concatenate([lhs, rhs]))))
             d = float(np.max(np.abs(lhs - rhs))) / scale
             if d > worst:
                 worst, loc = d, f"u={u}"
-            bad = prefactor * (mat[::-1] @ swapped)
-            control = max(
-                control, float(np.max(np.abs(lhs - bad))) / scale
-            )
+            bad = mat[::-1] @ swapped
+            control = max(control, float(np.max(np.abs(lhs - bad))) / scale)
         notes.append(f"row-swapped control deviation {control:.3e}")
         # a residual within the tolerance shows nothing when the
         # row-swapped matrix would pass too

@@ -134,13 +134,13 @@ def vertex_table(vertex, momentum, bra, ket, engine, max_degree):
     return {k: v for k, v in table.items() if v != 0.0}
 
 
-def four_point_lattice(branch, z, w, cp, normalized=True):
+def four_point_lattice(branch, z, w, cp):
     """The screened four-point function summed node by node: the
     screening wave evaluated afresh at every lattice point and handed
     to the generic Jackson integrators (the plus branch as the
     bilateral sum less its inward half, which holds only structural
     zeros)."""
-    from qvirasoro.correlators import screening_wave, two_point
+    from qvirasoro.correlators import screening_wave
     from qvirasoro.qspecial import jackson_bilateral, jackson_to
 
     P = cp.params
@@ -167,7 +167,4 @@ def four_point_lattice(branch, z, w, cp, normalized=True):
             )
 
         val = (z * w) ** -cp.a * jackson_to(f, seed, cp.Q)
-    out = (z * w) ** (cp.L * cp.a / 2.0) * val
-    if not normalized:
-        out *= two_point(z, w, cp)
-    return out
+    return (z * w) ** (cp.L * cp.a / 2.0) * val

@@ -57,7 +57,7 @@ class TestTwoPoint:
     @pytest.mark.parametrize("ell", [1, 2])
     def test_product_vs_series_and_reference(self, params, ell):
         cp = CorrelatorParams(params=params, ell=ell)
-        form = correlators._pair_form(ell, params)
+        form = correlators.pair_correlation_factor(ell, params)
         radius = 1.0 / float(np.max(np.abs(form.coeffs)))
         rule = pair_correlation_log_rule(ell, params)
         for x in (0.15, 0.3):
@@ -81,8 +81,9 @@ class TestTwoPoint:
 
     def test_pole_of_continuation(self):
         cp = CorrelatorParams(params=P1)
-        with pytest.raises(PoleError):
-            two_point(1.0, 1.0 / P1.q, cp)
+        for x in (1.0 / P1.q, P1.q**-2):
+            with pytest.raises(PoleError):
+                two_point(1.0, x, cp)
 
     def test_checker(self):
         rep = check_two_point(P1)
@@ -99,11 +100,11 @@ class TestTwoPoint:
 
     @pytest.mark.parametrize("params, ell", [(P1, 1), (QParams(0.9, 0.2), 3)])
     def test_checker_fails_on_perturbed_form(self, monkeypatch, params, ell):
-        form = correlators._pair_form(ell, params)
+        form = correlators.pair_correlation_factor(ell, params)
         coeffs = form.coeffs.copy()
         coeffs[np.argmax(np.abs(coeffs))] *= 1.0 + 1e-9
         perturbed = ProductForm(coeffs, form.weights)
-        monkeypatch.setattr(correlators, "_pair_form", lambda *_: perturbed)
+        monkeypatch.setattr(correlators, "pair_correlation_factor", lambda *_: perturbed)
         rep = check_two_point(params, ell=ell)
         assert rep.status == "fail", rep.summary_line()
 
@@ -134,14 +135,6 @@ class TestFourPoint:
             c = four_point_closed(branch, 1.0, 0.4, cp)
             j = four_point_jackson(branch, 1.0, 0.4, cp)
             assert c == pytest.approx(j, rel=1e-10)
-
-    def test_unnormalized_is_normalized_times_pair_scalar(self):
-        cp = CorrelatorParams(params=P1, ell=1, L=0.5)
-        pair = two_point(1.0, 0.4, cp)
-        for branch in ("plus", "minus"):
-            n = four_point_closed(branch, 1.0, 0.4, cp)
-            u = four_point_closed(branch, 1.0, 0.4, cp, normalized=False)
-            assert u == pytest.approx(n * pair, rel=1e-14)
 
     def test_unknown_branch(self):
         cp = CorrelatorParams(params=P1)
@@ -175,16 +168,6 @@ class TestFourPoint:
         w = 0.4 if power is None else cp.Q**-power
         got = four_point_jackson(branch, 1.0, w, cp)
         assert got == pytest.approx(four_point_lattice(branch, 1.0, w, cp), rel=1e-12)
-        if power is None:
-            got = four_point_jackson(branch, 1.0, w, cp, normalized=False)
-            want = four_point_lattice(branch, 1.0, w, cp, normalized=False)
-            assert got == pytest.approx(want, rel=1e-12)
-        else:
-            # Q^-1 and Q^-2 are poles of the pair scalar at P1
-            with pytest.raises(PoleError):
-                four_point_jackson(branch, 1.0, w, cp, normalized=False)
-            with pytest.raises(PoleError):
-                four_point_lattice(branch, 1.0, w, cp, normalized=False)
 
     def test_large_lattice_weights_match_closed_form(self):
         # a node-by-node sum overflowed here (terms beyond 1e100)
@@ -230,10 +213,6 @@ class TestConnection:
         assert rep.passed, rep.summary_line()
         assert rep.config["method"] == "jackson"
         assert rep.config["r"] == pytest.approx(2.0)
-
-    def test_closed_method_agrees_inside_radius(self):
-        rep = check_connection_formula(P1, method="closed", u_samples=(0.3, 0.6))
-        assert rep.passed, rep.summary_line()
 
     def test_auto_falls_back_to_continuation(self):
         # beta = 1/5 makes the pinned period r = 5 admissible, but the
