@@ -287,48 +287,34 @@ def check_screening_relation(
 # Current-branch / vertex exchange (single delta)
 
 
-def _first_kind_constant(ell: int, params: QParams) -> float:
+def _exchange_constants(ell: int, params: QParams) -> tuple[float, float, float]:
+    """Constant K, delta support c and argument shift xi of the plain
+    single-branch exchange with V_{ell,0}; the theta and mirror variants
+    take them at the theta and omega images of the parameters."""
     q, t, p = params.q, params.t, params.p
     prod = math.prod(1.0 - t * q ** (-j / ell) for j in range(ell - 1))
-    return p**0.5 * t ** (-ell / 2.0) * prod
+    K = p**0.5 * t ** (-ell / 2.0) * prod
+    return K, p**0.5 * q ** (-1.0 / (2 * ell)), q ** (-1.0 / ell)
 
 
 def _exchange_setup(ell: int, params: QParams, variant: str):
     """Operators, kernel, constant, support and shift for the
-    single-branch exchange relation and its two involution images."""
-    q, t, p = params.q, params.t, params.p
+    single-branch exchange relation and its two involution images (the
+    mirror kernel, of V_{0,ell} at params, is that of V_{ell,0} at the
+    omega image)."""
     if variant == "plain":
-        x = build_lambda(+1, params)
-        y = build_vertex(ell, 0, params)
-        g = StructureFunctionSpec("exchange", ell, 0), params
-        K = _first_kind_constant(ell, params)
-        c = p**0.5 * q ** (-1.0 / (2 * ell))
-        xi = q ** (-1.0 / ell)
+        x, y, image = build_lambda(+1, params), build_vertex(ell, 0, params), params
     elif variant == "theta":
         x = build_lambda(-1, params)
         y = theta_conjugate(lambda P: build_vertex(ell, 0, P), params)
-        g = StructureFunctionSpec("exchange", ell, 0), params.theta_image()
-        K = (
-            p**-0.5
-            * t ** (ell / 2.0)
-            * math.prod(1.0 - q ** (j / ell) / t for j in range(ell - 1))
-        )
-        c = p**-0.5 * q ** (1.0 / (2 * ell))
-        xi = q ** (1.0 / ell)
+        image = params.theta_image()
     elif variant == "mirror":
-        x = build_lambda(-1, params)
-        y = build_vertex(0, ell, params)
-        g = StructureFunctionSpec("exchange", 0, ell), params
-        K = (
-            p**-0.5
-            * q ** (-ell / 2.0)
-            * math.prod(1.0 - q * t ** (-j / ell) for j in range(ell - 1))
-        )
-        c = p**-0.5 * t ** (-1.0 / (2 * ell))
-        xi = t ** (-1.0 / ell)
+        x, y = build_lambda(-1, params), build_vertex(0, ell, params)
+        image = params.omega_image()
     else:
         raise QVirasoroError(f"unknown exchange variant {variant!r}")
-    return x, y, partial(structure_series, *g), K, c, xi
+    g = partial(structure_series, StructureFunctionSpec("exchange", ell, 0), image)
+    return x, y, g, *_exchange_constants(ell, image)
 
 
 def check_vertex_exchange(
@@ -374,9 +360,9 @@ def _current_deltas(ell: int, params: QParams):
     e4 = (ell - 1) * (ell - 2) / (4.0 * ell)
     K1 = p**0.5 * t**-0.5 * q**-e4
     K2 = (-1.0) ** ell * p**-0.5 * t**0.5 * q**e4
-    c1 = p**0.5 * q ** (-1.0 / (2 * ell))
-    c2 = p**-0.5 * q ** (1.0 / (2 * ell))
-    return big_pi, (K1, c1, q ** (-1.0 / ell)), (K2, c2, q ** (1.0 / ell))
+    _, c1, xi1 = _exchange_constants(ell, params)
+    _, c2, xi2 = _exchange_constants(ell, params.theta_image())
+    return big_pi, (K1, c1, xi1), (K2, c2, xi2)
 
 
 def check_current_vertex_exchange(
@@ -491,7 +477,6 @@ def check_exchange_rewrite(
         (the rewrite is well defined, not 0/0).
     """
     t0 = time.perf_counter()
-    q, t, p = params.q, params.t, params.p
     order = 40
     dual = structure_series(
         StructureFunctionSpec("exchange-dual", ell, 0), params, order
@@ -506,7 +491,7 @@ def check_exchange_rewrite(
     res_a = float(np.max(np.abs(prod - one) / bound))
     ctrl_a = float(np.max(np.abs((1.0 + 100.0 * tolerance) * prod - one) / bound))
 
-    c1 = p**0.5 * q ** (-1.0 / (2 * ell))
+    K, c1, _ = _exchange_constants(ell, params)
     pf = current_vertex_factor(ell, params)
     res_c = abs(pf.value(c1))
     idx = pf.factor_index_at_zero(c1)
@@ -519,9 +504,7 @@ def check_exchange_rewrite(
     basis, lhs = _exchange_lhs(
         params, lam_plus, y, g, 2 - ell, degree_cap, window, momentum
     )
-    K2 = t ** (-ell / 2.0) * math.prod(
-        1.0 - t * q ** (-j / ell) for j in range(ell - 1)
-    )
+    K2 = K / params.p**0.5
     w_vertex = merge_vertices([y, lam_plus.at_scale(c1)])
     conj = _delta_conjugate(basis, w_vertex, momentum, c1, degree_cap)
     rhs = {k: K2 * c1**k * conj for k in lhs}
@@ -576,7 +559,7 @@ def check_composite_exchange(
     )
 
     pref = q ** (k / 2.0) * t ** (-ell / 2.0)
-    c1 = p**0.5 * q ** (-1.0 / (2 * ell))
+    _, c1, _ = _exchange_constants(ell, params)
     c2 = p**0.5 * t ** (1.0 / (2 * k))
     coeff1 = (
         1.0

@@ -214,6 +214,18 @@ class TestEval:
         expected = two_point(1.0, 0.4, CorrelatorParams(params=QParams(0.49, 0.7)))
         assert float(out) == pytest.approx(expected, rel=1e-15)
 
+    def test_four_point_methods_agree(self, capsys):
+        values = []
+        for method in ("closed", "jackson"):
+            code, out, _ = run_cli(
+                capsys, "eval", "four-point", "--q", "0.49", "--t", "0.7",
+                "--z", "1", "--w", "0.4", "--method", method,
+            )
+            assert code == 0
+            values.append(float(out))
+        # 2.0078040842749938 (closed) and 2.0078040842749747 (jackson)
+        assert values[0] == pytest.approx(values[1], rel=1e-12)
+
     def test_pole_is_runtime_error_not_config(self, capsys):
         code, _, err = run_cli(
             capsys, "eval", "two-point", "--q", "0.49", "--t", "0.7",
@@ -341,3 +353,32 @@ def test_deep_suite_memory(degree):
     assert proc.returncode == 0, proc.stderr
     peak_mb = int(proc.stderr.split()[-1]) / 1024  # ru_maxrss is in KiB on Linux
     assert peak_mb < 400, f"peak RSS {peak_mb:.0f} MB"
+
+
+def test_scalar_layer_memory():
+    # check_two_point at the scalar-sweep sites (the 20 off-diagonal
+    # centres of a 5 x 5 grid over [0.05, 0.95]^2) and ell 1, 2, 3: about
+    # 68 MB with each product form freed after its check, 157 MB when up
+    # to 32 of them were cached
+    script = (
+        "import resource\n"
+        "from qvirasoro.correlators import check_two_point\n"
+        "from qvirasoro.qspecial import QParams\n"
+        "c = [0.05 + 0.9 * (i + 0.5) / 5 for i in range(5)]\n"
+        "for q in c:\n"
+        "    for t in c:\n"
+        "        if abs(q - t) > 0.05:\n"
+        "            for ell in (1, 2, 3):\n"
+        "                check_two_point(QParams(q, t), ell)\n"
+        "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        env=_child_env(),
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    peak_mb = int(proc.stdout.split()[-1]) / 1024  # ru_maxrss is in KiB on Linux
+    assert peak_mb < 100, f"peak RSS {peak_mb:.0f} MB"

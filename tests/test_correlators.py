@@ -223,6 +223,19 @@ class TestConnection:
         assert rep.passed, rep.summary_line()
         assert rep.config["method"] == "closed"
 
+    def test_never_evaluates_the_pair_scalar(self, monkeypatch):
+        # the two-vertex scalar multiplies both sides and cancels
+        def refuse(*_):
+            raise AssertionError("pair scalar evaluated")
+
+        monkeypatch.setattr(correlators, "two_point", refuse)
+        monkeypatch.setattr(correlators, "pair_correlation_factor", refuse)
+        rep = check_connection_formula()
+        assert rep.passed, rep.summary_line()
+        rep = check_connection_formula(QParams(0.52, 0.52**0.2), ell=1, L=1.0, r=5.0)
+        assert rep.passed, rep.summary_line()
+        assert rep.config["method"] == "closed"
+
     def test_wrong_period_fails_honestly(self):
         rep = check_connection_formula(P1, r=3.0)
         assert rep.status == "fail"

@@ -4,7 +4,10 @@ import importlib
 import importlib.util
 from pathlib import Path
 
-TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+import pytest
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+TRACER = PERFBENCH / "tracer.py"
 
 
 def test_every_traced_name_resolves():
@@ -21,3 +24,18 @@ def test_every_traced_name_resolves():
         if not callable(getattr(target, attr, None)):
             missing.append(".".join(filter(None, (mod_name, owner, attr))))
     assert not missing, missing
+
+
+@pytest.mark.parametrize("workload", ["operator-sweep", "scalar-sweep"])
+def test_worker_calls_every_check(monkeypatch, workload):
+    # the worker calls the checks positionally, so a changed signature
+    # makes every benchmark pass record "raised" rows
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    spec = importlib.util.spec_from_file_location("perfbench_worker", PERFBENCH / "worker.py")
+    worker = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(worker)
+    checks = worker.operator_checks if workload == "operator-sweep" else worker.scalar_checks
+    rows = worker.sweep(worker.workloads.points(workload, 7)[:1], checks)
+    assert rows
+    raised = [row for row in rows if row[2] == "raised"]
+    assert not raised, raised

@@ -131,12 +131,16 @@ def test_zero_against_zero_is_inconclusive():
 
 
 def test_perturbed_kernel_constant_fails(monkeypatch):
-    exact = relations._first_kind_constant
-    monkeypatch.setattr(
-        relations, "_first_kind_constant", lambda ell, p: exact(ell, p) * (1 + 1e-6)
-    )
-    rep = check_vertex_exchange(1, P, "plain", degree_cap=3, window=3)
-    assert rep.status == "fail", rep.summary_line()
+    exact = relations._exchange_constants
+
+    def perturbed(ell, p):
+        K, c, xi = exact(ell, p)
+        return K * (1 + 1e-6), c, xi
+
+    monkeypatch.setattr(relations, "_exchange_constants", perturbed)
+    for variant in ("plain", "theta", "mirror"):
+        rep = check_vertex_exchange(1, P, variant, degree_cap=3, window=3)
+        assert rep.status == "fail", f"{variant}: {rep.summary_line()}"
 
 
 @pytest.mark.parametrize("ell", [1, 2, 3])
