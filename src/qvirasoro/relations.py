@@ -532,6 +532,25 @@ def check_exchange_rewrite(
 # Composite vertex exchange (two deltas)
 
 
+def _composite_term(ell: int, k: int, params: QParams) -> tuple[float, float]:
+    """Support and coefficient of the first delta term of the composite
+    exchange with V_{ell+1,k+1}.  The second term is this one at the
+    (theta o omega)-image (1/t, 1/q) with the labels swapped; its
+    support is p^{1/2} t^{1/(2k)}."""
+    q, t = params.q, params.t
+    _, c1, _ = _exchange_constants(ell, params)
+    coeff1 = (
+        1.0
+        / (1.0 - q ** (1.0 / (2 * ell)) * t ** (1.0 / (2 * k)))
+        * math.prod(1.0 - t * q ** (-i / ell) for i in range(ell - 1))
+        * math.prod(
+            1.0 - q ** (1.0 / (2 * ell) - 1.0) * t ** (1.0 / (2 * k) + j / k)
+            for j in range(k - 1)
+        )
+    )
+    return c1, coeff1
+
+
 def check_composite_exchange(
     ell: int,
     k: int,
@@ -549,7 +568,7 @@ def check_composite_exchange(
     if ell < 1 or k < 1:
         raise QVirasoroError("composite exchange needs both labels positive")
     t0 = time.perf_counter()
-    q, t, p = params.q, params.t, params.p
+    q, t = params.q, params.t
     y = build_vertex(ell, k, params)
     lam_plus = build_lambda(+1, params)
     lam_minus = build_lambda(-1, params)
@@ -559,31 +578,15 @@ def check_composite_exchange(
     )
 
     pref = q ** (k / 2.0) * t ** (-ell / 2.0)
-    _, c1, _ = _exchange_constants(ell, params)
-    c2 = p**0.5 * t ** (1.0 / (2 * k))
-    coeff1 = (
-        1.0
-        / (1.0 - q ** (1.0 / (2 * ell)) * t ** (1.0 / (2 * k)))
-        * math.prod(1.0 - t * q ** (-i / ell) for i in range(ell - 1))
-        * math.prod(
-            1.0 - q ** (1.0 / (2 * ell) - 1.0) * t ** (1.0 / (2 * k) + j / k)
-            for j in range(k - 1)
-        )
-    )
-    coeff2 = (
-        1.0
-        / (1.0 - q ** (-1.0 / (2 * ell)) * t ** (-1.0 / (2 * k)))
-        * math.prod(1.0 - t ** (j / k) / q for j in range(k - 1))
-        * math.prod(
-            1.0 - t ** (1.0 - 1.0 / (2 * k)) * q ** (-1.0 / (2 * ell) - i / ell)
-            for i in range(ell - 1)
-        )
+    terms = (
+        _composite_term(ell, k, params),
+        _composite_term(k, ell, params.omega_image().theta_image()),
     )
     f_ell = current_vertex_factor(ell, params)
     f_k = mirror_vertex_factor(k, params)
     rhs = {kk: 0.0 for kk in lhs}
     minus_weights = []
-    for c_i, coeff_i in ((c1, coeff1), (c2, coeff2)):
+    for c_i, coeff_i in terms:
         d_minus = f_ell.value(c_i) * f_k.value(c_i)
         minus_weights.append(d_minus)
         w_plus, w_minus = (

@@ -16,6 +16,11 @@ exchange relations:
 * ``exchange-dual`` — the kernel that inverts the current-vertex
   contraction (it multiplies the contraction series to exactly 1).
 
+Each operator pair is written out once: Lambda^- is the theta image
+((q, t) -> (1/q, 1/t)) of Lambda^+, and S^- and V_{1,k+1} are the omega
+images (q <-> t) of S^+ and V_{k+1,1}.  The constructors' docstrings
+keep the explicit formulas of both members.
+
 Structure functions are handled two ways: as truncated power series
 (exact coefficient arithmetic) and as convergent infinite products
 (valid beyond the series radius, with exact detection of zeros).  The
@@ -64,32 +69,26 @@ def build_lambda(sign: int, params: QParams) -> NormalOrderedVertex:
     """One branch of the deformed stress current:
 
     Lambda^{+}(z) = :exp( sum_{n!=0} p^{n/2} h_n z^{-n} ): q^{sqrt(b) h_0} p^{1/2}
-    and Lambda^{-} its image under either involution (p -> 1/p
-    throughout, base and scalar inverted, modes negated).
+
+    and Lambda^{-} its theta image (p -> 1/p throughout, base and scalar
+    inverted, nonzero modes negated):
+
+    Lambda^{-}(z) = :exp( -sum_{n!=0} p^{-n/2} h_n z^{-n} ): q^{-sqrt(b) h_0} p^{-1/2}.
     """
     if sign not in (+1, -1):
         raise QVirasoroError("sign must be +1 or -1")
     p = params.p
-    sb = params.sqrt_beta
     if sign == +1:
         return NormalOrderedVertex(
             label="lambda+",
             params=params,
             mode_rule=lambda n: p ** (n / 2.0),
             charge=0.0,
-            h0_base=params.q**sb,
+            h0_base=params.q**params.sqrt_beta,
             h0_power=0.0,
             scalar=p**0.5,
         )
-    return NormalOrderedVertex(
-        label="lambda-",
-        params=params,
-        mode_rule=lambda n: -(p ** (-n / 2.0)),
-        charge=0.0,
-        h0_base=params.q ** (-sb),
-        h0_power=0.0,
-        scalar=p**-0.5,
-    )
+    return theta_conjugate(lambda P: build_lambda(+1, P), params)
 
 
 def build_current(params: QParams) -> OperatorSum:
@@ -101,7 +100,16 @@ def build_current(params: QParams) -> OperatorSum:
 
 def build_screening(sign: int, params: QParams) -> NormalOrderedVertex:
     """Screening currents.  S^+ commutes with the current up to a total
-    q-difference; S^- is its mirror image (q <-> t)."""
+    q-difference:
+
+    S^{+}(z) = :exp( -sum_{n!=0} (p^{n/2} + p^{-n/2}) / (q^{n/2} - q^{-n/2})
+                      h_n z^{-n} ): e^{2 sqrt(b) Q_h} z^{2 sqrt(b) h_0}.
+
+    S^- is its omega image (q <-> t, every mode negated):
+
+    S^{-}(z) = :exp( sum_{n!=0} (p^{n/2} + p^{-n/2}) / (t^{n/2} - t^{-n/2})
+                     h_n z^{-n} ): e^{-2 Q_h / sqrt(b)} z^{-2 h_0 / sqrt(b)}.
+    """
     if sign not in (+1, -1):
         raise QVirasoroError("sign must be +1 or -1")
     p = params.p
@@ -121,20 +129,7 @@ def build_screening(sign: int, params: QParams) -> NormalOrderedVertex:
             h0_power=2.0 * sb,
             scalar=1.0,
         )
-
-    def rule_m(n: int) -> float:
-        h = n / 2.0
-        return (p**h + p**-h) / (params.t**h - params.t**-h)
-
-    return NormalOrderedVertex(
-        label="screening-",
-        params=params,
-        mode_rule=rule_m,
-        charge=-2.0 / sb,
-        h0_base=1.0,
-        h0_power=-2.0 / sb,
-        scalar=1.0,
-    )
+    return omega_conjugate(lambda P: build_screening(+1, P), params)
 
 
 def _vertex_first_kind(ell: int, params: QParams) -> NormalOrderedVertex:
@@ -155,30 +150,22 @@ def _vertex_first_kind(ell: int, params: QParams) -> NormalOrderedVertex:
     )
 
 
-def _vertex_second_kind(k: int, params: QParams) -> NormalOrderedVertex:
-    sb = params.sqrt_beta
-
-    def rule(n: int) -> float:
-        h = n / (2.0 * k)
-        return -1.0 / (params.t**h - params.t**-h)
-
-    return NormalOrderedVertex(
-        label=f"vertex[1,{k + 1}]",
-        params=params,
-        mode_rule=rule,
-        charge=k / sb,
-        h0_base=1.0,
-        h0_power=k / sb,
-        scalar=1.0,
-    )
-
-
 def build_vertex(ell: int, k: int, params: QParams) -> NormalOrderedVertex:
     """Primary-field vertex V_{ell+1,k+1}(z).
 
-    The two elementary families are (ell,0) and (0,k); the general label
-    is the normal-ordered product of one of each, which at the data
-    level is a field-wise merge.  Both labels zero is not a vertex.
+    The two elementary families are (ell,0) and (0,k):
+
+    V_{ell+1,1}(z) = :exp( sum_{n!=0} h_n z^{-n} / (q^{n/2ell} - q^{-n/2ell}) ):
+                     e^{-ell sqrt(b) Q_h} z^{-ell sqrt(b) h_0},
+
+    and V_{1,k+1} is the omega image of V_{k+1,1}:
+
+    V_{1,k+1}(z) = :exp( -sum_{n!=0} h_n z^{-n} / (t^{n/2k} - t^{-n/2k}) ):
+                   e^{k Q_h / sqrt(b)} z^{k h_0 / sqrt(b)}.
+
+    The general label is the normal-ordered product of one of each,
+    which at the data level is a field-wise merge.  Both labels zero is
+    not a vertex.
     """
     if ell < 0 or k < 0 or (ell == 0 and k == 0):
         raise QVirasoroError(
@@ -186,13 +173,13 @@ def build_vertex(ell: int, k: int, params: QParams) -> NormalOrderedVertex:
         )
     if k == 0:
         return _vertex_first_kind(ell, params)
+    second = omega_conjugate(lambda P: _vertex_first_kind(k, P), params)
     if ell == 0:
-        return _vertex_second_kind(k, params)
-    merged = merge_vertices(
-        [_vertex_first_kind(ell, params), _vertex_second_kind(k, params)],
+        return second
+    return merge_vertices(
+        [_vertex_first_kind(ell, params), second],
         label=f"vertex[{ell + 1},{k + 1}]",
     )
-    return merged
 
 
 Builder = Callable[[QParams], NormalOrderedVertex]
@@ -349,7 +336,7 @@ def structure_log_rule(
         )
     # exchange-dual: second-kind labels are the (theta o omega)-images,
     # i.e. the first-kind rule at (1/t, 1/q).
-    dual_params = QParams(1.0 / params.t, 1.0 / params.q, strict=False)
+    dual_params = params.omega_image().theta_image()
     if k == 0:
         return lambda n: _exchange_dual_log_first(n, ell, params)
     if ell == 0:
