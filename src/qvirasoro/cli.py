@@ -40,14 +40,15 @@ import json
 import math
 import os
 import sys
+import time
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import correlators, qspecial, relations
-from .errors import ConfigError, QVirasoroError
+from .errors import ConfigError, ConvergenceError, PoleError, QVirasoroError
 from .qspecial import QParams
-from .report import CheckReport
+from .report import CheckReport, _report
 
 DEFAULTS = {
     "q": 0.49,
@@ -393,11 +394,19 @@ def emit_report(reports: list[CheckReport], cfg: SuiteConfig, fmt: str) -> str:
 
 def run(cfg: SuiteConfig) -> list[CheckReport]:
     """Execute the selected suites in order; ``--tol`` replaces every
-    suite's default tolerance."""
+    suite's default tolerance.  A suite that meets a pole or a divergent
+    sum gives one inconclusive report in place of its records."""
     reports = []
     for name in cfg.suites:
         default_tol, call = SUITES[name]
-        reports.extend(call(cfg, default_tol if cfg.tol is None else cfg.tol))
+        tol = default_tol if cfg.tol is None else cfg.tol
+        t0 = time.perf_counter()
+        try:
+            reports.extend(call(cfg, tol))
+        except (PoleError, ConvergenceError) as exc:
+            reports.append(
+                _report(name, math.inf, tol, str(exc), {}, t0, status="inconclusive")
+            )
     return reports
 
 

@@ -303,7 +303,8 @@ def check_two_point(
     double-base product oracle (when p^2 < 1), compared in the log
     domain: the residual is |log v - log ref| / max(1, sum_n |rule(n) x^n|)
     with log ref = sum_n rule(n) x^n for the series, summed until
-    (x / radius)^n < 1e-17, and a product-form value v <= 0 fails.
+    (x / radius)^n < 1e-17, and a product-form value v <= 0 fails.  Only
+    x below 0.9 radius are compared; with none the check is inconclusive.
     (Exponentiating the series and evaluating its polynomial instead
     loses the digits: at (0.9, 0.2), ell 3, its coefficients reach
     7e11.)"""
@@ -312,10 +313,15 @@ def check_two_point(
     form = pair_correlation_factor(ell, params)
     radius = 1.0 / float(np.max(np.abs(form.coeffs)))
     rule = pair_correlation_log_rule(ell, params)
+    cfg = {"q": params.q, "t": params.t, "ell": ell}
+    inside = [x for x in x_values if abs(x) < 0.9 * radius]
+    if not inside:
+        loc = f"no x within 0.9 of the series radius {radius:.3g}"
+        return _report(
+            "two-point", math.inf, tolerance, loc, cfg, t0, status="inconclusive"
+        )
     worst, loc = 0.0, ""
-    for x in x_values:
-        if abs(x) >= 0.9 * radius:
-            continue
+    for x in inside:
         v = form.value(x)
         if v <= 0.0:
             worst, loc = math.inf, f"x={x} (product form {v:.3e})"
@@ -330,7 +336,6 @@ def check_two_point(
             d = abs(math.log(v) - log_ref) / max(1.0, float(np.abs(terms).sum()))
             if d > worst:
                 worst, loc = d, f"x={x} ({name})"
-    cfg = {"q": params.q, "t": params.t, "ell": ell}
     return _report("two-point", worst, tolerance, loc, cfg, t0)
 
 

@@ -16,10 +16,9 @@ exchange relations:
 * ``exchange-dual`` — the kernel that inverts the current-vertex
   contraction (it multiplies the contraction series to exactly 1).
 
-Each operator pair is written out once: Lambda^- is the theta image
-((q, t) -> (1/q, 1/t)) of Lambda^+, and S^- and V_{1,k+1} are the omega
-images (q <-> t) of S^+ and V_{k+1,1}.  The constructors' docstrings
-keep the explicit formulas of both members.
+Lambda^- is built as the theta image ((q, t) -> (1/q, 1/t)) of Lambda^+,
+S^- and V_{1,k+1} as the omega images (q <-> t) of S^+ and V_{k+1,1};
+the constructors' docstrings keep the explicit formulas of both.
 
 Structure functions are handled two ways: as truncated power series
 (exact coefficient arithmetic) and as convergent infinite products
@@ -68,12 +67,10 @@ __all__ = [
 def build_lambda(sign: int, params: QParams) -> NormalOrderedVertex:
     """One branch of the deformed stress current:
 
-    Lambda^{+}(z) = :exp( sum_{n!=0} p^{n/2} h_n z^{-n} ): q^{sqrt(b) h_0} p^{1/2}
+    Lambda^{+}(z) = :exp( sum_{n!=0} p^{n/2} h_n z^{-n} ): q^{sqrt(b) h_0} p^{1/2},
+    Lambda^{-}(z) = :exp( -sum_{n!=0} p^{-n/2} h_n z^{-n} ): q^{-sqrt(b) h_0} p^{-1/2},
 
-    and Lambda^{-} its theta image (p -> 1/p throughout, base and scalar
-    inverted, nonzero modes negated):
-
-    Lambda^{-}(z) = :exp( -sum_{n!=0} p^{-n/2} h_n z^{-n} ): q^{-sqrt(b) h_0} p^{-1/2}.
+    the second the theta image of the first.
     """
     if sign not in (+1, -1):
         raise QVirasoroError("sign must be +1 or -1")
@@ -99,16 +96,14 @@ def build_current(params: QParams) -> OperatorSum:
 
 
 def build_screening(sign: int, params: QParams) -> NormalOrderedVertex:
-    """Screening currents.  S^+ commutes with the current up to a total
-    q-difference:
+    """Screening currents, S^- the omega image of S^+:
 
-    S^{+}(z) = :exp( -sum_{n!=0} (p^{n/2} + p^{-n/2}) / (q^{n/2} - q^{-n/2})
-                      h_n z^{-n} ): e^{2 sqrt(b) Q_h} z^{2 sqrt(b) h_0}.
+    S^{+}(z) = :exp( -sum_{n!=0} (p^{n/2}+p^{-n/2})/(q^{n/2}-q^{-n/2}) h_n z^{-n} ):
+               e^{2 sqrt(b) Q_h} z^{2 sqrt(b) h_0},
+    S^{-}(z) = :exp( sum_{n!=0} (p^{n/2}+p^{-n/2})/(t^{n/2}-t^{-n/2}) h_n z^{-n} ):
+               e^{-2 Q_h / sqrt(b)} z^{-2 h_0 / sqrt(b)}.
 
-    S^- is its omega image (q <-> t, every mode negated):
-
-    S^{-}(z) = :exp( sum_{n!=0} (p^{n/2} + p^{-n/2}) / (t^{n/2} - t^{-n/2})
-                     h_n z^{-n} ): e^{-2 Q_h / sqrt(b)} z^{-2 h_0 / sqrt(b)}.
+    S^+ commutes with the current up to a total q-difference.
     """
     if sign not in (+1, -1):
         raise QVirasoroError("sign must be +1 or -1")
@@ -151,19 +146,15 @@ def _vertex_first_kind(ell: int, params: QParams) -> NormalOrderedVertex:
 
 
 def build_vertex(ell: int, k: int, params: QParams) -> NormalOrderedVertex:
-    """Primary-field vertex V_{ell+1,k+1}(z).
-
-    The two elementary families are (ell,0) and (0,k):
+    """Primary-field vertex V_{ell+1,k+1}(z).  The elementary families are
 
     V_{ell+1,1}(z) = :exp( sum_{n!=0} h_n z^{-n} / (q^{n/2ell} - q^{-n/2ell}) ):
-                     e^{-ell sqrt(b) Q_h} z^{-ell sqrt(b) h_0},
-
-    and V_{1,k+1} is the omega image of V_{k+1,1}:
-
+                     e^{-ell sqrt(b) Q_h} z^{-ell sqrt(b) h_0}
+    and V_{1,k+1}, the omega image of V_{k+1,1}:
     V_{1,k+1}(z) = :exp( -sum_{n!=0} h_n z^{-n} / (t^{n/2k} - t^{-n/2k}) ):
-                   e^{k Q_h / sqrt(b)} z^{k h_0 / sqrt(b)}.
+                   e^{k Q_h / sqrt(b)} z^{k h_0 / sqrt(b)};
 
-    The general label is the normal-ordered product of one of each,
+    the general label is the normal-ordered product of one of each,
     which at the data level is a field-wise merge.  Both labels zero is
     not a vertex.
     """

@@ -58,6 +58,20 @@ class TestExitStatus:
         assert lines[-1] == "18 checks: 16 passed, 0 failed, 2 inconclusive"
         assert "[INCONCLUSIVE] four-point" in out and "pole" in out
 
+    def test_pole_in_one_suite_keeps_the_other_records(self, capsys):
+        # t = q^{3/2}: the composite exchange's product form has a pole at
+        # its support; that suite alone becomes inconclusive
+        code, out, _ = run_cli(
+            capsys, "verify", "--suite", "all", "--q", "0.64", "--t", "0.512",
+            "--ell", "2", "--json",
+        )
+        assert code == 2
+        records = json.loads(out)
+        assert len(records) == 18
+        (rec,) = [r for r in records if r["identity"] == "composite-exchange"]
+        assert rec["pass"] is False and math.isinf(rec["residual"])
+        assert "pole" in rec["worst_location"]
+
     def test_equal_deformation_parameters_are_refused(self, capsys):
         code, _, err = run_cli(
             capsys, "verify", "--suite", "qspecial", "--q", "0.5", "--t", "0.5"

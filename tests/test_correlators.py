@@ -98,6 +98,14 @@ class TestTwoPoint:
         rep = check_two_point(QParams(0.9, 0.2), ell=3)
         assert rep.passed, rep.summary_line()
 
+    def test_checker_without_compared_points_is_inconclusive(self):
+        # the series radius is 0.282, so both x = 0.3 and x = 0.55 are
+        # skipped and nothing is compared
+        rep = check_two_point(QParams(0.15, 0.05), 3)
+        assert rep.status == "inconclusive", rep.summary_line()
+        assert math.isinf(rep.residual)
+        assert "radius 0.282" in rep.worst_location
+
     @pytest.mark.parametrize("params, ell", [(P1, 1), (QParams(0.9, 0.2), 3)])
     def test_checker_fails_on_perturbed_form(self, monkeypatch, params, ell):
         form = correlators.pair_correlation_factor(ell, params)

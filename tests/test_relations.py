@@ -104,6 +104,28 @@ def test_composite_exchange_generic_momentum():
     assert "0.000e+00" in text
 
 
+@pytest.mark.parametrize(
+    "q, t, ell, k",
+    [(0.49, 0.7, 1, 1), (0.9, 0.2, 3, 2), (0.3, 0.8, 2, 3), (0.7, 0.3, 3, 1)],
+)
+def test_composite_second_term_is_the_image(q, t, ell, k):
+    # the second delta term as the paper writes it out, against the first
+    # term at (1/t, 1/q) with the labels swapped
+    image = QParams(q, t).omega_image().theta_image()
+    c2, coeff2 = relations._composite_term(k, ell, image)
+    explicit = (
+        1.0
+        / (1.0 - q ** (-1.0 / (2 * ell)) * t ** (-1.0 / (2 * k)))
+        * math.prod(1.0 - t ** (j / k) / q for j in range(k - 1))
+        * math.prod(
+            1.0 - t ** (1.0 - 1.0 / (2 * k)) * q ** (-1.0 / (2 * ell) - i / ell)
+            for i in range(ell - 1)
+        )
+    )
+    assert c2 == pytest.approx((q / t) ** 0.5 * t ** (1.0 / (2 * k)), rel=1e-14, abs=0)
+    assert coeff2 == pytest.approx(explicit, rel=1e-14, abs=0)
+
+
 LARGE_TABLE_CHECKS = {
     "screening": lambda: check_screening_relation(P_LARGE, +1, 4, 4),
     "vertex-exchange": lambda: check_vertex_exchange(3, P_LARGE, "plain", 4, 4),

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from qvirasoro.errors import PoleError
-from qvirasoro.fock import merge_vertices, vertex_data_distance
+from qvirasoro.fock import NormalOrderedVertex, merge_vertices, vertex_data_distance
 from qvirasoro.qspecial import QParams, qpoch_inf
 from qvirasoro.series import from_log_rule
 from qvirasoro.voa import (
@@ -28,6 +28,56 @@ from qvirasoro.voa import (
 
 P = QParams(0.7, 0.3)
 ORDER = 14
+
+
+# The paper's explicit formulas for the operators the builders take as
+# involution images.
+
+
+def _explicit_lambda_minus(params):
+    p = params.p
+    return NormalOrderedVertex(
+        label="lambda-",
+        params=params,
+        mode_rule=lambda n: -(p ** (-n / 2.0)),
+        h0_base=params.q**-params.sqrt_beta,
+        scalar=p**-0.5,
+    )
+
+
+def _explicit_screening_minus(params):
+    p, sb = params.p, params.sqrt_beta
+
+    def rule(n):
+        h = n / 2.0
+        return (p**h + p**-h) / (params.t**h - params.t**-h)
+
+    return NormalOrderedVertex(
+        label="screening-",
+        params=params,
+        mode_rule=rule,
+        charge=-2.0 / sb,
+        h0_power=-2.0 / sb,
+    )
+
+
+def _explicit_second_kind(k):
+    def build(params):
+        sb = params.sqrt_beta
+
+        def rule(n):
+            h = n / (2.0 * k)
+            return -1.0 / (params.t**h - params.t**-h)
+
+        return NormalOrderedVertex(
+            label=f"vertex[1,{k + 1}]",
+            params=params,
+            mode_rule=rule,
+            charge=k / sb,
+            h0_power=k / sb,
+        )
+
+    return build
 
 
 class TestBuilders:
@@ -86,10 +136,23 @@ class TestInvolutions:
         )
         assert vertex_data_distance(twice, build(P), ORDER) < 1e-12
 
-    def test_omega_maps_screenings_into_each_other(self):
-        sminus = omega_conjugate(lambda p: build_screening(+1, p), P)
-        direct = build_screening(-1, P)
-        assert vertex_data_distance(sminus, direct, ORDER) < 1e-12
+    @pytest.mark.parametrize(
+        "params", [QParams(0.49, 0.7), QParams(0.9, 0.2)], ids=lambda p: f"{p.q},{p.t}"
+    )
+    @pytest.mark.parametrize(
+        "build, explicit",
+        [
+            (lambda p: build_lambda(-1, p), _explicit_lambda_minus),
+            (lambda p: build_screening(-1, p), _explicit_screening_minus),
+            *(
+                (lambda p, k=k: build_vertex(0, k, p), _explicit_second_kind(k))
+                for k in (1, 2, 3)
+            ),
+        ],
+        ids=["lambda-", "screening-", "vertex(1,2)", "vertex(1,3)", "vertex(1,4)"],
+    )
+    def test_images_match_the_explicit_formulas(self, build, explicit, params):
+        assert vertex_data_distance(build(params), explicit(params), ORDER) < 1e-12
 
 
 class TestStructureFunctions:
