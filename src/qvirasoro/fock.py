@@ -279,6 +279,12 @@ class PartitionBasis:
         rows, cols = block.shape
         return block * w[self.degrees[:rows, None] - self.degrees[None, :cols] + D]
 
+    def theta(self, block: np.ndarray, vertex, xi: float, momentum: float):
+        """Theta_xi f(w) = f(xi w) on a leading block of the matrix of
+        ``vertex`` at ``momentum``: the degree weight xi^{(deg bra - deg ket)
+        + h0_power*momentum}, exactly that block of ``vertex.at_scale(xi)``."""
+        return self.weigh(block, lambda d: xi ** (d + vertex.h0_power * momentum))
+
     def application_matrix(
         self, vertex: NormalOrderedVertex, momentum: float
     ) -> np.ndarray:

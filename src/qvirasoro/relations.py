@@ -8,7 +8,7 @@ one product of corner-sliced operators weighted entrywise by degree
 difference; the internal basis reaches the largest degree an
 intermediate state that contributes can have, so the corner is exact.
 
-* Keys (``_exchange_lhs``): one table per w-exponent relative to the
+* Keys (``_exchange_check``): one table per w-exponent relative to the
   momentum-dependent offset, for |key| <= window.  For an entry with
   bra degree d_mu and ket degree d_lambda the z-exponent is determined
   by the key, so matching keys matches complete monomials.  The basis
@@ -17,6 +17,13 @@ intermediate state that contributes can have, so the corner is exact.
 * Modes (``_mode_table``): one table per z^{-n}-mode, summed over all
   w-exponents, for the defining relation and the adjoint shift.  The
   basis reaches degree_cap + max |n| + |P|.
+
+Every exchange right-hand side is a list of delta terms (K, c, xi, W),
+meaning K delta(c w/z) W(xi w).  The shift operator Theta_xi f(w) =
+f(xi w) acts on W's own matrix as the degree weight
+xi^{(deg bra - deg ket) + h0_power momentum} (``PartitionBasis.theta``),
+and the delta moves z-powers onto w-powers: per key k a term reads
+K c^k c^{-(deg bra - deg ket)} Theta_xi W, per z^{-n} mode K c^n Theta_xi W.
 
 A residual is the worst |lhs - rhs| over max(scale, 1), scale being the
 largest |lhs| or |rhs| entry; the control, against (1 + 100 tolerance)
@@ -89,35 +96,62 @@ def _kernel(g: np.ndarray, s: int, a: float = 1.0) -> float:
     return g[s] * a**s
 
 
-def _exchange_lhs(params, x, y, g, twist, degree_cap, window, momentum):
-    """Basis and corner tables of  g(w/z) X(z) Y(w) - Y(w) X(z) (-z/w)^twist
-    g(z/w), one per key in [-window, window], for current (or branch) X
-    against vertex Y; ``g`` maps an order to the structure series
+def _exchange_check(
+    params, x, y, g, twist, terms, degree_cap, window, momentum, tolerance
+):
+    """The exchange-check skeleton: the ``_table_residual`` comparison of
+
+        g(w/z) X(z) Y(w) - Y(w) X(z) (-z/w)^twist g(z/w)
+        and  sum_i K_i delta(c_i w/z) W_i(xi_i w),
+
+    one corner table per key in [-window, window], for current (or
+    branch) X against vertex Y, the right-hand side given by its delta
+    terms (K, c, xi, W).  ``g`` maps an order to the structure series
     truncated there (``Series.one`` for the constant kernel 1).  The
     basis reaches degree_cap + window + |twist|, enough for the corner to
     be exact.  With mu the bra, nu the intermediate and lambda the ket,
-    key k weighs the first term by g_s at s = k - (deg nu - deg lambda)
-    and the second by g_s at s = (deg mu - deg nu) - k - twist."""
+    key k weighs the first term by g_s at s = k - (deg nu - deg lambda),
+    the second by g_s at s = (deg mu - deg nu) - k - twist, and reads a
+    delta term as K c^k c^{-(deg mu - deg lambda)} Theta_xi W."""
     D = degree_cap + window + abs(twist)
     basis = PartitionBasis(params, D)
     c = basis.corner(degree_cap)
     gc = g(2 * D + window + 2).c
     y_app = _app(basis, y, momentum)
+    deltas = [
+        (K, s, basis.weigh(w, lambda d: s**-d))
+        for K, s, w in _shifted_terms(basis, c, y, y_app, terms, momentum)
+    ]
     x_left = _app(basis, x, momentum + y.momentum_shift())[:c]
     x_right = _app(basis, x, momentum)[:, :c]
     y_in, y_out = y_app[:, :c], y_app[:c]
     sign = (-1.0) ** twist
-    tables = {}
-    for k in range(-window, window + 1):
-        up = basis.weigh(y_in, lambda d: _kernel(gc, k - d))
-        down = basis.weigh(y_out, lambda d: _kernel(gc, d - k - twist))
-        tables[k] = x_left @ up - sign * (down @ x_right)
-    return basis, tables
+
+    def triples():
+        for k in range(-window, window + 1):
+            up = basis.weigh(y_in, lambda d: _kernel(gc, k - d))
+            down = basis.weigh(y_out, lambda d: _kernel(gc, d - k - twist))
+            lhs = x_left @ up - sign * (down @ x_right)
+            yield f"key={k}", lhs, sum(K * s**k * w for K, s, w in deltas)
+
+    return _table_residual(triples(), basis, tolerance)
+
+
+def _shifted_terms(basis, c, y, y_app, terms, momentum):
+    """(K, c, Theta_xi W) on the corner of c states for each delta term
+    (K, c, xi, W), Theta_xi the degree weight ``basis.theta`` on W's own
+    matrix: Y's matrix ``y_app`` where W is Y, each other W applied once."""
+    apps = {id(y): y_app[:c, :c]}
+    for *_, w in terms:
+        if id(w) not in apps:
+            # a copy, so that W's full matrix is freed at once
+            apps[id(w)] = _app(basis, w, momentum)[:c, :c].copy()
+    return [(K, s, basis.theta(apps[id(w)], w, xi, momentum)) for K, s, xi, w in terms]
 
 
 def _mode_table(basis, c, x_left, y, x_right, g, n, twist=0, a=1.0):
     """Corner table of the z^{-n} mode of the combination of
-    ``_exchange_lhs``, Y's argument scaled by a (folded into ``y``), from
+    ``_exchange_check``, Y's argument scaled by a (folded into ``y``), from
     full application matrices and structure series coefficients ``g``:
     the first term is weighted by g_s a^s at s = n + (deg mu - deg nu),
     the second by g_s a^-s at s = -(deg nu - deg lambda) - n - twist."""
@@ -125,14 +159,6 @@ def _mode_table(basis, c, x_left, y, x_right, g, n, twist=0, a=1.0):
     down = basis.weigh(x_right[:, :c], lambda d: _kernel(g, -d - n - twist, 1.0 / a))
     sign = (-1.0) ** twist * a ** (-twist)
     return up @ y[:, :c] - sign * (y[:c] @ down)
-
-
-def _delta_conjugate(basis: PartitionBasis, w, momentum: float, c: float, cap: int):
-    """Entrywise c^{-(deg bra - deg ket)} * W on the corner of degree
-    <= cap, W the matrix of vertex w: the delta-function transfer of
-    z-powers onto w-powers for a term K delta(c w/z) W(w)."""
-    n = basis.corner(cap)
-    return basis.weigh(_app(basis, w, momentum)[:n, :n], lambda d: c ** -d)
 
 
 def _table_residual(triples, basis: PartitionBasis, tolerance: float):
@@ -153,6 +179,14 @@ def _table_residual(triples, basis: PartitionBasis, tolerance: float):
     return worst / norm, loc, control / norm, scale
 
 
+def _operator_cfg(params, degree_cap, window, momentum, **labels):
+    """Report configuration of an operator check."""
+    return {
+        "q": params.q, "t": params.t, **labels,
+        "degree": degree_cap, "window": window, "momentum": momentum,
+    }
+
+
 def _compared_report(name, compared, tolerance, cfg, t0, notes=()):
     """Report of a (residual, location, control, scale) comparison.  A
     control within the tolerance means the comparison cannot tell rhs
@@ -165,11 +199,6 @@ def _compared_report(name, compared, tolerance, cfg, t0, notes=()):
     return _report(
         name, math.inf, tolerance, loc, cfg, t0, [*notes, note], "inconclusive"
     )
-
-
-def _keyed(lhs: dict, rhs: dict):
-    """(label, lhs, rhs) triples of two tables sharing their keys."""
-    return ((f"key={k}", lhs[k], rhs[k]) for k in lhs)
 
 
 # ---------------------------------------------------------------------------
@@ -224,13 +253,7 @@ def check_defining_relation(
                 yield f"n={n} m={m}", acc, rhs
 
     compared = _table_residual(triples(), basis, tolerance)
-    cfg = {
-        "q": params.q,
-        "t": params.t,
-        "degree": degree_cap,
-        "window": max_mode,
-        "momentum": momentum,
-    }
+    cfg = _operator_cfg(params, degree_cap, max_mode, momentum)
     return _compared_report("defining-relation", compared, tolerance, cfg, t0)
 
 
@@ -247,14 +270,11 @@ def check_screening_relation(
     tolerance: float = 1e-8,
 ) -> CheckReport:
     """[T(z), S(w)] equals a total q-difference of a delta-localized
-    normal-ordered product; the difference operator acts per w-monomial
-    as the exact multiplier (1 - base^{exponent})/(1 - base)."""
+    normal-ordered product: with W(w) = :Lambda(c w) S(w):, c = base^{-1/2},
+    it is  K delta(c w/z) W(w) - K base delta(base c w/z) W(base w),
+    the paper's (1 - base Theta_base) of the first term."""
     t0 = time.perf_counter()
     scr = build_screening(sign, params)
-    basis, lhs = _exchange_lhs(
-        params, build_current(params), scr, Series.one, 0, degree_cap, window, momentum
-    )
-
     if sign == +1:
         base, other = params.q, params.t
         lam = build_lambda(-1, params)
@@ -262,23 +282,14 @@ def check_screening_relation(
         base, other = params.t, params.q
         lam = build_lambda(+1, params)
     c = base**-0.5
-    w_vertex = merge_vertices([lam.at_scale(c), scr])
-    w_conj = _delta_conjugate(basis, w_vertex, momentum, c, degree_cap)
-    prefactor = -(1.0 - 1.0 / other)
-    gamma_m = scr.h0_power * momentum
-    rhs = {
-        k: prefactor * (1.0 - base ** (1.0 + k + gamma_m)) * c**k * w_conj
-        for k in lhs
-    }
-    compared = _table_residual(_keyed(lhs, rhs), basis, tolerance)
-    cfg = {
-        "q": params.q,
-        "t": params.t,
-        "sign": sign,
-        "degree": degree_cap,
-        "window": window,
-        "momentum": momentum,
-    }
+    w = merge_vertices([lam.at_scale(c), scr])
+    K = -(1.0 - 1.0 / other)
+    terms = [(K, c, 1.0, w), (-K * base, base * c, base, w)]
+    cur = build_current(params)
+    compared = _exchange_check(
+        params, cur, scr, Series.one, 0, terms, degree_cap, window, momentum, tolerance
+    )
+    cfg = _operator_cfg(params, degree_cap, window, momentum, sign=sign)
     name = "screening" if sign == +1 else "screening-mirror"
     return _compared_report(name, compared, tolerance, cfg, t0)
 
@@ -331,27 +342,20 @@ def check_vertex_exchange(
     vertex."""
     t0 = time.perf_counter()
     x, y, g, K, c, xi = _exchange_setup(ell, params, variant)
-    basis, lhs = _exchange_lhs(params, x, y, g, 2 - ell, degree_cap, window, momentum)
-    conj = _delta_conjugate(basis, y.at_scale(xi), momentum, c, degree_cap)
-    rhs = {k: K * c**k * conj for k in lhs}
-    compared = _table_residual(_keyed(lhs, rhs), basis, tolerance)
-    cfg = {
-        "q": params.q,
-        "t": params.t,
-        "ell": ell,
-        "variant": variant,
-        "degree": degree_cap,
-        "window": window,
-        "momentum": momentum,
-    }
+    compared = _exchange_check(
+        params, x, y, g, 2 - ell, [(K, c, xi, y)], degree_cap, window, momentum,
+        tolerance,
+    )
+    cfg = _operator_cfg(params, degree_cap, window, momentum, ell=ell, variant=variant)
     name = "vertex-exchange" if variant == "plain" else f"vertex-exchange-{variant}"
     return _compared_report(name, compared, tolerance, cfg, t0)
 
 
-def _current_deltas(ell: int, params: QParams):
-    """Factor P and the constants K_i, supports c_i and argument shifts
-    xi_i of the full current's exchange with V_{ell,0}, whose right-hand
-    side is  P (K_1 delta(c_1 w/z) V(xi_1 w) - K_2 delta(c_2 w/z) V(xi_2 w))."""
+def _current_deltas(ell: int, params: QParams, v):
+    """The two delta terms (K_i, c_i, xi_i, v) of the full current's
+    exchange with v = V_{ell,0}, whose right-hand side is
+    Pi (K_1 delta(c_1 w/z) Theta_{xi_1} V(w) - K_2 delta(c_2 w/z) Theta_{xi_2} V(w)),
+    with Pi and the sign folded into the returned constants."""
     q, t, p = params.q, params.t, params.p
     big_pi = math.prod(
         t**-0.5 * q ** (j / (2 * ell)) - t**0.5 * q ** (-j / (2 * ell))
@@ -362,7 +366,7 @@ def _current_deltas(ell: int, params: QParams):
     K2 = (-1.0) ** ell * p**-0.5 * t**0.5 * q**e4
     _, c1, xi1 = _exchange_constants(ell, params)
     _, c2, xi2 = _exchange_constants(ell, params.theta_image())
-    return big_pi, (K1, c1, xi1), (K2, c2, xi2)
+    return [(big_pi * K1, c1, xi1, v), (-big_pi * K2, c2, xi2, v)]
 
 
 def check_current_vertex_exchange(
@@ -378,23 +382,11 @@ def check_current_vertex_exchange(
     t0 = time.perf_counter()
     y = build_vertex(ell, 0, params)
     g = partial(structure_series, StructureFunctionSpec("exchange", ell, 0), params)
-    basis, lhs = _exchange_lhs(
-        params, build_current(params), y, g, 2 - ell, degree_cap, window, momentum
+    compared = _exchange_check(
+        params, build_current(params), y, g, 2 - ell, _current_deltas(ell, params, y),
+        degree_cap, window, momentum, tolerance,
     )
-    # each delta term read per key k as K c^k c^{-(deg bra - deg ket)} V
-    big_pi, (K1, c1, xi1), (K2, c2, xi2) = _current_deltas(ell, params)
-    conj1 = _delta_conjugate(basis, y.at_scale(xi1), momentum, c1, degree_cap)
-    conj2 = _delta_conjugate(basis, y.at_scale(xi2), momentum, c2, degree_cap)
-    rhs = {k: big_pi * (K1 * c1**k * conj1 - K2 * c2**k * conj2) for k in lhs}
-    compared = _table_residual(_keyed(lhs, rhs), basis, tolerance)
-    cfg = {
-        "q": params.q,
-        "t": params.t,
-        "ell": ell,
-        "degree": degree_cap,
-        "window": window,
-        "momentum": momentum,
-    }
+    cfg = _operator_cfg(params, degree_cap, window, momentum, ell=ell)
     return _compared_report("current-vertex-exchange", compared, tolerance, cfg, t0)
 
 
@@ -427,28 +419,21 @@ def check_adjoint_shift(
     y_app = _app(basis, y, momentum)
     x_left = _app(basis, cur, momentum + y.momentum_shift())
     x_right = _app(basis, cur, momentum)
-    # each delta term read per z^{-n} mode as K c^n V
-    big_pi, (K1, c1, xi1), (K2, c2, xi2) = _current_deltas(ell, params)
-    v1 = _app(basis, y.at_scale(xi1), momentum)[:c, :c]
-    v2 = _app(basis, y.at_scale(xi2), momentum)[:c, :c]
+    # each delta term read per z^{-n} mode as K c^n Theta_xi V
+    terms = _current_deltas(ell, params, y)
+    deltas = _shifted_terms(basis, c, y, y_app, terms, momentum)
 
     def triples():
         for n in modes:
             n = int(n)
             lhs = _mode_table(basis, c, x_left, y_app, x_right, g, n, twist, scale)
-            rhs = big_pi * scale**n * (K1 * c1**n * v1 - K2 * c2**n * v2)
+            rhs = scale**n * sum(K * s**n * w for K, s, w in deltas)
             yield f"mode={n}", lhs, rhs
 
     compared = _table_residual(triples(), basis, tolerance)
-    cfg = {
-        "q": params.q,
-        "t": params.t,
-        "ell": ell,
-        "degree": degree_cap,
-        "window": degree_cap + nmax,
-        "momentum": momentum,
-        "scale": scale,
-    }
+    cfg = _operator_cfg(
+        params, degree_cap, degree_cap + nmax, momentum, ell=ell, scale=scale
+    )
     return _compared_report("adjoint-shift", compared, tolerance, cfg, t0)
 
 
@@ -501,24 +486,14 @@ def check_exchange_rewrite(
     res_d = 0.0 if ok_d else float("inf")
 
     g = partial(structure_series, StructureFunctionSpec("exchange", ell, 0), params)
-    basis, lhs = _exchange_lhs(
-        params, lam_plus, y, g, 2 - ell, degree_cap, window, momentum
+    w = merge_vertices([y, lam_plus.at_scale(c1)])
+    res_b, loc, ctrl_b, scale = _exchange_check(
+        params, lam_plus, y, g, 2 - ell, [(K / params.p**0.5, c1, 1.0, w)],
+        degree_cap, window, momentum, tolerance,
     )
-    K2 = K / params.p**0.5
-    w_vertex = merge_vertices([y, lam_plus.at_scale(c1)])
-    conj = _delta_conjugate(basis, w_vertex, momentum, c1, degree_cap)
-    rhs = {k: K2 * c1**k * conj for k in lhs}
-    res_b, loc, ctrl_b, scale = _table_residual(_keyed(lhs, rhs), basis, tolerance)
 
     worst = max(res_a, res_b, res_c, res_d)
-    cfg = {
-        "q": params.q,
-        "t": params.t,
-        "ell": ell,
-        "degree": degree_cap,
-        "window": window,
-        "momentum": momentum,
-    }
+    cfg = _operator_cfg(params, degree_cap, window, momentum, ell=ell)
     notes = [
         f"kernel-inverse residual {res_a:.3e}",
         f"support value {res_c:.3e} (exact zero expected)",
@@ -562,8 +537,9 @@ def check_composite_exchange(
 ) -> CheckReport:
     """Plus branch against the composite vertex V_{ell+1,k+1}: the
     weighted exchange combination equals two delta-localized products
-    of the vertex with the full current.  At each support the
-    minus-branch transfer weight is the product-form value of the two
+    of the vertex with the full current, four delta terms in all: at each
+    support c_i, :V Lambda^+(c_i w): and :V Lambda^-(c_i w): weighted by
+    the minus-branch transfer weight, the product-form value of the two
     elementary factors (computed, not assumed zero)."""
     if ell < 1 or k < 1:
         raise QVirasoroError("composite exchange needs both labels positive")
@@ -573,40 +549,25 @@ def check_composite_exchange(
     lam_plus = build_lambda(+1, params)
     lam_minus = build_lambda(-1, params)
     g = partial(structure_series, StructureFunctionSpec("exchange", ell, k), params)
-    basis, lhs = _exchange_lhs(
-        params, lam_plus, y, g, 4 - ell - k, degree_cap, window, momentum
-    )
-
     pref = q ** (k / 2.0) * t ** (-ell / 2.0)
-    terms = (
+    supports = (
         _composite_term(ell, k, params),
         _composite_term(k, ell, params.omega_image().theta_image()),
     )
     f_ell = current_vertex_factor(ell, params)
     f_k = mirror_vertex_factor(k, params)
-    rhs = {kk: 0.0 for kk in lhs}
-    minus_weights = []
-    for c_i, coeff_i in terms:
+    deltas, minus_weights = [], []
+    for c_i, coeff_i in supports:
         d_minus = f_ell.value(c_i) * f_k.value(c_i)
         minus_weights.append(d_minus)
-        w_plus, w_minus = (
-            _delta_conjugate(
-                basis, merge_vertices([y, lam.at_scale(c_i)]), momentum, c_i, degree_cap
-            )
-            for lam in (lam_plus, lam_minus)
-        )
-        for kk in lhs:
-            rhs[kk] += pref * coeff_i * c_i**kk * (w_plus + d_minus * w_minus)
-    compared = _table_residual(_keyed(lhs, rhs), basis, tolerance)
-    cfg = {
-        "q": params.q,
-        "t": params.t,
-        "ell": ell,
-        "k": k,
-        "degree": degree_cap,
-        "window": window,
-        "momentum": momentum,
-    }
+        for weight, lam in ((1.0, lam_plus), (d_minus, lam_minus)):
+            w = merge_vertices([y, lam.at_scale(c_i)])
+            deltas.append((pref * coeff_i * weight, c_i, 1.0, w))
+    compared = _exchange_check(
+        params, lam_plus, y, g, 4 - ell - k, deltas, degree_cap, window, momentum,
+        tolerance,
+    )
+    cfg = _operator_cfg(params, degree_cap, window, momentum, ell=ell, k=k)
     notes = [
         f"minus-branch support weights {minus_weights[0]:.3e}, {minus_weights[1]:.3e}"
     ]

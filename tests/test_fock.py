@@ -183,6 +183,21 @@ class TestMatrixEngine:
         with pytest.raises(ValueError):
             a.removals.take[0, 0] = 1
 
+    @pytest.mark.parametrize("params", [P2, P], ids=["p<1", "p>1"])
+    @pytest.mark.parametrize(
+        "labels", [(2, 0), (0, 2), (1, 1)], ids=["V(2,0)", "V(0,2)", "V(1,1)"]
+    )
+    def test_theta_is_the_matrix_at_scale(self, params, labels):
+        # Theta_xi as a degree weight on the matrix, its zero-mode factor
+        # xi^{h0_power momentum} included, is the matrix of at_scale(xi)
+        vertex = build_vertex(*labels, params)
+        basis = PartitionBasis(params, 5)
+        app = basis.application_matrix(vertex, 0.37)
+        for xi in (0.6, 1.7):
+            want = basis.application_matrix(vertex.at_scale(xi), 0.37)
+            got = basis.theta(app, vertex, xi, 0.37)
+            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
     @pytest.mark.parametrize(
         "params", [QParams(0.49, 0.7), QParams(0.9, 0.2)], ids=["p<1", "p>1"]
     )

@@ -54,8 +54,13 @@ def test_screening_relation_generic_momentum(sign):
 
 @pytest.mark.parametrize("variant", ["plain", "theta", "mirror"])
 def test_vertex_exchange_variants(variant):
-    rep = check_vertex_exchange(1, P, variant, degree_cap=3, window=3)
-    assert rep.passed, rep.summary_line()
+    # at momentum 0.37 the shift operator's zero-mode factor
+    # xi^{h0_power momentum} is not 1
+    for momentum in (0.0, 0.37):
+        rep = check_vertex_exchange(
+            1, P, variant, degree_cap=3, window=3, momentum=momentum
+        )
+        assert rep.passed, f"momentum {momentum}: {rep.summary_line()}"
 
 
 def test_vertex_exchange_higher_label_generic_momentum():
@@ -64,8 +69,11 @@ def test_vertex_exchange_higher_label_generic_momentum():
 
 
 def test_current_vertex_exchange():
-    rep = check_current_vertex_exchange(1, P, degree_cap=3, window=3)
-    assert rep.passed, rep.summary_line()
+    for momentum in (0.0, 0.37):
+        rep = check_current_vertex_exchange(
+            1, P, degree_cap=3, window=3, momentum=momentum
+        )
+        assert rep.passed, f"momentum {momentum}: {rep.summary_line()}"
 
 
 @pytest.mark.parametrize("ell", [1, 2, 3])
@@ -177,9 +185,9 @@ def test_perturbed_kernel_constant_fails(monkeypatch):
 def test_perturbed_delta_constant_fails(monkeypatch, check, ell):
     exact = relations._current_deltas
 
-    def perturbed(ell, p):
-        big_pi, (K1, c1, xi1), second = exact(ell, p)
-        return big_pi, (K1 * (1 + 1e-6), c1, xi1), second
+    def perturbed(*args):
+        (K1, c1, xi1, v), second = exact(*args)
+        return [(K1 * (1 + 1e-6), c1, xi1, v), second]
 
     monkeypatch.setattr(relations, "_current_deltas", perturbed)
     rep = check(ell)
