@@ -95,8 +95,14 @@ class SuiteConfig:
         if self.r is None:
             # admissible bracket period: beta = log t / log q, r = 1/beta
             object.__setattr__(self, "r", math.log(self.q) / math.log(self.t))
-        if self.r <= 0:
-            raise ConfigError("bracket period r must be positive")
+        if not 0.0 < self.r < math.inf:
+            raise ConfigError("bracket period r must be positive and finite")
+        if not math.isfinite(self.L):
+            raise ConfigError("L must be finite")
+        if self.tol is not None and not 0.0 <= self.tol < math.inf:
+            raise ConfigError("tolerance must be non-negative and finite")
+        if self.seed < 0:
+            raise ConfigError("seed must be non-negative")
         if self.degree < self.window:
             raise ConfigError("degree cap must be at least the mode window")
         if self.degree < 0 or self.window < 0:
@@ -438,10 +444,11 @@ def _eval_functions():
 
     def f_qpoch(ns):
         a, q = need(ns, "a", "q")
-        n = ns.n
-        if n is None:
+        if ns.n is None:
             return qspecial.qpoch_inf(a, q)
-        return qspecial.qpoch(a, q, int(n))
+        if ns.n < 0:
+            raise ConfigError("finite qpoch needs --n >= 0")
+        return qspecial.qpoch(a, q, ns.n)
 
     def f_gamma(ns):
         x, q = need(ns, "x", "q")
@@ -457,14 +464,14 @@ def _eval_functions():
 
     def f_bracket(ns):
         u, q, r = need(ns, "u", "q", "r")
-        bp = qspecial.BracketParams(q=q, ell=int(ns.ell or 1), r=r)
+        bp = qspecial.BracketParams(q=q, ell=ns.ell, r=r)
         return qspecial.bracket(u, bp)
 
     def _cp(ns):
         q, t = need(ns, "q", "t")
         return correlators.CorrelatorParams(
             params=QParams(q, t),
-            ell=int(ns.ell or 1),
+            ell=ns.ell,
             L=ns.L if ns.L is not None else 1.0,
             r=ns.r,
         )
@@ -547,7 +554,7 @@ def _build_parser() -> _Parser:
     for flag in ("a", "b", "c", "q", "t", "z", "w", "x", "u", "L", "r"):
         e.add_argument(f"--{flag}", type=float, default=None)
     e.add_argument("--n", type=int, default=None)
-    e.add_argument("--ell", type=int, default=None)
+    e.add_argument("--ell", type=int, default=1)
     e.add_argument("--branch", choices=("plus", "minus"), default=None)
     e.add_argument("--method", choices=("closed", "jackson"), default=None)
     return parser

@@ -93,6 +93,29 @@ class TestExitStatus:
         assert code == 3
         assert "degree cap" in err
 
+    @pytest.mark.parametrize("source", ["flag", "env", "file"])
+    @pytest.mark.parametrize(
+        "key, value",
+        [("tol", "nan"), ("tol", "-1"), ("r", "nan"), ("L", "nan"), ("L", "inf"),
+         ("seed", "-1")],
+    )
+    def test_bad_value_is_config_error(
+        self, capsys, monkeypatch, tmp_path, source, key, value
+    ):
+        argv = ["verify", "--suite", "qspecial"]
+        if source == "flag":
+            argv.append(f"--{key}={value}")
+        elif source == "env":
+            monkeypatch.setenv(f"QVIR_{key.upper()}", value)
+        else:
+            cfgfile = tmp_path / "run.cfg"
+            cfgfile.write_text(f"{key} = {value}\n")
+            argv += ["--config", str(cfgfile)]
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 3
+        assert out == ""
+        assert err.startswith("error:")
+
     def test_missing_subcommand(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main([])
@@ -239,6 +262,30 @@ class TestEval:
             values.append(float(out))
         # 2.0078040842749938 (closed) and 2.0078040842749747 (jackson)
         assert values[0] == pytest.approx(values[1], rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("two-point", "--q", "0.49", "--t", "0.7", "--z", "1", "--w", "0.4"),
+            ("screening-wave", "--q", "0.49", "--t", "0.7", "--x", "0.4"),
+            ("four-point", "--q", "0.49", "--t", "0.7", "--z", "1", "--w", "0.4"),
+            ("bracket", "--u", "0.4", "--q", "0.49", "--r", "2"),
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_ell_zero_is_not_read_as_one(self, capsys, argv):
+        code, out, err = run_cli(capsys, "eval", *argv, "--ell", "0")
+        assert code == 1
+        assert out == ""
+        assert ">= 1" in err
+
+    def test_negative_qpoch_length_is_config_error(self, capsys):
+        code, out, err = run_cli(
+            capsys, "eval", "qpoch", "--a", "0.3", "--q", "0.5", "--n", "-1"
+        )
+        assert code == 3
+        assert out == ""
+        assert err.startswith("error:") and "--n" in err
 
     def test_pole_is_runtime_error_not_config(self, capsys):
         code, _, err = run_cli(
