@@ -515,6 +515,17 @@ EVAL_FUNCTIONS = _eval_functions()
 # Entry point
 
 
+def _finite(raw: str) -> float:
+    """argparse type of the eval float flags: a finite number."""
+    try:
+        value = float(raw)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {raw!r}")
+    return value
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # noqa: D102 - argparse hook
         self.print_usage(sys.stderr)
@@ -552,7 +563,7 @@ def _build_parser() -> _Parser:
     e = sub.add_parser("eval", help="evaluate a single function")
     e.add_argument("function", choices=sorted(EVAL_FUNCTIONS))
     for flag in ("a", "b", "c", "q", "t", "z", "w", "x", "u", "L", "r"):
-        e.add_argument(f"--{flag}", type=float, default=None)
+        e.add_argument(f"--{flag}", type=_finite, default=None)
     e.add_argument("--n", type=int, default=None)
     e.add_argument("--ell", type=int, default=1)
     e.add_argument("--branch", choices=("plus", "minus"), default=None)

@@ -25,6 +25,11 @@ The bracket period ``r`` defaults to the admissible value 1/beta
 connection matrix actually maps one argument order of the four-point
 pair onto the other; see ``check_connection_formula``.  Any positive
 ``r`` is accepted for plain bracket evaluation.
+
+Each check yields (residual, location) pairs to ``report._scan_report``:
+a pole, a divergent sum or an overflow makes it inconclusive, and so
+does a NaN residual (say both branch values infinite) unless another
+residual fails.
 """
 
 from __future__ import annotations
@@ -45,7 +50,7 @@ from .qspecial import (
     phi21,
     qpoch_inf,
 )
-from .report import CheckReport, _report
+from .report import CheckReport, _scan_report
 from .voa import pair_correlation_factor, pair_correlation_log_rule
 
 __all__ = [
@@ -310,33 +315,31 @@ def check_two_point(
     7e11.)"""
     t0 = time.perf_counter()
     cp = CorrelatorParams(params=params, ell=ell)
-    form = pair_correlation_factor(ell, params)
-    radius = 1.0 / float(np.max(np.abs(form.coeffs)))
-    rule = pair_correlation_log_rule(ell, params)
     cfg = {"q": params.q, "t": params.t, "ell": ell}
-    inside = [x for x in x_values if abs(x) < 0.9 * radius]
-    if not inside:
-        loc = f"no x within 0.9 of the series radius {radius:.3g}"
-        return _report(
-            "two-point", math.inf, tolerance, loc, cfg, t0, status="inconclusive"
-        )
-    worst, loc = 0.0, ""
-    for x in inside:
-        v = form.value(x)
-        if v <= 0.0:
-            worst, loc = math.inf, f"x={x} (product form {v:.3e})"
-            break
-        order = 1 + int(math.log(1e-17) / math.log(max(abs(x), 1e-300) / radius))
-        terms = np.array([rule(n) * x**n for n in range(1, order + 1)])
-        refs = {"series": float(terms.sum())}
-        if params.p < 1.0:
-            v_ref = two_point_reference(1.0, x, cp)
-            refs["double-base product"] = math.log(v_ref) if v_ref > 0 else math.inf
-        for name, log_ref in refs.items():
-            d = abs(math.log(v) - log_ref) / max(1.0, float(np.abs(terms).sum()))
-            if d > worst:
-                worst, loc = d, f"x={x} ({name})"
-    return _report("two-point", worst, tolerance, loc, cfg, t0)
+
+    def pairs():
+        form = pair_correlation_factor(ell, params)
+        radius = 1.0 / float(np.max(np.abs(form.coeffs)))
+        rule = pair_correlation_log_rule(ell, params)
+        inside = [x for x in x_values if abs(x) < 0.9 * radius]
+        if not inside:
+            yield math.nan, f"no x within 0.9 of the series radius {radius:.3g}"
+        for x in inside:
+            v = form.value(x)
+            if v <= 0.0:
+                yield math.inf, f"x={x} (product form {v:.3e})"
+                return
+            order = 1 + int(math.log(1e-17) / math.log(max(abs(x), 1e-300) / radius))
+            terms = np.array([rule(n) * x**n for n in range(1, order + 1)])
+            refs = {"series": float(terms.sum())}
+            if params.p < 1.0:
+                v_ref = two_point_reference(1.0, x, cp)
+                refs["double-base product"] = math.log(v_ref) if v_ref > 0 else math.inf
+            for name, log_ref in refs.items():
+                d = abs(math.log(v) - log_ref) / max(1.0, float(np.abs(terms).sum()))
+                yield d, f"x={x} ({name})"
+
+    return _scan_report("two-point", pairs(), tolerance, cfg, t0)
 
 
 def check_four_point(
@@ -352,25 +355,15 @@ def check_four_point(
     t0 = time.perf_counter()
     cp = CorrelatorParams(params=params, ell=ell, L=L)
     cfg = {"q": params.q, "t": params.t, "ell": ell, "L": L, "z": z, "w": w}
-    worst, loc = 0.0, ""
-    try:
+
+    def pairs():
         for branch in ("plus", "minus"):
             closed = four_point_closed(branch, z, w, cp)
             lattice = four_point_jackson(branch, z, w, cp)
             d = abs(closed - lattice) / max(abs(closed), abs(lattice))
-            if d > worst:
-                worst, loc = d, f"branch={branch}"
-    except (ConvergenceError, PoleError) as exc:
-        return _report(
-            "four-point",
-            float("inf"),
-            tolerance,
-            str(exc),
-            cfg,
-            t0,
-            status="inconclusive",
-        )
-    return _report("four-point", worst, tolerance, loc, cfg, t0)
+            yield d, f"branch={branch}"
+
+    return _scan_report("four-point", pairs(), tolerance, cfg, t0)
 
 
 def check_pseudo_constant(
@@ -385,17 +378,13 @@ def check_pseudo_constant(
     insertion point immaterial."""
     t0 = time.perf_counter()
     cp = CorrelatorParams(params=params, ell=ell)
-    worst, loc = 0.0, ""
-    for y in samples:
-        vals = []
-        for yy in (y, cp.Q * y):
-            rho = sv_scalar(1.0 / yy, 1.0, cp) / vs_scalar(1.0, 1.0 / yy, cp)
-            vals.append(rho)
-        d = abs(vals[1] / vals[0] - 1.0)
-        if d > worst:
-            worst, loc = d, f"y={y}"
+
+    def rho(y):
+        return sv_scalar(1.0 / y, 1.0, cp) / vs_scalar(1.0, 1.0 / y, cp)
+
+    pairs = ((abs(rho(cp.Q * y) / rho(y) - 1.0), f"y={y}") for y in samples)
     cfg = {"q": params.q, "t": params.t, "ell": ell}
-    return _report("pseudo-constant", worst, tolerance, loc, cfg, t0)
+    return _scan_report("pseudo-constant", pairs, tolerance, cfg, t0)
 
 
 def check_connection_formula(
@@ -465,34 +454,20 @@ def check_connection_formula(
         "method": method,
     }
     notes = []
-    worst, loc = 0.0, ""
-    try:
-        m0 = connection_matrix(0.0, cp)
-        d0 = float(np.max(np.abs(m0 - np.eye(2))))
-        if d0 > identity_tolerance:
-            return _report(
-                "connection",
-                float("inf"),
-                tolerance,
-                f"u=0 matrix deviates by {d0:.3e}",
-                cfg,
-                t0,
-            )
-        notes.append(f"u=0 identity deviation {d0:.3e}")
-        inv_worst = 0.0
-        for u in u_samples:
-            prod = connection_matrix(u, cp) @ connection_matrix(-u, cp)
-            inv_worst = max(inv_worst, float(np.max(np.abs(prod - np.eye(2)))))
-        if inv_worst > inverse_tolerance:
-            return _report(
-                "connection",
-                float("inf"),
-                tolerance,
-                f"M(u) M(-u) deviates by {inv_worst:.3e}",
-                cfg,
-                t0,
-            )
-        notes.append(f"two-sided inverse deviation {inv_worst:.3e}")
+
+    def pairs():
+        unit = [connection_matrix(0.0, cp)]
+        prods = [connection_matrix(u, cp) @ connection_matrix(-u, cp) for u in u_samples]
+        for what, mats, tol in (
+            ("u=0 identity", unit, identity_tolerance),
+            ("two-sided inverse", prods, inverse_tolerance),
+        ):
+            dev = float(np.max(np.abs(np.array(mats) - np.eye(2))))
+            # a deviation above the tolerance fails, a NaN one decides nothing
+            if not dev <= tol:
+                yield math.inf if dev > tol else math.nan, f"{what} deviates by {dev:.3e}"
+                return
+            notes.append(f"{what} deviation {dev:.3e}")
 
         control = 0.0
         for u in u_samples:
@@ -503,34 +478,13 @@ def check_connection_formula(
             mat = connection_matrix(u, cp)
             rhs = mat @ swapped
             scale = float(np.max(np.abs(np.concatenate([lhs, rhs]))))
-            d = float(np.max(np.abs(lhs - rhs))) / scale
-            if d > worst:
-                worst, loc = d, f"u={u}"
+            yield float(np.max(np.abs(lhs - rhs))) / scale, f"u={u}"
             bad = mat[::-1] @ swapped
             control = max(control, float(np.max(np.abs(lhs - bad))) / scale)
         notes.append(f"row-swapped control deviation {control:.3e}")
         # a residual within the tolerance shows nothing when the
         # row-swapped matrix would pass too
-        if control <= 50.0 * tolerance and worst <= tolerance:
-            return _report(
-                "connection",
-                float("inf"),
-                tolerance,
-                "negative control did not fail",
-                cfg,
-                t0,
-                notes,
-                status="inconclusive",
-            )
-    except (ConvergenceError, PoleError) as exc:
-        return _report(
-            "connection",
-            float("inf"),
-            tolerance,
-            str(exc),
-            cfg,
-            t0,
-            notes,
-            status="inconclusive",
-        )
-    return _report("connection", worst, tolerance, loc, cfg, t0, notes)
+        if control <= 50.0 * tolerance:
+            yield math.nan, "negative control did not fail"
+
+    return _scan_report("connection", pairs(), tolerance, cfg, t0, notes)

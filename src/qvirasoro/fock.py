@@ -182,20 +182,18 @@ def vertex_data_distance(
     a: NormalOrderedVertex, b: NormalOrderedVertex, order: int
 ) -> float:
     """Max relative deviation between two vertex data sets: mode rules
-    compared on 0 < |n| <= order, plus the four zero-mode fields."""
-    worst = 0.0
-    for n in range(1, order + 1):
-        for s in (n, -n):
-            x, y = a.mode_rule(s), b.mode_rule(s)
-            worst = max(worst, abs(x - y) / max(abs(x), abs(y), 1.0))
-    for x, y in (
+    compared on 0 < |n| <= order, plus the four zero-mode fields.  NaN
+    if any deviation is NaN."""
+    modes = [s for n in range(1, order + 1) for s in (n, -n)]
+    pairs = [(a.mode_rule(s), b.mode_rule(s)) for s in modes]
+    pairs += [
         (a.charge, b.charge),
         (a.h0_base, b.h0_base),
         (a.h0_power, b.h0_power),
         (a.scalar, b.scalar),
-    ):
-        worst = max(worst, abs(x - y) / max(abs(x), abs(y), 1.0))
-    return worst
+    ]
+    x, y = np.array(pairs, dtype=float).T
+    return float(np.max(np.abs(x - y) / np.maximum(np.maximum(abs(x), abs(y)), 1.0)))
 
 
 # ---------------------------------------------------------------------------

@@ -161,8 +161,17 @@ def gamma_q(z: float, q: float) -> float:
 
 
 def beta_q(a: float, b: float, q: float) -> float:
-    """q-beta function Gamma_q(a) Gamma_q(b) / Gamma_q(a+b)."""
-    return gamma_q(a, q) * gamma_q(b, q) / gamma_q(a + b, q)
+    """q-beta function Gamma_q(a) Gamma_q(b) / Gamma_q(a+b), computed as
+    (1-q) (q;q)_inf (q^{a+b};q)_inf / ((q^a;q)_inf (q^b;q)_inf): the
+    powers (1-q)^{1-z} of the three q-gammas cancel, so they cannot
+    overflow.  Raises PoleError where one of the q-gammas would."""
+    symbols = []
+    for z in (a, b, a + b):
+        symbols.append(qpoch_inf(q**z, q))
+        if symbols[-1] == 0.0:
+            raise PoleError(f"gamma_q pole at z={z}")
+    pa, pb, pab = symbols
+    return (1.0 - q) * qpoch_inf(q, q) * pab / pa / pb
 
 
 def theta_q(z: float, q: float) -> float:

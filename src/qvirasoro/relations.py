@@ -46,7 +46,7 @@ from .fock import (
     vertex_data_distance,
 )
 from .qspecial import QParams
-from .report import CheckReport, _report
+from .report import CheckReport, _report, _scan_report, _worst
 from .series import Series, check_delta_comb
 from .voa import (
     StructureFunctionSpec,
@@ -162,21 +162,22 @@ def _mode_table(basis, c, x_left, y, x_right, g, n, twist=0, a=1.0):
 
 
 def _table_residual(triples, basis: PartitionBasis, tolerance: float):
-    """Residual of (label, lhs, rhs) triples of corner tables, where it
-    occurred (the first triple wins ties), the residual against the
-    control (1 + 100 tolerance) * rhs, and the scale."""
-    worst, loc, control, scale = 0.0, "", 0.0, 0.0
+    """Residual of (label, lhs, rhs) triples of corner tables by the rule of
+    ``report._worst`` (a table with a NaN entry counts as NaN), where it
+    occurred, the residual against the control (1 + 100 tolerance) * rhs,
+    and the scale."""
+    pairs, control, scale = [], 0.0, 0.0
     for label, a, b in triples:
         diff = np.abs(a - b)
-        m = float(diff.max())
-        if m > worst:
-            i, j = np.unravel_index(int(diff.argmax()), diff.shape)
-            worst = m
-            loc = f"{label} bra={basis.states[i]} ket={basis.states[j]}"
+        # argmax points at the first NaN, if any
+        i, j = np.unravel_index(int(diff.argmax()), diff.shape)
+        where = f"{label} bra={basis.states[i]} ket={basis.states[j]}"
+        pairs.append((float(diff[i, j]), where))
         control = max(control, float(np.abs(a - (1.0 + 100.0 * tolerance) * b).max()))
         scale = max(scale, float(np.abs(a).max()), float(np.abs(b).max()))
     norm = max(scale, 1.0)
-    return worst / norm, loc, control / norm, scale
+    residual, loc = _worst([(m / norm, where) for m, where in pairs], tolerance)
+    return residual, loc, control / norm, scale
 
 
 def _operator_cfg(params, degree_cap, window, momentum, **labels):
@@ -189,13 +190,17 @@ def _operator_cfg(params, degree_cap, window, momentum, **labels):
 
 def _compared_report(name, compared, tolerance, cfg, t0, notes=()):
     """Report of a (residual, location, control, scale) comparison.  A
-    control within the tolerance means the comparison cannot tell rhs
-    from rhs scaled by 1 + 100 tolerance, so a residual within it shows
-    nothing: the check is inconclusive."""
+    NaN residual decides nothing, and a control within the tolerance means
+    the comparison cannot tell rhs from rhs scaled by 1 + 100 tolerance, so
+    a residual within it shows nothing: either way the check is
+    inconclusive."""
     residual, loc, control, scale = compared
-    if residual > tolerance or control > tolerance:
+    if math.isnan(residual):
+        note = "NaN residual"
+    elif residual > tolerance or control > tolerance:
         return _report(name, residual, tolerance, loc, cfg, t0, notes)
-    note = f"vacuous: residual {residual:.3e}, scale {scale:.3e}, control {control:.3e}"
+    else:
+        note = f"vacuous: residual {residual:.3e}, scale {scale:.3e}, control {control:.3e}"
     return _report(
         name, math.inf, tolerance, loc, cfg, t0, [*notes, note], "inconclusive"
     )
@@ -492,7 +497,7 @@ def check_exchange_rewrite(
         degree_cap, window, momentum, tolerance,
     )
 
-    worst = max(res_a, res_b, res_c, res_d)
+    worst, _ = _worst([(res_a, ""), (res_b, ""), (res_c, ""), (res_d, "")], tolerance)
     cfg = _operator_cfg(params, degree_cap, window, momentum, ell=ell)
     notes = [
         f"kernel-inverse residual {res_a:.3e}",
@@ -584,29 +589,20 @@ def check_fusion(
     """Simple vertices as normal-ordered products of the two fundamental
     ones on a geometric ladder of arguments (exact data equality)."""
     t0 = time.perf_counter()
-    q, t = params.q, params.t
-    worst = 0.0
-    loc = ""
-    for kind in ("first", "second"):
-        base = q if kind == "first" else t
-        elem = build_vertex(1, 0, params) if kind == "first" else build_vertex(
-            0, 1, params
-        )
-        target = (
-            build_vertex(ell, 0, params)
-            if kind == "first"
-            else build_vertex(0, ell, params)
-        )
-        factors = [
-            elem.at_scale(base ** ((ell + 1 - 2 * j) / (2.0 * ell)))
-            for j in range(1, ell + 1)
-        ]
-        fused = merge_vertices(factors)
-        d = vertex_data_distance(fused, target, order)
-        if d > worst:
-            worst, loc = d, f"{kind}-kind ladder"
+    ladders = {"first": (params.q, 1, 0), "second": (params.t, 0, 1)}
+
+    def pairs():
+        for kind, (base, a, b) in ladders.items():
+            elem, target = build_vertex(a, b, params), build_vertex(ell * a, ell * b, params)
+            factors = [
+                elem.at_scale(base ** ((ell + 1 - 2 * j) / (2.0 * ell)))
+                for j in range(1, ell + 1)
+            ]
+            d = vertex_data_distance(merge_vertices(factors), target, order)
+            yield d, f"{kind}-kind ladder"
+
     cfg = {"q": params.q, "t": params.t, "ell": ell, "order": order}
-    return _report("fusion", worst, tolerance, loc, cfg, t0)
+    return _scan_report("fusion", pairs(), tolerance, cfg, t0)
 
 
 def check_argument_shift(
@@ -624,7 +620,7 @@ def check_argument_shift(
     merged.scalar *= p**-0.5
     d = vertex_data_distance(lhs, merged, order)
     cfg = {"q": params.q, "t": params.t, "ell": ell, "order": order}
-    return _report("argument-shift", d, tolerance, "vertex data", cfg, t0)
+    return _scan_report("argument-shift", [(d, "vertex data")], tolerance, cfg, t0)
 
 
 # ---------------------------------------------------------------------------
@@ -641,16 +637,10 @@ def check_delta_identity(
     F(x) = prod (1-r_i x)/(1-x), the two directional expansions differ
     by the constant prod (1-r_i) at every integer power."""
     t0 = time.perf_counter()
-    worst, loc = 0.0, ""
-    roots_used = []
-    for m in m_values:
-        rs = [float(v) for v in rng.uniform(0.05, 0.95, size=m)]
-        roots_used.append([round(v, 6) for v in rs])
-        res = check_delta_comb(rs, window)
-        if res > worst:
-            worst, loc = res, f"m={m}"
-    cfg = {"window": window, "roots": repr(roots_used)}
-    return _report("delta-identity", worst, tolerance, loc, cfg, t0)
+    roots = [[float(v) for v in rng.uniform(0.05, 0.95, size=m)] for m in m_values]
+    pairs = ((check_delta_comb(rs, window), f"m={m}") for m, rs in zip(m_values, roots))
+    cfg = {"window": window, "roots": repr([[round(v, 6) for v in rs] for rs in roots])}
+    return _scan_report("delta-identity", pairs, tolerance, cfg, t0)
 
 
 def check_qspecial(tolerance: float = 1e-12) -> CheckReport:
@@ -660,30 +650,26 @@ def check_qspecial(tolerance: float = 1e-12) -> CheckReport:
     from . import qspecial as qs
 
     t0 = time.perf_counter()
-    worst, loc = 0.0, ""
 
-    def track(val: float, where: str) -> None:
-        nonlocal worst, loc
-        if val > worst:
-            worst, loc = val, where
+    def pairs():
+        q = 0.6
+        for a, z in ((0.3, 0.5), (0.85, -0.4), (1.7, 0.25)):
+            lhs = qs.phi21(a, 0.9, 0.9, q, z)
+            rhs = qs.qpoch_inf(a * z, q) / qs.qpoch_inf(z, q)
+            yield abs(lhs - rhs) / abs(rhs), f"binomial a={a} z={z}"
+        for q_ in (0.3, 0.6, 0.9):
+            for x in (0.25, 0.5, 1.75, 2.5):
+                lhs = qs.gamma_q(x + 1.0, q_)
+                rhs = (1.0 - q_**x) / (1.0 - q_) * qs.gamma_q(x, q_)
+                yield abs(lhs - rhs) / abs(rhs), f"gamma q={q_} x={x}"
+        q_ = 0.55
+        for i in range(10):
+            z = 0.2 + 0.37 * i
+            lhs = qs.theta_q(q_ * z, q_)
+            rhs = -qs.theta_q(z, q_) / z
+            yield abs(lhs - rhs) / max(abs(rhs), 1e-30), f"theta z={z:.2f}"
+        val = qs.jackson_to(lambda _: 1.0, 1.0, 0.73)
+        yield abs(val - 1.0), "jackson unit"
 
-    q = 0.6
-    for a, z in ((0.3, 0.5), (0.85, -0.4), (1.7, 0.25)):
-        lhs = qs.phi21(a, 0.9, 0.9, q, z)
-        rhs = qs.qpoch_inf(a * z, q) / qs.qpoch_inf(z, q)
-        track(abs(lhs - rhs) / abs(rhs), f"binomial a={a} z={z}")
-    for q_ in (0.3, 0.6, 0.9):
-        for x in (0.25, 0.5, 1.75, 2.5):
-            lhs = qs.gamma_q(x + 1.0, q_)
-            rhs = (1.0 - q_**x) / (1.0 - q_) * qs.gamma_q(x, q_)
-            track(abs(lhs - rhs) / abs(rhs), f"gamma q={q_} x={x}")
-    q_ = 0.55
-    for i in range(10):
-        z = 0.2 + 0.37 * i
-        lhs = qs.theta_q(q_ * z, q_)
-        rhs = -qs.theta_q(z, q_) / z
-        track(abs(lhs - rhs) / max(abs(rhs), 1e-30), f"theta z={z:.2f}")
-    val = qs.jackson_to(lambda _: 1.0, 1.0, 0.73)
-    track(abs(val - 1.0), "jackson unit")
     cfg = {"tolerance": tolerance}
-    return _report("qspecial", worst, tolerance, loc, cfg, t0)
+    return _scan_report("qspecial", pairs(), tolerance, cfg, t0)

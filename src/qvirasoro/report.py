@@ -4,6 +4,13 @@ Every checker in :mod:`qvirasoro.relations` and
 :mod:`qvirasoro.correlators` returns a :class:`CheckReport`.  The CLI
 serializes these to JSON/CSV; tests assert on ``passed`` and
 ``residual``.
+
+The scalar and data-level checks yield (residual, location) pairs to
+``_scan_report``.  A pole, a divergent sum or an overflow while they are
+drawn makes the check inconclusive.  Otherwise the largest numeric
+residual (the first among equals) fails it above the tolerance, and
+else a NaN residual, which decides nothing, makes it inconclusive
+(``_worst``; the operator checks' tables use it too).
 """
 
 from __future__ import annotations
@@ -11,7 +18,9 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, Iterable
+
+from .errors import ConvergenceError, PoleError
 
 
 @dataclass
@@ -74,3 +83,33 @@ def _report(identity, residual, tolerance, loc, config, t0, notes=(), status="")
         status=status,
         runtime_ms=(time.perf_counter() - t0) * 1e3,
     )
+
+
+def _worst(pairs: Iterable[tuple[float, str]], tolerance: float) -> tuple[float, str]:
+    """The largest numeric residual of (residual, location) pairs and its
+    location (the first among equals; 0.0 and "" for none), unless it is
+    within the tolerance and some residual is NaN: then NaN at the first
+    NaN's location."""
+    worst, loc, nan_loc = 0.0, "", None
+    for d, where in pairs:
+        if d > worst:
+            worst, loc = d, where
+        elif nan_loc is None and math.isnan(d):
+            nan_loc = where
+    if nan_loc is None or worst > tolerance:
+        return worst, loc
+    return math.nan, nan_loc
+
+
+def _scan_report(identity, pairs, tolerance, config, t0, notes=()):
+    """Report of the (residual, location) pairs a check yields, by the
+    rule of the module docstring; ``notes`` is read once the pairs are
+    drawn, so a check may append to it while yielding."""
+    try:
+        residual, loc = _worst(pairs, tolerance)
+    except (PoleError, ConvergenceError, OverflowError) as exc:
+        residual, loc = math.nan, str(exc)
+    if math.isnan(residual):
+        status = "inconclusive"
+        return _report(identity, math.inf, tolerance, loc, config, t0, notes, status)
+    return _report(identity, residual, tolerance, loc, config, t0, notes)

@@ -58,6 +58,16 @@ class TestExitStatus:
         assert lines[-1] == "18 checks: 16 passed, 0 failed, 2 inconclusive"
         assert "[INCONCLUSIVE] four-point" in out and "pole" in out
 
+    def test_overflowing_connection_is_inconclusive(self, capsys):
+        # Gamma_q(a + b) once underflowed here, and beta_q's division by
+        # it escaped as a ZeroDivisionError traceback
+        code, out, err = run_cli(
+            capsys, "verify", "--suite", "connection", "--q", "0.4", "--t", "0.02",
+            "--L", "10",
+        )
+        assert code == 2
+        assert "[INCONCLUSIVE] connection" in out and err == ""
+
     def test_pole_in_one_suite_keeps_the_other_records(self, capsys):
         # t = q^{3/2}: the composite exchange's product form has a pole at
         # its support; that suite alone becomes inconclusive
@@ -278,6 +288,27 @@ class TestEval:
         assert code == 1
         assert out == ""
         assert ">= 1" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("screening-wave", "--q", "0.49", "--t", "0.7", "--x", "0.3", "--r", "nan"),
+            ("four-point", "--q", "0.49", "--t", "0.7", "--z", "1", "--w", "0.4",
+             "--L", "nan"),
+            ("phi21", "--a", "0.3", "--b", "0.5", "--c", "0.8", "--q", "0.5",
+             "--z", "inf"),
+            ("gamma-q", "--x=-inf", "--q", "0.5"),
+        ],
+        ids=["r-nan", "L-nan", "z-inf", "x-minus-inf"],
+    )
+    def test_non_finite_flag_is_config_error(self, capsys, argv):
+        # --r nan once printed a value and --L nan a convergence error
+        with pytest.raises(SystemExit) as exc:
+            main(["eval", *argv])
+        assert exc.value.code == 3
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert "expected a finite number" in out.err
 
     def test_negative_qpoch_length_is_config_error(self, capsys):
         code, out, err = run_cli(

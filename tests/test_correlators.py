@@ -1,6 +1,7 @@
 """Four-point functions, their closed forms, and the connection matrix."""
 
 import math
+import time
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from oracles import four_point_lattice
 from qvirasoro.errors import ConvergenceError, PoleError, QVirasoroError, RegimeError
 from qvirasoro import correlators
 from qvirasoro.qspecial import QParams
+from qvirasoro.report import _scan_report
 from qvirasoro.voa import ProductForm, pair_correlation_log_rule
 from qvirasoro.correlators import (
     CorrelatorParams,
@@ -262,3 +264,58 @@ class TestConnection:
         # negative control then cannot fail and the check refuses to pass
         rep = check_connection_formula(P1, L=1.0 / P1.beta - 1.0)
         assert not rep.passed
+
+
+class TestVerdictScan:
+    """The one verdict rule of the scalar and data-level checks."""
+
+    @staticmethod
+    def scan(pairs, tolerance=1e-8):
+        return _scan_report("demo", pairs, tolerance, {}, time.perf_counter())
+
+    def test_nan_loses_to_a_failing_pair(self):
+        rep = self.scan([(1e-12, "a"), (math.nan, "b"), (1e-3, "c")])
+        assert rep.status == "fail"
+        assert (rep.residual, rep.worst_location) == (1e-3, "c")
+
+    def test_nan_decides_nothing(self):
+        rep = self.scan([(1e-12, "a"), (math.nan, "b"), (math.nan, "c")])
+        assert rep.status == "inconclusive"
+        assert math.isinf(rep.residual) and rep.worst_location == "b"
+
+    def test_first_of_equal_residuals_wins(self):
+        rep = self.scan([(0.0, "a"), (1e-12, "b"), (1e-12, "c")])
+        assert rep.passed and rep.worst_location == "b"
+        assert self.scan([]).passed
+
+    @pytest.mark.parametrize(
+        "exc", [PoleError("pole"), ConvergenceError("diverges"), OverflowError("big")]
+    )
+    def test_error_while_drawing_is_inconclusive(self, exc):
+        def pairs():
+            yield 1.0, "a"
+            raise exc
+
+        rep = self.scan(pairs())
+        assert rep.status == "inconclusive"
+        assert math.isinf(rep.residual) and rep.worst_location == str(exc)
+
+    @pytest.mark.parametrize(
+        "check, location",
+        [
+            # Gamma_q(a + b) underflowed and beta_q divided by zero
+            (lambda: check_connection_formula(QParams(0.4, 0.02), 1, 10.0), "u=0"),
+            # (1 - Q)^{1 - z} overflowed inside Gamma_q; now both branches
+            # are infinite and their difference is NaN
+            (lambda: check_four_point(QParams(0.98, 0.1), 2, -3.0), "branch=plus"),
+            # the double-base reference product hits a pole
+            (lambda: check_two_point(QParams(0.95, 0.98), 2), "pole"),
+        ],
+        ids=["connection", "four-point", "two-point"],
+    )
+    def test_points_that_raised_are_inconclusive(self, check, location):
+        rep = check()
+        assert rep.status == "inconclusive", rep.summary_line()
+        assert math.isinf(rep.residual)
+        assert location in rep.worst_location
+

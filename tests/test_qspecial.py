@@ -99,6 +99,33 @@ class TestGammaBeta:
         expect = gamma_q(a, q) * gamma_q(b, q) / gamma_q(a + b, q)
         assert beta_q(a, b, q) == pytest.approx(expect, rel=1e-13)
 
+    @pytest.mark.parametrize(
+        "a, b, q",
+        [
+            (0.8, 0.55, 0.52),
+            (200.5, 0.5, 0.3),
+            (-40.5, 0.3, 0.7),
+            (50.23294870517708, -3.26941239209809, 0.4),
+            (45.89056748035484, -133.67170244106453, 0.9830475724915585),
+        ],
+    )
+    def test_beta_agrees_with_gamma_ratio_where_finite(self, a, b, q):
+        expect = gamma_q(a, q) * gamma_q(b, q) / gamma_q(a + b, q)
+        assert beta_q(a, b, q) == pytest.approx(expect, rel=1e-12)
+
+    def test_beta_where_the_gamma_power_overflows(self):
+        # the plus branch of the four-point closed form at (0.95, 0.1),
+        # ell 3, L -1: (1 - q)^{1 - a} overflows inside Gamma_q(a), but
+        # the three powers cancel in the q-beta function
+        a, b, q = 223.45283740177422, -133.67170244106453, 0.9830475724915585
+        with pytest.raises(OverflowError):
+            gamma_q(a, q)
+        val = beta_q(a, b, q)
+        assert math.isfinite(val) and val != 0.0
+        # B(a + 1, b) = B(a, b) (1 - q^a) / (1 - q^{a+b})
+        step = (1.0 - q**a) / (1.0 - q ** (a + b))
+        assert beta_q(a + 1.0, b, q) == pytest.approx(val * step, rel=1e-12)
+
     def test_beta_pole_propagates(self):
         with pytest.raises(PoleError):
             beta_q(0.0, 0.5, 0.6)

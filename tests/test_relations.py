@@ -1,11 +1,14 @@
 """Operator-identity checkers at generic parameter points and momenta."""
 
 import math
+import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from qvirasoro import relations
+from qvirasoro.fock import PartitionBasis
 from qvirasoro.qspecial import QParams
 from qvirasoro.relations import (
     check_adjoint_shift,
@@ -158,6 +161,44 @@ def test_zero_against_zero_is_inconclusive():
     assert rep.status == "inconclusive"
     assert math.isinf(rep.residual)
     assert any("vacuous" in note for note in rep.notes)
+
+
+def _compare_tables(triples):
+    basis = PartitionBasis(P, 2)
+    compared = relations._table_residual(triples, basis, 1e-8)
+    return relations._compared_report("tables", compared, 1e-8, {}, time.perf_counter())
+
+
+def test_nan_table_is_inconclusive():
+    # `m > worst` is false for a NaN maximum, so such a table was skipped
+    # and the finite one alone passed the check
+    ones = np.ones((3, 3))
+    holed = ones.copy()
+    holed[1, 0] = math.nan
+    rep = _compare_tables([("key=0", ones, ones), ("key=1", holed, ones)])
+    assert rep.status == "inconclusive", rep.summary_line()
+    assert math.isinf(rep.residual)
+    assert rep.worst_location.startswith("key=1 bra=")
+
+
+def test_nan_table_loses_to_a_failing_table():
+    ones = np.ones((3, 3))
+    holed = np.full((3, 3), math.nan)
+    rep = _compare_tables([("key=0", holed, ones), ("key=1", 2 * ones, ones)])
+    assert rep.status == "fail", rep.summary_line()
+    assert rep.worst_location.startswith("key=1 bra=")
+
+
+@pytest.mark.parametrize("check", [check_fusion, check_argument_shift])
+def test_nan_vertex_data_is_inconclusive(monkeypatch, check):
+    # max(worst, nan) keeps worst, so NaN vertex data once compared equal
+    exact = relations.merge_vertices
+    monkeypatch.setattr(
+        relations, "merge_vertices", lambda vs: replace(exact(vs), scalar=math.nan)
+    )
+    rep = check(1, P)
+    assert rep.status == "inconclusive", rep.summary_line()
+    assert math.isinf(rep.residual)
 
 
 def test_perturbed_kernel_constant_fails(monkeypatch):
