@@ -303,16 +303,15 @@ def _resolve(args: argparse.Namespace) -> tuple[SuiteConfig, str]:
         flag = getattr(args, key, None)
         if flag is not None and flag is not False:
             merged[key] = flag
-    expanded: list[str] = []
-    for s in merged["suite"]:
-        expanded.extend(x.strip() for x in str(s).split(",") if x.strip())
+    # flags, like the environment and the file, may give comma-separated lists
+    expanded = _parse_value("suite", ",".join(merged["suite"]))
     if "all" in expanded:
         expanded = list(SUITES)
     unknown = [s for s in expanded if s not in SUITES]
-    if unknown:
+    if unknown or not expanded:
+        what = f"unknown suite(s) {', '.join(unknown)}" if unknown else "no suite selected"
         raise ConfigError(
-            f"unknown suite(s) {', '.join(unknown)}; valid names: "
-            + ", ".join(sorted(SUITES)) + ", all"
+            f"{what}; valid names: " + ", ".join(sorted(SUITES)) + ", all"
         )
     cfg = SuiteConfig(
         q=float(merged["q"]),

@@ -171,12 +171,6 @@ class OperatorSum:
     label: str
     terms: list[NormalOrderedVertex]
 
-    def momentum_shift(self) -> float:
-        shifts = {round(v.momentum_shift(), 12) for v in self.terms}
-        if len(shifts) != 1:
-            raise QVirasoroError("sum terms carry different charges")
-        return self.terms[0].momentum_shift()
-
 
 def vertex_data_distance(
     a: NormalOrderedVertex, b: NormalOrderedVertex, order: int
@@ -203,11 +197,10 @@ def vertex_data_distance(
 @dataclass
 class CoeffTable:
     """Monomial table of a matrix element: entries[k] is the coefficient
-    of var^{k + offset}."""
+    of z^{k + offset}, z the operator's formal variable."""
 
     entries: dict[int, float]
     offset: float = 0.0
-    var: str = "z"
 
 
 # ---------------------------------------------------------------------------
@@ -223,10 +216,11 @@ RemovalTable = namedtuple(
 def removal_table(max_degree: int) -> RemovalTable:
     """What an annihilation exponential can remove from each state of the
     basis of degree <= max_degree, as flat arrays over every (state,
-    sub-multiset) pair: ``sup`` indexes the state, ``sub`` what remains of
-    it, ``take[:, n - 1]`` counts the h_{-n} removed, ``binom`` is
-    prod_n C(m_n, take_n) and ``fact`` prod_n take_n!.  Parameter-free, so
-    built once per degree and shared, read-only, by its bases."""
+    sub-multiset) pair: ``sup`` indexes the state, in ascending order,
+    ``sub`` what remains of it (sub <= sup), ``take[:, n - 1]`` counts the
+    h_{-n} removed, ``binom`` is prod_n C(m_n, take_n) and ``fact`` prod_n
+    take_n!.  Parameter-free, so built once per degree and shared,
+    read-only, by its bases."""
     states = tuple(
         lam for d in range(max_degree + 1) for lam in sorted(partitions_of(d))
     )
@@ -284,25 +278,35 @@ class PartitionBasis:
         return self.weigh(block, lambda d: xi ** (d + vertex.h0_power * momentum))
 
     def application_matrix(
-        self, vertex: NormalOrderedVertex, momentum: float
+        self, vertex: NormalOrderedVertex, momentum: float, rows=None, cols=None
     ) -> np.ndarray:
-        """Matrix M with X(z)|momentum, lam> = sum_mu M[mu,lam]
-        z^{(deg mu - deg lam) + h0_power*momentum}
-        |momentum + charge/2, mu>.
+        """Leading block M[:rows, :cols] (by default all of it) of the matrix
+        M with X(z)|momentum, lam> = sum_mu M[mu,lam]
+        z^{(deg mu - deg lam) + h0_power*momentum} |momentum + charge/2, mu>.
 
-        Exact on the truncated basis: the annihilation exponential
-        cannot leave it, and creation beyond max_degree is dropped
-        (callers size the basis so dropped states never matter for the
-        compared corner).
+        M = cre @ ann, and annihilation lowers the degree while creation
+        raises it, so the block is cre[:rows, :m] @ ann[:m, :cols] with
+        m = min(rows, cols): c^2 N work and N c memory for a corner of c
+        states.  Exact on the truncated basis: the annihilation
+        exponential cannot leave it, and creation beyond max_degree is
+        dropped (callers size the basis so dropped states never matter
+        for the compared corner).
         """
+        rows = self.size if rows is None else rows
+        cols = self.size if cols is None else cols
+        m = min(rows, cols)
         r = self.removals
         modes = range(1, self.max_degree + 1)
         a = np.array([vertex.mode_rule(n) for n in modes]) * self.cn
         b = np.array([vertex.mode_rule(-n) for n in modes])
-        ann = np.zeros((self.size, self.size))
-        cre = np.zeros_like(ann)
-        ann[r.sub, r.sup] = r.binom * np.prod(a**r.take, axis=1)
-        cre[r.sup, r.sub] = np.prod(b**r.take, axis=1) / r.fact
+        # the pairs of ann's block (sup < cols) and cre's (sup < rows)
+        # with sub < m; the pairs run in sup order, with sub <= sup
+        i = np.flatnonzero(r.sub[: np.searchsorted(r.sup, cols)] < m)
+        j = np.flatnonzero(r.sub[: np.searchsorted(r.sup, rows)] < m)
+        ann = np.zeros((m, cols))
+        cre = np.zeros((rows, m))
+        ann[r.sub[i], r.sup[i]] = r.binom[i] * np.prod(a ** r.take[i], axis=1)
+        cre[r.sup[j], r.sub[j]] = np.prod(b ** r.take[j], axis=1) / r.fact[j]
         return vertex.zero_mode_factor(momentum) * (cre @ ann)
 
 
@@ -321,11 +325,10 @@ def matrix_element(
         raise TruncationError("state degree exceeds the basis window")
     if abs(bra.momentum - (ket.momentum + op.momentum_shift())) > MOMENTUM_TOL:
         return CoeffTable(entries={})
-    mat = basis.application_matrix(op, ket.momentum)
     ib = basis.index[bra.partition]
     ik = basis.index[ket.partition]
+    # the leading block that ends at the one entry
+    mat = basis.application_matrix(op, ket.momentum, ib + 1, ik + 1)
     val = gram_norm(bra.partition, basis.params) * mat[ib, ik]
     key = bra.degree - ket.degree
-    return CoeffTable(
-        entries={key: val}, offset=op.h0_power * ket.momentum, var="z"
-    )
+    return CoeffTable(entries={key: val}, offset=op.h0_power * ket.momentum)

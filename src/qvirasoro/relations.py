@@ -3,9 +3,11 @@
 Both sides of an operator identity in two formal variables (z for the
 current insertion, w for the vertex) become finite matrices, in one of
 two views.  Only the compared corner (bra and ket degree <= degree_cap,
-the leading states of the degree-ordered basis) is built, each table as
-one product of corner-sliced operators weighted entrywise by degree
-difference; the internal basis reaches the largest degree an
+the c leading states of the degree-ordered basis) is built, each table
+as one product of leading blocks of the operators, X[:c], X[:, :c],
+Y[:c], Y[:, :c] and W[:c, :c] (``application_matrix`` with rows and
+cols; ``_operands``), weighted entrywise by degree difference; no N x N
+matrix is formed.  The internal basis reaches the largest degree an
 intermediate state that contributes can have, so the corner is exact.
 
 * Keys (``_exchange_check``): one table per w-exponent relative to the
@@ -80,10 +82,11 @@ __all__ = [
 # Table assembly
 
 
-def _app(basis: PartitionBasis, op, momentum: float) -> np.ndarray:
+def _app(basis: PartitionBasis, op, momentum: float, rows=None, cols=None):
+    """Leading block [:rows, :cols] of the matrix of a vertex or a sum."""
     if isinstance(op, OperatorSum):
-        return sum(basis.application_matrix(v, momentum) for v in op.terms)
-    return basis.application_matrix(op, momentum)
+        return sum(basis.application_matrix(v, momentum, rows, cols) for v in op.terms)
+    return basis.application_matrix(op, momentum, rows, cols)
 
 
 def _kernel(g: np.ndarray, s: int, a: float = 1.0) -> float:
@@ -113,18 +116,11 @@ def _exchange_check(
     key k weighs the first term by g_s at s = k - (deg nu - deg lambda),
     the second by g_s at s = (deg mu - deg nu) - k - twist, and reads a
     delta term as K c^k c^{-(deg mu - deg lambda)} Theta_xi W."""
-    D = degree_cap + window + abs(twist)
-    basis = PartitionBasis(params, D)
-    c = basis.corner(degree_cap)
-    gc = g(2 * D + window + 2).c
-    y_app = _app(basis, y, momentum)
-    deltas = [
-        (K, s, basis.weigh(w, lambda d: s**-d))
-        for K, s, w in _shifted_terms(basis, c, y, y_app, terms, momentum)
-    ]
-    x_left = _app(basis, x, momentum + y.momentum_shift())[:c]
-    x_right = _app(basis, x, momentum)[:, :c]
-    y_in, y_out = y_app[:, :c], y_app[:c]
+    basis, x_left, y_in, y_out, x_right, shifted = _operands(
+        params, x, y, terms, degree_cap, window + abs(twist), momentum
+    )
+    gc = g(2 * basis.max_degree + window + 2).c
+    deltas = [(K, s, basis.weigh(w, lambda d: s**-d)) for K, s, w in shifted]
     sign = (-1.0) ** twist
 
     def triples():
@@ -137,28 +133,34 @@ def _exchange_check(
     return _table_residual(triples(), basis, tolerance)
 
 
-def _shifted_terms(basis, c, y, y_app, terms, momentum):
-    """(K, c, Theta_xi W) on the corner of c states for each delta term
-    (K, c, xi, W), Theta_xi the degree weight ``basis.theta`` on W's own
-    matrix: Y's matrix ``y_app`` where W is Y, each other W applied once."""
-    apps = {id(y): y_app[:c, :c]}
-    for *_, w in terms:
-        if id(w) not in apps:
-            # a copy, so that W's full matrix is freed at once
-            apps[id(w)] = _app(basis, w, momentum)[:c, :c].copy()
-    return [(K, s, basis.theta(apps[id(w)], w, xi, momentum)) for K, s, xi, w in terms]
+def _operands(params, x, y, terms, degree_cap, reach, momentum):
+    """The basis of degree degree_cap + reach and the blocks that the
+    combination of ``_exchange_check`` multiplies, c being the size of its
+    corner: X[:c] at Y's outgoing momentum, Y[:, :c], Y[:c], X[:, :c], and
+    (K, c, Theta_xi W[:c, :c]) per delta term (K, c, xi, W)."""
+    basis = PartitionBasis(params, degree_cap + reach)
+    c = basis.corner(degree_cap)
+    x_left = _app(basis, x, momentum + y.momentum_shift(), rows=c)
+    y_in = _app(basis, y, momentum, cols=c)
+    y_out = _app(basis, y, momentum, rows=c)
+    x_right = _app(basis, x, momentum, cols=c)
+    deltas = [
+        (K, s, basis.theta(_app(basis, w, momentum, c, c), w, xi, momentum))
+        for K, s, xi, w in terms
+    ]
+    return basis, x_left, y_in, y_out, x_right, deltas
 
 
-def _mode_table(basis, c, x_left, y, x_right, g, n, twist=0, a=1.0):
+def _mode_table(basis, x_left, y_in, y_out, x_right, g, n, twist=0, a=1.0):
     """Corner table of the z^{-n} mode of the combination of
-    ``_exchange_check``, Y's argument scaled by a (folded into ``y``), from
-    full application matrices and structure series coefficients ``g``:
+    ``_exchange_check``, Y's argument scaled by a (folded into Y), from
+    the blocks of ``_operands`` and structure series coefficients ``g``:
     the first term is weighted by g_s a^s at s = n + (deg mu - deg nu),
     the second by g_s a^-s at s = -(deg nu - deg lambda) - n - twist."""
-    up = basis.weigh(x_left[:c], lambda d: _kernel(g, d + n, a))
-    down = basis.weigh(x_right[:, :c], lambda d: _kernel(g, -d - n - twist, 1.0 / a))
+    up = basis.weigh(x_left, lambda d: _kernel(g, d + n, a))
+    down = basis.weigh(x_right, lambda d: _kernel(g, -d - n - twist, 1.0 / a))
     sign = (-1.0) ** twist * a ** (-twist)
-    return up @ y[:, :c] - sign * (y[:c] @ down)
+    return up @ y_in - sign * (y_out @ down)
 
 
 def _table_residual(triples, basis: PartitionBasis, tolerance: float):
@@ -231,7 +233,8 @@ def check_defining_relation(
     D = degree_cap + max_mode
     basis = PartitionBasis(params, D)
     c = basis.corner(degree_cap)
-    t_tot = _app(basis, build_current(params), momentum)
+    cur = build_current(params)
+    t_out, t_in = _app(basis, cur, momentum, rows=c), _app(basis, cur, momentum, cols=c)
     f = structure_series(StructureFunctionSpec("current"), params, 2 * D + 2).c
 
     q, t, p = params.q, params.t, params.p
@@ -251,7 +254,7 @@ def check_defining_relation(
         # every m: with mu the bra and lambda the ket,
         # m = -(deg mu - deg lambda) - n.
         for n in range(-max_mode, max_mode + 1):
-            both = _mode_table(basis, c, t_tot, t_tot, t_tot, f, n)
+            both = _mode_table(basis, t_out, t_in, t_out, t_in, f, n)
             for m in range(-max_mode, max_mode + 1):
                 acc = basis.weigh(both, lambda d: float(d == -(n + m)))
                 rhs = central(n) * ident if n + m == 0 else 0.0 * ident
@@ -280,12 +283,9 @@ def check_screening_relation(
     the paper's (1 - base Theta_base) of the first term."""
     t0 = time.perf_counter()
     scr = build_screening(sign, params)
-    if sign == +1:
-        base, other = params.q, params.t
-        lam = build_lambda(-1, params)
-    else:
-        base, other = params.t, params.q
-        lam = build_lambda(+1, params)
+    # S^+ meets Lambda^- under a q-difference, S^- meets Lambda^+ under a t one
+    base, other = (params.q, params.t) if sign == +1 else (params.t, params.q)
+    lam = build_lambda(-sign, params)
     c = base**-0.5
     w = merge_vertices([lam.at_scale(c), scr])
     K = -(1.0 - 1.0 / other)
@@ -414,24 +414,20 @@ def check_adjoint_shift(
     t0 = time.perf_counter()
     nmax = max(abs(int(n)) for n in modes)
     twist = 2 - ell
-    D = degree_cap + nmax + abs(twist)
-    basis = PartitionBasis(params, D)
-    c = basis.corner(degree_cap)
     y = build_vertex(ell, 0, params).at_scale(scale)
-    cur = build_current(params)
-    # weigh() looks the kernel up at every degree difference in [-D, D]
-    g = structure_series(StructureFunctionSpec("exchange", ell, 0), params, 2 * D).c
-    y_app = _app(basis, y, momentum)
-    x_left = _app(basis, cur, momentum + y.momentum_shift())
-    x_right = _app(basis, cur, momentum)
     # each delta term read per z^{-n} mode as K c^n Theta_xi V
-    terms = _current_deltas(ell, params, y)
-    deltas = _shifted_terms(basis, c, y, y_app, terms, momentum)
+    basis, *blocks, deltas = _operands(
+        params, build_current(params), y, _current_deltas(ell, params, y),
+        degree_cap, nmax + abs(twist), momentum,
+    )
+    # weigh() looks the kernel up at every degree difference in [-D, D]
+    D = basis.max_degree
+    g = structure_series(StructureFunctionSpec("exchange", ell, 0), params, 2 * D).c
 
     def triples():
         for n in modes:
             n = int(n)
-            lhs = _mode_table(basis, c, x_left, y_app, x_right, g, n, twist, scale)
+            lhs = _mode_table(basis, *blocks, g, n, twist, scale)
             rhs = scale**n * sum(K * s**n * w for K, s, w in deltas)
             yield f"mode={n}", lhs, rhs
 

@@ -217,3 +217,24 @@ class TestMatrixEngine:
             perm = [basis.index[lam] for lam in states]
             got = basis.application_matrix(vertex, 0.37)[np.ix_(perm, perm)]
             assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize(
+        "params", [QParams(0.49, 0.7), QParams(0.9, 0.2)], ids=["p<1", "p>1"]
+    )
+    def test_application_matrix_block_is_the_leading_block(self, params):
+        # the corner of degree <= 3 leads the degree-6 basis; 10 and 5
+        # states end inside degrees 4 and 3
+        basis = PartitionBasis(params, 6)
+        c, n = basis.corner(3), basis.size
+        for vertex in (
+            build_lambda(-1, params),
+            build_screening(+1, params),
+            build_vertex(2, 1, params),
+        ):
+            full = basis.application_matrix(vertex, 0.37)
+            assert full.shape == (n, n)
+            for rows, cols in ((c, n), (n, c), (c, c), (10, 5)):
+                got = basis.application_matrix(vertex, 0.37, rows, cols)
+                want = full[:rows, :cols]
+                assert got.shape == want.shape
+                assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))

@@ -235,6 +235,40 @@ def test_perturbed_delta_constant_fails(monkeypatch, check, ell):
     assert rep.status == "fail", rep.summary_line()
 
 
+OPERATOR_CHECKS_AT_CAP_6 = {
+    "defining-relation": lambda: check_defining_relation(P, 6, 3),
+    "screening": lambda: check_screening_relation(P, +1, 6, 3),
+    "screening-mirror": lambda: check_screening_relation(P, -1, 6, 3),
+    "vertex-exchange": lambda: check_vertex_exchange(2, P, "plain", 6, 3),
+    "vertex-exchange-theta": lambda: check_vertex_exchange(2, P, "theta", 6, 3),
+    "vertex-exchange-mirror": lambda: check_vertex_exchange(2, P, "mirror", 6, 3),
+    "current-vertex-exchange": lambda: check_current_vertex_exchange(2, P, 6, 3),
+    "adjoint-shift": lambda: check_adjoint_shift(2, P, degree_cap=6),
+    "exchange-rewrite": lambda: check_exchange_rewrite(2, P, 6, 3),
+    "composite-exchange": lambda: check_composite_exchange(2, 1, P, 6, 3),
+}
+
+
+@pytest.mark.parametrize("name", list(OPERATOR_CHECKS_AT_CAP_6))
+def test_operator_checks_build_no_full_matrix(monkeypatch, name):
+    # every block a check applies has the compared corner as one side
+    shapes = []
+    exact = PartitionBasis.application_matrix
+
+    def recording(self, *args, **kwargs):
+        block = exact(self, *args, **kwargs)
+        shapes.append((block.shape, self.size))
+        return block
+
+    monkeypatch.setattr(PartitionBasis, "application_matrix", recording)
+    rep = OPERATOR_CHECKS_AT_CAP_6[name]()
+    assert rep.passed, rep.summary_line()
+    c = PartitionBasis(P, 6).corner(6)
+    assert shapes
+    for shape, size in shapes:
+        assert c in shape and size > c, (shape, size)
+
+
 @pytest.mark.parametrize("ell", [1, 2, 3])
 def test_fusion(ell):
     rep = check_fusion(ell, P)
