@@ -40,15 +40,14 @@ import json
 import math
 import os
 import sys
-import time
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import correlators, qspecial, relations
-from .errors import ConfigError, ConvergenceError, PoleError, QVirasoroError
+from .errors import ConfigError, QVirasoroError
 from .qspecial import QParams
-from .report import CheckReport, _report
+from .report import CheckReport
 
 DEFAULTS = {
     "q": 0.49,
@@ -124,119 +123,62 @@ class SuiteConfig:
 # Suite registry
 
 
-# name -> (default tolerance, call(cfg, tol) returning the reports).
+# name -> call(cfg, **tol) returning the reports, tol holding ``tolerance``
+# only when --tol is set, so each check's own default is the only copy.
 # Each call looks its checker up on the module when it runs, so a
 # wrapper installed on the module attribute sees every check.
 SUITES = {
-    "defining-relation": (
-        1e-8,
-        lambda c, tol: [
-            relations.check_defining_relation(
-                c.params, c.degree, c.window, tolerance=tol
-            )
-        ],
-    ),
-    "screening": (
-        1e-8,
-        lambda c, tol: [
-            relations.check_screening_relation(
-                c.params, +1, c.degree, c.window, tolerance=tol
-            )
-        ],
-    ),
-    "screening-mirror": (
-        1e-8,
-        lambda c, tol: [
-            relations.check_screening_relation(
-                c.params, -1, c.degree, c.window, tolerance=tol
-            )
-        ],
-    ),
-    "vertex-exchange": (
-        1e-8,
-        lambda c, tol: [
-            relations.check_vertex_exchange(
-                c.label, c.params, v, c.degree, c.window, tolerance=tol
-            )
-            for v in ("plain", "theta", "mirror")
-        ],
-    ),
-    "current-vertex-exchange": (
-        1e-8,
-        lambda c, tol: [
-            relations.check_current_vertex_exchange(
-                c.label, c.params, c.degree, c.window, tolerance=tol
-            )
-        ],
-    ),
-    "adjoint-shift": (
-        1e-8,
-        lambda c, tol: [
-            relations.check_adjoint_shift(
-                c.label, c.params, range(-c.window, c.window + 1), c.degree,
-                tolerance=tol,
-            )
-        ],
-    ),
-    "exchange-rewrite": (
-        1e-8,
-        lambda c, tol: [
-            relations.check_exchange_rewrite(
-                c.label, c.params, c.degree, c.window, tolerance=tol
-            )
-        ],
-    ),
-    "composite-exchange": (
-        1e-8,
-        lambda c, tol: [
-            relations.check_composite_exchange(
-                c.label, max(c.k, 1), c.params, c.degree, c.window, tolerance=tol
-            )
-        ],
-    ),
-    "fusion": (
-        1e-10,
-        lambda c, tol: [relations.check_fusion(c.label, c.params, tolerance=tol)],
-    ),
-    "argument-shift": (
-        1e-10,
-        lambda c, tol: [
-            relations.check_argument_shift(c.label, c.params, tolerance=tol)
-        ],
-    ),
-    "delta-identity": (
-        1e-10,
-        lambda c, tol: [
-            relations.check_delta_identity(
-                np.random.default_rng(c.seed), tolerance=tol
-            )
-        ],
-    ),
-    "qspecial": (1e-12, lambda c, tol: [relations.check_qspecial(tolerance=tol)]),
-    "two-point": (
-        1e-12,
-        lambda c, tol: [correlators.check_two_point(c.params, c.label, tolerance=tol)],
-    ),
-    "four-point": (
-        1e-8,
-        lambda c, tol: [
-            correlators.check_four_point(c.params, c.label, c.L, tolerance=tol)
-        ],
-    ),
-    "pseudo-constant": (
-        1e-10,
-        lambda c, tol: [
-            correlators.check_pseudo_constant(c.params, c.label, tolerance=tol)
-        ],
-    ),
-    "connection": (
-        1e-6,
-        lambda c, tol: [
-            correlators.check_connection_formula(
-                c.params, c.label, c.L, c.r, tolerance=tol
-            )
-        ],
-    ),
+    "defining-relation": lambda c, **tol: [
+        relations.check_defining_relation(c.params, c.degree, c.window, **tol)
+    ],
+    "screening": lambda c, **tol: [
+        relations.check_screening_relation(c.params, +1, c.degree, c.window, **tol)
+    ],
+    "screening-mirror": lambda c, **tol: [
+        relations.check_screening_relation(c.params, -1, c.degree, c.window, **tol)
+    ],
+    "vertex-exchange": lambda c, **tol: [
+        relations.check_vertex_exchange(c.label, c.params, v, c.degree, c.window, **tol)
+        for v in ("plain", "theta", "mirror")
+    ],
+    "current-vertex-exchange": lambda c, **tol: [
+        relations.check_current_vertex_exchange(
+            c.label, c.params, c.degree, c.window, **tol
+        )
+    ],
+    "adjoint-shift": lambda c, **tol: [
+        relations.check_adjoint_shift(
+            c.label, c.params, range(-c.window, c.window + 1), c.degree, **tol
+        )
+    ],
+    "exchange-rewrite": lambda c, **tol: [
+        relations.check_exchange_rewrite(c.label, c.params, c.degree, c.window, **tol)
+    ],
+    "composite-exchange": lambda c, **tol: [
+        relations.check_composite_exchange(
+            c.label, max(c.k, 1), c.params, c.degree, c.window, **tol
+        )
+    ],
+    "fusion": lambda c, **tol: [relations.check_fusion(c.label, c.params, **tol)],
+    "argument-shift": lambda c, **tol: [
+        relations.check_argument_shift(c.label, c.params, **tol)
+    ],
+    "delta-identity": lambda c, **tol: [
+        relations.check_delta_identity(np.random.default_rng(c.seed), **tol)
+    ],
+    "qspecial": lambda c, **tol: [relations.check_qspecial(**tol)],
+    "two-point": lambda c, **tol: [
+        correlators.check_two_point(c.params, c.label, **tol)
+    ],
+    "four-point": lambda c, **tol: [
+        correlators.check_four_point(c.params, c.label, c.L, **tol)
+    ],
+    "pseudo-constant": lambda c, **tol: [
+        correlators.check_pseudo_constant(c.params, c.label, **tol)
+    ],
+    "connection": lambda c, **tol: [
+        correlators.check_connection_formula(c.params, c.label, c.L, c.r, **tol)
+    ],
 }
 
 
@@ -248,10 +190,12 @@ def _parse_value(key: str, raw: str):
     raw = raw.strip()
     if key == "r" and raw.lower() in ("auto", "none"):
         return None
-    if key in _INT_KEYS:
-        return int(raw)
-    if key in _FLOAT_KEYS:
-        return float(raw)
+    for keys, kind in ((_INT_KEYS, int), (_FLOAT_KEYS, float)):
+        if key in keys:
+            try:
+                return kind(raw)
+            except ValueError:
+                raise ConfigError(f"{kind.__name__} key {key!r} got {raw!r}") from None
     if key in _BOOL_KEYS:
         if raw.lower() in ("1", "true", "yes", "on"):
             return True
@@ -361,30 +305,18 @@ def emit_report(reports: list[CheckReport], cfg: SuiteConfig, fmt: str) -> str:
     if fmt == "json":
         return json.dumps([_record(r, cfg) for r in reports], indent=2)
     if fmt == "csv":
-        buf = io.StringIO()
-        cols = [
-            "identity",
-            "pass",
-            "residual",
-            "tolerance",
-            "worst_location",
-            "q",
-            "t",
-            "ell",
-            "k",
-            "L",
-            "r",
-            "seed",
-            "degree",
-            "window",
-            "runtime_ms",
-        ]
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(cols)
+        rows = []
         for r in reports:
-            rec = _record(r, cfg)
-            flat = {**rec, **rec["params"], **rec["truncation"]}
-            writer.writerow([repr(flat[c]) if isinstance(flat[c], float) else flat[c] for c in cols])
+            # params and truncation expand in place, in _record's key order
+            row = {}
+            for key, value in _record(r, cfg).items():
+                row.update(value if isinstance(value, dict) else {key: value})
+            rows.append(row)
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(rows[0])
+        for row in rows:
+            writer.writerow([repr(v) if isinstance(v, float) else v for v in row.values()])
         return buf.getvalue().rstrip("\n")
     lines = [r.summary_line() for r in reports]
     n_pass = sum(r.passed for r in reports)
@@ -399,20 +331,10 @@ def emit_report(reports: list[CheckReport], cfg: SuiteConfig, fmt: str) -> str:
 
 def run(cfg: SuiteConfig) -> list[CheckReport]:
     """Execute the selected suites in order; ``--tol`` replaces every
-    suite's default tolerance.  A suite that meets a pole or a divergent
-    sum gives one inconclusive report in place of its records."""
-    reports = []
-    for name in cfg.suites:
-        default_tol, call = SUITES[name]
-        tol = default_tol if cfg.tol is None else cfg.tol
-        t0 = time.perf_counter()
-        try:
-            reports.extend(call(cfg, tol))
-        except (PoleError, ConvergenceError) as exc:
-            reports.append(
-                _report(name, math.inf, tol, str(exc), {}, t0, status="inconclusive")
-            )
-    return reports
+    check's default tolerance.  Each check decides its own verdict, so a
+    pole or a divergent sum makes that check alone inconclusive."""
+    tol = {} if cfg.tol is None else {"tolerance": cfg.tol}
+    return [rep for name in cfg.suites for rep in SUITES[name](cfg, **tol)]
 
 
 def _exit_status(reports: list[CheckReport]) -> int:

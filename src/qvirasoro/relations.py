@@ -30,6 +30,9 @@ K c^k c^{-(deg bra - deg ket)} Theta_xi W, per z^{-n} mode K c^n Theta_xi W.
 A residual is the worst |lhs - rhs| over max(scale, 1), scale being the
 largest |lhs| or |rhs| entry; the control, against (1 + 100 tolerance)
 * rhs, must exceed the tolerance, or else the check is inconclusive.
+Every check yields (residual, location) pairs to ``report._scan_report``
+and computes inside them whatever can meet a pole, so a pole decides
+that check alone.
 """
 
 from __future__ import annotations
@@ -48,7 +51,7 @@ from .fock import (
     vertex_data_distance,
 )
 from .qspecial import QParams
-from .report import CheckReport, _report, _scan_report, _worst
+from .report import CheckReport, _scan_report, _worst
 from .series import Series, check_delta_comb
 from .voa import (
     StructureFunctionSpec,
@@ -100,9 +103,9 @@ def _kernel(g: np.ndarray, s: int, a: float = 1.0) -> float:
 
 
 def _exchange_check(
-    params, x, y, g, twist, terms, degree_cap, window, momentum, tolerance
+    params, x, y, g, twist, terms, degree_cap, window, momentum, tolerance, notes
 ):
-    """The exchange-check skeleton: the ``_table_residual`` comparison of
+    """The exchange-check skeleton: the ``_table_pairs`` of
 
         g(w/z) X(z) Y(w) - Y(w) X(z) (-z/w)^twist g(z/w)
         and  sum_i K_i delta(c_i w/z) W_i(xi_i w),
@@ -130,7 +133,7 @@ def _exchange_check(
             lhs = x_left @ up - sign * (down @ x_right)
             yield f"key={k}", lhs, sum(K * s**k * w for K, s, w in deltas)
 
-    return _table_residual(triples(), basis, tolerance)
+    yield from _table_pairs(triples(), basis, tolerance, notes)
 
 
 def _operands(params, x, y, terms, degree_cap, reach, momentum):
@@ -163,23 +166,31 @@ def _mode_table(basis, x_left, y_in, y_out, x_right, g, n, twist=0, a=1.0):
     return up @ y_in - sign * (y_out @ down)
 
 
-def _table_residual(triples, basis: PartitionBasis, tolerance: float):
-    """Residual of (label, lhs, rhs) triples of corner tables by the rule of
-    ``report._worst`` (a table with a NaN entry counts as NaN), where it
-    occurred, the residual against the control (1 + 100 tolerance) * rhs,
-    and the scale."""
-    pairs, control, scale = [], 0.0, 0.0
+def _table_pairs(triples, basis: PartitionBasis, tolerance: float, notes: list):
+    """(residual, location) pairs of (label, lhs, rhs) triples of corner
+    tables, the worst entry of each over max(scale, 1).  When neither the
+    worst residual nor the control, against (1 + 100 tolerance) * rhs,
+    exceeds the tolerance, the tables cannot tell rhs from its scaled
+    copy: a note says so and a NaN at the worst location follows."""
+    found, control, scale = [], 0.0, 0.0
     for label, a, b in triples:
         diff = np.abs(a - b)
         # argmax points at the first NaN, if any
         i, j = np.unravel_index(int(diff.argmax()), diff.shape)
         where = f"{label} bra={basis.states[i]} ket={basis.states[j]}"
-        pairs.append((float(diff[i, j]), where))
+        found.append((float(diff[i, j]), where))
         control = max(control, float(np.abs(a - (1.0 + 100.0 * tolerance) * b).max()))
         scale = max(scale, float(np.abs(a).max()), float(np.abs(b).max()))
     norm = max(scale, 1.0)
-    residual, loc = _worst([(m / norm, where) for m, where in pairs], tolerance)
-    return residual, loc, control / norm, scale
+    pairs = [(m / norm, where) for m, where in found]
+    yield from pairs
+    residual, loc = _worst(pairs, tolerance)
+    control /= norm
+    if residual <= tolerance and control <= tolerance:
+        notes.append(
+            f"vacuous: residual {residual:.3e}, scale {scale:.3e}, control {control:.3e}"
+        )
+        yield math.nan, loc
 
 
 def _operator_cfg(params, degree_cap, window, momentum, **labels):
@@ -188,24 +199,6 @@ def _operator_cfg(params, degree_cap, window, momentum, **labels):
         "q": params.q, "t": params.t, **labels,
         "degree": degree_cap, "window": window, "momentum": momentum,
     }
-
-
-def _compared_report(name, compared, tolerance, cfg, t0, notes=()):
-    """Report of a (residual, location, control, scale) comparison.  A
-    NaN residual decides nothing, and a control within the tolerance means
-    the comparison cannot tell rhs from rhs scaled by 1 + 100 tolerance, so
-    a residual within it shows nothing: either way the check is
-    inconclusive."""
-    residual, loc, control, scale = compared
-    if math.isnan(residual):
-        note = "NaN residual"
-    elif residual > tolerance or control > tolerance:
-        return _report(name, residual, tolerance, loc, cfg, t0, notes)
-    else:
-        note = f"vacuous: residual {residual:.3e}, scale {scale:.3e}, control {control:.3e}"
-    return _report(
-        name, math.inf, tolerance, loc, cfg, t0, [*notes, note], "inconclusive"
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -260,9 +253,10 @@ def check_defining_relation(
                 rhs = central(n) * ident if n + m == 0 else 0.0 * ident
                 yield f"n={n} m={m}", acc, rhs
 
-    compared = _table_residual(triples(), basis, tolerance)
+    notes = []
+    pairs = _table_pairs(triples(), basis, tolerance, notes)
     cfg = _operator_cfg(params, degree_cap, max_mode, momentum)
-    return _compared_report("defining-relation", compared, tolerance, cfg, t0)
+    return _scan_report("defining-relation", pairs, tolerance, cfg, t0, notes)
 
 
 # ---------------------------------------------------------------------------
@@ -290,13 +284,14 @@ def check_screening_relation(
     w = merge_vertices([lam.at_scale(c), scr])
     K = -(1.0 - 1.0 / other)
     terms = [(K, c, 1.0, w), (-K * base, base * c, base, w)]
-    cur = build_current(params)
-    compared = _exchange_check(
-        params, cur, scr, Series.one, 0, terms, degree_cap, window, momentum, tolerance
+    notes = []
+    pairs = _exchange_check(
+        params, build_current(params), scr, Series.one, 0, terms, degree_cap, window,
+        momentum, tolerance, notes,
     )
     cfg = _operator_cfg(params, degree_cap, window, momentum, sign=sign)
     name = "screening" if sign == +1 else "screening-mirror"
-    return _compared_report(name, compared, tolerance, cfg, t0)
+    return _scan_report(name, pairs, tolerance, cfg, t0, notes)
 
 
 # ---------------------------------------------------------------------------
@@ -346,14 +341,18 @@ def check_vertex_exchange(
     exchange combination collapses to one delta-localized shifted
     vertex."""
     t0 = time.perf_counter()
-    x, y, g, K, c, xi = _exchange_setup(ell, params, variant)
-    compared = _exchange_check(
-        params, x, y, g, 2 - ell, [(K, c, xi, y)], degree_cap, window, momentum,
-        tolerance,
-    )
+    notes = []
+
+    def pairs():
+        x, y, g, K, c, xi = _exchange_setup(ell, params, variant)
+        yield from _exchange_check(
+            params, x, y, g, 2 - ell, [(K, c, xi, y)], degree_cap, window, momentum,
+            tolerance, notes,
+        )
+
     cfg = _operator_cfg(params, degree_cap, window, momentum, ell=ell, variant=variant)
     name = "vertex-exchange" if variant == "plain" else f"vertex-exchange-{variant}"
-    return _compared_report(name, compared, tolerance, cfg, t0)
+    return _scan_report(name, pairs(), tolerance, cfg, t0, notes)
 
 
 def _current_deltas(ell: int, params: QParams, v):
@@ -387,12 +386,13 @@ def check_current_vertex_exchange(
     t0 = time.perf_counter()
     y = build_vertex(ell, 0, params)
     g = partial(structure_series, StructureFunctionSpec("exchange", ell, 0), params)
-    compared = _exchange_check(
+    notes = []
+    pairs = _exchange_check(
         params, build_current(params), y, g, 2 - ell, _current_deltas(ell, params, y),
-        degree_cap, window, momentum, tolerance,
+        degree_cap, window, momentum, tolerance, notes,
     )
     cfg = _operator_cfg(params, degree_cap, window, momentum, ell=ell)
-    return _compared_report("current-vertex-exchange", compared, tolerance, cfg, t0)
+    return _scan_report("current-vertex-exchange", pairs, tolerance, cfg, t0, notes)
 
 
 # ---------------------------------------------------------------------------
@@ -431,11 +431,12 @@ def check_adjoint_shift(
             rhs = scale**n * sum(K * s**n * w for K, s, w in deltas)
             yield f"mode={n}", lhs, rhs
 
-    compared = _table_residual(triples(), basis, tolerance)
+    notes = []
+    pairs = _table_pairs(triples(), basis, tolerance, notes)
     cfg = _operator_cfg(
         params, degree_cap, degree_cap + nmax, momentum, ell=ell, scale=scale
     )
-    return _compared_report("adjoint-shift", compared, tolerance, cfg, t0)
+    return _scan_report("adjoint-shift", pairs, tolerance, cfg, t0, notes)
 
 
 # ---------------------------------------------------------------------------
@@ -475,33 +476,31 @@ def check_exchange_rewrite(
     # each coefficient's deviation against the size of its convolution sum
     bound = np.maximum(np.convolve(abs(dual.c), abs(phi_plus.c))[: order + 1], 1.0)
     res_a = float(np.max(np.abs(prod - one) / bound))
-    ctrl_a = float(np.max(np.abs((1.0 + 100.0 * tolerance) * prod - one) / bound))
 
     K, c1, _ = _exchange_constants(ell, params)
-    pf = current_vertex_factor(ell, params)
-    res_c = abs(pf.value(c1))
-    idx = pf.factor_index_at_zero(c1)
-    reduced = pf.drop(idx).value(c1) if idx is not None else float("nan")
-    # value() is an exact 0.0 where a remaining factor vanishes at c1
-    ok_d = math.isfinite(reduced) and reduced != 0.0
-    res_d = 0.0 if ok_d else float("inf")
-
     g = partial(structure_series, StructureFunctionSpec("exchange", ell, 0), params)
     w = merge_vertices([y, lam_plus.at_scale(c1)])
-    res_b, loc, ctrl_b, scale = _exchange_check(
-        params, lam_plus, y, g, 2 - ell, [(K / params.p**0.5, c1, 1.0, w)],
-        degree_cap, window, momentum, tolerance,
-    )
+    notes = [f"kernel-inverse residual {res_a:.3e}"]
 
-    worst, _ = _worst([(res_a, ""), (res_b, ""), (res_c, ""), (res_d, "")], tolerance)
+    def pairs():
+        pf = current_vertex_factor(ell, params)
+        res_c = abs(pf.value(c1))
+        idx = pf.factor_index_at_zero(c1)
+        reduced = pf.drop(idx).value(c1) if idx is not None else float("nan")
+        notes.append(f"support value {res_c:.3e} (exact zero expected)")
+        notes.append(f"reduced support value {reduced:.6g} (finite nonzero expected)")
+        yield res_a, "kernel inverse"
+        yield from _exchange_check(
+            params, lam_plus, y, g, 2 - ell, [(K / params.p**0.5, c1, 1.0, w)],
+            degree_cap, window, momentum, tolerance, notes,
+        )
+        yield res_c, "support value"
+        # value() is an exact 0.0 where a remaining factor vanishes at c1
+        ok_d = math.isfinite(reduced) and reduced != 0.0
+        yield 0.0 if ok_d else math.inf, "reduced support value"
+
     cfg = _operator_cfg(params, degree_cap, window, momentum, ell=ell)
-    notes = [
-        f"kernel-inverse residual {res_a:.3e}",
-        f"support value {res_c:.3e} (exact zero expected)",
-        f"reduced support value {reduced:.6g} (finite nonzero expected)",
-    ]
-    compared = worst, loc or "series", min(ctrl_a, ctrl_b), scale
-    return _compared_report("exchange-rewrite", compared, tolerance, cfg, t0, notes)
+    return _scan_report("exchange-rewrite", pairs(), tolerance, cfg, t0, notes)
 
 
 # ---------------------------------------------------------------------------
@@ -555,24 +554,29 @@ def check_composite_exchange(
         _composite_term(ell, k, params),
         _composite_term(k, ell, params.omega_image().theta_image()),
     )
-    f_ell = current_vertex_factor(ell, params)
-    f_k = mirror_vertex_factor(k, params)
-    deltas, minus_weights = [], []
-    for c_i, coeff_i in supports:
-        d_minus = f_ell.value(c_i) * f_k.value(c_i)
-        minus_weights.append(d_minus)
-        for weight, lam in ((1.0, lam_plus), (d_minus, lam_minus)):
-            w = merge_vertices([y, lam.at_scale(c_i)])
-            deltas.append((pref * coeff_i * weight, c_i, 1.0, w))
-    compared = _exchange_check(
-        params, lam_plus, y, g, 4 - ell - k, deltas, degree_cap, window, momentum,
-        tolerance,
-    )
+    notes = []
+
+    def pairs():
+        f_ell = current_vertex_factor(ell, params)
+        f_k = mirror_vertex_factor(k, params)
+        deltas, minus_weights = [], []
+        for c_i, coeff_i in supports:
+            d_minus = f_ell.value(c_i) * f_k.value(c_i)
+            minus_weights.append(d_minus)
+            for weight, lam in ((1.0, lam_plus), (d_minus, lam_minus)):
+                w = merge_vertices([y, lam.at_scale(c_i)])
+                deltas.append((pref * coeff_i * weight, c_i, 1.0, w))
+        notes.append(
+            "minus-branch support weights "
+            f"{minus_weights[0]:.3e}, {minus_weights[1]:.3e}"
+        )
+        yield from _exchange_check(
+            params, lam_plus, y, g, 4 - ell - k, deltas, degree_cap, window, momentum,
+            tolerance, notes,
+        )
+
     cfg = _operator_cfg(params, degree_cap, window, momentum, ell=ell, k=k)
-    notes = [
-        f"minus-branch support weights {minus_weights[0]:.3e}, {minus_weights[1]:.3e}"
-    ]
-    return _compared_report("composite-exchange", compared, tolerance, cfg, t0, notes)
+    return _scan_report("composite-exchange", pairs(), tolerance, cfg, t0, notes)
 
 
 # ---------------------------------------------------------------------------

@@ -5,12 +5,12 @@ Every checker in :mod:`qvirasoro.relations` and
 serializes these to JSON/CSV; tests assert on ``passed`` and
 ``residual``.
 
-The scalar and data-level checks yield (residual, location) pairs to
-``_scan_report``.  A pole, a divergent sum or an overflow while they are
-drawn makes the check inconclusive.  Otherwise the largest numeric
-residual (the first among equals) fails it above the tolerance, and
-else a NaN residual, which decides nothing, makes it inconclusive
-(``_worst``; the operator checks' tables use it too).
+Every check yields (residual, location) pairs to ``_scan_report``.  A
+pole, a divergent sum or an overflow while they are drawn makes the
+check inconclusive.  Otherwise the largest numeric residual (the first
+among equals) fails it above the tolerance, and else a NaN residual,
+which decides nothing, makes it inconclusive (``_worst``).  An operator
+check yields a NaN when its negative control cannot fail.
 """
 
 from __future__ import annotations
@@ -70,21 +70,6 @@ class CheckReport:
         )
 
 
-def _report(identity, residual, tolerance, loc, config, t0, notes=(), status=""):
-    """The checkers' shared constructor: runtime is measured from the
-    ``time.perf_counter()`` value ``t0`` taken when the check started."""
-    return CheckReport(
-        identity=identity,
-        residual=residual,
-        tolerance=tolerance,
-        worst_location=loc,
-        config=config,
-        notes=list(notes),
-        status=status,
-        runtime_ms=(time.perf_counter() - t0) * 1e3,
-    )
-
-
 def _worst(pairs: Iterable[tuple[float, str]], tolerance: float) -> tuple[float, str]:
     """The largest numeric residual of (residual, location) pairs and its
     location (the first among equals; 0.0 and "" for none), unless it is
@@ -104,12 +89,20 @@ def _worst(pairs: Iterable[tuple[float, str]], tolerance: float) -> tuple[float,
 def _scan_report(identity, pairs, tolerance, config, t0, notes=()):
     """Report of the (residual, location) pairs a check yields, by the
     rule of the module docstring; ``notes`` is read once the pairs are
-    drawn, so a check may append to it while yielding."""
+    drawn, so a check may append to it while yielding.  The runtime is
+    measured from the ``time.perf_counter()`` value ``t0`` taken when the
+    check started."""
     try:
         residual, loc = _worst(pairs, tolerance)
     except (PoleError, ConvergenceError, OverflowError) as exc:
         residual, loc = math.nan, str(exc)
-    if math.isnan(residual):
-        status = "inconclusive"
-        return _report(identity, math.inf, tolerance, loc, config, t0, notes, status)
-    return _report(identity, residual, tolerance, loc, config, t0, notes)
+    return CheckReport(
+        identity=identity,
+        residual=math.inf if math.isnan(residual) else residual,
+        tolerance=tolerance,
+        worst_location=loc,
+        config=config,
+        notes=list(notes),
+        status="inconclusive" if math.isnan(residual) else "",
+        runtime_ms=(time.perf_counter() - t0) * 1e3,
+    )

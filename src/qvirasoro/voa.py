@@ -225,12 +225,6 @@ class ContractionFactor:
     series: Series
     first_var_power: float
     scalar: float
-    log_rule: Callable[[int], float]
-
-    def value(self, ratio: float) -> float:
-        return self.scalar * float(
-            np.polyval(self.series.c[::-1], ratio)
-        )
 
 
 def contract(
@@ -252,7 +246,6 @@ def contract(
         series=from_log_rule(log_coeff, order),
         first_var_power=x.h0_power * y.charge / 2.0,
         scalar=x.h0_base ** (y.charge / 2.0),
-        log_rule=log_coeff,
     )
 
 

@@ -11,7 +11,8 @@ from pathlib import Path
 import pytest
 
 from qvirasoro import relations
-from qvirasoro.cli import DEFAULTS, SUITES, main
+from qvirasoro.cli import DEFAULTS, SUITES, SuiteConfig, main, run
+from qvirasoro.errors import PoleError
 from qvirasoro.report import CheckReport
 
 
@@ -70,7 +71,7 @@ class TestExitStatus:
 
     def test_pole_in_one_suite_keeps_the_other_records(self, capsys):
         # t = q^{3/2}: the composite exchange's product form has a pole at
-        # its support; that suite alone becomes inconclusive
+        # its support; that check alone becomes inconclusive
         code, out, _ = run_cli(
             capsys, "verify", "--suite", "all", "--q", "0.64", "--t", "0.512",
             "--ell", "2", "--json",
@@ -81,6 +82,28 @@ class TestExitStatus:
         (rec,) = [r for r in records if r["identity"] == "composite-exchange"]
         assert rec["pass"] is False and math.isinf(rec["residual"])
         assert "pole" in rec["worst_location"]
+
+    def test_pole_is_decided_per_check(self, monkeypatch):
+        # a pole in one check of a suite leaves its siblings' records
+        exact = relations._exchange_setup
+
+        def setup(ell, params, variant):
+            if variant == "theta":
+                raise PoleError("product form has a pole at x=1.0")
+            return exact(ell, params, variant)
+
+        monkeypatch.setattr(relations, "_exchange_setup", setup)
+        cfg = SuiteConfig(
+            q=0.49, t=0.7, ell=1, k=1, L=0.5, r=None, degree=3, window=3, tol=None,
+            seed=1, suites=("vertex-exchange",),
+        )
+        reports = run(cfg)
+        assert [(r.identity, r.status) for r in reports] == [
+            ("vertex-exchange", "pass"),
+            ("vertex-exchange-theta", "inconclusive"),
+            ("vertex-exchange-mirror", "pass"),
+        ]
+        assert "pole" in reports[1].worst_location
 
     def test_equal_deformation_parameters_are_refused(self, capsys):
         code, _, err = run_cli(
@@ -154,6 +177,26 @@ class TestExitStatus:
         assert code == 3
         assert out == ""
         assert err.startswith("error:")
+
+    @pytest.mark.parametrize("key, value", [("degree", "1.5"), ("q", "abc")])
+    def test_malformed_environment_value_is_config_error(
+        self, capsys, monkeypatch, key, value
+    ):
+        monkeypatch.setenv(f"QVIR_{key.upper()}", value)
+        code, out, err = run_cli(capsys, "verify", "--suite", "qspecial")
+        assert code == 3
+        assert out == ""
+        assert repr(key) in err and repr(value) in err
+
+    def test_malformed_config_file_value_is_config_error(self, capsys, tmp_path):
+        cfgfile = tmp_path / "run.cfg"
+        cfgfile.write_text("seed = x\n")
+        code, out, err = run_cli(
+            capsys, "verify", "--suite", "qspecial", "--config", str(cfgfile)
+        )
+        assert code == 3
+        assert out == ""
+        assert "'seed'" in err and "'x'" in err
 
     def test_missing_subcommand(self, capsys):
         with pytest.raises(SystemExit) as exc:

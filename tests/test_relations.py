@@ -10,6 +10,8 @@ import pytest
 from qvirasoro import relations
 from qvirasoro.fock import PartitionBasis
 from qvirasoro.qspecial import QParams
+from qvirasoro.report import _scan_report
+from qvirasoro.voa import ProductForm
 from qvirasoro.relations import (
     check_adjoint_shift,
     check_argument_shift,
@@ -107,6 +109,32 @@ def test_exchange_rewrite_small_reduced_support_value():
     assert "reduced support value -2.76685e-07" in " ".join(rep.notes)
 
 
+def test_exchange_rewrite_locates_its_worst_ingredient(monkeypatch):
+    # a support value lifted off zero fails the check there, not at the
+    # table entry that happens to be the worst of the tables
+    class Lifted(ProductForm):
+        def value(self, x):
+            return super().value(x) + 1e-3
+
+    exact = relations.current_vertex_factor
+    monkeypatch.setattr(
+        relations, "current_vertex_factor", lambda ell, p: Lifted(**vars(exact(ell, p)))
+    )
+    rep = check_exchange_rewrite(1, P, degree_cap=3, window=3)
+    assert rep.status == "fail", rep.summary_line()
+    assert rep.worst_location == "support value"
+    assert rep.residual == pytest.approx(1e-3)
+
+
+def test_exchange_rewrite_pole_is_inconclusive():
+    # at ell 2 the product form has a pole at its own support; the check
+    # decides that itself instead of raising PoleError
+    rep = check_exchange_rewrite(2, QParams(0.49, 0.7))
+    assert rep.status == "inconclusive", rep.summary_line()
+    assert math.isinf(rep.residual)
+    assert "pole" in rep.worst_location
+
+
 def test_composite_exchange_generic_momentum():
     rep = check_composite_exchange(1, 1, P, degree_cap=3, window=3, momentum=0.4)
     assert rep.passed, rep.summary_line()
@@ -165,8 +193,9 @@ def test_zero_against_zero_is_inconclusive():
 
 def _compare_tables(triples):
     basis = PartitionBasis(P, 2)
-    compared = relations._table_residual(triples, basis, 1e-8)
-    return relations._compared_report("tables", compared, 1e-8, {}, time.perf_counter())
+    notes = []
+    pairs = relations._table_pairs(triples, basis, 1e-8, notes)
+    return _scan_report("tables", pairs, 1e-8, {}, time.perf_counter(), notes)
 
 
 def test_nan_table_is_inconclusive():
