@@ -10,8 +10,9 @@ Usage:
 
 Configuration precedence: command-line flags override environment
 variables (prefix ``QVIR_``, e.g. ``QVIR_DEGREE=5``), which override a
-``--config`` file (flat ``key = value`` lines mirroring flag names),
-which override built-in defaults.
+``--config`` file (``key = value`` lines mirroring flag names), which
+override built-in defaults.  All three are read through the one table
+``KEYS``, so a value means the same wherever it is given.
 
 Exit status: 0 all checks passed; 1 at least one failed; 2 none failed
 but at least one was inconclusive; 3 configuration error.
@@ -27,8 +28,8 @@ the exit status.
 
 The bracket period ``r`` defaults to the admissible value 1/beta
 (beta = log t / log q), the unique period at which the elliptic
-connection identity holds; pass ``--r`` (or ``r = auto`` in a config
-file) to override or restore that choice.
+connection identity holds; ``--r`` overrides it and ``--r auto`` (or
+``r = auto`` in a config file) restores it.
 """
 
 from __future__ import annotations
@@ -49,25 +50,26 @@ from .errors import ConfigError, QVirasoroError
 from .qspecial import QParams
 from .report import CheckReport
 
-DEFAULTS = {
-    "q": 0.49,
-    "t": 0.7,
-    "ell": 1,
-    "k": 1,
-    "L": 0.5,
-    "r": None,
-    "degree": 4,
-    "window": 4,
-    "tol": None,
-    "seed": 12345,
-    "suite": ["all"],
-    "json": False,
-    "csv": False,
+# key -> (kind, default, help).  Flags, QVIR_ variables and config-file
+# lines are all read through this table by ``_parse_value``; ``list`` is
+# the comma-separated suite selection.
+KEYS = {
+    "q": (float, 0.49, "deformation parameter, 0 < q < 1"),
+    "t": (float, 0.7, "deformation parameter, 0 < t < 1, t != q"),
+    "ell": (int, 1, "first vertex label, at least 1"),
+    "k": (int, 1, "second vertex label, at least 1"),
+    "L": (float, 0.5, "correlator weight"),
+    "r": (float, None, "bracket period; 'auto' is the admissible 1/beta"),
+    "degree": (int, 4, "basis degree cap"),
+    "window": (int, 4, "mode window"),
+    "tol": (float, None, "override tolerances"),
+    "seed": (int, 12345, "seed of the randomized probes"),
+    "suite": (list, ["all"], "suite name (repeatable or comma-separated); "
+              "'all' runs everything"),
+    "json": (bool, False, "emit JSON records"),
+    "csv": (bool, False, "emit CSV rows"),
 }
-
-_INT_KEYS = {"ell", "k", "degree", "window", "seed"}
-_FLOAT_KEYS = {"q", "t", "L", "r", "tol"}
-_BOOL_KEYS = {"json", "csv"}
+DEFAULTS = {key: default for key, (_, default, _) in KEYS.items()}
 
 
 @dataclass(frozen=True)
@@ -106,17 +108,12 @@ class SuiteConfig:
             raise ConfigError("degree cap must be at least the mode window")
         if self.degree < 0 or self.window < 0:
             raise ConfigError("degree and window must be non-negative")
-        if self.ell < 0 or self.k < 0 or self.ell + self.k == 0:
-            raise ConfigError("vertex labels need ell, k >= 0, not both zero")
+        if self.ell < 1 or self.k < 1:
+            raise ConfigError("vertex labels need ell, k >= 1")
 
     @property
     def params(self) -> QParams:
         return QParams(self.q, self.t)
-
-    @property
-    def label(self) -> int:
-        """First-kind vertex label of the suites: ``ell``, at least 1."""
-        return max(self.ell, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -138,46 +135,46 @@ SUITES = {
         relations.check_screening_relation(c.params, -1, c.degree, c.window, **tol)
     ],
     "vertex-exchange": lambda c, **tol: [
-        relations.check_vertex_exchange(c.label, c.params, v, c.degree, c.window, **tol)
+        relations.check_vertex_exchange(c.ell, c.params, v, c.degree, c.window, **tol)
         for v in ("plain", "theta", "mirror")
     ],
     "current-vertex-exchange": lambda c, **tol: [
         relations.check_current_vertex_exchange(
-            c.label, c.params, c.degree, c.window, **tol
+            c.ell, c.params, c.degree, c.window, **tol
         )
     ],
     "adjoint-shift": lambda c, **tol: [
         relations.check_adjoint_shift(
-            c.label, c.params, range(-c.window, c.window + 1), c.degree, **tol
+            c.ell, c.params, range(-c.window, c.window + 1), c.degree, **tol
         )
     ],
     "exchange-rewrite": lambda c, **tol: [
-        relations.check_exchange_rewrite(c.label, c.params, c.degree, c.window, **tol)
+        relations.check_exchange_rewrite(c.ell, c.params, c.degree, c.window, **tol)
     ],
     "composite-exchange": lambda c, **tol: [
         relations.check_composite_exchange(
-            c.label, max(c.k, 1), c.params, c.degree, c.window, **tol
+            c.ell, c.k, c.params, c.degree, c.window, **tol
         )
     ],
-    "fusion": lambda c, **tol: [relations.check_fusion(c.label, c.params, **tol)],
+    "fusion": lambda c, **tol: [relations.check_fusion(c.ell, c.params, **tol)],
     "argument-shift": lambda c, **tol: [
-        relations.check_argument_shift(c.label, c.params, **tol)
+        relations.check_argument_shift(c.ell, c.params, **tol)
     ],
     "delta-identity": lambda c, **tol: [
         relations.check_delta_identity(np.random.default_rng(c.seed), **tol)
     ],
     "qspecial": lambda c, **tol: [relations.check_qspecial(**tol)],
     "two-point": lambda c, **tol: [
-        correlators.check_two_point(c.params, c.label, **tol)
+        correlators.check_two_point(c.params, c.ell, **tol)
     ],
     "four-point": lambda c, **tol: [
-        correlators.check_four_point(c.params, c.label, c.L, **tol)
+        correlators.check_four_point(c.params, c.ell, c.L, **tol)
     ],
     "pseudo-constant": lambda c, **tol: [
-        correlators.check_pseudo_constant(c.params, c.label, **tol)
+        correlators.check_pseudo_constant(c.params, c.ell, **tol)
     ],
     "connection": lambda c, **tol: [
-        correlators.check_connection_formula(c.params, c.label, c.L, c.r, **tol)
+        correlators.check_connection_formula(c.params, c.ell, c.L, c.r, **tol)
     ],
 }
 
@@ -186,25 +183,23 @@ SUITES = {
 # Configuration resolution
 
 
+_BOOLEAN = dict.fromkeys(("1", "true", "yes", "on"), True) | dict.fromkeys(
+    ("0", "false", "no", "off"), False
+)
+
+
 def _parse_value(key: str, raw: str):
-    raw = raw.strip()
+    if key not in KEYS:
+        raise ConfigError(f"unknown configuration key {key!r}")
+    kind, raw = KEYS[key][0], raw.strip()
+    if kind is list:
+        return [s.strip() for s in raw.split(",") if s.strip()]
     if key == "r" and raw.lower() in ("auto", "none"):
         return None
-    for keys, kind in ((_INT_KEYS, int), (_FLOAT_KEYS, float)):
-        if key in keys:
-            try:
-                return kind(raw)
-            except ValueError:
-                raise ConfigError(f"{kind.__name__} key {key!r} got {raw!r}") from None
-    if key in _BOOL_KEYS:
-        if raw.lower() in ("1", "true", "yes", "on"):
-            return True
-        if raw.lower() in ("0", "false", "no", "off"):
-            return False
-        raise ConfigError(f"boolean key {key!r} got {raw!r}")
-    if key == "suite":
-        return [s.strip() for s in raw.split(",") if s.strip()]
-    raise ConfigError(f"unknown configuration key {key!r}")
+    try:
+        return _BOOLEAN[raw.lower()] if kind is bool else kind(raw)
+    except (KeyError, ValueError):
+        raise ConfigError(f"{kind.__name__} key {key!r} got {raw!r}") from None
 
 
 def _read_config_file(path: str) -> dict:
@@ -215,11 +210,8 @@ def _read_config_file(path: str) -> dict:
                 line = line.split("#", 1)[0].strip()
                 if not line:
                     continue
-                if "=" in line:
-                    key, _, raw = line.partition("=")
-                elif " " in line:
-                    key, _, raw = line.partition(" ")
-                else:
+                key, eq, raw = line.partition("=")
+                if not eq:
                     raise ConfigError(
                         f"{path}:{lineno}: expected 'key = value', got {line!r}"
                     )
@@ -230,7 +222,7 @@ def _read_config_file(path: str) -> dict:
 
 
 def _read_env() -> dict:
-    keys = {f"QVIR_{key.upper()}": key for key in DEFAULTS}
+    keys = {f"QVIR_{key.upper()}": key for key in KEYS}
     unknown = sorted(n for n in os.environ if n.startswith("QVIR_") and n not in keys)
     if unknown:
         raise ConfigError(f"unknown configuration variable(s) {', '.join(unknown)}")
@@ -243,35 +235,24 @@ def _resolve(args: argparse.Namespace) -> tuple[SuiteConfig, str]:
     if args.config:
         merged.update(_read_config_file(args.config))
     merged.update(_read_env())
-    for key in DEFAULTS:
-        flag = getattr(args, key, None)
-        if flag is not None and flag is not False:
-            merged[key] = flag
-    # flags, like the environment and the file, may give comma-separated lists
-    expanded = _parse_value("suite", ",".join(merged["suite"]))
-    if "all" in expanded:
-        expanded = list(SUITES)
-    unknown = [s for s in expanded if s not in SUITES]
-    if unknown or not expanded:
+    for key in KEYS:
+        raw = getattr(args, key)  # a string, or the --suite list
+        if raw is not None:
+            merged[key] = _parse_value(key, ",".join(raw) if key == "suite" else raw)
+    suites = merged.pop("suite")
+    if "all" in suites:
+        suites = list(SUITES)
+    unknown = [s for s in suites if s not in SUITES]
+    if unknown or not suites:
         what = f"unknown suite(s) {', '.join(unknown)}" if unknown else "no suite selected"
         raise ConfigError(
             f"{what}; valid names: " + ", ".join(sorted(SUITES)) + ", all"
         )
-    cfg = SuiteConfig(
-        q=float(merged["q"]),
-        t=float(merged["t"]),
-        ell=int(merged["ell"]),
-        k=int(merged["k"]),
-        L=float(merged["L"]),
-        r=None if merged["r"] is None else float(merged["r"]),
-        degree=int(merged["degree"]),
-        window=int(merged["window"]),
-        tol=None if merged["tol"] is None else float(merged["tol"]),
-        seed=int(merged["seed"]),
-        suites=tuple(expanded),
-    )
-    fmt = "json" if merged["json"] else ("csv" if merged["csv"] else "text")
-    return cfg, fmt
+    as_json, as_csv = merged.pop("json"), merged.pop("csv")
+    if as_json and as_csv:
+        raise ConfigError("--json and --csv are exclusive")
+    cfg = SuiteConfig(**merged, suites=tuple(suites))
+    return cfg, "json" if as_json else ("csv" if as_csv else "text")
 
 
 # ---------------------------------------------------------------------------
@@ -285,15 +266,7 @@ def _record(rep: CheckReport, cfg: SuiteConfig) -> dict:
         "residual": rep.residual,
         "tolerance": rep.tolerance,
         "worst_location": rep.worst_location,
-        "params": {
-            "q": cfg.q,
-            "t": cfg.t,
-            "ell": cfg.ell,
-            "k": cfg.k,
-            "L": cfg.L,
-            "r": cfg.r,
-            "seed": cfg.seed,
-        },
+        "params": {k: getattr(cfg, k) for k in ("q", "t", "ell", "k", "L", "r", "seed")},
         "truncation": {"degree": cfg.degree, "window": cfg.window},
         "runtime_ms": rep.runtime_ms,
     }
@@ -407,14 +380,12 @@ def _eval_functions():
 
     def f_four_point(ns):
         z, w = need(ns, "z", "w")
-        branch = ns.branch or "plus"
-        method = ns.method or "closed"
         fn = (
             correlators.four_point_closed
-            if method == "closed"
+            if ns.method == "closed"
             else correlators.four_point_jackson
         )
-        return fn(branch, z, w, _cp(ns))
+        return fn(ns.branch, z, w, _cp(ns))
 
     return {
         "phi21": f_phi21,
@@ -458,28 +429,15 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="qvirasoro", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
-    v = sub.add_parser(
-        "verify", help="run verification suites", parents=[], add_help=True
-    )
-    v.add_argument("--q", type=float, default=None)
-    v.add_argument("--t", type=float, default=None)
-    v.add_argument("--ell", type=int, default=None)
-    v.add_argument("--k", type=int, default=None)
-    v.add_argument("--L", type=float, default=None)
-    v.add_argument("--r", type=float, default=None)
-    v.add_argument("--degree", type=int, default=None, help="basis degree cap")
-    v.add_argument("--window", type=int, default=None, help="mode window")
-    v.add_argument("--tol", type=float, default=None, help="override tolerances")
-    v.add_argument(
-        "--suite",
-        action="append",
-        default=None,
-        help="suite name (repeatable or comma-separated); 'all' runs everything",
-    )
-    v.add_argument("--json", action="store_true", default=False)
-    v.add_argument("--csv", action="store_true", default=False)
-    v.add_argument("--config", type=str, default=None, help="flat key=value file")
-    v.add_argument("--seed", type=int, default=None)
+    v = sub.add_parser("verify", help="run verification suites")
+    for key, (kind, _, help_text) in KEYS.items():
+        # every value stays a string until _parse_value reads it
+        if kind is bool:
+            v.add_argument(f"--{key}", action="store_const", const="true", help=help_text)
+        else:
+            action = "append" if kind is list else "store"
+            v.add_argument(f"--{key}", action=action, help=help_text)
+    v.add_argument("--config", help="file of 'key = value' lines")
 
     e = sub.add_parser("eval", help="evaluate a single function")
     e.add_argument("function", choices=sorted(EVAL_FUNCTIONS))
@@ -487,8 +445,8 @@ def _build_parser() -> _Parser:
         e.add_argument(f"--{flag}", type=_finite, default=None)
     e.add_argument("--n", type=int, default=None)
     e.add_argument("--ell", type=int, default=1)
-    e.add_argument("--branch", choices=("plus", "minus"), default=None)
-    e.add_argument("--method", choices=("closed", "jackson"), default=None)
+    e.add_argument("--branch", choices=("plus", "minus"), default="plus")
+    e.add_argument("--method", choices=("closed", "jackson"), default="closed")
     return parser
 
 

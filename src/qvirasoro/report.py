@@ -5,12 +5,13 @@ Every checker in :mod:`qvirasoro.relations` and
 serializes these to JSON/CSV; tests assert on ``passed`` and
 ``residual``.
 
-Every check yields (residual, location) pairs to ``_scan_report``.  A
-pole, a divergent sum or an overflow while they are drawn makes the
-check inconclusive.  Otherwise the largest numeric residual (the first
-among equals) fails it above the tolerance, and else a NaN residual,
-which decides nothing, makes it inconclusive (``_worst``).  An operator
-check yields a NaN when its negative control cannot fail.
+Every check yields (residual, location) pairs to ``_scan_report``.  The
+largest numeric residual drawn (the first among equals) fails the check
+above the tolerance, even when a pole, a divergent sum or an overflow
+stops the drawing later.  Otherwise such an error makes the check
+inconclusive, and else a NaN residual, which decides nothing, makes it
+inconclusive (``_worst``).  An operator check yields a NaN when its
+negative control cannot fail.
 """
 
 from __future__ import annotations
@@ -92,10 +93,18 @@ def _scan_report(identity, pairs, tolerance, config, t0, notes=()):
     drawn, so a check may append to it while yielding.  The runtime is
     measured from the ``time.perf_counter()`` value ``t0`` taken when the
     check started."""
-    try:
-        residual, loc = _worst(pairs, tolerance)
-    except (PoleError, ConvergenceError, OverflowError) as exc:
-        residual, loc = math.nan, str(exc)
+    error = None
+
+    def drawn():
+        nonlocal error
+        try:
+            yield from pairs
+        except (PoleError, ConvergenceError, OverflowError) as exc:
+            error = exc
+
+    residual, loc = _worst(drawn(), tolerance)
+    if error is not None and not residual > tolerance:
+        residual, loc = math.nan, str(error)
     return CheckReport(
         identity=identity,
         residual=math.inf if math.isnan(residual) else residual,

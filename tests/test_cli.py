@@ -159,7 +159,7 @@ class TestExitStatus:
     @pytest.mark.parametrize(
         "key, value",
         [("tol", "nan"), ("tol", "-1"), ("r", "nan"), ("L", "nan"), ("L", "inf"),
-         ("seed", "-1")],
+         ("seed", "-1"), ("ell", "0"), ("k", "0")],
     )
     def test_bad_value_is_config_error(
         self, capsys, monkeypatch, tmp_path, source, key, value
@@ -188,6 +188,18 @@ class TestExitStatus:
         assert out == ""
         assert repr(key) in err and repr(value) in err
 
+    @pytest.mark.parametrize(
+        "kind, key, value", [("int", "degree", "1.5"), ("float", "q", "abc")]
+    )
+    def test_malformed_flag_value_is_config_error(self, capsys, kind, key, value):
+        # flags are read by the same parser as the environment and the file
+        code, out, err = run_cli(
+            capsys, "verify", "--suite", "qspecial", f"--{key}", value
+        )
+        assert code == 3
+        assert out == ""
+        assert err == f"error: {kind} key {key!r} got {value!r}\n"
+
     def test_malformed_config_file_value_is_config_error(self, capsys, tmp_path):
         cfgfile = tmp_path / "run.cfg"
         cfgfile.write_text("seed = x\n")
@@ -197,6 +209,22 @@ class TestExitStatus:
         assert code == 3
         assert out == ""
         assert "'seed'" in err and "'x'" in err
+
+    @pytest.mark.parametrize("source", ["flag", "env", "file"])
+    def test_json_and_csv_are_exclusive(self, capsys, monkeypatch, tmp_path, source):
+        argv = ["verify", "--suite", "qspecial", "--json"]
+        if source == "flag":
+            argv.append("--csv")
+        elif source == "env":
+            monkeypatch.setenv("QVIR_CSV", "1")
+        else:
+            cfgfile = tmp_path / "run.cfg"
+            cfgfile.write_text("csv = true\n")
+            argv += ["--config", str(cfgfile)]
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 3
+        assert out == ""
+        assert "exclusive" in err
 
     def test_missing_subcommand(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -294,6 +322,27 @@ class TestPrecedence:
         code, out, _ = run_cli(capsys, "verify", "--config", str(cfgfile))
         assert code == 0
         assert json.loads(out)[0]["params"]["r"] == pytest.approx(2.0)
+
+    def test_flag_r_auto_overrides_the_file(self, capsys, tmp_path):
+        cfgfile = tmp_path / "run.cfg"
+        cfgfile.write_text("r = 3\n")
+        code, out, _ = run_cli(
+            capsys, "verify", "--suite", "qspecial", "--json", "--config", str(cfgfile),
+            "--r", "auto",
+        )
+        assert code == 0
+        assert json.loads(out)[0]["params"]["r"] == pytest.approx(2.0)
+
+    @pytest.mark.parametrize("line", ["degree 5", "json"])
+    def test_config_line_without_equals_is_config_error(self, capsys, tmp_path, line):
+        cfgfile = tmp_path / "run.cfg"
+        cfgfile.write_text(f"{line}\n")
+        code, out, err = run_cli(
+            capsys, "verify", "--suite", "qspecial", "--config", str(cfgfile)
+        )
+        assert code == 3
+        assert out == ""
+        assert "expected 'key = value'" in err
 
     def test_unknown_environment_variable(self, capsys, monkeypatch):
         monkeypatch.setenv("QVIR_THREADS", "2")
@@ -494,18 +543,28 @@ def test_closed_pipe_gives_no_traceback():
     assert "Traceback" not in err, err
 
 
+# Appended to a child's script: prints the child's own peak RSS in KiB.
+# ru_maxrss would not do: on Linux a child keeps its parent's peak across
+# fork and exec, so it reads the test runner's peak, not the child's.
+PRINT_PEAK = (
+    "with open('/proc/self/status') as fh:\n"
+    "    peak = [ln.split()[1] for ln in fh if ln.startswith('VmHWM:')][0]\n"
+    "print(peak, file=sys.stderr)\n"
+)
+
+
 @pytest.mark.parametrize("degree", [7, 10, 12])
 def test_deep_suite_memory(degree):
     # every operator is applied as the leading blocks the check compares,
-    # never as a whole N x N matrix: about 39, 47 and 79 MB at degrees 7,
+    # never as a whole N x N matrix: about 38, 46 and 78 MB at degrees 7,
     # 10 and 12, where whole matrices sliced to the corner took 41, 71 and
     # 142 MB, and products over the whole basis 1158 MB at degree 7
     script = (
-        "import resource, sys\n"
+        "import sys\n"
         "from qvirasoro.cli import main\n"
         "code = main(sys.argv[1:])\n"
-        "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss, file=sys.stderr)\n"
-        "sys.exit(code)\n"
+        + PRINT_PEAK
+        + "sys.exit(code)\n"
     )
     argv = ["verify", "--suite", "all", "--degree", str(degree), "--json"]
     proc = subprocess.run(
@@ -516,7 +575,7 @@ def test_deep_suite_memory(degree):
         timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
-    peak_mb = int(proc.stderr.split()[-1]) / 1024  # ru_maxrss is in KiB on Linux
+    peak_mb = int(proc.stderr.split()[-1]) / 1024
     assert peak_mb < 100, f"peak RSS {peak_mb:.0f} MB"
 
 
@@ -526,7 +585,7 @@ def test_scalar_layer_memory():
     # 68 MB with each product form freed after its check, 157 MB when up
     # to 32 of them were cached
     script = (
-        "import resource\n"
+        "import sys\n"
         "from qvirasoro.correlators import check_two_point\n"
         "from qvirasoro.qspecial import QParams\n"
         "c = [0.05 + 0.9 * (i + 0.5) / 5 for i in range(5)]\n"
@@ -535,7 +594,7 @@ def test_scalar_layer_memory():
         "        if abs(q - t) > 0.05:\n"
         "            for ell in (1, 2, 3):\n"
         "                check_two_point(QParams(q, t), ell)\n"
-        "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n"
+        + PRINT_PEAK
     )
     proc = subprocess.run(
         [sys.executable, "-c", script],
@@ -545,5 +604,5 @@ def test_scalar_layer_memory():
         timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
-    peak_mb = int(proc.stdout.split()[-1]) / 1024  # ru_maxrss is in KiB on Linux
+    peak_mb = int(proc.stderr.split()[-1]) / 1024
     assert peak_mb < 100, f"peak RSS {peak_mb:.0f} MB"

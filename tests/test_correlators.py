@@ -293,12 +293,26 @@ class TestVerdictScan:
     )
     def test_error_while_drawing_is_inconclusive(self, exc):
         def pairs():
-            yield 1.0, "a"
+            yield 1e-12, "a"
             raise exc
 
         rep = self.scan(pairs())
         assert rep.status == "inconclusive"
         assert math.isinf(rep.residual) and rep.worst_location == str(exc)
+
+    @pytest.mark.parametrize(
+        "exc", [PoleError("pole"), ConvergenceError("diverges"), OverflowError("big")]
+    )
+    def test_failure_drawn_before_an_error_is_kept(self, exc):
+        # a connection FAIL at one u must not hide behind a pole at a later u
+        def pairs():
+            yield 1e-12, "a"
+            yield 1.0, "b"
+            raise exc
+
+        rep = self.scan(pairs())
+        assert rep.status == "fail"
+        assert (rep.residual, rep.worst_location) == (1.0, "b")
 
     @pytest.mark.parametrize(
         "check, location",
