@@ -21,10 +21,11 @@ S^- and V_{1,k+1} as the omega images (q <-> t) of S^+ and V_{k+1,1};
 the constructors' docstrings keep the explicit formulas of both.
 
 Structure functions are handled two ways: as truncated power series
-(exact coefficient arithmetic) and as convergent infinite products
-(valid beyond the series radius, with exact detection of zeros).  The
-product form is what makes support evaluation at a delta-function
-lattice point well defined.
+(exact coefficient arithmetic) and as products of factors (1 - C x)^W
+(valid beyond the series radius, with exact detection of zeros): finite
+for the two vertex factors, a truncated convergent one for the pair
+scalar.  The product form is what makes support evaluation at a
+delta-function lattice point well defined.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ConvergenceError, PoleError, QVirasoroError
+from .errors import ConvergenceError, PoleError, QVirasoroError, RegimeError
 from .fock import NormalOrderedVertex, OperatorSum, merge_vertices
 from .qspecial import QParams, ZERO_SNAP
 from .series import Series, from_log_rule
@@ -338,28 +339,31 @@ def structure_series(
 
 
 # ---------------------------------------------------------------------------
-# Convergent product forms
+# Product forms
 #
-# Each analytic kernel here has log-coefficients of the shape
-#     rule(n) = (1/n) * prod_i ( sum_j w_{ij} c_{ij}^n )
-# with every inner sum a finite or geometric family.  Expanding the
-# product termwise turns exp(sum_n rule(n) x^n) into
-#     prod_tuples (1 - (prod_i c_i) x)^(-prod_i w_i),
-# an infinite product converging wherever the coefficient lattice does
-# — in particular across the power-series radius, which is what lets a
-# kernel be evaluated *at* a delta-support point.
+# Each analytic kernel here is exp( -sum_{n>=1} (1/n) prod_i F_i(n) x^n )
+# with every factor F_i(n) = sum_j w_{ij} c_{ij}^n a finite or geometric
+# family.  Expanding the product termwise gives
+#     prod_tuples (1 - (prod_i c_i) x)^(prod_i w_i),
+# which holds wherever the coefficient lattice converges — in particular
+# across the power-series radius, which is what lets a kernel be
+# evaluated *at* a delta-support point.  The vertex factors have finite
+# families only, so their forms are exact finite products; the pair
+# scalar has two geometric families, truncated where a term drops below
+# _CUT.
 
 
 @dataclass
 class ProductForm:
-    """A finite truncation of prod (1 - C_i x)^{W_i} (weights integer)."""
+    """prod (1 - C_i x)^{W_i} over finitely many factors (weights integer)."""
 
     coeffs: np.ndarray
     weights: np.ndarray
 
     def factor_index_at_zero(self, x: float, tol: float = 1e-9) -> int | None:
-        """Index of a factor vanishing at x (None if no factor does)."""
-        hits = np.nonzero(np.abs(1.0 - self.coeffs * x) < tol)[0]
+        """Index of a zero (a factor of positive weight) vanishing at x,
+        never of a pole that coincides with it (None if there is none)."""
+        hits = np.nonzero((np.abs(1.0 - self.coeffs * x) < tol) & (self.weights > 0))[0]
         return int(hits[0]) if hits.size else None
 
     def drop(self, index: int) -> "ProductForm":
@@ -385,71 +389,43 @@ class ProductForm:
         return sign * math.exp(log_mag)
 
 
-def _family_eta(params: QParams) -> list[tuple[int, float]]:
-    q, t = params.q, params.t
-    r = math.sqrt(q * t)
-    return [(1, r), (-1, r / q), (-1, r / t), (1, r / (q * t))]
+def _family_half(y: float) -> list[tuple[int, float]]:
+    """y^{n/2} - y^{-n/2}."""
+    return [(1, y**0.5), (-1, y**-0.5)]
 
 
-def _family_inv_diff(y: float, L: int, cut: float) -> list[tuple[int, float]]:
-    """1/(y^{n/2L} - y^{-n/2L}) = sign * sum_j (y^{dir(2j+1)/2L})^n."""
-    if y < 1.0:
-        sign, step = -1, y ** (1.0 / L)
-        c = y ** (1.0 / (2.0 * L))
-    else:
-        sign, step = 1, y ** (-1.0 / L)
-        c = y ** (-1.0 / (2.0 * L))
+def _family_pair_q(q: float, ell: int, cut: float) -> list[tuple[int, float]]:
+    """(q^{n/2} - q^{-n/2}) / (q^{n/2l} - q^{-n/2l})^2
+    = -sum_{m>=1} min(m, l) (q^{(m - l/2)/l})^n   (0 < q < 1)."""
     out = []
-    while abs(c) > cut:
-        out.append((sign, c))
-        c *= step
-        if len(out) > 100000:
-            raise ConvergenceError("geometric family failed to decay")
-    return out
-
-
-def _family_inv_diff_squared(y: float, L: int, cut: float) -> list[tuple[int, float]]:
-    """1/(y^{n/2L} - y^{-n/2L})^2 = sum_{m>=1} m (y^{±1/L})^{nm}."""
-    step = y ** (1.0 / L) if y < 1.0 else y ** (-1.0 / L)
-    out = []
-    c, m = step, 1
-    while m * abs(c) > cut or m < 3:
-        out.append((m, c))
-        c *= step
-        m += 1
-        if m > 200000:
-            raise ConvergenceError("squared geometric family failed to decay")
-    return out
+    for m in range(1, 200001):
+        w, c = -min(m, ell), q ** ((m - ell / 2.0) / ell)
+        if abs(w * c) <= cut:
+            return out
+        out.append((w, c))
+    raise ConvergenceError("squared geometric family failed to decay")
 
 
 def _family_inv_p_sum(p: float, cut: float) -> list[tuple[int, float]]:
-    """1 / (p^{n/2} + p^{-n/2}) as an alternating geometric family."""
-    if p < 1.0:
-        # 1/(p^{1/2}+p^{-1/2}) = p^{1/2} * 1/(1+p) per mode
-        c0 = p**0.5
-        step = p
-    else:
-        c0 = p**-0.5
-        step = 1.0 / p
+    """1 / (p^{n/2} + p^{-n/2}) = sum_{j>=0} (-1)^j (P^{j+1/2})^n with
+    P = min(p, 1/p), an alternating geometric family."""
+    P = min(p, 1.0 / p)
     out = []
-    c, s = c0, 1
-    while abs(c) > cut:
+    c, s = P**0.5, 1
+    while c > cut:
         out.append((s, c))
-        c *= step
+        c *= P
         s = -s
         if len(out) > 100000:
             raise ConvergenceError("alternating family failed to decay")
     return out
 
 
-def _expand(
-    families: list[list[tuple[int, float]]], overall_sign: int
-) -> ProductForm:
-    """Cartesian-expand families into (1-Cx)^W factors.
-
-    The kernel is exp( overall_sign * sum_n (1/n) prod_i fam_i(n) x^n ),
-    so each tuple contributes weight -overall_sign * prod w_i.
-    """
+def _expand(families: list[list[tuple[int, float]]]) -> ProductForm:
+    """Cartesian-expand families into (1-Cx)^W factors: the kernel
+    exp( -sum_n (1/n) prod_i fam_i(n) x^n ) gives each tuple the
+    coefficient prod c_i and the weight prod w_i, the first family
+    varying slowest."""
     coeffs = np.array([1.0])
     weights = np.array([1], dtype=np.int64)
     for fam in families:
@@ -457,7 +433,7 @@ def _expand(
         c = np.array([e[1] for e in fam])
         coeffs = np.multiply.outer(coeffs, c).ravel()
         weights = np.multiply.outer(weights, w).ravel()
-    return ProductForm(coeffs=coeffs, weights=-overall_sign * weights)
+    return ProductForm(coeffs=coeffs, weights=weights)
 
 
 _CUT = 1e-22
@@ -466,32 +442,45 @@ _CUT = 1e-22
 def current_vertex_factor(ell: int, params: QParams) -> ProductForm:
     """Product form of exp( - sum (1/n) eta_n x^n / (q^{n/2l}-q^{-n/2l}) ):
     the support-evaluable part of the current-vertex contraction built
-    from the Lambda^- branch against a first-kind vertex.
+    from the Lambda^- branch against a first-kind vertex.  Since
+    (q^{n/2} - q^{-n/2}) / (q^{n/2l} - q^{-n/2l}) = sum_{j<l} e_j^n with
+    e_j = q^{(l-1-2j)/(2l)}, it is the finite product
 
-    Carries the exact zero at x = p^{1/2} q^{-1/(2 ell)}.
+        prod_{j<l} (1 - t^{1/2} e_j x) / (1 - t^{-1/2} e_j x),
+
+    2 ell factors, the zeros first.  Carries the exact zero at
+    x = p^{1/2} q^{-1/(2 ell)}.
     """
-    fams = [_family_eta(params), _family_inv_diff(params.q, ell, _CUT)]
-    return _expand(fams, overall_sign=-1)
+    spread = [(1, params.q ** ((ell - 1 - 2 * j) / (2.0 * ell))) for j in range(ell)]
+    return _expand([_family_half(params.t), spread])
 
 
 def mirror_vertex_factor(k: int, params: QParams) -> ProductForm:
-    """Mirror companion: exp( + sum (1/n) eta_n x^n / (t^{n/2k}-t^{-n/2k}) )."""
-    fams = [_family_eta(params), _family_inv_diff(params.t, k, _CUT)]
-    return _expand(fams, overall_sign=+1)
+    """Mirror companion exp( + sum (1/n) eta_n x^n / (t^{n/2k}-t^{-n/2k}) ):
+    the inverse of current_vertex_factor at the omega image (eta is
+    symmetric in q and t)."""
+    form = current_vertex_factor(k, params.omega_image())
+    return ProductForm(form.coeffs, -form.weights)
 
 
 def pair_correlation_log_rule(ell: int, params: QParams) -> Callable[[int], float]:
     """log-coefficients of the oscillator part of the radial-ordering
     scalar of two first-kind vertices:  the scalar is
-    z^{ell^2 beta / 2} exp( sum_{n>=1} rule(n) (w/z)^n )."""
+    z^{ell^2 beta / 2} exp( sum_{n>=1} rule(n) (w/z)^n ), with
+
+        rule(n) = -C^n (1 - q^n)(1 - t^n) / ((1 - q^{n/l})^2 (1 + P^n)) / n,
+
+    P = min(p, 1/p) and C = q^{1/l - 1/2} t^{-1/2} P^{1/2} the inverse
+    series radius, so no power of the parameters overflows."""
     if ell < 1:
         raise QVirasoroError("pair correlation needs a first-kind label >= 1")
-    q, p = params.q, params.p
+    q, t = params.q, params.t
+    P = min(params.p, 1.0 / params.p)
+    C = q ** (1.0 / ell - 0.5) * t**-0.5 * P**0.5
 
     def rule(n: int) -> float:
-        h = n / 2.0
-        d = q ** (n / (2.0 * ell)) - q ** (-n / (2.0 * ell))
-        return -_eta(n, params) / (d * d * (p**h + p**-h)) / n
+        num = (1.0 - q**n) * (1.0 - t**n)
+        return -(C**n) * num / ((1.0 - q ** (n / ell)) ** 2 * (1.0 + P**n)) / n
 
     return rule
 
@@ -499,12 +488,14 @@ def pair_correlation_log_rule(ell: int, params: QParams) -> Callable[[int], floa
 def pair_correlation_factor(ell: int, params: QParams) -> ProductForm:
     """Product form of the oscillator part of the two-vertex scalar,
     convergent past the power-series radius (the continuation used on
-    swapped argument order)."""
+    swapped argument order); needs 0 < q < 1."""
     if ell < 1:
         raise QVirasoroError("pair correlation needs a first-kind label >= 1")
+    if not 0.0 < params.q < 1.0:
+        raise RegimeError(f"pair correlation product needs 0 < q < 1, got q={params.q}")
     fams = [
-        _family_eta(params),
-        _family_inv_diff_squared(params.q, ell, _CUT),
+        _family_half(params.t),
+        _family_pair_q(params.q, ell, _CUT),
         _family_inv_p_sum(params.p, _CUT),
     ]
-    return _expand(fams, overall_sign=-1)
+    return _expand(fams)

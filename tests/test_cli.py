@@ -582,8 +582,9 @@ def test_deep_suite_memory(degree):
 def test_scalar_layer_memory():
     # check_two_point at the scalar-sweep sites (the 20 off-diagonal
     # centres of a 5 x 5 grid over [0.05, 0.95]^2) and ell 1, 2, 3: about
-    # 68 MB with each product form freed after its check, 157 MB when up
-    # to 32 of them were cached
+    # 47 MB, set by the largest pair form (444,960 factors at (0.86, 0.68),
+    # ell 3) with each form freed after its check; 157 MB when up to 32 of
+    # them were cached
     script = (
         "import sys\n"
         "from qvirasoro.correlators import check_two_point\n"
@@ -605,4 +606,4 @@ def test_scalar_layer_memory():
     )
     assert proc.returncode == 0, proc.stderr
     peak_mb = int(proc.stderr.split()[-1]) / 1024
-    assert peak_mb < 100, f"peak RSS {peak_mb:.0f} MB"
+    assert peak_mb < 60, f"peak RSS {peak_mb:.0f} MB"

@@ -100,6 +100,15 @@ class TestTwoPoint:
         rep = check_two_point(QParams(0.9, 0.2), ell=3)
         assert rep.passed, rep.summary_line()
 
+    @pytest.mark.parametrize("params, ell", [(QParams(0.02, 0.05), 2), (QParams(0.2, 0.02), 3)])
+    def test_checker_log_rule_does_not_overflow(self, params, ell):
+        # unscaled, the powers in eta_n / (d_n^2 (p^{n/2} + p^{-n/2})) overflow
+        # from n = 206 and n = 258 here, within the series orders 239 and 299
+        rule = pair_correlation_log_rule(ell, params)
+        assert all(math.isfinite(rule(n)) for n in range(1, 400))
+        rep = check_two_point(params, ell)
+        assert rep.status == "pass", rep.summary_line()
+
     def test_checker_without_compared_points_is_inconclusive(self):
         # the series radius is 0.282, so both x = 0.3 and x = 0.55 are
         # skipped and nothing is compared

@@ -102,8 +102,9 @@ def test_exchange_rewrite_reports_all_ingredients():
 
 
 def test_exchange_rewrite_small_reduced_support_value():
-    # the reduced support value is -2.8e-7, a product of 9855 factors none
-    # of which vanishes: finite and nonzero, however small
+    # the reduced support value is -2.8e-7, a product of the 5 factors
+    # left after the zero, none of which vanishes: finite and nonzero,
+    # however small
     rep = check_exchange_rewrite(3, QParams(0.9401877, 0.0637690), 4, 4)
     assert rep.passed, rep.summary_line()
     assert "reduced support value -2.76685e-07" in " ".join(rep.notes)

@@ -5,11 +5,12 @@ import math
 import numpy as np
 import pytest
 
-from qvirasoro.errors import PoleError
+from qvirasoro.errors import PoleError, RegimeError
 from qvirasoro.fock import NormalOrderedVertex, merge_vertices, vertex_data_distance
 from qvirasoro.qspecial import QParams, qpoch_inf
 from qvirasoro.series import from_log_rule
 from qvirasoro.voa import (
+    ProductForm,
     StructureFunctionSpec,
     build_current,
     build_lambda,
@@ -226,15 +227,33 @@ class TestProductForms:
                 ), (ell, x)
 
     def test_pair_correlation_pole_raises(self):
-        # at P the factors vanishing at 1/q have weights -1 and +2: net a
-        # simple zero (value((1/q)(1 + eps)) is about 0.418 eps)
+        # at P one factor of weight +1 vanishes at 1/q: a simple zero
+        # (value((1/q)(1 + eps)) is about 0.418 eps)
         assert pair_correlation_factor(1, P).value(1.0 / P.q) == 0.0
-        # at (0.49, 0.7) they have weights -1 and -1: a double pole
+        # at (0.49, 0.7) two factors of weight -1 vanish: a double pole
         P1 = QParams(0.49, 0.7)
         with pytest.raises(PoleError):
             pair_correlation_factor(1, P1).value(1.0 / P1.q)
-        # weights +1, +1 and -1 vanish together at x = 2: a simple zero
+        # the zero 1 - t^{1/2} x of weight +1 vanishes at x = 2
         assert current_vertex_factor(1, QParams(0.5, 0.25)).value(2.0) == 0.0
+
+    def test_pair_correlation_needs_q_below_one(self):
+        with pytest.raises(RegimeError):
+            pair_correlation_factor(1, QParams(1.5, 0.5, strict=False))
+
+    @pytest.mark.parametrize("ell", [1, 2, 3])
+    def test_vertex_factors_are_finite_products(self, ell):
+        # (q^{n/2} - q^{-n/2}) / (q^{n/2l} - q^{-n/2l}) has l terms, so the
+        # current factor is l zeros at t^{1/2} e_j and l poles at t^{-1/2} e_j
+        form = current_vertex_factor(ell, P)
+        e = P.q ** ((ell - 1 - 2 * np.arange(ell)) / (2.0 * ell))
+        np.testing.assert_allclose(form.coeffs, np.r_[P.t**0.5 * e, P.t**-0.5 * e])
+        assert form.weights.tolist() == [1] * ell + [-1] * ell
+        # the mirror factor is its inverse at the omega image
+        mirror = mirror_vertex_factor(ell, P)
+        image = current_vertex_factor(ell, P.omega_image())
+        np.testing.assert_array_equal(mirror.coeffs, image.coeffs)
+        np.testing.assert_array_equal(mirror.weights, -image.weights)
 
     def test_exchange_supports_are_exact_zeros(self):
         # the minus-branch transfer weight vanishes identically at both
@@ -253,6 +272,16 @@ class TestProductForms:
         assert idx is not None
         reduced = form.drop(idx).value(c1)
         assert reduced != 0.0 and math.isfinite(reduced)
+
+    def test_drop_removes_a_zero_not_a_coincident_pole(self):
+        # a pole listed before the zero it meets at x = 0.5: the pair nets
+        # to a finite value, and dropping the zero leaves the pole
+        form = ProductForm(np.array([2.0, 2.0, 0.5]), np.array([-1, 1, 1]))
+        assert form.value(0.5) == pytest.approx(0.75)
+        idx = form.factor_index_at_zero(0.5)
+        assert idx == 1
+        with pytest.raises(PoleError):
+            form.drop(idx).value(0.5)
 
 
 class TestCurrentData:
