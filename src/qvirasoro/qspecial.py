@@ -6,8 +6,17 @@ hypergeometric series routine (phi21 and the lattice four-point sums
 call it), Jackson q-integration (unilateral and bilateral), and the
 elliptic bracket that builds connection matrices.
 
-Everything in this module is plain float numerics; no Fock space or
-operator machinery.
+No Fock space or operator machinery.  The q-products and the basic
+series run as numpy kernels over whole arrays of points and terms, and
+they are bit-exact: every value equals, bit for bit, the one the plain
+float loop (one Python step per factor or term, kept as the reference
+in ``tests/oracles.py``) computes.  So each kernel does the loop's
+floating-point operations in the loop's order: points and terms come
+from ``multiply.accumulate`` (never from powers), running products and
+sums from ``multiply.accumulate`` and ``add.accumulate``, and ``q**n``
+from Python's own pow.  Scalar prefactors stay Python float arithmetic,
+so an overflowing power still raises OverflowError, and a float
+argument still gives a Python float.
 """
 
 from __future__ import annotations
@@ -15,6 +24,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from typing import Callable
+
+import numpy as np
 
 from .errors import ConvergenceError, PoleError, RegimeError
 
@@ -24,6 +35,12 @@ TERM_CAP = 100_000
 # Infinite products treat a factor this close to zero as a structural
 # zero (a lattice point landing exactly on a node) and return 0.0.
 ZERO_SNAP = 1e-13
+# An infinite product stops before its first point below this size;
+# 1 - x rounds to exactly 1.0 there, so the factors past it are 1.0.
+_STOP = 1e-18
+# Floats in one kernel array; longer products run in column chunks.
+_BUDGET = 1 << 15
+_NO_END = "infinite Pochhammer did not terminate"
 
 
 @dataclass(frozen=True)
@@ -90,56 +107,125 @@ def qpoch(a: float, q: float, n: int) -> float:
     return prod
 
 
-def _qpoch_inf_single(a: float, b: float) -> float:
-    prod = 1.0
-    x = a
-    n = 0
-    while True:
-        f = 1.0 - x
-        if abs(f) < ZERO_SNAP:
-            return 0.0
-        prod *= f
-        x *= b
-        n += 1
-        if abs(x) < 1e-18:
-            return prod
-        if n > TERM_CAP:
-            raise ConvergenceError("infinite Pochhammer did not terminate")
+def _count(big: float, b: float) -> int:
+    """Factors the loop takes from a point of size ``big`` until its next
+    point drops below _STOP, plus one: the last point then lies near
+    _STOP b, a margin that rounding in TERM_CAP + 1 steps of the running
+    product cannot use up (that takes 1 - b < 1e-11, where a product
+    needs far more steps than that anyway)."""
+    return 1 if big < _STOP else int(math.log(_STOP / big) / math.log(b)) + 2
 
 
-def qpoch_inf(a: float, *bases: float) -> float:
+def _qpoch_values(a: np.ndarray, b: float) -> np.ndarray:
+    """(a; b)_inf for every entry of the 1-D float array ``a``, as the loop
+    computes it, NaN where the loop raises: a non-finite entry, or one
+    whose product does not stop within TERM_CAP + 1 factors.  (A finite
+    entry never gives a NaN product: its factors are nonzero, and once
+    one is below 1 in size all later ones are, so a product that
+    overflowed never meets one that underflowed.)
+
+    Each entry is a row.  Its points a b^n come from one
+    ``multiply.accumulate`` along [a, b, b, ...], its running products
+    from another along the factors 1 - a b^n, and every row is as long
+    as the largest |a| needs.  A chunk of at most _BUDGET floats hands
+    its last points and products on to the next."""
+    out = np.full(a.shape, math.nan)
+    with np.errstate(all="ignore"):
+        live = np.flatnonzero(np.isfinite(a))
+        x, prod, n = a[live], 1.0, 0
+        while live.size and n <= TERM_CAP:
+            big = float(np.max(np.abs(x)))
+            width = max(1, min(_count(big, b), _BUDGET // live.size, TERM_CAP + 1 - n))
+            pts = np.empty((live.size, width + 1))
+            pts[:, 0] = x
+            pts[:, 1:] = b
+            np.multiply.accumulate(pts, axis=1, out=pts)
+            x = pts[:, -1].copy()
+            f = np.subtract(1.0, pts[:, :-1], out=pts[:, :-1])
+            tiny = np.abs(f) < ZERO_SNAP
+            snap = tiny.any(axis=1) if tiny.any() else np.zeros(live.size, dtype=bool)
+            f[:, 0] *= prod
+            prod = np.multiply.accumulate(f, axis=1, out=f)[:, -1]
+            going = ~snap & (np.abs(x) >= _STOP)
+            out[live] = np.where(snap, 0.0, prod)
+            live, x, prod, n = live[going], x[going], prod[going], n + width
+    out[live] = math.nan  # still going after TERM_CAP + 1 factors
+    return out
+
+
+def _symbol(value: float) -> float:
+    """One value of ``_qpoch_values``, raising ConvergenceError where the
+    loop did not terminate."""
+    if math.isnan(value):
+        raise ConvergenceError(_NO_END)
+    return value
+
+
+def _qpoch_inf_single(a, b: float):
+    """(a; b)_inf for a float ``a`` (a Python float back), or entrywise for
+    an array of ``a``; ConvergenceError if any entry's loop would raise."""
+    vals = _qpoch_values(np.asarray(a, dtype=float).ravel(), b)
+    if np.isnan(vals).any():
+        raise ConvergenceError(_NO_END)
+    return float(vals[0]) if np.ndim(a) == 0 else vals.reshape(np.shape(a))
+
+
+def qpoch_inf(a, *bases: float):
     """Infinite symbol (a; b1, ..., bk)_inf.
 
     Multi-base means the product over all lattice points
     prod (1 - a * b1^{n1} ... bk^{nk}), n_i >= 0.  All bases must lie
     in (0, 1).  A factor within ZERO_SNAP of zero makes the whole
-    product an exact 0.0 (structural zero).
+    product an exact 0.0 (structural zero).  With one base, ``a`` may be
+    an array of points: the symbols then come entrywise from one kernel
+    call.
     """
     if not bases:
         raise ValueError("need at least one base")
     for b in bases:
-        if not (0 < b < 1):
-            raise RegimeError(f"infinite product needs bases in (0,1), got {b}")
+        _check_base(b)
     return _qpoch_inf(a, bases)
 
 
-def _qpoch_inf(a: float, bases: tuple[float, ...]) -> float:
+def _check_base(b: float) -> None:
+    if not (0 < b < 1):
+        raise RegimeError(f"infinite product needs bases in (0,1), got {b}")
+
+
+def _qpoch_inf(a, bases: tuple[float, ...]):
+    """The loop's product over the rows a b1^i of (a b1^i; b2, ...)_inf,
+    which returns 0.0 as soon as its partial product is 0.0, before a
+    later row could make it 0 * inf = NaN."""
     if len(bases) == 1:
         return _qpoch_inf_single(a, bases[0])
-    b = bases[0]
-    prod = 1.0
-    x = a
-    n = 0
-    while True:
-        prod *= _qpoch_inf(x, bases[1:])
-        if prod == 0.0:
+    if not math.isfinite(a):
+        raise ConvergenceError(_NO_END)
+    # the rows up to the one before the first point below _STOP, or the
+    # first TERM_CAP + 1 rows if there are more
+    n = min(_count(abs(a), bases[0]), TERM_CAP + 1)
+    rows = np.full(n + 1, bases[0])
+    rows[0] = a
+    np.multiply.accumulate(rows, out=rows)
+    below = np.abs(rows[1:]) < _STOP
+    rows = rows[: int(np.argmax(below)) + 1] if below.any() else rows[:-1]
+    if len(bases) > 2:
+        prod = 1.0
+        for x in rows.tolist():
+            prod *= _qpoch_inf(x, bases[1:])
+            if prod == 0.0:
+                return 0.0
+    else:
+        vals = _qpoch_values(rows, bases[1])
+        with np.errstate(all="ignore"):
+            partial = np.multiply.accumulate(vals)
+        if (partial == 0.0).any():
             return 0.0
-        x *= b
-        n += 1
-        if abs(x) < 1e-18:
-            return prod
-        if n > TERM_CAP:
-            raise ConvergenceError("infinite Pochhammer did not terminate")
+        if np.isnan(vals).any():
+            raise ConvergenceError(_NO_END)
+        prod = float(partial[-1])
+    if not below.any():
+        raise ConvergenceError(_NO_END)
+    return prod
 
 
 # ---------------------------------------------------------------------------
@@ -165,13 +251,14 @@ def beta_q(a: float, b: float, q: float) -> float:
     (1-q) (q;q)_inf (q^{a+b};q)_inf / ((q^a;q)_inf (q^b;q)_inf): the
     powers (1-q)^{1-z} of the three q-gammas cancel, so they cannot
     overflow.  Raises PoleError where one of the q-gammas would."""
-    symbols = []
-    for z in (a, b, a + b):
-        symbols.append(qpoch_inf(q**z, q))
-        if symbols[-1] == 0.0:
+    _check_base(q)
+    zs = (a, b, a + b)
+    symbols = _qpoch_values(np.array([q**z for z in zs] + [q]), q).tolist()
+    for z, s in zip(zs, symbols):
+        if _symbol(s) == 0.0:
             raise PoleError(f"gamma_q pole at z={z}")
-    pa, pb, pab = symbols
-    return (1.0 - q) * qpoch_inf(q, q) * pab / pa / pb
+    pa, pb, pab, pq = symbols
+    return (1.0 - q) * _symbol(pq) * pab / pa / pb
 
 
 def theta_q(z: float, q: float) -> float:
@@ -180,9 +267,7 @@ def theta_q(z: float, q: float) -> float:
     Satisfies theta(q z) = -z^{-1} theta(z) and
     theta(1/z) = -z^{-1} theta(z).
     """
-    if z == 0.0:
-        raise PoleError("theta_q has an essential singularity at z=0")
-    return qpoch_inf(z, q) * qpoch_inf(q / z, q) * qpoch_inf(q, q)
+    return _thetas([z], q)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -195,30 +280,61 @@ def basic_series(upper: tuple, lower: tuple, q: float, z: float) -> float:
     Terminates early if an upper factor hits a structural zero
     (terminating series); raises PoleError if a lower factor does.
     Needs |z| < 1 unless the series terminates.
+
+    The terms run in chunks of 64, 128, ... terms: the factors
+    1 - c q^n of a chunk, their ratios, the terms by ``multiply.accumulate``
+    and the partial sums by ``add.accumulate``.  The sum stops at the
+    chunk's first event, in the precedence of one term's step: a lower
+    pole, a terminating upper factor, divergence, the third small term
+    in a row (the run carrying over from the chunk before).
     """
     if not (0 < q < 1):
         raise RegimeError(f"basic series needs base in (0,1), got {q}")
-    total = 0.0
-    term = 1.0
-    small = 0
-    for n in range(TERM_CAP):
-        total += term
-        fl = [1.0 - c * q**n for c in lower]
-        fu = [1.0 - a * q**n for a in upper]
-        if any(abs(f) < ZERO_SNAP for f in fl):
-            raise PoleError(f"lower-parameter pole at term {n}")
-        if any(abs(f) < ZERO_SNAP for f in fu):
-            return total  # terminating series
-        term *= math.prod(fu) / math.prod(fl) * z
-        if not math.isfinite(term) or abs(term) > 1e100:
-            raise ConvergenceError("basic series diverges")
-        if abs(term) <= REL_TOL * max(abs(total), 1e-300):
-            small += 1
-            if small >= 3:
-                return total + term
-        else:
-            small = 0
+    k = len(upper)
+    coef = np.array([*upper, *lower], dtype=float).reshape(-1, 1)
+    total, term, small = 0.0, 1.0, 0
+    start, size = 0, 64
+    with np.errstate(all="ignore"):
+        while start < TERM_CAP:
+            stop = min(start + size, TERM_CAP)
+            # row i holds the factors 1 - c_i q^n, upper parameters first
+            f = 1.0 - coef * np.array([q**n for n in range(start, stop)])
+            terms = np.empty(stop - start + 1)
+            terms[0] = term
+            terms[1:] = _prod(f[:k]) / _prod(f[k:]) * z
+            np.multiply.accumulate(terms, out=terms)
+            # totals[i] is the sum through term start + i, nxt[i] the term after it
+            totals = np.concatenate(([total], terms[:-1]))
+            np.add.accumulate(totals, out=totals)
+            totals, nxt = totals[1:], terms[1:]
+            mag = np.abs(nxt)
+            div = ~(mag <= 1e100)  # also NaN and inf
+            tiny = mag <= REL_TOL * np.maximum(np.abs(totals), 1e-300)
+            pos = np.arange(nxt.size)
+            run = pos - np.maximum.accumulate(np.where(tiny, -1 - small, pos))
+            snap = np.abs(f) < ZERO_SNAP
+            pole, zero = snap[k:].any(axis=0), snap[:k].any(axis=0)
+            event = pole | zero | div | (run >= 3)
+            if event.any():
+                i = int(np.argmax(event))
+                if pole[i]:
+                    raise PoleError(f"lower-parameter pole at term {start + i}")
+                if zero[i]:
+                    return float(totals[i])  # terminating series
+                if div[i]:
+                    raise ConvergenceError("basic series diverges")
+                return float(totals[i] + nxt[i])
+            total, term, small = totals[-1], terms[-1], int(run[-1])
+            start, size = stop, 2 * size
     raise ConvergenceError(f"basic series did not converge within {TERM_CAP} terms")
+
+
+def _prod(factors: np.ndarray):
+    """math.prod of the factor rows, entrywise and in their order."""
+    out = 1.0
+    for f in factors:
+        out = out * f
+    return out
 
 
 def phi21(a: float, b: float, c: float, q: float, z: float) -> float:
@@ -340,14 +456,29 @@ class BracketParams:
         return -2.0 * math.pi**2 / math.log(self.x)
 
 
-def bracket(u: float, bp: BracketParams) -> float:
+def bracket(u, bp: BracketParams):
     """The bracket [u]: odd ([-u] = -[u]) and r-antiperiodic
-    ([u + r] = -[u]).  Ratios of brackets build connection matrices."""
+    ([u + r] = -[u]).  Ratios of brackets build connection matrices.
+
+    ``u`` may be an array: its brackets then come entrywise, all their
+    theta symbols from one kernel call, and an error of any entry is
+    raised."""
+    us = np.asarray(u, dtype=float).ravel().tolist() if np.ndim(u) else [u]
     x = bp.x
     amp = math.sqrt(2.0 * math.pi * bp.r / bp.eps)
-    return (
-        amp
-        * x ** (bp.r / 4.0)
-        * x ** (u * (u - bp.r) / bp.r)
-        * theta_q(x ** (2.0 * u), x ** (2.0 * bp.r))
-    )
+    pref, args = [], []
+    for v in us:
+        pref.append(amp * x ** (bp.r / 4.0) * x ** (v * (v - bp.r) / bp.r))
+        args.append(x ** (2.0 * v))
+    thetas = _thetas(args, x ** (2.0 * bp.r))
+    vals = [p * th for p, th in zip(pref, thetas)]
+    return vals[0] if not np.ndim(u) else np.reshape(vals, np.shape(u))
+
+
+def _thetas(zs: list, q: float) -> list:
+    """theta_q(z, q) for each z, from one kernel call over z, q/z and q."""
+    if 0.0 in zs:
+        raise PoleError("theta_q has an essential singularity at z=0")
+    syms = qpoch_inf(np.array(zs + [q / z for z in zs] + [q]), q).tolist()
+    n = len(zs)
+    return [syms[i] * syms[n + i] * syms[-1] for i in range(n)]

@@ -3,13 +3,19 @@
 Everything here recomputes quantities from first principles — explicit
 word reordering for oscillator amplitudes and truncated multinomial
 expansion of vertex exponentials — independently of the library's
-matrix engine, so the results can serve as oracles.
+matrix engine, so the results can serve as oracles.  The scalar loops
+(one Python step per factor or term) are the reference the q-product
+and basic-series kernels of ``qvirasoro.qspecial`` must equal bit for
+bit.
 """
 
 from __future__ import annotations
 
 import math
 from itertools import combinations_with_replacement
+
+from qvirasoro.errors import ConvergenceError, PoleError
+from qvirasoro.qspecial import REL_TOL, TERM_CAP, ZERO_SNAP
 
 
 def structure_constant(n: int, params) -> float:
@@ -168,3 +174,66 @@ def four_point_lattice(branch, z, w, cp):
 
         val = (z * w) ** -cp.a * jackson_to(f, seed, cp.Q)
     return (z * w) ** (cp.L * cp.a / 2.0) * val
+
+
+def qpoch_inf_single(a: float, b: float) -> float:
+    """(a; b)_inf, one factor per step until the next point is below 1e-18."""
+    prod = 1.0
+    x = a
+    n = 0
+    while True:
+        f = 1.0 - x
+        if abs(f) < ZERO_SNAP:
+            return 0.0
+        prod *= f
+        x *= b
+        n += 1
+        if abs(x) < 1e-18:
+            return prod
+        if n > TERM_CAP:
+            raise ConvergenceError("infinite Pochhammer did not terminate")
+
+
+def qpoch_inf(a: float, bases: tuple[float, ...]) -> float:
+    """(a; b1, ..., bk)_inf, one row a b1^i per step."""
+    if len(bases) == 1:
+        return qpoch_inf_single(a, bases[0])
+    b = bases[0]
+    prod = 1.0
+    x = a
+    n = 0
+    while True:
+        prod *= qpoch_inf(x, bases[1:])
+        if prod == 0.0:
+            return 0.0
+        x *= b
+        n += 1
+        if abs(x) < 1e-18:
+            return prod
+        if n > TERM_CAP:
+            raise ConvergenceError("infinite Pochhammer did not terminate")
+
+
+def basic_series(upper: tuple, lower: tuple, q: float, z: float) -> float:
+    """sum_n prod_i (u_i;q)_n / prod_j (l_j;q)_n z^n, one term per step."""
+    total = 0.0
+    term = 1.0
+    small = 0
+    for n in range(TERM_CAP):
+        total += term
+        fl = [1.0 - c * q**n for c in lower]
+        fu = [1.0 - a * q**n for a in upper]
+        if any(abs(f) < ZERO_SNAP for f in fl):
+            raise PoleError(f"lower-parameter pole at term {n}")
+        if any(abs(f) < ZERO_SNAP for f in fu):
+            return total  # terminating series
+        term *= math.prod(fu) / math.prod(fl) * z
+        if not math.isfinite(term) or abs(term) > 1e100:
+            raise ConvergenceError("basic series diverges")
+        if abs(term) <= REL_TOL * max(abs(total), 1e-300):
+            small += 1
+            if small >= 3:
+                return total + term
+        else:
+            small = 0
+    raise ConvergenceError(f"basic series did not converge within {TERM_CAP} terms")

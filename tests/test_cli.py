@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -68,6 +69,17 @@ class TestExitStatus:
         )
         assert code == 2
         assert "[INCONCLUSIVE] connection" in out and err == ""
+
+    def test_overflowing_connection_leaks_no_warning(self, capsys):
+        # the scalar kernels overflow here; they evaluate under
+        # np.errstate, so no numpy RuntimeWarning may escape
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, _, err = run_cli(
+                capsys, "verify", "--suite", "connection", "--q", "0.4", "--t", "0.02",
+                "--L", "10",
+            )
+        assert code == 2 and err == ""
 
     def test_pole_in_one_suite_keeps_the_other_records(self, capsys):
         # t = q^{3/2}: the composite exchange's product form has a pole at
