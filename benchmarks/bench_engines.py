@@ -4,8 +4,9 @@ self-contained pure-Python dictionary engine.
 Both compute the same object: the matrix of a normal-ordered vertex
 operator on the degree-truncated bosonic basis at fixed momentum.  The
 library engine builds its parameter-free sub-multiset tables once per
-degree, evaluates the weights as array products over them and finishes
-with one matrix product; the reference engine below walks
+degree, forms each mode-power product once per basis state from a table
+of powers and gathers it onto the (state, sub-multiset) pairs, and
+finishes with one matrix product; the reference engine below walks
 partitions as multiplicity dictionaries and re-derives every entry from
 scratch.  The script prints timings for both and the worst entrywise
 deviation (which must sit at rounding level).

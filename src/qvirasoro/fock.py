@@ -208,19 +208,21 @@ class CoeffTable:
 
 
 RemovalTable = namedtuple(
-    "RemovalTable", "states index degrees sup sub take binom fact"
+    "RemovalTable", "states index degrees mult sup sub kind binom fact"
 )
 
 
 @functools.lru_cache(maxsize=None)
 def removal_table(max_degree: int) -> RemovalTable:
     """What an annihilation exponential can remove from each state of the
-    basis of degree <= max_degree, as flat arrays over every (state,
-    sub-multiset) pair: ``sup`` indexes the state, in ascending order,
-    ``sub`` what remains of it (sub <= sup), ``take[:, n - 1]`` counts the
-    h_{-n} removed, ``binom`` is prod_n C(m_n, take_n) and ``fact`` prod_n
-    take_n!.  Parameter-free, so built once per degree and shared,
-    read-only, by its bases."""
+    basis of degree <= max_degree.  ``mult[s, n - 1]`` counts the h_{-n}
+    of state s; the rest are flat arrays over every (state, sub-multiset)
+    pair: ``sup`` indexes the state, in ascending order, ``sub`` what
+    remains of it (sub <= sup), ``kind`` the state that the removed
+    sub-multiset is (mult[kind] = mult[sup] - mult[sub]), ``binom`` is
+    prod_n C(m_n, k_n) and ``fact`` prod_n k_n!, k = mult[kind].
+    Parameter-free, so built once per degree and shared, read-only, by
+    its bases."""
     states = tuple(
         lam for d in range(max_degree + 1) for lam in sorted(partitions_of(d))
     )
@@ -232,15 +234,22 @@ def removal_table(max_degree: int) -> RemovalTable:
     contained = [np.flatnonzero((mult <= m).all(axis=1)) for m in mult]
     sup = np.repeat(np.arange(len(states)), [len(c) for c in contained])
     sub = np.concatenate(contained)
-    take = mult[sup] - mult[sub]
+    # a mixed-radix key of the multiplicities (m_n <= max_degree // n; it
+    # fits in int64 up to max_degree 35) is linear, so the removed
+    # sub-multiset's key is key[sup] - key[sub]
+    radix = np.cumprod([1] + [max_degree // n + 1 for n in range(1, max_degree)])
+    key = mult @ radix[:max_degree]
+    order = np.argsort(key)
+    kind = order[np.searchsorted(key[order], key[sup] - key[sub])]
     f = np.array([math.factorial(j) for j in range(max_degree + 1)], dtype=float)
-    fact = f[take].prod(axis=1)
-    binom = f[mult[sup]].prod(axis=1) / fact / f[mult[sub]].prod(axis=1)
+    per_state = f[mult].prod(axis=1)
+    fact = per_state[kind]
+    binom = per_state[sup] / fact / per_state[sub]
     index = {lam: i for i, lam in enumerate(states)}
     degrees = mult @ np.arange(1, max_degree + 1)
-    for arr in (degrees, sup, sub, take, binom, fact):
+    for arr in (degrees, mult, sup, sub, kind, binom, fact):
         arr.flags.writeable = False
-    return RemovalTable(states, index, degrees, sup, sub, take, binom, fact)
+    return RemovalTable(states, index, degrees, mult, sup, sub, kind, binom, fact)
 
 
 class PartitionBasis:
@@ -258,24 +267,70 @@ class PartitionBasis:
         self.size = len(self.states)
         modes = range(1, max_degree + 1)
         self.cn = np.array([mode_commutator(n, -n, params) for n in modes])
+        # the power table's exponents: row j is j in every mode
+        powers = np.arange(max_degree + 1, dtype=np.int8)[:, None]
+        self._exponents = np.repeat(powers, max_degree, axis=1)
+        self._modes = np.arange(max_degree)
+        # (rows, cols) -> (deg bra - deg ket) + max_degree, as uint8
+        self._offsets: dict[tuple[int, int], np.ndarray] = {}
 
     def corner(self, cap: int) -> int:
         """Number of states of degree <= cap: they lead the basis."""
         return int(np.searchsorted(self.degrees, cap, side="right"))
 
-    def weigh(self, block: np.ndarray, weight: Callable[[int], float]) -> np.ndarray:
-        """Entrywise block * weight(deg bra - deg ket), block being a
-        leading (rows, columns) block of a matrix on this basis."""
-        D = self.max_degree
-        w = np.array([weight(d) for d in range(-D, D + 1)])
-        rows, cols = block.shape
-        return block * w[self.degrees[:rows, None] - self.degrees[None, :cols] + D]
+    def weigh(self, block: np.ndarray, weights: np.ndarray) -> np.ndarray:
+        """Entrywise block * weights[(deg bra - deg ket) + max_degree],
+        block being a leading (rows, columns) block of a matrix on this
+        basis and ``weights`` the 2 max_degree + 1 weights of the degree
+        differences -max_degree, ..., max_degree.  The index is
+        parameter-free, so it is kept per block shape, one byte per entry,
+        and the gathered weights are multiplied in place: a call holds one
+        block-sized array."""
+        shape = block.shape
+        offsets = self._offsets.get(shape)
+        if offsets is None:
+            rows, cols = shape
+            diff = self.degrees[:rows, None] - self.degrees[None, :cols]
+            offsets = (diff + self.max_degree).astype(np.uint8)
+            self._offsets[shape] = offsets
+        out = weights[offsets]
+        return np.multiply(block, out, out=out)
 
     def theta(self, block: np.ndarray, vertex, xi: float, momentum: float):
         """Theta_xi f(w) = f(xi w) on a leading block of the matrix of
         ``vertex`` at ``momentum``: the degree weight xi^{(deg bra - deg ket)
         + h0_power*momentum}, exactly that block of ``vertex.at_scale(xi)``."""
-        return self.weigh(block, lambda d: xi ** (d + vertex.h0_power * momentum))
+        D = self.max_degree
+        shift = vertex.h0_power * momentum
+        weights = np.array([xi ** (d + shift) for d in range(-D, D + 1)])
+        return self.weigh(block, weights)
+
+    def _powers(self, x: np.ndarray) -> np.ndarray:
+        """prod_n x_n^{m_n} for every state m of the basis, from the table
+        x_n^j, j <= max_degree (a pure gather: each entry is the same
+        ``**`` that x ** m makes)."""
+        return (x**self._exponents)[self.removals.mult, self._modes].prod(axis=1)
+
+    def factors(self, vertex: NormalOrderedVertex, rows: int, inner: int, cols: int):
+        """Leading blocks cre[:rows, :inner] and ann[:inner, :cols] of the
+        creation and annihilation factors of ``vertex`` (M = zero-mode
+        factor * cre @ ann, see ``application_matrix``).  ann's entry
+        (sub, sup) is binom * prod_n (A(n) c_n)^{k_n} and cre's (sup, sub)
+        prod_n A(-n)^{k_n} / fact, k the removed sub-multiset, whose
+        power product is formed once per state and gathered by ``kind``."""
+        r = self.removals
+        modes = range(1, self.max_degree + 1)
+        a = np.array([vertex.mode_rule(n) for n in modes]) * self.cn
+        b = np.array([vertex.mode_rule(-n) for n in modes])
+        # the pairs of ann's block (sup < cols) and cre's (sup < rows)
+        # with sub < inner; the pairs run in sup order, with sub <= sup
+        i = np.flatnonzero(r.sub[: np.searchsorted(r.sup, cols)] < inner)
+        j = np.flatnonzero(r.sub[: np.searchsorted(r.sup, rows)] < inner)
+        ann = np.zeros((inner, cols))
+        cre = np.zeros((rows, inner))
+        ann[r.sub[i], r.sup[i]] = r.binom[i] * self._powers(a)[r.kind[i]]
+        cre[r.sup[j], r.sub[j]] = self._powers(b)[r.kind[j]] / r.fact[j]
+        return cre, ann
 
     def application_matrix(
         self, vertex: NormalOrderedVertex, momentum: float, rows=None, cols=None
@@ -284,29 +339,17 @@ class PartitionBasis:
         M with X(z)|momentum, lam> = sum_mu M[mu,lam]
         z^{(deg mu - deg lam) + h0_power*momentum} |momentum + charge/2, mu>.
 
-        M = cre @ ann, and annihilation lowers the degree while creation
-        raises it, so the block is cre[:rows, :m] @ ann[:m, :cols] with
-        m = min(rows, cols): c^2 N work and N c memory for a corner of c
-        states.  Exact on the truncated basis: the annihilation
-        exponential cannot leave it, and creation beyond max_degree is
-        dropped (callers size the basis so dropped states never matter
-        for the compared corner).
+        M = zero-mode factor * cre @ ann (``factors``), and annihilation
+        lowers the degree while creation raises it, so the block is
+        cre[:rows, :m] @ ann[:m, :cols] with m = min(rows, cols): c^2 N
+        work and N c memory for a corner of c states.  Exact on the
+        truncated basis: the annihilation exponential cannot leave it, and
+        creation beyond max_degree is dropped (callers size the basis so
+        dropped states never matter for the compared corner).
         """
         rows = self.size if rows is None else rows
         cols = self.size if cols is None else cols
-        m = min(rows, cols)
-        r = self.removals
-        modes = range(1, self.max_degree + 1)
-        a = np.array([vertex.mode_rule(n) for n in modes]) * self.cn
-        b = np.array([vertex.mode_rule(-n) for n in modes])
-        # the pairs of ann's block (sup < cols) and cre's (sup < rows)
-        # with sub < m; the pairs run in sup order, with sub <= sup
-        i = np.flatnonzero(r.sub[: np.searchsorted(r.sup, cols)] < m)
-        j = np.flatnonzero(r.sub[: np.searchsorted(r.sup, rows)] < m)
-        ann = np.zeros((m, cols))
-        cre = np.zeros((rows, m))
-        ann[r.sub[i], r.sup[i]] = r.binom[i] * np.prod(a ** r.take[i], axis=1)
-        cre[r.sup[j], r.sub[j]] = np.prod(b ** r.take[j], axis=1) / r.fact[j]
+        cre, ann = self.factors(vertex, rows, min(rows, cols), cols)
         return vertex.zero_mode_factor(momentum) * (cre @ ann)
 
 

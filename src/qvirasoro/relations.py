@@ -5,10 +5,16 @@ current insertion, w for the vertex) become finite matrices, in one of
 two views.  Only the compared corner (bra and ket degree <= degree_cap,
 the c leading states of the degree-ordered basis) is built, each table
 as one product of leading blocks of the operators, X[:c], X[:, :c],
-Y[:c], Y[:, :c] and W[:c, :c] (``application_matrix`` with rows and
-cols; ``_operands``), weighted entrywise by degree difference; no N x N
-matrix is formed.  The internal basis reaches the largest degree an
-intermediate state that contributes can have, so the corner is exact.
+Y[:c], Y[:, :c] and W[:c, :c], weighted entrywise by degree difference;
+no N x N matrix is formed.  ``_operands`` builds each vertex's creation
+and annihilation factors cre[:, :c] and ann[:c] once (``_blocks``,
+``PartitionBasis.factors``) and takes both of its blocks, and Y[:c, :c],
+from them, each the same product that ``application_matrix`` forms for
+that block alone, so every entry is bit for bit what separate builds
+give.  A check evaluates its weights once, as vectors over the degree
+differences -D..D that ``PartitionBasis.weigh`` gathers.  The internal
+basis reaches the largest degree an intermediate state that contributes
+can have, so the corner is exact.
 
 * Keys (``_exchange_check``): one table per w-exponent relative to the
   momentum-dependent offset, for |key| <= window.  For an entry with
@@ -85,11 +91,26 @@ __all__ = [
 # Table assembly
 
 
-def _app(basis: PartitionBasis, op, momentum: float, rows=None, cols=None):
-    """Leading block [:rows, :cols] of the matrix of a vertex or a sum."""
+def _blocks(basis: PartitionBasis, op, c: int, top: float, left: float):
+    """M[:c] at momentum ``top``, and M[:, :c] and M[:c, :c] at momentum
+    ``left``, of a vertex or a sum of vertices M, c the size of the
+    corner.  Each vertex's factors cre[:, :c] and ann[:c] are built once
+    and give all three blocks, cre[:c] @ ann, cre @ ann[:, :c] and
+    cre[:c] @ ann[:, :c], each the product that ``application_matrix``
+    forms for that block alone; a sum adds its terms' blocks in order,
+    from 0."""
     if isinstance(op, OperatorSum):
-        return sum(basis.application_matrix(v, momentum, rows, cols) for v in op.terms)
-    return basis.application_matrix(op, momentum, rows, cols)
+        out = (0, 0, 0)
+        for v in op.terms:
+            out = tuple(a + b for a, b in zip(out, _blocks(basis, v, c, top, left)))
+        return out
+    cre, ann = basis.factors(op, basis.size, c, basis.size)
+    z = op.zero_mode_factor(left)
+    return (
+        op.zero_mode_factor(top) * (cre[:c] @ ann),
+        z * (cre @ ann[:, :c]),
+        z * (cre[:c] @ ann[:, :c]),
+    )
 
 
 def _kernel(g: np.ndarray, s: int, a: float = 1.0) -> float:
@@ -122,14 +143,24 @@ def _exchange_check(
     basis, x_left, y_in, y_out, x_right, shifted = _operands(
         params, x, y, terms, degree_cap, window + abs(twist), momentum
     )
-    gc = g(2 * basis.max_degree + window + 2).c
-    deltas = [(K, s, basis.weigh(w, lambda d: s**-d)) for K, s, w in shifted]
+    D = basis.max_degree
+    span = range(-D, D + 1)
+    gc = g(2 * D + window + 2).c
+    deltas = [
+        (K, s, basis.weigh(w, np.array([s**-d for d in span]))) for K, s, w in shifted
+    ]
     sign = (-1.0) ** twist
+    # g_s at every s that a key reads, s = lo, ..., hi
+    lo = -D - window - max(twist, 0)
+    hi = D + window + max(-twist, 0)
+    kern = np.array([_kernel(gc, s) for s in range(lo, hi + 1)])
 
     def triples():
         for k in range(-window, window + 1):
-            up = basis.weigh(y_in, lambda d: _kernel(gc, k - d))
-            down = basis.weigh(y_out, lambda d: _kernel(gc, d - k - twist))
+            # s = k - d and s = d - k - twist for d = -D, ..., D
+            i, j = k + D - lo, -D - k - twist - lo
+            up = basis.weigh(y_in, kern[i - 2 * D : i + 1][::-1])
+            down = basis.weigh(y_out, kern[j : j + 2 * D + 1])
             lhs = x_left @ up - sign * (down @ x_right)
             yield f"key={k}", lhs, sum(K * s**k * w for K, s, w in deltas)
 
@@ -140,16 +171,20 @@ def _operands(params, x, y, terms, degree_cap, reach, momentum):
     """The basis of degree degree_cap + reach and the blocks that the
     combination of ``_exchange_check`` multiplies, c being the size of its
     corner: X[:c] at Y's outgoing momentum, Y[:, :c], Y[:c], X[:, :c], and
-    (K, c, Theta_xi W[:c, :c]) per delta term (K, c, xi, W)."""
+    (K, c, Theta_xi W[:c, :c]) per delta term (K, c, xi, W).  X's and Y's
+    blocks come from one factor build each (``_blocks``), and each
+    distinct W's corner is built once, Y's from Y's factors."""
     basis = PartitionBasis(params, degree_cap + reach)
     c = basis.corner(degree_cap)
-    x_left = _app(basis, x, momentum + y.momentum_shift(), rows=c)
-    y_in = _app(basis, y, momentum, cols=c)
-    y_out = _app(basis, y, momentum, rows=c)
-    x_right = _app(basis, x, momentum, cols=c)
+    x_left, x_right, _ = _blocks(basis, x, c, momentum + y.momentum_shift(), momentum)
+    y_out, y_in, y_corner = _blocks(basis, y, c, momentum, momentum)
+    # W[:c, :c] once per distinct W
+    corners = {id(y): y_corner}
+    for _, _, _, w in terms:
+        if id(w) not in corners:
+            corners[id(w)] = basis.application_matrix(w, momentum, c, c)
     deltas = [
-        (K, s, basis.theta(_app(basis, w, momentum, c, c), w, xi, momentum))
-        for K, s, xi, w in terms
+        (K, s, basis.theta(corners[id(w)], w, xi, momentum)) for K, s, xi, w in terms
     ]
     return basis, x_left, y_in, y_out, x_right, deltas
 
@@ -160,8 +195,10 @@ def _mode_table(basis, x_left, y_in, y_out, x_right, g, n, twist=0, a=1.0):
     the blocks of ``_operands`` and structure series coefficients ``g``:
     the first term is weighted by g_s a^s at s = n + (deg mu - deg nu),
     the second by g_s a^-s at s = -(deg nu - deg lambda) - n - twist."""
-    up = basis.weigh(x_left, lambda d: _kernel(g, d + n, a))
-    down = basis.weigh(x_right, lambda d: _kernel(g, -d - n - twist, 1.0 / a))
+    span = range(-basis.max_degree, basis.max_degree + 1)
+    up = np.array([_kernel(g, d + n, a) for d in span])
+    down = np.array([_kernel(g, -d - n - twist, 1.0 / a) for d in span])
+    up, down = basis.weigh(x_left, up), basis.weigh(x_right, down)
     sign = (-1.0) ** twist * a ** (-twist)
     return up @ y_in - sign * (y_out @ down)
 
@@ -176,7 +213,7 @@ def _table_pairs(triples, basis: PartitionBasis, tolerance: float, notes: list):
     for label, a, b in triples:
         diff = np.abs(a - b)
         # argmax points at the first NaN, if any
-        i, j = np.unravel_index(int(diff.argmax()), diff.shape)
+        i, j = divmod(int(diff.argmax()), diff.shape[1])
         where = f"{label} bra={basis.states[i]} ket={basis.states[j]}"
         found.append((float(diff[i, j]), where))
         control = max(control, float(np.abs(a - (1.0 + 100.0 * tolerance) * b).max()))
@@ -227,7 +264,7 @@ def check_defining_relation(
     basis = PartitionBasis(params, D)
     c = basis.corner(degree_cap)
     cur = build_current(params)
-    t_out, t_in = _app(basis, cur, momentum, rows=c), _app(basis, cur, momentum, cols=c)
+    t_out, t_in, _ = _blocks(basis, cur, c, momentum, momentum)
     f = structure_series(StructureFunctionSpec("current"), params, 2 * D + 2).c
 
     q, t, p = params.q, params.t, params.p
@@ -241,6 +278,8 @@ def check_defining_relation(
         return -eta1 * p ** (0.5 - n) * sum(p**i for i in range(2 * n))
 
     ident = np.eye(c)
+    # row D + e weighs degree difference e by 1 and every other by 0
+    stripes = np.eye(2 * D + 1)
 
     def triples():
         # T_j lowers the degree by j, so the z^{-n} mode table holds
@@ -249,7 +288,7 @@ def check_defining_relation(
         for n in range(-max_mode, max_mode + 1):
             both = _mode_table(basis, t_out, t_in, t_out, t_in, f, n)
             for m in range(-max_mode, max_mode + 1):
-                acc = basis.weigh(both, lambda d: float(d == -(n + m)))
+                acc = basis.weigh(both, stripes[D - (n + m)])
                 rhs = central(n) * ident if n + m == 0 else 0.0 * ident
                 yield f"n={n} m={m}", acc, rhs
 

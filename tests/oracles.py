@@ -6,13 +6,17 @@ expansion of vertex exponentials — independently of the library's
 matrix engine, so the results can serve as oracles.  The scalar loops
 (one Python step per factor or term) are the reference the q-product
 and basic-series kernels of ``qvirasoro.qspecial`` must equal bit for
-bit.
+bit, and the per-pair operator kernels at the end the reference for
+``PartitionBasis.application_matrix``, ``weigh`` and the shared blocks
+of ``relations._operands``.
 """
 
 from __future__ import annotations
 
 import math
 from itertools import combinations_with_replacement
+
+import numpy as np
 
 from qvirasoro.errors import ConvergenceError, PoleError
 from qvirasoro.qspecial import REL_TOL, TERM_CAP, ZERO_SNAP
@@ -237,3 +241,60 @@ def basic_series(upper: tuple, lower: tuple, q: float, z: float) -> float:
         else:
             small = 0
     raise ConvergenceError(f"basic series did not converge within {TERM_CAP} terms")
+
+
+# ---------------------------------------------------------------------------
+# The operator kernels as they were before the power tables, the shared
+# factor builds and the weight vectors of ``qvirasoro.fock``: one ``**``
+# per (pair, mode), one build per block, weights from a callable.
+
+
+def removal_pairs(basis):
+    """(sup, sub, take, binom, fact) over every (state, sub-multiset)
+    pair of the basis, ``take`` the multiplicities removed, each product
+    formed per pair."""
+    mult = basis.removals.mult
+    D = basis.max_degree
+    contained = [np.flatnonzero((mult <= m).all(axis=1)) for m in mult]
+    sup = np.repeat(np.arange(len(mult)), [len(c) for c in contained])
+    sub = np.concatenate(contained)
+    take = mult[sup] - mult[sub]
+    f = np.array([math.factorial(j) for j in range(D + 1)], dtype=float)
+    fact = f[take].prod(axis=1)
+    binom = f[mult[sup]].prod(axis=1) / fact / f[mult[sub]].prod(axis=1)
+    return sup, sub, take, binom, fact
+
+
+def application_matrix(basis, vertex, momentum, rows=None, cols=None):
+    """Leading block M[:rows, :cols] of the matrix of ``vertex``, with
+    prod_n x_n^{take_n} formed once per pair."""
+    rows = basis.size if rows is None else rows
+    cols = basis.size if cols is None else cols
+    m = min(rows, cols)
+    sup, sub, take, binom, fact = removal_pairs(basis)
+    modes = range(1, basis.max_degree + 1)
+    a = np.array([vertex.mode_rule(n) for n in modes]) * basis.cn
+    b = np.array([vertex.mode_rule(-n) for n in modes])
+    i = np.flatnonzero(sub[: np.searchsorted(sup, cols)] < m)
+    j = np.flatnonzero(sub[: np.searchsorted(sup, rows)] < m)
+    ann = np.zeros((m, cols))
+    cre = np.zeros((rows, m))
+    ann[sub[i], sup[i]] = binom[i] * np.prod(a ** take[i], axis=1)
+    cre[sup[j], sub[j]] = np.prod(b ** take[j], axis=1) / fact[j]
+    return vertex.zero_mode_factor(momentum) * (cre @ ann)
+
+
+def app(basis, op, momentum, rows=None, cols=None):
+    """Leading block of the matrix of a vertex or of a sum of vertices."""
+    if hasattr(op, "terms"):
+        return sum(application_matrix(basis, v, momentum, rows, cols) for v in op.terms)
+    return application_matrix(basis, op, momentum, rows, cols)
+
+
+def weigh(basis, block, weight):
+    """Entrywise block * weight(deg bra - deg ket), the weights gathered
+    through an int64 index array."""
+    D = basis.max_degree
+    w = np.array([weight(d) for d in range(-D, D + 1)])
+    rows, cols = block.shape
+    return block * w[basis.degrees[:rows, None] - basis.degrees[None, :cols] + D]

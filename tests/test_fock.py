@@ -1,6 +1,7 @@
 """Oscillator Fock layer against brute-force word-reordering oracles."""
 
 import importlib.util
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -16,6 +17,7 @@ from qvirasoro.fock import (
     merge_vertices,
     mode_commutator,
     partitions_of,
+    removal_table,
     vertex_data_distance,
 )
 from qvirasoro.qspecial import QParams
@@ -180,8 +182,17 @@ class TestMatrixEngine:
         a, b = PartitionBasis(P, 4), PartitionBasis(P2, 4)
         assert a.removals is b.removals and a.states is b.states
         assert not np.array_equal(a.cn, b.cn)
-        with pytest.raises(ValueError):
-            a.removals.take[0, 0] = 1
+        for name in ("mult", "kind", "binom"):
+            with pytest.raises(ValueError):
+                getattr(a.removals, name)[0] = 1
+
+    @pytest.mark.parametrize("degree", [0, 1, 4, 7])
+    def test_kind_names_the_removed_sub_multiset(self, degree):
+        r = removal_table(degree)
+        for sup, sub, kind in zip(r.sup, r.sub, r.kind):
+            removed = Counter(r.states[sup]) - Counter(r.states[sub])
+            assert Counter(r.states[kind]) == removed
+            assert np.array_equal(r.mult[kind], r.mult[sup] - r.mult[sub])
 
     @pytest.mark.parametrize("params", [P2, P], ids=["p<1", "p>1"])
     @pytest.mark.parametrize(

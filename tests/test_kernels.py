@@ -1,6 +1,7 @@
-"""The q-product and basic-series kernels against the plain loops they
-replace (``oracles``): every value must be bit-identical, and every
-error the same error, so the comparisons are ``==`` on the bits."""
+"""The q-product and basic-series kernels, and the operator kernels of
+``fock`` and ``relations``, against the plain code they replace
+(``oracles``): every value must be bit-identical, and every error the
+same error, so the comparisons are ``==`` on the bits."""
 
 import math
 
@@ -11,7 +12,11 @@ from hypothesis import strategies as st
 
 import oracles
 from qvirasoro import qspecial as qs
+from qvirasoro import relations
 from qvirasoro.errors import ConvergenceError, PoleError
+from qvirasoro.fock import PartitionBasis, merge_vertices
+from qvirasoro.qspecial import QParams
+from qvirasoro.voa import build_current, build_lambda, build_screening, build_vertex
 
 FAST = settings(max_examples=100, deadline=None)
 
@@ -197,3 +202,128 @@ def test_bracket_array_matches_scalar_calls():
     us = [0.3, -1.1, 0.0, 2.7, 4.05, -6.2]
     got = qs.bracket(np.array(us), bp)
     assert [v.hex() for v in got.tolist()] == [qs.bracket(u, bp).hex() for u in us]
+
+
+# ---------------------------------------------------------------------------
+# Operator kernels
+
+
+box = st.tuples(st.floats(0.02, 0.98), st.floats(0.02, 0.98)).filter(
+    lambda qt: abs(qt[0] - qt[1]) > 1e-3
+)
+VERTICES = {
+    "lambda+": lambda P, ell, k: build_lambda(+1, P),
+    "lambda-": lambda P, ell, k: build_lambda(-1, P),
+    "screening+": lambda P, ell, k: build_screening(+1, P),
+    "screening-": lambda P, ell, k: build_screening(-1, P),
+    "vertex": lambda P, ell, k: build_vertex(ell, k, P),
+}
+
+
+@st.composite
+def vertices(draw, params):
+    """A vertex of the paper, at a drawn argument scale or at scale 1."""
+    make = VERTICES[draw(st.sampled_from(sorted(VERTICES)))]
+    v = make(params, draw(st.integers(1, 3)), draw(st.integers(0, 2)))
+    if draw(st.booleans()):
+        v = v.at_scale(draw(st.floats(0.3, 3.0)))
+    return v
+
+
+class TestOperatorKernels:
+    @FAST
+    @given(box, st.integers(0, 10), st.floats(-2.0, 2.0), st.data())
+    def test_application_matrix_matches_oracle(self, qt, degree, momentum, data):
+        params = QParams(*qt)
+        basis = PartitionBasis(params, degree)
+        vertex = data.draw(vertices(params))
+        n = basis.size
+        rows = data.draw(st.one_of(st.none(), st.integers(1, n)))
+        cols = data.draw(st.one_of(st.none(), st.integers(1, n)))
+        got = basis.application_matrix(vertex, momentum, rows, cols)
+        want = oracles.application_matrix(basis, vertex, momentum, rows, cols)
+        assert got.shape == want.shape
+        assert np.array_equal(got, want)
+
+    @FAST
+    @given(st.integers(0, 10), st.data())
+    def test_weigh_matches_oracle(self, degree, data):
+        basis = PartitionBasis(QParams(0.49, 0.7), degree)
+        D, n = degree, basis.size
+        weights = np.array(data.draw(st.lists(st.floats(-1e3, 1e3), min_size=2 * D + 1, max_size=2 * D + 1)))
+        for _ in range(2):  # the second call reads the cached index
+            rows, cols = data.draw(st.integers(1, n)), data.draw(st.integers(1, n))
+            block = np.random.default_rng(rows * n + cols).standard_normal((rows, cols))
+            want = oracles.weigh(basis, block, lambda d: weights[d + D])
+            assert np.array_equal(basis.weigh(block, weights), want)
+
+    @FAST
+    @given(box, st.integers(1, 4), st.integers(0, 3), st.floats(-2.0, 2.0), st.data())
+    def test_shared_blocks_match_separate_builds(self, qt, cap, reach, momentum, data):
+        # one factor build per vertex gives X[:c], X[:, :c], Y[:c], Y[:, :c]
+        # and every Theta_xi W[:c, :c] as the separate builds did
+        params = QParams(*qt)
+        x = data.draw(st.one_of(st.just(build_current(params)), vertices(params)))
+        y = data.draw(vertices(params))
+        w = merge_vertices([y, build_lambda(+1, params).at_scale(0.8)])
+        terms = [(1.5, 0.7, 0.9, y), (-0.5, 1.3, 1.1, w), (2.0, 0.6, 1.0, w)]
+        basis, x_left, y_in, y_out, x_right, deltas = relations._operands(
+            params, x, y, terms, cap, reach, momentum
+        )
+        c = basis.corner(cap)
+        shift = y.momentum_shift()
+        assert np.array_equal(x_left, oracles.app(basis, x, momentum + shift, rows=c))
+        assert np.array_equal(x_right, oracles.app(basis, x, momentum, cols=c))
+        assert np.array_equal(y_out, oracles.app(basis, y, momentum, rows=c))
+        assert np.array_equal(y_in, oracles.app(basis, y, momentum, cols=c))
+        for (K, s, got), (K0, s0, xi, v) in zip(deltas, terms):
+            corner = oracles.app(basis, v, momentum, c, c)
+            want = oracles.weigh(basis, corner, lambda d: xi ** (d + v.h0_power * momentum))
+            assert (K, s) == (K0, s0) and np.array_equal(got, want)
+
+
+def _operator_checks(P, ell, k):
+    """The ten operator checks of a sweep point, at cap 4 and window 4."""
+    R = relations
+    return [
+        lambda: R.check_defining_relation(P, degree_cap=4, max_mode=4),
+        lambda: R.check_screening_relation(P, +1, 4, 4),
+        lambda: R.check_screening_relation(P, -1, 4, 4),
+        *(lambda v=v: R.check_vertex_exchange(ell, P, v, 4, 4) for v in ("plain", "theta", "mirror")),
+        lambda: R.check_current_vertex_exchange(ell, P, 4, 4),
+        lambda: R.check_adjoint_shift(ell, P, degree_cap=4),
+        lambda: R.check_exchange_rewrite(ell, P, 4, 4),
+        lambda: R.check_composite_exchange(ell, k, P, 4, 4),
+    ]
+
+
+def _oracle_blocks(basis, op, c, top, left):
+    return (
+        oracles.app(basis, op, top, rows=c),
+        oracles.app(basis, op, left, cols=c),
+        oracles.app(basis, op, left, c, c),
+    )
+
+
+@pytest.mark.parametrize(
+    "q, t, ell, k", [(0.7, 0.3, 1, 1), (0.4, 0.9, 2, 2), (0.86, 0.23, 3, 1)]
+)
+def test_operator_checks_match_oracle_kernels(monkeypatch, q, t, ell, k):
+    # every residual and location of the ten checks is the same with the
+    # oracle kernels patched in: separate builds, weights from callables
+    P = QParams(q, t)
+
+    def outcomes():
+        reports = [check() for check in _operator_checks(P, ell, k)]
+        return [(r.identity, r.status, r.residual.hex(), r.worst_location) for r in reports]
+
+    fast = outcomes()
+    monkeypatch.setattr(PartitionBasis, "application_matrix", oracles.application_matrix)
+    monkeypatch.setattr(
+        PartitionBasis,
+        "weigh",
+        lambda self, block, w: oracles.weigh(self, block, lambda d: w[d + self.max_degree]),
+    )
+    monkeypatch.setattr(relations, "_blocks", _oracle_blocks)
+    assert outcomes() == fast
+    assert len(fast) == 10

@@ -281,16 +281,21 @@ OPERATOR_CHECKS_AT_CAP_6 = {
 
 @pytest.mark.parametrize("name", list(OPERATOR_CHECKS_AT_CAP_6))
 def test_operator_checks_build_no_full_matrix(monkeypatch, name):
-    # every block a check applies has the compared corner as one side
+    # every block a check applies, and every factor it builds, has the
+    # compared corner as one side
     shapes = []
-    exact = PartitionBasis.application_matrix
 
-    def recording(self, *args, **kwargs):
-        block = exact(self, *args, **kwargs)
-        shapes.append((block.shape, self.size))
-        return block
+    def recording(exact, *, pair):
+        def record(self, *args, **kwargs):
+            out = exact(self, *args, **kwargs)
+            shapes.extend((m.shape, self.size) for m in (out if pair else [out]))
+            return out
 
-    monkeypatch.setattr(PartitionBasis, "application_matrix", recording)
+        return record
+
+    for method, pair in (("application_matrix", False), ("factors", True)):
+        exact = getattr(PartitionBasis, method)
+        monkeypatch.setattr(PartitionBasis, method, recording(exact, pair=pair))
     rep = OPERATOR_CHECKS_AT_CAP_6[name]()
     assert rep.passed, rep.summary_line()
     c = PartitionBasis(P, 6).corner(6)
