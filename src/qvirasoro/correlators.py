@@ -30,6 +30,15 @@ Each check yields (residual, location) pairs to ``report._scan_report``:
 a pole, a divergent sum or an overflow makes it inconclusive, and so
 does a NaN residual (say both branch values infinite) unless another
 residual fails.
+
+The waves, the lattice four-point values and the connection matrices
+are evaluated in batches (``_screening_waves``, ``_four_point_rows``,
+``_connection_matrices``), one kernel call for all points of a check;
+the public one-point functions are one-row calls of them.  A batch
+returns, per row, the value or the error that the one-point call
+gives, bit for bit, and a check raises each row's error where
+evaluating point by point would have met it, so an earlier residual
+that fails still decides the check.
 """
 
 from __future__ import annotations
@@ -42,12 +51,14 @@ import numpy as np
 
 from .errors import ConvergenceError, PoleError, QVirasoroError, RegimeError
 from .qspecial import (
+    _NO_END,
     BracketParams,
     QParams,
     _qpoch_values,
+    _series_rows,
     _symbol,
+    _unwrap,
     beta_q,
-    basic_series,
     bracket,
     phi21,
     qpoch_inf,
@@ -114,16 +125,42 @@ def screening_wave(x: float, cp: CorrelatorParams) -> float:
     (t^{1/2} q^{1/(2 ell)} x; Q)_inf / (t^{-1/2} q^{1/(2 ell)} x; Q)_inf.
 
     Structural zeros of the numerator are returned as exact 0.0 before
-    the denominator is touched, so lattice sums can rely on them.
+    the denominator is looked at, so lattice sums can rely on them.  A
+    one-point call of ``_screening_waves``.
     """
+    return _unwrap(_screening_waves([x], cp)[0])
+
+
+def _screening_waves(xs: list, cp: CorrelatorParams) -> list:
+    """``screening_wave(x, cp)`` for each x of ``xs``, all four symbols
+    per point from one ``_qpoch_values`` call (whose entries do not
+    depend on each other): per point, the value or the error that the
+    one-point call raises."""
     P = cp.params
     edge = P.q ** (1.0 / (2.0 * cp.ell))
-    num, den = _qpoch_values(np.array([P.t**0.5 * edge * x, P.t**-0.5 * edge * x]), cp.Q).tolist()
-    if _symbol(num) == 0.0:
-        return 0.0
-    if _symbol(den) == 0.0:
-        raise PoleError(f"screening wave pole at x={x!r}")
-    return num / den
+    A, B = P.t**0.5 * edge, P.t**-0.5 * edge
+    syms = _qpoch_values(np.array([A * x for x in xs] + [B * x for x in xs]), cp.Q).tolist()
+    out = []
+    for x, num, den in zip(xs, syms, syms[len(xs):]):
+        if math.isnan(num):
+            out.append(ConvergenceError(_NO_END))
+        elif num == 0.0:
+            out.append(0.0)
+        elif math.isnan(den):
+            out.append(ConvergenceError(_NO_END))
+        elif den == 0.0:
+            out.append(PoleError(f"screening wave pole at x={x!r}"))
+        else:
+            out.append(num / den)
+    return out
+
+
+def _attempt(fn, *args):
+    """fn(*args), or the error it raises."""
+    try:
+        return fn(*args)
+    except Exception as exc:
+        return exc
 
 
 def sv_scalar(mu: float, z: float, cp: CorrelatorParams) -> float:
@@ -197,8 +234,18 @@ def four_point_jackson(
     As F(Q y) = F(y) (1 - B y) / (1 - A y), each branch is one basic
     series in the ratio of its lattice measure, from its first nonzero node.
     The value is normalized: the full correlator is it times
-    ``two_point(z, w, cp)``.
+    ``two_point(z, w, cp)``.  A one-row call of ``_four_point_rows``,
+    which evaluates many (branch, z, w) rows at once and keeps each
+    row's error (an overflowing set-up, a pole, a divergent series) to
+    that row; this call raises it.
     """
+    return _unwrap(_four_point_rows([(branch, z, w)], cp)[0])
+
+
+def _lattice_start(branch: str, z: float, w: float, cp: CorrelatorParams) -> list:
+    """[prefactor, measure ratio, weight, y1, y2] of a lattice branch at
+    its first node, before the nodes that are structural zeros are
+    skipped."""
     _check_exponents(cp)
     P = cp.params
     Q = cp.Q
@@ -209,23 +256,48 @@ def four_point_jackson(
         mu = A * z / Q
         ratio = Q ** (2.0 * cp.a - cp.b)
         weight = mu ** (cp.b - 2.0 * cp.a)
-        y1, y2 = z / mu, w / mu
-    elif branch == "minus":
+        return [pref, ratio, weight, z / mu, w / mu]
+    if branch == "minus":
         mu = B * w
         ratio = Q**cp.b
         weight = (z * w) ** -cp.a * mu**cp.b
-        y1, y2 = mu / z, mu / w
-    else:
-        raise QVirasoroError(f"unknown branch {branch!r}")
+        return [pref, ratio, weight, mu / z, mu / w]
+    raise QVirasoroError(f"unknown branch {branch!r}")
+
+
+def _four_point_rows(rows: list, cp: CorrelatorParams) -> list:
+    """``four_point_jackson(branch, z, w, cp)`` for every (branch, z, w) of
+    ``rows``: per row, the value or the error that the one-row call
+    raises.  Each row's set-up runs on its own; the nodes of all rows
+    come from one ``_screening_waves`` call per structural-zero step, and
+    their series from one ``_series_rows`` call."""
+    Q = cp.Q
+    edge = cp.params.q ** (1.0 / (2.0 * cp.ell))
+    A, B = cp.params.t**0.5 * edge, cp.params.t**-0.5 * edge
+    out = [_attempt(_lattice_start, *row, cp) for row in rows]
+    pending = [i for i, node in enumerate(out) if not isinstance(node, Exception)]
+    ready = []
     # at w/z = Q^{-m} the first m nodes are structural zeros
-    f1, f2 = screening_wave(y1, cp), screening_wave(y2, cp)
-    while f1 == 0.0 or f2 == 0.0:
-        y1, y2, weight = Q * y1, Q * y2, ratio * weight
-        f1, f2 = screening_wave(y1, cp), screening_wave(y2, cp)
-    val = (1.0 - Q) * weight * f1 * f2 * basic_series(
-        (B * y1, B * y2), (A * y1, A * y2), Q, ratio
-    )
-    return pref * val
+    while pending:
+        waves = _screening_waves([y for i in pending for y in out[i][3:]], cp)
+        skipped = []
+        for i, f1, f2 in zip(pending, waves[::2], waves[1::2]):
+            node = out[i]
+            if isinstance(f1, Exception) or isinstance(f2, Exception):
+                out[i] = f1 if isinstance(f1, Exception) else f2
+            elif f1 == 0.0 or f2 == 0.0:
+                node[3], node[4], node[2] = Q * node[3], Q * node[4], node[1] * node[2]
+                skipped.append(i)
+            else:
+                node += [f1, f2]
+                ready.append(i)
+        pending = skipped
+    ys = np.array([out[i][3:5] for i in ready]).reshape(-1, 2)
+    sums = _series_rows(B * ys, A * ys, Q, np.array([out[i][1] for i in ready]))
+    for i, s in zip(ready, sums):
+        pref, _, weight, _, _, f1, f2 = out[i]
+        out[i] = s if isinstance(s, Exception) else pref * ((1.0 - Q) * weight * f1 * f2 * s)
+    return out
 
 
 def four_point_closed(
@@ -277,18 +349,39 @@ def four_point_closed(
 
 def connection_matrix(u: float, cp: CorrelatorParams) -> np.ndarray:
     """2x2 elliptic matrix relating the two argument orders of the
-    four-point pair at z/w = x^{2u}, x = q^{1/(2 r ell)}."""
+    four-point pair at z/w = x^{2u}, x = q^{1/(2 r ell)}.  A one-point
+    call of ``_connection_matrices``."""
+    return _unwrap(_connection_matrices([u], cp)[0])
+
+
+def _connection_matrices(us: list, cp: CorrelatorParams) -> list:
+    """``connection_matrix(u, cp)`` for each u of ``us``: per u, the matrix
+    or the error that the one-point call raises.  The brackets of all
+    matrices come from one ``bracket`` call over their distinct
+    arguments (a bracket's value does not depend on the other entries of
+    its call); if that call raises, each u is evaluated on its own."""
     bp = BracketParams(q=cp.params.q, ell=cp.ell, r=cp.r)
     ell, L = float(cp.ell), cp.L
-    # the eight distinct brackets, from one kernel call: [l + L], [u + l],
-    # [l], [-u + l + L], [L], [-u], [2l + L], [u + l + L]
-    args = [ell + L, u + ell, ell, -u + ell + L, L, -u, 2.0 * ell + L, u + ell + L]
-    b_lL, b_ul, b_l, b_mid, b_L, b_mu, b_2lL, b_ulL = bracket(np.array(args), bp).tolist()
-    den = b_lL * b_ul
-    if den == 0.0:
-        raise PoleError(f"connection matrix singular at u={u}")
-    mat = np.array([[b_l * b_mid, b_L * b_mu], [b_2lL * b_mu, b_l * b_ulL]])
-    return mat / den
+    # the eight brackets of each matrix: [l + L], [u + l], [l],
+    # [-u + l + L], [L], [-u], [2l + L], [u + l + L]
+    args = [[ell + L, u + ell, ell, -u + ell + L, L, -u, 2.0 * ell + L, u + ell + L] for u in us]
+    distinct = list(dict.fromkeys(a for row in args for a in row))
+    try:
+        values = dict(zip(distinct, bracket(np.array(distinct), bp).tolist()))
+    except (PoleError, ConvergenceError, OverflowError) as exc:
+        if len(us) == 1:
+            return [exc]
+        return [_connection_matrices([u], cp)[0] for u in us]
+    out = []
+    for u, row in zip(us, args):
+        b_lL, b_ul, b_l, b_mid, b_L, b_mu, b_2lL, b_ulL = (values[a] for a in row)
+        den = b_lL * b_ul
+        if den == 0.0:
+            out.append(PoleError(f"connection matrix singular at u={u}"))
+            continue
+        mat = np.array([[b_l * b_mid, b_L * b_mu], [b_2lL * b_mu, b_l * b_ulL]])
+        out.append(mat / den)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -354,10 +447,12 @@ def check_four_point(
     cfg = {"q": params.q, "t": params.t, "ell": ell, "L": L, "z": z, "w": w}
 
     def pairs():
-        for branch in ("plus", "minus"):
+        branches = ("plus", "minus")
+        lattice = _four_point_rows([(branch, z, w) for branch in branches], cp)
+        for branch, lat in zip(branches, lattice):
             closed = four_point_closed(branch, z, w, cp)
-            lattice = four_point_jackson(branch, z, w, cp)
-            d = abs(closed - lattice) / max(abs(closed), abs(lattice))
+            lat = _unwrap(lat)
+            d = abs(closed - lat) / max(abs(closed), abs(lat))
             yield d, f"branch={branch}"
 
     return _scan_report("four-point", pairs(), tolerance, cfg, t0)
@@ -376,10 +471,17 @@ def check_pseudo_constant(
     t0 = time.perf_counter()
     cp = CorrelatorParams(params=params, ell=ell)
 
-    def rho(y):
-        return sv_scalar(1.0 / y, 1.0, cp) / vs_scalar(1.0, 1.0 / y, cp)
+    # rho(Q y) and rho(y) for each sample; the two waves of rho(y) are
+    # F(z/mu) of sv_scalar(mu, z) and F(mu/z) of vs_scalar(z, mu), at
+    # mu = 1/y and z = 1
+    mus = [1.0 / v for y in samples for v in (cp.Q * y, y)]
+    waves = _screening_waves([x for mu in mus for x in (1.0 / mu, mu / 1.0)], cp)
 
-    pairs = ((abs(rho(cp.Q * y) / rho(y) - 1.0), f"y={y}") for y in samples)
+    def rho(i):
+        sv = mus[i] ** -cp.a * _unwrap(waves[2 * i])
+        return sv / (1.0**-cp.a * _unwrap(waves[2 * i + 1]))
+
+    pairs = ((abs(rho(2 * j) / rho(2 * j + 1) - 1.0), f"y={y}") for j, y in enumerate(samples))
     cfg = {"q": params.q, "t": params.t, "ell": ell}
     return _scan_report("pseudo-constant", pairs, tolerance, cfg, t0)
 
@@ -440,7 +542,6 @@ def check_connection_formula(
         method = "jackson"
     except ConvergenceError:
         method = "closed"
-    evaluate = four_point_jackson if method == "jackson" else four_point_closed
     cfg = {
         "q": params.q,
         "t": params.t,
@@ -453,29 +554,45 @@ def check_connection_formula(
     notes = []
 
     def pairs():
-        unit = [connection_matrix(0.0, cp)]
-        # a matrix of overflowed brackets holds inf: its NaN products
+        # M(0), then M(u) and M(-u) for each sample: the first error in
+        # that order is the one a matrix-by-matrix evaluation meets.  A
+        # matrix of overflowed brackets holds inf: its NaN products
         # decide nothing below, so they need no warning
+        signed = [v for u in u_samples for v in (u, -u)]
         with np.errstate(invalid="ignore"):
-            prods = [connection_matrix(u, cp) @ connection_matrix(-u, cp) for u in u_samples]
-        for what, mats, tol in (
-            ("u=0 identity", unit, identity_tolerance),
+            mats = [_unwrap(m) for m in _connection_matrices([0.0, *signed], cp)]
+            prods = [mats[i] @ mats[i + 1] for i in range(1, len(mats), 2)]
+        for what, dev_mats, tol in (
+            ("u=0 identity", mats[:1], identity_tolerance),
             ("two-sided inverse", prods, inverse_tolerance),
         ):
-            dev = float(np.max(np.abs(np.array(mats) - np.eye(2))))
+            dev = float(np.max(np.abs(np.array(dev_mats) - np.eye(2))))
             # a deviation above the tolerance fails, a NaN one decides nothing
             if not dev <= tol:
                 yield math.inf if dev > tol else math.nan, f"{what} deviates by {dev:.3e}"
                 return
             notes.append(f"{what} deviation {dev:.3e}")
 
+        # per sample u, w = z x^{-2u} and the four values (plus, minus) at
+        # (z, w), then at (w, z); each error is raised at its own sample
+        z = 1.0
+        ws = [_attempt(lambda u: z * x ** (-2.0 * u), u) for u in u_samples]
+        rows = [
+            (branch, *at)
+            for w in ws
+            if not isinstance(w, Exception)
+            for at in ((z, w), (w, z))
+            for branch in ("plus", "minus")
+        ]
+        if method == "jackson":
+            values = iter(_four_point_rows(rows, cp))
+        else:
+            values = (_attempt(four_point_closed, *row, cp) for row in rows)
         control = 0.0
-        for u in u_samples:
-            z = 1.0
-            w = z * x ** (-2.0 * u)
-            lhs = np.array([evaluate("plus", z, w, cp), evaluate("minus", z, w, cp)])
-            swapped = np.array([evaluate("plus", w, z, cp), evaluate("minus", w, z, cp)])
-            mat = connection_matrix(u, cp)
+        for u, w, mat in zip(u_samples, ws, mats[1::2]):
+            _unwrap(w)
+            lhs = np.array([_unwrap(next(values)), _unwrap(next(values))])
+            swapped = np.array([_unwrap(next(values)), _unwrap(next(values))])
             rhs = mat @ swapped
             scale = float(np.max(np.abs(np.concatenate([lhs, rhs]))))
             yield float(np.max(np.abs(lhs - rhs))) / scale, f"u={u}"

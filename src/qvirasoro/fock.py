@@ -230,16 +230,23 @@ def removal_table(max_degree: int) -> RemovalTable:
         [np.bincount(lam, minlength=max_degree + 1)[1:] for lam in states],
         dtype=np.int8,
     )
-    # the sub-multisets of each state, themselves states of the basis
-    contained = [np.flatnonzero((mult <= m).all(axis=1)) for m in mult]
-    sup = np.repeat(np.arange(len(states)), [len(c) for c in contained])
-    sub = np.concatenate(contained)
     # a mixed-radix key of the multiplicities (m_n <= max_degree // n; it
     # fits in int64 up to max_degree 35) is linear, so the removed
     # sub-multiset's key is key[sup] - key[sub]
     radix = np.cumprod([1] + [max_degree // n + 1 for n in range(1, max_degree)])
     key = mult @ radix[:max_degree]
     order = np.argsort(key)
+    # the sub-multisets of each state, themselves states of the basis:
+    # mode by mode, each pair splits into one pair per count j <= m_n of
+    # h_{-n} removed, which takes j radix_n off the remaining key
+    sup, rest = np.arange(len(states)), key
+    for n in range(max_degree):
+        counts = mult[sup, n].astype(np.int64) + 1
+        j = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
+        sup, rest = np.repeat(sup, counts), np.repeat(rest, counts) - j * radix[n]
+    sub = order[np.searchsorted(key[order], rest)]
+    pairs = np.lexsort((sub, sup))
+    sup, sub = sup[pairs], sub[pairs]
     kind = order[np.searchsorted(key[order], key[sup] - key[sub])]
     f = np.array([math.factorial(j) for j in range(max_degree + 1)], dtype=float)
     per_state = f[mult].prod(axis=1)

@@ -2,9 +2,11 @@
 
 Pochhammer symbols (finite and infinite, single and multi base), the
 q-gamma / q-beta ladder, the multiplicative theta function, one basic
-hypergeometric series routine (phi21 and the lattice four-point sums
-call it), Jackson q-integration (unilateral and bilateral), and the
-elliptic bracket that builds connection matrices.
+hypergeometric series kernel (``_series_rows``: phi21 and
+``basic_series`` are one-row calls of it, and the lattice four-point
+sums hand it all their rows at once), Jackson q-integration
+(unilateral and bilateral), and the elliptic bracket that builds
+connection matrices.
 
 No Fock space or operator machinery.  The q-products and the basic
 series run as numpy kernels over whole arrays of points and terms, and
@@ -16,7 +18,10 @@ from ``multiply.accumulate`` (never from powers), running products and
 sums from ``multiply.accumulate`` and ``add.accumulate``, and ``q**n``
 from Python's own pow.  Scalar prefactors stay Python float arithmetic,
 so an overflowing power still raises OverflowError, and a float
-argument still gives a Python float.
+argument still gives a Python float.  A kernel over many rows returns,
+per row, the value or the error that a one-row call gives: no row's
+value depends on the other rows of its call, and one row's error
+stops only that row.
 """
 
 from __future__ import annotations
@@ -279,54 +284,90 @@ def basic_series(upper: tuple, lower: tuple, q: float, z: float) -> float:
 
     Terminates early if an upper factor hits a structural zero
     (terminating series); raises PoleError if a lower factor does.
-    Needs |z| < 1 unless the series terminates.
-
-    The terms run in chunks of 64, 128, ... terms: the factors
-    1 - c q^n of a chunk, their ratios, the terms by ``multiply.accumulate``
-    and the partial sums by ``add.accumulate``.  The sum stops at the
-    chunk's first event, in the precedence of one term's step: a lower
-    pole, a terminating upper factor, divergence, the third small term
-    in a row (the run carrying over from the chunk before).
+    Needs |z| < 1 unless the series terminates.  A one-row call of
+    ``_series_rows``, raising the error that kernel returns for the
+    row; callers with many series of one shape and base hand them to
+    the kernel at once.
     """
+    row = _series_rows(
+        np.array([upper], dtype=float).reshape(1, -1),
+        np.array([lower], dtype=float).reshape(1, -1),
+        q,
+        np.array([z], dtype=float),
+    )
+    return _unwrap(row[0])
+
+
+def _series_rows(upper: np.ndarray, lower: np.ndarray, q: float, z: np.ndarray) -> list:
+    """``basic_series(upper[i], lower[i], q, z[i])`` for every row i of the
+    (R, k) and (R, m) parameter arrays: per row, the value or the error
+    that the one-row call raises.
+
+    The terms run in chunks of 64, 128, ... terms, at most _BUDGET // R
+    per chunk for R rows still running: the factors 1 - c q^n of a chunk,
+    their ratios, the terms by ``multiply.accumulate`` and the partial
+    sums by ``add.accumulate``, along each row and in the loop's order,
+    so where a chunk ends changes no value.  A row stops at its first
+    event, in the precedence of one term's step: a lower pole, a
+    terminating upper factor, divergence, the third small term in a row
+    (the run carrying over from the chunk before).
+    """
+    rows, k = upper.shape
     if not (0 < q < 1):
-        raise RegimeError(f"basic series needs base in (0,1), got {q}")
-    k = len(upper)
-    coef = np.array([*upper, *lower], dtype=float).reshape(-1, 1)
-    total, term, small = 0.0, 1.0, 0
+        return [RegimeError(f"basic series needs base in (0,1), got {q}")] * rows
+    out: list = [None] * rows
+    # coef[i, r] is parameter i of row r, upper parameters first
+    coef = np.concatenate([upper, lower], axis=1).T[:, :, None]
+    live = np.arange(rows)
+    total, term, small = np.zeros(rows), np.ones(rows), np.zeros(rows, dtype=int)
     start, size = 0, 64
     with np.errstate(all="ignore"):
-        while start < TERM_CAP:
-            stop = min(start + size, TERM_CAP)
-            # row i holds the factors 1 - c_i q^n, upper parameters first
-            f = 1.0 - coef * np.array([q**n for n in range(start, stop)])
-            terms = np.empty(stop - start + 1)
-            terms[0] = term
-            terms[1:] = _prod(f[:k]) / _prod(f[k:]) * z
-            np.multiply.accumulate(terms, out=terms)
-            # totals[i] is the sum through term start + i, nxt[i] the term after it
-            totals = np.concatenate(([total], terms[:-1]))
-            np.add.accumulate(totals, out=totals)
-            totals, nxt = totals[1:], terms[1:]
+        while live.size and start < TERM_CAP:
+            stop = min(start + size, start + max(1, _BUDGET // live.size), TERM_CAP)
+            # f[i, r] holds the factors 1 - c_i q^n of row r
+            f = 1.0 - coef[:, live] * np.array([q**n for n in range(start, stop)])
+            terms = np.empty((live.size, stop - start + 1))
+            terms[:, 0] = term
+            terms[:, 1:] = _prod(f[:k]) / _prod(f[k:]) * z[live, None]
+            np.multiply.accumulate(terms, axis=1, out=terms)
+            # totals[:, i] is the sum through term start + i, nxt[:, i] the term after it
+            totals = np.concatenate((total[:, None], terms[:, :-1]), axis=1)
+            np.add.accumulate(totals, axis=1, out=totals)
+            totals, nxt = totals[:, 1:], terms[:, 1:]
             mag = np.abs(nxt)
             div = ~(mag <= 1e100)  # also NaN and inf
             tiny = mag <= REL_TOL * np.maximum(np.abs(totals), 1e-300)
-            pos = np.arange(nxt.size)
-            run = pos - np.maximum.accumulate(np.where(tiny, -1 - small, pos))
+            pos = np.arange(nxt.shape[1])
+            mark = np.where(tiny, -1 - small[:, None], pos)
+            run = pos - np.maximum.accumulate(mark, axis=1)
             snap = np.abs(f) < ZERO_SNAP
             pole, zero = snap[k:].any(axis=0), snap[:k].any(axis=0)
             event = pole | zero | div | (run >= 3)
-            if event.any():
-                i = int(np.argmax(event))
-                if pole[i]:
-                    raise PoleError(f"lower-parameter pole at term {start + i}")
-                if zero[i]:
-                    return float(totals[i])  # terminating series
-                if div[i]:
-                    raise ConvergenceError("basic series diverges")
-                return float(totals[i] + nxt[i])
-            total, term, small = totals[-1], terms[-1], int(run[-1])
+            ended = event.any(axis=1)
+            for j in np.flatnonzero(ended).tolist():
+                i = int(np.argmax(event[j]))
+                if pole[j, i]:
+                    out[live[j]] = PoleError(f"lower-parameter pole at term {start + i}")
+                elif zero[j, i]:
+                    out[live[j]] = float(totals[j, i])  # terminating series
+                elif div[j, i]:
+                    out[live[j]] = ConvergenceError("basic series diverges")
+                else:
+                    out[live[j]] = float(totals[j, i] + nxt[j, i])
+            going = ~ended
+            live, total, term = live[going], totals[going, -1], terms[going, -1]
+            small = run[going, -1]
             start, size = stop, 2 * size
-    raise ConvergenceError(f"basic series did not converge within {TERM_CAP} terms")
+    for r in live.tolist():
+        out[r] = ConvergenceError(f"basic series did not converge within {TERM_CAP} terms")
+    return out
+
+
+def _unwrap(outcome):
+    """The value of a per-row outcome, raising it if it is an error."""
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome
 
 
 def _prod(factors: np.ndarray):

@@ -6,7 +6,10 @@ expansion of vertex exponentials — independently of the library's
 matrix engine, so the results can serve as oracles.  The scalar loops
 (one Python step per factor or term) are the reference the q-product
 and basic-series kernels of ``qvirasoro.qspecial`` must equal bit for
-bit, and the per-pair operator kernels at the end the reference for
+bit.  The one-point correlator kernels and the sequential bodies of
+three correlator checks are the reference for the batched evaluators
+of ``qvirasoro.correlators``, and the per-pair operator kernels at the
+end the reference for ``fock.removal_table``,
 ``PartitionBasis.application_matrix``, ``weigh`` and the shared blocks
 of ``relations._operands``.
 """
@@ -244,9 +247,218 @@ def basic_series(upper: tuple, lower: tuple, q: float, z: float) -> float:
 
 
 # ---------------------------------------------------------------------------
+# The correlator kernels and checks as they were before the batched
+# evaluators of ``qvirasoro.correlators``: one kernel call per point,
+# one series per lattice branch, eight brackets per matrix, and the
+# checks evaluating point by point in their own order.
+
+
+def screening_wave(x, cp):
+    """F(x), its two symbols from one kernel call."""
+    from qvirasoro.qspecial import _qpoch_values, _symbol
+
+    P = cp.params
+    edge = P.q ** (1.0 / (2.0 * cp.ell))
+    num, den = _qpoch_values(np.array([P.t**0.5 * edge * x, P.t**-0.5 * edge * x]), cp.Q).tolist()
+    if _symbol(num) == 0.0:
+        return 0.0
+    if _symbol(den) == 0.0:
+        raise PoleError(f"screening wave pole at x={x!r}")
+    return num / den
+
+
+def four_point_jackson(branch, z, w, cp):
+    """One lattice branch: two waves per node, one loop series."""
+    from qvirasoro.correlators import _check_exponents
+    from qvirasoro.errors import QVirasoroError
+
+    _check_exponents(cp)
+    P = cp.params
+    Q = cp.Q
+    edge = P.q ** (1.0 / (2.0 * cp.ell))
+    A, B = P.t**0.5 * edge, P.t**-0.5 * edge
+    pref = (z * w) ** (cp.L * cp.a / 2.0)
+    if branch == "plus":
+        mu = A * z / Q
+        ratio = Q ** (2.0 * cp.a - cp.b)
+        weight = mu ** (cp.b - 2.0 * cp.a)
+        y1, y2 = z / mu, w / mu
+    elif branch == "minus":
+        mu = B * w
+        ratio = Q**cp.b
+        weight = (z * w) ** -cp.a * mu**cp.b
+        y1, y2 = mu / z, mu / w
+    else:
+        raise QVirasoroError(f"unknown branch {branch!r}")
+    f1, f2 = screening_wave(y1, cp), screening_wave(y2, cp)
+    while f1 == 0.0 or f2 == 0.0:
+        y1, y2, weight = Q * y1, Q * y2, ratio * weight
+        f1, f2 = screening_wave(y1, cp), screening_wave(y2, cp)
+    val = (1.0 - Q) * weight * f1 * f2 * basic_series(
+        (B * y1, B * y2), (A * y1, A * y2), Q, ratio
+    )
+    return pref * val
+
+
+def connection_matrix(u, cp):
+    """M(u) from one bracket call over its eight arguments."""
+    from qvirasoro.qspecial import BracketParams, bracket
+
+    bp = BracketParams(q=cp.params.q, ell=cp.ell, r=cp.r)
+    ell, L = float(cp.ell), cp.L
+    args = [ell + L, u + ell, ell, -u + ell + L, L, -u, 2.0 * ell + L, u + ell + L]
+    b_lL, b_ul, b_l, b_mid, b_L, b_mu, b_2lL, b_ulL = bracket(np.array(args), bp).tolist()
+    den = b_lL * b_ul
+    if den == 0.0:
+        raise PoleError(f"connection matrix singular at u={u}")
+    mat = np.array([[b_l * b_mid, b_L * b_mu], [b_2lL * b_mu, b_l * b_ulL]])
+    return mat / den
+
+
+def check_four_point(params, ell=1, L=0.5, z=1.0, w=0.4, tolerance=1e-8):
+    import time
+
+    from qvirasoro.correlators import CorrelatorParams, four_point_closed
+    from qvirasoro.report import _scan_report
+
+    t0 = time.perf_counter()
+    cp = CorrelatorParams(params=params, ell=ell, L=L)
+    cfg = {"q": params.q, "t": params.t, "ell": ell, "L": L, "z": z, "w": w}
+
+    def pairs():
+        for branch in ("plus", "minus"):
+            closed = four_point_closed(branch, z, w, cp)
+            lattice = four_point_jackson(branch, z, w, cp)
+            d = abs(closed - lattice) / max(abs(closed), abs(lattice))
+            yield d, f"branch={branch}"
+
+    return _scan_report("four-point", pairs(), tolerance, cfg, t0)
+
+
+def check_pseudo_constant(params, ell=1, samples=(0.33, 0.61), tolerance=1e-10):
+    import time
+
+    from qvirasoro.correlators import CorrelatorParams
+    from qvirasoro.report import _scan_report
+
+    t0 = time.perf_counter()
+    cp = CorrelatorParams(params=params, ell=ell)
+
+    def rho(y):
+        mu, z = 1.0 / y, 1.0
+        sv = mu**-cp.a * screening_wave(z / mu, cp)
+        return sv / (z**-cp.a * screening_wave(mu / z, cp))
+
+    pairs = ((abs(rho(cp.Q * y) / rho(y) - 1.0), f"y={y}") for y in samples)
+    cfg = {"q": params.q, "t": params.t, "ell": ell}
+    return _scan_report("pseudo-constant", pairs, tolerance, cfg, t0)
+
+
+def check_connection_formula(
+    params=None,
+    ell=1,
+    L=0.6,
+    r=None,
+    u_samples=(0.4, 0.8, 1.3),
+    tolerance=1e-6,
+    identity_tolerance=1e-10,
+    inverse_tolerance=1e-8,
+):
+    import time
+
+    from qvirasoro.correlators import CorrelatorParams, _check_exponents, four_point_closed
+    from qvirasoro.qspecial import BracketParams, QParams
+    from qvirasoro.report import _scan_report
+
+    t0 = time.perf_counter()
+    if params is None:
+        params = QParams(0.49, 0.7)
+    cp = CorrelatorParams(params=params, ell=ell, L=L, r=r)
+    r = cp.r
+    x = BracketParams(q=params.q, ell=ell, r=r).x
+    try:
+        _check_exponents(cp)
+        method = "jackson"
+    except ConvergenceError:
+        method = "closed"
+    evaluate = four_point_jackson if method == "jackson" else four_point_closed
+    cfg = {
+        "q": params.q,
+        "t": params.t,
+        "ell": ell,
+        "L": L,
+        "r": r,
+        "u": repr(list(u_samples)),
+        "method": method,
+    }
+    notes = []
+
+    def pairs():
+        unit = [connection_matrix(0.0, cp)]
+        with np.errstate(invalid="ignore"):
+            prods = [connection_matrix(u, cp) @ connection_matrix(-u, cp) for u in u_samples]
+        for what, mats, tol in (
+            ("u=0 identity", unit, identity_tolerance),
+            ("two-sided inverse", prods, inverse_tolerance),
+        ):
+            dev = float(np.max(np.abs(np.array(mats) - np.eye(2))))
+            if not dev <= tol:
+                yield math.inf if dev > tol else math.nan, f"{what} deviates by {dev:.3e}"
+                return
+            notes.append(f"{what} deviation {dev:.3e}")
+
+        control = 0.0
+        for u in u_samples:
+            z = 1.0
+            w = z * x ** (-2.0 * u)
+            lhs = np.array([evaluate("plus", z, w, cp), evaluate("minus", z, w, cp)])
+            swapped = np.array([evaluate("plus", w, z, cp), evaluate("minus", w, z, cp)])
+            mat = connection_matrix(u, cp)
+            rhs = mat @ swapped
+            scale = float(np.max(np.abs(np.concatenate([lhs, rhs]))))
+            yield float(np.max(np.abs(lhs - rhs))) / scale, f"u={u}"
+            bad = mat[::-1] @ swapped
+            control = max(control, float(np.max(np.abs(lhs - bad))) / scale)
+        notes.append(f"row-swapped control deviation {control:.3e}")
+        if control <= 50.0 * tolerance:
+            yield math.nan, "negative control did not fail"
+
+    return _scan_report("connection", pairs(), tolerance, cfg, t0, notes)
+
+
+# ---------------------------------------------------------------------------
 # The operator kernels as they were before the power tables, the shared
 # factor builds and the weight vectors of ``qvirasoro.fock``: one ``**``
 # per (pair, mode), one build per block, weights from a callable.
+
+
+def removal_table(max_degree):
+    """``fock.removal_table`` as it was first built: each state's
+    sub-multisets found by comparing its multiplicities with those of
+    every state, O(N^2 D)."""
+    from qvirasoro.fock import RemovalTable, partitions_of
+
+    states = tuple(
+        lam for d in range(max_degree + 1) for lam in sorted(partitions_of(d))
+    )
+    mult = np.array(
+        [np.bincount(lam, minlength=max_degree + 1)[1:] for lam in states],
+        dtype=np.int8,
+    )
+    contained = [np.flatnonzero((mult <= m).all(axis=1)) for m in mult]
+    sup = np.repeat(np.arange(len(states)), [len(c) for c in contained])
+    sub = np.concatenate(contained)
+    radix = np.cumprod([1] + [max_degree // n + 1 for n in range(1, max_degree)])
+    key = mult @ radix[:max_degree]
+    order = np.argsort(key)
+    kind = order[np.searchsorted(key[order], key[sup] - key[sub])]
+    f = np.array([math.factorial(j) for j in range(max_degree + 1)], dtype=float)
+    per_state = f[mult].prod(axis=1)
+    fact = per_state[kind]
+    binom = per_state[sup] / fact / per_state[sub]
+    index = {lam: i for i, lam in enumerate(states)}
+    degrees = mult @ np.arange(1, max_degree + 1)
+    return RemovalTable(states, index, degrees, mult, sup, sub, kind, binom, fact)
 
 
 def removal_pairs(basis):

@@ -1,4 +1,5 @@
-"""The q-product and basic-series kernels, and the operator kernels of
+"""The q-product and basic-series kernels, the batched correlator
+evaluators and the checks built on them, and the operator kernels of
 ``fock`` and ``relations``, against the plain code they replace
 (``oracles``): every value must be bit-identical, and every error the
 same error, so the comparisons are ``==`` on the bits."""
@@ -11,10 +12,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from qvirasoro import correlators
 from qvirasoro import qspecial as qs
 from qvirasoro import relations
+from qvirasoro.correlators import CorrelatorParams
 from qvirasoro.errors import ConvergenceError, PoleError
-from qvirasoro.fock import PartitionBasis, merge_vertices
+from qvirasoro.fock import PartitionBasis, merge_vertices, removal_table
 from qvirasoro.qspecial import QParams
 from qvirasoro.voa import build_current, build_lambda, build_screening, build_vertex
 
@@ -25,8 +28,17 @@ def outcome(fn):
     """A call's float result as its exact bits, or its error."""
     try:
         value = fn()
-    except (ConvergenceError, PoleError) as exc:
+    except Exception as exc:
         return type(exc).__name__, str(exc)
+    return row_outcome(value)
+
+
+def row_outcome(value):
+    """A per-row result of a batched kernel as its exact bits, or its error."""
+    if isinstance(value, Exception):
+        return type(value).__name__, str(value)
+    if isinstance(value, np.ndarray):
+        return "matrix", [v.hex() for v in value.ravel().tolist()]
     assert type(value) is float
     return "value", value.hex()
 
@@ -204,6 +216,183 @@ def test_bracket_array_matches_scalar_calls():
     assert [v.hex() for v in got.tolist()] == [qs.bracket(u, bp).hex() for u in us]
 
 
+@st.composite
+def series_batches(draw):
+    """A base and rows of a shared shape that converge, terminate at an
+    upper parameter q^-n, meet a lower pole q^-n or diverge (|z| > 1)."""
+    q = draw(st.floats(0.05, 0.97))
+    k, m = draw(st.integers(0, 3)), draw(st.integers(0, 3))
+    rows = []
+    for _ in range(draw(st.integers(1, 8))):
+        upper = draw(st.lists(params, min_size=k, max_size=k))
+        lower = draw(st.lists(params, min_size=m, max_size=m))
+        special, n = draw(st.sampled_from(["none", "upper", "lower"])), draw(st.integers(0, 140))
+        if special == "upper" and k:
+            upper[0] = q**-n
+        if special == "lower" and m:
+            lower[0] = q**-n
+        z = draw(st.one_of(st.floats(-0.999, 0.999), st.floats(-3.0, 3.0)))
+        rows.append((upper, lower, z))
+    return q, k, m, rows
+
+
+def series_rows(q, k, m, rows):
+    R = len(rows)
+    return qs._series_rows(
+        np.array([u for u, _, _ in rows], dtype=float).reshape(R, k),
+        np.array([l for _, l, _ in rows], dtype=float).reshape(R, m),
+        q,
+        np.array([z for _, _, z in rows], dtype=float),
+    )
+
+
+class TestSeriesRows:
+    @FAST
+    @given(series_batches())
+    def test_rows_match_loop(self, batch):
+        q, k, m, rows = batch
+        got = series_rows(q, k, m, rows)
+        for (upper, lower, z), value in zip(rows, got):
+            expect = outcome(lambda: oracles.basic_series(tuple(upper), tuple(lower), q, z))
+            assert row_outcome(value) == expect
+
+    def test_rows_ending_in_different_chunks(self):
+        # 13 rows cap a chunk at 2520 terms: the geometric rows end after
+        # about 250, 64,000 and (past TERM_CAP) 3.2 million terms, a
+        # terminating row at term 10, and the others at once
+        q = 0.5
+        rows = [([0.3], [0.7], 0.9), ([0.3], [0.7], 0.9995), ([0.3], [0.7], 0.99999),
+                ([q**-10], [0.7], 0.9), ([0.3], [q**-3], 0.5), ([0.3], [0.7], 1.5)]
+        rows += [([0.1 * i], [0.2], 0.3) for i in range(7)]
+        got = series_rows(q, 1, 1, rows)
+        for (upper, lower, z), value in zip(rows, got):
+            expect = outcome(lambda: oracles.basic_series(tuple(upper), tuple(lower), q, z))
+            assert row_outcome(value) == expect
+        kinds = [row_outcome(v)[0] for v in got[:6]]
+        assert kinds == ["value", "value", "ConvergenceError", "value", "PoleError", "ConvergenceError"]
+
+    def test_base_outside_the_box_errs_in_every_row(self):
+        got = qs._series_rows(np.zeros((2, 1)), np.zeros((2, 0)), 1.5, np.zeros(2))
+        assert [type(v).__name__ for v in got] == ["RegimeError"] * 2
+
+
+# strict (q, t) pairs with q != t, and correlator parameters on them
+strict = st.tuples(st.floats(0.05, 0.95), st.floats(0.05, 0.95)).filter(
+    lambda qt: abs(qt[0] - qt[1]) > 0.02
+)
+
+
+@st.composite
+def correlator_params(draw):
+    q, t = draw(strict)
+    return CorrelatorParams(QParams(q, t), ell=draw(st.integers(1, 3)), L=draw(st.floats(-3.0, 3.0)))
+
+
+class TestBatchedCorrelators:
+    @FAST
+    @given(correlator_params(), st.lists(st.floats(-40.0, 40.0), min_size=1, max_size=8), st.data())
+    def test_screening_waves_match_single_calls(self, cp, xs, data):
+        # numerator zeros (A x = Q^-k), denominator poles (B x = Q^-k) and
+        # non-finite points among ordinary ones
+        edge = cp.params.q ** (1.0 / (2.0 * cp.ell))
+        A, B = cp.params.t**0.5 * edge, cp.params.t**-0.5 * edge
+        k = data.draw(st.integers(0, 6))
+        xs = xs + [cp.Q**-k / A, cp.Q**-k / B, math.inf, math.nan]
+        got = correlators._screening_waves(xs, cp)
+        assert [row_outcome(v) for v in got] == [outcome(lambda x=x: oracles.screening_wave(x, cp)) for x in xs]
+
+    @settings(max_examples=40, deadline=None)
+    @given(correlator_params(), st.lists(
+        st.tuples(st.sampled_from(["plus", "minus"]), st.floats(0.05, 3.0), st.floats(0.05, 3.0)),
+        min_size=1, max_size=6,
+    ), st.integers(0, 4))
+    def test_lattice_rows_match_single_calls(self, cp, rows, m):
+        # a row at w/z = Q^-m starts on m structural zeros, the prefactor
+        # (z w)^{L a / 2} of a row at z w = 1e300 overflows where
+        # L a / 2 > 1.03, and an unknown branch errs
+        rows = rows + [("minus", 1.0, cp.Q**-m), ("plus", 1e150, 1e150), ("middle", 1.0, 0.4)]
+        got = correlators._four_point_rows(rows, cp)
+        for row, value in zip(rows, got):
+            assert row_outcome(value) == outcome(lambda: oracles.four_point_jackson(*row, cp))
+
+    def test_overflowing_set_up_stays_in_its_row(self):
+        # (z w)^{L a / 2} = (1e300)^1.35 at the middle row
+        cp = CorrelatorParams(QParams(0.49, 0.7), ell=3, L=1.8)
+        rows = [("plus", 1.0, 0.4), ("plus", 1e150, 1e150), ("minus", 1.0, 0.4)]
+        got = correlators._four_point_rows(rows, cp)
+        assert isinstance(got[1], OverflowError)
+        assert [row_outcome(v) for v in got] == [outcome(lambda r=r: oracles.four_point_jackson(*r, cp)) for r in rows]
+
+    @FAST
+    @given(correlator_params(), st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=7))
+    def test_connection_matrices_match_single_calls(self, cp, us):
+        # u = 0 and u = -ell make [u + ell] or [-u] vanish; u = 1e6
+        # overflows a bracket, which sends the batch to one call per u
+        for batch in (us, us + [0.0, -float(cp.ell)], us + [1e6]):
+            got = correlators._connection_matrices(batch, cp)
+            want = [outcome(lambda u=u: oracles.connection_matrix(u, cp)) for u in batch]
+            assert [row_outcome(m) for m in got] == want
+
+
+def report_outcome(rep):
+    return rep.identity, rep.status, rep.residual.hex(), rep.worst_location, rep.notes, rep.config
+
+
+SCALAR_POINTS = [
+    (0.49, 0.7, 1, 0.6), (0.7, 0.3, 2, -1.0), (0.4, 0.9, 3, 0.5), (0.86, 0.23, 1, 1.0),
+    (0.2, 0.6, 2, 0.0), (0.95, 0.02, 3, 0.0), (0.98, 0.5, 3, 0.0), (0.4, 0.02, 1, 10.0),
+]
+
+
+@pytest.mark.parametrize("q, t, ell, L", SCALAR_POINTS)
+def test_checks_match_sequential_oracles(q, t, ell, L):
+    # (0.95, 0.02), ell 3, L 0 overflows in the plus branch's set-up and
+    # (0.4, 0.02), ell 1, L 10 has NaN matrices
+    P = QParams(q, t)
+    pairs = [
+        (correlators.check_four_point(P, ell, L), oracles.check_four_point(P, ell, L)),
+        (correlators.check_pseudo_constant(P, ell), oracles.check_pseudo_constant(P, ell)),
+        (correlators.check_connection_formula(P, ell, L), oracles.check_connection_formula(P, ell, L)),
+    ]
+    for new, old in pairs:
+        assert report_outcome(new) == report_outcome(old)
+
+
+@pytest.mark.parametrize("q, t, ell, L, where", [(0.8, 0.02, 3, -1.0, "u=0.4"), (0.95, 0.1, 1, 0.0, "u=0.8")])
+def test_connection_failure_before_a_later_error(q, t, ell, L, where):
+    # at tolerance 0 an early sample fails, and a later one's lattice
+    # series diverges: the failure decides the check
+    P = QParams(q, t)
+    new = correlators.check_connection_formula(P, ell, L, tolerance=0.0)
+    old = oracles.check_connection_formula(P, ell, L, tolerance=0.0)
+    assert report_outcome(new) == report_outcome(old)
+    assert (new.status, new.worst_location) == ("fail", where)
+
+
+def test_connection_later_sample_raising_after_a_failure(monkeypatch):
+    # every value past the first sample's four raises: the first sample,
+    # failing at tolerance 0, still decides the check, as the sequential
+    # evaluation decides it
+    def rows(batch, cp):
+        values = batch_rows(batch, cp)
+        return values[:4] + [PoleError("injected") for _ in values[4:]]
+
+    def single(branch, z, w, cp, calls=[]):
+        calls.append(None)
+        if len(calls) > 4:
+            raise PoleError("injected")
+        return jackson(branch, z, w, cp)
+
+    batch_rows, jackson = correlators._four_point_rows, oracles.four_point_jackson
+    monkeypatch.setattr(correlators, "_four_point_rows", rows)
+    monkeypatch.setattr(oracles, "four_point_jackson", single)
+    P = QParams(0.49, 0.7)
+    new = correlators.check_connection_formula(P, tolerance=0.0)
+    old = oracles.check_connection_formula(P, tolerance=0.0)
+    assert report_outcome(new) == report_outcome(old)
+    assert (new.status, new.worst_location) == ("fail", "u=0.4")
+
+
 # ---------------------------------------------------------------------------
 # Operator kernels
 
@@ -280,6 +469,15 @@ class TestOperatorKernels:
             corner = oracles.app(basis, v, momentum, c, c)
             want = oracles.weigh(basis, corner, lambda d: xi ** (d + v.h0_power * momentum))
             assert (K, s) == (K0, s0) and np.array_equal(got, want)
+
+
+def test_removal_table_matches_oracle():
+    for degree in range(21):
+        got, want = removal_table(degree), oracles.removal_table(degree)
+        assert got.states == want.states and got.index == want.index
+        for name in ("degrees", "mult", "sup", "sub", "kind", "binom", "fact"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert a.dtype == b.dtype and np.array_equal(a, b), (degree, name)
 
 
 def _operator_checks(P, ell, k):
