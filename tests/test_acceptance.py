@@ -5,6 +5,7 @@ and prints a single summary line; together they are the go/no-go signal
 for the package.
 """
 
+import math
 import os
 import subprocess
 import sys
@@ -22,7 +23,7 @@ from qvirasoro.correlators import (
     four_point_closed,
     four_point_jackson,
 )
-from qvirasoro.fock import FockState, inner_product, partitions_of
+from qvirasoro.fock import PartitionBasis, removal_table
 from qvirasoro.qspecial import QParams
 from qvirasoro.relations import (
     check_adjoint_shift,
@@ -72,15 +73,18 @@ class Budget:
 
 def test_criterion_01_gram_matrix_vs_word_oracle():
     with Budget("criterion 1 (Gram matrices degree <= 6)", 5.0) as b:
+        # the pairing is diagonal, <lam|lam> = prod_n c_n^{m_n} m_n!, built
+        # from the tables application_matrix reads
+        mult = removal_table(6).mult
+        fact = np.array([math.factorial(j) for j in range(7)], dtype=float)
         for params in POINTS:
             engine = WordEngine(params)
-            states = [p for n in range(7) for p in partitions_of(n)]
-            for lam in states:
-                for mu in states:
+            basis = PartitionBasis(params, 6)
+            norms = np.prod(basis.cn**mult * fact[mult], axis=1)
+            for i, lam in enumerate(basis.states):
+                for j, mu in enumerate(basis.states):
                     expect = engine.inner_product(mu, lam)
-                    got = inner_product(
-                        FockState(0.0, mu), FockState(0.0, lam), params
-                    )
+                    got = norms[i] if i == j else 0.0
                     err = abs(got - expect) / max(1.0, abs(expect))
                     b.note(err)
                     assert err < 1e-12, f"state pair {mu} | {lam} at {params}"

@@ -469,8 +469,7 @@ class TestReportRecord:
         assert rep.status == "inconclusive"
 
     def test_summary_line_and_notes(self):
-        rep = CheckReport("demo", 2e-9, 1e-8, worst_location="mode 3")
-        rep.add_note("extra")
+        rep = CheckReport("demo", 2e-9, 1e-8, worst_location="mode 3", notes=["extra"])
         line = rep.summary_line()
         assert line.startswith("[PASS]")
         assert "demo" in line and "mode 3" in line

@@ -23,10 +23,8 @@ from qvirasoro.correlators import (
     four_point_closed,
     four_point_jackson,
     screening_wave,
-    sv_scalar,
     two_point,
     two_point_reference,
-    vs_scalar,
 )
 
 P1 = QParams(0.49, 0.7)  # beta = 1/2, p = 0.7
@@ -138,13 +136,6 @@ class TestScreeningWave:
         cp = CorrelatorParams(params=P1)
         with pytest.raises(PoleError):
             screening_wave(P1.t**0.5 / P1.q**0.5, cp)
-
-    def test_ordering_scalars(self):
-        cp = CorrelatorParams(params=P1)
-        assert sv_scalar(2.0, 1.0, cp) == pytest.approx(
-            2.0**-cp.a * screening_wave(0.5, cp)
-        )
-        assert vs_scalar(1.0, 0.3, cp) == pytest.approx(screening_wave(0.3, cp))
 
 
 class TestFourPoint:

@@ -1,6 +1,7 @@
 """Oscillator Fock layer against brute-force word-reordering oracles."""
 
 import importlib.util
+import math
 from collections import Counter
 from pathlib import Path
 
@@ -9,11 +10,7 @@ import pytest
 
 from oracles import WordEngine, structure_constant, vertex_table
 from qvirasoro.fock import (
-    FockState,
     PartitionBasis,
-    gram_norm,
-    inner_product,
-    matrix_element,
     merge_vertices,
     mode_commutator,
     partitions_of,
@@ -25,6 +22,16 @@ from qvirasoro.voa import build_current, build_lambda, build_screening, build_ve
 
 P = QParams(0.7, 0.3)
 P2 = QParams(0.4, 0.9)
+
+
+def gram_diagonal(params, D):
+    """The states of the degree-D basis and their norms <lam|lam> =
+    prod_n c_n^{m_n} m_n!, from the tables ``application_matrix`` reads
+    (the pairing is diagonal in the partition)."""
+    basis = PartitionBasis(params, D)
+    mult = removal_table(D).mult
+    fact = np.array([math.factorial(j) for j in range(D + 1)], dtype=float)
+    return basis.states, np.prod(basis.cn**mult * fact[mult], axis=1)
 
 
 class TestPartitions:
@@ -60,43 +67,36 @@ class TestGram:
     @pytest.mark.parametrize("params", [P, P2], ids=["(0.7,0.3)", "(0.4,0.9)"])
     def test_matches_word_oracle_to_degree_four(self, params):
         engine = WordEngine(params)
-        states = [p for n in range(5) for p in partitions_of(n)]
-        for lam in states:
-            for mu in states:
+        states, norms = gram_diagonal(params, 4)
+        for i, lam in enumerate(states):
+            for j, mu in enumerate(states):
                 expect = engine.inner_product(mu, lam)
-                got = inner_product(
-                    FockState(0.0, mu), FockState(0.0, lam), params
-                )
+                got = norms[i] if i == j else 0.0
                 assert got == pytest.approx(expect, abs=1e-12, rel=1e-12)
 
     def test_gram_norm_equals_diagonal(self):
         engine = WordEngine(P)
+        states, norms = gram_diagonal(P, 6)
         for lam in [(1,), (2, 1), (3, 2, 1), (2, 2, 1, 1)]:
-            assert gram_norm(lam, P) == pytest.approx(
+            assert norms[states.index(lam)] == pytest.approx(
                 engine.inner_product(lam, lam), rel=1e-13
             )
 
-    def test_momentum_orthogonality(self):
-        a = FockState(0.0, (1,))
-        b = FockState(0.5, (1,))
-        assert inner_product(a, b, P) == 0.0
-
 
 class TestVertexData:
+    # the vacuum's norm is 1, so <0| X |0> is the matrix's corner entry
     def test_lambda_vacuum_scalar(self):
         basis = PartitionBasis(P, 2)
-        vac = FockState(0.0)
-        tab = matrix_element(build_lambda(+1, P), vac, vac, basis)
-        assert tab.entries[0] == pytest.approx(P.p**0.5, rel=1e-14)
-        tab = matrix_element(build_lambda(-1, P), vac, vac, basis)
-        assert tab.entries[0] == pytest.approx(P.p**-0.5, rel=1e-14)
+        vac = basis.application_matrix(build_lambda(+1, P), 0.0)[0, 0]
+        assert vac == pytest.approx(P.p**0.5, rel=1e-14)
+        vac = basis.application_matrix(build_lambda(-1, P), 0.0)[0, 0]
+        assert vac == pytest.approx(P.p**-0.5, rel=1e-14)
 
     def test_current_vacuum_scalar(self):
         basis = PartitionBasis(P, 2)
-        vac = FockState(0.0)
         total = 0.0
         for term in build_current(P).terms:
-            total += matrix_element(term, vac, vac, basis).entries[0]
+            total += basis.application_matrix(term, 0.0)[0, 0]
         assert total == pytest.approx(P.p**0.5 + P.p**-0.5, rel=1e-14)
 
     def test_at_scale_roundtrip(self):
@@ -146,18 +146,15 @@ class TestMatrixEngine:
         D = 3
         basis = PartitionBasis(vertex.params, D)
         engine = WordEngine(vertex.params)
-        m_out = momentum + vertex.momentum_shift()
-        states = [p for n in range(D + 1) for p in partitions_of(n)]
-        for lam in states:
-            for mu in states:
+        app = basis.application_matrix(vertex, momentum)
+        states = basis.states
+        for j, lam in enumerate(states):
+            for i, mu in enumerate(states):
                 expect = vertex_table(vertex, momentum, mu, lam, engine, D)
-                tab = matrix_element(
-                    vertex,
-                    FockState(m_out, mu),
-                    FockState(momentum, lam),
-                    basis,
-                )
-                got = {k: v for k, v in tab.entries.items() if abs(v) > 1e-14}
+                # <mu| X |lam>: the bra's norm times the matrix entry, the
+                # coefficient of z^{(deg mu - deg lam) + h0_power*momentum}
+                val = engine.inner_product(mu, mu) * app[i, j]
+                got = {sum(mu) - sum(lam): val} if abs(val) > 1e-14 else {}
                 expect = {k: v for k, v in expect.items() if abs(v) > 1e-14}
                 assert set(got) == set(expect), (mu, lam)
                 for k in expect:
@@ -166,17 +163,6 @@ class TestMatrixEngine:
                         lam,
                         k,
                     )
-
-    def test_application_matrix_consistent_with_matrix_element(self):
-        vertex = build_lambda(+1, P)
-        basis = PartitionBasis(P, 3)
-        app = basis.application_matrix(vertex, 0.0)
-        vac = FockState(vertex.momentum_shift(), ())
-        ket = FockState(0.0, (2, 1))
-        tab = matrix_element(vertex, vac, ket, basis)
-        i, j = basis.index[()], basis.index[(2, 1)]
-        # application matrix aggregates all w-powers of the bra/ket pair
-        assert app[i, j] == pytest.approx(sum(tab.entries.values()), rel=1e-12)
 
     def test_bases_of_one_degree_share_read_only_tables(self):
         a, b = PartitionBasis(P, 4), PartitionBasis(P2, 4)
@@ -225,7 +211,7 @@ class TestMatrixEngine:
             build_vertex(2, 1, params),
         ):
             states, ref = bench_engines.dict_engine(vertex, 0.37, params, 6)
-            perm = [basis.index[lam] for lam in states]
+            perm = [basis.states.index(lam) for lam in states]
             got = basis.application_matrix(vertex, 0.37)[np.ix_(perm, perm)]
             assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
 

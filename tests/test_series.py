@@ -5,13 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from qvirasoro.series import (
-    Series,
-    check_delta_comb,
-    from_log_rule,
-    series_exp,
-    series_inverse,
-)
+from qvirasoro.series import Series, check_delta_comb, from_log_rule, series_exp
 
 
 def test_multiplication_matches_polymul_truncated():
@@ -43,17 +37,6 @@ def test_from_log_rule_geometric():
     s = from_log_rule(lambda n: x**n / n, 10)
     for k in range(10):
         assert s.c[k] == pytest.approx(x**k, rel=1e-13)
-
-
-def test_inverse_multiplies_to_one():
-    rng = np.random.default_rng(11)
-    c = rng.normal(size=7)
-    c[0] = 1.7
-    s = Series(c)
-    prod = (s * series_inverse(s)).c
-    expect = np.zeros(7)
-    expect[0] = 1.0
-    assert np.allclose(prod, expect, atol=1e-13)
 
 
 def test_helpers_one_zero():
