@@ -10,11 +10,12 @@ Layering (import order is acyclic top to bottom):
     symbols, q-gamma/beta, theta, the basic hypergeometric sum, Jackson
     integration, the elliptic bracket).
 ``series``
-    Dense truncated power series with exp/log/inverse and the bilateral
-    comb identity used by every delta-function collapse.
+    Dense truncated power series (product, exp, exp of a log rule) and
+    the bilateral comb identity used by every delta-function collapse.
 ``fock``
     The charged bosonic Fock space truncated by partition degree;
-    vertex-operator data; exact application matrices.
+    vertex-operator data; exact application matrices, the one way an
+    operator acts on the truncated basis.
 ``voa``
     Concrete operators (current branches, screenings, primaries),
     involutions, contraction kernels, structure functions and their
@@ -34,16 +35,11 @@ from .errors import (
     PoleError,
     QVirasoroError,
     RegimeError,
-    TruncationError,
 )
 from .fock import (
-    FockState,
     NormalOrderedVertex,
     OperatorSum,
     PartitionBasis,
-    gram_norm,
-    inner_product,
-    matrix_element,
     merge_vertices,
     mode_commutator,
     partitions_of,
@@ -63,7 +59,7 @@ from .qspecial import (
     theta_q,
 )
 from .report import CheckReport
-from .series import Series, from_log_rule, series_exp, series_inverse
+from .series import Series, from_log_rule, series_exp
 from .voa import (
     StructureFunctionSpec,
     build_current,
@@ -83,7 +79,6 @@ __all__ = [
     "RegimeError",
     "PoleError",
     "ConvergenceError",
-    "TruncationError",
     "ConfigError",
     "QParams",
     "BracketParams",
@@ -99,18 +94,13 @@ __all__ = [
     "jackson_bilateral",
     "Series",
     "series_exp",
-    "series_inverse",
     "from_log_rule",
-    "FockState",
     "NormalOrderedVertex",
     "OperatorSum",
     "PartitionBasis",
     "partitions_of",
-    "gram_norm",
-    "inner_product",
     "mode_commutator",
     "merge_vertices",
-    "matrix_element",
     "build_lambda",
     "build_current",
     "build_screening",

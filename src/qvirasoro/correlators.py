@@ -69,8 +69,6 @@ from .voa import pair_correlation_factor, pair_correlation_log_rule
 __all__ = [
     "CorrelatorParams",
     "screening_wave",
-    "sv_scalar",
-    "vs_scalar",
     "two_point",
     "two_point_reference",
     "four_point_closed",
@@ -161,18 +159,6 @@ def _attempt(fn, *args):
         return fn(*args)
     except Exception as exc:
         return exc
-
-
-def sv_scalar(mu: float, z: float, cp: CorrelatorParams) -> float:
-    """Radial-ordering scalar of screening(mu) then vertex(z):
-    mu^{-a} F(z/mu)."""
-    return mu**-cp.a * screening_wave(z / mu, cp)
-
-
-def vs_scalar(z: float, mu: float, cp: CorrelatorParams) -> float:
-    """Radial-ordering scalar of vertex(z) then screening(mu):
-    z^{-a} F(mu/z)."""
-    return z**-cp.a * screening_wave(mu / z, cp)
 
 
 # ---------------------------------------------------------------------------
@@ -471,9 +457,9 @@ def check_pseudo_constant(
     t0 = time.perf_counter()
     cp = CorrelatorParams(params=params, ell=ell)
 
-    # rho(Q y) and rho(y) for each sample; the two waves of rho(y) are
-    # F(z/mu) of sv_scalar(mu, z) and F(mu/z) of vs_scalar(z, mu), at
-    # mu = 1/y and z = 1
+    # rho(Q y) and rho(y) for each sample, at mu = 1/y and z = 1: the
+    # screening-then-vertex scalar mu^{-a} F(z/mu) over the
+    # vertex-then-screening scalar z^{-a} F(mu/z)
     mus = [1.0 / v for y in samples for v in (cp.Q * y, y)]
     waves = _screening_waves([x for mu in mus for x in (1.0 / mu, mu / 1.0)], cp)
 

@@ -30,11 +30,6 @@ class ConvergenceError(QVirasoroError):
         self.direction = direction
 
 
-class TruncationError(QVirasoroError):
-    """A requested coefficient or matrix element lies outside the
-    truncation window the object was built with."""
-
-
 class ConfigError(QVirasoroError):
     """Invalid run configuration (bad parameter regime, unknown suite,
     malformed config file).  The CLI maps this to exit status 3."""

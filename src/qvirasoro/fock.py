@@ -9,28 +9,27 @@ and the zero modes obey [h_0, Q_h] = 1/2, so e^{alpha Q_h} shifts the
 h_0 eigenvalue (the momentum) by alpha/2.
 
 States are monomials prod_n h_{-n}^{m_n} |momentum> indexed by a
-partition; the basis is truncated by total degree.  Exponential
-("vertex") operators are stored as data — a mode-coefficient rule, a
-charge, an h_0 power, an h_0 base and a scalar — and applied to the
-truncated basis as exact finite matrices, one matrix entry per
-(bra partition, ket partition) with a single monomial in the operator's
-formal variable.
+partition; the basis is truncated by total degree.  The pairing is
+diagonal in the partition, <lambda|lambda> = prod_n c_n^{m_n} m_n! with
+c_n = [h_n, h_{-n}].  Exponential ("vertex") operators are stored as
+data — a mode-coefficient rule, a charge, an h_0 power, an h_0 base and
+a scalar — and applied to the truncated basis as exact finite matrices,
+one matrix entry per (bra partition, ket partition) with a single
+monomial in the operator's formal variable.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from collections import Counter, namedtuple
+from collections import namedtuple
 from dataclasses import dataclass, replace
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from .errors import QVirasoroError, TruncationError
+from .errors import QVirasoroError
 from .qspecial import QParams
-
-MOMENTUM_TOL = 1e-12
 
 
 def partitions_of(n: int, max_part: int | None = None) -> Iterator[tuple[int, ...]]:
@@ -58,43 +57,6 @@ def mode_commutator(n: int, m: int, params: QParams) -> float:
     return (
         (q**hn - q**-hn) * (t**hn - t**-hn) / (p**hn + p**-hn) / n
     )
-
-
-@dataclass(frozen=True)
-class FockState:
-    """A charged state: momentum (h_0 eigenvalue) and raised modes."""
-
-    momentum: float
-    partition: tuple[int, ...] = ()
-
-    def __post_init__(self) -> None:
-        part = tuple(sorted(self.partition, reverse=True))
-        object.__setattr__(self, "partition", part)
-        if any(n < 1 for n in part):
-            raise QVirasoroError("partition entries must be >= 1")
-
-    @property
-    def degree(self) -> int:
-        return sum(self.partition)
-
-
-def gram_norm(partition: Sequence[int], params: QParams) -> float:
-    """<lambda|lambda> = prod_n c_n^{mult_n} mult_n! with
-    c_n = [h_n, h_{-n}]."""
-    out = 1.0
-    for n, m in Counter(partition).items():
-        out *= mode_commutator(n, -n, params) ** m * math.factorial(m)
-    return out
-
-
-def inner_product(bra: FockState, ket: FockState, params: QParams) -> float:
-    """Fock pairing: diagonal in momentum (the <m|m'> = delta_{m,m'}
-    convention) and in the partition."""
-    if abs(bra.momentum - ket.momentum) > MOMENTUM_TOL:
-        return 0.0
-    if bra.partition != ket.partition:
-        return 0.0
-    return gram_norm(bra.partition, params)
 
 
 # ---------------------------------------------------------------------------
@@ -191,24 +153,11 @@ def vertex_data_distance(
 
 
 # ---------------------------------------------------------------------------
-# Coefficient tables (single formal variable)
-
-
-@dataclass
-class CoeffTable:
-    """Monomial table of a matrix element: entries[k] is the coefficient
-    of z^{k + offset}, z the operator's formal variable."""
-
-    entries: dict[int, float]
-    offset: float = 0.0
-
-
-# ---------------------------------------------------------------------------
 # Exact application of vertex operators on the truncated basis
 
 
 RemovalTable = namedtuple(
-    "RemovalTable", "states index degrees mult sup sub kind binom fact"
+    "RemovalTable", "states degrees mult sup sub kind binom fact"
 )
 
 
@@ -252,11 +201,10 @@ def removal_table(max_degree: int) -> RemovalTable:
     per_state = f[mult].prod(axis=1)
     fact = per_state[kind]
     binom = per_state[sup] / fact / per_state[sub]
-    index = {lam: i for i, lam in enumerate(states)}
     degrees = mult @ np.arange(1, max_degree + 1)
     for arr in (degrees, mult, sup, sub, kind, binom, fact):
         arr.flags.writeable = False
-    return RemovalTable(states, index, degrees, mult, sup, sub, kind, binom, fact)
+    return RemovalTable(states, degrees, mult, sup, sub, kind, binom, fact)
 
 
 class PartitionBasis:
@@ -270,7 +218,7 @@ class PartitionBasis:
         self.params = params
         self.max_degree = max_degree
         self.removals = removal_table(max_degree)
-        self.states, self.index, self.degrees = self.removals[:3]
+        self.states, self.degrees = self.removals[:2]
         self.size = len(self.states)
         modes = range(1, max_degree + 1)
         self.cn = np.array([mode_commutator(n, -n, params) for n in modes])
@@ -359,26 +307,3 @@ class PartitionBasis:
         cre, ann = self.factors(vertex, rows, min(rows, cols), cols)
         return vertex.zero_mode_factor(momentum) * (cre @ ann)
 
-
-def matrix_element(
-    op: NormalOrderedVertex,
-    bra: FockState,
-    ket: FockState,
-    basis: PartitionBasis,
-) -> CoeffTable:
-    """<bra| op |ket> as a monomial table in the operator's variable.
-
-    The pairing includes the Gram norm of the bra state.  Charge imbalance
-    returns the identically-zero table.
-    """
-    if max(bra.degree, ket.degree) > basis.max_degree:
-        raise TruncationError("state degree exceeds the basis window")
-    if abs(bra.momentum - (ket.momentum + op.momentum_shift())) > MOMENTUM_TOL:
-        return CoeffTable(entries={})
-    ib = basis.index[bra.partition]
-    ik = basis.index[ket.partition]
-    # the leading block that ends at the one entry
-    mat = basis.application_matrix(op, ket.momentum, ib + 1, ik + 1)
-    val = gram_norm(bra.partition, basis.params) * mat[ib, ik]
-    key = bra.degree - ket.degree
-    return CoeffTable(entries={key: val}, offset=op.h0_power * ket.momentum)

@@ -35,7 +35,7 @@ class CheckReport:
         side.  Infinity when the check is inconclusive.
     worst_location
         Human-readable tag of where the worst deviation occurred,
-        e.g. ``"mode k=-2, bra (1,1), ket (2)"``.
+        e.g. ``"key=-2 bra=(1, 1) ket=(2,)"``.
     status
         ``"pass"``, ``"fail"`` or ``"inconclusive"`` (the latter for
         checks that could not run at the given parameters, e.g. a
@@ -59,9 +59,6 @@ class CheckReport:
     @property
     def passed(self) -> bool:
         return self.status == "pass"
-
-    def add_note(self, text: str) -> None:
-        self.notes.append(text)
 
     def summary_line(self) -> str:
         return (

@@ -42,14 +42,6 @@ class Series:
             return float(self.c[k])
         return 0.0
 
-    def __add__(self, other: "Series") -> "Series":
-        n = min(self.order, other.order)
-        return Series(self.c[: n + 1] + other.c[: n + 1])
-
-    def __sub__(self, other: "Series") -> "Series":
-        n = min(self.order, other.order)
-        return Series(self.c[: n + 1] - other.c[: n + 1])
-
     def __mul__(self, other):
         if isinstance(other, Series):
             n = min(self.order, other.order)
@@ -80,18 +72,6 @@ def series_exp(u: Series) -> Series:
     for k in range(1, n + 1):
         e[k] = np.dot(ju[1 : k + 1], e[k - 1 :: -1][: k]) / k
     return Series(e)
-
-
-def series_inverse(a: Series) -> Series:
-    """Multiplicative inverse of a series with nonzero constant term."""
-    if a[0] == 0.0:
-        raise QVirasoroError("cannot invert a series with zero constant term")
-    n = a.order
-    b = np.zeros(n + 1)
-    b[0] = 1.0 / a.c[0]
-    for k in range(1, n + 1):
-        b[k] = -np.dot(a.c[1 : k + 1], b[k - 1 :: -1][: k]) / a.c[0]
-    return Series(b)
 
 
 def from_log_rule(rule: Callable[[int], float], order: int) -> Series:

@@ -456,9 +456,8 @@ def removal_table(max_degree):
     per_state = f[mult].prod(axis=1)
     fact = per_state[kind]
     binom = per_state[sup] / fact / per_state[sub]
-    index = {lam: i for i, lam in enumerate(states)}
     degrees = mult @ np.arange(1, max_degree + 1)
-    return RemovalTable(states, index, degrees, mult, sup, sub, kind, binom, fact)
+    return RemovalTable(states, degrees, mult, sup, sub, kind, binom, fact)
 
 
 def removal_pairs(basis):
