@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from qvirasoro import relations
+from qvirasoro import correlators, qspecial, relations
 from qvirasoro.cli import DEFAULTS, SUITES, SuiteConfig, main, run
 from qvirasoro.errors import PoleError
 from qvirasoro.report import CheckReport
@@ -21,6 +21,11 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def _cp():
+    """The correlator parameters eval builds from --q 0.49 --t 0.7 alone."""
+    return correlators.CorrelatorParams(params=qspecial.QParams(0.49, 0.7), L=1.0)
 
 
 def strip_runtime(records):
@@ -450,6 +455,48 @@ class TestEval:
         assert code == 3
         assert out == ""
         assert err.startswith("error:") and "--n" in err
+
+    @pytest.mark.parametrize(
+        "function, flags, required, value",
+        [
+            ("phi21", {"a": 0.3, "b": 0.5, "c": 0.8, "q": 0.5, "z": 0.2},
+             "abcqz", lambda: qspecial.phi21(0.3, 0.5, 0.8, 0.5, 0.2)),
+            ("qpoch", {"a": 0.3, "q": 0.5}, "aq", lambda: qspecial.qpoch_inf(0.3, 0.5)),
+            ("qpoch", {"a": 0.3, "q": 0.5, "n": 4}, "aq",
+             lambda: qspecial.qpoch(0.3, 0.5, 4)),
+            ("gamma-q", {"x": 2.5, "q": 0.5}, "xq", lambda: qspecial.gamma_q(2.5, 0.5)),
+            ("beta-q", {"a": 1.5, "b": 2.5, "q": 0.5}, "abq",
+             lambda: qspecial.beta_q(1.5, 2.5, 0.5)),
+            ("theta-q", {"z": 0.7, "q": 0.5}, "zq", lambda: qspecial.theta_q(0.7, 0.5)),
+            ("bracket", {"u": 0.4, "q": 0.49, "r": 2.0}, "uqr",
+             lambda: qspecial.bracket(0.4, qspecial.BracketParams(q=0.49, ell=1, r=2.0))),
+            ("two-point", {"z": 1.0, "w": 0.4, "q": 0.49, "t": 0.7}, "zwqt",
+             lambda: correlators.two_point(1.0, 0.4, _cp())),
+            ("screening-wave", {"x": 0.4, "q": 0.49, "t": 0.7}, "xqt",
+             lambda: correlators.screening_wave(0.4, _cp())),
+            ("four-point", {"z": 1.0, "w": 0.4, "q": 0.49, "t": 0.7}, "zwqt",
+             lambda: correlators.four_point_closed("plus", 1.0, 0.4, _cp())),
+        ],
+        ids=[
+            "phi21", "qpoch-inf", "qpoch-n", "gamma-q", "beta-q", "theta-q",
+            "bracket", "two-point", "screening-wave", "four-point",
+        ],
+    )
+    def test_every_function_prints_the_library_value(
+        self, capsys, function, flags, required, value
+    ):
+        argv = [f for name, v in flags.items() for f in (f"--{name}", str(v))]
+        code, out, _ = run_cli(capsys, "eval", function, *argv)
+        assert code == 0
+        assert out == f"{value():.17g}\n"
+        # with only the flags before it given, each required flag is the
+        # one reported missing
+        for i, name in enumerate(required):
+            given = [f for n in required[:i] for f in (f"--{n}", str(flags[n]))]
+            code, out, err = run_cli(capsys, "eval", function, *given)
+            assert code == 3
+            assert out == ""
+            assert err == f"error: eval function missing required --{name}\n"
 
     def test_pole_is_runtime_error_not_config(self, capsys):
         code, _, err = run_cli(
