@@ -10,8 +10,9 @@ Layering (import order is acyclic top to bottom):
     symbols, q-gamma/beta, theta, the basic hypergeometric sum, Jackson
     integration, the elliptic bracket).
 ``series``
-    Dense truncated power series (product, exp, exp of a log rule) and
-    the bilateral comb identity used by every delta-function collapse.
+    Truncated power series as coefficient arrays (exp, exp of a log
+    rule) and the bilateral comb identity used by every delta-function
+    collapse.
 ``fock``
     The charged bosonic Fock space truncated by partition degree;
     vertex-operator data; exact application matrices, the one way an
@@ -59,7 +60,7 @@ from .qspecial import (
     theta_q,
 )
 from .report import CheckReport
-from .series import Series, from_log_rule, series_exp
+from .series import from_log_rule, series_exp
 from .voa import (
     StructureFunctionSpec,
     build_current,
@@ -92,7 +93,6 @@ __all__ = [
     "jackson_to",
     "jackson_between",
     "jackson_bilateral",
-    "Series",
     "series_exp",
     "from_log_rule",
     "NormalOrderedVertex",

@@ -58,7 +58,7 @@ from .fock import (
 )
 from .qspecial import QParams
 from .report import CheckReport, _scan_report, _worst
-from .series import Series, check_delta_comb
+from .series import check_delta_comb
 from .voa import (
     StructureFunctionSpec,
     build_current,
@@ -113,6 +113,13 @@ def _blocks(basis: PartitionBasis, op, c: int, top: float, left: float):
     )
 
 
+def _one(order: int) -> np.ndarray:
+    """The constant kernel 1, truncated at ``order``."""
+    one = np.zeros(order + 1)
+    one[0] = 1.0
+    return one
+
+
 def _kernel(g: np.ndarray, s: int, a: float = 1.0) -> float:
     """Weight g_s a^s of the s-th coefficient of a structure series at
     argument scale a; zero for s < 0."""
@@ -134,7 +141,7 @@ def _exchange_check(
     one corner table per key in [-window, window], for current (or
     branch) X against vertex Y, the right-hand side given by its delta
     terms (K, c, xi, W).  ``g`` maps an order to the structure series
-    truncated there (``Series.one`` for the constant kernel 1).  The
+    truncated there (``_one`` for the constant kernel 1).  The
     basis reaches degree_cap + window + |twist|, enough for the corner to
     be exact.  With mu the bra, nu the intermediate and lambda the ket,
     key k weighs the first term by g_s at s = k - (deg nu - deg lambda),
@@ -145,7 +152,7 @@ def _exchange_check(
     )
     D = basis.max_degree
     span = range(-D, D + 1)
-    gc = g(2 * D + window + 2).c
+    gc = g(2 * D + window + 2)
     deltas = [
         (K, s, basis.weigh(w, np.array([s**-d for d in span]))) for K, s, w in shifted
     ]
@@ -265,7 +272,7 @@ def check_defining_relation(
     c = basis.corner(degree_cap)
     cur = build_current(params)
     t_out, t_in, _ = _blocks(basis, cur, c, momentum, momentum)
-    f = structure_series(StructureFunctionSpec("current"), params, 2 * D + 2).c
+    f = structure_series(StructureFunctionSpec("current"), params, 2 * D + 2)
 
     q, t, p = params.q, params.t, params.p
     eta1 = (q**0.5 - q**-0.5) * (t**0.5 - t**-0.5)
@@ -325,7 +332,7 @@ def check_screening_relation(
     terms = [(K, c, 1.0, w), (-K * base, base * c, base, w)]
     notes = []
     pairs = _exchange_check(
-        params, build_current(params), scr, Series.one, 0, terms, degree_cap, window,
+        params, build_current(params), scr, _one, 0, terms, degree_cap, window,
         momentum, tolerance, notes,
     )
     cfg = _operator_cfg(params, degree_cap, window, momentum, sign=sign)
@@ -461,7 +468,7 @@ def check_adjoint_shift(
     )
     # weigh() looks the kernel up at every degree difference in [-D, D]
     D = basis.max_degree
-    g = structure_series(StructureFunctionSpec("exchange", ell, 0), params, 2 * D).c
+    g = structure_series(StructureFunctionSpec("exchange", ell, 0), params, 2 * D)
 
     def triples():
         for n in modes:
@@ -509,12 +516,11 @@ def check_exchange_rewrite(
     )
     y = build_vertex(ell, 0, params)
     lam_plus = build_lambda(+1, params)
-    phi_plus = contract(y, lam_plus, order).series
-    prod = (dual * phi_plus).c
-    one = Series.one(order).c
+    phi_plus = contract(y, lam_plus, order)
+    prod = np.convolve(dual, phi_plus)[: order + 1]
     # each coefficient's deviation against the size of its convolution sum
-    bound = np.maximum(np.convolve(abs(dual.c), abs(phi_plus.c))[: order + 1], 1.0)
-    res_a = float(np.max(np.abs(prod - one) / bound))
+    bound = np.maximum(np.convolve(abs(dual), abs(phi_plus))[: order + 1], 1.0)
+    res_a = float(np.max(np.abs(prod - _one(order)) / bound))
 
     K, c1, _ = _exchange_constants(ell, params)
     g = partial(structure_series, StructureFunctionSpec("exchange", ell, 0), params)

@@ -1,10 +1,9 @@
 """Truncated one-variable power series over float64, plus the bilateral
 delta-comb identity that underpins the exchange-relation checkers.
 
-All series are dense coefficient vectors c[0..order] for
-sum_k c_k x^k.  Binary operations truncate to the shorter window, so a
-computation carried out entirely at one window size is exact in that
-window (no truncation error inside it).
+A series is its dense 1-d coefficient array c[0..order] for
+sum_k c_k x^k; the recurrences here are exact on that window (no
+truncation error inside it).
 """
 
 from __future__ import annotations
@@ -17,69 +16,29 @@ import numpy as np
 from .errors import QVirasoroError
 
 
-class Series:
-    """Dense truncated power series."""
-
-    __slots__ = ("c",)
-
-    def __init__(self, coeffs: Sequence[float] | np.ndarray):
-        self.c = np.asarray(coeffs, dtype=np.float64).copy()
-        if self.c.ndim != 1 or self.c.size == 0:
-            raise QVirasoroError("series needs a 1-d non-empty coefficient vector")
-
-    @property
-    def order(self) -> int:
-        return self.c.size - 1
-
-    @classmethod
-    def one(cls, order: int) -> "Series":
-        c = np.zeros(order + 1)
-        c[0] = 1.0
-        return cls(c)
-
-    def __getitem__(self, k: int) -> float:
-        if 0 <= k <= self.order:
-            return float(self.c[k])
-        return 0.0
-
-    def __mul__(self, other):
-        if isinstance(other, Series):
-            n = min(self.order, other.order)
-            out = np.convolve(self.c[: n + 1], other.c[: n + 1])[: n + 1]
-            return Series(out)
-        return Series(self.c * float(other))
-
-    __rmul__ = __mul__
-
-    def __repr__(self) -> str:
-        head = ", ".join(f"{v:.6g}" for v in self.c[:6])
-        tail = ", ..." if self.c.size > 6 else ""
-        return f"Series([{head}{tail}], order={self.order})"
-
-
-def series_exp(u: Series) -> Series:
-    """exp of a series with zero constant term.
+def series_exp(u: np.ndarray) -> np.ndarray:
+    """exp of a series with zero constant term, on the same window.
 
     Uses the derivative recurrence E_k = (1/k) sum_{j=1}^{k} j u_j E_{k-j},
     which is exact on the window.
     """
     if u[0] != 0.0:
         raise QVirasoroError("series_exp needs zero constant term")
-    n = u.order
+    n = u.size - 1
     e = np.zeros(n + 1)
     e[0] = 1.0
-    ju = u.c * np.arange(n + 1)
+    ju = u * np.arange(n + 1)
     for k in range(1, n + 1):
         e[k] = np.dot(ju[1 : k + 1], e[k - 1 :: -1][: k]) / k
-    return Series(e)
+    return e
 
 
-def from_log_rule(rule: Callable[[int], float], order: int) -> Series:
-    """Build exp( sum_{n>=1} rule(n) x^n ) on the given window."""
+def from_log_rule(rule: Callable[[int], float], order: int) -> np.ndarray:
+    """Coefficients 0..order of exp( sum_{n>=1} rule(n) x^n )."""
     u = np.zeros(order + 1)
     for k in range(1, order + 1):
         u[k] = rule(k)
-    return series_exp(Series(u))
+    return series_exp(u)
 
 
 def _comb_coefficients(roots: Sequence[float], order: int) -> np.ndarray:

@@ -39,7 +39,7 @@ import numpy as np
 from .errors import ConvergenceError, PoleError, QVirasoroError, RegimeError
 from .fock import NormalOrderedVertex, OperatorSum, merge_vertices
 from .qspecial import QParams, ZERO_SNAP
-from .series import Series, from_log_rule
+from .series import from_log_rule
 
 __all__ = [
     "build_lambda",
@@ -48,7 +48,6 @@ __all__ = [
     "build_vertex",
     "theta_conjugate",
     "omega_conjugate",
-    "ContractionFactor",
     "contract",
     "StructureFunctionSpec",
     "structure_log_rule",
@@ -214,27 +213,11 @@ def omega_conjugate(build: Builder, params: QParams) -> NormalOrderedVertex:
 # Contraction of two vertices
 
 
-@dataclass
-class ContractionFactor:
-    """Scalar factor produced by normal-ordering X(var1) Y(var2):
-
-        X(var1) Y(var2) = factor * :X(var1) Y(var2):
-
-    factor = scalar * var1^{first_var_power} * series(var2/var1).
-    """
-
-    series: Series
-    first_var_power: float
-    scalar: float
-
-
-def contract(
-    x: NormalOrderedVertex, y: NormalOrderedVertex, order: int
-) -> ContractionFactor:
-    """Normal-ordering factor for the ordered product X(var1) Y(var2).
-
-    The oscillator part is exp(sum_{n>0} A_X(n) A_Y(-n) c_n r^n) with
-    r = var2/var1; the zero modes contribute B_X^{alpha_Y/2} and
+def contract(x: NormalOrderedVertex, y: NormalOrderedVertex, order: int) -> np.ndarray:
+    """Coefficients 0..order of the oscillator part of the normal-ordering
+    factor of the ordered product X(var1) Y(var2): the series
+    exp(sum_{n>0} A_X(n) A_Y(-n) c_n r^n) in r = var2/var1.  The zero
+    modes contribute the further factors B_X^{alpha_Y/2} and
     var1^{h0power_X * alpha_Y / 2}.
     """
     params = x.params
@@ -243,11 +226,7 @@ def contract(
     def log_coeff(n: int) -> float:
         return x.mode_rule(n) * y.mode_rule(-n) * mode_commutator(n, -n, params)
 
-    return ContractionFactor(
-        series=from_log_rule(log_coeff, order),
-        first_var_power=x.h0_power * y.charge / 2.0,
-        scalar=x.h0_base ** (y.charge / 2.0),
-    )
+    return from_log_rule(log_coeff, order)
 
 
 # ---------------------------------------------------------------------------
@@ -304,37 +283,28 @@ def structure_log_rule(
     spec: StructureFunctionSpec, params: QParams
 ) -> Callable[[int], float]:
     """log-series coefficient rule: the function equals
-    exp( sum_{n>=1} rule(n) x^n )."""
+    exp( sum_{n>=1} rule(n) x^n ).  A second-kind label takes the
+    first-kind rule at the kind's image of the parameters, (t, q) for
+    ``exchange`` and (1/t, 1/q) for ``exchange-dual``; a composite label
+    adds the two."""
     if spec.kind == "current":
         return lambda n: _current_log(n, params)
-    ell, k = spec.ell, spec.k
     if spec.kind == "exchange":
-        # second-kind labels are the mirror (parameter-swap) images
-        swapped = params.omega_image()
-        if k == 0:
-            return lambda n: _exchange_log_first(n, ell, params)
-        if ell == 0:
-            return lambda n: _exchange_log_first(n, k, swapped)
-        return lambda n: (
-            _exchange_log_first(n, ell, params)
-            + _exchange_log_first(n, k, swapped)
-        )
-    # exchange-dual: second-kind labels are the (theta o omega)-images,
-    # i.e. the first-kind rule at (1/t, 1/q).
-    dual_params = params.omega_image().theta_image()
+        first, image = _exchange_log_first, params.omega_image()
+    else:
+        first, image = _exchange_dual_log_first, params.omega_image().theta_image()
+    ell, k = spec.ell, spec.k
     if k == 0:
-        return lambda n: _exchange_dual_log_first(n, ell, params)
+        return lambda n: first(n, ell, params)
     if ell == 0:
-        return lambda n: _exchange_dual_log_first(n, k, dual_params)
-    return lambda n: (
-        _exchange_dual_log_first(n, ell, params)
-        + _exchange_dual_log_first(n, k, dual_params)
-    )
+        return lambda n: first(n, k, image)
+    return lambda n: first(n, ell, params) + first(n, k, image)
 
 
 def structure_series(
     spec: StructureFunctionSpec, params: QParams, order: int
-) -> Series:
+) -> np.ndarray:
+    """Coefficients 0..order of the structure function."""
     return from_log_rule(structure_log_rule(spec, params), order)
 
 

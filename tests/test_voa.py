@@ -186,9 +186,9 @@ class TestStructureFunctions:
         ell = 2
         v = build_vertex(ell, 0, P)
         lam = build_lambda(+1, P)
-        phi = contract(v, lam, ORDER).series
+        phi = contract(v, lam, ORDER)
         gt = structure_series(StructureFunctionSpec("exchange-dual", ell, 0), P, ORDER)
-        prod = (gt * phi).c
+        prod = np.convolve(gt, phi)[: ORDER + 1]
         assert abs(prod[0] - 1.0) < 1e-13
         assert np.max(np.abs(prod[1:])) < 1e-12
 
@@ -202,9 +202,8 @@ class TestStructureFunctions:
         # worst is 4.3e-12, at (0.49, 0.7) with (2, 1)
         params, order = QParams(q, t), 40
         spec = StructureFunctionSpec("exchange-dual", ell, k)
-        g = structure_series(spec, params, order).c
+        g = structure_series(spec, params, order)
         phi = contract(build_vertex(ell, k, params), build_lambda(+1, params), order)
-        phi = phi.series.c
         one = np.zeros(order + 1)
         one[0] = 1.0
         prod = np.convolve(g, phi)[: order + 1]
@@ -219,20 +218,22 @@ class TestContraction:
         for ell in (1, 2):
             s = build_screening(+1, P)
             v = build_vertex(ell, 0, P)
-            cf = contract(s, v, 64)
+            series = contract(s, v, 64)
             Q = P.q ** (1.0 / ell)
             edge = P.q ** (1.0 / (2.0 * ell))
             for x in (0.15, 0.3):
-                series_val = float(np.polyval(cf.series.c[::-1], x))
+                series_val = float(np.polyval(series[::-1], x))
                 wave = qpoch_inf(P.t**0.5 * edge * x, Q) / qpoch_inf(
                     P.t**-0.5 * edge * x, Q
                 )
                 assert series_val == pytest.approx(wave, rel=1e-12), (ell, x)
 
     def test_screening_vertex_first_var_power(self):
+        # the contraction's power of the first variable is
+        # h0power_X * charge_Y / 2, here -ell beta
         ell = 2
-        cf = contract(build_screening(+1, P), build_vertex(ell, 0, P), 8)
-        assert cf.first_var_power == pytest.approx(-ell * P.beta, rel=1e-13)
+        x, y = build_screening(+1, P), build_vertex(ell, 0, P)
+        assert x.h0_power * y.charge / 2.0 == pytest.approx(-ell * P.beta, rel=1e-13)
 
 
 class TestProductForms:
@@ -242,7 +243,7 @@ class TestProductForms:
             ser = from_log_rule(pair_correlation_log_rule(ell, P), 80)
             for x in (0.2, 0.35):
                 assert form.value(x) == pytest.approx(
-                    float(np.polyval(ser.c[::-1], x)), rel=1e-12
+                    float(np.polyval(ser[::-1], x)), rel=1e-12
                 ), (ell, x)
 
     def test_pair_correlation_pole_raises(self):
