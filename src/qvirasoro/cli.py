@@ -94,8 +94,7 @@ class SuiteConfig:
         if abs(self.q - self.t) < 1e-12:
             raise ConfigError("q = t is excluded (the p = 1 degeneration)")
         if self.r is None:
-            # admissible bracket period: beta = log t / log q, r = 1/beta
-            object.__setattr__(self, "r", math.log(self.q) / math.log(self.t))
+            object.__setattr__(self, "r", self.params.period)
         if not 0.0 < self.r < math.inf:
             raise ConfigError("bracket period r must be positive and finite")
         if not math.isfinite(self.L):

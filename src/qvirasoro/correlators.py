@@ -97,7 +97,7 @@ class CorrelatorParams:
         if self.ell < 1:
             raise QVirasoroError("correlators need a first-kind label >= 1")
         if self.r is None:
-            object.__setattr__(self, "r", 1.0 / self.params.beta)
+            object.__setattr__(self, "r", self.params.period)
         if self.r <= 0:
             raise QVirasoroError("bracket period must be positive")
 

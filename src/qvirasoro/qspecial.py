@@ -79,6 +79,11 @@ class QParams:
         return math.log(self.t) / math.log(self.q)
 
     @property
+    def period(self) -> float:
+        """The admissible bracket period r = 1/beta, as log q / log t."""
+        return math.log(self.q) / math.log(self.t)
+
+    @property
     def sqrt_beta(self) -> float:
         return math.sqrt(self.beta)
 
