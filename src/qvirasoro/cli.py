@@ -321,85 +321,50 @@ def _exit_status(reports: list[CheckReport]) -> int:
 # eval subcommand
 
 
-def _eval_functions():
-    def need(ns, *names):
-        vals = []
-        for n in names:
-            v = getattr(ns, n)
-            if v is None:
-                raise ConfigError(f"eval function missing required --{n}")
-            vals.append(v)
-        return vals
-
-    def f_phi21(ns):
-        a, b, c, q, z = need(ns, "a", "b", "c", "q", "z")
-        return qspecial.phi21(a, b, c, q, z)
-
-    def f_qpoch(ns):
-        a, q = need(ns, "a", "q")
-        if ns.n is None:
-            return qspecial.qpoch_inf(a, q)
-        if ns.n < 0:
-            raise ConfigError("finite qpoch needs --n >= 0")
-        return qspecial.qpoch(a, q, ns.n)
-
-    def f_gamma(ns):
-        x, q = need(ns, "x", "q")
-        return qspecial.gamma_q(x, q)
-
-    def f_beta(ns):
-        a, b, q = need(ns, "a", "b", "q")
-        return qspecial.beta_q(a, b, q)
-
-    def f_theta(ns):
-        z, q = need(ns, "z", "q")
-        return qspecial.theta_q(z, q)
-
-    def f_bracket(ns):
-        u, q, r = need(ns, "u", "q", "r")
-        bp = qspecial.BracketParams(q=q, ell=ns.ell, r=r)
-        return qspecial.bracket(u, bp)
-
-    def _cp(ns):
-        q, t = need(ns, "q", "t")
-        return correlators.CorrelatorParams(
-            params=QParams(q, t),
-            ell=ns.ell,
-            L=ns.L if ns.L is not None else 1.0,
-            r=ns.r,
-        )
-
-    def f_two_point(ns):
-        z, w = need(ns, "z", "w")
-        return correlators.two_point(z, w, _cp(ns))
-
-    def f_screening_wave(ns):
-        (x,) = need(ns, "x")
-        return correlators.screening_wave(x, _cp(ns))
-
-    def f_four_point(ns):
-        z, w = need(ns, "z", "w")
-        fn = (
-            correlators.four_point_closed
-            if ns.method == "closed"
-            else correlators.four_point_jackson
-        )
-        return fn(ns.branch, z, w, _cp(ns))
-
-    return {
-        "phi21": f_phi21,
-        "qpoch": f_qpoch,
-        "gamma-q": f_gamma,
-        "beta-q": f_beta,
-        "theta-q": f_theta,
-        "bracket": f_bracket,
-        "two-point": f_two_point,
-        "screening-wave": f_screening_wave,
-        "four-point": f_four_point,
-    }
+def _cp(ns) -> correlators.CorrelatorParams:
+    L = 1.0 if ns.L is None else ns.L
+    return correlators.CorrelatorParams(QParams(ns.q, ns.t), ns.ell, L, ns.r)
 
 
-EVAL_FUNCTIONS = _eval_functions()
+def _qpoch(ns) -> float:
+    if ns.n is None:
+        return qspecial.qpoch_inf(ns.a, ns.q)
+    if ns.n < 0:
+        raise ConfigError("finite qpoch needs --n >= 0")
+    return qspecial.qpoch(ns.a, ns.q, ns.n)
+
+
+def _four_point(ns) -> float:
+    closed = ns.method == "closed"
+    fn = correlators.four_point_closed if closed else correlators.four_point_jackson
+    return fn(ns.branch, ns.z, ns.w, _cp(ns))
+
+
+# name -> (required flags, in the order a missing one is reported;
+# evaluation of the parsed flags)
+EVAL_FUNCTIONS = {
+    "phi21": (
+        ("a", "b", "c", "q", "z"),
+        lambda ns: qspecial.phi21(ns.a, ns.b, ns.c, ns.q, ns.z),
+    ),
+    "qpoch": (("a", "q"), _qpoch),
+    "gamma-q": (("x", "q"), lambda ns: qspecial.gamma_q(ns.x, ns.q)),
+    "beta-q": (("a", "b", "q"), lambda ns: qspecial.beta_q(ns.a, ns.b, ns.q)),
+    "theta-q": (("z", "q"), lambda ns: qspecial.theta_q(ns.z, ns.q)),
+    "bracket": (
+        ("u", "q", "r"),
+        lambda ns: qspecial.bracket(ns.u, qspecial.BracketParams(ns.q, ns.ell, ns.r)),
+    ),
+    "two-point": (
+        ("z", "w", "q", "t"),
+        lambda ns: correlators.two_point(ns.z, ns.w, _cp(ns)),
+    ),
+    "screening-wave": (
+        ("x", "q", "t"),
+        lambda ns: correlators.screening_wave(ns.x, _cp(ns)),
+    ),
+    "four-point": (("z", "w", "q", "t"), _four_point),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -463,8 +428,11 @@ def main(argv: list[str] | None = None) -> int:
                 # the reader left early (``| head``): send the rest to devnull
                 os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
             return _exit_status(reports)
-        value = EVAL_FUNCTIONS[args.function](args)
-        print(f"{value:.17g}")
+        required, evaluate = EVAL_FUNCTIONS[args.function]
+        missing = [flag for flag in required if getattr(args, flag) is None]
+        if missing:
+            raise ConfigError(f"eval function missing required --{missing[0]}")
+        print(f"{evaluate(args):.17g}")
         return 0
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
