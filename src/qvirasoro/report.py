@@ -5,13 +5,13 @@ Every checker in :mod:`qvirasoro.relations` and
 serializes these to JSON/CSV; tests assert on ``passed`` and
 ``residual``.
 
-Every check yields (residual, location) pairs to ``_scan_report``.  The
-largest numeric residual drawn (the first among equals) fails the check
-above the tolerance, even when a pole, a divergent sum or an overflow
-stops the drawing later.  Otherwise such an error makes the check
-inconclusive, and else a NaN residual, which decides nothing, makes it
-inconclusive (``_worst``).  An operator check yields a NaN when its
-negative control cannot fail.
+Every check yields (residual, location) pairs to ``_scan_report``, which
+alone decides the status.  The largest numeric residual drawn (the
+first among equals) fails the check above the tolerance, even when a
+pole, a divergent sum or an overflow stops the drawing later.
+Otherwise such an error makes the check inconclusive, and else a NaN
+residual, which decides nothing, makes it inconclusive (``_worst``).
+An operator check yields a NaN when its negative control cannot fail.
 """
 
 from __future__ import annotations
@@ -45,16 +45,11 @@ class CheckReport:
     identity: str
     residual: float
     tolerance: float
+    status: str
     worst_location: str = ""
     config: dict[str, Any] = field(default_factory=dict)
     notes: list[str] = field(default_factory=list)
-    status: str = ""
     runtime_ms: float = 0.0
-
-    def __post_init__(self) -> None:
-        if not self.status:
-            ok = math.isfinite(self.residual) and self.residual <= self.tolerance
-            self.status = "pass" if ok else "fail"
 
     @property
     def passed(self) -> bool:
@@ -102,13 +97,17 @@ def _scan_report(identity, pairs, tolerance, config, t0, notes=()):
     residual, loc = _worst(drawn(), tolerance)
     if error is not None and not residual > tolerance:
         residual, loc = math.nan, str(error)
+    if math.isnan(residual):
+        status = "inconclusive"
+    else:
+        status = "pass" if math.isfinite(residual) and residual <= tolerance else "fail"
     return CheckReport(
         identity=identity,
         residual=math.inf if math.isnan(residual) else residual,
         tolerance=tolerance,
+        status=status,
         worst_location=loc,
         config=config,
         notes=list(notes),
-        status="inconclusive" if math.isnan(residual) else "",
         runtime_ms=(time.perf_counter() - t0) * 1e3,
     )

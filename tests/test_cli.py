@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 import warnings
 from pathlib import Path
 
@@ -14,7 +15,7 @@ import pytest
 from qvirasoro import correlators, qspecial, relations
 from qvirasoro.cli import DEFAULTS, SUITES, SuiteConfig, main, run
 from qvirasoro.errors import PoleError
-from qvirasoro.report import CheckReport
+from qvirasoro.report import _scan_report
 
 
 def run_cli(capsys, *argv):
@@ -509,14 +510,18 @@ class TestEval:
 
 class TestReportRecord:
     def test_status_derived_from_residual(self):
-        assert CheckReport("x", 1e-10, 1e-8).passed
-        assert CheckReport("x", 1e-6, 1e-8).status == "fail"
-        assert not CheckReport("x", float("inf"), 1e-8).passed
-        rep = CheckReport("x", float("inf"), 1e-8, status="inconclusive")
-        assert rep.status == "inconclusive"
+        def report(residual):
+            return _scan_report("x", [(residual, "here")], 1e-8, {}, time.perf_counter())
+
+        assert report(1e-10).passed
+        assert report(1e-6).status == "fail"
+        assert report(math.inf).status == "fail"
+        rep = report(math.nan)
+        assert rep.status == "inconclusive" and math.isinf(rep.residual)
 
     def test_summary_line_and_notes(self):
-        rep = CheckReport("demo", 2e-9, 1e-8, worst_location="mode 3", notes=["extra"])
+        pairs = [(2e-9, "mode 3")]
+        rep = _scan_report("demo", pairs, 1e-8, {}, time.perf_counter(), ["extra"])
         line = rep.summary_line()
         assert line.startswith("[PASS]")
         assert "demo" in line and "mode 3" in line
