@@ -37,7 +37,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import ConvergenceError, PoleError, QVirasoroError, RegimeError
-from .fock import NormalOrderedVertex, OperatorSum, merge_vertices
+from .fock import NormalOrderedVertex, OperatorSum, merge_vertices, mode_commutator
 from .qspecial import QParams, ZERO_SNAP
 from .series import from_log_rule
 
@@ -221,7 +221,6 @@ def contract(x: NormalOrderedVertex, y: NormalOrderedVertex, order: int) -> np.n
     var1^{h0power_X * alpha_Y / 2}.
     """
     params = x.params
-    from .fock import mode_commutator
 
     def log_coeff(n: int) -> float:
         return x.mode_rule(n) * y.mode_rule(-n) * mode_commutator(n, -n, params)
