@@ -54,6 +54,8 @@ from .qspecial import (
     _NO_END,
     BracketParams,
     QParams,
+    _check_base,
+    _qpoch2_rows,
     _qpoch_values,
     _series_rows,
     _symbol,
@@ -61,7 +63,6 @@ from .qspecial import (
     beta_q,
     bracket,
     phi21,
-    qpoch_inf,
 )
 from .report import CheckReport, _scan_report
 from .voa import pair_correlation_factor, pair_correlation_log_rule
@@ -167,31 +168,51 @@ def _attempt(fn, *args):
 
 def two_point(z: float, w: float, cp: CorrelatorParams) -> float:
     """Radial-ordering scalar of two first-kind vertices, evaluated by
-    its convergent product form (valid in both argument orders and in
-    both orderings of q and t; a pole of the continuation raises
-    PoleError)."""
-    form = pair_correlation_factor(cp.ell, cp.params)
-    return z ** (cp.ell**2 * cp.params.beta / 2.0) * form.value(w / z)
+    its convergent product form built for reach |w/z| (valid in both
+    argument orders and in both orderings of q and t; a pole of the
+    continuation raises PoleError)."""
+    x = w / z
+    form = pair_correlation_factor(cp.ell, cp.params, abs(x))
+    return z ** (cp.ell**2 * cp.params.beta / 2.0) * form.value(x)
 
 
 def two_point_reference(z: float, w: float, cp: CorrelatorParams) -> float:
     """Same scalar through the double-base infinite products (requires
-    p^2 < 1; independent oracle for the product form)."""
+    p^2 < 1; independent oracle for the product form).  A one-point call
+    of ``_pair_references``."""
+    val = _unwrap(_pair_references([w / z], cp)[0])
+    return z ** (cp.ell**2 * cp.params.beta / 2.0) * val
+
+
+def _pair_references(xs: list, cp: CorrelatorParams) -> list:
+    """The double-base product of ``two_point_reference(1, x, cp)`` for
+    each x of ``xs``: prod_{j=1..ell} of (e x / t, p e x; p^2, Q)_inf over
+    (e x, p e x / t; p^2, Q)_inf with e = q^{j/ell}, all 4 ell symbols per
+    point from one ``_qpoch2_rows`` call; per point, the value or the
+    error that the one-point call raises."""
     P = cp.params
-    p = P.p
+    p, Q = P.p, cp.Q
     if not (0 < p * p < 1):
         raise RegimeError("reference evaluation needs p^2 < 1")
-    Q = cp.Q
-    x = w / z
-    val = 1.0
-    for j in range(1, cp.ell + 1):
-        e = P.q ** (j / cp.ell)
-        num = qpoch_inf(e / P.t * x, p * p, Q) * qpoch_inf(p * e * x, p * p, Q)
-        den = qpoch_inf(e * x, p * p, Q) * qpoch_inf(p * e / P.t * x, p * p, Q)
-        if den == 0.0:
-            raise PoleError("reference product hit a pole")
-        val *= num / den
-    return z ** (cp.ell**2 * P.beta / 2.0) * val
+    _check_base(Q)
+    es = [P.q ** (j / cp.ell) for j in range(1, cp.ell + 1)]
+    args = [y for x in xs for e in es for y in (e / P.t * x, p * e * x, e * x, p * e / P.t * x)]
+    syms = _qpoch2_rows(np.array(args, dtype=float), p * p, Q)
+    out = []
+    for i in range(len(xs)):
+        val = 1.0
+        for k in range(4 * len(es) * i, 4 * len(es) * (i + 1), 4):
+            four = syms[k : k + 4]
+            err = [s for s in four if isinstance(s, Exception)]
+            if err:
+                val = err[0]
+                break
+            if four[2] * four[3] == 0.0:
+                val = PoleError("reference product hit a pole")
+                break
+            val *= four[0] * four[1] / (four[2] * four[3])
+        out.append(val)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -386,32 +407,37 @@ def check_two_point(
     with log ref = sum_n rule(n) x^n for the series, summed until
     (x / radius)^n < 1e-17, and a product-form value v <= 0 fails.  Only
     x below 0.9 radius are compared; with none the check is inconclusive.
-    (Exponentiating the series and evaluating its polynomial instead
-    loses the digits: at (0.9, 0.2), ell 3, its coefficients reach
-    7e11.)"""
+    The form is built for reach max |x|, and the oracle's symbols for
+    every compared x come from one kernel call.  (Exponentiating the
+    series and evaluating its polynomial instead loses the digits: at
+    (0.9, 0.2), ell 3, its coefficients reach 7e11.)"""
     t0 = time.perf_counter()
     cp = CorrelatorParams(params=params, ell=ell)
     cfg = {"q": params.q, "t": params.t, "ell": ell}
 
     def pairs():
-        form = pair_correlation_factor(ell, params)
+        form = pair_correlation_factor(ell, params, max(map(abs, x_values), default=0.0))
+        if not form.coeffs.size:
+            yield math.nan, "no nonzero x"
+            return
         radius = 1.0 / float(np.max(np.abs(form.coeffs)))
         rule = pair_correlation_log_rule(ell, params)
         inside = [x for x in x_values if abs(x) < 0.9 * radius]
         if not inside:
             yield math.nan, f"no x within 0.9 of the series radius {radius:.3g}"
-        for x in inside:
+        refs = _pair_references(inside, cp) if params.p < 1.0 else [None] * len(inside)
+        for x, v_ref in zip(inside, refs):
             v = form.value(x)
             if v <= 0.0:
                 yield math.inf, f"x={x} (product form {v:.3e})"
                 return
             order = 1 + int(math.log(1e-17) / math.log(max(abs(x), 1e-300) / radius))
             terms = np.array([rule(n) * x**n for n in range(1, order + 1)])
-            refs = {"series": float(terms.sum())}
-            if params.p < 1.0:
-                v_ref = two_point_reference(1.0, x, cp)
-                refs["double-base product"] = math.log(v_ref) if v_ref > 0 else math.inf
-            for name, log_ref in refs.items():
+            logs = {"series": float(terms.sum())}
+            if v_ref is not None:
+                v_ref = _unwrap(v_ref)
+                logs["double-base product"] = math.log(v_ref) if v_ref > 0 else math.inf
+            for name, log_ref in logs.items():
                 d = abs(math.log(v) - log_ref) / max(1.0, float(np.abs(terms).sum()))
                 yield d, f"x={x} ({name})"
 

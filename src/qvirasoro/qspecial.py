@@ -1,6 +1,6 @@
 """Scalar q-special functions.
 
-Pochhammer symbols (finite and infinite, single and multi base), the
+Pochhammer symbols (finite and infinite, one or two bases), the
 q-gamma / q-beta ladder, the multiplicative theta function, one basic
 hypergeometric series kernel (``_series_rows``: phi21 and
 ``basic_series`` are one-row calls of it, and the lattice four-point
@@ -181,20 +181,23 @@ def _qpoch_inf_single(a, b: float):
 
 
 def qpoch_inf(a, *bases: float):
-    """Infinite symbol (a; b1, ..., bk)_inf.
+    """Infinite symbol (a; b)_inf or (a; b1, b2)_inf.
 
-    Multi-base means the product over all lattice points
-    prod (1 - a * b1^{n1} ... bk^{nk}), n_i >= 0.  All bases must lie
-    in (0, 1).  A factor within ZERO_SNAP of zero makes the whole
-    product an exact 0.0 (structural zero).  With one base, ``a`` may be
-    an array of points: the symbols then come entrywise from one kernel
-    call.
+    The double-base symbol is the product over all lattice points
+    prod (1 - a * b1^{n1} b2^{n2}), n_i >= 0.  The bases must lie in
+    (0, 1); more than two bases raise ValueError.  A factor within
+    ZERO_SNAP of zero makes the whole product an exact 0.0 (structural
+    zero).  With one base, ``a`` may be an array of points: the symbols
+    then come entrywise from one kernel call.  The double-base symbol is
+    a one-row call of ``_qpoch2_rows``.
     """
-    if not bases:
-        raise ValueError("need at least one base")
+    if not 1 <= len(bases) <= 2:
+        raise ValueError(f"need one or two bases, got {len(bases)}")
     for b in bases:
         _check_base(b)
-    return _qpoch_inf(a, bases)
+    if len(bases) == 1:
+        return _qpoch_inf_single(a, bases[0])
+    return _unwrap(_qpoch2_rows(np.array([a], dtype=float), *bases)[0])
 
 
 def _check_base(b: float) -> None:
@@ -202,40 +205,44 @@ def _check_base(b: float) -> None:
         raise RegimeError(f"infinite product needs bases in (0,1), got {b}")
 
 
-def _qpoch_inf(a, bases: tuple[float, ...]):
-    """The loop's product over the rows a b1^i of (a b1^i; b2, ...)_inf,
-    which returns 0.0 as soon as its partial product is 0.0, before a
-    later row could make it 0 * inf = NaN."""
-    if len(bases) == 1:
-        return _qpoch_inf_single(a, bases[0])
-    if not math.isfinite(a):
-        raise ConvergenceError(_NO_END)
-    # the rows up to the one before the first point below _STOP, or the
-    # first TERM_CAP + 1 rows if there are more
-    n = min(_count(abs(a), bases[0]), TERM_CAP + 1)
-    rows = np.full(n + 1, bases[0])
-    rows[0] = a
-    np.multiply.accumulate(rows, out=rows)
-    below = np.abs(rows[1:]) < _STOP
-    rows = rows[: int(np.argmax(below)) + 1] if below.any() else rows[:-1]
-    if len(bases) > 2:
-        prod = 1.0
-        for x in rows.tolist():
-            prod *= _qpoch_inf(x, bases[1:])
-            if prod == 0.0:
-                return 0.0
-    else:
-        vals = _qpoch_values(rows, bases[1])
-        with np.errstate(all="ignore"):
-            partial = np.multiply.accumulate(vals)
-        if (partial == 0.0).any():
-            return 0.0
-        if np.isnan(vals).any():
-            raise ConvergenceError(_NO_END)
-        prod = float(partial[-1])
-    if not below.any():
-        raise ConvergenceError(_NO_END)
-    return prod
+def _qpoch2_rows(a: np.ndarray, b1: float, b2: float) -> list:
+    """(a_i; b1, b2)_inf for every entry of the 1-D float array ``a``: per
+    entry, the value or the ConvergenceError of the loop over the rows
+    a_i b1^k, which multiplies in (a_i b1^k; b2)_inf row by row and
+    returns 0.0 as soon as its partial product is 0.0, before a later
+    row could make it 0 * inf = NaN.
+
+    An entry's rows run up to the one before its first point below
+    _STOP, or over its first TERM_CAP + 1 points if there are more (then
+    it does not terminate).  The rows of all entries come from one
+    ``multiply.accumulate`` along [a_i, b1, b1, ...], their symbols from
+    one ``_qpoch_values`` call, and the partial products from one
+    ``multiply.accumulate`` per entry, padded with exact 1.0 factors."""
+    out: list = [ConvergenceError(_NO_END) for _ in range(a.size)]
+    live = np.flatnonzero(np.isfinite(a))
+    if not live.size:
+        return out
+    n = np.array([min(_count(abs(x), b1), TERM_CAP + 1) for x in a[live].tolist()])
+    pts = np.empty((live.size, int(n.max()) + 1))
+    pts[:, 0] = a[live]
+    pts[:, 1:] = b1
+    np.multiply.accumulate(pts, axis=1, out=pts)
+    below = (np.abs(pts[:, 1:]) < _STOP) & (np.arange(pts.shape[1] - 1) < n[:, None])
+    ends = below.any(axis=1)
+    rows = np.where(ends, np.argmax(below, axis=1) + 1, n)
+    used = np.arange(pts.shape[1] - 1) < rows[:, None]
+    syms = np.ones(used.shape)
+    syms[used] = _qpoch_values(pts[:, :-1][used], b2)
+    with np.errstate(all="ignore"):
+        partial = np.multiply.accumulate(syms, axis=1)
+    zero = (partial == 0.0).any(axis=1)
+    failed = np.isnan(syms).any(axis=1) | ~ends
+    for i, r in enumerate(live.tolist()):
+        if zero[i]:
+            out[r] = 0.0
+        elif not failed[i]:
+            out[r] = float(partial[i, -1])
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -317,17 +317,25 @@ def structure_series(
 # which holds wherever the coefficient lattice converges — in particular
 # across the power-series radius, which is what lets a kernel be
 # evaluated *at* a delta-support point.  The vertex factors have finite
-# families only, so their forms are exact finite products; the pair
-# scalar has two geometric families, truncated where a term drops below
-# _CUT.
+# families only, so their forms are exact finite products of unbounded
+# reach.  The pair scalar has two geometric families; it is built for a
+# reach, the largest |x| it will be evaluated at, and keeps only the
+# tuples with |C| reach >= _NEGLIGIBLE.  Every other factor has
+# |C x| < 2^-54 at each |x| <= reach, so 1 - C x rounds to exactly 1.0
+# and the factor adds exactly 0 to the log (the argument behind
+# ``qspecial._STOP``): the form has the value of the untruncated product.
+
+_NEGLIGIBLE = 2.0**-55
 
 
 @dataclass
 class ProductForm:
-    """prod (1 - C_i x)^{W_i} over finitely many factors (weights integer)."""
+    """prod (1 - C_i x)^{W_i} over finitely many factors (weights integer),
+    valid for |x| <= reach."""
 
     coeffs: np.ndarray
     weights: np.ndarray
+    reach: float = math.inf
 
     def factor_index_at_zero(self, x: float, tol: float = 1e-9) -> int | None:
         """Index of a zero (a factor of positive weight) vanishing at x,
@@ -338,74 +346,31 @@ class ProductForm:
     def drop(self, index: int) -> "ProductForm":
         keep = np.ones(len(self.coeffs), dtype=bool)
         keep[index] = False
-        return ProductForm(self.coeffs[keep], self.weights[keep])
+        return ProductForm(self.coeffs[keep], self.weights[keep], self.reach)
 
     def value(self, x: float) -> float:
-        """The product at x.  Factors vanishing at x net their weights: a
-        negative sum is a pole, a positive one a zero, a zero sum drops them."""
-        g, w = 1.0 - self.coeffs * x, self.weights
-        small = np.abs(g) < ZERO_SNAP
-        if np.any(small):
-            net = int(w[small].sum())
+        """The product at x, |x| <= reach (RegimeError beyond it).  Factors
+        vanishing at x net their weights: a negative sum is a pole, a
+        positive one a zero, a zero sum drops them.  The log is summed
+        pairwise (numpy's ``sum``), so its rounding is O(log n) eps and
+        the same on every run; it holds two factor-sized float arrays."""
+        if abs(x) > self.reach:
+            raise RegimeError(f"product form built for |x| <= {self.reach!r}, got x={x!r}")
+        g = np.multiply(self.coeffs, -x)
+        g += 1.0
+        lg = np.abs(g)
+        small = lg < ZERO_SNAP
+        if small.any():
+            net = int(self.weights[small].sum())
             if net < 0:
                 raise PoleError(f"product form has a pole at x={x!r}")
             if net > 0:
                 return 0.0
-            g, w = g[~small], w[~small]
-        log_mag = float(np.dot(w, np.log(np.abs(g))))
-        neg = g < 0.0
-        sign = -1.0 if (int(w[neg].sum()) % 2) else 1.0
-        return sign * math.exp(log_mag)
-
-
-def _family_half(y: float) -> list[tuple[int, float]]:
-    """y^{n/2} - y^{-n/2}."""
-    return [(1, y**0.5), (-1, y**-0.5)]
-
-
-def _family_pair_q(q: float, ell: int, cut: float) -> list[tuple[int, float]]:
-    """(q^{n/2} - q^{-n/2}) / (q^{n/2l} - q^{-n/2l})^2
-    = -sum_{m>=1} min(m, l) (q^{(m - l/2)/l})^n   (0 < q < 1)."""
-    out = []
-    for m in range(1, 200001):
-        w, c = -min(m, ell), q ** ((m - ell / 2.0) / ell)
-        if abs(w * c) <= cut:
-            return out
-        out.append((w, c))
-    raise ConvergenceError("squared geometric family failed to decay")
-
-
-def _family_inv_p_sum(p: float, cut: float) -> list[tuple[int, float]]:
-    """1 / (p^{n/2} + p^{-n/2}) = sum_{j>=0} (-1)^j (P^{j+1/2})^n with
-    P = min(p, 1/p), an alternating geometric family."""
-    P = min(p, 1.0 / p)
-    out = []
-    c, s = P**0.5, 1
-    while c > cut:
-        out.append((s, c))
-        c *= P
-        s = -s
-        if len(out) > 100000:
-            raise ConvergenceError("alternating family failed to decay")
-    return out
-
-
-def _expand(families: list[list[tuple[int, float]]]) -> ProductForm:
-    """Cartesian-expand families into (1-Cx)^W factors: the kernel
-    exp( -sum_n (1/n) prod_i fam_i(n) x^n ) gives each tuple the
-    coefficient prod c_i and the weight prod w_i, the first family
-    varying slowest."""
-    coeffs = np.array([1.0])
-    weights = np.array([1], dtype=np.int64)
-    for fam in families:
-        w = np.array([e[0] for e in fam], dtype=np.int64)
-        c = np.array([e[1] for e in fam])
-        coeffs = np.multiply.outer(coeffs, c).ravel()
-        weights = np.multiply.outer(weights, w).ravel()
-    return ProductForm(coeffs=coeffs, weights=weights)
-
-
-_CUT = 1e-22
+            g[small] = lg[small] = 1.0
+        np.log(lg, out=lg)
+        lg *= self.weights
+        sign = -1.0 if int(self.weights[g < 0.0].sum()) % 2 else 1.0
+        return sign * math.exp(float(lg.sum()))
 
 
 def current_vertex_factor(ell: int, params: QParams) -> ProductForm:
@@ -420,8 +385,9 @@ def current_vertex_factor(ell: int, params: QParams) -> ProductForm:
     2 ell factors, the zeros first.  Carries the exact zero at
     x = p^{1/2} q^{-1/(2 ell)}.
     """
-    spread = [(1, params.q ** ((ell - 1 - 2 * j) / (2.0 * ell))) for j in range(ell)]
-    return _expand([_family_half(params.t), spread])
+    spread = [params.q ** ((ell - 1 - 2 * j) / (2.0 * ell)) for j in range(ell)]
+    coeffs = np.multiply.outer([params.t**0.5, params.t**-0.5], spread).ravel()
+    return ProductForm(coeffs, np.repeat([1, -1], ell))
 
 
 def mirror_vertex_factor(k: int, params: QParams) -> ProductForm:
@@ -454,17 +420,65 @@ def pair_correlation_log_rule(ell: int, params: QParams) -> Callable[[int], floa
     return rule
 
 
-def pair_correlation_factor(ell: int, params: QParams) -> ProductForm:
-    """Product form of the oscillator part of the two-vertex scalar,
-    convergent past the power-series radius (the continuation used on
-    swapped argument order); needs 0 < q < 1."""
+def pair_correlation_factor(ell: int, params: QParams, reach: float) -> ProductForm:
+    """Product form of the oscillator part of the two-vertex scalar for
+    |x| <= reach, convergent past the power-series radius (the
+    continuation used on swapped argument order); needs 0 < q < 1.
+
+    The scalar is the triple family product over t^{+-1/2} (weight +-1),
+    the pair-q family (q^{n/2} - q^{-n/2}) / (q^{n/2l} - q^{-n/2l})^2 =
+    -sum_{m>=1} min(m, l) (q^{(m - l/2)/l})^n and the alternating family
+    1 / (p^{n/2} + p^{-n/2}) = sum_{j>=0} (-1)^j (P^{j+1/2})^n with
+    P = min(p, 1/p); the factors come in that order, the first family
+    varying slowest, each coefficient the product of its three family
+    terms in that order.  Only factors with |C| reach >= _NEGLIGIBLE are
+    built: both infinite families end where no factor of theirs is left,
+    and each (t-half, pair-q) row keeps the prefix of the decreasing
+    alternating family that passes the bound.
+    """
     if ell < 1:
         raise QVirasoroError("pair correlation needs a first-kind label >= 1")
     if not 0.0 < params.q < 1.0:
         raise RegimeError(f"pair correlation product needs 0 < q < 1, got q={params.q}")
-    fams = [
-        _family_half(params.t),
-        _family_pair_q(params.q, ell, _CUT),
-        _family_inv_p_sum(params.p, _CUT),
-    ]
-    return _expand(fams)
+    if not 0.0 <= reach < math.inf:
+        raise RegimeError(f"pair correlation product needs a finite reach, got {reach!r}")
+    q, t, P = params.q, params.t, min(params.p, 1.0 / params.p)
+
+    def kept(c):
+        return c * reach >= _NEGLIGIBLE
+
+    half, top = [t**0.5, t**-0.5], max(t**0.5, t**-0.5)
+    pair_q = []
+    for m in range(1, 200001):
+        c = q ** ((m - ell / 2.0) / ell)
+        if not kept(top * c * P**0.5):
+            break
+        pair_q.append((-min(m, ell), c))
+    else:
+        raise ConvergenceError("squared geometric family failed to decay")
+    rows = np.array([h * c for h in half for _, c in pair_q])
+    row_w = np.array([s * w for s in (1, -1) for w, _ in pair_q], dtype=np.int64)
+    alt, c, widest = [], P**0.5, rows.max(initial=0.0)
+    while kept(widest * c):
+        alt.append(c)
+        c *= P
+        if len(alt) > 100000:
+            raise ConvergenceError("alternating family failed to decay")
+    alt = np.array(alt)
+    # per row, the count of alternating terms that pass: searchsorted on
+    # the bound, then a step across any boundary term it rounded past
+    count = np.searchsorted(-alt, -_NEGLIGIBLE / (rows * reach), side="right")
+    while True:
+        back = (count > 0) & ~kept(rows * alt[np.maximum(count - 1, 0)])
+        ahead = (count < alt.size) & kept(rows * alt[np.minimum(count, alt.size - 1)])
+        if not (back.any() or ahead.any()):
+            break
+        count += ahead.astype(int) - back
+    start = np.cumsum(count) - count
+    j = np.arange(int(count.sum()))
+    j -= np.repeat(start, count)
+    coeffs = np.repeat(rows, count)
+    coeffs *= alt[j]
+    weights = np.repeat(row_w, count)
+    weights *= 1 - 2 * (j & 1)
+    return ProductForm(coeffs, weights, reach)

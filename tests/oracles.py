@@ -6,12 +6,13 @@ expansion of vertex exponentials — independently of the library's
 matrix engine, so the results can serve as oracles.  The scalar loops
 (one Python step per factor or term) are the reference the q-product
 and basic-series kernels of ``qvirasoro.qspecial`` must equal bit for
-bit.  The one-point correlator kernels and the sequential bodies of
-three correlator checks are the reference for the batched evaluators
-of ``qvirasoro.correlators``, and the per-pair operator kernels at the
-end the reference for ``fock.removal_table``,
-``PartitionBasis.application_matrix``, ``weigh`` and the shared blocks
-of ``relations._operands``.
+bit, and the pair scalar's full product form the factors that the
+library's pruned one keeps a part of.  The one-point correlator
+kernels and the sequential bodies of three correlator checks are the
+reference for the batched evaluators of ``qvirasoro.correlators``, and
+the per-pair operator kernels at the end the reference for
+``fock.removal_table``, ``PartitionBasis.application_matrix``, ``weigh``
+and the shared blocks of ``relations._operands``.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ import numpy as np
 
 from qvirasoro.errors import ConvergenceError, PoleError
 from qvirasoro.qspecial import REL_TOL, TERM_CAP, ZERO_SNAP
+from qvirasoro.voa import ProductForm
 
 
 def structure_constant(n: int, params) -> float:
@@ -221,6 +223,67 @@ def qpoch_inf(a: float, bases: tuple[float, ...]) -> float:
             raise ConvergenceError("infinite Pochhammer did not terminate")
 
 
+# The pair scalar's full product form: every factor of the three families
+# down to a term of 1e-22, expanded as a Cartesian product.  The library
+# builds only the factors that can move the value at its reach.
+_CUT = 1e-22
+
+
+def _family_half(y: float) -> list[tuple[int, float]]:
+    """y^{n/2} - y^{-n/2}."""
+    return [(1, y**0.5), (-1, y**-0.5)]
+
+
+def _family_pair_q(q: float, ell: int, cut: float) -> list[tuple[int, float]]:
+    """(q^{n/2} - q^{-n/2}) / (q^{n/2l} - q^{-n/2l})^2
+    = -sum_{m>=1} min(m, l) (q^{(m - l/2)/l})^n   (0 < q < 1)."""
+    out = []
+    for m in range(1, 200001):
+        w, c = -min(m, ell), q ** ((m - ell / 2.0) / ell)
+        if abs(w * c) <= cut:
+            return out
+        out.append((w, c))
+    raise ConvergenceError("squared geometric family failed to decay")
+
+
+def _family_inv_p_sum(p: float, cut: float) -> list[tuple[int, float]]:
+    """1 / (p^{n/2} + p^{-n/2}) = sum_{j>=0} (-1)^j (P^{j+1/2})^n with
+    P = min(p, 1/p), an alternating geometric family."""
+    P = min(p, 1.0 / p)
+    out = []
+    c, s = P**0.5, 1
+    while c > cut:
+        out.append((s, c))
+        c *= P
+        s = -s
+        if len(out) > 100000:
+            raise ConvergenceError("alternating family failed to decay")
+    return out
+
+
+def _expand(families: list[list[tuple[int, float]]]):
+    """Cartesian-expand families into (1-Cx)^W factors: each tuple gets the
+    coefficient prod c_i and the weight prod w_i, the first family
+    varying slowest."""
+    coeffs = np.array([1.0])
+    weights = np.array([1], dtype=np.int64)
+    for fam in families:
+        w = np.array([e[0] for e in fam], dtype=np.int64)
+        c = np.array([e[1] for e in fam])
+        coeffs = np.multiply.outer(coeffs, c).ravel()
+        weights = np.multiply.outer(weights, w).ravel()
+    return ProductForm(coeffs=coeffs, weights=weights)
+
+
+def pair_correlation_factor(ell: int, params) -> ProductForm:
+    """The pair scalar's product form, truncated at _CUT in both families."""
+    return _expand([
+        _family_half(params.t),
+        _family_pair_q(params.q, ell, _CUT),
+        _family_inv_p_sum(params.p, _CUT),
+    ])
+
+
 def basic_series(upper: tuple, lower: tuple, q: float, z: float) -> float:
     """sum_n prod_i (u_i;q)_n / prod_j (l_j;q)_n z^n, one term per step."""
     total = 0.0
@@ -265,6 +328,21 @@ def screening_wave(x, cp):
     if _symbol(den) == 0.0:
         raise PoleError(f"screening wave pole at x={x!r}")
     return num / den
+
+
+def pair_reference(x, cp):
+    """The double-base product of ``two_point_reference(1, x, cp)``."""
+    P = cp.params
+    p, Q = P.p, cp.Q
+    val = 1.0
+    for j in range(1, cp.ell + 1):
+        e = P.q ** (j / cp.ell)
+        num = qpoch_inf(e / P.t * x, (p * p, Q)) * qpoch_inf(p * e * x, (p * p, Q))
+        den = qpoch_inf(e * x, (p * p, Q)) * qpoch_inf(p * e / P.t * x, (p * p, Q))
+        if den == 0.0:
+            raise PoleError("reference product hit a pole")
+        val *= num / den
+    return val
 
 
 def four_point_jackson(branch, z, w, cp):

@@ -57,7 +57,7 @@ class TestTwoPoint:
     @pytest.mark.parametrize("ell", [1, 2])
     def test_product_vs_series_and_reference(self, params, ell):
         cp = CorrelatorParams(params=params, ell=ell)
-        form = correlators.pair_correlation_factor(ell, params)
+        form = correlators.pair_correlation_factor(ell, params, 0.3)
         radius = 1.0 / float(np.max(np.abs(form.coeffs)))
         rule = pair_correlation_log_rule(ell, params)
         for x in (0.15, 0.3):
@@ -117,7 +117,7 @@ class TestTwoPoint:
 
     @pytest.mark.parametrize("params, ell", [(P1, 1), (QParams(0.9, 0.2), 3)])
     def test_checker_fails_on_perturbed_form(self, monkeypatch, params, ell):
-        form = correlators.pair_correlation_factor(ell, params)
+        form = correlators.pair_correlation_factor(ell, params, 0.55)
         coeffs = form.coeffs.copy()
         coeffs[np.argmax(np.abs(coeffs))] *= 1.0 + 1e-9
         perturbed = ProductForm(coeffs, form.weights)

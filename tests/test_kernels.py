@@ -1,8 +1,9 @@
 """The q-product and basic-series kernels, the batched correlator
-evaluators and the checks built on them, and the operator kernels of
-``fock`` and ``relations``, against the plain code they replace
-(``oracles``): every value must be bit-identical, and every error the
-same error, so the comparisons are ``==`` on the bits."""
+evaluators and the checks built on them, the pruned pair product form,
+and the operator kernels of ``fock`` and ``relations``, against the
+plain code they replace (``oracles``): every value must be
+bit-identical, and every error the same error, so the comparisons are
+``==`` on the bits."""
 
 import math
 
@@ -14,9 +15,9 @@ from hypothesis import strategies as st
 import oracles
 from qvirasoro import correlators
 from qvirasoro import qspecial as qs
-from qvirasoro import relations
+from qvirasoro import relations, voa
 from qvirasoro.correlators import CorrelatorParams
-from qvirasoro.errors import ConvergenceError, PoleError
+from qvirasoro.errors import ConvergenceError, PoleError, RegimeError
 from qvirasoro.fock import PartitionBasis, merge_vertices, removal_table
 from qvirasoro.qspecial import QParams
 from qvirasoro.voa import build_current, build_lambda, build_screening, build_vertex
@@ -117,11 +118,10 @@ class TestMultiBase:
         expect = outcome(lambda: oracles.qpoch_inf(a, (b1, b2)))
         assert outcome(lambda: qs.qpoch_inf(a, b1, b2)) == expect
 
-    @settings(max_examples=10, deadline=None)
-    @given(st.floats(-3.0, 3.0), bases, bases, bases)
-    def test_triple_base_matches_loop(self, a, b1, b2, b3):
-        expect = outcome(lambda: oracles.qpoch_inf(a, (b1, b2, b3)))
-        assert outcome(lambda: qs.qpoch_inf(a, b1, b2, b3)) == expect
+    def test_more_than_two_bases_are_refused(self):
+        for bases in ((), (0.5, 0.4, 0.3)):
+            with pytest.raises(ValueError, match="one or two bases"):
+                qs.qpoch_inf(0.3, *bases)
 
     def test_partial_product_underflows_to_zero(self):
         # rows (0.5; 0.999)_inf ~ 1e-253 and (0.25; 0.999)_inf ~ 1e-116:
@@ -138,6 +138,24 @@ class TestMultiBase:
     def test_non_finite_point(self):
         with pytest.raises(ConvergenceError):
             qs.qpoch_inf(math.inf, 0.5, 0.5)
+
+    @FAST
+    @given(st.lists(points.filter(lambda x: abs(x) < 1e8), max_size=6), bases, bases, st.data())
+    def test_rows_match_loop(self, a, b1, b2, data):
+        # structural zeros (a point b1^-i b2^-j), an overflow before a
+        # structural zero (a NaN value) and non-finite points among
+        # ordinary ones
+        i, j = data.draw(st.integers(0, 5)), data.draw(st.integers(0, 5))
+        a = a + [b1**-i * b2**-j, 161074.76818814743, math.inf, -math.inf, math.nan]
+        got = qs._qpoch2_rows(np.array(a), b1, b2)
+        assert [row_outcome(v) for v in got] == [outcome(lambda x=x: oracles.qpoch_inf(x, (b1, b2))) for x in a]
+
+    def test_non_terminating_row_among_others(self):
+        # (0.5; 0.9999, 0.01) needs about 414k rows, more than TERM_CAP + 1
+        a, b1, b2 = [0.5, 1e-17, 0.01**-2], 0.9999, 0.01
+        got = qs._qpoch2_rows(np.array(a), b1, b2)
+        assert [row_outcome(v) for v in got] == [outcome(lambda x=x: oracles.qpoch_inf(x, (b1, b2))) for x in a]
+        assert row_outcome(got[0]) == ("ConvergenceError", qs._NO_END)
 
 
 params = st.one_of(st.floats(-3.0, 3.0), st.floats(0.9, 1.1))
@@ -315,6 +333,16 @@ class TestBatchedCorrelators:
         for row, value in zip(rows, got):
             assert row_outcome(value) == outcome(lambda: oracles.four_point_jackson(*row, cp))
 
+    @FAST
+    @given(correlator_params().filter(lambda cp: cp.params.p < 1.0), st.lists(st.floats(-3.0, 3.0), max_size=4), st.integers(0, 3))
+    def test_pair_references_match_single_calls(self, cp, xs, k):
+        # points where a symbol of e x or p e x (e = Q^ell) has a
+        # structural zero, and non-finite points, among ordinary ones
+        e = cp.params.q
+        xs = xs + [cp.Q**-k / e, cp.Q**-k / (cp.params.p * e), math.inf, math.nan]
+        got = correlators._pair_references(xs, cp)
+        assert [row_outcome(v) for v in got] == [outcome(lambda x=x: oracles.pair_reference(x, cp)) for x in xs]
+
     def test_overflowing_set_up_stays_in_its_row(self):
         # (z w)^{L a / 2} = (1e300)^1.35 at the middle row
         cp = CorrelatorParams(QParams(0.49, 0.7), ell=3, L=1.8)
@@ -391,6 +419,49 @@ def test_connection_later_sample_raising_after_a_failure(monkeypatch):
     old = oracles.check_connection_formula(P, tolerance=0.0)
     assert report_outcome(new) == report_outcome(old)
     assert (new.status, new.worst_location) == ("fail", "u=0.4")
+
+
+# ---------------------------------------------------------------------------
+# The pair scalar's product form
+
+
+@st.composite
+def pair_forms(draw):
+    """A pair form at a drawn reach, with the full product it prunes."""
+    q, t = draw(st.tuples(st.floats(0.05, 0.9), st.floats(0.05, 0.9)).filter(lambda qt: abs(qt[0] - qt[1]) > 0.05))
+    ell, reach = draw(st.integers(1, 3)), draw(st.floats(0.01, 3.0))
+    params = QParams(q, t)
+    return voa.pair_correlation_factor(ell, params, reach), oracles.pair_correlation_factor(ell, params), reach
+
+
+class TestPairForm:
+    @settings(max_examples=30, deadline=None)
+    @given(pair_forms())
+    def test_keeps_exactly_the_factors_that_move_the_value(self, forms):
+        form, full, reach = forms
+        keep = np.abs(full.coeffs) * reach >= 2.0**-55
+        assert np.array_equal(form.coeffs, full.coeffs[keep])
+        assert np.array_equal(form.weights, full.weights[keep])
+        dropped = full.coeffs[~keep]
+        for x in (reach, -reach):
+            assert np.all(1.0 - dropped * x == 1.0)
+        assert form.reach == reach
+
+    @pytest.mark.parametrize("q, t, ell", [(0.86, 0.68, 3), (0.49, 0.7, 1), (0.9, 0.2, 3)])
+    def test_value_refuses_beyond_its_reach(self, q, t, ell):
+        form = voa.pair_correlation_factor(ell, QParams(q, t), 0.3)
+        form.value(-0.3)
+        with pytest.raises(RegimeError, match="built for"):
+            form.value(0.3 * (1.0 + 2.0**-52))
+        with pytest.raises(RegimeError, match="built for"):
+            form.drop(0).value(-0.31)
+
+    def test_no_reach_no_factors(self):
+        form = voa.pair_correlation_factor(2, QParams(0.49, 0.7), 0.0)
+        assert form.coeffs.size == 0 and form.value(0.0) == 1.0
+        for reach in (math.inf, math.nan, -1.0):
+            with pytest.raises(RegimeError, match="finite reach"):
+                voa.pair_correlation_factor(2, QParams(0.49, 0.7), reach)
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ from qvirasoro.voa import (
 mp = pytest.importorskip("mpmath")
 mp.mp.dps = 40
 
-SITES = [(0.95, 0.9), (0.86, 0.68), (0.3, 0.9), (0.7, 0.3)]
+SITES = [(0.95, 0.9), (0.95, 0.98), (0.86, 0.68), (0.3, 0.9), (0.7, 0.3)]
 
 
 def _half(y, n):
@@ -61,15 +61,14 @@ def _kernel(name, q, t, ell):
         return -eta(n) / (_half(Q ** (mp.mpf(1) / ell), n) ** 2 * p_sum) / n
 
     P = min(p, 1 / p)
-    return (
-        pair_correlation_factor(ell, params),
-        pair_rule,
-        1 / (Q ** (mp.mpf(1) / ell - mp.mpf(1) / 2) * T**-0.5 * P**0.5),
-    )
+    radius = 1 / (Q ** (mp.mpf(1) / ell - mp.mpf(1) / 2) * T**-0.5 * P**0.5)
+    # built for the largest x the test evaluates
+    return pair_correlation_factor(ell, params, float(0.55 * radius)), pair_rule, radius
 
 
-# the vertex factors are 2 ell exact factors; the pair form multiplies up
-# to millions of truncated ones near the corner (0.95, 0.9), so it keeps less
+# the vertex factors are 2 ell exact factors; the pair form sums the logs
+# of up to millions of factors near the corners (0.95, 0.9) and
+# (0.95, 0.98), so it keeps less
 BOUNDS = {"current": 5e-15, "mirror": 5e-15, "pair": 1e-12}
 
 

@@ -239,7 +239,7 @@ class TestContraction:
 class TestProductForms:
     def test_pair_correlation_product_matches_series(self):
         for ell in (1, 2):
-            form = pair_correlation_factor(ell, P)
+            form = pair_correlation_factor(ell, P, 0.35)
             ser = from_log_rule(pair_correlation_log_rule(ell, P), 80)
             for x in (0.2, 0.35):
                 assert form.value(x) == pytest.approx(
@@ -249,17 +249,17 @@ class TestProductForms:
     def test_pair_correlation_pole_raises(self):
         # at P one factor of weight +1 vanishes at 1/q: a simple zero
         # (value((1/q)(1 + eps)) is about 0.418 eps)
-        assert pair_correlation_factor(1, P).value(1.0 / P.q) == 0.0
+        assert pair_correlation_factor(1, P, 1.0 / P.q).value(1.0 / P.q) == 0.0
         # at (0.49, 0.7) two factors of weight -1 vanish: a double pole
         P1 = QParams(0.49, 0.7)
         with pytest.raises(PoleError):
-            pair_correlation_factor(1, P1).value(1.0 / P1.q)
+            pair_correlation_factor(1, P1, 1.0 / P1.q).value(1.0 / P1.q)
         # the zero 1 - t^{1/2} x of weight +1 vanishes at x = 2
         assert current_vertex_factor(1, QParams(0.5, 0.25)).value(2.0) == 0.0
 
     def test_pair_correlation_needs_q_below_one(self):
         with pytest.raises(RegimeError):
-            pair_correlation_factor(1, QParams(1.5, 0.5, strict=False))
+            pair_correlation_factor(1, QParams(1.5, 0.5, strict=False), 0.3)
 
     @pytest.mark.parametrize("ell", [1, 2, 3])
     def test_vertex_factors_are_finite_products(self, ell):
