@@ -388,18 +388,6 @@ class TestEval:
         assert code == 3
         assert "--r" in err
 
-    def test_two_point_matches_library(self, capsys):
-        code, out, _ = run_cli(
-            capsys, "eval", "two-point", "--q", "0.49", "--t", "0.7",
-            "--z", "1", "--w", "0.4",
-        )
-        assert code == 0
-        from qvirasoro.correlators import CorrelatorParams, two_point
-        from qvirasoro.qspecial import QParams
-
-        expected = two_point(1.0, 0.4, CorrelatorParams(params=QParams(0.49, 0.7)))
-        assert float(out) == pytest.approx(expected, rel=1e-15)
-
     def test_four_point_methods_agree(self, capsys):
         values = []
         for method in ("closed", "jackson"):
@@ -409,7 +397,7 @@ class TestEval:
             )
             assert code == 0
             values.append(float(out))
-        # 2.0078040842749938 (closed) and 2.0078040842749747 (jackson)
+        # 2.0078040842749934 (closed) and 2.0078040842749747 (jackson)
         assert values[0] == pytest.approx(values[1], rel=1e-12)
 
     @pytest.mark.parametrize(
@@ -645,9 +633,10 @@ def test_deep_suite_memory(degree):
 def test_scalar_layer_memory():
     # check_two_point at the scalar-sweep sites (the 20 off-diagonal
     # centres of a 5 x 5 grid over [0.05, 0.95]^2) and ell 1, 2, 3: about
-    # 47 MB, set by the largest pair form (444,960 factors at (0.86, 0.68),
-    # ell 3) with each form freed after its check; 157 MB when up to 32 of
-    # them were cached
+    # 35 MB with each form freed after its check; 47 MB when the largest
+    # form (at (0.86, 0.68), ell 3) had all 444,960 factors where 119,596
+    # can move its value at x = 0.55, and 157 MB when up to 32 forms were
+    # cached
     script = (
         "import sys\n"
         "from qvirasoro.correlators import check_two_point\n"
@@ -670,3 +659,23 @@ def test_scalar_layer_memory():
     assert proc.returncode == 0, proc.stderr
     peak_mb = int(proc.stderr.split()[-1]) / 1024
     assert peak_mb < 60, f"peak RSS {peak_mb:.0f} MB"
+
+
+def test_two_point_residual_does_not_depend_on_blas_threads():
+    # a BLAS dot product splits its sum by thread count: summed with
+    # np.dot, the log of the pair form read 0x1.f2f0953d9b615p-45 with one
+    # OpenBLAS thread and 0x1.207316479dd44p-45 with two
+    script = (
+        "from qvirasoro.correlators import check_two_point\n"
+        "from qvirasoro.qspecial import QParams\n"
+        "print(check_two_point(QParams(0.86, 0.68), 3).residual.hex())\n"
+    )
+    residuals = []
+    for threads in ("1", "2"):
+        env = {**_child_env(), "OPENBLAS_NUM_THREADS": threads}
+        proc = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=300
+        )
+        assert proc.returncode == 0, proc.stderr
+        residuals.append(proc.stdout.strip())
+    assert residuals[0] == residuals[1]
