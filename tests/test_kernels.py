@@ -139,7 +139,7 @@ class TestMultiBase:
         with pytest.raises(ConvergenceError):
             qs.qpoch_inf(math.inf, 0.5, 0.5)
 
-    @FAST
+    @settings(max_examples=25, deadline=None)
     @given(st.lists(points.filter(lambda x: abs(x) < 1e8), max_size=6), bases, bases, st.data())
     def test_rows_match_loop(self, a, b1, b2, data):
         # structural zeros (a point b1^-i b2^-j), an overflow before a
@@ -333,7 +333,7 @@ class TestBatchedCorrelators:
         for row, value in zip(rows, got):
             assert row_outcome(value) == outcome(lambda: oracles.four_point_jackson(*row, cp))
 
-    @FAST
+    @settings(max_examples=25, deadline=None)
     @given(correlator_params().filter(lambda cp: cp.params.p < 1.0), st.lists(st.floats(-3.0, 3.0), max_size=4), st.integers(0, 3))
     def test_pair_references_match_single_calls(self, cp, xs, k):
         # points where a symbol of e x or p e x (e = Q^ell) has a
