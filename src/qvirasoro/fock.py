@@ -207,11 +207,54 @@ def removal_table(max_degree: int) -> RemovalTable:
     return RemovalTable(states, degrees, mult, sup, sub, kind, binom, fact)
 
 
+FactorTable = namedtuple(
+    "FactorTable",
+    "exponents ann_at ann_kind ann_binom ann_power cre_at cre_kind cre_fact cre_power",
+)
+
+
+@functools.lru_cache(maxsize=256)
+def factor_table(max_degree: int, rows: int, inner: int, cols: int) -> FactorTable:
+    """The parameter-free part of ``PartitionBasis.factors`` for the blocks
+    ann[:inner, :cols] and cre[:rows, :inner] on the basis of degree <=
+    max_degree.  Per block: the ``removal_table`` pairs that land in it
+    (sub < inner, and sup < cols or sup < rows), their flat scatter
+    indices ``*_at``, and ``kind`` and ann's ``binom`` gathered by them.
+    For each state s up to the last one the block's pairs remove,
+    ``*_power[s, n - 1]`` is the flat index of x_n^{m_n} in the table
+    x ** exponents (``exponents[j, n - 1]`` is j), and ``cre_fact[s]`` the
+    ``fact`` of the pairs that remove s.  The indices are int32, which
+    halves what the cache holds and bounds a block below 2^31 entries
+    (16 GB of float64).  Built once per (degree, block shapes) and
+    shared, read-only, by the bases of that degree."""
+    r = removal_table(max_degree)
+    # the pairs run in sup order, with sub <= sup
+    i = np.flatnonzero(r.sub[: np.searchsorted(r.sup, cols)] < inner)
+    j = np.flatnonzero(r.sub[: np.searchsorted(r.sup, rows)] < inner)
+    exponents = np.repeat(np.arange(max_degree + 1, dtype=np.int8)[:, None], max_degree, axis=1)
+    ann_kind, cre_kind = r.kind[i].astype(np.int32), r.kind[j].astype(np.int32)
+    # power rows of the states up to the last one removed, per block
+    ann_states, cre_states = ann_kind.max(initial=-1) + 1, cre_kind.max(initial=-1) + 1
+    mult = r.mult[: max(ann_states, cre_states)].astype(np.int32)
+    power = mult * max_degree + np.arange(max_degree, dtype=np.int32)
+    # each state's first pair removes all of it
+    fact = r.fact[np.searchsorted(r.sup, np.arange(cre_states))]
+    table = FactorTable(
+        exponents,
+        (r.sub[i] * cols + r.sup[i]).astype(np.int32), ann_kind, r.binom[i], power[:ann_states],
+        (r.sup[j] * inner + r.sub[j]).astype(np.int32), cre_kind, fact, power[:cre_states],
+    )
+    for arr in table:
+        arr.flags.writeable = False
+    return table
+
+
 class PartitionBasis:
     """All partitions of degree <= max_degree, ordered by (degree, parts).
 
-    The parameter-free tables come from ``removal_table``; only the mode
-    commutators ``cn`` (c_n for n = 1..max_degree) depend on ``params``.
+    The parameter-free tables come from ``removal_table`` and
+    ``factor_table``; only the mode commutators ``cn`` (c_n for
+    n = 1..max_degree) depend on ``params``.
     """
 
     def __init__(self, params: QParams, max_degree: int):
@@ -222,10 +265,6 @@ class PartitionBasis:
         self.size = len(self.states)
         modes = range(1, max_degree + 1)
         self.cn = np.array([mode_commutator(n, -n, params) for n in modes])
-        # the power table's exponents: row j is j in every mode
-        powers = np.arange(max_degree + 1, dtype=np.int8)[:, None]
-        self._exponents = np.repeat(powers, max_degree, axis=1)
-        self._modes = np.arange(max_degree)
         # (rows, cols) -> (deg bra - deg ket) + max_degree, as uint8
         self._offsets: dict[tuple[int, int], np.ndarray] = {}
 
@@ -260,32 +299,25 @@ class PartitionBasis:
         weights = np.array([xi ** (d + shift) for d in range(-D, D + 1)])
         return self.weigh(block, weights)
 
-    def _powers(self, x: np.ndarray) -> np.ndarray:
-        """prod_n x_n^{m_n} for every state m of the basis, from the table
-        x_n^j, j <= max_degree (a pure gather: each entry is the same
-        ``**`` that x ** m makes)."""
-        return (x**self._exponents)[self.removals.mult, self._modes].prod(axis=1)
-
     def factors(self, vertex: NormalOrderedVertex, rows: int, inner: int, cols: int):
         """Leading blocks cre[:rows, :inner] and ann[:inner, :cols] of the
         creation and annihilation factors of ``vertex`` (M = zero-mode
         factor * cre @ ann, see ``application_matrix``).  ann's entry
         (sub, sup) is binom * prod_n (A(n) c_n)^{k_n} and cre's (sup, sub)
-        prod_n A(-n)^{k_n} / fact, k the removed sub-multiset, whose
-        power product is formed once per state and gathered by ``kind``."""
-        r = self.removals
+        prod_n A(-n)^{k_n} / fact, k the removed sub-multiset.  The power
+        product of each state that a block's pairs remove is formed once,
+        as one flat gather from the table x_n^j, j <= max_degree, and
+        scattered through the block's pairs; everything but the powers
+        comes from the parameter-free ``factor_table``."""
+        f = factor_table(self.max_degree, rows, inner, cols)
         modes = range(1, self.max_degree + 1)
         a = np.array([vertex.mode_rule(n) for n in modes]) * self.cn
         b = np.array([vertex.mode_rule(-n) for n in modes])
-        # the pairs of ann's block (sup < cols) and cre's (sup < rows)
-        # with sub < inner; the pairs run in sup order, with sub <= sup
-        i = np.flatnonzero(r.sub[: np.searchsorted(r.sup, cols)] < inner)
-        j = np.flatnonzero(r.sub[: np.searchsorted(r.sup, rows)] < inner)
-        ann = np.zeros((inner, cols))
-        cre = np.zeros((rows, inner))
-        ann[r.sub[i], r.sup[i]] = r.binom[i] * self._powers(a)[r.kind[i]]
-        cre[r.sup[j], r.sub[j]] = self._powers(b)[r.kind[j]] / r.fact[j]
-        return cre, ann
+        ann = np.zeros(inner * cols)
+        cre = np.zeros(rows * inner)
+        ann[f.ann_at] = f.ann_binom * np.take(a**f.exponents, f.ann_power).prod(axis=1)[f.ann_kind]
+        cre[f.cre_at] = (np.take(b**f.exponents, f.cre_power).prod(axis=1) / f.cre_fact)[f.cre_kind]
+        return cre.reshape(rows, inner), ann.reshape(inner, cols)
 
     def application_matrix(
         self, vertex: NormalOrderedVertex, momentum: float, rows=None, cols=None

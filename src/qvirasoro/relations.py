@@ -24,7 +24,10 @@ can have, so the corner is exact.
   the reversed product.
 * Modes (``_mode_table``): one table per z^{-n}-mode, summed over all
   w-exponents, for the defining relation and the adjoint shift.  The
-  basis reaches degree_cap + max |n| + |P|.
+  basis reaches degree_cap + max |n| + |P|.  In the defining relation's
+  table the entry (mu, lambda) is the w^{-m} coefficient with
+  m = -(deg mu - deg lambda) - n, so the table is compared once, its
+  degree differences of |m| > max_mode weighed 0.
 
 Every exchange right-hand side is a list of delta terms (K, c, xi, W),
 meaning K delta(c w/z) W(xi w).  The shift operator Theta_xi f(w) =
@@ -212,15 +215,21 @@ def _mode_table(basis, x_left, y_in, y_out, x_right, g, n, twist=0, a=1.0):
 
 def _table_pairs(triples, basis: PartitionBasis, tolerance: float, notes: list):
     """(residual, location) pairs of (label, lhs, rhs) triples of corner
-    tables, the worst entry of each over max(scale, 1).  When neither the
+    tables, the worst entry of each over max(scale, 1).  A label is the
+    location's prefix, or a function of the table |lhs - rhs| that returns
+    the flat index of the entry to name and the prefix.  When neither the
     worst residual nor the control, against (1 + 100 tolerance) * rhs,
     exceeds the tolerance, the tables cannot tell rhs from its scaled
     copy: a note says so and a NaN at the worst location follows."""
     found, control, scale = [], 0.0, 0.0
     for label, a, b in triples:
         diff = np.abs(a - b)
-        # argmax points at the first NaN, if any
-        i, j = divmod(int(diff.argmax()), diff.shape[1])
+        if callable(label):
+            k, label = label(diff)
+        else:
+            # argmax points at the first NaN, if any
+            k = int(diff.argmax())
+        i, j = divmod(k, diff.shape[1])
         where = f"{label} bra={basis.states[i]} ket={basis.states[j]}"
         found.append((float(diff[i, j]), where))
         control = max(control, float(np.abs(a - (1.0 + 100.0 * tolerance) * b).max()))
@@ -265,6 +274,13 @@ def check_defining_relation(
 
     the central factor rewritten as the exact polynomial
     p^{1/2-n} (1 + p + ... + p^{2n-1}) so no limit is needed anywhere.
+
+    Each z^{-n} mode table holds every m, at the entries of degree
+    difference deg mu - deg lambda = -(n + m): it is weighed by a 0/1 mask
+    that keeps |m| <= max_mode and compared with the central term once,
+    one (residual, location) pair per n.  The location reads the m of the
+    worst entry, among equal entries the smallest m, so it names the
+    entry that one comparison per (n, m) would name.
     """
     t0 = time.perf_counter()
     D = degree_cap + max_mode
@@ -285,19 +301,33 @@ def check_defining_relation(
         return -eta1 * p ** (0.5 - n) * sum(p**i for i in range(2 * n))
 
     ident = np.eye(c)
-    # row D + e weighs degree difference e by 1 and every other by 0
-    stripes = np.eye(2 * D + 1)
+    # T_j lowers the degree by j, so the z^{-n} mode table holds every m:
+    # with mu the bra and lambda the ket, m = -e - n, e = deg mu - deg lambda
+    span = np.arange(-D, D + 1)
+    deg = basis.degrees[:c]
+    e = (deg[:, None] - deg[None, :]).ravel()
+
+    def locate(n, diff):
+        """The flat index and label of the worst entry of the z^{-n} mode
+        table: among equals the one of the smallest m, then the first."""
+        flat = diff.ravel()
+        k = int(flat.argmax())  # the first NaN, if any
+        ties = np.flatnonzero(flat == flat[k])
+        if len(ties) > 1:
+            k = int(ties[np.argmax(e[ties])])
+        return k, f"n={n} m={-e[k] - n}"
 
     def triples():
-        # T_j lowers the degree by j, so the z^{-n} mode table holds
-        # every m: with mu the bra and lambda the ket,
-        # m = -(deg mu - deg lambda) - n.
         for n in range(-max_mode, max_mode + 1):
             both = _mode_table(basis, t_out, t_in, t_out, t_in, f, n)
-            for m in range(-max_mode, max_mode + 1):
-                acc = basis.weigh(both, stripes[D - (n + m)])
-                rhs = central(n) * ident if n + m == 0 else 0.0 * ident
-                yield f"n={n} m={m}", acc, rhs
+            # weigh 1 the degree differences of the modes |m| <= max_mode
+            table = basis.weigh(both, (abs(span + n) <= max_mode) * 1.0)
+            # an overflow at two m reads as NaN, as in each (n, m) table
+            # alone, where the other m's infinities are multiplied by 0
+            inf = np.isinf(table)
+            if inf.any() and np.ptp(e[inf.ravel()]) > 0:
+                table[inf] = math.nan
+            yield partial(locate, n), table, central(n) * ident
 
     notes = []
     pairs = _table_pairs(triples(), basis, tolerance, notes)

@@ -12,7 +12,10 @@ kernels and the sequential bodies of three correlator checks are the
 reference for the batched evaluators of ``qvirasoro.correlators``, and
 the per-pair operator kernels at the end the reference for
 ``fock.removal_table``, ``PartitionBasis.application_matrix``, ``weigh``
-and the shared blocks of ``relations._operands``.
+and the shared blocks of ``relations._operands``.  The defining relation
+compared one (n, m) stripe table at a time is the reference for
+``relations.check_defining_relation``, which compares each mode table
+once.
 """
 
 from __future__ import annotations
@@ -587,3 +590,49 @@ def weigh(basis, block, weight):
     w = np.array([weight(d) for d in range(-D, D + 1)])
     rows, cols = block.shape
     return block * w[basis.degrees[:rows, None] - basis.degrees[None, :cols] + D]
+
+
+def check_defining_relation(params, degree_cap=5, max_mode=3, momentum=0.0, tolerance=1e-8):
+    """``relations.check_defining_relation`` as it was: each z^{-n} mode
+    table cut into one table per m, the stripe of degree differences
+    deg mu - deg lambda = -(n + m), each weighed out and compared on its
+    own.  Needs max_mode <= degree_cap: n + m reaches +-2 max_mode, and the
+    stripe rows only +-(degree_cap + max_mode)."""
+    import time
+
+    from qvirasoro import relations as R
+    from qvirasoro.fock import PartitionBasis
+    from qvirasoro.voa import StructureFunctionSpec, build_current, structure_series
+
+    t0 = time.perf_counter()
+    D = degree_cap + max_mode
+    basis = PartitionBasis(params, D)
+    c = basis.corner(degree_cap)
+    t_out, t_in, _ = R._blocks(basis, build_current(params), c, momentum, momentum)
+    f = structure_series(StructureFunctionSpec("current"), params, 2 * D + 2)
+    q, t, p = params.q, params.t, params.p
+    eta1 = (q**0.5 - q**-0.5) * (t**0.5 - t**-0.5)
+
+    def central(n):
+        if n == 0:
+            return 0.0
+        if n < 0:
+            return -central(-n)
+        return -eta1 * p ** (0.5 - n) * sum(p**i for i in range(2 * n))
+
+    ident = np.eye(c)
+    # row D + e weighs degree difference e by 1 and every other by 0
+    stripes = np.eye(2 * D + 1)
+
+    def triples():
+        for n in range(-max_mode, max_mode + 1):
+            both = R._mode_table(basis, t_out, t_in, t_out, t_in, f, n)
+            for m in range(-max_mode, max_mode + 1):
+                acc = basis.weigh(both, stripes[D - (n + m)])
+                rhs = central(n) * ident if n + m == 0 else 0.0 * ident
+                yield f"n={n} m={m}", acc, rhs
+
+    notes = []
+    pairs = R._table_pairs(triples(), basis, tolerance, notes)
+    cfg = R._operator_cfg(params, degree_cap, max_mode, momentum)
+    return R._scan_report("defining-relation", pairs, tolerance, cfg, t0, notes)

@@ -8,9 +8,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import oracles
 from oracles import WordEngine, structure_constant, vertex_table
 from qvirasoro.fock import (
     PartitionBasis,
+    factor_table,
     merge_vertices,
     mode_commutator,
     partitions_of,
@@ -171,6 +173,29 @@ class TestMatrixEngine:
         for name in ("mult", "kind", "binom"):
             with pytest.raises(ValueError):
                 getattr(a.removals, name)[0] = 1
+
+    @pytest.mark.parametrize("degree", [0, 1, 4])
+    def test_factor_tables_are_shared_and_read_only(self, degree):
+        # the parameter-free part of a factor build is one read-only table
+        # per (degree, block shapes), shared by the bases of that degree;
+        # the blocks built from it are exact at every shape, 1 x 1 and an
+        # empty inner size included
+        bases = PartitionBasis(P, degree), PartitionBasis(P2, degree)
+        n = bases[0].size
+        for rows, inner, cols in {(1, 1, 1), (n, 1, n), (n, n, 1), (n, n, n), (n, 0, n)}:
+            table = factor_table(degree, rows, inner, cols)
+            assert factor_table(degree, rows, inner, cols) is table
+            assert all(not arr.flags.writeable for arr in table)
+            for basis in bases:
+                vertex = build_vertex(2, 1, basis.params)
+                cre, ann = basis.factors(vertex, rows, inner, cols)
+                full_cre, full_ann = basis.factors(vertex, n, n, n)
+                assert np.array_equal(cre, full_cre[:rows, :inner])
+                assert np.array_equal(ann, full_ann[:inner, :cols])
+                if inner == min(rows, cols):
+                    got = vertex.zero_mode_factor(0.37) * (cre @ ann)
+                    want = oracles.application_matrix(basis, vertex, 0.37, rows, cols)
+                    assert np.array_equal(got, want)
 
     @pytest.mark.parametrize("degree", [0, 1, 4, 7])
     def test_kind_names_the_removed_sub_multiset(self, degree):

@@ -6,6 +6,7 @@ bit-identical, and every error the same error, so the comparisons are
 ``==`` on the bits."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -596,3 +597,91 @@ def test_operator_checks_match_oracle_kernels(monkeypatch, q, t, ell, k):
     monkeypatch.setattr(relations, "_blocks", _oracle_blocks)
     assert outcomes() == fast
     assert len(fast) == 10
+
+
+def _verdict(rep):
+    return rep.status, rep.residual.hex(), rep.worst_location, rep.notes
+
+
+class TestDefiningRelation:
+    """One comparison per mode table against the per-(n, m) stripe tables
+    of ``oracles.check_defining_relation``: the stripes partition the
+    table, so every residual and location is the same."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(box, st.integers(0, 6), st.data())
+    def test_matches_stripe_tables(self, qt, cap, data):
+        params = QParams(*qt)
+        max_mode = data.draw(st.integers(0, cap))
+        momentum = data.draw(st.one_of(st.just(0.0), st.floats(-2.0, 2.0)))
+        got = relations.check_defining_relation(params, cap, max_mode, momentum)
+        want = oracles.check_defining_relation(params, cap, max_mode, momentum)
+        assert _verdict(got) == _verdict(want)
+
+    @pytest.mark.parametrize(
+        "q, t, cap, max_mode, momentum",
+        [
+            (0.7, 0.3, 4, 2, 0.37),
+            (0.4, 0.9, 5, 3, 0.37),
+            (0.7, 0.3, 3, 0, 0.0),  # vacuous: n = m = 0 alone
+            (0.4, 0.9, 6, 0, 0.37),
+            # on the degenerate lines t = q^e the worst entry ties across
+            # m within one mode table; the smallest m names it
+            (0.49, 0.49 ** (1 / 3), 1, 1, 0.37),
+            (0.49, 0.49 ** (1 / 3), 2, 2, 0.0),
+            (0.64, 0.64 ** (1 / 3), 2, 2, 0.0),
+            (0.64, 0.64 ** (1 / 3), 5, 5, 0.37),
+        ],
+    )
+    def test_matches_stripe_tables_at(self, q, t, cap, max_mode, momentum):
+        params = QParams(q, t)
+        got = relations.check_defining_relation(params, cap, max_mode, momentum)
+        want = oracles.check_defining_relation(params, cap, max_mode, momentum)
+        assert _verdict(got) == _verdict(want)
+        if max_mode == 0:
+            assert got.status == "inconclusive"
+            assert any("vacuous" in note for note in got.notes)
+
+    # entries (deg bra - deg ket, value) written into the n = 1 mode table
+    # at cap 3 and max_mode 2, where the window holds deg differences -3..1
+    NON_FINITE = {
+        "nan": [(0, math.nan)],
+        "inf in the window": [(1, math.inf)],
+        "inf outside the window": [(3, -math.inf)],
+        "inf at two m": [(0, math.inf), (-2, math.inf)],
+        "inf and nan": [(1, math.inf), (-1, math.nan)],
+    }
+
+    # inf * 0 in the weighing warns, as it did in each stripe table
+    @pytest.mark.filterwarnings("ignore:invalid value encountered in multiply")
+    @pytest.mark.parametrize("tolerance", [1e-8, 1e-30], ids=["pass", "fail"])
+    @pytest.mark.parametrize("case", list(NON_FINITE))
+    def test_non_finite_mode_table(self, monkeypatch, case, tolerance):
+        # the verdict and residual are the stripe tables'; with tolerance
+        # 1e-30 the finite tables fail, unless an infinite scale makes
+        # every residual 0 or NaN
+        exact = relations._mode_table
+
+        def poisoned(basis, *args):
+            table = exact(basis, *args)
+            if args[-1] == 1:  # n
+                deg = basis.degrees[: table.shape[0]]
+                diff = deg[:, None] - deg[None, :]
+                for e, value in self.NON_FINITE[case]:
+                    i, j = np.argwhere(diff == e)[0]
+                    table[i, j] = value
+            return table
+
+        monkeypatch.setattr(relations, "_mode_table", poisoned)
+        P = QParams(0.7, 0.3)
+        got = relations.check_defining_relation(P, 3, 2, tolerance=tolerance)
+        want = oracles.check_defining_relation(P, 3, 2, tolerance=tolerance)
+        # where the worst entry is not finite, only the label's m may differ:
+        # the stripe tables named the first m, the mode table names the
+        # entry's own
+        def verdict(rep):
+            return rep.status, rep.residual.hex(), re.sub(r" m=-?\d+", "", rep.worst_location)
+
+        assert verdict(got) == verdict(want)
+        infinite_scale = case == "inf in the window"
+        assert got.status == ("fail" if tolerance < 1e-20 and not infinite_scale else "inconclusive")
