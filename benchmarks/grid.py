@@ -13,21 +13,19 @@ and by whether t < q.  It writes every (point, verdict, residual as
 ``float.hex``, location) to ``benchmarks/grid_verdicts.json``.  With
 ``--compare`` it writes nothing: it lists every point whose verdict,
 residual or location differs from that file and exits 1 if there is
-one.
+one (``pinning.py``).
 
 Run:  python3 benchmarks/grid.py [--compare]
 """
 
 from __future__ import annotations
 
-import argparse
-import json
 import os
 import re
 import sys
-import time
 from collections import Counter
 
+import pinning
 from qvirasoro.correlators import (
     check_connection_formula,
     check_four_point,
@@ -81,10 +79,6 @@ def _key(row: dict) -> tuple:
     return row["check"], row["q"], row["t"], row["ell"], row["L"]
 
 
-def _outcome(row: dict) -> tuple:
-    return row["verdict"], row["residual"], row["location"]
-
-
 def summarize(rows: list[dict]) -> None:
     for name in CHECKS:
         counts = Counter(r["verdict"] for r in rows if r["check"] == name)
@@ -99,39 +93,5 @@ def summarize(rows: list[dict]) -> None:
         print(f"{n:>6}  {name:<16}{verdict:<14}{method:<9}{side:<5}{loc}")
 
 
-def compare(rows: list[dict]) -> int:
-    with open(PINNED) as fh:
-        pinned = {_key(r): r for r in (dict(zip(FIELDS, v)) for v in json.load(fh)["rows"])}
-    changed = 0
-    for row in rows:
-        old = pinned.pop(_key(row), None)
-        if old is None or _outcome(old) != _outcome(row):
-            changed += 1
-            print(f"changed {_key(row)}: {old and _outcome(old)} -> {_outcome(row)}")
-    for key in pinned:
-        changed += 1
-        print(f"changed {key}: no longer run")
-    print(f"{changed} changed points")
-    return 1 if changed else 0
-
-
-def main(argv: list[str]) -> int:
-    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    ap.add_argument("--compare", action="store_true", help="compare with the pinned file, write nothing")
-    args = ap.parse_args(argv)
-    t0 = time.perf_counter()
-    rows = run()
-    wall = time.perf_counter() - t0
-    summarize(rows)
-    print(f"\n{len(rows)} checks in {wall:.1f} s")
-    if args.compare:
-        return compare(rows)
-    with open(PINNED, "w") as fh:
-        fh.write(f'{{"fields": {json.dumps(FIELDS)},\n"rows": [\n')
-        fh.write(",\n".join(json.dumps([r[k] for k in FIELDS]) for r in rows))
-        fh.write("\n]}\n")
-    return 0
-
-
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(pinning.main(sys.argv[1:], __doc__, run, summarize, PINNED, FIELDS, _key, "points"))

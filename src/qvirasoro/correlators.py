@@ -26,10 +26,10 @@ connection matrix actually maps one argument order of the four-point
 pair onto the other; see ``check_connection_formula``.  Any positive
 ``r`` is accepted for plain bracket evaluation.
 
-Each check yields (residual, location) pairs to ``report._scan_report``:
-a pole, a divergent sum or an overflow makes it inconclusive, and so
-does a NaN residual (say both branch values infinite) unless another
-residual fails.
+Each check yields (residual, location) pairs to ``report._scan_report``,
+and its work runs inside that scan, which times it: a pole, a divergent
+sum or an overflow makes it inconclusive, and so does a NaN residual
+(say both branch values infinite) unless another residual fails.
 
 The waves, the lattice four-point values and the connection matrices
 are evaluated in batches (``_screening_waves``, ``_four_point_rows``,
@@ -44,7 +44,6 @@ that fails still decides the check.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -411,7 +410,6 @@ def check_two_point(
     every compared x come from one kernel call.  (Exponentiating the
     series and evaluating its polynomial instead loses the digits: at
     (0.9, 0.2), ell 3, its coefficients reach 7e11.)"""
-    t0 = time.perf_counter()
     cp = CorrelatorParams(params=params, ell=ell)
     cfg = {"q": params.q, "t": params.t, "ell": ell}
 
@@ -441,7 +439,7 @@ def check_two_point(
                 d = abs(math.log(v) - log_ref) / max(1.0, float(np.abs(terms).sum()))
                 yield d, f"x={x} ({name})"
 
-    return _scan_report("two-point", pairs(), tolerance, cfg, t0)
+    return _scan_report("two-point", pairs(), tolerance, cfg)
 
 
 def check_four_point(
@@ -454,7 +452,6 @@ def check_four_point(
 ) -> CheckReport:
     """Closed form against lattice summation for both branches
     (normalized, so valid in both orderings of q and t)."""
-    t0 = time.perf_counter()
     cp = CorrelatorParams(params=params, ell=ell, L=L)
     cfg = {"q": params.q, "t": params.t, "ell": ell, "L": L, "z": z, "w": w}
 
@@ -467,7 +464,7 @@ def check_four_point(
             d = abs(closed - lat) / max(abs(closed), abs(lat))
             yield d, f"branch={branch}"
 
-    return _scan_report("four-point", pairs(), tolerance, cfg, t0)
+    return _scan_report("four-point", pairs(), tolerance, cfg)
 
 
 def check_pseudo_constant(
@@ -479,23 +476,31 @@ def check_pseudo_constant(
     """Invariance of rho(y) = y^a F(y)/F(1/y) under y -> Q y: the ratio
     of the two radial-ordering scalars of a screening/vertex pair is a
     Q-constant, which is what makes the lattice of the screening
-    insertion point immaterial."""
-    t0 = time.perf_counter()
+    insertion point immaterial.  A zero denominator, say both waves
+    underflowed to 0.0, is a pole at that sample."""
     cp = CorrelatorParams(params=params, ell=ell)
 
-    # rho(Q y) and rho(y) for each sample, at mu = 1/y and z = 1: the
-    # screening-then-vertex scalar mu^{-a} F(z/mu) over the
-    # vertex-then-screening scalar z^{-a} F(mu/z)
-    mus = [1.0 / v for y in samples for v in (cp.Q * y, y)]
-    waves = _screening_waves([x for mu in mus for x in (1.0 / mu, mu / 1.0)], cp)
+    def ratio(num, den, y):
+        if den == 0.0:
+            raise PoleError(f"pseudo-constant ratio has a zero denominator at y={y}")
+        return num / den
 
-    def rho(i):
-        sv = mus[i] ** -cp.a * _unwrap(waves[2 * i])
-        return sv / (1.0**-cp.a * _unwrap(waves[2 * i + 1]))
+    def pairs():
+        # rho(Q y) and rho(y) for each sample, at mu = 1/y and z = 1: the
+        # screening-then-vertex scalar mu^{-a} F(z/mu) over the
+        # vertex-then-screening scalar z^{-a} F(mu/z)
+        mus = [1.0 / v for y in samples for v in (cp.Q * y, y)]
+        waves = _screening_waves([x for mu in mus for x in (1.0 / mu, mu / 1.0)], cp)
 
-    pairs = ((abs(rho(2 * j) / rho(2 * j + 1) - 1.0), f"y={y}") for j, y in enumerate(samples))
+        def rho(i, y):
+            sv = mus[i] ** -cp.a * _unwrap(waves[2 * i])
+            return ratio(sv, 1.0**-cp.a * _unwrap(waves[2 * i + 1]), y)
+
+        for j, y in enumerate(samples):
+            yield abs(ratio(rho(2 * j, y), rho(2 * j + 1, y), y) - 1.0), f"y={y}"
+
     cfg = {"q": params.q, "t": params.t, "ell": ell}
-    return _scan_report("pseudo-constant", pairs, tolerance, cfg, t0)
+    return _scan_report("pseudo-constant", pairs(), tolerance, cfg)
 
 
 def check_connection_formula(
@@ -542,13 +547,10 @@ def check_connection_formula(
     integer pins a lattice pole of the plus branch, and ell + L or
     u + ell in r*Z is a zero of the bracket denominator.
     """
-    t0 = time.perf_counter()
     if params is None:
         params = QParams(0.49, 0.7)
     cp = CorrelatorParams(params=params, ell=ell, L=L, r=r)
     r = cp.r
-    bp = BracketParams(q=params.q, ell=ell, r=r)
-    x = bp.x
     try:
         _check_exponents(cp)
         method = "jackson"
@@ -587,6 +589,7 @@ def check_connection_formula(
 
         # per sample u, w = z x^{-2u} and the four values (plus, minus) at
         # (z, w), then at (w, z); each error is raised at its own sample
+        x = BracketParams(q=params.q, ell=ell, r=r).x
         z = 1.0
         ws = [_attempt(lambda u: z * x ** (-2.0 * u), u) for u in u_samples]
         rows = [
@@ -616,4 +619,4 @@ def check_connection_formula(
         if control <= 50.0 * tolerance:
             yield math.nan, "negative control did not fail"
 
-    return _scan_report("connection", pairs(), tolerance, cfg, t0, notes)
+    return _scan_report("connection", pairs(), tolerance, cfg, notes)

@@ -19,15 +19,7 @@ class PoleError(QVirasoroError):
 
 
 class ConvergenceError(QVirasoroError):
-    """An infinite sum or product failed to converge.
-
-    The ``direction`` attribute, when set, records which lattice
-    direction diverged ("upper" / "lower") for bilateral sums.
-    """
-
-    def __init__(self, message: str, direction: str | None = None):
-        super().__init__(message)
-        self.direction = direction
+    """An infinite sum or product failed to converge."""
 
 
 class ConfigError(QVirasoroError):

@@ -72,7 +72,6 @@ class NormalOrderedVertex:
     momentum first (it stands to the right of e^{charge Q_h}).
     """
 
-    label: str
     params: QParams
     mode_rule: Callable[[int], float]
     charge: float = 0.0
@@ -89,7 +88,6 @@ class NormalOrderedVertex:
         rule = self.mode_rule
         return replace(
             self,
-            label=f"{self.label}@{xi:g}",
             mode_rule=lambda n, _r=rule, _x=xi: _r(n) * _x ** (-n),
             h0_base=self.h0_base * xi**self.h0_power,
         )
@@ -101,9 +99,7 @@ class NormalOrderedVertex:
         return self.scalar * self.h0_base**momentum
 
 
-def merge_vertices(
-    factors: Sequence[NormalOrderedVertex], label: str | None = None
-) -> NormalOrderedVertex:
+def merge_vertices(factors: Sequence[NormalOrderedVertex]) -> NormalOrderedVertex:
     """Data of the normal-ordered product :X1(z) X2(z) ... : at a shared
     argument — mode rules and exponents add, bases and scalars multiply."""
     if not factors:
@@ -113,9 +109,7 @@ def merge_vertices(
     base = math.prod(f.h0_base for f in factors)
     power = sum(f.h0_power for f in factors)
     scal = math.prod(f.scalar for f in factors)
-    name = label or ":" + " ".join(f.label for f in factors) + ":"
     return NormalOrderedVertex(
-        label=name,
         params=factors[0].params,
         mode_rule=lambda n, _rs=tuple(rules): sum(r(n) for r in _rs),
         charge=charge,
@@ -130,7 +124,6 @@ class OperatorSum:
     """A formal sum of vertices sharing one formal variable (e.g. the
     current, which is a two-branch sum)."""
 
-    label: str
     terms: list[NormalOrderedVertex]
 
 

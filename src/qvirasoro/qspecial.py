@@ -410,13 +410,9 @@ def _directional_sum(terms: Callable[[int], float], direction: str) -> float:
         try:
             term = terms(n)
         except OverflowError:
-            raise ConvergenceError(
-                f"Jackson sum overflowed ({direction} direction)", direction
-            ) from None
+            raise ConvergenceError(f"Jackson sum overflowed ({direction} direction)") from None
         if not math.isfinite(term) or abs(term) > 1e100:
-            raise ConvergenceError(
-                f"Jackson sum diverges ({direction} direction)", direction
-            )
+            raise ConvergenceError(f"Jackson sum diverges ({direction} direction)")
         total += term
         mag = abs(term)
         scale = max(scale, abs(total), mag)
@@ -429,15 +425,12 @@ def _directional_sum(terms: Callable[[int], float], direction: str) -> float:
         if mag > prev and mag > scale * 0.5 and n > 16:
             growing += 1
             if growing >= 16:
-                raise ConvergenceError(
-                    f"Jackson sum diverges ({direction} direction)", direction
-                )
+                raise ConvergenceError(f"Jackson sum diverges ({direction} direction)")
         else:
             growing = 0
         prev = mag
     raise ConvergenceError(
-        f"Jackson sum did not converge within {TERM_CAP} terms ({direction})",
-        direction,
+        f"Jackson sum did not converge within {TERM_CAP} terms ({direction})"
     )
 
 
@@ -463,7 +456,7 @@ def jackson_bilateral(f: Callable[[float], float], a: float, q: float) -> float:
     (1-q) * sum_{n in Z} a q^n f(a q^n).
 
     The n >= 0 and n < 0 half-lattices are summed separately; a
-    divergent half raises ConvergenceError with direction "lower"
+    divergent half raises ConvergenceError naming its direction, "lower"
     (points sliding to 0) or "upper" (points growing to infinity).
     """
     if not (0 < q < 1):

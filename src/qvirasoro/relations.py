@@ -39,15 +39,17 @@ K c^k c^{-(deg bra - deg ket)} Theta_xi W, per z^{-n} mode K c^n Theta_xi W.
 A residual is the worst |lhs - rhs| over max(scale, 1), scale being the
 largest |lhs| or |rhs| entry; the control, against (1 + 100 tolerance)
 * rhs, must exceed the tolerance, or else the check is inconclusive.
-Every check yields (residual, location) pairs to ``report._scan_report``
-and computes inside them whatever can meet a pole, so a pole decides
-that check alone.
+Every check yields (residual, location) pairs to ``report._scan_report``,
+and its work runs inside that scan: the generator of pairs builds the
+vertices, the basis and its blocks, the series, product forms and
+tables, so a pole or an overflow anywhere decides that check alone, and
+the report's ``runtime_ms`` covers all of it.  Only argument checks and
+the report configuration come before.
 """
 
 from __future__ import annotations
 
 import math
-import time
 from functools import partial
 
 import numpy as np
@@ -220,8 +222,9 @@ def _table_pairs(triples, basis: PartitionBasis, tolerance: float, notes: list):
     the flat index of the entry to name and the prefix.  When neither the
     worst residual nor the control, against (1 + 100 tolerance) * rhs,
     exceeds the tolerance, the tables cannot tell rhs from its scaled
-    copy: a note says so and a NaN at the worst location follows."""
-    found, control, scale = [], 0.0, 0.0
+    copy: a note says so and a NaN at the worst location follows, or,
+    when every table is all zero, at "vacuous from" the first label."""
+    found, control, scale, first = [], 0.0, 0.0, ""
     for label, a, b in triples:
         diff = np.abs(a - b)
         if callable(label):
@@ -230,6 +233,7 @@ def _table_pairs(triples, basis: PartitionBasis, tolerance: float, notes: list):
             # argmax points at the first NaN, if any
             k = int(diff.argmax())
         i, j = divmod(k, diff.shape[1])
+        first = first or label
         where = f"{label} bra={basis.states[i]} ket={basis.states[j]}"
         found.append((float(diff[i, j]), where))
         control = max(control, float(np.abs(a - (1.0 + 100.0 * tolerance) * b).max()))
@@ -243,7 +247,7 @@ def _table_pairs(triples, basis: PartitionBasis, tolerance: float, notes: list):
         notes.append(
             f"vacuous: residual {residual:.3e}, scale {scale:.3e}, control {control:.3e}"
         )
-        yield math.nan, loc
+        yield math.nan, loc or f"vacuous from {first}"
 
 
 def _operator_cfg(params, degree_cap, window, momentum, **labels):
@@ -279,60 +283,63 @@ def check_defining_relation(
     difference deg mu - deg lambda = -(n + m): it is weighed by a 0/1 mask
     that keeps |m| <= max_mode and compared with the central term once,
     one (residual, location) pair per n.  The location reads the m of the
-    worst entry, among equal entries the smallest m, so it names the
-    entry that one comparison per (n, m) would name.
+    worst entry, among equal entries the smallest m with |m| <= max_mode,
+    so it names the entry that one comparison per (n, m) would name.
     """
-    t0 = time.perf_counter()
-    D = degree_cap + max_mode
-    basis = PartitionBasis(params, D)
-    c = basis.corner(degree_cap)
-    cur = build_current(params)
-    t_out, t_in, _ = _blocks(basis, cur, c, momentum, momentum)
-    f = structure_series(StructureFunctionSpec("current"), params, 2 * D + 2)
-
-    q, t, p = params.q, params.t, params.p
-    eta1 = (q**0.5 - q**-0.5) * (t**0.5 - t**-0.5)
-
-    def central(n: int) -> float:
-        if n == 0:
-            return 0.0
-        if n < 0:
-            return -central(-n)
-        return -eta1 * p ** (0.5 - n) * sum(p**i for i in range(2 * n))
-
-    ident = np.eye(c)
-    # T_j lowers the degree by j, so the z^{-n} mode table holds every m:
-    # with mu the bra and lambda the ket, m = -e - n, e = deg mu - deg lambda
-    span = np.arange(-D, D + 1)
-    deg = basis.degrees[:c]
-    e = (deg[:, None] - deg[None, :]).ravel()
-
-    def locate(n, diff):
-        """The flat index and label of the worst entry of the z^{-n} mode
-        table: among equals the one of the smallest m, then the first."""
-        flat = diff.ravel()
-        k = int(flat.argmax())  # the first NaN, if any
-        ties = np.flatnonzero(flat == flat[k])
-        if len(ties) > 1:
-            k = int(ties[np.argmax(e[ties])])
-        return k, f"n={n} m={-e[k] - n}"
-
-    def triples():
-        for n in range(-max_mode, max_mode + 1):
-            both = _mode_table(basis, t_out, t_in, t_out, t_in, f, n)
-            # weigh 1 the degree differences of the modes |m| <= max_mode
-            table = basis.weigh(both, (abs(span + n) <= max_mode) * 1.0)
-            # an overflow at two m reads as NaN, as in each (n, m) table
-            # alone, where the other m's infinities are multiplied by 0
-            inf = np.isinf(table)
-            if inf.any() and np.ptp(e[inf.ravel()]) > 0:
-                table[inf] = math.nan
-            yield partial(locate, n), table, central(n) * ident
-
     notes = []
-    pairs = _table_pairs(triples(), basis, tolerance, notes)
+
+    def pairs():
+        D = degree_cap + max_mode
+        basis = PartitionBasis(params, D)
+        c = basis.corner(degree_cap)
+        t_out, t_in, _ = _blocks(basis, build_current(params), c, momentum, momentum)
+        f = structure_series(StructureFunctionSpec("current"), params, 2 * D + 2)
+        q, t, p = params.q, params.t, params.p
+        eta1 = (q**0.5 - q**-0.5) * (t**0.5 - t**-0.5)
+
+        def central(n: int) -> float:
+            if n == 0:
+                return 0.0
+            if n < 0:
+                return -central(-n)
+            return -eta1 * p ** (0.5 - n) * sum(p**i for i in range(2 * n))
+
+        ident = np.eye(c)
+        # T_j lowers the degree by j, so the z^{-n} mode table holds every m:
+        # with mu the bra and lambda the ket, m = -e - n, e = deg mu - deg lambda
+        span = np.arange(-D, D + 1)
+        deg = basis.degrees[:c]
+        e = (deg[:, None] - deg[None, :]).ravel()
+
+        def locate(n, diff):
+            """The flat index and label of the worst entry of the z^{-n}
+            mode table: among equals the one of the smallest m with
+            |m| <= max_mode, then the first."""
+            flat = diff.ravel()
+            k = int(flat.argmax())  # the first NaN, if any
+            ties = np.flatnonzero(flat == flat[k])
+            if len(ties) > 1:
+                # entries outside the window are 0, so some tie is inside
+                ties = ties[abs(e[ties] + n) <= max_mode]
+                k = int(ties[np.argmax(e[ties])])
+            return k, f"n={n} m={-e[k] - n}"
+
+        def triples():
+            for n in range(-max_mode, max_mode + 1):
+                both = _mode_table(basis, t_out, t_in, t_out, t_in, f, n)
+                # weigh 1 the degree differences of the modes |m| <= max_mode
+                table = basis.weigh(both, (abs(span + n) <= max_mode) * 1.0)
+                # an overflow at two m reads as NaN, as in each (n, m) table
+                # alone, where the other m's infinities are multiplied by 0
+                inf = np.isinf(table)
+                if inf.any() and np.ptp(e[inf.ravel()]) > 0:
+                    table[inf] = math.nan
+                yield partial(locate, n), table, central(n) * ident
+
+        yield from _table_pairs(triples(), basis, tolerance, notes)
+
     cfg = _operator_cfg(params, degree_cap, max_mode, momentum)
-    return _scan_report("defining-relation", pairs, tolerance, cfg, t0, notes)
+    return _scan_report("defining-relation", pairs(), tolerance, cfg, notes)
 
 
 # ---------------------------------------------------------------------------
@@ -351,23 +358,25 @@ def check_screening_relation(
     normal-ordered product: with W(w) = :Lambda(c w) S(w):, c = base^{-1/2},
     it is  K delta(c w/z) W(w) - K base delta(base c w/z) W(base w),
     the paper's (1 - base Theta_base) of the first term."""
-    t0 = time.perf_counter()
-    scr = build_screening(sign, params)
-    # S^+ meets Lambda^- under a q-difference, S^- meets Lambda^+ under a t one
-    base, other = (params.q, params.t) if sign == +1 else (params.t, params.q)
-    lam = build_lambda(-sign, params)
-    c = base**-0.5
-    w = merge_vertices([lam.at_scale(c), scr])
-    K = -(1.0 - 1.0 / other)
-    terms = [(K, c, 1.0, w), (-K * base, base * c, base, w)]
     notes = []
-    pairs = _exchange_check(
-        params, build_current(params), scr, _one, 0, terms, degree_cap, window,
-        momentum, tolerance, notes,
-    )
+
+    def pairs():
+        scr = build_screening(sign, params)
+        # S^+ meets Lambda^- under a q-difference, S^- meets Lambda^+ under a t one
+        base, other = (params.q, params.t) if sign == +1 else (params.t, params.q)
+        lam = build_lambda(-sign, params)
+        c = base**-0.5
+        w = merge_vertices([lam.at_scale(c), scr])
+        K = -(1.0 - 1.0 / other)
+        terms = [(K, c, 1.0, w), (-K * base, base * c, base, w)]
+        yield from _exchange_check(
+            params, build_current(params), scr, _one, 0, terms, degree_cap, window,
+            momentum, tolerance, notes,
+        )
+
     cfg = _operator_cfg(params, degree_cap, window, momentum, sign=sign)
     name = "screening" if sign == +1 else "screening-mirror"
-    return _scan_report(name, pairs, tolerance, cfg, t0, notes)
+    return _scan_report(name, pairs(), tolerance, cfg, notes)
 
 
 # ---------------------------------------------------------------------------
@@ -416,7 +425,6 @@ def check_vertex_exchange(
     """Single current branch against a simple vertex: the weighted
     exchange combination collapses to one delta-localized shifted
     vertex."""
-    t0 = time.perf_counter()
     notes = []
 
     def pairs():
@@ -428,7 +436,7 @@ def check_vertex_exchange(
 
     cfg = _operator_cfg(params, degree_cap, window, momentum, ell=ell, variant=variant)
     name = "vertex-exchange" if variant == "plain" else f"vertex-exchange-{variant}"
-    return _scan_report(name, pairs(), tolerance, cfg, t0, notes)
+    return _scan_report(name, pairs(), tolerance, cfg, notes)
 
 
 def _current_deltas(ell: int, params: QParams, v):
@@ -459,16 +467,18 @@ def check_current_vertex_exchange(
 ) -> CheckReport:
     """Full current against a simple vertex: two delta terms, one per
     current branch, with square-root-balanced constants."""
-    t0 = time.perf_counter()
-    y = build_vertex(ell, 0, params)
-    g = partial(structure_series, StructureFunctionSpec("exchange", ell, 0), params)
     notes = []
-    pairs = _exchange_check(
-        params, build_current(params), y, g, 2 - ell, _current_deltas(ell, params, y),
-        degree_cap, window, momentum, tolerance, notes,
-    )
+
+    def pairs():
+        y = build_vertex(ell, 0, params)
+        g = partial(structure_series, StructureFunctionSpec("exchange", ell, 0), params)
+        yield from _exchange_check(
+            params, build_current(params), y, g, 2 - ell, _current_deltas(ell, params, y),
+            degree_cap, window, momentum, tolerance, notes,
+        )
+
     cfg = _operator_cfg(params, degree_cap, window, momentum, ell=ell)
-    return _scan_report("current-vertex-exchange", pairs, tolerance, cfg, t0, notes)
+    return _scan_report("current-vertex-exchange", pairs(), tolerance, cfg, notes)
 
 
 # ---------------------------------------------------------------------------
@@ -487,32 +497,34 @@ def check_adjoint_shift(
     """The z^{-n}-mode of the weighted exchange combination acting on a
     simple vertex equals an explicit two-term argument-shift operator:
     the current-vertex exchange's delta terms, read per mode."""
-    t0 = time.perf_counter()
     nmax = max(abs(int(n)) for n in modes)
     twist = 2 - ell
-    y = build_vertex(ell, 0, params).at_scale(scale)
-    # each delta term read per z^{-n} mode as K c^n Theta_xi V
-    basis, *blocks, deltas = _operands(
-        params, build_current(params), y, _current_deltas(ell, params, y),
-        degree_cap, nmax + abs(twist), momentum,
-    )
-    # weigh() looks the kernel up at every degree difference in [-D, D]
-    D = basis.max_degree
-    g = structure_series(StructureFunctionSpec("exchange", ell, 0), params, 2 * D)
-
-    def triples():
-        for n in modes:
-            n = int(n)
-            lhs = _mode_table(basis, *blocks, g, n, twist, scale)
-            rhs = scale**n * sum(K * s**n * w for K, s, w in deltas)
-            yield f"mode={n}", lhs, rhs
-
     notes = []
-    pairs = _table_pairs(triples(), basis, tolerance, notes)
+
+    def pairs():
+        y = build_vertex(ell, 0, params).at_scale(scale)
+        # each delta term read per z^{-n} mode as K c^n Theta_xi V
+        basis, *blocks, deltas = _operands(
+            params, build_current(params), y, _current_deltas(ell, params, y),
+            degree_cap, nmax + abs(twist), momentum,
+        )
+        # weigh() looks the kernel up at every degree difference in [-D, D]
+        D = basis.max_degree
+        g = structure_series(StructureFunctionSpec("exchange", ell, 0), params, 2 * D)
+
+        def triples():
+            for n in modes:
+                n = int(n)
+                lhs = _mode_table(basis, *blocks, g, n, twist, scale)
+                rhs = scale**n * sum(K * s**n * w for K, s, w in deltas)
+                yield f"mode={n}", lhs, rhs
+
+        yield from _table_pairs(triples(), basis, tolerance, notes)
+
     cfg = _operator_cfg(
         params, degree_cap, degree_cap + nmax, momentum, ell=ell, scale=scale
     )
-    return _scan_report("adjoint-shift", pairs, tolerance, cfg, t0, notes)
+    return _scan_report("adjoint-shift", pairs(), tolerance, cfg, notes)
 
 
 # ---------------------------------------------------------------------------
@@ -539,25 +551,24 @@ def check_exchange_rewrite(
     (d) dropping the vanishing factor leaves a finite nonzero value
         (the rewrite is well defined, not 0/0).
     """
-    t0 = time.perf_counter()
-    order = 40
-    dual = structure_series(
-        StructureFunctionSpec("exchange-dual", ell, 0), params, order
-    )
-    y = build_vertex(ell, 0, params)
-    lam_plus = build_lambda(+1, params)
-    phi_plus = contract(y, lam_plus, order)
-    prod = np.convolve(dual, phi_plus)[: order + 1]
-    # each coefficient's deviation against the size of its convolution sum
-    bound = np.maximum(np.convolve(abs(dual), abs(phi_plus))[: order + 1], 1.0)
-    res_a = float(np.max(np.abs(prod - _one(order)) / bound))
-
-    K, c1, _ = _exchange_constants(ell, params)
-    g = partial(structure_series, StructureFunctionSpec("exchange", ell, 0), params)
-    w = merge_vertices([y, lam_plus.at_scale(c1)])
-    notes = [f"kernel-inverse residual {res_a:.3e}"]
+    notes = []
 
     def pairs():
+        order = 40
+        dual = structure_series(
+            StructureFunctionSpec("exchange-dual", ell, 0), params, order
+        )
+        y = build_vertex(ell, 0, params)
+        lam_plus = build_lambda(+1, params)
+        phi_plus = contract(y, lam_plus, order)
+        prod = np.convolve(dual, phi_plus)[: order + 1]
+        # each coefficient's deviation against the size of its convolution sum
+        bound = np.maximum(np.convolve(abs(dual), abs(phi_plus))[: order + 1], 1.0)
+        res_a = float(np.max(np.abs(prod - _one(order)) / bound))
+        notes.append(f"kernel-inverse residual {res_a:.3e}")
+        K, c1, _ = _exchange_constants(ell, params)
+        g = partial(structure_series, StructureFunctionSpec("exchange", ell, 0), params)
+        w = merge_vertices([y, lam_plus.at_scale(c1)])
         pf = current_vertex_factor(ell, params)
         res_c = abs(pf.value(c1))
         idx = pf.factor_index_at_zero(c1)
@@ -575,7 +586,7 @@ def check_exchange_rewrite(
         yield 0.0 if ok_d else math.inf, "reduced support value"
 
     cfg = _operator_cfg(params, degree_cap, window, momentum, ell=ell)
-    return _scan_report("exchange-rewrite", pairs(), tolerance, cfg, t0, notes)
+    return _scan_report("exchange-rewrite", pairs(), tolerance, cfg, notes)
 
 
 # ---------------------------------------------------------------------------
@@ -618,20 +629,19 @@ def check_composite_exchange(
     elementary factors (computed, not assumed zero)."""
     if ell < 1 or k < 1:
         raise QVirasoroError("composite exchange needs both labels positive")
-    t0 = time.perf_counter()
-    q, t = params.q, params.t
-    y = build_vertex(ell, k, params)
-    lam_plus = build_lambda(+1, params)
-    lam_minus = build_lambda(-1, params)
-    g = partial(structure_series, StructureFunctionSpec("exchange", ell, k), params)
-    pref = q ** (k / 2.0) * t ** (-ell / 2.0)
-    supports = (
-        _composite_term(ell, k, params),
-        _composite_term(k, ell, params.omega_image().theta_image()),
-    )
     notes = []
 
     def pairs():
+        q, t = params.q, params.t
+        y = build_vertex(ell, k, params)
+        lam_plus = build_lambda(+1, params)
+        lam_minus = build_lambda(-1, params)
+        g = partial(structure_series, StructureFunctionSpec("exchange", ell, k), params)
+        pref = q ** (k / 2.0) * t ** (-ell / 2.0)
+        supports = (
+            _composite_term(ell, k, params),
+            _composite_term(k, ell, params.omega_image().theta_image()),
+        )
         f_ell = current_vertex_factor(ell, params)
         f_k = mirror_vertex_factor(k, params)
         deltas, minus_weights = [], []
@@ -651,7 +661,7 @@ def check_composite_exchange(
         )
 
     cfg = _operator_cfg(params, degree_cap, window, momentum, ell=ell, k=k)
-    return _scan_report("composite-exchange", pairs(), tolerance, cfg, t0, notes)
+    return _scan_report("composite-exchange", pairs(), tolerance, cfg, notes)
 
 
 # ---------------------------------------------------------------------------
@@ -663,7 +673,6 @@ def check_fusion(
 ) -> CheckReport:
     """Simple vertices as normal-ordered products of the two fundamental
     ones on a geometric ladder of arguments (exact data equality)."""
-    t0 = time.perf_counter()
     ladders = {"first": (params.q, 1, 0), "second": (params.t, 0, 1)}
 
     def pairs():
@@ -677,7 +686,7 @@ def check_fusion(
             yield d, f"{kind}-kind ladder"
 
     cfg = {"q": params.q, "t": params.t, "ell": ell, "order": order}
-    return _scan_report("fusion", pairs(), tolerance, cfg, t0)
+    return _scan_report("fusion", pairs(), tolerance, cfg)
 
 
 def check_argument_shift(
@@ -685,17 +694,19 @@ def check_argument_shift(
 ) -> CheckReport:
     """V(q^{-1/ell} w) = p^{-1/2} :V(w) Lambda^+(p^{1/2} q^{-1/(2 ell)} w):
     as exact vertex-data equality."""
-    t0 = time.perf_counter()
-    q, p = params.q, params.p
-    v = build_vertex(ell, 0, params)
-    lhs = v.at_scale(q ** (-1.0 / ell))
-    merged = merge_vertices([v, build_lambda(+1, params).at_scale(
-        p**0.5 * q ** (-1.0 / (2 * ell))
-    )])
-    merged.scalar *= p**-0.5
-    d = vertex_data_distance(lhs, merged, order)
+
+    def pairs():
+        q, p = params.q, params.p
+        v = build_vertex(ell, 0, params)
+        lhs = v.at_scale(q ** (-1.0 / ell))
+        merged = merge_vertices([v, build_lambda(+1, params).at_scale(
+            p**0.5 * q ** (-1.0 / (2 * ell))
+        )])
+        merged.scalar *= p**-0.5
+        yield vertex_data_distance(lhs, merged, order), "vertex data"
+
     cfg = {"q": params.q, "t": params.t, "ell": ell, "order": order}
-    return _scan_report("argument-shift", [(d, "vertex data")], tolerance, cfg, t0)
+    return _scan_report("argument-shift", pairs(), tolerance, cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -711,11 +722,10 @@ def check_delta_identity(
     """Bilateral comb identity behind every delta collapse: with
     F(x) = prod (1-r_i x)/(1-x), the two directional expansions differ
     by the constant prod (1-r_i) at every integer power."""
-    t0 = time.perf_counter()
     roots = [[float(v) for v in rng.uniform(0.05, 0.95, size=m)] for m in m_values]
     pairs = ((check_delta_comb(rs, window), f"m={m}") for m, rs in zip(m_values, roots))
     cfg = {"window": window, "roots": repr([[round(v, 6) for v in rs] for rs in roots])}
-    return _scan_report("delta-identity", pairs, tolerance, cfg, t0)
+    return _scan_report("delta-identity", pairs, tolerance, cfg)
 
 
 def check_qspecial(tolerance: float = 1e-12) -> CheckReport:
@@ -723,8 +733,6 @@ def check_qspecial(tolerance: float = 1e-12) -> CheckReport:
     collapse of the basic hypergeometric sum, the q-gamma functional
     equation, theta quasi-periodicity and the unit Jackson integral."""
     from . import qspecial as qs
-
-    t0 = time.perf_counter()
 
     def pairs():
         q = 0.6
@@ -747,4 +755,4 @@ def check_qspecial(tolerance: float = 1e-12) -> CheckReport:
         yield abs(val - 1.0), "jackson unit"
 
     cfg = {"tolerance": tolerance}
-    return _scan_report("qspecial", pairs(), tolerance, cfg, t0)
+    return _scan_report("qspecial", pairs(), tolerance, cfg)

@@ -6,12 +6,16 @@ serializes these to JSON/CSV; tests assert on ``passed`` and
 ``residual``.
 
 Every check yields (residual, location) pairs to ``_scan_report``, which
-alone decides the status.  The largest numeric residual drawn (the
-first among equals) fails the check above the tolerance, even when a
-pole, a divergent sum or an overflow stops the drawing later.
-Otherwise such an error makes the check inconclusive, and else a NaN
-residual, which decides nothing, makes it inconclusive (``_worst``).
-An operator check yields a NaN when its negative control cannot fail.
+alone decides the status.  A check's work runs inside its scan: the
+generator of pairs builds the operators, series and tables it compares,
+so an error in that work decides the check like any other, and
+``runtime_ms`` is the time taken to draw the pairs.  The largest
+numeric residual drawn (the first among equals) fails the check above
+the tolerance, even when a pole, a divergent sum or an overflow stops
+the drawing later.  Otherwise such an error makes the check
+inconclusive, and else a NaN residual, which decides nothing, makes it
+inconclusive (``_worst``).  An operator check yields a NaN when its
+negative control cannot fail.
 """
 
 from __future__ import annotations
@@ -79,12 +83,11 @@ def _worst(pairs: Iterable[tuple[float, str]], tolerance: float) -> tuple[float,
     return math.nan, nan_loc
 
 
-def _scan_report(identity, pairs, tolerance, config, t0, notes=()):
+def _scan_report(identity, pairs, tolerance, config, notes=()):
     """Report of the (residual, location) pairs a check yields, by the
     rule of the module docstring; ``notes`` is read once the pairs are
     drawn, so a check may append to it while yielding.  The runtime is
-    measured from the ``time.perf_counter()`` value ``t0`` taken when the
-    check started."""
+    the time taken to draw the pairs."""
     error = None
 
     def drawn():
@@ -94,7 +97,9 @@ def _scan_report(identity, pairs, tolerance, config, t0, notes=()):
         except (PoleError, ConvergenceError, OverflowError) as exc:
             error = exc
 
+    t0 = time.perf_counter()
     residual, loc = _worst(drawn(), tolerance)
+    runtime_ms = (time.perf_counter() - t0) * 1e3
     if error is not None and not residual > tolerance:
         residual, loc = math.nan, str(error)
     if math.isnan(residual):
@@ -109,5 +114,5 @@ def _scan_report(identity, pairs, tolerance, config, t0, notes=()):
         worst_location=loc,
         config=config,
         notes=list(notes),
-        runtime_ms=(time.perf_counter() - t0) * 1e3,
+        runtime_ms=runtime_ms,
     )

@@ -77,7 +77,6 @@ def build_lambda(sign: int, params: QParams) -> NormalOrderedVertex:
     p = params.p
     if sign == +1:
         return NormalOrderedVertex(
-            label="lambda+",
             params=params,
             mode_rule=lambda n: p ** (n / 2.0),
             charge=0.0,
@@ -90,9 +89,7 @@ def build_lambda(sign: int, params: QParams) -> NormalOrderedVertex:
 
 def build_current(params: QParams) -> OperatorSum:
     """The deformed stress current T(z) = Lambda^+(z) + Lambda^-(z)."""
-    return OperatorSum(
-        label="current", terms=[build_lambda(+1, params), build_lambda(-1, params)]
-    )
+    return OperatorSum([build_lambda(+1, params), build_lambda(-1, params)])
 
 
 def build_screening(sign: int, params: QParams) -> NormalOrderedVertex:
@@ -116,7 +113,6 @@ def build_screening(sign: int, params: QParams) -> NormalOrderedVertex:
             return -(p**h + p**-h) / (params.q**h - params.q**-h)
 
         return NormalOrderedVertex(
-            label="screening+",
             params=params,
             mode_rule=rule,
             charge=2.0 * sb,
@@ -135,7 +131,6 @@ def _vertex_first_kind(ell: int, params: QParams) -> NormalOrderedVertex:
         return 1.0 / (params.q**h - params.q**-h)
 
     return NormalOrderedVertex(
-        label=f"vertex[{ell + 1},1]",
         params=params,
         mode_rule=rule,
         charge=-ell * sb,
@@ -167,10 +162,7 @@ def build_vertex(ell: int, k: int, params: QParams) -> NormalOrderedVertex:
     second = omega_conjugate(lambda P: _vertex_first_kind(k, P), params)
     if ell == 0:
         return second
-    return merge_vertices(
-        [_vertex_first_kind(ell, params), second],
-        label=f"vertex[{ell + 1},{k + 1}]",
-    )
+    return merge_vertices([_vertex_first_kind(ell, params), second])
 
 
 Builder = Callable[[QParams], NormalOrderedVertex]
@@ -184,7 +176,6 @@ def theta_conjugate(build: Builder, params: QParams) -> NormalOrderedVertex:
     """
     w = build(params.theta_image())
     return NormalOrderedVertex(
-        label=f"theta({w.label})",
         params=params,
         mode_rule=lambda n, _r=w.mode_rule: -_r(n),
         charge=w.charge,
@@ -199,7 +190,6 @@ def omega_conjugate(build: Builder, params: QParams) -> NormalOrderedVertex:
     negates every mode including the zero modes."""
     w = build(params.omega_image())
     return NormalOrderedVertex(
-        label=f"omega({w.label})",
         params=params,
         mode_rule=lambda n, _r=w.mode_rule: -_r(n),
         charge=-w.charge,

@@ -397,12 +397,9 @@ def connection_matrix(u, cp):
 
 
 def check_four_point(params, ell=1, L=0.5, z=1.0, w=0.4, tolerance=1e-8):
-    import time
-
     from qvirasoro.correlators import CorrelatorParams, four_point_closed
     from qvirasoro.report import _scan_report
 
-    t0 = time.perf_counter()
     cp = CorrelatorParams(params=params, ell=ell, L=L)
     cfg = {"q": params.q, "t": params.t, "ell": ell, "L": L, "z": z, "w": w}
 
@@ -413,16 +410,13 @@ def check_four_point(params, ell=1, L=0.5, z=1.0, w=0.4, tolerance=1e-8):
             d = abs(closed - lattice) / max(abs(closed), abs(lattice))
             yield d, f"branch={branch}"
 
-    return _scan_report("four-point", pairs(), tolerance, cfg, t0)
+    return _scan_report("four-point", pairs(), tolerance, cfg)
 
 
 def check_pseudo_constant(params, ell=1, samples=(0.33, 0.61), tolerance=1e-10):
-    import time
-
     from qvirasoro.correlators import CorrelatorParams
     from qvirasoro.report import _scan_report
 
-    t0 = time.perf_counter()
     cp = CorrelatorParams(params=params, ell=ell)
 
     def rho(y):
@@ -432,7 +426,7 @@ def check_pseudo_constant(params, ell=1, samples=(0.33, 0.61), tolerance=1e-10):
 
     pairs = ((abs(rho(cp.Q * y) / rho(y) - 1.0), f"y={y}") for y in samples)
     cfg = {"q": params.q, "t": params.t, "ell": ell}
-    return _scan_report("pseudo-constant", pairs, tolerance, cfg, t0)
+    return _scan_report("pseudo-constant", pairs, tolerance, cfg)
 
 
 def check_connection_formula(
@@ -445,13 +439,10 @@ def check_connection_formula(
     identity_tolerance=1e-10,
     inverse_tolerance=1e-8,
 ):
-    import time
-
     from qvirasoro.correlators import CorrelatorParams, _check_exponents, four_point_closed
     from qvirasoro.qspecial import BracketParams, QParams
     from qvirasoro.report import _scan_report
 
-    t0 = time.perf_counter()
     if params is None:
         params = QParams(0.49, 0.7)
     cp = CorrelatorParams(params=params, ell=ell, L=L, r=r)
@@ -504,7 +495,7 @@ def check_connection_formula(
         if control <= 50.0 * tolerance:
             yield math.nan, "negative control did not fail"
 
-    return _scan_report("connection", pairs(), tolerance, cfg, t0, notes)
+    return _scan_report("connection", pairs(), tolerance, cfg, notes)
 
 
 # ---------------------------------------------------------------------------
@@ -598,13 +589,10 @@ def check_defining_relation(params, degree_cap=5, max_mode=3, momentum=0.0, tole
     deg mu - deg lambda = -(n + m), each weighed out and compared on its
     own.  Needs max_mode <= degree_cap: n + m reaches +-2 max_mode, and the
     stripe rows only +-(degree_cap + max_mode)."""
-    import time
-
     from qvirasoro import relations as R
     from qvirasoro.fock import PartitionBasis
     from qvirasoro.voa import StructureFunctionSpec, build_current, structure_series
 
-    t0 = time.perf_counter()
     D = degree_cap + max_mode
     basis = PartitionBasis(params, D)
     c = basis.corner(degree_cap)
@@ -635,4 +623,4 @@ def check_defining_relation(params, degree_cap=5, max_mode=3, momentum=0.0, tole
     notes = []
     pairs = R._table_pairs(triples(), basis, tolerance, notes)
     cfg = R._operator_cfg(params, degree_cap, max_mode, momentum)
-    return R._scan_report("defining-relation", pairs, tolerance, cfg, t0, notes)
+    return R._scan_report("defining-relation", pairs, tolerance, cfg, notes)

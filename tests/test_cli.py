@@ -6,7 +6,6 @@ import math
 import os
 import subprocess
 import sys
-import time
 import warnings
 from pathlib import Path
 
@@ -65,6 +64,20 @@ class TestExitStatus:
         lines = out.splitlines()
         assert lines[-1] == "18 checks: 16 passed, 0 failed, 2 inconclusive"
         assert "[INCONCLUSIVE] four-point" in out and "pole" in out
+
+    @pytest.mark.parametrize(
+        "q, t, ell",
+        [("1e-20", "0.5", "1"), ("1e-20", "0.5", "3"), ("0.5", "1e-20", "3"), ("0.999", "1e-8", "1")],
+    )
+    @pytest.mark.parametrize("suite", list(SUITES))
+    def test_extreme_points_exit_with_a_status(self, capsys, suite, q, t, ell):
+        # an overflow, an underflow or a pole anywhere in a check, its
+        # set-up included, decides that check: no traceback escapes
+        code, _, _ = run_cli(
+            capsys, "verify", "--suite", suite, "--q", q, "--t", t, "--ell", ell,
+            "--degree", "3", "--window", "2",
+        )
+        assert code in (0, 1, 2, 3)
 
     def test_overflowing_connection_is_inconclusive(self, capsys):
         # Gamma_q(a + b) once underflowed here, and beta_q's division by
@@ -499,7 +512,7 @@ class TestEval:
 class TestReportRecord:
     def test_status_derived_from_residual(self):
         def report(residual):
-            return _scan_report("x", [(residual, "here")], 1e-8, {}, time.perf_counter())
+            return _scan_report("x", [(residual, "here")], 1e-8, {})
 
         assert report(1e-10).passed
         assert report(1e-6).status == "fail"
@@ -509,7 +522,7 @@ class TestReportRecord:
 
     def test_summary_line_and_notes(self):
         pairs = [(2e-9, "mode 3")]
-        rep = _scan_report("demo", pairs, 1e-8, {}, time.perf_counter(), ["extra"])
+        rep = _scan_report("demo", pairs, 1e-8, {}, ["extra"])
         line = rep.summary_line()
         assert line.startswith("[PASS]")
         assert "demo" in line and "mode 3" in line

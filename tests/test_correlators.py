@@ -1,7 +1,6 @@
 """Four-point functions, their closed forms, and the connection matrix."""
 
 import math
-import time
 
 import numpy as np
 import pytest
@@ -201,6 +200,14 @@ class TestPseudoConstant:
         rep = check_pseudo_constant(P1, ell=ell)
         assert rep.passed, rep.summary_line()
 
+    @pytest.mark.parametrize("q, t, ell", [(0.5, 1e-20, 3), (0.999, 1e-8, 1)])
+    def test_zero_denominator_is_a_pole(self, q, t, ell):
+        # both waves of rho underflow to +-0.0 here; the division by zero
+        # once escaped as a ZeroDivisionError traceback
+        rep = check_pseudo_constant(QParams(q, t), ell=ell)
+        assert rep.status == "inconclusive", rep.summary_line()
+        assert rep.worst_location == "pseudo-constant ratio has a zero denominator at y=0.33"
+
 
 class TestConnection:
     def test_matrix_identity_at_zero(self):
@@ -271,7 +278,7 @@ class TestVerdictScan:
 
     @staticmethod
     def scan(pairs, tolerance=1e-8):
-        return _scan_report("demo", pairs, tolerance, {}, time.perf_counter())
+        return _scan_report("demo", pairs, tolerance, {})
 
     def test_nan_loses_to_a_failing_pair(self):
         rep = self.scan([(1e-12, "a"), (math.nan, "b"), (1e-3, "c")])

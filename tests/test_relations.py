@@ -1,7 +1,6 @@
 """Operator-identity checkers at generic parameter points and momenta."""
 
 import math
-import time
 from dataclasses import replace
 
 import numpy as np
@@ -196,7 +195,7 @@ def _compare_tables(triples):
     basis = PartitionBasis(P, 2)
     notes = []
     pairs = relations._table_pairs(triples, basis, 1e-8, notes)
-    return _scan_report("tables", pairs, 1e-8, {}, time.perf_counter(), notes)
+    return _scan_report("tables", pairs, 1e-8, {}, notes)
 
 
 def test_nan_table_is_inconclusive():
@@ -302,6 +301,43 @@ def test_operator_checks_build_no_full_matrix(monkeypatch, name):
     assert shapes
     for shape, size in shapes:
         assert c in shape and size > c, (shape, size)
+
+
+@pytest.mark.parametrize("name", list(OPERATOR_CHECKS_AT_CAP_6))
+def test_setup_overflow_is_inconclusive(monkeypatch, name):
+    # a check builds its basis inside its scan, so an overflow there
+    # decides the check instead of escaping it
+    def overflowing(*args, **kwargs):
+        raise OverflowError("basis overflowed")
+
+    monkeypatch.setattr(relations, "PartitionBasis", overflowing)
+    rep = OPERATOR_CHECKS_AT_CAP_6[name]()
+    assert rep.status == "inconclusive", rep.summary_line()
+    assert rep.worst_location == "basis overflowed"
+
+
+@pytest.mark.parametrize(
+    "check",
+    [
+        lambda P: check_defining_relation(P, momentum=300),
+        lambda P: check_adjoint_shift(1, P, momentum=300),
+    ],
+    ids=["defining-relation", "adjoint-shift"],
+)
+def test_overflowing_momentum_is_inconclusive(check):
+    # q^{sqrt(beta) momentum} overflows while the blocks are built
+    rep = check(QParams(0.02, 0.05))
+    assert rep.status == "inconclusive", rep.summary_line()
+
+
+def test_vacuous_all_zero_tables_name_the_first_table():
+    # at momentum 300 every block underflows to zero, so no table can fail
+    rep = check_vertex_exchange(1, QParams(0.02, 0.05), "plain", 2, 2, momentum=300)
+    assert rep.status == "inconclusive", rep.summary_line()
+    assert rep.worst_location == "vacuous from key=-2"
+    # at degree cap 1 the n = m = 0 table is exactly zero on both sides
+    rep = check_defining_relation(QParams(0.5, 0.75), 1, 0)
+    assert rep.worst_location == "vacuous from n=0 m=0"
 
 
 @pytest.mark.parametrize("ell", [1, 2, 3])

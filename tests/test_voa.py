@@ -38,7 +38,6 @@ ORDER = 14
 def _explicit_lambda_minus(params):
     p = params.p
     return NormalOrderedVertex(
-        label="lambda-",
         params=params,
         mode_rule=lambda n: -(p ** (-n / 2.0)),
         h0_base=params.q**-params.sqrt_beta,
@@ -54,7 +53,6 @@ def _explicit_screening_minus(params):
         return (p**h + p**-h) / (params.t**h - params.t**-h)
 
     return NormalOrderedVertex(
-        label="screening-",
         params=params,
         mode_rule=rule,
         charge=-2.0 / sb,
@@ -71,7 +69,6 @@ def _explicit_second_kind(k):
             return -1.0 / (params.t**h - params.t**-h)
 
         return NormalOrderedVertex(
-            label=f"vertex[1,{k + 1}]",
             params=params,
             mode_rule=rule,
             charge=k / sb,
