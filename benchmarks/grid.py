@@ -8,8 +8,9 @@ The connection grid is every q, t in GRID_QT with q != t, every ell in
 
 The script prints the verdict counts of each check and a reason
 histogram: each non-passing location with its numbers masked, split by
-the check's method (``connection`` records ``jackson`` or ``closed``)
-and by whether t < q.  It writes every (point, verdict, residual as
+the method of ``connection`` (``jackson`` where the lattice sums'
+exponent conditions hold, else ``closed``, the rule the check uses) and
+by whether t < q.  It writes every (point, verdict, residual as
 ``float.hex``, location) to ``benchmarks/grid_verdicts.json``.  With
 ``--compare`` it writes nothing: it lists every point whose verdict,
 residual or location differs from that file and exits 1 if there is
@@ -27,11 +28,14 @@ from collections import Counter
 
 import pinning
 from qvirasoro.correlators import (
+    CorrelatorParams,
+    _check_exponents,
     check_connection_formula,
     check_four_point,
     check_pseudo_constant,
     check_two_point,
 )
+from qvirasoro.errors import ConvergenceError
 from qvirasoro.qspecial import QParams
 
 GRID_QT = (0.02, 0.05, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 0.95, 0.98)
@@ -59,18 +63,28 @@ def points(with_L: bool):
                     yield q, t, ell, L
 
 
+def _method(P: QParams, ell: int, L: float) -> str:
+    """The evaluator that ``connection`` uses at a point."""
+    try:
+        _check_exponents(CorrelatorParams(P, ell, L))
+    except ConvergenceError:
+        return "closed"
+    return "jackson"
+
+
 def run() -> list[dict]:
     """One row per (check, point): the verdict, the residual's hex and
     the location, plus the method for the histogram."""
     rows = []
     for name, (with_L, call) in CHECKS.items():
         for q, t, ell, L in points(with_L):
-            rep = call(QParams(q, t), ell, L)
+            P = QParams(q, t)
+            rep = call(P, ell, L)
             rows.append({
                 "check": name, "q": q, "t": t, "ell": ell, "L": L,
                 "verdict": rep.status, "residual": rep.residual.hex(),
                 "location": rep.worst_location,
-                "method": rep.config.get("method", "-"),
+                "method": _method(P, ell, L) if name == "connection" else "-",
             })
     return rows
 

@@ -63,7 +63,7 @@ from .qspecial import (
     bracket,
     phi21,
 )
-from .report import CheckReport, _scan_report
+from .report import _UNDECIDED, CheckReport, _scan_report
 from .voa import pair_correlation_factor, pair_correlation_log_rule
 
 __all__ = [
@@ -374,7 +374,7 @@ def _connection_matrices(us: list, cp: CorrelatorParams) -> list:
     distinct = list(dict.fromkeys(a for row in args for a in row))
     try:
         values = dict(zip(distinct, bracket(np.array(distinct), bp).tolist()))
-    except (PoleError, ConvergenceError, OverflowError) as exc:
+    except _UNDECIDED as exc:
         if len(us) == 1:
             return [exc]
         return [_connection_matrices([u], cp)[0] for u in us]
@@ -394,15 +394,11 @@ def _connection_matrices(us: list, cp: CorrelatorParams) -> list:
 # Checks
 
 
-def check_two_point(
-    params: QParams,
-    ell: int = 1,
-    x_values=(0.3, 0.55),
-    tolerance: float = 1e-12,
-) -> CheckReport:
+def check_two_point(params: QParams, ell: int = 1, tolerance: float = 1e-12) -> CheckReport:
     """Product form against the log-series it resums (always) and the
-    double-base product oracle (when p^2 < 1), compared in the log
-    domain: the residual is |log v - log ref| / max(1, sum_n |rule(n) x^n|)
+    double-base product oracle (when p^2 < 1) at x = 0.3 and 0.55,
+    compared in the log domain: the residual is
+    |log v - log ref| / max(1, sum_n |rule(n) x^n|)
     with log ref = sum_n rule(n) x^n for the series, summed until
     (x / radius)^n < 1e-17, and a product-form value v <= 0 fails.  Only
     x below 0.9 radius are compared; with none the check is inconclusive.
@@ -411,7 +407,7 @@ def check_two_point(
     series and evaluating its polynomial instead loses the digits: at
     (0.9, 0.2), ell 3, its coefficients reach 7e11.)"""
     cp = CorrelatorParams(params=params, ell=ell)
-    cfg = {"q": params.q, "t": params.t, "ell": ell}
+    x_values = (0.3, 0.55)
 
     def pairs():
         form = pair_correlation_factor(ell, params, max(map(abs, x_values), default=0.0))
@@ -439,21 +435,16 @@ def check_two_point(
                 d = abs(math.log(v) - log_ref) / max(1.0, float(np.abs(terms).sum()))
                 yield d, f"x={x} ({name})"
 
-    return _scan_report("two-point", pairs(), tolerance, cfg)
+    return _scan_report("two-point", pairs(), tolerance)
 
 
 def check_four_point(
-    params: QParams,
-    ell: int = 1,
-    L: float = 0.5,
-    z: float = 1.0,
-    w: float = 0.4,
-    tolerance: float = 1e-8,
+    params: QParams, ell: int = 1, L: float = 0.5, tolerance: float = 1e-8
 ) -> CheckReport:
-    """Closed form against lattice summation for both branches
-    (normalized, so valid in both orderings of q and t)."""
+    """Closed form against lattice summation for both branches at
+    (z, w) = (1, 0.4) (normalized, so valid in both orderings of q and t)."""
     cp = CorrelatorParams(params=params, ell=ell, L=L)
-    cfg = {"q": params.q, "t": params.t, "ell": ell, "L": L, "z": z, "w": w}
+    z, w = 1.0, 0.4
 
     def pairs():
         branches = ("plus", "minus")
@@ -464,21 +455,20 @@ def check_four_point(
             d = abs(closed - lat) / max(abs(closed), abs(lat))
             yield d, f"branch={branch}"
 
-    return _scan_report("four-point", pairs(), tolerance, cfg)
+    return _scan_report("four-point", pairs(), tolerance)
 
 
 def check_pseudo_constant(
-    params: QParams,
-    ell: int = 1,
-    samples=(0.33, 0.61),
-    tolerance: float = 1e-10,
+    params: QParams, ell: int = 1, tolerance: float = 1e-10
 ) -> CheckReport:
-    """Invariance of rho(y) = y^a F(y)/F(1/y) under y -> Q y: the ratio
-    of the two radial-ordering scalars of a screening/vertex pair is a
-    Q-constant, which is what makes the lattice of the screening
-    insertion point immaterial.  A zero denominator, say both waves
-    underflowed to 0.0, is a pole at that sample."""
+    """Invariance of rho(y) = y^a F(y)/F(1/y) under y -> Q y, at the
+    samples y = 0.33 and 0.61: the ratio of the two radial-ordering
+    scalars of a screening/vertex pair is a Q-constant, which is what
+    makes the lattice of the screening insertion point immaterial.  A
+    zero denominator, say both waves underflowed to 0.0, is a pole at
+    that sample."""
     cp = CorrelatorParams(params=params, ell=ell)
+    samples = (0.33, 0.61)
 
     def ratio(num, den, y):
         if den == 0.0:
@@ -499,22 +489,21 @@ def check_pseudo_constant(
         for j, y in enumerate(samples):
             yield abs(ratio(rho(2 * j, y), rho(2 * j + 1, y), y) - 1.0), f"y={y}"
 
-    cfg = {"q": params.q, "t": params.t, "ell": ell}
-    return _scan_report("pseudo-constant", pairs(), tolerance, cfg)
+    return _scan_report("pseudo-constant", pairs(), tolerance)
 
 
 def check_connection_formula(
-    params: QParams | None = None,
+    params: QParams,
     ell: int = 1,
     L: float = 0.6,
     r: float | None = None,
-    u_samples=(0.4, 0.8, 1.3),
     tolerance: float = 1e-6,
     identity_tolerance: float = 1e-10,
     inverse_tolerance: float = 1e-8,
 ) -> CheckReport:
     """The two-vector of normalized four-point functions at (z, w)
-    against the elliptic connection matrix applied to it at (w, z).
+    against the elliptic connection matrix applied to it at (w, z), for
+    z = 1 and z/w = x^{2u} at the samples u = 0.4, 0.8 and 1.3.
 
     The full correlators are the normalized ones N times the two-vertex
     scalar T, and the formula carries the prefactor T(z, w) / T(w, z):
@@ -526,7 +515,7 @@ def check_connection_formula(
     The correlators are summed on the lattice where its exponent
     conditions b > 0, 2a - b > 0 hold and by the closed continuation
     otherwise (the two agree wherever both converge, which
-    ``check_four_point`` checks); ``config["method"]`` records which.
+    ``check_four_point`` checks): ``_check_exponents`` decides which.
 
     Also verifies the u = 0 degeneration to the identity matrix, the
     two-sided inverse property M(u) M(-u) = 1, and that a deliberately
@@ -547,24 +536,13 @@ def check_connection_formula(
     integer pins a lattice pole of the plus branch, and ell + L or
     u + ell in r*Z is a zero of the bracket denominator.
     """
-    if params is None:
-        params = QParams(0.49, 0.7)
     cp = CorrelatorParams(params=params, ell=ell, L=L, r=r)
-    r = cp.r
+    u_samples = (0.4, 0.8, 1.3)
     try:
         _check_exponents(cp)
         method = "jackson"
     except ConvergenceError:
         method = "closed"
-    cfg = {
-        "q": params.q,
-        "t": params.t,
-        "ell": ell,
-        "L": L,
-        "r": r,
-        "u": repr(list(u_samples)),
-        "method": method,
-    }
     notes = []
 
     def pairs():
@@ -589,7 +567,7 @@ def check_connection_formula(
 
         # per sample u, w = z x^{-2u} and the four values (plus, minus) at
         # (z, w), then at (w, z); each error is raised at its own sample
-        x = BracketParams(q=params.q, ell=ell, r=r).x
+        x = BracketParams(q=params.q, ell=ell, r=cp.r).x
         z = 1.0
         ws = [_attempt(lambda u: z * x ** (-2.0 * u), u) for u in u_samples]
         rows = [
@@ -619,4 +597,4 @@ def check_connection_formula(
         if control <= 50.0 * tolerance:
             yield math.nan, "negative control did not fail"
 
-    return _scan_report("connection", pairs(), tolerance, cfg, notes)
+    return _scan_report("connection", pairs(), tolerance, notes)

@@ -306,10 +306,14 @@ class PartitionBasis:
         modes = range(1, self.max_degree + 1)
         a = np.array([vertex.mode_rule(n) for n in modes]) * self.cn
         b = np.array([vertex.mode_rule(-n) for n in modes])
+        # a power past the float range is inf, which the check decides on
+        # without a warning
+        with np.errstate(over="ignore"):
+            a_pow, b_pow = a**f.exponents, b**f.exponents
         ann = np.zeros(inner * cols)
         cre = np.zeros(rows * inner)
-        ann[f.ann_at] = f.ann_binom * np.take(a**f.exponents, f.ann_power).prod(axis=1)[f.ann_kind]
-        cre[f.cre_at] = (np.take(b**f.exponents, f.cre_power).prod(axis=1) / f.cre_fact)[f.cre_kind]
+        ann[f.ann_at] = f.ann_binom * np.take(a_pow, f.ann_power).prod(axis=1)[f.ann_kind]
+        cre[f.cre_at] = (np.take(b_pow, f.cre_power).prod(axis=1) / f.cre_fact)[f.cre_kind]
         return cre.reshape(rows, inner), ann.reshape(inner, cols)
 
     def application_matrix(

@@ -43,8 +43,8 @@ Every check yields (residual, location) pairs to ``report._scan_report``,
 and its work runs inside that scan: the generator of pairs builds the
 vertices, the basis and its blocks, the series, product forms and
 tables, so a pole or an overflow anywhere decides that check alone, and
-the report's ``runtime_ms`` covers all of it.  Only argument checks and
-the report configuration come before.
+the report's ``runtime_ms`` covers all of it.  Only argument checks
+come before.
 """
 
 from __future__ import annotations
@@ -125,14 +125,14 @@ def _one(order: int) -> np.ndarray:
     return one
 
 
-def _kernel(g: np.ndarray, s: int, a: float = 1.0) -> float:
-    """Weight g_s a^s of the s-th coefficient of a structure series at
-    argument scale a; zero for s < 0."""
-    if s < 0:
-        return 0.0
-    if s >= len(g):
+def _kernel(g: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    """The coefficients g_lo, ..., g_hi of a structure series, zero for
+    s < 0."""
+    if hi >= len(g):
         raise QVirasoroError("structure series too short for window")
-    return g[s] * a**s
+    out = np.zeros(hi - lo + 1)
+    out[max(-lo, 0) :] = g[max(lo, 0) : max(hi + 1, 0)]
+    return out
 
 
 def _exchange_check(
@@ -162,17 +162,12 @@ def _exchange_check(
         (K, s, basis.weigh(w, np.array([s**-d for d in span]))) for K, s, w in shifted
     ]
     sign = (-1.0) ** twist
-    # g_s at every s that a key reads, s = lo, ..., hi
-    lo = -D - window - max(twist, 0)
-    hi = D + window + max(-twist, 0)
-    kern = np.array([_kernel(gc, s) for s in range(lo, hi + 1)])
 
     def triples():
         for k in range(-window, window + 1):
-            # s = k - d and s = d - k - twist for d = -D, ..., D
-            i, j = k + D - lo, -D - k - twist - lo
-            up = basis.weigh(y_in, kern[i - 2 * D : i + 1][::-1])
-            down = basis.weigh(y_out, kern[j : j + 2 * D + 1])
+            # g_s at s = k - d and at s = d - k - twist for d = -D, ..., D
+            up = basis.weigh(y_in, _kernel(gc, k - D, k + D)[::-1])
+            down = basis.weigh(y_out, _kernel(gc, -D - k - twist, D - k - twist))
             lhs = x_left @ up - sign * (down @ x_right)
             yield f"key={k}", lhs, sum(K * s**k * w for K, s, w in deltas)
 
@@ -201,18 +196,17 @@ def _operands(params, x, y, terms, degree_cap, reach, momentum):
     return basis, x_left, y_in, y_out, x_right, deltas
 
 
-def _mode_table(basis, x_left, y_in, y_out, x_right, g, n, twist=0, a=1.0):
+def _mode_table(basis, x_left, y_in, y_out, x_right, g, n, twist=0):
     """Corner table of the z^{-n} mode of the combination of
-    ``_exchange_check``, Y's argument scaled by a (folded into Y), from
-    the blocks of ``_operands`` and structure series coefficients ``g``:
-    the first term is weighted by g_s a^s at s = n + (deg mu - deg nu),
-    the second by g_s a^-s at s = -(deg nu - deg lambda) - n - twist."""
-    span = range(-basis.max_degree, basis.max_degree + 1)
-    up = np.array([_kernel(g, d + n, a) for d in span])
-    down = np.array([_kernel(g, -d - n - twist, 1.0 / a) for d in span])
-    up, down = basis.weigh(x_left, up), basis.weigh(x_right, down)
-    sign = (-1.0) ** twist * a ** (-twist)
-    return up @ y_in - sign * (y_out @ down)
+    ``_exchange_check``, from the blocks of ``_operands`` and structure
+    series coefficients ``g``: the first term is weighted by g_s at
+    s = n + (deg mu - deg nu), the second by g_s at
+    s = -(deg nu - deg lambda) - n - twist."""
+    D = basis.max_degree
+    # g_s at s = d + n and at s = -d - n - twist for d = -D, ..., D
+    up = basis.weigh(x_left, _kernel(g, n - D, n + D))
+    down = basis.weigh(x_right, _kernel(g, -D - n - twist, D - n - twist)[::-1])
+    return up @ y_in - (-1.0) ** twist * (y_out @ down)
 
 
 def _table_pairs(triples, basis: PartitionBasis, tolerance: float, notes: list):
@@ -248,14 +242,6 @@ def _table_pairs(triples, basis: PartitionBasis, tolerance: float, notes: list):
             f"vacuous: residual {residual:.3e}, scale {scale:.3e}, control {control:.3e}"
         )
         yield math.nan, loc or f"vacuous from {first}"
-
-
-def _operator_cfg(params, degree_cap, window, momentum, **labels):
-    """Report configuration of an operator check."""
-    return {
-        "q": params.q, "t": params.t, **labels,
-        "degree": degree_cap, "window": window, "momentum": momentum,
-    }
 
 
 # ---------------------------------------------------------------------------
@@ -338,8 +324,7 @@ def check_defining_relation(
 
         yield from _table_pairs(triples(), basis, tolerance, notes)
 
-    cfg = _operator_cfg(params, degree_cap, max_mode, momentum)
-    return _scan_report("defining-relation", pairs(), tolerance, cfg, notes)
+    return _scan_report("defining-relation", pairs(), tolerance, notes)
 
 
 # ---------------------------------------------------------------------------
@@ -374,9 +359,8 @@ def check_screening_relation(
             momentum, tolerance, notes,
         )
 
-    cfg = _operator_cfg(params, degree_cap, window, momentum, sign=sign)
     name = "screening" if sign == +1 else "screening-mirror"
-    return _scan_report(name, pairs(), tolerance, cfg, notes)
+    return _scan_report(name, pairs(), tolerance, notes)
 
 
 # ---------------------------------------------------------------------------
@@ -434,9 +418,8 @@ def check_vertex_exchange(
             tolerance, notes,
         )
 
-    cfg = _operator_cfg(params, degree_cap, window, momentum, ell=ell, variant=variant)
     name = "vertex-exchange" if variant == "plain" else f"vertex-exchange-{variant}"
-    return _scan_report(name, pairs(), tolerance, cfg, notes)
+    return _scan_report(name, pairs(), tolerance, notes)
 
 
 def _current_deltas(ell: int, params: QParams, v):
@@ -477,8 +460,7 @@ def check_current_vertex_exchange(
             degree_cap, window, momentum, tolerance, notes,
         )
 
-    cfg = _operator_cfg(params, degree_cap, window, momentum, ell=ell)
-    return _scan_report("current-vertex-exchange", pairs(), tolerance, cfg, notes)
+    return _scan_report("current-vertex-exchange", pairs(), tolerance, notes)
 
 
 # ---------------------------------------------------------------------------
@@ -492,7 +474,6 @@ def check_adjoint_shift(
     degree_cap: int = 4,
     momentum: float = 0.0,
     tolerance: float = 1e-8,
-    scale: float = 1.0,
 ) -> CheckReport:
     """The z^{-n}-mode of the weighted exchange combination acting on a
     simple vertex equals an explicit two-term argument-shift operator:
@@ -502,7 +483,7 @@ def check_adjoint_shift(
     notes = []
 
     def pairs():
-        y = build_vertex(ell, 0, params).at_scale(scale)
+        y = build_vertex(ell, 0, params)
         # each delta term read per z^{-n} mode as K c^n Theta_xi V
         basis, *blocks, deltas = _operands(
             params, build_current(params), y, _current_deltas(ell, params, y),
@@ -515,16 +496,12 @@ def check_adjoint_shift(
         def triples():
             for n in modes:
                 n = int(n)
-                lhs = _mode_table(basis, *blocks, g, n, twist, scale)
-                rhs = scale**n * sum(K * s**n * w for K, s, w in deltas)
-                yield f"mode={n}", lhs, rhs
+                lhs = _mode_table(basis, *blocks, g, n, twist)
+                yield f"mode={n}", lhs, sum(K * s**n * w for K, s, w in deltas)
 
         yield from _table_pairs(triples(), basis, tolerance, notes)
 
-    cfg = _operator_cfg(
-        params, degree_cap, degree_cap + nmax, momentum, ell=ell, scale=scale
-    )
-    return _scan_report("adjoint-shift", pairs(), tolerance, cfg, notes)
+    return _scan_report("adjoint-shift", pairs(), tolerance, notes)
 
 
 # ---------------------------------------------------------------------------
@@ -585,8 +562,7 @@ def check_exchange_rewrite(
         ok_d = math.isfinite(reduced) and reduced != 0.0
         yield 0.0 if ok_d else math.inf, "reduced support value"
 
-    cfg = _operator_cfg(params, degree_cap, window, momentum, ell=ell)
-    return _scan_report("exchange-rewrite", pairs(), tolerance, cfg, notes)
+    return _scan_report("exchange-rewrite", pairs(), tolerance, notes)
 
 
 # ---------------------------------------------------------------------------
@@ -660,19 +636,17 @@ def check_composite_exchange(
             tolerance, notes,
         )
 
-    cfg = _operator_cfg(params, degree_cap, window, momentum, ell=ell, k=k)
-    return _scan_report("composite-exchange", pairs(), tolerance, cfg, notes)
+    return _scan_report("composite-exchange", pairs(), tolerance, notes)
 
 
 # ---------------------------------------------------------------------------
 # Data-level identities (fusion, argument shift)
 
 
-def check_fusion(
-    ell: int, params: QParams, order: int = 24, tolerance: float = 1e-10
-) -> CheckReport:
+def check_fusion(ell: int, params: QParams, tolerance: float = 1e-10) -> CheckReport:
     """Simple vertices as normal-ordered products of the two fundamental
-    ones on a geometric ladder of arguments (exact data equality)."""
+    ones on a geometric ladder of arguments (exact data equality, modes
+    |n| <= 24)."""
     ladders = {"first": (params.q, 1, 0), "second": (params.t, 0, 1)}
 
     def pairs():
@@ -682,18 +656,15 @@ def check_fusion(
                 elem.at_scale(base ** ((ell + 1 - 2 * j) / (2.0 * ell)))
                 for j in range(1, ell + 1)
             ]
-            d = vertex_data_distance(merge_vertices(factors), target, order)
+            d = vertex_data_distance(merge_vertices(factors), target, 24)
             yield d, f"{kind}-kind ladder"
 
-    cfg = {"q": params.q, "t": params.t, "ell": ell, "order": order}
-    return _scan_report("fusion", pairs(), tolerance, cfg)
+    return _scan_report("fusion", pairs(), tolerance)
 
 
-def check_argument_shift(
-    ell: int, params: QParams, order: int = 24, tolerance: float = 1e-10
-) -> CheckReport:
+def check_argument_shift(ell: int, params: QParams, tolerance: float = 1e-10) -> CheckReport:
     """V(q^{-1/ell} w) = p^{-1/2} :V(w) Lambda^+(p^{1/2} q^{-1/(2 ell)} w):
-    as exact vertex-data equality."""
+    as exact vertex-data equality, modes |n| <= 24."""
 
     def pairs():
         q, p = params.q, params.p
@@ -703,10 +674,9 @@ def check_argument_shift(
             p**0.5 * q ** (-1.0 / (2 * ell))
         )])
         merged.scalar *= p**-0.5
-        yield vertex_data_distance(lhs, merged, order), "vertex data"
+        yield vertex_data_distance(lhs, merged, 24), "vertex data"
 
-    cfg = {"q": params.q, "t": params.t, "ell": ell, "order": order}
-    return _scan_report("argument-shift", pairs(), tolerance, cfg)
+    return _scan_report("argument-shift", pairs(), tolerance)
 
 
 # ---------------------------------------------------------------------------
@@ -724,8 +694,7 @@ def check_delta_identity(
     by the constant prod (1-r_i) at every integer power."""
     roots = [[float(v) for v in rng.uniform(0.05, 0.95, size=m)] for m in m_values]
     pairs = ((check_delta_comb(rs, window), f"m={m}") for m, rs in zip(m_values, roots))
-    cfg = {"window": window, "roots": repr([[round(v, 6) for v in rs] for rs in roots])}
-    return _scan_report("delta-identity", pairs, tolerance, cfg)
+    return _scan_report("delta-identity", pairs, tolerance)
 
 
 def check_qspecial(tolerance: float = 1e-12) -> CheckReport:
@@ -754,5 +723,4 @@ def check_qspecial(tolerance: float = 1e-12) -> CheckReport:
         val = qs.jackson_to(lambda _: 1.0, 1.0, 0.73)
         yield abs(val - 1.0), "jackson unit"
 
-    cfg = {"tolerance": tolerance}
-    return _scan_report("qspecial", pairs(), tolerance, cfg)
+    return _scan_report("qspecial", pairs(), tolerance)

@@ -3,7 +3,9 @@
 Every checker in :mod:`qvirasoro.relations` and
 :mod:`qvirasoro.correlators` returns a :class:`CheckReport`.  The CLI
 serializes these to JSON/CSV; tests assert on ``passed`` and
-``residual``.
+``residual``.  A report holds the outcome alone, not the inputs: the
+caller set those and records them itself (the CLI from its
+``SuiteConfig``).
 
 Every check yields (residual, location) pairs to ``_scan_report``, which
 alone decides the status.  A check's work runs inside its scan: the
@@ -11,10 +13,10 @@ generator of pairs builds the operators, series and tables it compares,
 so an error in that work decides the check like any other, and
 ``runtime_ms`` is the time taken to draw the pairs.  The largest
 numeric residual drawn (the first among equals) fails the check above
-the tolerance, even when a pole, a divergent sum or an overflow stops
-the drawing later.  Otherwise such an error makes the check
-inconclusive, and else a NaN residual, which decides nothing, makes it
-inconclusive (``_worst``).  An operator check yields a NaN when its
+the tolerance, even when a pole, a divergent sum or an overflow
+(``_UNDECIDED``) stops the drawing later.  Otherwise such an error makes
+the check inconclusive, and else a NaN residual, which decides nothing,
+makes it inconclusive (``_worst``).  An operator check yields a NaN when its
 negative control cannot fail.
 """
 
@@ -23,9 +25,13 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
-from typing import Any, Iterable
+from typing import Iterable
 
 from .errors import ConvergenceError, PoleError
+
+# The errors that make a check inconclusive rather than fail: a pole, a
+# divergent sum or an overflow.
+_UNDECIDED = (PoleError, ConvergenceError, OverflowError)
 
 
 @dataclass
@@ -51,7 +57,6 @@ class CheckReport:
     tolerance: float
     status: str
     worst_location: str = ""
-    config: dict[str, Any] = field(default_factory=dict)
     notes: list[str] = field(default_factory=list)
     runtime_ms: float = 0.0
 
@@ -83,7 +88,7 @@ def _worst(pairs: Iterable[tuple[float, str]], tolerance: float) -> tuple[float,
     return math.nan, nan_loc
 
 
-def _scan_report(identity, pairs, tolerance, config, notes=()):
+def _scan_report(identity, pairs, tolerance, notes=()):
     """Report of the (residual, location) pairs a check yields, by the
     rule of the module docstring; ``notes`` is read once the pairs are
     drawn, so a check may append to it while yielding.  The runtime is
@@ -94,7 +99,7 @@ def _scan_report(identity, pairs, tolerance, config, notes=()):
         nonlocal error
         try:
             yield from pairs
-        except (PoleError, ConvergenceError, OverflowError) as exc:
+        except _UNDECIDED as exc:
             error = exc
 
     t0 = time.perf_counter()
@@ -112,7 +117,6 @@ def _scan_report(identity, pairs, tolerance, config, notes=()):
         tolerance=tolerance,
         status=status,
         worst_location=loc,
-        config=config,
         notes=list(notes),
         runtime_ms=runtime_ms,
     )

@@ -316,6 +316,9 @@ def structure_series(
 # ``qspecial._STOP``): the form has the value of the untruncated product.
 
 _NEGLIGIBLE = 2.0**-55
+# A pair form of more factors (128 MB of coefficients) is refused
+# before it is allocated.
+_MAX_FACTORS = 2**24
 
 
 @dataclass
@@ -424,7 +427,8 @@ def pair_correlation_factor(ell: int, params: QParams, reach: float) -> ProductF
     terms in that order.  Only factors with |C| reach >= _NEGLIGIBLE are
     built: both infinite families end where no factor of theirs is left,
     and each (t-half, pair-q) row keeps the prefix of the decreasing
-    alternating family that passes the bound.
+    alternating family that passes the bound.  A form of more than
+    _MAX_FACTORS factors raises ConvergenceError, naming its count.
     """
     if ell < 1:
         raise QVirasoroError("pair correlation needs a first-kind label >= 1")
@@ -464,8 +468,13 @@ def pair_correlation_factor(ell: int, params: QParams, reach: float) -> ProductF
         if not (back.any() or ahead.any()):
             break
         count += ahead.astype(int) - back
+    total = int(count.sum())
+    if total > _MAX_FACTORS:
+        raise ConvergenceError(
+            f"pair form needs {total} factors at reach {reach!r}, more than {_MAX_FACTORS}"
+        )
     start = np.cumsum(count) - count
-    j = np.arange(int(count.sum()))
+    j = np.arange(total)
     j -= np.repeat(start, count)
     coeffs = np.repeat(rows, count)
     coeffs *= alt[j]

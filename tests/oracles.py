@@ -401,7 +401,6 @@ def check_four_point(params, ell=1, L=0.5, z=1.0, w=0.4, tolerance=1e-8):
     from qvirasoro.report import _scan_report
 
     cp = CorrelatorParams(params=params, ell=ell, L=L)
-    cfg = {"q": params.q, "t": params.t, "ell": ell, "L": L, "z": z, "w": w}
 
     def pairs():
         for branch in ("plus", "minus"):
@@ -410,7 +409,7 @@ def check_four_point(params, ell=1, L=0.5, z=1.0, w=0.4, tolerance=1e-8):
             d = abs(closed - lattice) / max(abs(closed), abs(lattice))
             yield d, f"branch={branch}"
 
-    return _scan_report("four-point", pairs(), tolerance, cfg)
+    return _scan_report("four-point", pairs(), tolerance)
 
 
 def check_pseudo_constant(params, ell=1, samples=(0.33, 0.61), tolerance=1e-10):
@@ -425,8 +424,7 @@ def check_pseudo_constant(params, ell=1, samples=(0.33, 0.61), tolerance=1e-10):
         return sv / (z**-cp.a * screening_wave(mu / z, cp))
 
     pairs = ((abs(rho(cp.Q * y) / rho(y) - 1.0), f"y={y}") for y in samples)
-    cfg = {"q": params.q, "t": params.t, "ell": ell}
-    return _scan_report("pseudo-constant", pairs, tolerance, cfg)
+    return _scan_report("pseudo-constant", pairs, tolerance)
 
 
 def check_connection_formula(
@@ -454,15 +452,6 @@ def check_connection_formula(
     except ConvergenceError:
         method = "closed"
     evaluate = four_point_jackson if method == "jackson" else four_point_closed
-    cfg = {
-        "q": params.q,
-        "t": params.t,
-        "ell": ell,
-        "L": L,
-        "r": r,
-        "u": repr(list(u_samples)),
-        "method": method,
-    }
     notes = []
 
     def pairs():
@@ -495,7 +484,7 @@ def check_connection_formula(
         if control <= 50.0 * tolerance:
             yield math.nan, "negative control did not fail"
 
-    return _scan_report("connection", pairs(), tolerance, cfg, notes)
+    return _scan_report("connection", pairs(), tolerance, notes)
 
 
 # ---------------------------------------------------------------------------
@@ -622,5 +611,4 @@ def check_defining_relation(params, degree_cap=5, max_mode=3, momentum=0.0, tole
 
     notes = []
     pairs = R._table_pairs(triples(), basis, tolerance, notes)
-    cfg = R._operator_cfg(params, degree_cap, max_mode, momentum)
-    return R._scan_report("defining-relation", pairs, tolerance, cfg, notes)
+    return R._scan_report("defining-relation", pairs, tolerance, notes)

@@ -72,12 +72,27 @@ class TestExitStatus:
     @pytest.mark.parametrize("suite", list(SUITES))
     def test_extreme_points_exit_with_a_status(self, capsys, suite, q, t, ell):
         # an overflow, an underflow or a pole anywhere in a check, its
-        # set-up included, decides that check: no traceback escapes
-        code, _, _ = run_cli(
-            capsys, "verify", "--suite", suite, "--q", q, "--t", t, "--ell", ell,
-            "--degree", "3", "--window", "2",
-        )
+        # set-up included, decides that check: no traceback escapes, and
+        # no numpy warning
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, _, _ = run_cli(
+                capsys, "verify", "--suite", suite, "--q", q, "--t", t, "--ell", ell,
+                "--degree", "3", "--window", "2",
+            )
         assert code in (0, 1, 2, 3)
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+    @pytest.mark.parametrize("ell", ["1", "3"])
+    def test_oversized_pair_form_is_inconclusive(self, capsys, ell):
+        # the pair form would need over 1e9 factors here: it is refused
+        # before it is allocated, not a MemoryError
+        code, out, _ = run_cli(
+            capsys, "verify", "--suite", "two-point", "--q", "0.999", "--t", "0.999999",
+            "--ell", ell,
+        )
+        assert code == 2
+        assert "[INCONCLUSIVE] two-point" in out and "factors" in out
 
     def test_overflowing_connection_is_inconclusive(self, capsys):
         # Gamma_q(a + b) once underflowed here, and beta_q's division by
@@ -512,7 +527,7 @@ class TestEval:
 class TestReportRecord:
     def test_status_derived_from_residual(self):
         def report(residual):
-            return _scan_report("x", [(residual, "here")], 1e-8, {})
+            return _scan_report("x", [(residual, "here")], 1e-8)
 
         assert report(1e-10).passed
         assert report(1e-6).status == "fail"
@@ -522,7 +537,7 @@ class TestReportRecord:
 
     def test_summary_line_and_notes(self):
         pairs = [(2e-9, "mode 3")]
-        rep = _scan_report("demo", pairs, 1e-8, {}, ["extra"])
+        rep = _scan_report("demo", pairs, 1e-8, ["extra"])
         line = rep.summary_line()
         assert line.startswith("[PASS]")
         assert "demo" in line and "mode 3" in line

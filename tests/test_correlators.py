@@ -225,20 +225,36 @@ class TestConnection:
         with pytest.raises(PoleError):
             connection_matrix(1.0, cp)
 
-    def test_default_check_uses_lattice(self):
-        rep = check_connection_formula()
-        assert rep.passed, rep.summary_line()
-        assert rep.config["method"] == "jackson"
-        assert rep.config["r"] == pytest.approx(2.0)
+    @staticmethod
+    def spy(monkeypatch):
+        """The (evaluator, bracket period) of each four-point evaluation
+        the connection check runs: the lattice rows or the closed form."""
+        ran = []
+        for name in ("_four_point_rows", "four_point_closed"):
 
-    def test_auto_falls_back_to_continuation(self):
+            def wrapper(*args, _real=getattr(correlators, name), _name=name):
+                ran.append((_name, args[-1].r))
+                return _real(*args)
+
+            monkeypatch.setattr(correlators, name, wrapper)
+        return ran
+
+    def test_default_check_uses_lattice(self, monkeypatch):
+        ran = self.spy(monkeypatch)
+        rep = check_connection_formula(QParams(0.49, 0.7))
+        assert rep.passed, rep.summary_line()
+        assert {name for name, _ in ran} == {"_four_point_rows"}
+        assert ran[0][1] == pytest.approx(2.0)
+
+    def test_auto_falls_back_to_continuation(self, monkeypatch):
         # beta = 1/5 makes the pinned period r = 5 admissible, but the
         # lattice sum diverges there (2a - b < 0), so auto picks closed
+        ran = self.spy(monkeypatch)
         rep = check_connection_formula(
             QParams(0.52, 0.52**0.2), ell=1, L=1.0, r=5.0
         )
         assert rep.passed, rep.summary_line()
-        assert rep.config["method"] == "closed"
+        assert {name for name, _ in ran} == {"four_point_closed"}
 
     def test_never_evaluates_the_pair_scalar(self, monkeypatch):
         # the two-vertex scalar multiplies both sides and cancels
@@ -247,11 +263,12 @@ class TestConnection:
 
         monkeypatch.setattr(correlators, "two_point", refuse)
         monkeypatch.setattr(correlators, "pair_correlation_factor", refuse)
-        rep = check_connection_formula()
+        rep = check_connection_formula(QParams(0.49, 0.7))
         assert rep.passed, rep.summary_line()
+        ran = self.spy(monkeypatch)
         rep = check_connection_formula(QParams(0.52, 0.52**0.2), ell=1, L=1.0, r=5.0)
         assert rep.passed, rep.summary_line()
-        assert rep.config["method"] == "closed"
+        assert {name for name, _ in ran} == {"four_point_closed"}
 
     def test_wrong_period_fails_honestly(self):
         rep = check_connection_formula(P1, r=3.0)
@@ -278,7 +295,7 @@ class TestVerdictScan:
 
     @staticmethod
     def scan(pairs, tolerance=1e-8):
-        return _scan_report("demo", pairs, tolerance, {})
+        return _scan_report("demo", pairs, tolerance)
 
     def test_nan_loses_to_a_failing_pair(self):
         rep = self.scan([(1e-12, "a"), (math.nan, "b"), (1e-3, "c")])

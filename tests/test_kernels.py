@@ -364,7 +364,7 @@ class TestBatchedCorrelators:
 
 
 def report_outcome(rep):
-    return rep.identity, rep.status, rep.residual.hex(), rep.worst_location, rep.notes, rep.config
+    return rep.identity, rep.status, rep.residual.hex(), rep.worst_location, rep.notes
 
 
 SCALAR_POINTS = [

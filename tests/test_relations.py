@@ -84,11 +84,9 @@ def test_current_vertex_exchange():
 def test_adjoint_shift_with_modes_and_scale(ell):
     rep = check_adjoint_shift(ell, P, modes=(-1, 0, 1), degree_cap=3)
     assert rep.passed, rep.summary_line()
-    # the identity is covariant under rescaling the vertex argument; the
+    # at a nonzero momentum Theta_xi's weight carries W's h0_power; the
     # twist 2 - ell runs over 1, 0 and -1, each with its own sign
-    rep = check_adjoint_shift(
-        ell, P, modes=(-1, 0, 1), degree_cap=3, momentum=0.37, scale=1.3
-    )
+    rep = check_adjoint_shift(ell, P, modes=(-1, 0, 1), degree_cap=3, momentum=0.37)
     assert rep.passed, rep.summary_line()
 
 
@@ -195,7 +193,7 @@ def _compare_tables(triples):
     basis = PartitionBasis(P, 2)
     notes = []
     pairs = relations._table_pairs(triples, basis, 1e-8, notes)
-    return _scan_report("tables", pairs, 1e-8, {}, notes)
+    return _scan_report("tables", pairs, 1e-8, notes)
 
 
 def test_nan_table_is_inconclusive():
