@@ -8,7 +8,7 @@ Three sets of runs are pinned:
   checks, the points taken from ``perfbench/workloads.points`` and the
   checks from ``perfbench/worker.operator_checks``;
 * the ladder: ``verify --suite all`` at its default point and degree
-  caps 4-10, every suite at each cap;
+  caps 4-12, every suite at each cap;
 * the degenerate lines: ``verify --suite all --degree 3 --window 3`` at
   q in {0.3, 0.49, 0.64, 0.81} and t = q^e for e in DEGENERATE_E, ell
   1-3 and k 1-2, 192 runs and 3456 checks.  The summary also counts
@@ -40,7 +40,7 @@ import workloads  # noqa: E402
 from qvirasoro import cli  # noqa: E402
 
 SWEEP_SEEDS = range(100, 110)
-LADDER_CAPS = range(4, 11)
+LADDER_CAPS = range(4, 13)
 DEGENERATE_Q = (0.3, 0.49, 0.64, 0.81)
 DEGENERATE_E = tuple(map(Fraction, ("1/3", "1/2", "2/3", "4/3", "3/2", "2", "5/2", "3")))
 PINNED = os.path.join(HERE, "operator_verdicts.json")
