@@ -258,29 +258,34 @@ class PartitionBasis:
         self.size = len(self.states)
         modes = range(1, max_degree + 1)
         self.cn = np.array([mode_commutator(n, -n, params) for n in modes])
-        # (rows, cols) -> (deg bra - deg ket) + max_degree, as uint8
-        self._offsets: dict[tuple[int, int], np.ndarray] = {}
+        # (rows, cols) -> the (index, counts) of ``weigh``
+        self._weight_rows: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
 
     def corner(self, cap: int) -> int:
         """Number of states of degree <= cap: they lead the basis."""
         return int(np.searchsorted(self.degrees, cap, side="right"))
 
     def weigh(self, block: np.ndarray, weights: np.ndarray) -> np.ndarray:
-        """Entrywise block * weights[(deg bra - deg ket) + max_degree],
+        """Entrywise block * weights[..., (deg bra - deg ket) + max_degree],
         block being a leading (rows, columns) block of a matrix on this
         basis and ``weights`` the 2 max_degree + 1 weights of the degree
-        differences -max_degree, ..., max_degree.  The index is
-        parameter-free, so it is kept per block shape, one byte per entry,
-        and the gathered weights are multiplied in place: a call holds one
-        block-sized array."""
-        shape = block.shape
-        offsets = self._offsets.get(shape)
-        if offsets is None:
+        differences -max_degree, ..., max_degree.  A stack of K weight rows
+        gives K weighted copies of the block, and a stack of K blocks is
+        weighed row by row.  The states run in degree order, so the rows
+        of one degree share their weights: they are gathered once per bra
+        degree (``np.take``) and repeated down its rows, through an index
+        and row counts that are parameter-free and kept per block shape.
+        The gathered weights are multiplied in place: a call holds one
+        array of the result's size."""
+        shape = block.shape[-2:]
+        rule = self._weight_rows.get(shape)
+        if rule is None:
             rows, cols = shape
-            diff = self.degrees[:rows, None] - self.degrees[None, :cols]
-            offsets = (diff + self.max_degree).astype(np.uint8)
-            self._offsets[shape] = offsets
-        out = weights[offsets]
+            counts = np.bincount(self.degrees[:rows])
+            index = np.arange(len(counts))[:, None] - self.degrees[None, :cols] + self.max_degree
+            rule = self._weight_rows[shape] = (index, counts)
+        index, counts = rule
+        out = np.repeat(np.take(weights, index, axis=-1), counts, axis=-2)
         return np.multiply(block, out, out=out)
 
     def theta(self, block: np.ndarray, vertex, xi: float, momentum: float):

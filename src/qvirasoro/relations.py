@@ -11,10 +11,11 @@ and annihilation factors cre[:, :c] and ann[:c] once (``_blocks``,
 ``PartitionBasis.factors``) and takes both of its blocks, and Y[:c, :c],
 from them, each the same product that ``application_matrix`` forms for
 that block alone, so every entry is bit for bit what separate builds
-give.  A check evaluates its weights once, as vectors over the degree
-differences -D..D that ``PartitionBasis.weigh`` gathers.  The internal
-basis reaches the largest degree an intermediate state that contributes
-can have, so the corner is exact.
+give.  A check's weights are rows over the degree differences -D..D
+that ``PartitionBasis.weigh`` gathers, the structure series read at an
+integer array of orders (``_coeffs``).  The internal basis reaches the
+largest degree an intermediate state that contributes can have, so the
+corner is exact.
 
 * Keys (``_exchange_check``): one table per w-exponent relative to the
   momentum-dependent offset, for |key| <= window.  For an entry with
@@ -22,12 +23,20 @@ can have, so the corner is exact.
   by the key, so matching keys matches complete monomials.  The basis
   reaches degree_cap + window + |P|, P the monomial twist exponent of
   the reversed product.
-* Modes (``_mode_table``): one table per z^{-n}-mode, summed over all
+* Modes (``_mode_tables``): one table per z^{-n}-mode, summed over all
   w-exponents, for the defining relation and the adjoint shift.  The
   basis reaches degree_cap + max |n| + |P|.  In the defining relation's
   table the entry (mu, lambda) is the w^{-m} coefficient with
   m = -(deg mu - deg lambda) - n, so the table is compared once, its
   degree differences of |m| > max_mode weighed 0.
+
+The tables of a check are built as stacks, not one per loop step: a run
+of keys or modes (``_runs``) weighs a block once for all of them, as a
+stack of copies, and multiplies the stack in one matmul, each slice of
+which is the product of that table alone.  A run's weighed copies of a
+block hold at most ``qspecial._BUDGET`` floats, and at least one table,
+so a small basis runs every key at once and a large one a key at a time.
+The tables of a stack are compared one by one (``_table_pairs``).
 
 Every exchange right-hand side is a list of delta terms (K, c, xi, W),
 meaning K delta(c w/z) W(xi w).  The shift operator Theta_xi f(w) =
@@ -54,6 +63,7 @@ from functools import partial
 
 import numpy as np
 
+from . import qspecial as qs
 from .errors import QVirasoroError
 from .fock import (
     OperatorSum,
@@ -125,14 +135,27 @@ def _one(order: int) -> np.ndarray:
     return one
 
 
-def _kernel(g: np.ndarray, lo: int, hi: int) -> np.ndarray:
-    """The coefficients g_lo, ..., g_hi of a structure series, zero for
-    s < 0."""
-    if hi >= len(g):
+def _coeffs(g: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """The coefficients g_s of a structure series at an integer array s,
+    zero for s < 0."""
+    if s.max() >= len(g):
         raise QVirasoroError("structure series too short for window")
-    out = np.zeros(hi - lo + 1)
-    out[max(-lo, 0) :] = g[max(lo, 0) : max(hi + 1, 0)]
-    return out
+    return np.where(s >= 0, g[np.maximum(s, 0)], 0.0)
+
+
+def _runs(items, table: int) -> list:
+    """``items`` cut into runs of at most qspecial._BUDGET // ``table``,
+    and at least one, so that a run's stack of tables of ``table`` floats
+    each holds at most that budget."""
+    step = max(1, qs._BUDGET // table)
+    return [items[i : i + step] for i in range(0, len(items), step)]
+
+
+def _delta_tables(deltas, keys) -> np.ndarray:
+    """The stack of sum_i K_i c_i^k T_i over the keys k, from the delta
+    terms' (K, c, T): per key the constants are Python floats and the
+    terms add in order, as one key's table alone."""
+    return sum(np.array([K * s**k for k in keys])[:, None, None] * w for K, s, w in deltas)
 
 
 def _exchange_check(
@@ -151,27 +174,33 @@ def _exchange_check(
     be exact.  With mu the bra, nu the intermediate and lambda the ket,
     key k weighs the first term by g_s at s = k - (deg nu - deg lambda),
     the second by g_s at s = (deg mu - deg nu) - k - twist, and reads a
-    delta term as K c^k c^{-(deg mu - deg lambda)} Theta_xi W."""
+    delta term as K c^k c^{-(deg mu - deg lambda)} Theta_xi W.  The keys
+    run in stacks (``_runs``): Y's blocks are weighed once per stack and
+    each product is one stacked matmul, every table bit for bit what it
+    is alone."""
     basis, x_left, y_in, y_out, x_right, shifted = _operands(
         params, x, y, terms, degree_cap, window + abs(twist), momentum
     )
     D = basis.max_degree
-    span = range(-D, D + 1)
+    d = np.arange(-D, D + 1)
     gc = g(2 * D + window + 2)
     deltas = [
-        (K, s, basis.weigh(w, np.array([s**-d for d in span]))) for K, s, w in shifted
+        (K, s, basis.weigh(w, np.array([s**-e for e in range(-D, D + 1)])))
+        for K, s, w in shifted
     ]
     sign = (-1.0) ** twist
 
-    def triples():
-        for k in range(-window, window + 1):
-            # g_s at s = k - d and at s = d - k - twist for d = -D, ..., D
-            up = basis.weigh(y_in, _kernel(gc, k - D, k + D)[::-1])
-            down = basis.weigh(y_out, _kernel(gc, -D - k - twist, D - k - twist))
-            lhs = x_left @ up - sign * (down @ x_right)
-            yield f"key={k}", lhs, sum(K * s**k * w for K, s, w in deltas)
+    def stacks():
+        # x_left is X[:c], c x N, the size of each weighed copy of a Y block
+        for keys in _runs(range(-window, window + 1), x_left.size):
+            k = np.array(keys)[:, None]
+            # g_s at s = k - d and at s = d - k - twist for d = -D, ..., D;
+            # one weighed copy of a Y block is alive at a time
+            lhs = x_left @ basis.weigh(y_in, _coeffs(gc, k - d))
+            lhs -= sign * (basis.weigh(y_out, _coeffs(gc, d - k - twist)) @ x_right)
+            yield [f"key={key}" for key in keys], lhs, _delta_tables(deltas, keys)
 
-    yield from _table_pairs(triples(), basis, tolerance, notes)
+    yield from _table_pairs(stacks(), basis, tolerance, notes)
 
 
 def _operands(params, x, y, terms, degree_cap, reach, momentum):
@@ -196,42 +225,53 @@ def _operands(params, x, y, terms, degree_cap, reach, momentum):
     return basis, x_left, y_in, y_out, x_right, deltas
 
 
-def _mode_table(basis, x_left, y_in, y_out, x_right, g, n, twist=0):
-    """Corner table of the z^{-n} mode of the combination of
-    ``_exchange_check``, from the blocks of ``_operands`` and structure
-    series coefficients ``g``: the first term is weighted by g_s at
-    s = n + (deg mu - deg nu), the second by g_s at
+def _mode_tables(basis, x_left, y_in, y_out, x_right, g, modes, twist=0):
+    """The stack of corner tables of the z^{-n} modes, n in ``modes``, of
+    the combination of ``_exchange_check``, from the blocks of
+    ``_operands`` and structure series coefficients ``g``: the first term
+    is weighted by g_s at s = n + (deg mu - deg nu), the second by g_s at
     s = -(deg nu - deg lambda) - n - twist."""
     D = basis.max_degree
-    # g_s at s = d + n and at s = -d - n - twist for d = -D, ..., D
-    up = basis.weigh(x_left, _kernel(g, n - D, n + D))
-    down = basis.weigh(x_right, _kernel(g, -D - n - twist, D - n - twist)[::-1])
-    return up @ y_in - (-1.0) ** twist * (y_out @ down)
+    d = np.arange(-D, D + 1)
+    n = np.array(modes)[:, None]
+    # one weighed copy of an X block is alive at a time
+    tables = basis.weigh(x_left, _coeffs(g, d + n)) @ y_in
+    tables -= (-1.0) ** twist * (y_out @ basis.weigh(x_right, _coeffs(g, -d - n - twist)))
+    return tables
 
 
-def _table_pairs(triples, basis: PartitionBasis, tolerance: float, notes: list):
-    """(residual, location) pairs of (label, lhs, rhs) triples of corner
-    tables, the worst entry of each over max(scale, 1).  A label is the
-    location's prefix, or a function of the table |lhs - rhs| that returns
-    the flat index of the entry to name and the prefix.  When neither the
-    worst residual nor the control, against (1 + 100 tolerance) * rhs,
-    exceeds the tolerance, the tables cannot tell rhs from its scaled
-    copy: a note says so and a NaN at the worst location follows, or,
-    when every table is all zero, at "vacuous from" the first label."""
+def _table_pairs(stacks, basis: PartitionBasis, tolerance: float, notes: list):
+    """(residual, location) pairs of stacks (labels, lhs, rhs) of corner
+    tables, one label per table, the worst entry of each table over
+    max(scale, 1).  A label is the location's prefix, or a function of
+    the table |lhs - rhs| that returns the flat index of the entry to name
+    and the prefix.  When neither the worst residual nor the control,
+    against (1 + 100 tolerance) * rhs, exceeds the tolerance, the tables
+    cannot tell rhs from its scaled copy: a note says so and a NaN at the
+    worst location follows, or, when every table is all zero, at "vacuous
+    from" the first label.  Each maximum is taken per table and folded in
+    table order, so a NaN table hides no other from the control and the
+    scale."""
     found, control, scale, first = [], 0.0, 0.0, ""
-    for label, a, b in triples:
+    for labels, a, b in stacks:
+        n = len(labels)
         diff = np.abs(a - b)
-        if callable(label):
-            k, label = label(diff)
-        else:
-            # argmax points at the first NaN, if any
-            k = int(diff.argmax())
-        i, j = divmod(k, diff.shape[1])
-        first = first or label
-        where = f"{label} bra={basis.states[i]} ket={basis.states[j]}"
-        found.append((float(diff[i, j]), where))
-        control = max(control, float(np.abs(a - (1.0 + 100.0 * tolerance) * b).max()))
-        scale = max(scale, float(np.abs(a).max()), float(np.abs(b).max()))
+        flat = diff.reshape(n, -1)
+        # argmax points at the first NaN, if any
+        worst = flat.argmax(axis=1)
+        controls = np.abs(a - (1.0 + 100.0 * tolerance) * b).reshape(n, -1).max(axis=1)
+        lhs_top = np.abs(a).reshape(n, -1).max(axis=1)
+        rhs_top = np.abs(b).reshape(n, -1).max(axis=1)
+        for t, label in enumerate(labels):
+            k = int(worst[t])
+            if callable(label):
+                k, label = label(diff[t])
+            i, j = divmod(k, diff.shape[2])
+            first = first or label
+            where = f"{label} bra={basis.states[i]} ket={basis.states[j]}"
+            found.append((float(flat[t, k]), where))
+            control = max(control, float(controls[t]))
+            scale = max(scale, float(lhs_top[t]), float(rhs_top[t]))
     norm = max(scale, 1.0)
     pairs = [(m / norm, where) for m, where in found]
     yield from pairs
@@ -310,19 +350,22 @@ def check_defining_relation(
                 k = int(ties[np.argmax(e[ties])])
             return k, f"n={n} m={-e[k] - n}"
 
-        def triples():
-            for n in range(-max_mode, max_mode + 1):
-                both = _mode_table(basis, t_out, t_in, t_out, t_in, f, n)
+        def stacks():
+            for modes in _runs(range(-max_mode, max_mode + 1), t_out.size):
+                n = np.array(modes)[:, None]
+                both = _mode_tables(basis, t_out, t_in, t_out, t_in, f, modes)
                 # weigh 1 the degree differences of the modes |m| <= max_mode
-                table = basis.weigh(both, (abs(span + n) <= max_mode) * 1.0)
+                tables = basis.weigh(both, (abs(span + n) <= max_mode) * 1.0)
                 # an overflow at two m reads as NaN, as in each (n, m) table
                 # alone, where the other m's infinities are multiplied by 0
-                inf = np.isinf(table)
-                if inf.any() and np.ptp(e[inf.ravel()]) > 0:
-                    table[inf] = math.nan
-                yield partial(locate, n), table, central(n) * ident
+                inf = np.isinf(tables)
+                for i in np.flatnonzero(inf.any(axis=(1, 2))):
+                    if np.ptp(e[inf[i].ravel()]) > 0:
+                        tables[i, inf[i]] = math.nan
+                rhs = np.array([central(n) for n in modes])[:, None, None] * ident
+                yield [partial(locate, n) for n in modes], tables, rhs
 
-        yield from _table_pairs(triples(), basis, tolerance, notes)
+        yield from _table_pairs(stacks(), basis, tolerance, notes)
 
     return _scan_report("defining-relation", pairs(), tolerance, notes)
 
@@ -493,13 +536,13 @@ def check_adjoint_shift(
         D = basis.max_degree
         g = structure_series(StructureFunctionSpec("exchange", ell, 0), params, 2 * D)
 
-        def triples():
-            for n in modes:
-                n = int(n)
-                lhs = _mode_table(basis, *blocks, g, n, twist)
-                yield f"mode={n}", lhs, sum(K * s**n * w for K, s, w in deltas)
+        def stacks():
+            # blocks[0] is X[:c], c x N, the size of each weighed copy
+            for run in _runs([int(n) for n in modes], blocks[0].size):
+                lhs = _mode_tables(basis, *blocks, g, run, twist)
+                yield [f"mode={n}" for n in run], lhs, _delta_tables(deltas, run)
 
-        yield from _table_pairs(triples(), basis, tolerance, notes)
+        yield from _table_pairs(stacks(), basis, tolerance, notes)
 
     return _scan_report("adjoint-shift", pairs(), tolerance, notes)
 
@@ -701,7 +744,6 @@ def check_qspecial(tolerance: float = 1e-12) -> CheckReport:
     """Self-consistency of the q-special-function layer: binomial
     collapse of the basic hypergeometric sum, the q-gamma functional
     equation, theta quasi-periodicity and the unit Jackson integral."""
-    from . import qspecial as qs
 
     def pairs():
         q = 0.6

@@ -15,7 +15,9 @@ the per-pair operator kernels at the end the reference for
 and the shared blocks of ``relations._operands``.  The defining relation
 compared one (n, m) stripe table at a time is the reference for
 ``relations.check_defining_relation``, which compares each mode table
-once.
+once, and the exchange and adjoint-shift checks built and compared one
+key or mode table per loop step the reference for the stacked tables of
+``relations``.
 """
 
 from __future__ import annotations
@@ -565,11 +567,140 @@ def app(basis, op, momentum, rows=None, cols=None):
 
 def weigh(basis, block, weight):
     """Entrywise block * weight(deg bra - deg ket), the weights gathered
-    through an int64 index array."""
+    through an int64 index array.  A weight that is a row of K values
+    gives a stack of K weighted copies (K blocks, each its own value)."""
     D = basis.max_degree
-    w = np.array([weight(d) for d in range(-D, D + 1)])
-    rows, cols = block.shape
-    return block * w[basis.degrees[:rows, None] - basis.degrees[None, :cols] + D]
+    w = np.moveaxis(np.array([weight(d) for d in range(-D, D + 1)]), 0, -1)
+    rows, cols = block.shape[-2:]
+    return block * w[..., basis.degrees[:rows, None] - basis.degrees[None, :cols] + D]
+
+
+# ---------------------------------------------------------------------------
+# The operator tables as they were before ``relations`` stacked them: one
+# table per key or z^{-n} mode, each built and compared in its own loop
+# step, with the kernel's coefficients read as a slice.
+
+
+def _kernel(g, lo, hi):
+    """The coefficients g_lo, ..., g_hi of a structure series, zero for
+    s < 0."""
+    from qvirasoro.errors import QVirasoroError
+
+    if hi >= len(g):
+        raise QVirasoroError("structure series too short for window")
+    out = np.zeros(hi - lo + 1)
+    out[max(-lo, 0) :] = g[max(lo, 0) : max(hi + 1, 0)]
+    return out
+
+
+def _mode_table(basis, x_left, y_in, y_out, x_right, g, n, twist=0):
+    """Corner table of the z^{-n} mode of the exchange combination: the
+    first term is weighted by g_s at s = n + (deg mu - deg nu), the second
+    by g_s at s = -(deg nu - deg lambda) - n - twist."""
+    D = basis.max_degree
+    # g_s at s = d + n and at s = -d - n - twist for d = -D, ..., D
+    up = basis.weigh(x_left, _kernel(g, n - D, n + D))
+    down = basis.weigh(x_right, _kernel(g, -D - n - twist, D - n - twist)[::-1])
+    return up @ y_in - (-1.0) ** twist * (y_out @ down)
+
+
+def _table_pairs(triples, basis, tolerance, notes):
+    """(residual, location) pairs of (label, lhs, rhs) triples of corner
+    tables, one table at a time, the running control and scale folded
+    with Python ``max``."""
+    from qvirasoro.report import _worst
+
+    found, control, scale, first = [], 0.0, 0.0, ""
+    for label, a, b in triples:
+        diff = np.abs(a - b)
+        if callable(label):
+            k, label = label(diff)
+        else:
+            # argmax points at the first NaN, if any
+            k = int(diff.argmax())
+        i, j = divmod(k, diff.shape[1])
+        first = first or label
+        where = f"{label} bra={basis.states[i]} ket={basis.states[j]}"
+        found.append((float(diff[i, j]), where))
+        control = max(control, float(np.abs(a - (1.0 + 100.0 * tolerance) * b).max()))
+        scale = max(scale, float(np.abs(a).max()), float(np.abs(b).max()))
+    norm = max(scale, 1.0)
+    pairs = [(m / norm, where) for m, where in found]
+    yield from pairs
+    residual, loc = _worst(pairs, tolerance)
+    control /= norm
+    if residual <= tolerance and control <= tolerance:
+        notes.append(
+            f"vacuous: residual {residual:.3e}, scale {scale:.3e}, control {control:.3e}"
+        )
+        yield math.nan, loc or f"vacuous from {first}"
+
+
+def mode_tables(basis, x_left, y_in, y_out, x_right, g, modes, twist=0):
+    """``relations._mode_tables`` as one ``_mode_table`` per mode."""
+    return np.stack([_mode_table(basis, x_left, y_in, y_out, x_right, g, n, twist) for n in modes])
+
+
+def stacked_table_pairs(stacks, basis, tolerance, notes):
+    """``relations._table_pairs`` as ``_table_pairs`` over the tables of
+    the stacks, one at a time."""
+    triples = ((label, a[i], b[i]) for labels, a, b in stacks for i, label in enumerate(labels))
+    return _table_pairs(triples, basis, tolerance, notes)
+
+
+def exchange_check(params, x, y, g, twist, terms, degree_cap, window, momentum, tolerance, notes):
+    """``relations._exchange_check`` with one table per key."""
+    from qvirasoro import relations as R
+
+    basis, x_left, y_in, y_out, x_right, shifted = R._operands(
+        params, x, y, terms, degree_cap, window + abs(twist), momentum
+    )
+    D = basis.max_degree
+    span = range(-D, D + 1)
+    gc = g(2 * D + window + 2)
+    deltas = [
+        (K, s, basis.weigh(w, np.array([s**-d for d in span]))) for K, s, w in shifted
+    ]
+    sign = (-1.0) ** twist
+
+    def triples():
+        for k in range(-window, window + 1):
+            # g_s at s = k - d and at s = d - k - twist for d = -D, ..., D
+            up = basis.weigh(y_in, _kernel(gc, k - D, k + D)[::-1])
+            down = basis.weigh(y_out, _kernel(gc, -D - k - twist, D - k - twist))
+            lhs = x_left @ up - sign * (down @ x_right)
+            yield f"key={k}", lhs, sum(K * s**k * w for K, s, w in deltas)
+
+    yield from _table_pairs(triples(), basis, tolerance, notes)
+
+
+def check_adjoint_shift(ell, params, modes=(-2, -1, 0, 1, 2), degree_cap=4, momentum=0.0, tolerance=1e-8):
+    """``relations.check_adjoint_shift`` with one table per mode."""
+    from qvirasoro import relations as R
+    from qvirasoro.voa import StructureFunctionSpec, build_current, build_vertex, structure_series
+
+    nmax = max(abs(int(n)) for n in modes)
+    twist = 2 - ell
+    notes = []
+
+    def pairs():
+        y = build_vertex(ell, 0, params)
+        basis, *blocks, deltas = R._operands(
+            params, build_current(params), y, R._current_deltas(ell, params, y),
+            degree_cap, nmax + abs(twist), momentum,
+        )
+        D = basis.max_degree
+        g = structure_series(StructureFunctionSpec("exchange", ell, 0), params, 2 * D)
+
+        def triples():
+            for n in modes:
+                n = int(n)
+                lhs = _mode_table(basis, *blocks, g, n, twist)
+                yield f"mode={n}", lhs, sum(K * s**n * w for K, s, w in deltas)
+
+        yield from _table_pairs(triples(), basis, tolerance, notes)
+
+    return R._scan_report("adjoint-shift", pairs(), tolerance, notes)
 
 
 def check_defining_relation(params, degree_cap=5, max_mode=3, momentum=0.0, tolerance=1e-8):
@@ -603,12 +734,12 @@ def check_defining_relation(params, degree_cap=5, max_mode=3, momentum=0.0, tole
 
     def triples():
         for n in range(-max_mode, max_mode + 1):
-            both = R._mode_table(basis, t_out, t_in, t_out, t_in, f, n)
+            both = _mode_table(basis, t_out, t_in, t_out, t_in, f, n)
             for m in range(-max_mode, max_mode + 1):
                 acc = basis.weigh(both, stripes[D - (n + m)])
                 rhs = central(n) * ident if n + m == 0 else 0.0 * ident
                 yield f"n={n} m={m}", acc, rhs
 
     notes = []
-    pairs = R._table_pairs(triples(), basis, tolerance, notes)
+    pairs = _table_pairs(triples(), basis, tolerance, notes)
     return R._scan_report("defining-relation", pairs, tolerance, notes)

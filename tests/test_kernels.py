@@ -10,7 +10,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -511,12 +511,20 @@ class TestOperatorKernels:
     def test_weigh_matches_oracle(self, degree, data):
         basis = PartitionBasis(QParams(0.49, 0.7), degree)
         D, n = degree, basis.size
-        weights = np.array(data.draw(st.lists(st.floats(-1e3, 1e3), min_size=2 * D + 1, max_size=2 * D + 1)))
+        # one row of weights, or a stack of K rows
+        stack = data.draw(st.sampled_from([(), (1,), (3,)]))
+        size = math.prod(stack) * (2 * D + 1)
+        weights = np.array(data.draw(st.lists(st.floats(-1e3, 1e3), min_size=size, max_size=size)))
+        weights = weights.reshape(stack + (2 * D + 1,))
         for _ in range(2):  # the second call reads the cached index
             rows, cols = data.draw(st.integers(1, n)), data.draw(st.integers(1, n))
             block = np.random.default_rng(rows * n + cols).standard_normal((rows, cols))
-            want = oracles.weigh(basis, block, lambda d: weights[d + D])
+            want = oracles.weigh(basis, block, lambda d: weights[..., d + D])
+            assert want.shape == stack + (rows, cols)
             assert np.array_equal(basis.weigh(block, weights), want)
+            # a stack of K blocks, each weighed by its own row
+            blocks = np.broadcast_to(block, want.shape) * 1.5
+            assert np.array_equal(basis.weigh(blocks, weights), oracles.weigh(basis, blocks, lambda d: weights[..., d + D]))
 
     @FAST
     @given(box, st.integers(1, 4), st.integers(0, 3), st.floats(-2.0, 2.0), st.data())
@@ -592,11 +600,86 @@ def test_operator_checks_match_oracle_kernels(monkeypatch, q, t, ell, k):
     monkeypatch.setattr(
         PartitionBasis,
         "weigh",
-        lambda self, block, w: oracles.weigh(self, block, lambda d: w[d + self.max_degree]),
+        lambda self, block, w: oracles.weigh(self, block, lambda d: w[..., d + self.max_degree]),
     )
     monkeypatch.setattr(relations, "_blocks", _oracle_blocks)
     assert outcomes() == fast
     assert len(fast) == 10
+
+
+def _ten_outcomes(P, ell, k, cap, window, momentum, adjoint):
+    """The ten operator checks at one point, the adjoint shift given, as
+    (identity, status, residual bits, location, notes)."""
+    R = relations
+    reports = [
+        R.check_defining_relation(P, cap, window, momentum),
+        R.check_screening_relation(P, +1, cap, window, momentum),
+        R.check_screening_relation(P, -1, cap, window, momentum),
+        *(R.check_vertex_exchange(ell, P, v, cap, window, momentum) for v in ("plain", "theta", "mirror")),
+        R.check_current_vertex_exchange(ell, P, cap, window, momentum),
+        adjoint(ell, P, range(-window, window + 1), cap, momentum),
+        R.check_exchange_rewrite(ell, P, cap, window, momentum),
+        R.check_composite_exchange(ell, k, P, cap, window, momentum),
+    ]
+    return [(r.identity, r.status, r.residual.hex(), r.worst_location, r.notes) for r in reports]
+
+
+class _TwoPerStack(PartitionBasis):
+    """A basis that sets the table budget to two of its corner tables
+    (c x N floats each) when its corner is taken."""
+
+    def corner(self, cap):
+        c = super().corner(cap)
+        qs._BUDGET = 2 * self.size * c
+        return c
+
+
+# points of the box and of the degenerate line t = q^{1/3}
+stack_points = st.one_of(box, st.floats(0.05, 0.95).map(lambda q: (q, q ** (1 / 3))))
+
+
+@pytest.mark.parametrize("momentum", [0.0, 0.37])
+@pytest.mark.parametrize("budget", ["one", "two", "default"])
+@settings(max_examples=6, deadline=None)
+@given(
+    qt=stack_points,
+    labels=st.tuples(st.integers(1, 3), st.integers(1, 2)),
+    cap=st.integers(1, 4),
+    window=st.integers(0, 4),
+)
+@example(qt=(0.49, 0.49 ** (1 / 3)), labels=(2, 2), cap=3, window=3)
+def test_stacked_tables_match_one_table_per_step(budget, momentum, qt, labels, cap, window):
+    # the ten checks with their key and mode tables in stacks against the
+    # loops of ``oracles`` that build and compare one table per step: the
+    # exchange skeleton and the adjoint shift as they were, and the
+    # defining relation's mode tables and comparison
+    window = min(window, cap)
+    P, (ell, k) = QParams(*qt), labels
+    stacks = []
+    exact = PartitionBasis.weigh
+
+    def recording(self, block, weights):
+        if weights.ndim == 2:
+            stacks.append(len(weights))
+        return exact(self, block, weights)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(PartitionBasis, "weigh", recording)
+        # set here so that the context restores it, whoever changes it
+        mp.setattr(qs, "_BUDGET", 1 if budget == "one" else qs._BUDGET)
+        if budget == "two":
+            mp.setattr(relations, "PartitionBasis", _TwoPerStack)
+        got = _ten_outcomes(P, ell, k, cap, window, momentum, relations.check_adjoint_shift)
+    # 2 window + 1 tables a check; at cap 4 and below they fit in one stack
+    # of the default budget
+    want = {"one": {1}, "two": {1, 2} if window else {1}, "default": {2 * window + 1}}[budget]
+    assert set(stacks) == want
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(relations, "_exchange_check", oracles.exchange_check)
+        mp.setattr(relations, "_mode_tables", oracles.mode_tables)
+        mp.setattr(relations, "_table_pairs", oracles.stacked_table_pairs)
+        want = _ten_outcomes(P, ell, k, cap, window, momentum, oracles.check_adjoint_shift)
+    assert got == want
 
 
 def _verdict(rep):
@@ -660,19 +743,31 @@ class TestDefiningRelation:
         # the verdict and residual are the stripe tables'; with tolerance
         # 1e-30 the finite tables fail, unless an infinite scale makes
         # every residual 0 or NaN
-        exact = relations._mode_table
+        def poison(basis, table):
+            deg = basis.degrees[: table.shape[0]]
+            diff = deg[:, None] - deg[None, :]
+            for e, value in self.NON_FINITE[case]:
+                i, j = np.argwhere(diff == e)[0]
+                table[i, j] = value
 
-        def poisoned(basis, *args):
-            table = exact(basis, *args)
+        # the n = 1 table of the library's stack and the oracle's own
+        stacked, single = relations._mode_tables, oracles._mode_table
+
+        def poisoned_stack(basis, *args):
+            tables = stacked(basis, *args)
+            modes = list(args[-1])
+            if 1 in modes:
+                poison(basis, tables[modes.index(1)])
+            return tables
+
+        def poisoned_single(basis, *args):
+            table = single(basis, *args)
             if args[-1] == 1:  # n
-                deg = basis.degrees[: table.shape[0]]
-                diff = deg[:, None] - deg[None, :]
-                for e, value in self.NON_FINITE[case]:
-                    i, j = np.argwhere(diff == e)[0]
-                    table[i, j] = value
+                poison(basis, table)
             return table
 
-        monkeypatch.setattr(relations, "_mode_table", poisoned)
+        monkeypatch.setattr(relations, "_mode_tables", poisoned_stack)
+        monkeypatch.setattr(oracles, "_mode_table", poisoned_single)
         P = QParams(0.7, 0.3)
         got = relations.check_defining_relation(P, 3, 2, tolerance=tolerance)
         want = oracles.check_defining_relation(P, 3, 2, tolerance=tolerance)

@@ -189,10 +189,10 @@ def test_zero_against_zero_is_inconclusive():
     assert any("vacuous" in note for note in rep.notes)
 
 
-def _compare_tables(triples):
+def _compare_tables(stacks):
     basis = PartitionBasis(P, 2)
     notes = []
-    pairs = relations._table_pairs(triples, basis, 1e-8, notes)
+    pairs = relations._table_pairs(stacks, basis, 1e-8, notes)
     return _scan_report("tables", pairs, 1e-8, notes)
 
 
@@ -202,7 +202,7 @@ def test_nan_table_is_inconclusive():
     ones = np.ones((3, 3))
     holed = ones.copy()
     holed[1, 0] = math.nan
-    rep = _compare_tables([("key=0", ones, ones), ("key=1", holed, ones)])
+    rep = _compare_tables([(["key=0", "key=1"], np.stack([ones, holed]), np.stack([ones, ones]))])
     assert rep.status == "inconclusive", rep.summary_line()
     assert math.isinf(rep.residual)
     assert rep.worst_location.startswith("key=1 bra=")
@@ -211,9 +211,11 @@ def test_nan_table_is_inconclusive():
 def test_nan_table_loses_to_a_failing_table():
     ones = np.ones((3, 3))
     holed = np.full((3, 3), math.nan)
-    rep = _compare_tables([("key=0", holed, ones), ("key=1", 2 * ones, ones)])
+    rep = _compare_tables([(["key=0", "key=1"], np.stack([holed, 2 * ones]), np.stack([ones, ones]))])
     assert rep.status == "fail", rep.summary_line()
     assert rep.worst_location.startswith("key=1 bra=")
+    # the NaN table leaves the scale to the other one: |2 - 1| / 2
+    assert rep.residual == 0.5
 
 
 @pytest.mark.parametrize("check", [check_fusion, check_argument_shift])
