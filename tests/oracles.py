@@ -27,8 +27,9 @@ from itertools import combinations_with_replacement
 
 import numpy as np
 
-from qvirasoro.errors import ConvergenceError, PoleError
+from qvirasoro.errors import ConvergenceError, PoleError, QVirasoroError
 from qvirasoro.qspecial import REL_TOL, TERM_CAP, ZERO_SNAP
+from qvirasoro.report import _worst
 from qvirasoro.voa import ProductForm
 
 
@@ -584,8 +585,6 @@ def weigh(basis, block, weight):
 def _kernel(g, lo, hi):
     """The coefficients g_lo, ..., g_hi of a structure series, zero for
     s < 0."""
-    from qvirasoro.errors import QVirasoroError
-
     if hi >= len(g):
         raise QVirasoroError("structure series too short for window")
     out = np.zeros(hi - lo + 1)
@@ -608,8 +607,6 @@ def _table_pairs(triples, basis, tolerance, notes):
     """(residual, location) pairs of (label, lhs, rhs) triples of corner
     tables, one table at a time, the running control and scale folded
     with Python ``max``."""
-    from qvirasoro.report import _worst
-
     found, control, scale, first = [], 0.0, 0.0, ""
     for label, a, b in triples:
         diff = np.abs(a - b)

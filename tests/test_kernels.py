@@ -672,8 +672,8 @@ def test_stacked_tables_match_one_table_per_step(budget, momentum, qt, labels, c
         got = _ten_outcomes(P, ell, k, cap, window, momentum, relations.check_adjoint_shift)
     # 2 window + 1 tables a check; at cap 4 and below they fit in one stack
     # of the default budget
-    want = {"one": {1}, "two": {1, 2} if window else {1}, "default": {2 * window + 1}}[budget]
-    assert set(stacks) == want
+    sizes = {"one": {1}, "two": {1, 2} if window else {1}, "default": {2 * window + 1}}[budget]
+    assert set(stacks) == sizes
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(relations, "_exchange_check", oracles.exchange_check)
         mp.setattr(relations, "_mode_tables", oracles.mode_tables)
@@ -735,6 +735,43 @@ class TestDefiningRelation:
         "inf and nan": [(1, math.inf), (-1, math.nan)],
     }
 
+    def poison(self, monkeypatch, entries, modes):
+        """Write ``entries`` into the z^{-n} mode tables of the n in
+        ``modes``: the slices of the library's stacks and the oracle's
+        single tables."""
+
+        def write(basis, table):
+            deg = basis.degrees[: table.shape[0]]
+            diff = deg[:, None] - deg[None, :]
+            for e, value in entries:
+                i, j = np.argwhere(diff == e)[0]
+                table[i, j] = value
+
+        stacked, single = relations._mode_tables, oracles._mode_table
+
+        def poisoned_stack(basis, *args):
+            tables = stacked(basis, *args)
+            for table, n in zip(tables, args[-1]):
+                if n in modes:
+                    write(basis, table)
+            return tables
+
+        def poisoned_single(basis, *args):
+            table = single(basis, *args)
+            if args[-1] in modes:  # n
+                write(basis, table)
+            return table
+
+        monkeypatch.setattr(relations, "_mode_tables", poisoned_stack)
+        monkeypatch.setattr(oracles, "_mode_table", poisoned_single)
+
+    @staticmethod
+    def non_finite_verdict(rep):
+        # where the worst entry is not finite, only the label's m may differ:
+        # the stripe tables named the first m, the mode table names the
+        # entry's own
+        return rep.status, rep.residual.hex(), re.sub(r" m=-?\d+", "", rep.worst_location)
+
     # inf * 0 in the weighing warns, as it did in each stripe table
     @pytest.mark.filterwarnings("ignore:invalid value encountered in multiply")
     @pytest.mark.parametrize("tolerance", [1e-8, 1e-30], ids=["pass", "fail"])
@@ -743,40 +780,23 @@ class TestDefiningRelation:
         # the verdict and residual are the stripe tables'; with tolerance
         # 1e-30 the finite tables fail, unless an infinite scale makes
         # every residual 0 or NaN
-        def poison(basis, table):
-            deg = basis.degrees[: table.shape[0]]
-            diff = deg[:, None] - deg[None, :]
-            for e, value in self.NON_FINITE[case]:
-                i, j = np.argwhere(diff == e)[0]
-                table[i, j] = value
-
-        # the n = 1 table of the library's stack and the oracle's own
-        stacked, single = relations._mode_tables, oracles._mode_table
-
-        def poisoned_stack(basis, *args):
-            tables = stacked(basis, *args)
-            modes = list(args[-1])
-            if 1 in modes:
-                poison(basis, tables[modes.index(1)])
-            return tables
-
-        def poisoned_single(basis, *args):
-            table = single(basis, *args)
-            if args[-1] == 1:  # n
-                poison(basis, table)
-            return table
-
-        monkeypatch.setattr(relations, "_mode_tables", poisoned_stack)
-        monkeypatch.setattr(oracles, "_mode_table", poisoned_single)
+        self.poison(monkeypatch, self.NON_FINITE[case], {1})
         P = QParams(0.7, 0.3)
         got = relations.check_defining_relation(P, 3, 2, tolerance=tolerance)
         want = oracles.check_defining_relation(P, 3, 2, tolerance=tolerance)
-        # where the worst entry is not finite, only the label's m may differ:
-        # the stripe tables named the first m, the mode table names the
-        # entry's own
-        def verdict(rep):
-            return rep.status, rep.residual.hex(), re.sub(r" m=-?\d+", "", rep.worst_location)
-
-        assert verdict(got) == verdict(want)
+        assert self.non_finite_verdict(got) == self.non_finite_verdict(want)
         infinite_scale = case == "inf in the window"
         assert got.status == ("fail" if tolerance < 1e-20 and not infinite_scale else "inconclusive")
+
+    @pytest.mark.filterwarnings("ignore:invalid value encountered in multiply")
+    def test_overflow_at_two_m_in_two_tables_of_a_stack(self, monkeypatch):
+        # the inf -> NaN rule reads each table of a stack on its own; deg
+        # differences 1 and -1 lie in the window of n = -1 and of n = 1
+        self.poison(monkeypatch, [(1, math.inf), (-1, math.inf)], {-1, 1})
+        P = QParams(0.7, 0.3)
+        # at tolerance 1e-30 the finite tables fail, unless a table left
+        # infinite makes the scale infinite and every residual 0 or NaN
+        got = relations.check_defining_relation(P, 3, 2, tolerance=1e-30)
+        want = oracles.check_defining_relation(P, 3, 2, tolerance=1e-30)
+        assert self.non_finite_verdict(got) == self.non_finite_verdict(want)
+        assert got.status == "fail"
