@@ -27,8 +27,8 @@ corner is exact.
   w-exponents, for the defining relation and the adjoint shift.  The
   basis reaches degree_cap + max |n| + |P|.  In the defining relation's
   table the entry (mu, lambda) is the w^{-m} coefficient with
-  m = -(deg mu - deg lambda) - n, so the table is compared once, its
-  degree differences of |m| > max_mode weighed 0.
+  m = -(deg mu - deg lambda) - n, and only the entries of |m| <= max_mode
+  are compared.
 
 The tables of a check are built as stacks, not one per loop step: a run
 of keys or modes (``_runs``) weighs a block once for all of them, as a
@@ -242,10 +242,9 @@ def _mode_tables(basis, x_left, y_in, y_out, x_right, g, modes, twist=0):
 
 def _table_pairs(stacks, basis: PartitionBasis, tolerance: float, notes: list):
     """(residual, location) pairs of stacks (labels, lhs, rhs) of corner
-    tables, one label per table, the worst entry of each table over
+    tables, one label per table, the first worst entry of each table over
     max(scale, 1).  A label is the location's prefix, or a function of
-    the table |lhs - rhs| that returns the flat index of the entry to name
-    and the prefix.  When neither the worst residual nor the control,
+    that entry's flat index that returns the prefix.  When neither the worst residual nor the control,
     against (1 + 100 tolerance) * rhs, exceeds the tolerance, the tables
     cannot tell rhs from its scaled copy: a note says so and a NaN at the
     worst location follows, or, when every table is all zero, at "vacuous
@@ -265,7 +264,7 @@ def _table_pairs(stacks, basis: PartitionBasis, tolerance: float, notes: list):
         for t, label in enumerate(labels):
             k = int(worst[t])
             if callable(label):
-                k, label = label(diff[t])
+                label = label(k)
             i, j = divmod(k, diff.shape[2])
             first = first or label
             where = f"{label} bra={basis.states[i]} ket={basis.states[j]}"
@@ -306,11 +305,10 @@ def check_defining_relation(
     p^{1/2-n} (1 + p + ... + p^{2n-1}) so no limit is needed anywhere.
 
     Each z^{-n} mode table holds every m, at the entries of degree
-    difference deg mu - deg lambda = -(n + m): it is weighed by a 0/1 mask
-    that keeps |m| <= max_mode and compared with the central term once,
-    one (residual, location) pair per n.  The location reads the m of the
-    worst entry, among equal entries the smallest m with |m| <= max_mode,
-    so it names the entry that one comparison per (n, m) would name.
+    difference deg mu - deg lambda = -(n + m).  Its entries of
+    |m| <= max_mode are compared with the central term once, one
+    (residual, location) pair per n; the others are not compared.  The
+    location names the first worst entry with its m.
     """
     notes = []
 
@@ -333,35 +331,18 @@ def check_defining_relation(
         ident = np.eye(c)
         # T_j lowers the degree by j, so the z^{-n} mode table holds every m:
         # with mu the bra and lambda the ket, m = -e - n, e = deg mu - deg lambda
-        span = np.arange(-D, D + 1)
         deg = basis.degrees[:c]
-        e = (deg[:, None] - deg[None, :]).ravel()
+        e = deg[:, None] - deg[None, :]
 
-        def locate(n, diff):
-            """The flat index and label of the worst entry of the z^{-n}
-            mode table: among equals the one of the smallest m with
-            |m| <= max_mode, then the first."""
-            flat = diff.ravel()
-            k = int(flat.argmax())  # the first NaN, if any
-            ties = np.flatnonzero(flat == flat[k])
-            if len(ties) > 1:
-                # entries outside the window are 0, so some tie is inside
-                ties = ties[abs(e[ties] + n) <= max_mode]
-                k = int(ties[np.argmax(e[ties])])
-            return k, f"n={n} m={-e[k] - n}"
+        def locate(n, k):
+            return f"n={n} m={-e.flat[k] - n}"
 
         def stacks():
             for modes in _runs(range(-max_mode, max_mode + 1), t_out.size):
-                n = np.array(modes)[:, None]
-                both = _mode_tables(basis, t_out, t_in, t_out, t_in, f, modes)
-                # weigh 1 the degree differences of the modes |m| <= max_mode
-                tables = basis.weigh(both, (abs(span + n) <= max_mode) * 1.0)
-                # an overflow at two m reads as NaN, as in each (n, m) table
-                # alone, where the other m's infinities are multiplied by 0
-                inf = np.isinf(tables)
-                for i in np.flatnonzero(inf.any(axis=(1, 2))):
-                    if np.ptp(e[inf[i].ravel()]) > 0:
-                        tables[i, inf[i]] = math.nan
+                n = np.array(modes)[:, None, None]
+                tables = _mode_tables(basis, t_out, t_in, t_out, t_in, f, modes)
+                # the entries of the modes |m| > max_mode are not compared
+                np.copyto(tables, 0.0, where=abs(e + n) > max_mode)
                 rhs = np.array([central(n) for n in modes])[:, None, None] * ident
                 yield [partial(locate, n) for n in modes], tables, rhs
 

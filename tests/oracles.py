@@ -13,11 +13,13 @@ reference for the batched evaluators of ``qvirasoro.correlators``, and
 the per-pair operator kernels at the end the reference for
 ``fock.removal_table``, ``PartitionBasis.application_matrix``, ``weigh``
 and the shared blocks of ``relations._operands``.  The defining relation
-compared one (n, m) stripe table at a time is the reference for
+compared one (n, m) stripe table at a time, each stripe selected from
+its mode table as the check selects the window, is the reference for
 ``relations.check_defining_relation``, which compares each mode table
-once, and the exchange and adjoint-shift checks built and compared one
-key or mode table per loop step the reference for the stacked tables of
-``relations``.
+once: where the worst entry ties, or a table holds a NaN, the two
+partitions may name different entries.  The exchange and adjoint-shift
+checks built and compared one key or mode table per loop step are the
+reference for the stacked tables of ``relations``.
 """
 
 from __future__ import annotations
@@ -610,11 +612,10 @@ def _table_pairs(triples, basis, tolerance, notes):
     found, control, scale, first = [], 0.0, 0.0, ""
     for label, a, b in triples:
         diff = np.abs(a - b)
+        # argmax points at the first NaN, if any
+        k = int(diff.argmax())
         if callable(label):
-            k, label = label(diff)
-        else:
-            # argmax points at the first NaN, if any
-            k = int(diff.argmax())
+            label = label(k)
         i, j = divmod(k, diff.shape[1])
         first = first or label
         where = f"{label} bra={basis.states[i]} ket={basis.states[j]}"
@@ -700,12 +701,11 @@ def check_adjoint_shift(ell, params, modes=(-2, -1, 0, 1, 2), degree_cap=4, mome
     return R._scan_report("adjoint-shift", pairs(), tolerance, notes)
 
 
-def check_defining_relation(params, degree_cap=5, max_mode=3, momentum=0.0, tolerance=1e-8):
-    """``relations.check_defining_relation`` as it was: each z^{-n} mode
+def stripe_tables(params, degree_cap, max_mode, momentum):
+    """The basis and the (label, lhs, rhs) tables of
+    ``relations.check_defining_relation`` as it was: each z^{-n} mode
     table cut into one table per m, the stripe of degree differences
-    deg mu - deg lambda = -(n + m), each weighed out and compared on its
-    own.  Needs max_mode <= degree_cap: n + m reaches +-2 max_mode, and the
-    stripe rows only +-(degree_cap + max_mode)."""
+    deg mu - deg lambda = -(n + m), each selected on its own."""
     from qvirasoro import relations as R
     from qvirasoro.fock import PartitionBasis
     from qvirasoro.voa import StructureFunctionSpec, build_current, structure_series
@@ -726,17 +726,27 @@ def check_defining_relation(params, degree_cap=5, max_mode=3, momentum=0.0, tole
         return -eta1 * p ** (0.5 - n) * sum(p**i for i in range(2 * n))
 
     ident = np.eye(c)
-    # row D + e weighs degree difference e by 1 and every other by 0
-    stripes = np.eye(2 * D + 1)
+    deg = basis.degrees[:c]
+    e = deg[:, None] - deg[None, :]
 
     def triples():
         for n in range(-max_mode, max_mode + 1):
             both = _mode_table(basis, t_out, t_in, t_out, t_in, f, n)
             for m in range(-max_mode, max_mode + 1):
-                acc = basis.weigh(both, stripes[D - (n + m)])
+                # the stripe's own entries, every other entry 0
+                acc = np.where(e == -(n + m), both, 0.0)
                 rhs = central(n) * ident if n + m == 0 else 0.0 * ident
                 yield f"n={n} m={m}", acc, rhs
 
+    return basis, triples()
+
+
+def check_defining_relation(params, degree_cap=5, max_mode=3, momentum=0.0, tolerance=1e-8):
+    """``relations.check_defining_relation`` with each stripe table
+    compared on its own (``stripe_tables``)."""
+    from qvirasoro import relations as R
+
+    basis, triples = stripe_tables(params, degree_cap, max_mode, momentum)
     notes = []
-    pairs = _table_pairs(triples(), basis, tolerance, notes)
+    pairs = _table_pairs(triples, basis, tolerance, notes)
     return R._scan_report("defining-relation", pairs, tolerance, notes)
