@@ -13,8 +13,9 @@ exponent conditions hold, else ``closed``, the rule the check uses) and
 by whether t < q.  It writes every (point, verdict, residual as
 ``float.hex``, location) to ``benchmarks/grid_verdicts.json``.  With
 ``--compare`` it writes nothing: it lists every point whose verdict,
-residual or location differs from that file and exits 1 if there is
-one (``pinning.py``).
+residual or location differs from that file, counts them by kind
+(verdict, residual, location only, new, no longer run) and exits 1 if
+there is one (``pinning.py``).
 
 Run:  python3 benchmarks/grid.py [--compare]
 """

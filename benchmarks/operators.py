@@ -18,7 +18,8 @@ The script prints the verdict counts of each identity and writes every
 (identity, point, verdict, residual as ``float.hex``, location) to
 ``benchmarks/operator_verdicts.json``.  With ``--compare`` it writes
 nothing: it lists every run whose verdict, residual or location differs
-from that file and exits 1 if there is one (``pinning.py``).
+from that file, counts them by kind (verdict, residual, location only,
+new, no longer run) and exits 1 if there is one (``pinning.py``).
 
 Run:  python3 benchmarks/operators.py [--compare]
 """

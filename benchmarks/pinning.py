@@ -4,8 +4,8 @@ benchmarks/operators.py.
 Each script runs its checks into rows, prints a summary and either
 writes every row to its pinned JSON file, one line of ``fields`` values
 per row, or, with ``--compare``, writes nothing: it lists every row whose
-verdict, residual (as ``float.hex``) or location differs from that file
-and exits 1 if there is one.
+verdict, residual (as ``float.hex``) or location differs from that file,
+counts them by kind and exits 1 if there is one.
 """
 
 from __future__ import annotations
@@ -13,28 +13,41 @@ from __future__ import annotations
 import argparse
 import json
 import time
+from collections import Counter
 
+# the kinds of a changed row, by the first of its fields that changed
+KINDS = ("verdict", "residual", "location only", "new", "no longer run")
 
 def _outcome(row: dict) -> tuple:
     return row["verdict"], row["residual"], row["location"]
 
 
+def _kind(old: dict | None, row: dict) -> str:
+    if old is None:
+        return "new"
+    if old["verdict"] != row["verdict"]:
+        return "verdict"
+    return "residual" if old["residual"] != row["residual"] else "location only"
+
+
 def compare(rows: list[dict], path: str, fields: tuple, key, noun: str) -> int:
     """Print every row of ``rows`` whose outcome differs from the pinned
-    file's row of the same ``key``, and every pinned row no longer run;
-    1 if there is one, else 0."""
+    file's row of the same ``key``, every pinned row no longer run, their
+    count and their count by kind (``KINDS``); 1 if there is one, else 0."""
     with open(path) as fh:
         pinned = {key(r): r for r in (dict(zip(fields, v)) for v in json.load(fh)["rows"])}
-    changed = 0
+    kinds = Counter()
     for row in rows:
         old = pinned.pop(key(row), None)
         if old is None or _outcome(old) != _outcome(row):
-            changed += 1
+            kinds[_kind(old, row)] += 1
             print(f"changed {key(row)}: {old and _outcome(old)} -> {_outcome(row)}")
     for k in pinned:
-        changed += 1
+        kinds["no longer run"] += 1
         print(f"changed {k}: no longer run")
+    changed = sum(kinds.values())
     print(f"{changed} changed {noun}")
+    print("by kind: " + ", ".join(f"{kind} {kinds[kind]}" for kind in KINDS))
     return 1 if changed else 0
 
 
