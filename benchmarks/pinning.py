@@ -18,6 +18,7 @@ from collections import Counter
 # the kinds of a changed row, by the first of its fields that changed
 KINDS = ("verdict", "residual", "location only", "new", "no longer run")
 
+
 def _outcome(row: dict) -> tuple:
     return row["verdict"], row["residual"], row["location"]
 

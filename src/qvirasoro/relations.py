@@ -244,13 +244,13 @@ def _table_pairs(stacks, basis: PartitionBasis, tolerance: float, notes: list):
     """(residual, location) pairs of stacks (labels, lhs, rhs) of corner
     tables, one label per table, the first worst entry of each table over
     max(scale, 1).  A label is the location's prefix, or a function of
-    that entry's flat index that returns the prefix.  When neither the worst residual nor the control,
-    against (1 + 100 tolerance) * rhs, exceeds the tolerance, the tables
-    cannot tell rhs from its scaled copy: a note says so and a NaN at the
-    worst location follows, or, when every table is all zero, at "vacuous
-    from" the first label.  Each maximum is taken per table and folded in
-    table order, so a NaN table hides no other from the control and the
-    scale."""
+    that entry's flat index that returns the prefix.  When neither the
+    worst residual nor the control, against (1 + 100 tolerance) * rhs,
+    exceeds the tolerance, the tables cannot tell rhs from its scaled
+    copy: a note says so and a NaN at the worst location follows, or,
+    when every table is all zero, at "vacuous from" the first label.
+    Each maximum is taken per table and folded in table order, so a NaN
+    table hides no other from the control and the scale."""
     found, control, scale, first = [], 0.0, 0.0, ""
     for labels, a, b in stacks:
         n = len(labels)
