@@ -9,7 +9,16 @@ of powers and gathers it onto the (state, sub-multiset) pairs, and
 finishes with one matrix product; the reference engine below walks
 partitions as multiplicity dictionaries and re-derives every entry from
 scratch.  The script prints timings for both and the worst entrywise
-deviation (which must sit at rounding level).
+deviation (which must sit at rounding level), and exits 1 if that
+deviation reaches 1e-10.
+
+Each ``matrix`` timing is the best of three single calls, and each
+``dict`` timing one call, at the OpenBLAS thread setting that the header
+prints (``OPENBLAS_NUM_THREADS``, or "default").
+A lone mid-size product can pay for waking a second BLAS thread on every
+call: on a shared 2-vCPU machine the degree-10 ``matrix`` column read
+11-14 ms with the default two threads and 0.29-0.38 ms with
+``OPENBLAS_NUM_THREADS=1``.  Compare timings at one setting only.
 
 Run:  python3 benchmarks/bench_engines.py [max_degree ...]
 """
@@ -17,6 +26,7 @@ Run:  python3 benchmarks/bench_engines.py [max_degree ...]
 from __future__ import annotations
 
 import math
+import os
 import sys
 import time
 from collections import Counter
@@ -103,7 +113,8 @@ def main(argv: list[str]) -> int:
         "screening+": build_screening(+1, params),
         "vertex(2)": build_vertex(2, 0, params),
     }
-    print(f"q={params.q} t={params.t} momentum={momentum}")
+    threads = os.environ.get("OPENBLAS_NUM_THREADS", "default")
+    print(f"q={params.q} t={params.t} momentum={momentum} OPENBLAS_NUM_THREADS={threads}")
     header = f"{'vertex':<12}{'degree':>7}{'states':>8}{'matrix':>10}{'dict':>10}{'ratio':>8}{'max dev':>12}"
     print(header)
     print("-" * len(header))

@@ -492,14 +492,15 @@ def check_pseudo_constant(
     return _scan_report("pseudo-constant", pairs(), tolerance)
 
 
+_IDENTITY_TOLERANCE, _INVERSE_TOLERANCE = 1e-10, 1e-8
+
+
 def check_connection_formula(
     params: QParams,
     ell: int = 1,
     L: float = 0.6,
     r: float | None = None,
     tolerance: float = 1e-6,
-    identity_tolerance: float = 1e-10,
-    inverse_tolerance: float = 1e-8,
 ) -> CheckReport:
     """The two-vector of normalized four-point functions at (z, w)
     against the elliptic connection matrix applied to it at (w, z), for
@@ -517,9 +518,10 @@ def check_connection_formula(
     otherwise (the two agree wherever both converge, which
     ``check_four_point`` checks): ``_check_exponents`` decides which.
 
-    Also verifies the u = 0 degeneration to the identity matrix, the
-    two-sided inverse property M(u) M(-u) = 1, and that a deliberately
-    wrong matrix (rows swapped) does *not* satisfy the relation.
+    Also verifies the u = 0 degeneration to the identity matrix and the
+    two-sided inverse M(u) M(-u) = 1 (entrywise to ``_IDENTITY_TOLERANCE``
+    and ``_INVERSE_TOLERANCE``), and that a deliberately wrong matrix
+    (rows swapped) does *not* satisfy the relation.
 
     The identity pins two pieces of bookkeeping that plain bracket
     evaluation leaves free and that were determined numerically (they
@@ -555,8 +557,8 @@ def check_connection_formula(
             mats = [_unwrap(m) for m in _connection_matrices([0.0, *signed], cp)]
             prods = [mats[i] @ mats[i + 1] for i in range(1, len(mats), 2)]
         for what, dev_mats, tol in (
-            ("u=0 identity", mats[:1], identity_tolerance),
-            ("two-sided inverse", prods, inverse_tolerance),
+            ("u=0 identity", mats[:1], _IDENTITY_TOLERANCE),
+            ("two-sided inverse", prods, _INVERSE_TOLERANCE),
         ):
             dev = float(np.max(np.abs(np.array(dev_mats) - np.eye(2))))
             # a deviation above the tolerance fails, a NaN one decides nothing

@@ -1,37 +1,45 @@
 """Exact verification of operator identities on truncated Fock modules.
 
 Both sides of an operator identity in two formal variables (z for the
-current insertion, w for the vertex) become finite matrices, in one of
-two views.  Only the compared corner (bra and ket degree <= degree_cap,
-the c leading states of the degree-ordered basis) is built, each table
-as one product of leading blocks of the operators, X[:c], X[:, :c],
-Y[:c], Y[:, :c] and W[:c, :c], weighted entrywise by degree difference;
-no N x N matrix is formed.  ``_operands`` builds each vertex's creation
-and annihilation factors cre[:, :c] and ann[:c] once (``_blocks``,
-``PartitionBasis.factors``) and takes both of its blocks, and Y[:c, :c],
-from them, each the same product that ``application_matrix`` forms for
-that block alone, so every entry is bit for bit what separate builds
-give.  A check's weights are rows over the degree differences -D..D
-that ``PartitionBasis.weigh`` gathers, the structure series read at an
-integer array of orders (``_coeffs``).  The internal basis reaches the
-largest degree an intermediate state that contributes can have, so the
-corner is exact.
+current insertion, w for the vertex) become finite matrices.  Only the
+compared corner (bra and ket degree <= degree_cap, the c leading states
+of the degree-ordered basis) is built, each table as one product of
+leading blocks of the operators, X[:c], X[:, :c], Y[:c], Y[:, :c] and
+W[:c, :c], weighted entrywise by degree difference; no N x N matrix is
+formed.  ``_blocks`` builds each vertex's creation and annihilation
+factors cre[:, :c] and ann[:c] once (``PartitionBasis.factors``) and
+both of its blocks from them, each the same product that
+``application_matrix`` forms for that block alone; Y[:c, :c] is
+Y[:, :c][:c].  A check's weights are rows over the degree differences
+-D..D that ``PartitionBasis.weigh`` gathers, the structure series read
+at an integer array of orders (``_coeffs``).  The internal basis reaches
+the largest degree an intermediate state that contributes can have, so
+the corner is exact.
 
-* Keys (``_exchange_check``): one table per w-exponent relative to the
-  momentum-dependent offset, for |key| <= window.  For an entry with
-  bra degree d_mu and ket degree d_lambda the z-exponent is determined
-  by the key, so matching keys matches complete monomials.  The basis
-  reaches degree_cap + window + |P|, P the monomial twist exponent of
-  the reversed product.
-* Modes (``_mode_tables``): one table per z^{-n}-mode, summed over all
-  w-exponents, for the defining relation and the adjoint shift.  The
-  basis reaches degree_cap + max |n| + |P|.  In the defining relation's
-  table the entry (mu, lambda) is the w^{-m} coefficient with
-  m = -(deg mu - deg lambda) - n, and only the entries of |m| <= max_mode
-  are compared.
+Every table is a key table (``_key_tables``): for blocks (A, B, C, E),
+g_s the structure series (0 for s < 0) and d the degree difference of a
+weighed entry, K_k = A @ (B * g_{k-d}) - (-1)^twist (C * g_{d-k-twist}) @ E.
+
+* Keys (``_exchange_check``): K_k of (X[:c], Y[:, :c], Y[:c], X[:, :c]),
+  one table per w-exponent relative to the momentum-dependent offset,
+  for |k| <= window.  An entry's key and degrees fix its z-exponent, so
+  matching keys matches complete monomials.  The basis reaches
+  degree_cap + window + |P|, P the monomial twist exponent of the
+  reversed product.
+* Modes (the defining relation and the adjoint shift): the z^{-n} mode,
+  summed over all w-exponents, is P1 - (-1)^twist P2 with
+  P1 = (X[:c] * g_{d+n}) @ Y[:, :c], P2 = Y[:c] @ (X[:, :c] * g_{-d-n-twist}).
+  K_k of the swapped blocks (Y[:c], X[:, :c], X[:c], Y[:, :c]) at
+  k = -n - twist is P2 - (-1)^twist P1, the same products of the same
+  operands, so the mode is sigma K_k, sigma = -(-1)^twist, bit for bit
+  (fl(a - b) = -fl(b - a), a + b = b + a, sigma = +-1 exact).  The basis
+  reaches degree_cap + max |n| + |P|.  The defining relation (X = Y = T,
+  twist 0) is its own swap: mode n is -K_{-n}, its entry (mu, lambda)
+  the w^{-m} coefficient with m = -(deg mu - deg lambda) - n, compared
+  only for |m| <= max_mode.
 
 The tables of a check are built as stacks, not one per loop step: a run
-of keys or modes (``_runs``) weighs a block once for all of them, as a
+of keys (``_runs``) weighs each of B and C once for all of them, as a
 stack of copies, and multiplies the stack in one matmul, each slice of
 which is the product of that table alone.  A run's weighed copies of a
 block hold at most ``qspecial._BUDGET`` floats, and at least one table,
@@ -107,24 +115,21 @@ __all__ = [
 
 
 def _blocks(basis: PartitionBasis, op, c: int, top: float, left: float):
-    """M[:c] at momentum ``top``, and M[:, :c] and M[:c, :c] at momentum
-    ``left``, of a vertex or a sum of vertices M, c the size of the
-    corner.  Each vertex's factors cre[:, :c] and ann[:c] are built once
-    and give all three blocks, cre[:c] @ ann, cre @ ann[:, :c] and
-    cre[:c] @ ann[:, :c], each the product that ``application_matrix``
-    forms for that block alone; a sum adds its terms' blocks in order,
-    from 0."""
+    """M[:c] at momentum ``top`` and M[:, :c] at momentum ``left`` of a
+    vertex or a sum of vertices M, c the size of the corner.  Each
+    vertex's factors cre[:, :c] and ann[:c] are built once and give both
+    blocks, cre[:c] @ ann and cre @ ann[:, :c], each the product that
+    ``application_matrix`` forms for that block alone; a sum adds its
+    terms' blocks in order, from 0."""
     if isinstance(op, OperatorSum):
-        out = (0, 0, 0)
+        out = (0, 0)
         for v in op.terms:
             out = tuple(a + b for a, b in zip(out, _blocks(basis, v, c, top, left)))
         return out
     cre, ann = basis.factors(op, basis.size, c, basis.size)
-    z = op.zero_mode_factor(left)
     return (
         op.zero_mode_factor(top) * (cre[:c] @ ann),
-        z * (cre @ ann[:, :c]),
-        z * (cre[:c] @ ann[:, :c]),
+        op.zero_mode_factor(left) * (cre @ ann[:, :c]),
     )
 
 
@@ -158,6 +163,17 @@ def _delta_tables(deltas, keys) -> np.ndarray:
     return sum(np.array([K * s**k for k in keys])[:, None, None] * w for K, s, w in deltas)
 
 
+def _key_tables(basis, x_left, y_in, y_out, x_right, g, twist, keys):
+    """The stack of key tables K_k, k in ``keys`` (module docstring), of
+    the blocks and series ``g``; one weighed copy is alive at a time."""
+    D = basis.max_degree
+    d = np.arange(-D, D + 1)
+    k = np.array(keys)[:, None]
+    tables = x_left @ basis.weigh(y_in, _coeffs(g, k - d))
+    tables -= (-1.0) ** twist * (basis.weigh(y_out, _coeffs(g, d - k - twist)) @ x_right)
+    return tables
+
+
 def _exchange_check(
     params, x, y, g, twist, terms, degree_cap, window, momentum, tolerance, notes
 ):
@@ -171,33 +187,25 @@ def _exchange_check(
     terms (K, c, xi, W).  ``g`` maps an order to the structure series
     truncated there (``_one`` for the constant kernel 1).  The
     basis reaches degree_cap + window + |twist|, enough for the corner to
-    be exact.  With mu the bra, nu the intermediate and lambda the ket,
-    key k weighs the first term by g_s at s = k - (deg nu - deg lambda),
-    the second by g_s at s = (deg mu - deg nu) - k - twist, and reads a
-    delta term as K c^k c^{-(deg mu - deg lambda)} Theta_xi W.  The keys
-    run in stacks (``_runs``): Y's blocks are weighed once per stack and
-    each product is one stacked matmul, every table bit for bit what it
-    is alone."""
-    basis, x_left, y_in, y_out, x_right, shifted = _operands(
+    be exact.  Key k's table is K_k (``_key_tables``), and a delta term
+    reads K c^k c^{-(deg mu - deg lambda)} Theta_xi W, mu the bra and
+    lambda the ket.  The keys run in stacks (``_runs``): Y's blocks are
+    weighed once per stack and each product is one stacked matmul, every
+    table bit for bit what it is alone."""
+    basis, *blocks, shifted = _operands(
         params, x, y, terms, degree_cap, window + abs(twist), momentum
     )
     D = basis.max_degree
-    d = np.arange(-D, D + 1)
     gc = g(2 * D + window + 2)
     deltas = [
         (K, s, basis.weigh(w, np.array([s**-e for e in range(-D, D + 1)])))
         for K, s, w in shifted
     ]
-    sign = (-1.0) ** twist
 
     def stacks():
-        # x_left is X[:c], c x N, the size of each weighed copy of a Y block
-        for keys in _runs(range(-window, window + 1), x_left.size):
-            k = np.array(keys)[:, None]
-            # g_s at s = k - d and at s = d - k - twist for d = -D, ..., D;
-            # one weighed copy of a Y block is alive at a time
-            lhs = x_left @ basis.weigh(y_in, _coeffs(gc, k - d))
-            lhs -= sign * (basis.weigh(y_out, _coeffs(gc, d - k - twist)) @ x_right)
+        # blocks[0] is X[:c], c x N, the size of each weighed copy of a Y block
+        for keys in _runs(range(-window, window + 1), blocks[0].size):
+            lhs = _key_tables(basis, *blocks, gc, twist, keys)
             yield [f"key={key}" for key in keys], lhs, _delta_tables(deltas, keys)
 
     yield from _table_pairs(stacks(), basis, tolerance, notes)
@@ -209,13 +217,13 @@ def _operands(params, x, y, terms, degree_cap, reach, momentum):
     corner: X[:c] at Y's outgoing momentum, Y[:, :c], Y[:c], X[:, :c], and
     (K, c, Theta_xi W[:c, :c]) per delta term (K, c, xi, W).  X's and Y's
     blocks come from one factor build each (``_blocks``), and each
-    distinct W's corner is built once, Y's from Y's factors."""
+    distinct W's corner is built once, Y's as the slice Y[:, :c][:c]."""
     basis = PartitionBasis(params, degree_cap + reach)
     c = basis.corner(degree_cap)
-    x_left, x_right, _ = _blocks(basis, x, c, momentum + y.momentum_shift(), momentum)
-    y_out, y_in, y_corner = _blocks(basis, y, c, momentum, momentum)
+    x_left, x_right = _blocks(basis, x, c, momentum + y.momentum_shift(), momentum)
+    y_out, y_in = _blocks(basis, y, c, momentum, momentum)
     # W[:c, :c] once per distinct W
-    corners = {id(y): y_corner}
+    corners = {id(y): y_in[:c]}
     for _, _, _, w in terms:
         if id(w) not in corners:
             corners[id(w)] = basis.application_matrix(w, momentum, c, c)
@@ -223,21 +231,6 @@ def _operands(params, x, y, terms, degree_cap, reach, momentum):
         (K, s, basis.theta(corners[id(w)], w, xi, momentum)) for K, s, xi, w in terms
     ]
     return basis, x_left, y_in, y_out, x_right, deltas
-
-
-def _mode_tables(basis, x_left, y_in, y_out, x_right, g, modes, twist=0):
-    """The stack of corner tables of the z^{-n} modes, n in ``modes``, of
-    the combination of ``_exchange_check``, from the blocks of
-    ``_operands`` and structure series coefficients ``g``: the first term
-    is weighted by g_s at s = n + (deg mu - deg nu), the second by g_s at
-    s = -(deg nu - deg lambda) - n - twist."""
-    D = basis.max_degree
-    d = np.arange(-D, D + 1)
-    n = np.array(modes)[:, None]
-    # one weighed copy of an X block is alive at a time
-    tables = basis.weigh(x_left, _coeffs(g, d + n)) @ y_in
-    tables -= (-1.0) ** twist * (y_out @ basis.weigh(x_right, _coeffs(g, -d - n - twist)))
-    return tables
 
 
 def _table_pairs(stacks, basis: PartitionBasis, tolerance: float, notes: list):
@@ -304,11 +297,12 @@ def check_defining_relation(
     the central factor rewritten as the exact polynomial
     p^{1/2-n} (1 + p + ... + p^{2n-1}) so no limit is needed anywhere.
 
-    Each z^{-n} mode table holds every m, at the entries of degree
-    difference deg mu - deg lambda = -(n + m).  Its entries of
-    |m| <= max_mode are compared with the central term once, one
-    (residual, location) pair per n; the others are not compared.  The
-    location names the first worst entry with its m.
+    Each z^{-n} mode table is minus key table -n (module docstring) and
+    holds every m, at the entries of degree difference
+    deg mu - deg lambda = -(n + m).  Its entries of |m| <= max_mode are
+    compared with the central term once, one (residual, location) pair
+    per n; the others are not compared.  The location names the first
+    worst entry with its m.
     """
     notes = []
 
@@ -316,7 +310,7 @@ def check_defining_relation(
         D = degree_cap + max_mode
         basis = PartitionBasis(params, D)
         c = basis.corner(degree_cap)
-        t_out, t_in, _ = _blocks(basis, build_current(params), c, momentum, momentum)
+        t_out, t_in = _blocks(basis, build_current(params), c, momentum, momentum)
         f = structure_series(StructureFunctionSpec("current"), params, 2 * D + 2)
         q, t, p = params.q, params.t, params.p
         eta1 = (q**0.5 - q**-0.5) * (t**0.5 - t**-0.5)
@@ -340,7 +334,7 @@ def check_defining_relation(
         def stacks():
             for modes in _runs(range(-max_mode, max_mode + 1), t_out.size):
                 n = np.array(modes)[:, None, None]
-                tables = _mode_tables(basis, t_out, t_in, t_out, t_in, f, modes)
+                tables = -_key_tables(basis, t_out, t_in, t_out, t_in, f, 0, -n.ravel())
                 # the entries of the modes |m| > max_mode are not compared
                 np.copyto(tables, 0.0, where=abs(e + n) > max_mode)
                 rhs = np.array([central(n) for n in modes])[:, None, None] * ident
@@ -501,7 +495,8 @@ def check_adjoint_shift(
 ) -> CheckReport:
     """The z^{-n}-mode of the weighted exchange combination acting on a
     simple vertex equals an explicit two-term argument-shift operator:
-    the current-vertex exchange's delta terms, read per mode."""
+    the current-vertex exchange's delta terms, read per mode.  Mode n is
+    sigma times key -n - twist of the swapped blocks (module docstring)."""
     nmax = max(abs(int(n)) for n in modes)
     twist = 2 - ell
     notes = []
@@ -509,19 +504,21 @@ def check_adjoint_shift(
     def pairs():
         y = build_vertex(ell, 0, params)
         # each delta term read per z^{-n} mode as K c^n Theta_xi V
-        basis, *blocks, deltas = _operands(
+        basis, x_left, y_in, y_out, x_right, deltas = _operands(
             params, build_current(params), y, _current_deltas(ell, params, y),
             degree_cap, nmax + abs(twist), momentum,
         )
         # weigh() looks the kernel up at every degree difference in [-D, D]
         D = basis.max_degree
         g = structure_series(StructureFunctionSpec("exchange", ell, 0), params, 2 * D)
+        sigma = -((-1.0) ** twist)
 
         def stacks():
-            # blocks[0] is X[:c], c x N, the size of each weighed copy
-            for run in _runs([int(n) for n in modes], blocks[0].size):
-                lhs = _mode_tables(basis, *blocks, g, run, twist)
-                yield [f"mode={n}" for n in run], lhs, _delta_tables(deltas, run)
+            # y_out is Y[:c], c x N, the size of each weighed copy
+            for run in _runs([int(n) for n in modes], y_out.size):
+                keys = [-n - twist for n in run]
+                lhs = _key_tables(basis, y_out, x_right, x_left, y_in, g, twist, keys)
+                yield [f"mode={n}" for n in run], sigma * lhs, _delta_tables(deltas, run)
 
         yield from _table_pairs(stacks(), basis, tolerance, notes)
 

@@ -330,10 +330,10 @@ class ProductForm:
     weights: np.ndarray
     reach: float = math.inf
 
-    def factor_index_at_zero(self, x: float, tol: float = 1e-9) -> int | None:
-        """Index of a zero (a factor of positive weight) vanishing at x,
-        never of a pole that coincides with it (None if there is none)."""
-        hits = np.nonzero((np.abs(1.0 - self.coeffs * x) < tol) & (self.weights > 0))[0]
+    def factor_index_at_zero(self, x: float) -> int | None:
+        """Index of a zero (a factor of positive weight) with
+        |1 - C_i x| < 1e-9, never of a pole that meets it (None if none)."""
+        hits = np.nonzero((np.abs(1.0 - self.coeffs * x) < 1e-9) & (self.weights > 0))[0]
         return int(hits[0]) if hits.size else None
 
     def drop(self, index: int) -> "ProductForm":

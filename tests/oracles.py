@@ -605,6 +605,17 @@ def _mode_table(basis, x_left, y_in, y_out, x_right, g, n, twist=0):
     return up @ y_in - (-1.0) ** twist * (y_out @ down)
 
 
+def _key_table(basis, x_left, y_in, y_out, x_right, g, twist, k):
+    """Corner table of key k of the exchange combination: the first term
+    is weighted by g_s at s = k - (deg nu - deg lambda), the second by
+    g_s at s = (deg mu - deg nu) - k - twist."""
+    D = basis.max_degree
+    # g_s at s = k - d and at s = d - k - twist for d = -D, ..., D
+    up = basis.weigh(y_in, _kernel(g, k - D, k + D)[::-1])
+    down = basis.weigh(y_out, _kernel(g, -D - k - twist, D - k - twist))
+    return x_left @ up - (-1.0) ** twist * (down @ x_right)
+
+
 def _table_pairs(triples, basis, tolerance, notes):
     """(residual, location) pairs of (label, lhs, rhs) triples of corner
     tables, one table at a time, the running control and scale folded
@@ -635,8 +646,14 @@ def _table_pairs(triples, basis, tolerance, notes):
 
 
 def mode_tables(basis, x_left, y_in, y_out, x_right, g, modes, twist=0):
-    """``relations._mode_tables`` as one ``_mode_table`` per mode."""
+    """The stack of z^{-n} mode tables, n in ``modes``, one
+    ``_mode_table`` per mode."""
     return np.stack([_mode_table(basis, x_left, y_in, y_out, x_right, g, n, twist) for n in modes])
+
+
+def key_tables(basis, x_left, y_in, y_out, x_right, g, twist, keys):
+    """``relations._key_tables`` as one ``_key_table`` per key."""
+    return np.stack([_key_table(basis, x_left, y_in, y_out, x_right, g, twist, k) for k in keys])
 
 
 def stacked_table_pairs(stacks, basis, tolerance, notes):
@@ -659,14 +676,10 @@ def exchange_check(params, x, y, g, twist, terms, degree_cap, window, momentum, 
     deltas = [
         (K, s, basis.weigh(w, np.array([s**-d for d in span]))) for K, s, w in shifted
     ]
-    sign = (-1.0) ** twist
 
     def triples():
         for k in range(-window, window + 1):
-            # g_s at s = k - d and at s = d - k - twist for d = -D, ..., D
-            up = basis.weigh(y_in, _kernel(gc, k - D, k + D)[::-1])
-            down = basis.weigh(y_out, _kernel(gc, -D - k - twist, D - k - twist))
-            lhs = x_left @ up - sign * (down @ x_right)
+            lhs = _key_table(basis, x_left, y_in, y_out, x_right, gc, twist, k)
             yield f"key={k}", lhs, sum(K * s**k * w for K, s, w in deltas)
 
     yield from _table_pairs(triples(), basis, tolerance, notes)
@@ -713,7 +726,7 @@ def stripe_tables(params, degree_cap, max_mode, momentum):
     D = degree_cap + max_mode
     basis = PartitionBasis(params, D)
     c = basis.corner(degree_cap)
-    t_out, t_in, _ = R._blocks(basis, build_current(params), c, momentum, momentum)
+    t_out, t_in = R._blocks(basis, build_current(params), c, momentum, momentum)
     f = structure_series(StructureFunctionSpec("current"), params, 2 * D + 2)
     q, t, p = params.q, params.t, params.p
     eta1 = (q**0.5 - q**-0.5) * (t**0.5 - t**-0.5)

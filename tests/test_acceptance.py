@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 from oracles import WordEngine
+from qvirasoro import correlators
 from qvirasoro.correlators import (
     CorrelatorParams,
     check_connection_formula,
@@ -195,14 +196,14 @@ def test_criterion_11_connection_formula():
             L=1.0,
             r=5.0,
             tolerance=1e-6,
-            identity_tolerance=1e-10,
-            inverse_tolerance=1e-8,
         )
         b.note(rep.residual)
         assert rep.passed and rep.residual < 1e-6, rep.summary_line()
         # the checker itself enforces the u=0 identity, the two-sided
         # inverse, and that the row-swapped control fails; its notes
-        # record all three
+        # record all three, and its thresholds are these
+        assert correlators._IDENTITY_TOLERANCE == 1e-10
+        assert correlators._INVERSE_TOLERANCE == 1e-8
         text = " ".join(rep.notes)
         assert "u=0 identity" in text
         assert "two-sided inverse" in text

@@ -577,11 +577,7 @@ def _operator_checks(P, ell, k):
 
 
 def _oracle_blocks(basis, op, c, top, left):
-    return (
-        oracles.app(basis, op, top, rows=c),
-        oracles.app(basis, op, left, cols=c),
-        oracles.app(basis, op, left, c, c),
-    )
+    return oracles.app(basis, op, top, rows=c), oracles.app(basis, op, left, cols=c)
 
 
 @pytest.mark.parametrize(
@@ -653,7 +649,7 @@ def test_stacked_tables_match_one_table_per_step(budget, momentum, qt, labels, c
     # the ten checks with their key and mode tables in stacks against the
     # loops of ``oracles`` that build and compare one table per step: the
     # exchange skeleton and the adjoint shift as they were, and the
-    # defining relation's mode tables and comparison
+    # defining relation's key tables and comparison
     window = min(window, cap)
     P, (ell, k) = QParams(*qt), labels
     stacks = []
@@ -677,10 +673,67 @@ def test_stacked_tables_match_one_table_per_step(budget, momentum, qt, labels, c
     assert set(stacks) == sizes
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(relations, "_exchange_check", oracles.exchange_check)
-        mp.setattr(relations, "_mode_tables", oracles.mode_tables)
+        mp.setattr(relations, "_key_tables", oracles.key_tables)
         mp.setattr(relations, "_table_pairs", oracles.stacked_table_pairs)
         want = _ten_outcomes(P, ell, k, cap, window, momentum, oracles.check_adjoint_shift)
     assert got == want
+
+
+@pytest.mark.parametrize("momentum", [0.0, 0.37])
+@pytest.mark.parametrize("budget", ["one", "default"])
+@pytest.mark.parametrize("overflow", [False, True], ids=["finite", "overflow"])
+@pytest.mark.parametrize("ell", [1, 2, 3])
+@pytest.mark.parametrize("qt", [(0.7, 0.3), (1e-20, 0.5)])
+@pytest.mark.filterwarnings("ignore:invalid value encountered")
+def test_mode_tables_are_swapped_key_tables(monkeypatch, qt, ell, overflow, budget, momentum):
+    # the z^{-n} mode tables that the adjoint shift (twist 2 - ell, so
+    # both parities) and the defining relation (twist 0) compare are
+    # -(-1)^twist times the key tables -n - twist of the swapped blocks:
+    # bit for bit the mode formula of ``oracles.mode_tables``, NaN where
+    # an overflowed block entry meets its negative
+    P, twist, cap, modes = QParams(*qt), 2 - ell, 3, range(-3, 4)
+    seen, table_pairs, operands = [], relations._table_pairs, relations._operands
+
+    def recording(stacks, basis, tolerance, notes):
+        stacks = list(stacks)
+        seen.append(stacks)
+        return table_pairs(iter(stacks), basis, tolerance, notes)
+
+    def overflowing(*args):
+        basis, x_left, y_in, *rest = operands(*args)
+        x_left[0, -1] = y_in[-1, 0] = math.inf
+        return basis, x_left, y_in, *rest
+
+    monkeypatch.setattr(qs, "_BUDGET", 1 if budget == "one" else qs._BUDGET)
+    monkeypatch.setattr(relations, "_table_pairs", recording)
+    if overflow:
+        monkeypatch.setattr(relations, "_operands", overflowing)
+    relations.check_adjoint_shift(ell, P, modes, cap, momentum)
+    relations.check_defining_relation(P, cap, 3, momentum)
+    adjoint, defining = seen
+    assert [len(labels) for labels, _, _ in adjoint] == ([1] * 7 if budget == "one" else [7])
+
+    y = build_vertex(ell, 0, P)
+    basis, *blocks, _ = relations._operands(
+        P, build_current(P), y, relations._current_deltas(ell, P, y), cap, 3 + abs(twist), momentum
+    )
+    g = voa.structure_series(voa.StructureFunctionSpec("exchange", ell, 0), P, 2 * basis.max_degree)
+    want = oracles.mode_tables(basis, *blocks, g, modes, twist)
+    got = np.concatenate([lhs for _, lhs, _ in adjoint])
+    assert np.array_equal(got, want, equal_nan=True)
+    assert np.isnan(got).any() == overflow
+
+    basis = PartitionBasis(P, cap + 3)
+    c = basis.corner(cap)
+    t_out, t_in = relations._blocks(basis, build_current(P), c, momentum, momentum)
+    f = voa.structure_series(voa.StructureFunctionSpec("current"), P, 2 * basis.max_degree + 2)
+    want = oracles.mode_tables(basis, t_out, t_in, t_out, t_in, f, modes)
+    # the entries of |m| > 3 are set to 0, m = -(deg mu - deg lambda) - n
+    deg = basis.degrees[:c]
+    e = deg[:, None] - deg[None, :]
+    np.copyto(want, 0.0, where=abs(e + np.array(modes)[:, None, None]) > 3)
+    got = np.concatenate([lhs for _, lhs, _ in defining])
+    assert np.array_equal(got, want, equal_nan=True)
 
 
 def _verdict(rep):
@@ -781,30 +834,31 @@ class TestDefiningRelation:
 
     def poison(self, monkeypatch, entries):
         """Write ``entries[n]``, a list of (deg difference, value), into
-        the z^{-n} mode tables: the slices of the library's stacks and the
-        oracle's single tables."""
+        the z^{-n} mode tables: the oracle's single tables, and the slices
+        of the library's stacks of key tables, of which key -n holds minus
+        the z^{-n} mode table."""
 
-        def write(basis, table, n):
+        def write(basis, table, n, sign):
             deg = basis.degrees[: table.shape[0]]
             diff = deg[:, None] - deg[None, :]
             for e, value in entries.get(n, ()):
                 i, j = np.argwhere(diff == e)[0]
-                table[i, j] = value
+                table[i, j] = sign * value
 
-        stacked, single = relations._mode_tables, oracles._mode_table
+        stacked, single = relations._key_tables, oracles._mode_table
 
         def poisoned_stack(basis, *args):
             tables = stacked(basis, *args)
-            for table, n in zip(tables, args[-1]):
-                write(basis, table, n)
+            for table, k in zip(tables, args[-1]):
+                write(basis, table, -k, -1.0)
             return tables
 
         def poisoned_single(basis, *args):
             table = single(basis, *args)
-            write(basis, table, args[-1])  # n
+            write(basis, table, args[-1], 1.0)  # n
             return table
 
-        monkeypatch.setattr(relations, "_mode_tables", poisoned_stack)
+        monkeypatch.setattr(relations, "_key_tables", poisoned_stack)
         monkeypatch.setattr(oracles, "_mode_table", poisoned_single)
 
     @staticmethod
