@@ -31,10 +31,11 @@ and its work runs inside that scan, which times it: a pole, a divergent
 sum or an overflow makes it inconclusive, and so does a NaN residual
 (say both branch values infinite) unless another residual fails.
 
-The waves, the lattice four-point values and the connection matrices
-are evaluated in batches (``_screening_waves``, ``_four_point_rows``,
-``_connection_matrices``), one kernel call for all points of a check;
-the public one-point functions are one-row calls of them.  A batch
+The waves, the four-point values of either method and the connection
+matrices are evaluated in batches (``_screening_waves``,
+``_four_point_rows``, ``_connection_matrices``), one kernel call of each
+kind for all points of a check; the public one-point functions are
+one-row calls of them.  A batch
 returns, per row, the value or the error that the one-point call
 gives, bit for bit, and a check raises each row's error where
 evaluating point by point would have met it, so an earlier residual
@@ -53,15 +54,15 @@ from .qspecial import (
     _NO_END,
     BracketParams,
     QParams,
+    _attempt,
+    _beta,
     _check_base,
     _qpoch2_rows,
     _qpoch_values,
     _series_rows,
     _symbol,
     _unwrap,
-    beta_q,
     bracket,
-    phi21,
 )
 from .report import _UNDECIDED, CheckReport, _scan_report
 from .voa import pair_correlation_factor, pair_correlation_log_rule
@@ -129,15 +130,16 @@ def screening_wave(x: float, cp: CorrelatorParams) -> float:
     return _unwrap(_screening_waves([x], cp)[0])
 
 
-def _screening_waves(xs: list, cp: CorrelatorParams) -> list:
-    """``screening_wave(x, cp)`` for each x of ``xs``, all four symbols
-    per point from one ``_qpoch_values`` call (whose entries do not
-    depend on each other): per point, the value or the error that the
-    one-point call raises."""
+def _screening_waves(xs: list, cp: CorrelatorParams, extra: tuple = ()) -> list:
+    """``screening_wave(x, cp)`` for each x of ``xs``, all symbols per
+    point from one ``_qpoch_values`` call (whose entries do not depend
+    on each other): per point, the value or the error that the one-point
+    call raises; then, from the same call, the symbol (e; Q)_inf of each
+    e of ``extra``, NaN where the loop raises."""
     P = cp.params
     edge = P.q ** (1.0 / (2.0 * cp.ell))
     A, B = P.t**0.5 * edge, P.t**-0.5 * edge
-    syms = _qpoch_values(np.array([A * x for x in xs] + [B * x for x in xs]), cp.Q).tolist()
+    syms = _qpoch_values(np.array([A * x for x in xs] + [B * x for x in xs] + list(extra)), cp.Q).tolist()
     out = []
     for x, num, den in zip(xs, syms, syms[len(xs):]):
         if math.isnan(num):
@@ -150,15 +152,7 @@ def _screening_waves(xs: list, cp: CorrelatorParams) -> list:
             out.append(PoleError(f"screening wave pole at x={x!r}"))
         else:
             out.append(num / den)
-    return out
-
-
-def _attempt(fn, *args):
-    """fn(*args), or the error it raises."""
-    try:
-        return fn(*args)
-    except Exception as exc:
-        return exc
+    return out + syms[2 * len(xs) :]
 
 
 # ---------------------------------------------------------------------------
@@ -241,11 +235,11 @@ def four_point_jackson(
     series in the ratio of its lattice measure, from its first nonzero node.
     The value is normalized: the full correlator is it times
     ``two_point(z, w, cp)``.  A one-row call of ``_four_point_rows``,
-    which evaluates many (branch, z, w) rows at once and keeps each
-    row's error (an overflowing set-up, a pole, a divergent series) to
-    that row; this call raises it.
+    which evaluates many (method, branch, z, w) rows at once and keeps
+    each row's error (an overflowing set-up, a pole, a divergent series)
+    to that row; this call raises it.
     """
-    return _unwrap(_four_point_rows([(branch, z, w)], cp)[0])
+    return _unwrap(_four_point_rows([("jackson", branch, z, w)], cp)[0])
 
 
 def _lattice_start(branch: str, z: float, w: float, cp: CorrelatorParams) -> list:
@@ -271,82 +265,111 @@ def _lattice_start(branch: str, z: float, w: float, cp: CorrelatorParams) -> lis
     raise QVirasoroError(f"unknown branch {branch!r}")
 
 
-def _four_point_rows(rows: list, cp: CorrelatorParams) -> list:
-    """``four_point_jackson(branch, z, w, cp)`` for every (branch, z, w) of
-    ``rows``: per row, the value or the error that the one-row call
-    raises.  Each row's set-up runs on its own; the nodes of all rows
-    come from one ``_screening_waves`` call per structural-zero step, and
-    their series from one ``_series_rows`` call."""
-    Q = cp.Q
-    edge = cp.params.q ** (1.0 / (2.0 * cp.ell))
-    A, B = cp.params.t**0.5 * edge, cp.params.t**-0.5 * edge
-    out = [_attempt(_lattice_start, *row, cp) for row in rows]
-    pending = [i for i, node in enumerate(out) if not isinstance(node, Exception)]
-    ready = []
-    # at w/z = Q^{-m} the first m nodes are structural zeros
-    while pending:
-        waves = _screening_waves([y for i in pending for y in out[i][3:]], cp)
-        skipped = []
-        for i, f1, f2 in zip(pending, waves[::2], waves[1::2]):
-            node = out[i]
-            if isinstance(f1, Exception) or isinstance(f2, Exception):
-                out[i] = f1 if isinstance(f1, Exception) else f2
-            elif f1 == 0.0 or f2 == 0.0:
-                node[3], node[4], node[2] = Q * node[3], Q * node[4], node[1] * node[2]
-                skipped.append(i)
-            else:
-                node += [f1, f2]
-                ready.append(i)
-        pending = skipped
-    ys = np.array([out[i][3:5] for i in ready]).reshape(-1, 2)
-    sums = _series_rows(B * ys, A * ys, Q, np.array([out[i][1] for i in ready]))
-    for i, s in zip(ready, sums):
-        pref, _, weight, _, _, f1, f2 = out[i]
-        out[i] = s if isinstance(s, Exception) else pref * ((1.0 - Q) * weight * f1 * f2 * s)
-    return out
-
-
-def four_point_closed(
-    branch: str,
-    z: float,
-    w: float,
-    cp: CorrelatorParams,
-) -> float:
-    """Closed basic-hypergeometric form of the same normalized function
-    (times ``two_point(z, w, cp)`` it is the full correlator), a series
-    phi21(u1, u2; c; Q, x) in x = Q^{1-a} w/z.  Where |x| >= 1 and
-    0 < u2 < 1 it is continued by Heine's transformation (Gasper and
-    Rahman, eq. 1.4.1); that form raises PoleError at the poles x in
-    Q^{-N} and at its removable singularities w/z in Q^{-1-N}.
-
-    Unlike the lattice form this is the analytic continuation in the
-    exponents: it stays finite where b <= 0 or 2a - b <= 0 (lattice
-    divergence) as long as no q-gamma pole is hit.
-    """
+def _closed_start(branch: str, z: float, w: float, cp: CorrelatorParams) -> tuple:
+    """The arguments of a closed row's Q-symbols (Q^z of beta_q's three
+    exponents and Q, then c, x, u2 and u1 x for a Heine row) and the rest
+    of the row, a function of their values that returns [prefactor,
+    coefficient, Heine factor, series row] or raises.  The powers that
+    follow beta_q are taken before the symbol call, so that a Heine row's
+    symbols join it, but their error is raised after beta_q's checks."""
     P = cp.params
     Q = cp.Q
     a, b = cp.a, cp.b
     edge = P.q ** (1.0 / (2.0 * cp.ell))
     pref = (z * w) ** (cp.L * a / 2.0)
     arg = Q ** (1.0 - a) * w / z
-    if branch == "plus":
-        coef = beta_q(2.0 * a - b, 1.0 - a, Q) * (P.t**0.5 / edge * z) ** (b - 2.0 * a)
-        u1, u2, c = Q**a, Q ** (2.0 * a - b), Q ** (1.0 + a - b)
-    elif branch == "minus":
-        coef = beta_q(b, 1.0 - a, Q) * (z * w) ** -a * (P.t**-0.5 * edge * w) ** b
-        u1, u2, c = Q**a, Q**b, Q ** (1.0 - a + b)
-    else:
+    if branch not in ("plus", "minus"):
         raise QVirasoroError(f"unknown branch {branch!r}")
-    if abs(arg) < 1.0 or not 0.0 < u2 < 1.0:
-        val = coef * phi21(u1, u2, c, Q, arg)
-    else:
-        sc, sarg, su2, su1 = _qpoch_values(np.array([c, arg, u2, u1 * arg]), Q).tolist()
+    za = 2.0 * a - b if branch == "plus" else b
+    zs = (za, 1.0 - a, za + (1.0 - a))
+    _check_base(Q)
+    args = [Q**x for x in zs] + [Q]
+    late = heine = None
+    try:
+        if branch == "plus":
+            factors = [(P.t**0.5 / edge * z) ** (b - 2.0 * a)]
+            u1, u2, c = Q**a, Q ** (2.0 * a - b), Q ** (1.0 + a - b)
+        else:
+            factors = [(z * w) ** -a, (P.t**-0.5 * edge * w) ** b]
+            u1, u2, c = Q**a, Q**b, Q ** (1.0 - a + b)
+        if not (abs(arg) < 1.0 or not 0.0 < u2 < 1.0):
+            heine = [c, arg, u2, u1 * arg]
+    except ArithmeticError as exc:
+        late = exc
+
+    def rest(syms: list) -> list:
+        coef = _beta(zs, syms[:4], Q)
+        if late is not None:
+            raise late
+        for f in factors:
+            coef *= f
+        if heine is None:
+            return [pref, coef, 1.0, u1, u2, c, Q, arg]
+        sc, sarg, su2, su1 = syms[4:]
         den = _symbol(sc) * _symbol(sarg)
         if den == 0.0:
             raise PoleError(f"Heine transform pole at argument {arg!r}")
-        heine = _symbol(su2) * _symbol(su1) / den
-        val = coef * (heine * phi21(c / u2, arg, u1 * arg, Q, u2))
-    return pref * val
+        return [pref, coef, _symbol(su2) * _symbol(su1) / den, c / u2, arg, u1 * arg, Q, u2]
+
+    return args + (heine or []), rest
+
+
+def _four_point_rows(rows: list, cp: CorrelatorParams) -> list:
+    """For every (method, branch, z, w) of ``rows``, the value or the error
+    of ``four_point_closed`` (method "closed") or ``four_point_jackson``.
+    Each row's set-up runs on its own; the closed rows' symbols and the
+    lattice rows' first nodes come from one ``_screening_waves`` call,
+    and every row's series from one ``_series_rows`` call."""
+    Q = cp.Q
+    edge = cp.params.q ** (1.0 / (2.0 * cp.ell))
+    A, B = cp.params.t**0.5 * edge, cp.params.t**-0.5 * edge
+    out = [_attempt(_closed_start if m == "closed" else _lattice_start, *row, cp) for m, *row in rows]
+    live = [i for i, node in enumerate(out) if not isinstance(node, Exception)]
+    pending = [i for i in live if rows[i][0] != "closed"]
+    closed = [i for i in live if rows[i][0] == "closed"]
+    extra = [x for i in closed for x in out[i][0]]
+    # the closed rows' symbols follow the first nodes' waves; at w/z =
+    # Q^{-m} the first m nodes are structural zeros
+    while pending or extra:
+        waves = _screening_waves([y for i in pending for y in out[i][3:]], cp, extra)
+        syms = iter(waves[2 * len(pending) :])
+        for i in closed:
+            out[i] = _attempt(out[i][1], [next(syms) for _ in out[i][0]])
+        closed, extra, skipped = [], [], []
+        for i, f1, f2 in zip(pending, waves[::2], waves[1::2]):
+            pref, ratio, weight, y1, y2 = node = out[i]
+            if isinstance(f1, Exception) or isinstance(f2, Exception):
+                out[i] = f1 if isinstance(f1, Exception) else f2
+            elif f1 == 0.0 or f2 == 0.0:
+                node[2:] = ratio * weight, Q * y1, Q * y2
+                skipped.append(i)
+            else:
+                out[i] = [pref, (1.0 - Q) * weight * f1 * f2, 1.0, B * y1, B * y2, A * y1, A * y2, ratio]
+        pending = skipped
+    ready = [i for i, node in enumerate(out) if not isinstance(node, Exception)]
+    series = np.array([out[i][3:] for i in ready], dtype=float).reshape(-1, 5)
+    sums = _series_rows(series[:, :2], series[:, 2:4], Q, series[:, 4])
+    for i, s in zip(ready, sums):
+        pref, coef, heine = out[i][:3]
+        out[i] = s if isinstance(s, Exception) else pref * (coef * (heine * s))
+    return out
+
+
+def four_point_closed(branch: str, z: float, w: float, cp: CorrelatorParams) -> float:
+    """Closed basic-hypergeometric form of the same normalized function
+    (times ``two_point(z, w, cp)`` it is the full correlator), a q-beta
+    coefficient times phi21(u1, u2; c; Q, x) in x = Q^{1-a} w/z.  Where
+    |x| >= 1 and 0 < u2 < 1 it is continued by Heine's transformation
+    (Gasper and Rahman, eq. 1.4.1); that form raises PoleError at the
+    poles x in Q^{-N} and at its removable singularities w/z in
+    Q^{-1-N}.
+
+    Unlike the lattice form this is the analytic continuation in the
+    exponents: it stays finite where b <= 0 or 2a - b <= 0 (lattice
+    divergence) as long as no q-gamma pole is hit.  A one-row call of
+    ``_four_point_rows``.
+    """
+    return _unwrap(_four_point_rows([("closed", branch, z, w)], cp)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -442,16 +465,17 @@ def check_four_point(
     params: QParams, ell: int = 1, L: float = 0.5, tolerance: float = 1e-8
 ) -> CheckReport:
     """Closed form against lattice summation for both branches at
-    (z, w) = (1, 0.4) (normalized, so valid in both orderings of q and t)."""
+    (z, w) = (1, 0.4) (normalized, so valid in both orderings of q and t),
+    all four values from one batch, each branch's closed error first."""
     cp = CorrelatorParams(params=params, ell=ell, L=L)
     z, w = 1.0, 0.4
 
     def pairs():
         branches = ("plus", "minus")
-        lattice = _four_point_rows([(branch, z, w) for branch in branches], cp)
-        for branch, lat in zip(branches, lattice):
-            closed = four_point_closed(branch, z, w, cp)
-            lat = _unwrap(lat)
+        rows = [(method, branch, z, w) for branch in branches for method in ("closed", "jackson")]
+        values = _four_point_rows(rows, cp)
+        for branch, closed, lat in zip(branches, values[::2], values[1::2]):
+            closed, lat = _unwrap(closed), _unwrap(lat)
             d = abs(closed - lat) / max(abs(closed), abs(lat))
             yield d, f"branch={branch}"
 
@@ -573,16 +597,13 @@ def check_connection_formula(
         z = 1.0
         ws = [_attempt(lambda u: z * x ** (-2.0 * u), u) for u in u_samples]
         rows = [
-            (branch, *at)
+            (method, branch, *at)
             for w in ws
             if not isinstance(w, Exception)
             for at in ((z, w), (w, z))
             for branch in ("plus", "minus")
         ]
-        if method == "jackson":
-            values = iter(_four_point_rows(rows, cp))
-        else:
-            values = (_attempt(four_point_closed, *row, cp) for row in rows)
+        values = iter(_four_point_rows(rows, cp))
         control = 0.0
         for u, w, mat in zip(u_samples, ws, mats[1::2]):
             _unwrap(w)

@@ -3,8 +3,8 @@
 Pochhammer symbols (finite and infinite, one or two bases), the
 q-gamma / q-beta ladder, the multiplicative theta function, one basic
 hypergeometric series kernel (``_series_rows``: phi21 and
-``basic_series`` are one-row calls of it, and the lattice four-point
-sums hand it all their rows at once), Jackson q-integration
+``basic_series`` are one-row calls of it, and the four-point values of
+both methods hand it all their rows at once), Jackson q-integration
 (unilateral and bilateral), and the elliptic bracket that builds
 connection matrices.
 
@@ -253,14 +253,26 @@ def gamma_q(z: float, q: float) -> float:
     """q-gamma function, base in (0,1).
 
     Raises PoleError at the poles (non-positive integer z, where the
-    denominator symbol hits a structural zero).
+    denominator symbol hits a structural zero).  A one-point call of
+    ``_gammas``.
     """
+    return _unwrap(_gammas([z], q)[0])
+
+
+def _gammas(zs: list, q: float) -> list:
+    """``gamma_q(z, q)`` for each z of ``zs``, the symbols of every q^z and
+    of q from one ``_qpoch_values`` call: per z, the value or the error
+    that the one-point call raises."""
     if not (0 < q < 1):
         raise RegimeError(f"gamma_q needs base in (0,1), got {q}")
-    den = qpoch_inf(q**z, q)
-    if den == 0.0:
-        raise PoleError(f"gamma_q pole at z={z}")
-    return qpoch_inf(q, q) / den * (1.0 - q) ** (1.0 - z)
+    syms = _qpoch_values(np.array([q**z for z in zs] + [q]), q).tolist()
+
+    def gamma(z, den):
+        if _symbol(den) == 0.0:
+            raise PoleError(f"gamma_q pole at z={z}")
+        return _symbol(syms[-1]) / den * (1.0 - q) ** (1.0 - z)
+
+    return [_attempt(gamma, z, den) for z, den in zip(zs, syms)]
 
 
 def beta_q(a: float, b: float, q: float) -> float:
@@ -270,7 +282,12 @@ def beta_q(a: float, b: float, q: float) -> float:
     overflow.  Raises PoleError where one of the q-gammas would."""
     _check_base(q)
     zs = (a, b, a + b)
-    symbols = _qpoch_values(np.array([q**z for z in zs] + [q]), q).tolist()
+    return _beta(zs, _qpoch_values(np.array([q**z for z in zs] + [q]), q).tolist(), q)
+
+
+def _beta(zs: tuple, symbols: list, q: float) -> float:
+    """``beta_q`` from the symbols of q^z for its exponents zs = (a, b,
+    a + b) and of q, raising where it raises."""
     for z, s in zip(zs, symbols):
         if _symbol(s) == 0.0:
             raise PoleError(f"gamma_q pole at z={z}")
@@ -373,6 +390,14 @@ def _series_rows(upper: np.ndarray, lower: np.ndarray, q: float, z: np.ndarray) 
     for r in live.tolist():
         out[r] = ConvergenceError(f"basic series did not converge within {TERM_CAP} terms")
     return out
+
+
+def _attempt(fn, *args):
+    """fn(*args), or the error it raises."""
+    try:
+        return fn(*args)
+    except Exception as exc:
+        return exc
 
 
 def _unwrap(outcome):

@@ -725,20 +725,23 @@ def check_qspecial(tolerance: float = 1e-12) -> CheckReport:
 
     def pairs():
         q = 0.6
-        for a, z in ((0.3, 0.5), (0.85, -0.4), (1.7, 0.25)):
-            lhs = qs.phi21(a, 0.9, 0.9, q, z)
-            rhs = qs.qpoch_inf(a * z, q) / qs.qpoch_inf(z, q)
+        az = ((0.3, 0.5), (0.85, -0.4), (1.7, 0.25))
+        lhss = qs._series_rows(np.array([[a, 0.9] for a, _ in az]), np.full((3, 2), [0.9, q]), q, np.array(az)[:, 1])
+        syms = qs._qpoch_values(np.array([v for a, z in az for v in (a * z, z)]), q).tolist()
+        for (a, z), lhs, num, den in zip(az, lhss, syms[::2], syms[1::2]):
+            lhs, rhs = qs._unwrap(lhs), qs._symbol(num) / qs._symbol(den)
             yield abs(lhs - rhs) / abs(rhs), f"binomial a={a} z={z}"
+        xs = (0.25, 0.5, 1.75, 2.5)
         for q_ in (0.3, 0.6, 0.9):
-            for x in (0.25, 0.5, 1.75, 2.5):
-                lhs = qs.gamma_q(x + 1.0, q_)
-                rhs = (1.0 - q_**x) / (1.0 - q_) * qs.gamma_q(x, q_)
+            gammas = qs._gammas([v for x in xs for v in (x + 1.0, x)], q_)
+            for x, lhs, g in zip(xs, gammas[::2], gammas[1::2]):
+                lhs, rhs = qs._unwrap(lhs), (1.0 - q_**x) / (1.0 - q_) * qs._unwrap(g)
                 yield abs(lhs - rhs) / abs(rhs), f"gamma q={q_} x={x}"
         q_ = 0.55
-        for i in range(10):
-            z = 0.2 + 0.37 * i
-            lhs = qs.theta_q(q_ * z, q_)
-            rhs = -qs.theta_q(z, q_) / z
+        zs = [0.2 + 0.37 * i for i in range(10)]
+        thetas = qs._thetas([v for z in zs for v in (q_ * z, z)], q_)
+        for z, lhs, th in zip(zs, thetas[::2], thetas[1::2]):
+            rhs = -th / z
             yield abs(lhs - rhs) / max(abs(rhs), 1e-30), f"theta z={z:.2f}"
         val = qs.jackson_to(lambda _: 1.0, 1.0, 0.73)
         yield abs(val - 1.0), "jackson unit"

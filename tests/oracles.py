@@ -8,8 +8,10 @@ matrix engine, so the results can serve as oracles.  The scalar loops
 and basic-series kernels of ``qvirasoro.qspecial`` must equal bit for
 bit, and the pair scalar's full product form the factors that the
 library's pruned one keeps a part of.  The one-point correlator
-kernels and the sequential bodies of three correlator checks are the
-reference for the batched evaluators of ``qvirasoro.correlators``, and
+kernels, the closed four-point form on the loop products and series,
+and the sequential bodies of three correlator checks and of the
+q-special self-check are the reference for the batched evaluators of
+``qvirasoro.correlators`` and ``relations.check_qspecial``, and
 the per-pair operator kernels at the end the reference for
 ``fock.removal_table``, ``PartitionBasis.application_matrix``, ``weigh``
 and the shared blocks of ``relations._operands``.  The defining relation
@@ -320,8 +322,9 @@ def basic_series(upper: tuple, lower: tuple, q: float, z: float) -> float:
 # ---------------------------------------------------------------------------
 # The correlator kernels and checks as they were before the batched
 # evaluators of ``qvirasoro.correlators``: one kernel call per point,
-# one series per lattice branch, eight brackets per matrix, and the
-# checks evaluating point by point in their own order.
+# one series per lattice branch, the closed form on loop q-products and
+# a loop series, eight brackets per matrix, and the checks evaluating
+# point by point in their own order.
 
 
 def screening_wave(x, cp):
@@ -386,6 +389,50 @@ def four_point_jackson(branch, z, w, cp):
     return pref * val
 
 
+def beta_q(a, b, q):
+    """Gamma_q(a) Gamma_q(b) / Gamma_q(a+b) from four loop q-products."""
+    from qvirasoro.errors import RegimeError
+
+    if not (0 < q < 1):
+        raise RegimeError(f"infinite product needs bases in (0,1), got {q}")
+    zs = (a, b, a + b)
+    symbols = []
+    for z, x in zip(zs, [q**z for z in zs]):
+        symbols.append(qpoch_inf_single(x, q))
+        if symbols[-1] == 0.0:
+            raise PoleError(f"gamma_q pole at z={z}")
+    pa, pb, pab = symbols
+    return (1.0 - q) * qpoch_inf_single(q, q) * pab / pa / pb
+
+
+def four_point_closed(branch, z, w, cp):
+    """The closed form point by point: loop q-products for the q-beta
+    coefficient and the Heine factor, one loop series."""
+    P = cp.params
+    Q = cp.Q
+    a, b = cp.a, cp.b
+    edge = P.q ** (1.0 / (2.0 * cp.ell))
+    pref = (z * w) ** (cp.L * a / 2.0)
+    arg = Q ** (1.0 - a) * w / z
+    if branch == "plus":
+        coef = beta_q(2.0 * a - b, 1.0 - a, Q) * (P.t**0.5 / edge * z) ** (b - 2.0 * a)
+        u1, u2, c = Q**a, Q ** (2.0 * a - b), Q ** (1.0 + a - b)
+    elif branch == "minus":
+        coef = beta_q(b, 1.0 - a, Q) * (z * w) ** -a * (P.t**-0.5 * edge * w) ** b
+        u1, u2, c = Q**a, Q**b, Q ** (1.0 - a + b)
+    else:
+        raise QVirasoroError(f"unknown branch {branch!r}")
+    if abs(arg) < 1.0 or not 0.0 < u2 < 1.0:
+        val = coef * basic_series((u1, u2), (c, Q), Q, arg)
+    else:
+        den = qpoch_inf_single(c, Q) * qpoch_inf_single(arg, Q)
+        if den == 0.0:
+            raise PoleError(f"Heine transform pole at argument {arg!r}")
+        heine = qpoch_inf_single(u2, Q) * qpoch_inf_single(u1 * arg, Q) / den
+        val = coef * (heine * basic_series((c / u2, arg), (u1 * arg, Q), Q, u2))
+    return pref * val
+
+
 def connection_matrix(u, cp):
     """M(u) from one bracket call over its eight arguments."""
     from qvirasoro.qspecial import BracketParams, bracket
@@ -402,7 +449,7 @@ def connection_matrix(u, cp):
 
 
 def check_four_point(params, ell=1, L=0.5, z=1.0, w=0.4, tolerance=1e-8):
-    from qvirasoro.correlators import CorrelatorParams, four_point_closed
+    from qvirasoro.correlators import CorrelatorParams
     from qvirasoro.report import _scan_report
 
     cp = CorrelatorParams(params=params, ell=ell, L=L)
@@ -442,7 +489,7 @@ def check_connection_formula(
     identity_tolerance=1e-10,
     inverse_tolerance=1e-8,
 ):
-    from qvirasoro.correlators import CorrelatorParams, _check_exponents, four_point_closed
+    from qvirasoro.correlators import CorrelatorParams, _check_exponents
     from qvirasoro.qspecial import BracketParams, QParams
     from qvirasoro.report import _scan_report
 
@@ -490,6 +537,34 @@ def check_connection_formula(
             yield math.nan, "negative control did not fail"
 
     return _scan_report("connection", pairs(), tolerance, notes)
+
+
+def check_qspecial(tolerance=1e-12):
+    """The q-special self-check pair by pair, each side from one-point calls."""
+    from qvirasoro import qspecial as qs
+    from qvirasoro.report import _scan_report
+
+    def pairs():
+        q = 0.6
+        for a, z in ((0.3, 0.5), (0.85, -0.4), (1.7, 0.25)):
+            lhs = qs.phi21(a, 0.9, 0.9, q, z)
+            rhs = qs.qpoch_inf(a * z, q) / qs.qpoch_inf(z, q)
+            yield abs(lhs - rhs) / abs(rhs), f"binomial a={a} z={z}"
+        for q_ in (0.3, 0.6, 0.9):
+            for x in (0.25, 0.5, 1.75, 2.5):
+                lhs = qs.gamma_q(x + 1.0, q_)
+                rhs = (1.0 - q_**x) / (1.0 - q_) * qs.gamma_q(x, q_)
+                yield abs(lhs - rhs) / abs(rhs), f"gamma q={q_} x={x}"
+        q_ = 0.55
+        for i in range(10):
+            z = 0.2 + 0.37 * i
+            lhs = qs.theta_q(q_ * z, q_)
+            rhs = -qs.theta_q(z, q_) / z
+            yield abs(lhs - rhs) / max(abs(rhs), 1e-30), f"theta z={z:.2f}"
+        val = qs.jackson_to(lambda _: 1.0, 1.0, 0.73)
+        yield abs(val - 1.0), "jackson unit"
+
+    return _scan_report("qspecial", pairs(), tolerance)
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,7 @@ import pytest
 from oracles import four_point_lattice
 
 from qvirasoro.errors import ConvergenceError, PoleError, QVirasoroError, RegimeError
-from qvirasoro import correlators
+from qvirasoro import correlators, qspecial
 from qvirasoro.qspecial import QParams
 from qvirasoro.report import _scan_report
 from qvirasoro.voa import ProductForm, pair_correlation_log_rule
@@ -167,6 +167,26 @@ class TestFourPoint:
         assert rep.status == "inconclusive"
         assert rep.residual == float("inf")
 
+    @pytest.mark.parametrize("failing, where", [
+        ({("closed", "plus"), ("jackson", "plus")}, "closed plus"),
+        ({("jackson", "plus"), ("closed", "minus")}, "jackson plus"),
+        ({("jackson", "minus"), ("closed", "minus")}, "closed minus"),
+    ])
+    def test_checker_raises_the_closed_error_of_a_branch_first(self, monkeypatch, failing, where):
+        # all four values come from one batch; the check raises them in
+        # the order of evaluating point by point: per branch closed, then
+        # lattice
+        for method, name in (("closed", "_closed_start"), ("jackson", "_lattice_start")):
+
+            def start(branch, z, w, cp, _real=getattr(correlators, name), _method=method):
+                if (_method, branch) in failing:
+                    raise PoleError(f"{_method} {branch}")
+                return _real(branch, z, w, cp)
+
+            monkeypatch.setattr(correlators, name, start)
+        rep = check_four_point(P1)
+        assert (rep.status, rep.worst_location) == ("inconclusive", where)
+
     @pytest.mark.parametrize("branch", ["plus", "minus"])
     @pytest.mark.parametrize("power", [None, 1, 2], ids=["0.4", "Q^-1", "Q^-2"])
     def test_lattice_sum_matches_node_by_node_oracle(self, branch, power):
@@ -227,24 +247,23 @@ class TestConnection:
 
     @staticmethod
     def spy(monkeypatch):
-        """The (evaluator, bracket period) of each four-point evaluation
-        the connection check runs: the lattice rows or the closed form."""
+        """The (method, bracket period) of each row the connection check
+        hands to the four-point batch."""
         ran = []
-        for name in ("_four_point_rows", "four_point_closed"):
 
-            def wrapper(*args, _real=getattr(correlators, name), _name=name):
-                ran.append((_name, args[-1].r))
-                return _real(*args)
+        def rows(batch, cp, _real=correlators._four_point_rows):
+            ran.extend((row[0], cp.r) for row in batch)
+            return _real(batch, cp)
 
-            monkeypatch.setattr(correlators, name, wrapper)
+        monkeypatch.setattr(correlators, "_four_point_rows", rows)
         return ran
 
     def test_default_check_uses_lattice(self, monkeypatch):
         ran = self.spy(monkeypatch)
         rep = check_connection_formula(QParams(0.49, 0.7))
         assert rep.passed, rep.summary_line()
-        assert {name for name, _ in ran} == {"_four_point_rows"}
-        assert ran[0][1] == pytest.approx(2.0)
+        assert [m for m, _ in ran] == ["jackson"] * 12
+        assert all(r == pytest.approx(2.0) for _, r in ran)
 
     def test_auto_falls_back_to_continuation(self, monkeypatch):
         # beta = 1/5 makes the pinned period r = 5 admissible, but the
@@ -254,7 +273,7 @@ class TestConnection:
             QParams(0.52, 0.52**0.2), ell=1, L=1.0, r=5.0
         )
         assert rep.passed, rep.summary_line()
-        assert {name for name, _ in ran} == {"four_point_closed"}
+        assert ran == [("closed", 5.0)] * 12
 
     def test_never_evaluates_the_pair_scalar(self, monkeypatch):
         # the two-vertex scalar multiplies both sides and cancels
@@ -263,12 +282,34 @@ class TestConnection:
 
         monkeypatch.setattr(correlators, "two_point", refuse)
         monkeypatch.setattr(correlators, "pair_correlation_factor", refuse)
+        ran = self.spy(monkeypatch)
         rep = check_connection_formula(QParams(0.49, 0.7))
         assert rep.passed, rep.summary_line()
-        ran = self.spy(monkeypatch)
         rep = check_connection_formula(QParams(0.52, 0.52**0.2), ell=1, L=1.0, r=5.0)
         assert rep.passed, rep.summary_line()
-        assert {name for name, _ in ran} == {"four_point_closed"}
+        assert [m for m, _ in ran] == ["jackson"] * 12 + ["closed"] * 12
+
+    @pytest.mark.parametrize("check, symbol_calls", [
+        (lambda: check_four_point(P1), 1),
+        (lambda: check_connection_formula(P1), 2),
+        (lambda: check_connection_formula(QParams(0.52, 0.52**0.2), ell=1, L=1.0, r=5.0), 2),
+    ], ids=["four-point", "connection", "connection-closed"])
+    def test_one_kernel_call_of_each_kind(self, monkeypatch, check, symbol_calls):
+        # no node is a structural zero here: one symbol call holds every
+        # wave and closed-form symbol (connection's brackets make one
+        # more, in their own base), and one series call every series
+        calls = []
+        for module in (correlators, qspecial):
+            for name in ("_series_rows", "_qpoch_values"):
+
+                def counted(*args, _real=getattr(module, name), _name=name):
+                    calls.append(_name)
+                    return _real(*args)
+
+                monkeypatch.setattr(module, name, counted)
+        rep = check()
+        assert rep.passed, rep.summary_line()
+        assert (calls.count("_series_rows"), calls.count("_qpoch_values")) == (1, symbol_calls)
 
     def test_wrong_period_fails_honestly(self):
         rep = check_connection_formula(P1, r=3.0)

@@ -308,6 +308,34 @@ def correlator_params(draw):
     return CorrelatorParams(QParams(q, t), ell=draw(st.integers(1, 3)), L=draw(st.floats(-3.0, 3.0)))
 
 
+@st.composite
+def mixed_params(draw):
+    """Correlator parameters, some with L on a q-gamma pole of the
+    closed form: b = -n (the minus branch's beta) or 2a - b = -n (the
+    plus branch's)."""
+    q, t = draw(strict)
+    P, ell = QParams(q, t), draw(st.integers(1, 3))
+    a, n = ell * P.beta, draw(st.integers(0, 2))
+    L = draw(st.one_of(st.floats(-3.0, 3.0), st.just((1.0 + n) / P.beta), st.just((1.0 - 2.0 * a - n) / P.beta)))
+    return CorrelatorParams(P, ell=ell, L=L)
+
+
+def closed_edge_rows(cp, k):
+    """Rows on the edges of the closed form at z = 1: Heine rows (x = 2,
+    and x = Q^-k, a pole of the Heine factor) in each branch, where
+    0 < u2 < 1, and otherwise divergent series; an overflowing prefactor
+    and overflowing coefficient powers; an unknown branch in each method."""
+    w = cp.Q ** (cp.a - 1.0)
+    rows = [("closed", branch, 1.0, x * w) for branch in ("plus", "minus") for x in (2.0, cp.Q**-k)]
+    rows += [("closed", "plus", 1e150, 1e150), ("closed", "minus", 1e-155, 1e-155), ("closed", "plus", 1e-300, 1.0)]
+    return rows + [(method, "middle", 1.0, 0.4) for method in ("jackson", "closed")]
+
+
+def single_row(method):
+    """The point-by-point oracle of one method."""
+    return {"jackson": oracles.four_point_jackson, "closed": oracles.four_point_closed}[method]
+
+
 class TestBatchedCorrelators:
     @FAST
     @given(correlator_params(), st.lists(st.floats(-40.0, 40.0), min_size=1, max_size=8), st.data())
@@ -331,9 +359,41 @@ class TestBatchedCorrelators:
         # (z w)^{L a / 2} of a row at z w = 1e300 overflows where
         # L a / 2 > 1.03, and an unknown branch errs
         rows = rows + [("minus", 1.0, cp.Q**-m), ("plus", 1e150, 1e150), ("middle", 1.0, 0.4)]
-        got = correlators._four_point_rows(rows, cp)
+        got = correlators._four_point_rows([("jackson", *row) for row in rows], cp)
         for row, value in zip(rows, got):
             assert row_outcome(value) == outcome(lambda: oracles.four_point_jackson(*row, cp))
+
+    @settings(max_examples=40, deadline=None)
+    @given(mixed_params(), st.lists(
+        st.tuples(st.sampled_from(["jackson", "closed"]), st.sampled_from(["plus", "minus"]),
+                  st.floats(0.05, 3.0), st.floats(0.05, 3.0)),
+        max_size=6,
+    ), st.integers(1, 3))
+    def test_mixed_rows_match_single_calls(self, cp, rows, k):
+        rows = rows + closed_edge_rows(cp, k)
+        got = correlators._four_point_rows(rows, cp)
+        assert len(got) == len(rows)
+        for (method, *row), value in zip(rows, got):
+            assert row_outcome(value) == outcome(lambda: single_row(method)(*row, cp)), (method, *row)
+
+    @pytest.mark.parametrize("q, t, ell, L, first, second", [
+        (0.49, 0.7, 2, 0.5, PoleError, PoleError),  # a = 1: Gamma_q(1 - a)
+        (0.49, 0.7, 1, 2.0, PoleError, PoleError),  # b = 0 in the minus branch
+        (0.49, 0.7, 1, 2.6, ConvergenceError, float),  # b < 0: u2 > 1 past x = 1
+        (0.49, 0.7, 3, 0.5, float, OverflowError),  # a = 3/2: a Heine row
+    ])
+    def test_closed_edges_match_single_calls(self, q, t, ell, L, first, second):
+        # the first row's beta symbol is a pole, its series diverges, or
+        # it is a Heine row; the second row overflows in (z w)^-a at
+        # z w = 1e-310 where a > 1, which the one-row call meets after
+        # the beta symbols, so a pole among them comes first
+        cp = CorrelatorParams(QParams(q, t), ell=ell, L=L)
+        rows = [("closed", "minus", 1.0, 3.0), ("closed", "minus", 1e-155, 1e-155), ("jackson", "minus", 1.0, 0.4)]
+        rows += closed_edge_rows(cp, 1)
+        got = correlators._four_point_rows(rows, cp)
+        assert (type(got[0]), type(got[1])) == (first, second)
+        for (method, *row), value in zip(rows, got):
+            assert row_outcome(value) == outcome(lambda: single_row(method)(*row, cp)), (method, *row)
 
     @settings(max_examples=25, deadline=None)
     @given(correlator_params().filter(lambda cp: cp.params.p < 1.0), st.lists(st.floats(-3.0, 3.0), max_size=4), st.integers(0, 3))
@@ -346,12 +406,14 @@ class TestBatchedCorrelators:
         assert [row_outcome(v) for v in got] == [outcome(lambda x=x: oracles.pair_reference(x, cp)) for x in xs]
 
     def test_overflowing_set_up_stays_in_its_row(self):
-        # (z w)^{L a / 2} = (1e300)^1.35 at the middle row
+        # (z w)^{L a / 2} = (1e300)^1.35 at the middle rows
         cp = CorrelatorParams(QParams(0.49, 0.7), ell=3, L=1.8)
         rows = [("plus", 1.0, 0.4), ("plus", 1e150, 1e150), ("minus", 1.0, 0.4)]
-        got = correlators._four_point_rows(rows, cp)
-        assert isinstance(got[1], OverflowError)
-        assert [row_outcome(v) for v in got] == [outcome(lambda r=r: oracles.four_point_jackson(*r, cp)) for r in rows]
+        for method in ("jackson", "closed"):
+            got = correlators._four_point_rows([(method, *r) for r in rows], cp)
+            assert isinstance(got[1], OverflowError)
+            want = [outcome(lambda r=r: single_row(method)(*r, cp)) for r in rows]
+            assert [row_outcome(v) for v in got] == want
 
     @FAST
     @given(correlator_params(), st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=7))
@@ -421,6 +483,22 @@ def test_connection_later_sample_raising_after_a_failure(monkeypatch):
     old = oracles.check_connection_formula(P, tolerance=0.0)
     assert report_outcome(new) == report_outcome(old)
     assert (new.status, new.worst_location) == ("fail", "u=0.4")
+
+
+def test_qspecial_check_in_one_kernel_call_per_base(monkeypatch):
+    # one symbol call for the binomial, one per q-gamma base and one for
+    # the thetas, and one series call for the binomial's phi21 rows
+    want = report_outcome(oracles.check_qspecial())
+    calls = []
+    for name in ("_qpoch_values", "_qpoch2_rows", "_series_rows"):
+
+        def counted(*args, _real=getattr(qs, name), _name=name):
+            calls.append(_name)
+            return _real(*args)
+
+        monkeypatch.setattr(qs, name, counted)
+    assert report_outcome(relations.check_qspecial()) == want
+    assert sorted(calls) == ["_qpoch_values"] * 5 + ["_series_rows"]
 
 
 # ---------------------------------------------------------------------------
