@@ -67,6 +67,7 @@ come before.
 from __future__ import annotations
 
 import math
+import random
 from functools import partial
 
 import numpy as np
@@ -705,17 +706,32 @@ def check_argument_shift(ell: int, params: QParams, tolerance: float = 1e-10) ->
 
 
 def check_delta_identity(
-    rng: np.random.Generator,
+    seed: int,
     m_values=(1, 2, 3),
     window: int = 8,
     tolerance: float = 1e-10,
 ) -> CheckReport:
     """Bilateral comb identity behind every delta collapse: with
     F(x) = prod (1-r_i x)/(1-x), the two directional expansions differ
-    by the constant prod (1-r_i) at every integer power."""
-    roots = [[float(v) for v in rng.uniform(0.05, 0.95, size=m)] for m in m_values]
-    pairs = ((check_delta_comb(rs, window), f"m={m}") for m, rs in zip(m_values, roots))
-    return _scan_report("delta-identity", pairs, tolerance)
+    by the constant prod (1-r_i) at every integer power.
+
+    The m roots of each comb are drawn in turn from ``random.Random(seed)``,
+    each as 0.05 + 0.9 * random(): Python keeps that stream the same for
+    a given int seed across versions and platforms.  Each comb has a
+    negative control: its first root moved by 1e-6 relative on the side
+    of the expansion at infinity alone must deviate by more than the
+    tolerance, or else the check is inconclusive."""
+    rng = random.Random(seed)
+    roots = [[0.05 + 0.9 * rng.random() for _ in range(m)] for m in m_values]
+
+    def pairs():
+        for m, rs in zip(m_values, roots):
+            yield check_delta_comb(rs, window), f"m={m}"
+            moved = [rs[0] * (1.0 + 1e-6), *rs[1:]]
+            if check_delta_comb(rs, window, at_infinity=moved) <= tolerance:
+                yield math.nan, "negative control did not fail"
+
+    return _scan_report("delta-identity", pairs(), tolerance)
 
 
 def check_qspecial(tolerance: float = 1e-12) -> CheckReport:

@@ -16,8 +16,8 @@ numeric residual drawn (the first among equals) fails the check above
 the tolerance, even when a pole, a divergent sum or an overflow
 (``_UNDECIDED``) stops the drawing later.  Otherwise such an error makes
 the check inconclusive, and else a NaN residual, which decides nothing,
-makes it inconclusive (``_worst``).  An operator check yields a NaN when its
-negative control cannot fail.
+makes it inconclusive (``_worst``).  An operator check, ``connection`` and
+``delta-identity`` yield a NaN when their negative control cannot fail.
 """
 
 from __future__ import annotations

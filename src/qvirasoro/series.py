@@ -55,7 +55,9 @@ def _comb_coefficients(roots: Sequence[float], order: int) -> np.ndarray:
     return np.cumsum(c)
 
 
-def check_delta_comb(rs: Sequence[float], window: int) -> float:
+def check_delta_comb(
+    rs: Sequence[float], window: int, at_infinity: Sequence[float] | None = None
+) -> float:
     """Residual of the bilateral expansion-difference identity for
     F(x) = prod_i (1 - r_i x) / (1 - x).
 
@@ -64,13 +66,17 @@ def check_delta_comb(rs: Sequence[float], window: int) -> float:
     (-1)^{m-1} (prod r_i) E-[m-1-k] supported on k <= m-1, with
     E- built from the inverted roots.  Their difference, read as a
     bilateral sequence, must be the constant prod_i (1 - r_i) at every
-    k in [-window, window].  Returns the max deviation.
+    k in [-window, window].  Returns the max deviation.  ``at_infinity``
+    (default ``rs``) are the roots of the expansion around infinity
+    alone: a negative control moves one of them.
     """
     m = len(rs)
     order = window + m + 1
     ep = _comb_coefficients(rs, order)
-    em = _comb_coefficients([1.0 / r for r in rs], order)
-    prod_r = math.prod(rs)
+    if at_infinity is None:
+        at_infinity = rs
+    em = _comb_coefficients([1.0 / r for r in at_infinity], order)
+    prod_r = math.prod(at_infinity)
     const = math.prod(1.0 - r for r in rs)
     sign = (-1.0) ** (m - 1)
     worst = 0.0

@@ -622,6 +622,26 @@ def test_closed_pipe_gives_no_traceback():
     assert "Traceback" not in err, err
 
 
+def test_verify_does_not_import_numpy_random():
+    # importing numpy.random costs a fresh process 10-16 ms and 19 modules;
+    # pytest's own plugins may load it, so the run needs a process of its own
+    script = (
+        "import sys\n"
+        "from qvirasoro.cli import main\n"
+        "code = main(['verify', '--suite', 'all', '--json'])\n"
+        "assert 'numpy.random' not in sys.modules, 'numpy.random was imported'\n"
+        "sys.exit(code)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        env=_child_env(),
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
 # Appended to a child's script: prints the child's own peak RSS in KiB.
 # ru_maxrss would not do: on Linux a child keeps its parent's peak across
 # fork and exec, so it reads the test runner's peak, not the child's.

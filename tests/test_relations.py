@@ -1,6 +1,7 @@
 """Operator-identity checkers at generic parameter points and momenta."""
 
 import math
+import random
 from dataclasses import replace
 
 import numpy as np
@@ -10,6 +11,7 @@ from qvirasoro import relations
 from qvirasoro.fock import PartitionBasis
 from qvirasoro.qspecial import QParams
 from qvirasoro.report import _scan_report
+from qvirasoro.series import check_delta_comb
 from qvirasoro.voa import ProductForm
 from qvirasoro.relations import (
     check_adjoint_shift,
@@ -353,19 +355,37 @@ def test_argument_shift(ell):
 
 
 def test_delta_identity_seeded():
-    rng = np.random.default_rng(12345)
-    rep = check_delta_identity(rng, m_values=(1, 2), window=6)
+    rep = check_delta_identity(12345, m_values=(1, 2), window=6)
     assert rep.passed, rep.summary_line()
 
 
 def test_delta_identity_small_roots_across_seeds():
     # roots near 0.05 invert to ~20, whose powers once swamped the
-    # expansion at infinity (seeds 2, 4 and 5 failed)
+    # expansion at infinity; no seed here draws a root below 0.08, so the
+    # smallest roots are given explicitly as well
     for seed in range(1, 21):
-        rep = check_delta_identity(
-            np.random.default_rng(seed), m_values=(1, 2, 3), window=8
-        )
+        rep = check_delta_identity(seed, m_values=(1, 2, 3), window=8)
         assert rep.passed, f"seed {seed}: {rep.summary_line()}"
+    for rs in ([0.05, 0.0501, 0.06], [0.95, 0.94, 0.05]):
+        assert check_delta_comb(rs, 8) < 1e-10, rs
+
+
+def test_delta_identity_control_fails_at_default_seed():
+    # each comb's first root moved by 1e-6 relative, in the expansion at
+    # infinity alone, deviates by far more than the tolerance
+    rng = random.Random(12345)
+    for m in (1, 2, 3):
+        rs = [0.05 + 0.9 * rng.random() for _ in range(m)]
+        moved = [rs[0] * (1.0 + 1e-6), *rs[1:]]
+        assert check_delta_comb(rs, 8, at_infinity=moved) > 1e-8
+    assert check_delta_identity(12345).passed
+
+
+def test_delta_identity_control_that_cannot_fail_is_inconclusive():
+    # at tolerance 1 the moved root passes too, so a pass would show nothing
+    rep = check_delta_identity(12345, tolerance=1.0)
+    assert rep.status == "inconclusive"
+    assert rep.worst_location == "negative control did not fail"
 
 
 def test_qspecial_layer():
