@@ -21,6 +21,7 @@ monomial in the operator's formal variable.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from collections import namedtuple
 from dataclasses import dataclass, replace
@@ -155,6 +156,12 @@ RemovalTable = namedtuple(
 
 
 @functools.lru_cache(maxsize=None)
+def _states(degree: int) -> tuple[tuple[int, ...], ...]:
+    """The states of degree <= ``degree`` by (degree, parts), cached per degree."""
+    return (_states(degree - 1) if degree > 0 else ()) + tuple(sorted(partitions_of(degree)))
+
+
+@functools.lru_cache(maxsize=None)
 def removal_table(max_degree: int) -> RemovalTable:
     """What an annihilation exponential can remove from each state of the
     basis of degree <= max_degree.  ``mult[s, n - 1]`` counts the h_{-n}
@@ -162,39 +169,32 @@ def removal_table(max_degree: int) -> RemovalTable:
     pair: ``sup`` indexes the state, in ascending order, ``sub`` what
     remains of it (sub <= sup), ``kind`` the state that the removed
     sub-multiset is (mult[kind] = mult[sup] - mult[sub]), ``binom`` is
-    prod_n C(m_n, k_n) and ``fact`` prod_n k_n!, k = mult[kind].
+    prod_n C(m_n, k_n) and ``fact`` prod_n k_n!, k = mult[kind].  Each
+    pair is found by addition, sup being the union of sub and kind.
     Parameter-free, so built once per degree and shared, read-only, by
     its bases."""
-    states = tuple(
-        lam for d in range(max_degree + 1) for lam in sorted(partitions_of(d))
-    )
-    mult = np.array(
-        [np.bincount(lam, minlength=max_degree + 1)[1:] for lam in states],
-        dtype=np.int8,
-    )
-    # a mixed-radix key of the multiplicities (m_n <= max_degree // n; it
-    # fits in int64 up to max_degree 35) is linear, so the removed
-    # sub-multiset's key is key[sup] - key[sub]
-    radix = np.cumprod([1] + [max_degree // n + 1 for n in range(1, max_degree)])
-    key = mult @ radix[:max_degree]
+    D = max_degree
+    states = _states(D)
+    at = np.repeat(np.arange(len(states)) * D - 1, [len(lam) for lam in states])
+    at += np.fromiter(itertools.chain.from_iterable(states), np.int64, len(at))
+    mult = np.bincount(at, minlength=len(states) * D).reshape(len(states), D).astype(np.int8)
+    degrees = mult @ np.arange(1, D + 1)
+    # a mixed-radix key of the multiplicities, exact in int64 up to D = 35
+    key = mult @ np.cumprod([1] + [D // n + 1 for n in range(1, D)])[:D]
     order = np.argsort(key)
-    # the sub-multisets of each state, themselves states of the basis:
-    # mode by mode, each pair splits into one pair per count j <= m_n of
-    # h_{-n} removed, which takes j radix_n off the remaining key
-    sup, rest = np.arange(len(states)), key
-    for n in range(max_degree):
-        counts = mult[sup, n].astype(np.int64) + 1
-        j = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
-        sup, rest = np.repeat(sup, counts), np.repeat(rest, counts) - j * radix[n]
-    sub = order[np.searchsorted(key[order], rest)]
-    pairs = np.lexsort((sub, sup))
-    sup, sub = sup[pairs], sub[pairs]
-    kind = order[np.searchsorted(key[order], key[sup] - key[sub])]
-    f = np.array([math.factorial(j) for j in range(max_degree + 1)], dtype=float)
+    # the kinds that fit on sub are the states of degree <= D - deg sub, so
+    # m_n(sub) + m_n(kind) <= D // n: their key sum carries no digit and is
+    # the key of sup; sub ascends, so a stable sort by sup orders the pairs
+    fit = np.cumsum(np.bincount(degrees))[D - degrees]
+    sub = np.repeat(np.arange(len(states)), fit)
+    kind = np.arange(fit.sum()) - np.repeat(np.cumsum(fit) - fit, fit)
+    sup = order[np.searchsorted(key[order], key[sub] + key[kind])]
+    pairs = np.argsort(sup, kind="stable")
+    sup, sub, kind = sup[pairs], sub[pairs], kind[pairs]
+    f = np.array([math.factorial(j) for j in range(D + 1)], dtype=float)
     per_state = f[mult].prod(axis=1)
     fact = per_state[kind]
     binom = per_state[sup] / fact / per_state[sub]
-    degrees = mult @ np.arange(1, max_degree + 1)
     for arr in (degrees, mult, sup, sub, kind, binom, fact):
         arr.flags.writeable = False
     return RemovalTable(states, degrees, mult, sup, sub, kind, binom, fact)

@@ -6,8 +6,12 @@ bit-identical, and every error the same error, so the comparisons are
 ``==`` on the bits."""
 
 import math
+import os
 import re
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -630,13 +634,70 @@ class TestOperatorKernels:
             assert (K, s) == (K0, s0) and np.array_equal(got, want)
 
 
+def same_bytes(a, b):
+    """Equal dtype, shape and bits (a signed zero differs from its
+    opposite, which ``np.array_equal`` would not see)."""
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+REMOVAL_FIELDS = ("degrees", "mult", "sup", "sub", "kind", "binom", "fact")
+
+
 def test_removal_table_matches_oracle():
     for degree in range(21):
         got, want = removal_table(degree), oracles.removal_table(degree)
         assert got.states == want.states
-        for name in ("degrees", "mult", "sup", "sub", "kind", "binom", "fact"):
-            a, b = getattr(got, name), getattr(want, name)
-            assert a.dtype == b.dtype and np.array_equal(a, b), (degree, name)
+        for name in REMOVAL_FIELDS:
+            assert same_bytes(getattr(got, name), getattr(want, name)), (degree, name)
+
+
+# Builds the removal tables in the order of its arguments, then checks each
+# against the oracle and, as the leading part of it, against every larger
+# one (its states, their degrees and multiplicities, and the pairs that
+# remove from them), bit for bit.
+BUILD_ORDER_SCRIPT = """
+import sys
+import numpy as np
+import oracles
+from test_kernels import REMOVAL_FIELDS, same_bytes
+from qvirasoro.fock import removal_table
+
+tables = {d: removal_table(d) for d in map(int, sys.argv[1:])}
+for d, got in tables.items():
+    want = oracles.removal_table(d)
+    assert got.states == want.states, d
+    for name in REMOVAL_FIELDS:
+        assert same_bytes(getattr(got, name), getattr(want, name)), (d, name)
+    n = len(got.states)
+    for big_degree, big in tables.items():
+        if big_degree > d:
+            k = np.searchsorted(big.sup, n)
+            assert big.states[:n] == got.states, (d, big_degree)
+            assert same_bytes(big.degrees[:n], got.degrees), (d, big_degree)
+            assert same_bytes(big.mult[:n, :d], got.mult), (d, big_degree)
+            for name in REMOVAL_FIELDS[2:]:
+                assert same_bytes(getattr(big, name)[:k], getattr(got, name)), (d, big_degree, name)
+"""
+
+
+@pytest.mark.parametrize(
+    "order", [(16, 13, 11, 7, 0), (7, 0, 16, 2, 13, 11, 12)], ids=["descending", "shuffled"]
+)
+def test_removal_tables_in_any_build_order(order):
+    # the tables of all degrees share process-wide caches, so each build
+    # order starts from empty ones in a fresh interpreter
+    tests = Path(__file__).resolve().parent
+    env = dict(os.environ)
+    path = [str(tests.parent / "src"), str(tests), env.get("PYTHONPATH")]
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, path))
+    proc = subprocess.run(
+        [sys.executable, "-c", BUILD_ORDER_SCRIPT, *map(str, order)],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
 
 
 def _operator_checks(P, ell, k):
