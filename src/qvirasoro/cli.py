@@ -15,7 +15,10 @@ override built-in defaults.  All three are read through the one table
 ``KEYS``, so a value means the same wherever it is given.
 
 Exit status: 0 all checks passed; 1 at least one failed; 2 none failed
-but at least one was inconclusive; 3 configuration error.
+but at least one was inconclusive; 3 configuration error.  ``eval``
+exits 0 with the value, 1 where the evaluation raises (a pole, a
+divergent sum, an overflow, a division by zero) and 3 on a
+configuration error; neither command prints a traceback for these.
 
 JSON records have exactly the fields {identity, pass, residual,
 tolerance, worst_location, params:{q, t, ell, k, L, r, seed},
@@ -437,7 +440,7 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except QVirasoroError as exc:
+    except (QVirasoroError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -31,12 +31,12 @@ and its work runs inside that scan, which times it: a pole, a divergent
 sum or an overflow makes it inconclusive, and so does a NaN residual
 (say both branch values infinite) unless another residual fails.
 
-The waves, the four-point values of either method and the connection
-matrices are evaluated in batches (``_screening_waves``,
-``_four_point_rows``, ``_connection_matrices``), one kernel call of each
-kind for all points of a check; the public one-point functions are
-one-row calls of them.  A batch
-returns, per row, the value or the error that the one-point call
+The waves and the connection matrices are evaluated in batches
+(``_screening_waves``, ``_connection_matrices``), one kernel call for all
+points of a check, and the four-point values of either method in rounds
+(``_four_point_rows``), one q-product call per round and one series call
+in all.  The public one-point functions are one-row calls of them.  A
+batch returns, per row, the value or the error that the one-point call
 gives, bit for bit, and a check raises each row's error where
 evaluating point by point would have met it, so an earlier residual
 that fails still decides the check.
@@ -46,6 +46,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -102,15 +103,15 @@ class CorrelatorParams:
         if self.r <= 0:
             raise QVirasoroError("bracket period must be positive")
 
-    @property
+    @cached_property
     def a(self) -> float:
         return self.ell * self.params.beta
 
-    @property
+    @cached_property
     def b(self) -> float:
         return 1.0 - self.L * self.params.beta
 
-    @property
+    @cached_property
     def Q(self) -> float:
         return self.params.q ** (1.0 / self.ell)
 
@@ -130,29 +131,28 @@ def screening_wave(x: float, cp: CorrelatorParams) -> float:
     return _unwrap(_screening_waves([x], cp)[0])
 
 
-def _screening_waves(xs: list, cp: CorrelatorParams, extra: tuple = ()) -> list:
-    """``screening_wave(x, cp)`` for each x of ``xs``, all symbols per
-    point from one ``_qpoch_values`` call (whose entries do not depend
-    on each other): per point, the value or the error that the one-point
-    call raises; then, from the same call, the symbol (e; Q)_inf of each
-    e of ``extra``, NaN where the loop raises."""
+def _screening_waves(xs: list, cp: CorrelatorParams) -> list:
+    """``screening_wave(x, cp)`` for each x of ``xs``, all symbols from one
+    ``_qpoch_values`` call (whose entries do not depend on each other):
+    per point, the value or the error that the one-point call raises."""
     P = cp.params
     edge = P.q ** (1.0 / (2.0 * cp.ell))
     A, B = P.t**0.5 * edge, P.t**-0.5 * edge
-    syms = _qpoch_values(np.array([A * x for x in xs] + [B * x for x in xs] + list(extra)), cp.Q).tolist()
-    out = []
-    for x, num, den in zip(xs, syms, syms[len(xs):]):
-        if math.isnan(num):
-            out.append(ConvergenceError(_NO_END))
-        elif num == 0.0:
-            out.append(0.0)
-        elif math.isnan(den):
-            out.append(ConvergenceError(_NO_END))
-        elif den == 0.0:
-            out.append(PoleError(f"screening wave pole at x={x!r}"))
-        else:
-            out.append(num / den)
-    return out + syms[2 * len(xs) :]
+    syms = _qpoch_values(np.array([A * x for x in xs] + [B * x for x in xs]), cp.Q).tolist()
+    return [_attempt(_wave, x, num, den) for x, num, den in zip(xs, syms, syms[len(xs) :])]
+
+
+def _wave(x: float, num: float, den: float) -> float:
+    """F(x) from the values of its numerator and denominator symbols, as
+    ``screening_wave`` forms it: a structural zero of the numerator is
+    0.0 whatever the denominator, a NaN symbol did not terminate."""
+    if num == 0.0:
+        return 0.0
+    if math.isnan(num) or math.isnan(den):
+        raise ConvergenceError(_NO_END)
+    if den == 0.0:
+        raise PoleError(f"screening wave pole at x={x!r}")
+    return num / den
 
 
 # ---------------------------------------------------------------------------
@@ -242,10 +242,11 @@ def four_point_jackson(
     return _unwrap(_four_point_rows([("jackson", branch, z, w)], cp)[0])
 
 
-def _lattice_start(branch: str, z: float, w: float, cp: CorrelatorParams) -> list:
-    """[prefactor, measure ratio, weight, y1, y2] of a lattice branch at
-    its first node, before the nodes that are structural zeros are
-    skipped."""
+def _lattice_start(branch: str, z: float, w: float, cp: CorrelatorParams) -> tuple:
+    """The first node of a lattice row (see ``_four_point_rows``), of the
+    symbols A y1, A y2, B y1 and B y2 of its two waves.  Where a wave is
+    a structural zero, its rest returns the next node (y -> Q y, weight
+    -> ratio weight)."""
     _check_exponents(cp)
     P = cp.params
     Q = cp.Q
@@ -256,22 +257,33 @@ def _lattice_start(branch: str, z: float, w: float, cp: CorrelatorParams) -> lis
         mu = A * z / Q
         ratio = Q ** (2.0 * cp.a - cp.b)
         weight = mu ** (cp.b - 2.0 * cp.a)
-        return [pref, ratio, weight, z / mu, w / mu]
-    if branch == "minus":
+        y1, y2 = z / mu, w / mu
+    elif branch == "minus":
         mu = B * w
         ratio = Q**cp.b
         weight = (z * w) ** -cp.a * mu**cp.b
-        return [pref, ratio, weight, mu / z, mu / w]
-    raise QVirasoroError(f"unknown branch {branch!r}")
+        y1, y2 = mu / z, mu / w
+    else:
+        raise QVirasoroError(f"unknown branch {branch!r}")
+
+    def node(weight: float, y1: float, y2: float) -> tuple:
+        def rest(syms: list):
+            f1, f2 = _wave(y1, syms[0], syms[2]), _wave(y2, syms[1], syms[3])
+            if f1 == 0.0 or f2 == 0.0:
+                return node(ratio * weight, Q * y1, Q * y2)
+            return [pref, (1.0 - Q) * weight * f1 * f2, 1.0, B * y1, B * y2, A * y1, A * y2, ratio]
+
+        return [A * y1, A * y2, B * y1, B * y2], rest
+
+    return node(weight, y1, y2)
 
 
 def _closed_start(branch: str, z: float, w: float, cp: CorrelatorParams) -> tuple:
-    """The arguments of a closed row's Q-symbols (Q^z of beta_q's three
-    exponents and Q, then c, x, u2 and u1 x for a Heine row) and the rest
-    of the row, a function of their values that returns [prefactor,
-    coefficient, Heine factor, series row] or raises.  The powers that
-    follow beta_q are taken before the symbol call, so that a Heine row's
-    symbols join it, but their error is raised after beta_q's checks."""
+    """The first node of a closed row (see ``_four_point_rows``), of the
+    symbols of Q^z for beta_q's three exponents z and of Q.  Its rest
+    forms the coefficient, then u1, u2 and c, as ``four_point_closed``
+    does; where Heine's transformation applies, it returns the node of
+    the symbols of c, x, u2 and u1 x."""
     P = cp.params
     Q = cp.Q
     a, b = cp.a, cp.b
@@ -283,70 +295,51 @@ def _closed_start(branch: str, z: float, w: float, cp: CorrelatorParams) -> tupl
     za = 2.0 * a - b if branch == "plus" else b
     zs = (za, 1.0 - a, za + (1.0 - a))
     _check_base(Q)
-    args = [Q**x for x in zs] + [Q]
-    late = heine = None
-    try:
+
+    def rest(syms: list):
+        coef = _beta(zs, syms, Q)
         if branch == "plus":
-            factors = [(P.t**0.5 / edge * z) ** (b - 2.0 * a)]
+            coef = coef * (P.t**0.5 / edge * z) ** (b - 2.0 * a)
             u1, u2, c = Q**a, Q ** (2.0 * a - b), Q ** (1.0 + a - b)
         else:
-            factors = [(z * w) ** -a, (P.t**-0.5 * edge * w) ** b]
+            coef = coef * (z * w) ** -a * (P.t**-0.5 * edge * w) ** b
             u1, u2, c = Q**a, Q**b, Q ** (1.0 - a + b)
-        if not (abs(arg) < 1.0 or not 0.0 < u2 < 1.0):
-            heine = [c, arg, u2, u1 * arg]
-    except ArithmeticError as exc:
-        late = exc
-
-    def rest(syms: list) -> list:
-        coef = _beta(zs, syms[:4], Q)
-        if late is not None:
-            raise late
-        for f in factors:
-            coef *= f
-        if heine is None:
+        if abs(arg) < 1.0 or not 0.0 < u2 < 1.0:
             return [pref, coef, 1.0, u1, u2, c, Q, arg]
-        sc, sarg, su2, su1 = syms[4:]
-        den = _symbol(sc) * _symbol(sarg)
-        if den == 0.0:
-            raise PoleError(f"Heine transform pole at argument {arg!r}")
-        return [pref, coef, _symbol(su2) * _symbol(su1) / den, c / u2, arg, u1 * arg, Q, u2]
 
-    return args + (heine or []), rest
+        def heine(syms: list) -> list:
+            den = _symbol(syms[0]) * _symbol(syms[1])
+            if den == 0.0:
+                raise PoleError(f"Heine transform pole at argument {arg!r}")
+            return [pref, coef, _symbol(syms[2]) * _symbol(syms[3]) / den, c / u2, arg, u1 * arg, Q, u2]
+
+        return [c, arg, u2, u1 * arg], heine
+
+    return [Q**x for x in zs] + [Q], rest
 
 
 def _four_point_rows(rows: list, cp: CorrelatorParams) -> list:
     """For every (method, branch, z, w) of ``rows``, the value or the error
     of ``four_point_closed`` (method "closed") or ``four_point_jackson``.
-    Each row's set-up runs on its own; the closed rows' symbols and the
-    lattice rows' first nodes come from one ``_screening_waves`` call,
-    and every row's series from one ``_series_rows`` call."""
+
+    A row is a chain of nodes, tuples (symbol arguments, rest): its start
+    returns the first, and rest, given the symbols' values, takes the
+    one-point steps that follow and returns the next node or the list
+    [prefactor, coefficient, Heine factor, u1, u2, c1, c2, argument].
+    Each round takes every pending node's symbols from one
+    ``_qpoch_values`` call; then one ``_series_rows`` call sums every
+    row.  A Heine-continued closed row takes two rounds, a lattice row
+    one more per structural-zero node, any other row one."""
     Q = cp.Q
-    edge = cp.params.q ** (1.0 / (2.0 * cp.ell))
-    A, B = cp.params.t**0.5 * edge, cp.params.t**-0.5 * edge
     out = [_attempt(_closed_start if m == "closed" else _lattice_start, *row, cp) for m, *row in rows]
-    live = [i for i, node in enumerate(out) if not isinstance(node, Exception)]
-    pending = [i for i in live if rows[i][0] != "closed"]
-    closed = [i for i in live if rows[i][0] == "closed"]
-    extra = [x for i in closed for x in out[i][0]]
-    # the closed rows' symbols follow the first nodes' waves; at w/z =
-    # Q^{-m} the first m nodes are structural zeros
-    while pending or extra:
-        waves = _screening_waves([y for i in pending for y in out[i][3:]], cp, extra)
-        syms = iter(waves[2 * len(pending) :])
-        for i in closed:
-            out[i] = _attempt(out[i][1], [next(syms) for _ in out[i][0]])
-        closed, extra, skipped = [], [], []
-        for i, f1, f2 in zip(pending, waves[::2], waves[1::2]):
-            pref, ratio, weight, y1, y2 = node = out[i]
-            if isinstance(f1, Exception) or isinstance(f2, Exception):
-                out[i] = f1 if isinstance(f1, Exception) else f2
-            elif f1 == 0.0 or f2 == 0.0:
-                node[2:] = ratio * weight, Q * y1, Q * y2
-                skipped.append(i)
-            else:
-                out[i] = [pref, (1.0 - Q) * weight * f1 * f2, 1.0, B * y1, B * y2, A * y1, A * y2, ratio]
-        pending = skipped
-    ready = [i for i, node in enumerate(out) if not isinstance(node, Exception)]
+    while nodes := [i for i, row in enumerate(out) if type(row) is tuple]:
+        syms = _qpoch_values(np.array([x for i in nodes for x in out[i][0]]), Q).tolist()
+        k = 0
+        for i in nodes:
+            args, rest = out[i]
+            out[i] = _attempt(rest, syms[k : k + len(args)])
+            k += len(args)
+    ready = [i for i, row in enumerate(out) if not isinstance(row, Exception)]
     series = np.array([out[i][3:] for i in ready], dtype=float).reshape(-1, 5)
     sums = _series_rows(series[:, :2], series[:, 2:4], Q, series[:, 4])
     for i, s in zip(ready, sums):

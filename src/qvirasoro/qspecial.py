@@ -122,8 +122,9 @@ def _count(big: float, b: float) -> int:
     point drops below _STOP, plus one: the last point then lies near
     _STOP b, a margin that rounding in TERM_CAP + 1 steps of the running
     product cannot use up (that takes 1 - b < 1e-11, where a product
-    needs far more steps than that anyway)."""
-    return 1 if big < _STOP else int(math.log(_STOP / big) / math.log(b)) + 2
+    needs far more steps than that anyway).  The logs are taken apart:
+    _STOP / big underflows to 0.0 once big exceeds about 4e305."""
+    return 1 if big < _STOP else int((math.log(_STOP) - math.log(big)) / math.log(b)) + 2
 
 
 def _qpoch_values(a: np.ndarray, b: float) -> np.ndarray:

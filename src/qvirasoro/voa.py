@@ -247,11 +247,6 @@ def _eta(n: int, params: QParams) -> float:
     return (params.q**h - params.q**-h) * (params.t**h - params.t**-h)
 
 
-def _current_log(n: int, params: QParams) -> float:
-    h = n / 2.0
-    return -_eta(n, params) / (params.p**h + params.p**-h) / n
-
-
 def _exchange_log_first(n: int, ell: int, params: QParams) -> float:
     q, t, p = params.q, params.t, params.p
     h = n / 2.0
@@ -275,9 +270,10 @@ def structure_log_rule(
     exp( sum_{n>=1} rule(n) x^n ).  A second-kind label takes the
     first-kind rule at the kind's image of the parameters, (t, q) for
     ``exchange`` and (1/t, 1/q) for ``exchange-dual``; a composite label
-    adds the two."""
+    adds the two.  The current's rule is -c_n, minus the mode commutator
+    [h_n, h_-n]."""
     if spec.kind == "current":
-        return lambda n: _current_log(n, params)
+        return lambda n: -mode_commutator(n, -n, params)
     if spec.kind == "exchange":
         first, image = _exchange_log_first, params.omega_image()
     else:

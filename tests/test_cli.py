@@ -515,6 +515,31 @@ class TestEval:
             assert out == ""
             assert err == f"error: eval function missing required --{name}\n"
 
+    @pytest.mark.parametrize(
+        "argv, value",
+        [
+            (("two-point", "--q", "0.49", "--t", "0.7", "--z", "0", "--w", "0.4"), None),
+            (("four-point", "--q", "0.49", "--t", "0.7", "--z", "0", "--w", "0.4"), None),
+            (("beta-q", "--a", "-2000", "--b", "1", "--q", "0.5"), None),
+            (("gamma-q", "--x", "-2000.5", "--q", "0.5"), None),
+            (("qpoch", "--a", "1e308", "--q", "0.5"), lambda: qspecial.qpoch_inf(1e308, 0.5)),
+            (("screening-wave", "--q", "0.49", "--t", "0.7", "--x", "1e308"),
+             lambda: correlators.screening_wave(1e308, _cp())),
+        ],
+        ids=["two-point-z0", "four-point-z0", "beta-q-overflow", "gamma-q-overflow",
+             "qpoch-huge", "screening-wave-huge"],
+    )
+    def test_arithmetic_edges_give_no_traceback(self, capsys, argv, value):
+        # each once escaped main as a ZeroDivisionError, an OverflowError
+        # or a "math domain error"
+        code, out, err = run_cli(capsys, "eval", *argv)
+        assert "Traceback" not in err
+        if value is None:
+            assert (code, out) == (1, "")
+            assert err.startswith("error: ")
+        else:
+            assert (code, out, err) == (0, f"{value():.17g}\n", "")
+
     def test_pole_is_runtime_error_not_config(self, capsys):
         code, _, err = run_cli(
             capsys, "eval", "two-point", "--q", "0.49", "--t", "0.7",

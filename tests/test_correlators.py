@@ -298,6 +298,14 @@ class TestConnection:
         # no node is a structural zero here: one symbol call holds every
         # wave and closed-form symbol (connection's brackets make one
         # more, in their own base), and one series call every series
+        calls = self.kernel_calls(monkeypatch)
+        rep = check()
+        assert rep.passed, rep.summary_line()
+        assert (calls.count("_series_rows"), calls.count("_qpoch_values")) == (1, symbol_calls)
+
+    @staticmethod
+    def kernel_calls(monkeypatch):
+        """The name of each series and q-product kernel call made."""
         calls = []
         for module in (correlators, qspecial):
             for name in ("_series_rows", "_qpoch_values"):
@@ -307,9 +315,27 @@ class TestConnection:
                     return _real(*args)
 
                 monkeypatch.setattr(module, name, counted)
-        rep = check()
+        return calls
+
+    def test_heine_rows_take_a_second_round(self, monkeypatch):
+        # Q^{1-a} w/z > 1 in both branches, so both closed rows are
+        # continued by Heine's transformation: their beta symbols share
+        # round 1 with the lattice waves, their Heine symbols make round 2
+        calls = self.kernel_calls(monkeypatch)
+        rep = check_four_point(QParams(0.5, 0.14), ell=1, L=0.1)
         assert rep.passed, rep.summary_line()
-        assert (calls.count("_series_rows"), calls.count("_qpoch_values")) == (1, symbol_calls)
+        assert (calls.count("_series_rows"), calls.count("_qpoch_values")) == (1, 2)
+
+    def test_rows_share_each_round(self, monkeypatch):
+        # the Heine row needs 2 rounds, the lattice row at w/z = Q^-2 three
+        # (two structural-zero nodes) and the plain lattice row one: the
+        # Heine symbols share round 2 with the second lattice node
+        cp = CorrelatorParams(params=P1, ell=1, L=0.5)
+        rows = [("closed", "plus", 1.0, 3.0), ("jackson", "minus", 1.0, cp.Q**-2), ("jackson", "plus", 1.0, 0.4)]
+        calls = self.kernel_calls(monkeypatch)
+        values = correlators._four_point_rows(rows, cp)
+        assert all(type(v) is float and math.isfinite(v) for v in values), values
+        assert (calls.count("_series_rows"), calls.count("_qpoch_values")) == (1, 3)
 
     def test_wrong_period_fails_honestly(self):
         rep = check_connection_formula(P1, r=3.0)

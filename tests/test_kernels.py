@@ -58,6 +58,9 @@ points = st.one_of(
     st.builds(lambda m, e, s: s * m * 10.0**e, st.floats(1.0, 10.0), st.integers(-22, 60), st.sampled_from([-1.0, 1.0])),
 )
 
+# points whose size is near the float limit
+HUGE_POINTS = [1e308, -1e308, 1.7e308, 3e305, 2.5e305, 1e290]
+
 
 def structural_zero(b, k):
     """The point b^-k, whose k-th factor 1 - b^-k b^k snaps to zero."""
@@ -116,6 +119,16 @@ class TestSingleBase:
         with pytest.raises(ConvergenceError):
             qs._qpoch_inf_single(np.array([0.3, a]), 0.5)
 
+    @pytest.mark.parametrize("b", [0.5, 0.9, 0.999])
+    def test_points_near_the_float_limit(self, b):
+        # _STOP / |a| underflows to 0.0 past |a| ~ 4e305, and its log once
+        # raised "math domain error"; the loop returns +-inf or does not
+        # terminate there
+        loops = [outcome(lambda x=x: oracles.qpoch_inf_single(x, b)) for x in HUGE_POINTS]
+        assert [outcome(lambda x=x: qs._qpoch_inf_single(x, b)) for x in HUGE_POINTS] == loops
+        got = qs._qpoch_values(np.array(HUGE_POINTS), b).tolist()
+        assert [("ConvergenceError", qs._NO_END) if math.isnan(v) else row_outcome(v) for v in got] == loops
+
 
 class TestMultiBase:
     @FAST
@@ -123,6 +136,12 @@ class TestMultiBase:
     def test_double_base_matches_loop(self, a, b1, b2):
         expect = outcome(lambda: oracles.qpoch_inf(a, (b1, b2)))
         assert outcome(lambda: qs.qpoch_inf(a, b1, b2)) == expect
+
+    @pytest.mark.parametrize("b1, b2, a", [(0.5, 0.5, HUGE_POINTS), (0.9, 0.3, [1e308, 3e305])])
+    def test_points_near_the_float_limit(self, b1, b2, a):
+        # at (0.9, 0.3) the kernel once read 3e305 as not terminating
+        got = qs._qpoch2_rows(np.array(a), b1, b2)
+        assert [row_outcome(v) for v in got] == [outcome(lambda x=x: oracles.qpoch_inf(x, (b1, b2))) for x in a]
 
     def test_more_than_two_bases_are_refused(self):
         for bases in ((), (0.5, 0.4, 0.3)):
