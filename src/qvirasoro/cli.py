@@ -441,7 +441,10 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except (QVirasoroError, ArithmeticError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        # an OverflowError may read as a bare errno pair: name it an overflow
+        text = f"overflow ({exc.args[-1]})" if isinstance(exc, OverflowError) and exc.args else exc
+        name = f"{args.function}: " if args.command == "eval" else ""
+        print(f"error: {name}{text}", file=sys.stderr)
         return 1
 
 

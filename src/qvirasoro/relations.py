@@ -24,16 +24,22 @@ weighed entry, K_k = A @ (B * g_{k-d}) - (-1)^twist (C * g_{d-k-twist}) @ E.
   one table per w-exponent relative to the momentum-dependent offset,
   for |k| <= window.  An entry's key and degrees fix its z-exponent, so
   matching keys matches complete monomials.  The basis reaches
-  degree_cap + window + |P|, P the monomial twist exponent of the
-  reversed product.
+  degree_cap + window + max(0, -P), P the monomial twist exponent of
+  the reversed product: since g_s = 0 for s < 0, an intermediate state
+  e enters A @ (B * g_{k-d}) only if deg e <= deg lambda + k <=
+  degree_cap + window, and (C * g_{d-k-P}) @ E only if deg e <=
+  deg mu - k - P <= degree_cap + window - P.  A state past that reach
+  meets only exact-zero weights, so leaving it out keeps the corner
+  exact.
 * Modes (the defining relation and the adjoint shift): the z^{-n} mode,
   summed over all w-exponents, is P1 - (-1)^twist P2 with
   P1 = (X[:c] * g_{d+n}) @ Y[:, :c], P2 = Y[:c] @ (X[:, :c] * g_{-d-n-twist}).
   K_k of the swapped blocks (Y[:c], X[:, :c], X[:c], Y[:, :c]) at
   k = -n - twist is P2 - (-1)^twist P1, the same products of the same
   operands, so the mode is sigma K_k, sigma = -(-1)^twist, bit for bit
-  (fl(a - b) = -fl(b - a), a + b = b + a, sigma = +-1 exact).  The basis
-  reaches degree_cap + max |n| + |P|.  The defining relation (X = Y = T,
+  (fl(a - b) = -fl(b - a), a + b = b + a, sigma = +-1 exact).  Mode n is
+  key -n - P, so by the key reach the basis reaches
+  degree_cap + max |n| + max(0, -P).  The defining relation (X = Y = T,
   twist 0) is its own swap: mode n is -K_{-n}, its entry (mu, lambda)
   the w^{-m} coefficient with m = -(deg mu - deg lambda) - n, compared
   only for |m| <= max_mode.
@@ -187,17 +193,23 @@ def _exchange_check(
     branch) X against vertex Y, the right-hand side given by its delta
     terms (K, c, xi, W).  ``g`` maps an order to the structure series
     truncated there (``_one`` for the constant kernel 1).  The
-    basis reaches degree_cap + window + |twist|, enough for the corner to
-    be exact.  Key k's table is K_k (``_key_tables``), and a delta term
+    basis reaches degree_cap + window + max(0, -twist): an intermediate
+    state e weighs into the first product only if deg e <= deg lambda + k,
+    and into the second only if deg e <= deg mu - k - twist, so every
+    state past that reach meets exact-zero weights and the corner is
+    exact.  Key k's table is K_k (``_key_tables``), and a delta term
     reads K c^k c^{-(deg mu - deg lambda)} Theta_xi W, mu the bra and
     lambda the ket.  The keys run in stacks (``_runs``): Y's blocks are
     weighed once per stack and each product is one stacked matmul, every
     table bit for bit what it is alone."""
     basis, *blocks, shifted = _operands(
-        params, x, y, terms, degree_cap, window + abs(twist), momentum
+        params, x, y, terms, degree_cap, window + max(0, -twist), momentum
     )
     D = basis.max_degree
-    gc = g(2 * D + window + 2)
+    # the order of the reach window + |twist|, which covers every weight:
+    # at shorter orders an overflow no table reads no longer decides some
+    # checks at the box edge, and ROADMAP item 10 trims it with those
+    gc = g(2 * (degree_cap + window + abs(twist)) + window + 2)
     deltas = [
         (K, s, basis.weigh(w, np.array([s**-e for e in range(-D, D + 1)])))
         for K, s, w in shifted
@@ -215,7 +227,10 @@ def _exchange_check(
 def _operands(params, x, y, terms, degree_cap, reach, momentum):
     """The basis of degree degree_cap + reach and the blocks that the
     combination of ``_exchange_check`` multiplies, c being the size of its
-    corner: X[:c] at Y's outgoing momentum, Y[:, :c], Y[:c], X[:, :c], and
+    corner.  ``reach`` is the key window's, window + max(0, -twist) (or
+    the modes' max |n| + max(0, -twist)): no state past it meets a
+    nonzero weight (``_exchange_check``).  The blocks are X[:c] at Y's
+    outgoing momentum, Y[:, :c], Y[:c], X[:, :c], and
     (K, c, Theta_xi W[:c, :c]) per delta term (K, c, xi, W).  X's and Y's
     blocks come from one factor build each (``_blocks``), and each
     distinct W's corner is built once, Y's as the slice Y[:, :c][:c]."""
@@ -507,11 +522,15 @@ def check_adjoint_shift(
         # each delta term read per z^{-n} mode as K c^n Theta_xi V
         basis, x_left, y_in, y_out, x_right, deltas = _operands(
             params, build_current(params), y, _current_deltas(ell, params, y),
-            degree_cap, nmax + abs(twist), momentum,
+            degree_cap, nmax + max(0, -twist), momentum,
         )
-        # weigh() looks the kernel up at every degree difference in [-D, D]
-        D = basis.max_degree
-        g = structure_series(StructureFunctionSpec("exchange", ell, 0), params, 2 * D)
+        # weigh() looks the kernel up at every degree difference in [-D, D],
+        # D the basis degree; the order of the reach nmax + |twist| covers
+        # it, and ROADMAP item 10 trims it with the exchange checks' orders
+        g = structure_series(
+            StructureFunctionSpec("exchange", ell, 0), params,
+            2 * (degree_cap + nmax + abs(twist)),
+        )
         sigma = -((-1.0) ** twist)
 
         def stacks():

@@ -743,11 +743,11 @@ def exchange_check(params, x, y, g, twist, terms, degree_cap, window, momentum, 
     from qvirasoro import relations as R
 
     basis, x_left, y_in, y_out, x_right, shifted = R._operands(
-        params, x, y, terms, degree_cap, window + abs(twist), momentum
+        params, x, y, terms, degree_cap, window + max(0, -twist), momentum
     )
     D = basis.max_degree
     span = range(-D, D + 1)
-    gc = g(2 * D + window + 2)
+    gc = g(2 * (degree_cap + window + abs(twist)) + window + 2)
     deltas = [
         (K, s, basis.weigh(w, np.array([s**-d for d in span]))) for K, s, w in shifted
     ]
@@ -773,10 +773,11 @@ def check_adjoint_shift(ell, params, modes=(-2, -1, 0, 1, 2), degree_cap=4, mome
         y = build_vertex(ell, 0, params)
         basis, *blocks, deltas = R._operands(
             params, build_current(params), y, R._current_deltas(ell, params, y),
-            degree_cap, nmax + abs(twist), momentum,
+            degree_cap, nmax + max(0, -twist), momentum,
         )
-        D = basis.max_degree
-        g = structure_series(StructureFunctionSpec("exchange", ell, 0), params, 2 * D)
+        g = structure_series(
+            StructureFunctionSpec("exchange", ell, 0), params, 2 * (degree_cap + nmax + abs(twist))
+        )
 
         def triples():
             for n in modes:

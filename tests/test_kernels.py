@@ -873,9 +873,9 @@ def test_mode_tables_are_swapped_key_tables(monkeypatch, qt, ell, overflow, budg
 
     y = build_vertex(ell, 0, P)
     basis, *blocks, _ = relations._operands(
-        P, build_current(P), y, relations._current_deltas(ell, P, y), cap, 3 + abs(twist), momentum
+        P, build_current(P), y, relations._current_deltas(ell, P, y), cap, 3 + max(0, -twist), momentum
     )
-    g = voa.structure_series(voa.StructureFunctionSpec("exchange", ell, 0), P, 2 * basis.max_degree)
+    g = voa.structure_series(voa.StructureFunctionSpec("exchange", ell, 0), P, 2 * (cap + 3 + abs(twist)))
     want = oracles.mode_tables(basis, *blocks, g, modes, twist)
     got = np.concatenate([lhs for _, lhs, _ in adjoint])
     assert np.array_equal(got, want, equal_nan=True)

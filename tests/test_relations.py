@@ -332,6 +332,78 @@ def test_overflowing_momentum_is_inconclusive(check):
     assert rep.status == "inconclusive", rep.summary_line()
 
 
+# name -> (twist of the reversed product, reach of its keys or modes,
+# the check at a degree cap): keys |k| <= 2 or modes -3..3, twists -1..2
+MODES = range(-3, 4)
+TWISTED_CHECKS = {
+    "screening": (0, 2, lambda cap: check_screening_relation(P, +1, cap, 2)),
+    "vertex-exchange-ell1": (1, 2, lambda cap: check_vertex_exchange(1, P, "plain", cap, 2)),
+    "vertex-exchange-ell2": (0, 2, lambda cap: check_vertex_exchange(2, P, "plain", cap, 2)),
+    "vertex-exchange-ell3": (-1, 2, lambda cap: check_vertex_exchange(3, P, "plain", cap, 2)),
+    "vertex-exchange-theta-ell1": (1, 2, lambda cap: check_vertex_exchange(1, P, "theta", cap, 2)),
+    "vertex-exchange-mirror-ell3": (-1, 2, lambda cap: check_vertex_exchange(3, P, "mirror", cap, 2)),
+    "current-vertex-exchange-ell1": (1, 2, lambda cap: check_current_vertex_exchange(1, P, cap, 2)),
+    "current-vertex-exchange-ell3": (-1, 2, lambda cap: check_current_vertex_exchange(3, P, cap, 2)),
+    "exchange-rewrite-ell1": (1, 2, lambda cap: check_exchange_rewrite(1, P, cap, 2)),
+    "adjoint-shift-ell1": (1, 3, lambda cap: check_adjoint_shift(1, P, MODES, cap)),
+    "adjoint-shift-ell2": (0, 3, lambda cap: check_adjoint_shift(2, P, MODES, cap)),
+    "adjoint-shift-ell3": (-1, 3, lambda cap: check_adjoint_shift(3, P, MODES, cap)),
+    "composite-exchange-1-1": (2, 2, lambda cap: check_composite_exchange(1, 1, P, cap, 2)),
+    "composite-exchange-2-1": (1, 2, lambda cap: check_composite_exchange(2, 1, P, cap, 2)),
+    "composite-exchange-3-2": (-1, 2, lambda cap: check_composite_exchange(3, 2, P, cap, 2)),
+}
+
+
+@pytest.mark.parametrize("name", list(TWISTED_CHECKS))
+def test_basis_reaches_the_twisted_key_reach(monkeypatch, name):
+    # g_s = 0 for s < 0: an intermediate state enters a key table only up
+    # to degree cap + reach + max(0, -twist), so the basis stops there
+    twist, reach, check = TWISTED_CHECKS[name]
+    degrees = []
+
+    class Recording(PartitionBasis):
+        def __init__(self, params, max_degree):
+            degrees.append(max_degree)
+            super().__init__(params, max_degree)
+
+    monkeypatch.setattr(relations, "PartitionBasis", Recording)
+    rep = check(3)
+    assert rep.passed, rep.summary_line()
+    assert degrees == [3 + reach + max(0, -twist)]
+
+
+@pytest.mark.parametrize("name", list(TWISTED_CHECKS))
+def test_states_past_the_reach_meet_only_zero_weights(monkeypatch, name):
+    # on a basis of reach + |twist|, every weighed copy of B and C in
+    # K_k = A (B g_{k-d}) - (-1)^twist (C g_{d-k-twist}) E is exactly 0.0 on
+    # the rows of B and the columns of C of the states past that reach
+    twist, reach, check = TWISTED_CHECKS[name]
+    cap, operands, key_tables = 3, relations._operands, relations._key_tables
+    seen = []
+
+    def wider(params, x, y, terms, degree_cap, keys_reach, momentum):
+        return operands(params, x, y, terms, degree_cap, keys_reach + max(0, twist), momentum)
+
+    def checking(basis, x_left, y_in, y_out, x_right, g, twist, keys):
+        D = basis.max_degree
+        d = np.arange(-D, D + 1)
+        k = np.array(keys)[:, None]
+        past = basis.degrees > cap + reach + max(0, -twist)
+        b = basis.weigh(y_in, relations._coeffs(g, k - d))
+        c = basis.weigh(y_out, relations._coeffs(g, d - k - twist))
+        seen.append((D, int(past.sum())))
+        assert not b[:, past].any() and not c[..., past].any()
+        assert b[:, ~past].any() and c[..., ~past].any()
+        return key_tables(basis, x_left, y_in, y_out, x_right, g, twist, keys)
+
+    monkeypatch.setattr(relations, "_operands", wider)
+    monkeypatch.setattr(relations, "_key_tables", checking)
+    rep = check(cap)
+    assert rep.passed, rep.summary_line()
+    assert seen and all(D == cap + reach + abs(twist) for D, _ in seen)
+    assert all(n > 0 for _, n in seen) == (twist > 0)
+
+
 def test_vacuous_all_zero_tables_name_the_first_table():
     # at momentum 300 every block underflows to zero, so no table can fail
     rep = check_vertex_exchange(1, QParams(0.02, 0.05), "plain", 2, 2, momentum=300)
