@@ -145,11 +145,15 @@ def _screening_waves(xs: list, cp: CorrelatorParams) -> list:
 def _wave(x: float, num: float, den: float) -> float:
     """F(x) from the values of its numerator and denominator symbols, as
     ``screening_wave`` forms it: a structural zero of the numerator is
-    0.0 whatever the denominator, a NaN symbol did not terminate."""
+    0.0 whatever the denominator, a NaN symbol did not terminate, and an
+    infinite one overflowed (OverflowError), so that finite / inf is no
+    structural zero and inf / inf no NaN."""
     if num == 0.0:
         return 0.0
     if math.isnan(num) or math.isnan(den):
         raise ConvergenceError(_NO_END)
+    if math.isinf(num) or math.isinf(den):
+        raise OverflowError(f"screening wave symbol overflows at x={x!r}")
     if den == 0.0:
         raise PoleError(f"screening wave pole at x={x!r}")
     return num / den

@@ -13,36 +13,28 @@ both of its blocks from them, each the same product that
 Y[:, :c][:c].  A check's weights are rows over the degree differences
 -D..D that ``PartitionBasis.weigh`` gathers, the structure series read
 at an integer array of orders (``_coeffs``).  The internal basis reaches
-the largest degree an intermediate state that contributes can have, so
-the corner is exact.
+the largest degree an intermediate state that contributes can have
+(``_exchange_check`` states each reading's), so the corner is exact.
 
 Every table is a key table (``_key_tables``): for blocks (A, B, C, E),
 g_s the structure series (0 for s < 0) and d the degree difference of a
 weighed entry, K_k = A @ (B * g_{k-d}) - (-1)^twist (C * g_{d-k-twist}) @ E.
 
-* Keys (``_exchange_check``): K_k of (X[:c], Y[:, :c], Y[:c], X[:, :c]),
-  one table per w-exponent relative to the momentum-dependent offset,
-  for |k| <= window.  An entry's key and degrees fix its z-exponent, so
-  matching keys matches complete monomials.  The basis reaches
-  degree_cap + window + max(0, -P), P the monomial twist exponent of
-  the reversed product: since g_s = 0 for s < 0, an intermediate state
-  e enters A @ (B * g_{k-d}) only if deg e <= deg lambda + k <=
-  degree_cap + window, and (C * g_{d-k-P}) @ E only if deg e <=
-  deg mu - k - P <= degree_cap + window - P.  A state past that reach
-  meets only exact-zero weights, so leaving it out keeps the corner
-  exact.
-* Modes (the defining relation and the adjoint shift): the z^{-n} mode,
-  summed over all w-exponents, is P1 - (-1)^twist P2 with
-  P1 = (X[:c] * g_{d+n}) @ Y[:, :c], P2 = Y[:c] @ (X[:, :c] * g_{-d-n-twist}).
+* Keys: K_k of (X[:c], Y[:, :c], Y[:c], X[:, :c]), one table per
+  w-exponent relative to the momentum-dependent offset, for |k| <= window.
+  An entry's key and degrees fix its z-exponent, so matching keys matches
+  complete monomials.
+* Modes: the z^{-n} mode, summed over all w-exponents, is P1 - (-1)^twist P2
+  with P1 = (X[:c] * g_{d+n}) @ Y[:, :c], P2 = Y[:c] @ (X[:, :c] * g_{-d-n-twist}).
   K_k of the swapped blocks (Y[:c], X[:, :c], X[:c], Y[:, :c]) at
   k = -n - twist is P2 - (-1)^twist P1, the same products of the same
   operands, so the mode is sigma K_k, sigma = -(-1)^twist, bit for bit
-  (fl(a - b) = -fl(b - a), a + b = b + a, sigma = +-1 exact).  Mode n is
-  key -n - P, so by the key reach the basis reaches
-  degree_cap + max |n| + max(0, -P).  The defining relation (X = Y = T,
-  twist 0) is its own swap: mode n is -K_{-n}, its entry (mu, lambda)
-  the w^{-m} coefficient with m = -(deg mu - deg lambda) - n, compared
-  only for |m| <= max_mode.
+  (fl(a - b) = -fl(b - a), a + b = b + a, sigma = +-1 exact).  The adjoint
+  shift is the current-vertex exchange read per mode through
+  ``_exchange_check``.  The defining relation (X = Y = T, twist 0) is its
+  own swap and keeps a loop of its own: mode n is -K_{-n}, its entry
+  (mu, lambda) the w^{-m} coefficient with m = -(deg mu - deg lambda) - n,
+  compared with the central term only for |m| <= max_mode.
 
 The tables of a check are built as stacks, not one per loop step: a run
 of keys (``_runs``) weighs each of B and C once for all of them, as a
@@ -182,58 +174,75 @@ def _key_tables(basis, x_left, y_in, y_out, x_right, g, twist, keys):
 
 
 def _exchange_check(
-    params, x, y, g, twist, terms, degree_cap, window, momentum, tolerance, notes
+    params, x, y, g, twist, terms, degree_cap, reading, momentum, tolerance, notes
 ):
     """The exchange-check skeleton: the ``_table_pairs`` of
 
         g(w/z) X(z) Y(w) - Y(w) X(z) (-z/w)^twist g(z/w)
         and  sum_i K_i delta(c_i w/z) W_i(xi_i w),
 
-    one corner table per key in [-window, window], for current (or
-    branch) X against vertex Y, the right-hand side given by its delta
-    terms (K, c, xi, W).  ``g`` maps an order to the structure series
-    truncated there (``_one`` for the constant kernel 1).  The
-    basis reaches degree_cap + window + max(0, -twist): an intermediate
-    state e weighs into the first product only if deg e <= deg lambda + k,
-    and into the second only if deg e <= deg mu - k - twist, so every
-    state past that reach meets exact-zero weights and the corner is
-    exact.  Key k's table is K_k (``_key_tables``), and a delta term
-    reads K c^k c^{-(deg mu - deg lambda)} Theta_xi W, mu the bra and
-    lambda the ket.  The keys run in stacks (``_runs``): Y's blocks are
-    weighed once per stack and each product is one stacked matmul, every
-    table bit for bit what it is alone."""
+    for current (or branch) X against vertex Y, the right-hand side given
+    by its delta terms (K, c, xi, W), in the corner tables that
+    ``reading`` names: ("key", ks), one per key k in ks, or ("mode", ns),
+    one per z^{-n} mode n in ns.  ``g`` maps an order to the structure
+    series truncated there (``_one`` for the constant kernel 1).  With s
+    (``span``) the largest |k| or |n|, mu the bra and lambda the ket:
+
+    * key k's table is K_k (``_key_tables``), a delta term's
+      K c^k c^{-(deg mu - deg lambda)} Theta_xi W, and the series runs to
+      order 2(degree_cap + s + |twist|) + s + 2;
+    * mode n's table is sigma K_{-n-twist} of the swapped blocks (module
+      docstring), a delta term's K c^n Theta_xi W, and the series runs to
+      order 2(degree_cap + s + |twist|).
+
+    Either basis reaches degree_cap + s + max(0, -twist): K_k weighs an
+    intermediate state e into its first product only if
+    deg e <= deg lambda + k, and into its second only if
+    deg e <= deg mu - k - twist; mode n's products bound deg e by
+    deg mu + n and deg lambda - n - twist.  So every state past the reach
+    meets exact-zero weights and the corner is exact.  The orders cover
+    every weight: at shorter ones an overflow no table reads no longer
+    decides some checks at the box edge, and ROADMAP item 10 trims them
+    with those.  The tables run in stacks (``_runs``): one weighed copy
+    of a block per table of the stack and one stacked matmul per
+    product, every table bit for bit what it is alone."""
+    kind, labels = reading
+    labels = [int(i) for i in labels]
+    span = max(abs(i) for i in labels)
     basis, *blocks, shifted = _operands(
-        params, x, y, terms, degree_cap, window + max(0, -twist), momentum
+        params, x, y, terms, degree_cap, span + max(0, -twist), momentum
     )
-    D = basis.max_degree
-    # the order of the reach window + |twist|, which covers every weight:
-    # at shorter orders an overflow no table reads no longer decides some
-    # checks at the box edge, and ROADMAP item 10 trims it with those
-    gc = g(2 * (degree_cap + window + abs(twist)) + window + 2)
-    deltas = [
-        (K, s, basis.weigh(w, np.array([s**-e for e in range(-D, D + 1)])))
-        for K, s, w in shifted
-    ]
+    order = 2 * (degree_cap + span + abs(twist))
+    if kind == "key":
+        D = basis.max_degree
+        gc, keys, sign = g(order + span + 2), labels, 1.0
+        shifted = [
+            (K, s, basis.weigh(w, np.array([s**-e for e in range(-D, D + 1)])))
+            for K, s, w in shifted
+        ]
+    else:
+        gc, keys, sign = g(order), [-n - twist for n in labels], -((-1.0) ** twist)
+        blocks = blocks[2:] + blocks[:2]
 
     def stacks():
-        # blocks[0] is X[:c], c x N, the size of each weighed copy of a Y block
-        for keys in _runs(range(-window, window + 1), blocks[0].size):
-            lhs = _key_tables(basis, *blocks, gc, twist, keys)
-            yield [f"key={key}" for key in keys], lhs, _delta_tables(deltas, keys)
+        # blocks[0] is c x N, the size of each weighed copy
+        for run in _runs(list(zip(labels, keys)), blocks[0].size):
+            ids, ks = zip(*run)
+            lhs = _key_tables(basis, *blocks, gc, twist, ks)
+            lhs *= sign
+            yield [f"{kind}={i}" for i in ids], lhs, _delta_tables(shifted, ids)
 
     yield from _table_pairs(stacks(), basis, tolerance, notes)
 
 
 def _operands(params, x, y, terms, degree_cap, reach, momentum):
-    """The basis of degree degree_cap + reach and the blocks that the
-    combination of ``_exchange_check`` multiplies, c being the size of its
-    corner.  ``reach`` is the key window's, window + max(0, -twist) (or
-    the modes' max |n| + max(0, -twist)): no state past it meets a
-    nonzero weight (``_exchange_check``).  The blocks are X[:c] at Y's
-    outgoing momentum, Y[:, :c], Y[:c], X[:, :c], and
-    (K, c, Theta_xi W[:c, :c]) per delta term (K, c, xi, W).  X's and Y's
-    blocks come from one factor build each (``_blocks``), and each
-    distinct W's corner is built once, Y's as the slice Y[:, :c][:c]."""
+    """The basis of degree degree_cap + reach (``_exchange_check``) and the
+    blocks that the combination of ``_exchange_check`` multiplies, c being
+    the size of its corner: X[:c] at Y's outgoing momentum, Y[:, :c],
+    Y[:c], X[:, :c], and (K, c, Theta_xi W[:c, :c]) per delta term
+    (K, c, xi, W).  X's and Y's blocks come from one factor build each
+    (``_blocks``), and each distinct W's corner is built once, Y's as the
+    slice Y[:, :c][:c]."""
     basis = PartitionBasis(params, degree_cap + reach)
     c = basis.corner(degree_cap)
     x_left, x_right = _blocks(basis, x, c, momentum + y.momentum_shift(), momentum)
@@ -389,8 +398,8 @@ def check_screening_relation(
         K = -(1.0 - 1.0 / other)
         terms = [(K, c, 1.0, w), (-K * base, base * c, base, w)]
         yield from _exchange_check(
-            params, build_current(params), scr, _one, 0, terms, degree_cap, window,
-            momentum, tolerance, notes,
+            params, build_current(params), scr, _one, 0, terms, degree_cap,
+            ("key", range(-window, window + 1)), momentum, tolerance, notes,
         )
 
     name = "screening" if sign == +1 else "screening-mirror"
@@ -448,19 +457,31 @@ def check_vertex_exchange(
     def pairs():
         x, y, g, K, c, xi = _exchange_setup(ell, params, variant)
         yield from _exchange_check(
-            params, x, y, g, 2 - ell, [(K, c, xi, y)], degree_cap, window, momentum,
-            tolerance, notes,
+            params, x, y, g, 2 - ell, [(K, c, xi, y)], degree_cap,
+            ("key", range(-window, window + 1)), momentum, tolerance, notes,
         )
 
     name = "vertex-exchange" if variant == "plain" else f"vertex-exchange-{variant}"
     return _scan_report(name, pairs(), tolerance, notes)
 
 
-def _current_deltas(ell: int, params: QParams, v):
-    """The two delta terms (K_i, c_i, xi_i, v) of the full current's
-    exchange with v = V_{ell,0}, whose right-hand side is
+def _current_exchange(ell, params, degree_cap, reading, momentum, tolerance, notes):
+    """The (residual, location) pairs of the full current's exchange with
+    V = V_{ell,0}, in the tables that ``reading`` names
+    (``_exchange_check``).  Its right-hand side is
     Pi (K_1 delta(c_1 w/z) Theta_{xi_1} V(w) - K_2 delta(c_2 w/z) Theta_{xi_2} V(w)),
-    with Pi and the sign folded into the returned constants."""
+    two delta terms with Pi and the sign folded into their constants."""
+    y = build_vertex(ell, 0, params)
+    g = partial(structure_series, StructureFunctionSpec("exchange", ell, 0), params)
+    yield from _exchange_check(
+        params, build_current(params), y, g, 2 - ell, _current_deltas(ell, params, y),
+        degree_cap, reading, momentum, tolerance, notes,
+    )
+
+
+def _current_deltas(ell: int, params: QParams, v):
+    """The two delta terms (K_i, c_i, xi_i, v) of ``_current_exchange``,
+    v = V_{ell,0}."""
     q, t, p = params.q, params.t, params.p
     big_pi = math.prod(
         t**-0.5 * q ** (j / (2 * ell)) - t**0.5 * q ** (-j / (2 * ell))
@@ -485,16 +506,11 @@ def check_current_vertex_exchange(
     """Full current against a simple vertex: two delta terms, one per
     current branch, with square-root-balanced constants."""
     notes = []
-
-    def pairs():
-        y = build_vertex(ell, 0, params)
-        g = partial(structure_series, StructureFunctionSpec("exchange", ell, 0), params)
-        yield from _exchange_check(
-            params, build_current(params), y, g, 2 - ell, _current_deltas(ell, params, y),
-            degree_cap, window, momentum, tolerance, notes,
-        )
-
-    return _scan_report("current-vertex-exchange", pairs(), tolerance, notes)
+    pairs = _current_exchange(
+        ell, params, degree_cap, ("key", range(-window, window + 1)), momentum,
+        tolerance, notes,
+    )
+    return _scan_report("current-vertex-exchange", pairs, tolerance, notes)
 
 
 # ---------------------------------------------------------------------------
@@ -511,38 +527,13 @@ def check_adjoint_shift(
 ) -> CheckReport:
     """The z^{-n}-mode of the weighted exchange combination acting on a
     simple vertex equals an explicit two-term argument-shift operator:
-    the current-vertex exchange's delta terms, read per mode.  Mode n is
-    sigma times key -n - twist of the swapped blocks (module docstring)."""
-    nmax = max(abs(int(n)) for n in modes)
-    twist = 2 - ell
+    the current-vertex exchange read per mode (``_exchange_check``), each
+    delta term as K c^n Theta_xi V."""
     notes = []
-
-    def pairs():
-        y = build_vertex(ell, 0, params)
-        # each delta term read per z^{-n} mode as K c^n Theta_xi V
-        basis, x_left, y_in, y_out, x_right, deltas = _operands(
-            params, build_current(params), y, _current_deltas(ell, params, y),
-            degree_cap, nmax + max(0, -twist), momentum,
-        )
-        # weigh() looks the kernel up at every degree difference in [-D, D],
-        # D the basis degree; the order of the reach nmax + |twist| covers
-        # it, and ROADMAP item 10 trims it with the exchange checks' orders
-        g = structure_series(
-            StructureFunctionSpec("exchange", ell, 0), params,
-            2 * (degree_cap + nmax + abs(twist)),
-        )
-        sigma = -((-1.0) ** twist)
-
-        def stacks():
-            # y_out is Y[:c], c x N, the size of each weighed copy
-            for run in _runs([int(n) for n in modes], y_out.size):
-                keys = [-n - twist for n in run]
-                lhs = _key_tables(basis, y_out, x_right, x_left, y_in, g, twist, keys)
-                yield [f"mode={n}" for n in run], sigma * lhs, _delta_tables(deltas, run)
-
-        yield from _table_pairs(stacks(), basis, tolerance, notes)
-
-    return _scan_report("adjoint-shift", pairs(), tolerance, notes)
+    pairs = _current_exchange(
+        ell, params, degree_cap, ("mode", modes), momentum, tolerance, notes
+    )
+    return _scan_report("adjoint-shift", pairs, tolerance, notes)
 
 
 # ---------------------------------------------------------------------------
@@ -596,7 +587,7 @@ def check_exchange_rewrite(
         yield res_a, "kernel inverse"
         yield from _exchange_check(
             params, lam_plus, y, g, 2 - ell, [(K / params.p**0.5, c1, 1.0, w)],
-            degree_cap, window, momentum, tolerance, notes,
+            degree_cap, ("key", range(-window, window + 1)), momentum, tolerance, notes,
         )
         yield res_c, "support value"
         # value() is an exact 0.0 where a remaining factor vanishes at c1
@@ -673,8 +664,8 @@ def check_composite_exchange(
             f"{minus_weights[0]:.3e}, {minus_weights[1]:.3e}"
         )
         yield from _exchange_check(
-            params, lam_plus, y, g, 4 - ell - k, deltas, degree_cap, window, momentum,
-            tolerance, notes,
+            params, lam_plus, y, g, 4 - ell - k, deltas, degree_cap,
+            ("key", range(-window, window + 1)), momentum, tolerance, notes,
         )
 
     return _scan_report("composite-exchange", pairs(), tolerance, notes)

@@ -19,14 +19,15 @@ compared one (n, m) stripe table at a time, each stripe selected from
 its mode table as the check selects the window, is the reference for
 ``relations.check_defining_relation``, which compares each mode table
 once: where the worst entry ties, or a table holds a NaN, the two
-partitions may name different entries.  The exchange and adjoint-shift
-checks built and compared one key or mode table per loop step are the
-reference for the stacked tables of ``relations``.
+partitions may name different entries.  The exchange skeleton, built
+and compared one key or mode table per loop step, is the reference for
+the stacked tables of ``relations``.
 """
 
 from __future__ import annotations
 
 import math
+from functools import partial
 from itertools import combinations_with_replacement
 
 import numpy as np
@@ -328,7 +329,8 @@ def basic_series(upper: tuple, lower: tuple, q: float, z: float) -> float:
 
 
 def screening_wave(x, cp):
-    """F(x), its two symbols from one kernel call."""
+    """F(x), its two symbols from one kernel call; an infinite symbol
+    overflowed."""
     from qvirasoro.qspecial import _qpoch_values, _symbol
 
     P = cp.params
@@ -336,7 +338,9 @@ def screening_wave(x, cp):
     num, den = _qpoch_values(np.array([P.t**0.5 * edge * x, P.t**-0.5 * edge * x]), cp.Q).tolist()
     if _symbol(num) == 0.0:
         return 0.0
-    if _symbol(den) == 0.0:
+    if math.isinf(_symbol(den)) or math.isinf(num):
+        raise OverflowError(f"screening wave symbol overflows at x={x!r}")
+    if den == 0.0:
         raise PoleError(f"screening wave pole at x={x!r}")
     return num / den
 
@@ -738,56 +742,34 @@ def stacked_table_pairs(stacks, basis, tolerance, notes):
     return _table_pairs(triples, basis, tolerance, notes)
 
 
-def exchange_check(params, x, y, g, twist, terms, degree_cap, window, momentum, tolerance, notes):
-    """``relations._exchange_check`` with one table per key."""
+def exchange_check(params, x, y, g, twist, terms, degree_cap, reading, momentum, tolerance, notes):
+    """``relations._exchange_check`` with one table per key, or per mode
+    by the mode formula of ``_mode_table``."""
     from qvirasoro import relations as R
 
-    basis, x_left, y_in, y_out, x_right, shifted = R._operands(
-        params, x, y, terms, degree_cap, window + max(0, -twist), momentum
+    kind, labels = reading
+    labels = [int(i) for i in labels]
+    span = max(abs(i) for i in labels)
+    basis, *blocks, shifted = R._operands(
+        params, x, y, terms, degree_cap, span + max(0, -twist), momentum
     )
     D = basis.max_degree
-    span = range(-D, D + 1)
-    gc = g(2 * (degree_cap + window + abs(twist)) + window + 2)
-    deltas = [
-        (K, s, basis.weigh(w, np.array([s**-d for d in span]))) for K, s, w in shifted
-    ]
+    order = 2 * (degree_cap + span + abs(twist))
+    if kind == "key":
+        gc = g(order + span + 2)
+        deltas = [
+            (K, s, basis.weigh(w, np.array([s**-d for d in range(-D, D + 1)]))) for K, s, w in shifted
+        ]
+        table = partial(_key_table, basis, *blocks, gc, twist)
+    else:
+        gc, deltas = g(order), shifted
+        table = partial(_mode_table, basis, *blocks, gc, twist=twist)
 
     def triples():
-        for k in range(-window, window + 1):
-            lhs = _key_table(basis, x_left, y_in, y_out, x_right, gc, twist, k)
-            yield f"key={k}", lhs, sum(K * s**k * w for K, s, w in deltas)
+        for i in labels:
+            yield f"{kind}={i}", table(i), sum(K * s**i * w for K, s, w in deltas)
 
     yield from _table_pairs(triples(), basis, tolerance, notes)
-
-
-def check_adjoint_shift(ell, params, modes=(-2, -1, 0, 1, 2), degree_cap=4, momentum=0.0, tolerance=1e-8):
-    """``relations.check_adjoint_shift`` with one table per mode."""
-    from qvirasoro import relations as R
-    from qvirasoro.voa import StructureFunctionSpec, build_current, build_vertex, structure_series
-
-    nmax = max(abs(int(n)) for n in modes)
-    twist = 2 - ell
-    notes = []
-
-    def pairs():
-        y = build_vertex(ell, 0, params)
-        basis, *blocks, deltas = R._operands(
-            params, build_current(params), y, R._current_deltas(ell, params, y),
-            degree_cap, nmax + max(0, -twist), momentum,
-        )
-        g = structure_series(
-            StructureFunctionSpec("exchange", ell, 0), params, 2 * (degree_cap + nmax + abs(twist))
-        )
-
-        def triples():
-            for n in modes:
-                n = int(n)
-                lhs = _mode_table(basis, *blocks, g, n, twist)
-                yield f"mode={n}", lhs, sum(K * s**n * w for K, s, w in deltas)
-
-        yield from _table_pairs(triples(), basis, tolerance, notes)
-
-    return R._scan_report("adjoint-shift", pairs(), tolerance, notes)
 
 
 def stripe_tables(params, degree_cap, max_mode, momentum):

@@ -220,13 +220,16 @@ class TestPseudoConstant:
         rep = check_pseudo_constant(P1, ell=ell)
         assert rep.passed, rep.summary_line()
 
-    @pytest.mark.parametrize("q, t, ell", [(0.5, 1e-20, 3), (0.999, 1e-8, 1)])
-    def test_zero_denominator_is_a_pole(self, q, t, ell):
-        # both waves of rho underflow to +-0.0 here; the division by zero
-        # once escaped as a ZeroDivisionError traceback
+    @pytest.mark.parametrize(
+        "q, t, ell, x", [(0.5, 1e-20, 3, 0.2619211735747529), (0.999, 1e-8, 1, 0.32967)]
+    )
+    def test_overflowing_wave_symbol_is_inconclusive(self, q, t, ell, x):
+        # every denominator symbol of rho's waves overflows to +-inf here;
+        # read as finite / inf = 0.0, both waves once made a zero
+        # denominator of rho, and before that a ZeroDivisionError traceback
         rep = check_pseudo_constant(QParams(q, t), ell=ell)
         assert rep.status == "inconclusive", rep.summary_line()
-        assert rep.worst_location == "pseudo-constant ratio has a zero denominator at y=0.33"
+        assert rep.worst_location == f"screening wave symbol overflows at x={x!r}"
 
 
 class TestConnection:
@@ -316,6 +319,16 @@ class TestConnection:
 
                 monkeypatch.setattr(module, name, counted)
         return calls
+
+    @pytest.mark.parametrize("L", [-1, 0])
+    def test_overflowing_lattice_wave_ends_the_row(self, monkeypatch, L):
+        # the minus row's denominator symbols overflow at its first node:
+        # read as a structural zero, the row once walked 85 nodes (86
+        # rounds) before an OverflowError made the check inconclusive
+        calls = self.kernel_calls(monkeypatch)
+        rep = check_four_point(QParams(0.98, 0.02), 3, L)
+        assert rep.status == "inconclusive", rep.summary_line()
+        assert calls.count("_qpoch_values") == 2
 
     def test_heine_rows_take_a_second_round(self, monkeypatch):
         # Q^{1-a} w/z > 1 in both branches, so both closed rows are

@@ -762,9 +762,9 @@ def test_operator_checks_match_oracle_kernels(monkeypatch, q, t, ell, k):
     assert len(fast) == 10
 
 
-def _ten_outcomes(P, ell, k, cap, window, momentum, adjoint):
-    """The ten operator checks at one point, the adjoint shift given, as
-    (identity, status, residual bits, location, notes)."""
+def _ten_outcomes(P, ell, k, cap, window, momentum):
+    """The ten operator checks at one point, as (identity, status,
+    residual bits, location, notes)."""
     R = relations
     reports = [
         R.check_defining_relation(P, cap, window, momentum),
@@ -772,7 +772,7 @@ def _ten_outcomes(P, ell, k, cap, window, momentum, adjoint):
         R.check_screening_relation(P, -1, cap, window, momentum),
         *(R.check_vertex_exchange(ell, P, v, cap, window, momentum) for v in ("plain", "theta", "mirror")),
         R.check_current_vertex_exchange(ell, P, cap, window, momentum),
-        adjoint(ell, P, range(-window, window + 1), cap, momentum),
+        R.check_adjoint_shift(ell, P, range(-window, window + 1), cap, momentum),
         R.check_exchange_rewrite(ell, P, cap, window, momentum),
         R.check_composite_exchange(ell, k, P, cap, window, momentum),
     ]
@@ -806,8 +806,8 @@ stack_points = st.one_of(box, st.floats(0.05, 0.95).map(lambda q: (q, q ** (1 / 
 def test_stacked_tables_match_one_table_per_step(budget, momentum, qt, labels, cap, window):
     # the ten checks with their key and mode tables in stacks against the
     # loops of ``oracles`` that build and compare one table per step: the
-    # exchange skeleton and the adjoint shift as they were, and the
-    # defining relation's key tables and comparison
+    # exchange skeleton as it was, in both its readings, and the defining
+    # relation's key tables and comparison
     window = min(window, cap)
     P, (ell, k) = QParams(*qt), labels
     stacks = []
@@ -824,7 +824,7 @@ def test_stacked_tables_match_one_table_per_step(budget, momentum, qt, labels, c
         mp.setattr(qs, "_BUDGET", 1 if budget == "one" else qs._BUDGET)
         if budget == "two":
             mp.setattr(relations, "PartitionBasis", _TwoPerStack)
-        got = _ten_outcomes(P, ell, k, cap, window, momentum, relations.check_adjoint_shift)
+        got = _ten_outcomes(P, ell, k, cap, window, momentum)
     # 2 window + 1 tables a check; at cap 4 and below they fit in one stack
     # of the default budget
     sizes = {"one": {1}, "two": {1, 2} if window else {1}, "default": {2 * window + 1}}[budget]
@@ -833,7 +833,7 @@ def test_stacked_tables_match_one_table_per_step(budget, momentum, qt, labels, c
         mp.setattr(relations, "_exchange_check", oracles.exchange_check)
         mp.setattr(relations, "_key_tables", oracles.key_tables)
         mp.setattr(relations, "_table_pairs", oracles.stacked_table_pairs)
-        want = _ten_outcomes(P, ell, k, cap, window, momentum, oracles.check_adjoint_shift)
+        want = _ten_outcomes(P, ell, k, cap, window, momentum)
     assert got == want
 
 
