@@ -14,14 +14,17 @@ they are bit-exact: every value equals, bit for bit, the one the plain
 float loop (one Python step per factor or term, kept as the reference
 in ``tests/oracles.py``) computes.  So each kernel does the loop's
 floating-point operations in the loop's order: points and terms come
-from ``multiply.accumulate`` (never from powers), running products and
-sums from ``multiply.accumulate`` and ``add.accumulate``, and ``q**n``
-from Python's own pow.  Scalar prefactors stay Python float arithmetic,
-so an overflowing power still raises OverflowError, and a float
-argument still gives a Python float.  A kernel over many rows returns,
-per row, the value or the error that a one-row call gives: no row's
-value depends on the other rows of its call, and one row's error
-stops only that row.
+from ``multiply.accumulate`` or the loop's own steps x *= b (never from
+powers), running products and sums from ``multiply.accumulate``,
+``multiply.reduce`` (which numpy does in order, never pairwise) and
+``add.accumulate``, and ``q**n`` from Python's own pow.  Each kernel
+skips only work that cannot change a value: a zero test where no point
+can be near 1, a factor past a point's stop.  Scalar prefactors stay
+Python float arithmetic, so an overflowing power still raises
+OverflowError, and a float argument still gives a Python float.  A
+kernel over many rows returns, per row, the value or the error that a
+one-row call gives: no row's value depends on the other rows of its
+call, and one row's error stops only that row.
 """
 
 from __future__ import annotations
@@ -45,6 +48,16 @@ ZERO_SNAP = 1e-13
 _STOP = 1e-18
 # Floats in one kernel array; longer products run in column chunks.
 _BUDGET = 1 << 15
+# From this many live entries on, ``_qpoch_values`` steps them all one
+# factor at a time, _STEP_WIDTH factors between the stop tests.  Both
+# are measured (numpy 2.4, 2-vCPU x86-64; BENCH_scalar_kernels.json):
+# on the 60 calls of 64 or more entries from two scalar-sweep passes,
+# thresholds of 256 to 384 took 9.7-10.0 ms against 10.3 at 128, 10.5
+# at 512 and 19.4 for the column layout alone; 64 factors a chunk was
+# the fastest of 24 to 128 there and within 4 % of the fastest on a
+# call of 15,645 entries.
+_MANY = 320
+_STEP_WIDTH = 64
 _NO_END = "infinite Pochhammer did not terminate"
 
 
@@ -117,14 +130,15 @@ def qpoch(a: float, q: float, n: int) -> float:
     return prod
 
 
-def _count(big: float, b: float) -> int:
+def _count(big: float, b: float, level: float = _STOP) -> int:
     """Factors the loop takes from a point of size ``big`` until its next
-    point drops below _STOP, plus one: the last point then lies near
-    _STOP b, a margin that rounding in TERM_CAP + 1 steps of the running
-    product cannot use up (that takes 1 - b < 1e-11, where a product
-    needs far more steps than that anyway).  The logs are taken apart:
-    _STOP / big underflows to 0.0 once big exceeds about 4e305."""
-    return 1 if big < _STOP else int((math.log(_STOP) - math.log(big)) / math.log(b)) + 2
+    point drops below ``level``, plus one.  At level _STOP the last
+    point then lies near _STOP b, a margin that rounding in TERM_CAP + 1
+    steps of the running product cannot use up (that takes
+    1 - b < 1e-11, where a product needs far more steps than that
+    anyway).  The logs are taken apart: _STOP / big underflows to 0.0
+    once big exceeds about 4e305."""
+    return 1 if big < level else int((math.log(level) - math.log(big)) / math.log(b)) + 2
 
 
 def _qpoch_values(a: np.ndarray, b: float) -> np.ndarray:
@@ -135,30 +149,55 @@ def _qpoch_values(a: np.ndarray, b: float) -> np.ndarray:
     one is below 1 in size all later ones are, so a product that
     overflowed never meets one that underflowed.)
 
-    Each entry is a row.  Its points a b^n come from one
-    ``multiply.accumulate`` along [a, b, b, ...], its running products
-    from another along the factors 1 - a b^n, and every row is as long
-    as the largest |a| needs.  A chunk of at most _BUDGET floats hands
-    its last points and products on to the next."""
+    The entries run in chunks of factors, each as wide as the largest
+    live |a| needs, and an entry's value is written once, when it stops.
+    Its points a b^n come from the loop's own products x *= b, its
+    running product from the loop's prod *= 1 - x, in two layouts:
+    under _MANY live entries each is a column of a (width, entries)
+    array, its points one ``multiply.accumulate`` down [a, b, b, ...]
+    and its product one ``multiply.reduce`` down the factors (numpy
+    reduces a product in order, so this is the loop's product), and a
+    chunk holds at most _BUDGET floats; from _MANY live entries on, all
+    of them step one factor at a time over 1-D arrays, _STEP_WIDTH
+    factors a chunk, and no chunk holds a (width, entries) array.  A
+    factor can snap to zero only at a point within ZERO_SNAP of 1, so
+    the zero test covers only a chunk's leading factors whose points may
+    still be 1/2 in size, and none where its largest point is below
+    1/2."""
     out = np.full(a.shape, math.nan)
     with np.errstate(all="ignore"):
         live = np.flatnonzero(np.isfinite(a))
-        x, prod, n = a[live], 1.0, 0
+        x, prod, n = a[live], np.ones(live.size), 0
         while live.size and n <= TERM_CAP:
             big = float(np.max(np.abs(x)))
-            width = max(1, min(_count(big, b), _BUDGET // live.size, TERM_CAP + 1 - n))
-            pts = np.empty((live.size, width + 1))
-            pts[:, 0] = x
-            pts[:, 1:] = b
-            np.multiply.accumulate(pts, axis=1, out=pts)
-            x = pts[:, -1].copy()
-            f = np.subtract(1.0, pts[:, :-1], out=pts[:, :-1])
-            tiny = np.abs(f) < ZERO_SNAP
-            snap = tiny.any(axis=1) if tiny.any() else np.zeros(live.size, dtype=bool)
-            f[:, 0] *= prod
-            prod = np.multiply.accumulate(f, axis=1, out=f)[:, -1]
+            many = live.size >= _MANY
+            cap = _STEP_WIDTH if many else _BUDGET // live.size
+            width = max(1, min(_count(big, b), cap, TERM_CAP + 1 - n))
+            # the factors whose points may still be 1/2 in size
+            lead = min(width, _count(big, b, 0.5)) if big >= 0.5 else 0
+            snap = np.zeros(live.size, dtype=bool)
+            if many:
+                f = np.empty(live.size)
+                for j in range(width):
+                    np.subtract(1.0, x, out=f)
+                    if j < lead:
+                        snap |= np.abs(f) < ZERO_SNAP
+                    prod *= f
+                    x *= b
+            else:
+                pts = np.empty((width + 1, live.size))
+                pts[0] = x
+                pts[1:] = b
+                np.multiply.accumulate(pts, axis=0, out=pts)
+                x = pts[-1].copy()
+                f = np.subtract(1.0, pts[:-1], out=pts[:-1])
+                if lead:
+                    snap = (np.abs(f[:lead]) < ZERO_SNAP).any(axis=0)
+                f[0] *= prod
+                prod = np.multiply.reduce(f, axis=0)
             going = ~snap & (np.abs(x) >= _STOP)
-            out[live] = np.where(snap, 0.0, prod)
+            done = ~going
+            out[live[done]] = np.where(snap[done], 0.0, prod[done])
             live, x, prod, n = live[going], x[going], prod[going], n + width
     out[live] = math.nan  # still going after TERM_CAP + 1 factors
     return out
@@ -333,14 +372,18 @@ def _series_rows(upper: np.ndarray, lower: np.ndarray, q: float, z: np.ndarray) 
     (R, k) and (R, m) parameter arrays: per row, the value or the error
     that the one-row call raises.
 
-    The terms run in chunks of 64, 128, ... terms, at most _BUDGET // R
-    per chunk for R rows still running: the factors 1 - c q^n of a chunk,
-    their ratios, the terms by ``multiply.accumulate`` and the partial
-    sums by ``add.accumulate``, along each row and in the loop's order,
-    so where a chunk ends changes no value.  A row stops at its first
-    event, in the precedence of one term's step: a lower pole, a
-    terminating upper factor, divergence, the third small term in a row
-    (the run carrying over from the chunk before).
+    The terms run in chunks, the first ``_first_chunk(z)`` terms long and
+    each later one twice the one before, at most _BUDGET // R terms for
+    R rows still running: the factors 1 - c q^n of a chunk, their
+    ratios, the terms by ``multiply.accumulate`` and the partial sums by
+    ``add.accumulate``, along each row and in the loop's order, so a
+    chunk boundary changes no value.  A row stops at its first event, in
+    the precedence of one term's step: a lower pole, a terminating upper
+    factor, divergence, the third small term in a row (the run carrying
+    over from the chunk before).  A factor 1 - c q^n can snap to zero
+    only where its point c q^n is near 1, so the pole and zero test
+    covers only the leading terms of a chunk with max|c| q^n >= 1/2 (the
+    powers fall with n), and none where max|c| q^start is below 1/2.
     """
     rows, k = upper.shape
     if not (0 < q < 1):
@@ -348,17 +391,20 @@ def _series_rows(upper: np.ndarray, lower: np.ndarray, q: float, z: np.ndarray) 
     out: list = [None] * rows
     # coef[i, r] is parameter i of row r, upper parameters first
     coef = np.concatenate([upper, lower], axis=1).T[:, :, None]
+    # per row, the largest |c| of its parameters (fmax passes over NaN)
+    cmax = np.fmax.reduce(np.abs(coef[:, :, 0]), axis=0, initial=0.0)
     live = np.arange(rows)
     total, term, small = np.zeros(rows), np.ones(rows), np.zeros(rows, dtype=int)
-    start, size = 0, 64
+    start, size = 0, _first_chunk(z)
     with np.errstate(all="ignore"):
         while live.size and start < TERM_CAP:
             stop = min(start + size, start + max(1, _BUDGET // live.size), TERM_CAP)
+            powers = np.array([q**n for n in range(start, stop)])
             # f[i, r] holds the factors 1 - c_i q^n of row r
-            f = 1.0 - coef[:, live] * np.array([q**n for n in range(start, stop)])
+            f = 1.0 - coef[:, live] * powers
             terms = np.empty((live.size, stop - start + 1))
             terms[:, 0] = term
-            terms[:, 1:] = _prod(f[:k]) / _prod(f[k:]) * z[live, None]
+            np.multiply(_prod(f[:k]) / _prod(f[k:]), z[live, None], out=terms[:, 1:])
             np.multiply.accumulate(terms, axis=1, out=terms)
             # totals[:, i] is the sum through term start + i, nxt[:, i] the term after it
             totals = np.concatenate((total[:, None], terms[:, :-1]), axis=1)
@@ -366,19 +412,24 @@ def _series_rows(upper: np.ndarray, lower: np.ndarray, q: float, z: np.ndarray) 
             totals, nxt = totals[:, 1:], terms[:, 1:]
             mag = np.abs(nxt)
             div = ~(mag <= 1e100)  # also NaN and inf
-            tiny = mag <= REL_TOL * np.maximum(np.abs(totals), 1e-300)
-            pos = np.arange(nxt.shape[1])
-            mark = np.where(tiny, -1 - small[:, None], pos)
-            run = pos - np.maximum.accumulate(mark, axis=1)
-            snap = np.abs(f) < ZERO_SNAP
-            pole, zero = snap[k:].any(axis=0), snap[:k].any(axis=0)
-            event = pole | zero | div | (run >= 3)
+            # seen[:, i + 2] marks a small term at step start + i; the two
+            # columns before it carry the run of small terms into the chunk
+            seen = np.empty((live.size, nxt.shape[1] + 2), dtype=bool)
+            seen[:, 0], seen[:, 1] = small >= 2, small >= 1
+            np.less_equal(mag, REL_TOL * np.maximum(np.abs(totals), 1e-300), out=seen[:, 2:])
+            event = div | (seen[:, :-2] & seen[:, 1:-1] & seen[:, 2:])
+            # the leading terms, where a point c q^n may still be 1/2 in size
+            lead = int(np.count_nonzero(powers * cmax[live].max() >= 0.5))
+            if lead:
+                snap = np.abs(f[:, :, :lead]) < ZERO_SNAP
+                pole, zero = snap[k:].any(axis=0), snap[:k].any(axis=0)
+                event[:, :lead] |= pole | zero
             ended = event.any(axis=1)
             for j in np.flatnonzero(ended).tolist():
                 i = int(np.argmax(event[j]))
-                if pole[j, i]:
+                if i < lead and pole[j, i]:
                     out[live[j]] = PoleError(f"lower-parameter pole at term {start + i}")
-                elif zero[j, i]:
+                elif i < lead and zero[j, i]:
                     out[live[j]] = float(totals[j, i])  # terminating series
                 elif div[j, i]:
                     out[live[j]] = ConvergenceError("basic series diverges")
@@ -386,11 +437,21 @@ def _series_rows(upper: np.ndarray, lower: np.ndarray, q: float, z: np.ndarray) 
                     out[live[j]] = float(totals[j, i] + nxt[j, i])
             going = ~ended
             live, total, term = live[going], totals[going, -1], terms[going, -1]
-            small = run[going, -1]
+            small = seen[going, -1] * (1 + seen[going, -2])
             start, size = stop, 2 * size
     for r in live.tolist():
         out[r] = ConvergenceError(f"basic series did not converge within {TERM_CAP} terms")
     return out
+
+
+def _first_chunk(z: np.ndarray) -> int:
+    """Terms in the first chunk of ``_series_rows`` over the arguments z:
+    the count at which the largest |z| below 1 falls to REL_TOL as a
+    power, plus a few for the run of small terms that ends a row, and
+    at least 64."""
+    size = np.abs(z)
+    big = float(size[size < 1.0].max(initial=0.0))
+    return 64 if big == 0.0 else max(64, int(math.log(REL_TOL) / math.log(big)) + 4)
 
 
 def _attempt(fn, *args):
@@ -410,8 +471,10 @@ def _unwrap(outcome):
 
 def _prod(factors: np.ndarray):
     """math.prod of the factor rows, entrywise and in their order."""
-    out = 1.0
-    for f in factors:
+    if not len(factors):
+        return 1.0
+    out = factors[0]  # 1.0 * f is f exactly
+    for f in factors[1:]:
         out = out * f
     return out
 

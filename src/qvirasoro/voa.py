@@ -409,6 +409,29 @@ def pair_correlation_log_rule(ell: int, params: QParams) -> Callable[[int], floa
     return rule
 
 
+def _kept_prefix(make: Callable, kept: Callable, first: float, ratio: float, cap: int, what: str):
+    """The terms of a decreasing family before the first that ``kept``
+    drops; ``make(n)`` builds its first n terms as the loop over them
+    would.  The family is about ``first`` ratio^j (the term times the
+    reach the bound is tested at), so the closed form
+    log(_NEGLIGIBLE / first) / log(ratio) counts the terms that pass,
+    three more cover its rounding, and a count at which no term drops is
+    doubled.  ConvergenceError (the family ``what`` failed to decay)
+    if its first ``cap`` terms all pass."""
+    n = 1
+    if first > 0.0:
+        guess = (math.log(_NEGLIGIBLE) - math.log(first)) / math.log(ratio)
+        n = min(cap, max(1, int(min(guess, cap)) + 3))
+    while True:
+        terms = make(n)
+        drop = ~kept(terms)
+        if drop.any():
+            return terms[: int(np.argmax(drop))]
+        if n == cap:
+            raise ConvergenceError(f"{what} family failed to decay")
+        n = min(cap, 2 * n)
+
+
 def pair_correlation_factor(ell: int, params: QParams, reach: float) -> ProductForm:
     """Product form of the oscillator part of the two-vertex scalar for
     |x| <= reach, convergent past the power-series radius (the
@@ -422,7 +445,8 @@ def pair_correlation_factor(ell: int, params: QParams, reach: float) -> ProductF
     varying slowest, each coefficient the product of its three family
     terms in that order.  Only factors with |C| reach >= _NEGLIGIBLE are
     built: both infinite families end where no factor of theirs is left,
-    and each (t-half, pair-q) row keeps the prefix of the decreasing
+    their lengths from the closed-form bound of ``_kept_prefix``, and
+    each (t-half, pair-q) row keeps the prefix of the decreasing
     alternating family that passes the bound.  A form of more than
     _MAX_FACTORS factors raises ConvergenceError, naming its count.
     """
@@ -438,23 +462,28 @@ def pair_correlation_factor(ell: int, params: QParams, reach: float) -> ProductF
         return c * reach >= _NEGLIGIBLE
 
     half, top = [t**0.5, t**-0.5], max(t**0.5, t**-0.5)
-    pair_q = []
-    for m in range(1, 200001):
-        c = q ** ((m - ell / 2.0) / ell)
-        if not kept(top * c * P**0.5):
-            break
-        pair_q.append((-min(m, ell), c))
-    else:
-        raise ConvergenceError("squared geometric family failed to decay")
-    rows = np.array([h * c for h in half for _, c in pair_q])
-    row_w = np.array([s * w for s in (1, -1) for w, _ in pair_q], dtype=np.int64)
-    alt, c, widest = [], P**0.5, rows.max(initial=0.0)
-    while kept(widest * c):
-        alt.append(c)
-        c *= P
-        if len(alt) > 100000:
-            raise ConvergenceError("alternating family failed to decay")
-    alt = np.array(alt)
+    # the pair-q terms by Python's own ``**``, the alternating ones by the
+    # loop's running product c *= P, up to the first term each drops
+    pair_q = _kept_prefix(
+        lambda n: np.array([q ** ((m - ell / 2.0) / ell) for m in range(1, n + 1)]),
+        lambda c: kept(top * c * P**0.5),
+        top * P**0.5 * reach * q ** ((1 - ell / 2.0) / ell),
+        q ** (1.0 / ell),
+        200000,
+        "squared geometric",
+    )
+    m = np.arange(1, pair_q.size + 1, dtype=np.int64)
+    rows = np.concatenate([half[0] * pair_q, half[1] * pair_q])
+    row_w = np.concatenate([-np.minimum(m, ell), np.minimum(m, ell)])
+    widest = rows.max(initial=0.0)
+    alt = _kept_prefix(
+        lambda n: np.multiply.accumulate(np.concatenate([[P**0.5], np.full(n - 1, P)])),
+        lambda c: kept(widest * c),
+        widest * P**0.5 * reach,
+        P,
+        100001,
+        "alternating",
+    )
     # per row, the count of alternating terms that pass: searchsorted on
     # the bound, then a step across any boundary term it rounded past
     count = np.searchsorted(-alt, -_NEGLIGIBLE / (rows * reach), side="right")

@@ -183,6 +183,56 @@ class TestMultiBase:
         assert row_outcome(got[0]) == ("ConvergenceError", qs._NO_END)
 
 
+def kernel_outcomes(a, b):
+    """``_qpoch_values`` over the points a, as the loop's outcomes."""
+    got = qs._qpoch_values(np.array(a, dtype=float), b).tolist()
+    return [("ConvergenceError", qs._NO_END) if math.isnan(v) else row_outcome(v) for v in got]
+
+
+class TestManyEntries:
+    """From qs._MANY live entries on, ``_qpoch_values`` steps them all one
+    factor at a time over 1-D arrays; below that each is a column of
+    one array."""
+
+    def test_many_entries_match_loop(self):
+        # points from 1e-17 to 1e60 of either sign, a structural zero at
+        # factor 3 * _STEP_WIDTH + 5 (past the first chunk), the largest
+        # floats and non-finite points
+        b = 0.9
+        rng = np.random.default_rng(33)
+        sizes = 10.0 ** rng.uniform(-17.0, 60.0, qs._MANY)
+        a = (sizes * rng.choice([-1.0, 1.0], sizes.size)).tolist()
+        a += [structural_zero(b, 3 * qs._STEP_WIDTH + 5), 1e308, -1e308, math.inf, math.nan]
+        assert kernel_outcomes(a, b) == [outcome(lambda x=x: oracles.qpoch_inf_single(x, b)) for x in a]
+
+    def test_non_terminating_entry_among_many(self):
+        # (0.5; 0.9999) needs about 414k factors, more than TERM_CAP + 1;
+        # the others stop within 500 factors, and 0.5 goes on alone
+        b = 0.9999
+        a = [0.5] + np.linspace(1e-19, 1.05e-18, qs._MANY).tolist()
+        got = kernel_outcomes(a, b)
+        assert got == [outcome(lambda x=x: oracles.qpoch_inf_single(x, b)) for x in a]
+        assert got[0] == ("ConvergenceError", qs._NO_END)
+
+    def test_one_entry_below_the_threshold_gives_the_same_bits(self):
+        b = 0.95
+        rng = np.random.default_rng(7)
+        a = (10.0 ** rng.uniform(-17.0, 3.0, qs._MANY) * rng.choice([-1.0, 1.0], qs._MANY)).tolist()
+        a[100] = structural_zero(b, 40)
+        columns = qs._qpoch_values(np.array(a[:-1]), b)  # _MANY - 1 entries
+        steps = qs._qpoch_values(np.array(a), b)  # _MANY entries
+        assert columns.tobytes() == steps[:-1].tobytes()
+        assert kernel_outcomes(a, b) == [outcome(lambda x=x: oracles.qpoch_inf_single(x, b)) for x in a]
+
+    def test_double_base_rows_past_the_threshold(self):
+        # about 2,900 rows a b1^k reach the one _qpoch_values call
+        b1, b2 = 0.95, 0.6
+        a = [0.7, -2.5, 1e-3, 3e4, b1**-3 * b2**-2]
+        assert sum(qs._count(abs(x), b1) for x in a) > qs._MANY
+        got = qs._qpoch2_rows(np.array(a), b1, b2)
+        assert [row_outcome(v) for v in got] == [outcome(lambda x=x: oracles.qpoch_inf(x, (b1, b2))) for x in a]
+
+
 params = st.one_of(st.floats(-3.0, 3.0), st.floats(0.9, 1.1))
 
 
@@ -209,20 +259,29 @@ class TestBasicSeries:
         expect = outcome(lambda: oracles.basic_series(upper, lower, q, z))
         assert outcome(lambda: qs.basic_series(upper, lower, q, z)) == expect
 
+    # at z = 0.5 the kernel's first chunk is its least, 64 terms, and the
+    # series ends at the terminating factor of q^-n, at term n = 62 to 65
     @pytest.mark.parametrize("n", [62, 63, 64, 65])
     def test_terminating_across_the_first_chunk(self, n):
-        q = 0.98
-        upper, lower = (q**-n, 0.4), (0.6,)
-        expect = oracles.basic_series(upper, lower, q, 0.9)
-        assert qs.basic_series(upper, lower, q, 0.9).hex() == expect.hex()
+        q, z = 0.98, 0.5
+        assert qs._first_chunk(np.array([z])) == 64
+        upper, lower = (q**-n, -2.0), (0.6,)
+        expect = oracles.basic_series(upper, lower, q, z)
+        assert qs.basic_series(upper, lower, q, z).hex() == expect.hex()
 
-    # the geometric series sum z^n stops at its third small term in a
-    # row, at n = 62, 63, 64 and 65 for these z: the run of small terms
+    # the series sum (-c; 0.5)_n z^n stops at its third small term in a
+    # row at n = L - 2, L - 1, L and L + 1 for these (z, c), with L the
+    # kernel's first chunk at z: the run of small terms reaches or
     # crosses the first chunk boundary
-    @pytest.mark.parametrize("z", [0.596, 0.601, 0.606, 0.611])
-    def test_small_term_run_across_the_first_chunk(self, z):
-        expect = oracles.basic_series((), (), 0.5, z)
-        assert qs.basic_series((), (), 0.5, z).hex() == expect.hex()
+    @pytest.mark.parametrize(
+        "z, c, first",
+        [pytest.param(0.596, 1.5, 66, id="0.596"), pytest.param(0.601, 3.5, 67, id="0.601"),
+         pytest.param(0.606, 7.0, 68, id="0.606"), pytest.param(0.611, 14.0, 69, id="0.611")],
+    )
+    def test_small_term_run_across_the_first_chunk(self, z, c, first):
+        assert qs._first_chunk(np.array([z])) == first
+        expect = oracles.basic_series((-c,), (), 0.5, z)
+        assert qs.basic_series((-c,), (), 0.5, z).hex() == expect.hex()
 
     @pytest.mark.parametrize("z", [1.2, -1.5, 3.0])
     def test_divergence(self, z):
@@ -313,6 +372,26 @@ class TestSeriesRows:
             assert row_outcome(value) == expect
         kinds = [row_outcome(v)[0] for v in got[:6]]
         assert kinds == ["value", "value", "ConvergenceError", "value", "PoleError", "ConvergenceError"]
+
+    def test_poles_and_zeros_past_the_first_chunk(self):
+        # at z = 0.7 the first chunk is L = 94 terms; q^-N ends a row at
+        # term N as an upper parameter and is a pole there as a lower one,
+        # for N in the first chunk, on both sides of its end and past it.
+        # A NaN parameter diverges in its own row at term 0, unless a pole
+        # comes first there, and hides no other row's pole or zero.
+        q, z, nan = 0.98, 0.7, math.nan
+        L = qs._first_chunk(np.array([z]))
+        assert L == 94
+        rows = []
+        for N in (3, L - 1, L, L + 5, L + 40):
+            rows += [([q**-N, 0.4], [0.6, 0.0], z), ([2.0 * q**-N, 0.4], [q**-N, 0.6], z)]
+        rows += [([nan, 0.4], [1.0, 0.6], z), ([nan, 0.4], [0.6, 0.0], z)]
+        got = series_rows(q, 2, 2, rows)
+        for (upper, lower, z), value in zip(rows, got):
+            expect = outcome(lambda: oracles.basic_series(tuple(upper), tuple(lower), q, z))
+            assert row_outcome(value) == expect
+        kinds = [row_outcome(v)[0] for v in got]
+        assert kinds == ["value", "PoleError"] * 5 + ["PoleError", "ConvergenceError"]
 
     def test_base_outside_the_box_errs_in_every_row(self):
         got = qs._series_rows(np.zeros((2, 1)), np.zeros((2, 0)), 1.5, np.zeros(2))
@@ -537,6 +616,17 @@ def pair_forms(draw):
     return voa.pair_correlation_factor(ell, params, reach), oracles.pair_correlation_factor(ell, params), reach
 
 
+def pair_oracle_blocks(ell, params):
+    """``oracles.pair_correlation_factor`` in its order, as consecutive
+    forms of a few of its (t-half, pair-q) rows each."""
+    alt = oracles._family_inv_p_sum(params.p, oracles._CUT)
+    pair_q = oracles._family_pair_q(params.q, ell, oracles._CUT)
+    step = max(1, (1 << 20) // len(alt))
+    for h in oracles._family_half(params.t):
+        for i in range(0, len(pair_q), step):
+            yield oracles._expand([[h], pair_q[i : i + step], alt])
+
+
 class TestPairForm:
     @settings(max_examples=30, deadline=None)
     @given(pair_forms())
@@ -549,6 +639,25 @@ class TestPairForm:
         for x in (reach, -reach):
             assert np.all(1.0 - dropped * x == 1.0)
         assert form.reach == reach
+
+    @pytest.mark.parametrize("reach", [0.55, 1e-3])
+    @pytest.mark.parametrize("ell", [1, 2, 3])
+    @pytest.mark.parametrize("q, t", [(0.95, 0.98), (0.98, 0.95), (0.98, 0.5)])
+    def test_long_families_keep_exactly_the_factors_that_move_the_value(self, q, t, ell, reach):
+        # up to 7,686 pair-q and 1,629 alternating terms: the oracle's full
+        # form is expanded a few of its rows at a time
+        params = QParams(q, t)
+        form = voa.pair_correlation_factor(ell, params, reach)
+        at = 0
+        for full in pair_oracle_blocks(ell, params):
+            keep = np.abs(full.coeffs) * reach >= 2.0**-55
+            kept = slice(at, at + int(keep.sum()))
+            assert np.array_equal(form.coeffs[kept], full.coeffs[keep])
+            assert np.array_equal(form.weights[kept], full.weights[keep])
+            for x in (reach, -reach):
+                assert np.all(1.0 - full.coeffs[~keep] * x == 1.0)
+            at = kept.stop
+        assert at == form.coeffs.size and form.reach == reach
 
     @pytest.mark.parametrize("q, t, ell", [(0.86, 0.68, 3), (0.49, 0.7, 1), (0.9, 0.2, 3)])
     def test_value_refuses_beyond_its_reach(self, q, t, ell):
