@@ -58,6 +58,7 @@ from .qspecial import (
     _attempt,
     _beta,
     _check_base,
+    _count,
     _qpoch2_rows,
     _qpoch_values,
     _series_rows,
@@ -445,7 +446,7 @@ def check_two_point(params: QParams, ell: int = 1, tolerance: float = 1e-12) -> 
             if v <= 0.0:
                 yield math.inf, f"x={x} (product form {v:.3e})"
                 return
-            order = 1 + int(math.log(1e-17) / math.log(max(abs(x), 1e-300) / radius))
+            order = _count(1.0, max(abs(x), 1e-300) / radius, 1e-17) - 1
             terms = np.array([rule(n) * x**n for n in range(1, order + 1)])
             logs = {"series": float(terms.sum())}
             if v_ref is not None:

@@ -53,11 +53,15 @@ def mode_commutator(n: int, m: int, params: QParams) -> float:
     """
     if n == 0 or n + m != 0:
         return 0.0
-    q, t, p = params.q, params.t, params.p
     hn = n / 2.0
-    return (
-        (q**hn - q**-hn) * (t**hn - t**-hn) / (p**hn + p**-hn) / n
-    )
+    return eta(n, params) / (params.p**hn + params.p**-hn) / n
+
+
+def eta(n: int, params: QParams) -> float:
+    """eta_n = (q^{n/2} - q^{-n/2})(t^{n/2} - t^{-n/2}), the numerator of
+    the mode commutator and of the current relation's central term."""
+    h = n / 2.0
+    return (params.q**h - params.q**-h) * (params.t**h - params.t**-h)
 
 
 # ---------------------------------------------------------------------------

@@ -19,12 +19,15 @@ powers), running products and sums from ``multiply.accumulate``,
 ``multiply.reduce`` (which numpy does in order, never pairwise) and
 ``add.accumulate``, and ``q**n`` from Python's own pow.  Each kernel
 skips only work that cannot change a value: a zero test where no point
-can be near 1, a factor past a point's stop.  Scalar prefactors stay
-Python float arithmetic, so an overflowing power still raises
-OverflowError, and a float argument still gives a Python float.  A
-kernel over many rows returns, per row, the value or the error that a
-one-row call gives: no row's value depends on the other rows of its
-call, and one row's error stops only that row.
+can be near 1, a factor past a point's stop.  Every q-product (these
+symbols and ``voa``'s pair form) stops at one level, NEGLIGIBLE = 2^-55:
+1 - x rounds to exactly 1.0 for |x| <= 2^-54, a factor two of margin
+over the level.  Scalar prefactors stay Python float arithmetic, so an
+overflowing power still raises OverflowError, and a float argument
+still gives a Python float.  A kernel over many rows returns, per row,
+the value or the error that a one-row call gives: no row's value
+depends on the other rows of its call, and one row's error stops only
+that row.
 """
 
 from __future__ import annotations
@@ -43,9 +46,8 @@ TERM_CAP = 100_000
 # Infinite products treat a factor this close to zero as a structural
 # zero (a lattice point landing exactly on a node) and return 0.0.
 ZERO_SNAP = 1e-13
-# An infinite product stops before its first point below this size;
-# 1 - x rounds to exactly 1.0 there, so the factors past it are 1.0.
-_STOP = 1e-18
+# A q-product stops before its first point below this size (module docstring).
+NEGLIGIBLE = 2.0**-55
 # Floats in one kernel array; longer products run in column chunks.
 _BUDGET = 1 << 15
 # From this many live entries on, ``_qpoch_values`` steps them all one
@@ -130,15 +132,17 @@ def qpoch(a: float, q: float, n: int) -> float:
     return prod
 
 
-def _count(big: float, b: float, level: float = _STOP) -> int:
+def _count(big: float, b: float, level: float = NEGLIGIBLE) -> int:
     """Factors the loop takes from a point of size ``big`` until its next
-    point drops below ``level``, plus one.  At level _STOP the last
-    point then lies near _STOP b, a margin that rounding in TERM_CAP + 1
-    steps of the running product cannot use up (that takes
-    1 - b < 1e-11, where a product needs far more steps than that
-    anyway).  The logs are taken apart: _STOP / big underflows to 0.0
-    once big exceeds about 4e305."""
-    return 1 if big < level else int((math.log(level) - math.log(big)) / math.log(b)) + 2
+    point drops below ``level``, plus one, at most 2 TERM_CAP + 2 (so an
+    infinite ``big`` has a count).  It only sizes a chunk or a first
+    guess: a kernel stops an entry by its own test on the computed point,
+    and the points past it only shrink, so a chunk past an entry's stop
+    multiplies it by factors 1 - x, |x| < NEGLIGIBLE, each exactly 1.0.
+    The logs are taken apart: level / big underflows past big ~ 1e307."""
+    if big < level:
+        return 1
+    return int(min((math.log(level) - math.log(big)) / math.log(b), 2 * TERM_CAP)) + 2
 
 
 def _qpoch_values(a: np.ndarray, b: float) -> np.ndarray:
@@ -195,7 +199,7 @@ def _qpoch_values(a: np.ndarray, b: float) -> np.ndarray:
                     snap = (np.abs(f[:lead]) < ZERO_SNAP).any(axis=0)
                 f[0] *= prod
                 prod = np.multiply.reduce(f, axis=0)
-            going = ~snap & (np.abs(x) >= _STOP)
+            going = ~snap & (np.abs(x) >= NEGLIGIBLE)
             done = ~going
             out[live[done]] = np.where(snap[done], 0.0, prod[done])
             live, x, prod, n = live[going], x[going], prod[going], n + width
@@ -253,7 +257,7 @@ def _qpoch2_rows(a: np.ndarray, b1: float, b2: float) -> list:
     row could make it 0 * inf = NaN.
 
     An entry's rows run up to the one before its first point below
-    _STOP, or over its first TERM_CAP + 1 points if there are more (then
+    NEGLIGIBLE, or over its first TERM_CAP + 1 points if there are more (then
     it does not terminate).  The rows of all entries come from one
     ``multiply.accumulate`` along [a_i, b1, b1, ...], their symbols from
     one ``_qpoch_values`` call, and the partial products from one
@@ -267,7 +271,7 @@ def _qpoch2_rows(a: np.ndarray, b1: float, b2: float) -> list:
     pts[:, 0] = a[live]
     pts[:, 1:] = b1
     np.multiply.accumulate(pts, axis=1, out=pts)
-    below = (np.abs(pts[:, 1:]) < _STOP) & (np.arange(pts.shape[1] - 1) < n[:, None])
+    below = (np.abs(pts[:, 1:]) < NEGLIGIBLE) & (np.arange(pts.shape[1] - 1) < n[:, None])
     ends = below.any(axis=1)
     rows = np.where(ends, np.argmax(below, axis=1) + 1, n)
     used = np.arange(pts.shape[1] - 1) < rows[:, None]
@@ -451,7 +455,7 @@ def _first_chunk(z: np.ndarray) -> int:
     at least 64."""
     size = np.abs(z)
     big = float(size[size < 1.0].max(initial=0.0))
-    return 64 if big == 0.0 else max(64, int(math.log(REL_TOL) / math.log(big)) + 4)
+    return 64 if big == 0.0 else max(64, _count(1.0, big, REL_TOL) + 2)
 
 
 def _attempt(fn, *args):

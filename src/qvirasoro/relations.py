@@ -75,6 +75,7 @@ from .errors import QVirasoroError
 from .fock import (
     OperatorSum,
     PartitionBasis,
+    eta,
     merge_vertices,
     vertex_data_distance,
 )
@@ -337,15 +338,14 @@ def check_defining_relation(
         c = basis.corner(degree_cap)
         t_out, t_in = _blocks(basis, build_current(params), c, momentum, momentum)
         f = structure_series(StructureFunctionSpec("current"), params, 2 * D + 2)
-        q, t, p = params.q, params.t, params.p
-        eta1 = (q**0.5 - q**-0.5) * (t**0.5 - t**-0.5)
+        p = params.p
 
         def central(n: int) -> float:
             if n == 0:
                 return 0.0
             if n < 0:
                 return -central(-n)
-            return -eta1 * p ** (0.5 - n) * sum(p**i for i in range(2 * n))
+            return -eta(1, params) * p ** (0.5 - n) * sum(p**i for i in range(2 * n))
 
         ident = np.eye(c)
         # T_j lowers the degree by j, so the z^{-n} mode table holds every m:
@@ -416,8 +416,13 @@ def _exchange_constants(ell: int, params: QParams) -> tuple[float, float, float]
     take them at the theta and omega images of the parameters."""
     q, t, p = params.q, params.t, params.p
     prod = math.prod(1.0 - t * q ** (-j / ell) for j in range(ell - 1))
-    K = p**0.5 * t ** (-ell / 2.0) * prod
-    return K, p**0.5 * q ** (-1.0 / (2 * ell)), q ** (-1.0 / ell)
+    return p**0.5 * t ** (-ell / 2.0) * prod, *_exchange_support(ell, params)
+
+
+def _exchange_support(ell: int, params: QParams) -> tuple[float, float]:
+    """The delta support c and argument shift xi of ``_exchange_constants``,
+    apart from K, whose power t^{-ell/2} can overflow where they do not."""
+    return params.p**0.5 * params.q ** (-1.0 / (2 * ell)), params.q ** (-1.0 / ell)
 
 
 def _exchange_setup(ell: int, params: QParams, variant: str):
@@ -699,13 +704,11 @@ def check_argument_shift(ell: int, params: QParams, tolerance: float = 1e-10) ->
     as exact vertex-data equality, modes |n| <= 24."""
 
     def pairs():
-        q, p = params.q, params.p
+        c, xi = _exchange_support(ell, params)
         v = build_vertex(ell, 0, params)
-        lhs = v.at_scale(q ** (-1.0 / ell))
-        merged = merge_vertices([v, build_lambda(+1, params).at_scale(
-            p**0.5 * q ** (-1.0 / (2 * ell))
-        )])
-        merged.scalar *= p**-0.5
+        lhs = v.at_scale(xi)
+        merged = merge_vertices([v, build_lambda(+1, params).at_scale(c)])
+        merged.scalar *= params.p**-0.5
         yield vertex_data_distance(lhs, merged, 24), "vertex data"
 
     return _scan_report("argument-shift", pairs(), tolerance)

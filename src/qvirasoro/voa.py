@@ -37,8 +37,8 @@ from typing import Callable
 import numpy as np
 
 from .errors import ConvergenceError, PoleError, QVirasoroError, RegimeError
-from .fock import NormalOrderedVertex, OperatorSum, merge_vertices, mode_commutator
-from .qspecial import QParams, ZERO_SNAP
+from .fock import NormalOrderedVertex, OperatorSum, eta, merge_vertices, mode_commutator
+from .qspecial import NEGLIGIBLE, ZERO_SNAP, QParams, _count
 from .series import from_log_rule
 
 __all__ = [
@@ -174,27 +174,25 @@ def theta_conjugate(build: Builder, params: QParams) -> NormalOrderedVertex:
 
     The returned vertex acts on the original-parameter Fock space.
     """
-    w = build(params.theta_image())
-    return NormalOrderedVertex(
-        params=params,
-        mode_rule=lambda n, _r=w.mode_rule: -_r(n),
-        charge=w.charge,
-        h0_base=w.h0_base,
-        h0_power=w.h0_power,
-        scalar=w.scalar,
-    )
+    return _image(build, params.theta_image(), params, 1.0)
 
 
 def omega_conjugate(build: Builder, params: QParams) -> NormalOrderedVertex:
     """Image under the involution that swaps the two parameters and
     negates every mode including the zero modes."""
-    w = build(params.omega_image())
+    return _image(build, params.omega_image(), params, -1.0)
+
+
+def _image(build: Builder, image: QParams, params: QParams, zero_sign: float) -> NormalOrderedVertex:
+    """``build``'s vertex at ``image``, its nonzero modes negated, its zero
+    modes times ``zero_sign`` (-1 inverts h0_base), re-homed to ``params``."""
+    w = build(image)
     return NormalOrderedVertex(
         params=params,
         mode_rule=lambda n, _r=w.mode_rule: -_r(n),
-        charge=-w.charge,
-        h0_base=1.0 / w.h0_base,
-        h0_power=-w.h0_power,
+        charge=zero_sign * w.charge,
+        h0_base=w.h0_base if zero_sign > 0 else 1.0 / w.h0_base,
+        h0_power=zero_sign * w.h0_power,
         scalar=w.scalar,
     )
 
@@ -242,11 +240,6 @@ class StructureFunctionSpec:
             raise QVirasoroError("exchange kernels need a valid vertex label")
 
 
-def _eta(n: int, params: QParams) -> float:
-    h = n / 2.0
-    return (params.q**h - params.q**-h) * (params.t**h - params.t**-h)
-
-
 def _exchange_log_first(n: int, ell: int, params: QParams) -> float:
     q, t, p = params.q, params.t, params.p
     h = n / 2.0
@@ -260,7 +253,7 @@ def _exchange_dual_log_first(n: int, ell: int, params: QParams) -> float:
     q, p = params.q, params.p
     h = n / 2.0
     d = q ** (n / (2.0 * ell)) - q ** (-n / (2.0 * ell))
-    return -(p**-h) * _eta(n, params) / (d * (p**h + p**-h)) / n
+    return -(p**-h) * eta(n, params) / (d * (p**h + p**-h)) / n
 
 
 def structure_log_rule(
@@ -306,12 +299,9 @@ def structure_series(
 # families only, so their forms are exact finite products of unbounded
 # reach.  The pair scalar has two geometric families; it is built for a
 # reach, the largest |x| it will be evaluated at, and keeps only the
-# tuples with |C| reach >= _NEGLIGIBLE.  Every other factor has
-# |C x| < 2^-54 at each |x| <= reach, so 1 - C x rounds to exactly 1.0
-# and the factor adds exactly 0 to the log (the argument behind
-# ``qspecial._STOP``): the form has the value of the untruncated product.
+# tuples with |C| reach >= NEGLIGIBLE, the one level of every q-product
+# (``qspecial``): it has the value of the untruncated product.
 
-_NEGLIGIBLE = 2.0**-55
 # A pair form of more factors (128 MB of coefficients) is refused
 # before it is allocated.
 _MAX_FACTORS = 2**24
@@ -328,8 +318,9 @@ class ProductForm:
 
     def factor_index_at_zero(self, x: float) -> int | None:
         """Index of a zero (a factor of positive weight) with
-        |1 - C_i x| < 1e-9, never of a pole that meets it (None if none)."""
-        hits = np.nonzero((np.abs(1.0 - self.coeffs * x) < 1e-9) & (self.weights > 0))[0]
+        |1 - C_i x| < ZERO_SNAP, the factors that ``value`` nets, never of
+        a pole that meets it (None if none)."""
+        hits = np.nonzero((np.abs(1.0 - self.coeffs * x) < ZERO_SNAP) & (self.weights > 0))[0]
         return int(hits[0]) if hits.size else None
 
     def drop(self, index: int) -> "ProductForm":
@@ -413,15 +404,11 @@ def _kept_prefix(make: Callable, kept: Callable, first: float, ratio: float, cap
     """The terms of a decreasing family before the first that ``kept``
     drops; ``make(n)`` builds its first n terms as the loop over them
     would.  The family is about ``first`` ratio^j (the term times the
-    reach the bound is tested at), so the closed form
-    log(_NEGLIGIBLE / first) / log(ratio) counts the terms that pass,
-    three more cover its rounding, and a count at which no term drops is
+    reach the bound is tested at), so its first guess is ``_count``'s of
+    the terms that pass, plus one, and a count at which no term drops is
     doubled.  ConvergenceError (the family ``what`` failed to decay)
     if its first ``cap`` terms all pass."""
-    n = 1
-    if first > 0.0:
-        guess = (math.log(_NEGLIGIBLE) - math.log(first)) / math.log(ratio)
-        n = min(cap, max(1, int(min(guess, cap)) + 3))
+    n = min(cap, _count(first, ratio) + 1)
     while True:
         terms = make(n)
         drop = ~kept(terms)
@@ -443,7 +430,7 @@ def pair_correlation_factor(ell: int, params: QParams, reach: float) -> ProductF
     1 / (p^{n/2} + p^{-n/2}) = sum_{j>=0} (-1)^j (P^{j+1/2})^n with
     P = min(p, 1/p); the factors come in that order, the first family
     varying slowest, each coefficient the product of its three family
-    terms in that order.  Only factors with |C| reach >= _NEGLIGIBLE are
+    terms in that order.  Only factors with |C| reach >= NEGLIGIBLE are
     built: both infinite families end where no factor of theirs is left,
     their lengths from the closed-form bound of ``_kept_prefix``, and
     each (t-half, pair-q) row keeps the prefix of the decreasing
@@ -459,7 +446,7 @@ def pair_correlation_factor(ell: int, params: QParams, reach: float) -> ProductF
     q, t, P = params.q, params.t, min(params.p, 1.0 / params.p)
 
     def kept(c):
-        return c * reach >= _NEGLIGIBLE
+        return c * reach >= NEGLIGIBLE
 
     half, top = [t**0.5, t**-0.5], max(t**0.5, t**-0.5)
     # the pair-q terms by Python's own ``**``, the alternating ones by the
@@ -486,7 +473,7 @@ def pair_correlation_factor(ell: int, params: QParams, reach: float) -> ProductF
     )
     # per row, the count of alternating terms that pass: searchsorted on
     # the bound, then a step across any boundary term it rounded past
-    count = np.searchsorted(-alt, -_NEGLIGIBLE / (rows * reach), side="right")
+    count = np.searchsorted(-alt, -NEGLIGIBLE / (rows * reach), side="right")
     while True:
         back = (count > 0) & ~kept(rows * alt[np.maximum(count - 1, 0)])
         ahead = (count < alt.size) & kept(rows * alt[np.minimum(count, alt.size - 1)])

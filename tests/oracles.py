@@ -33,7 +33,7 @@ from itertools import combinations_with_replacement
 import numpy as np
 
 from qvirasoro.errors import ConvergenceError, PoleError, QVirasoroError
-from qvirasoro.qspecial import REL_TOL, TERM_CAP, ZERO_SNAP
+from qvirasoro.qspecial import NEGLIGIBLE, REL_TOL, TERM_CAP, ZERO_SNAP
 from qvirasoro.report import _worst
 from qvirasoro.voa import ProductForm
 
@@ -197,7 +197,8 @@ def four_point_lattice(branch, z, w, cp):
 
 
 def qpoch_inf_single(a: float, b: float) -> float:
-    """(a; b)_inf, one factor per step until the next point is below 1e-18."""
+    """(a; b)_inf, one factor per step until the next point is below
+    NEGLIGIBLE."""
     prod = 1.0
     x = a
     n = 0
@@ -208,7 +209,7 @@ def qpoch_inf_single(a: float, b: float) -> float:
         prod *= f
         x *= b
         n += 1
-        if abs(x) < 1e-18:
+        if abs(x) < NEGLIGIBLE:
             return prod
         if n > TERM_CAP:
             raise ConvergenceError("infinite Pochhammer did not terminate")
@@ -228,7 +229,7 @@ def qpoch_inf(a: float, bases: tuple[float, ...]) -> float:
             return 0.0
         x *= b
         n += 1
-        if abs(x) < 1e-18:
+        if abs(x) < NEGLIGIBLE:
             return prod
         if n > TERM_CAP:
             raise ConvergenceError("infinite Pochhammer did not terminate")

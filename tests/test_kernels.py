@@ -103,12 +103,21 @@ class TestSingleBase:
         assert [v.hex() for v in got] == [oracles.qpoch_inf_single(x, b).hex() for x in a]
 
     def test_term_cap(self):
-        # (1; 0.9999) needs about 414k factors, more than TERM_CAP
+        # (1; 0.9999) needs about 381k factors, more than TERM_CAP
         for a in (0.5, np.array([0.5, 1e-3])):
             with pytest.raises(ConvergenceError):
                 qs._qpoch_inf_single(a, 0.9999)
         with pytest.raises(ConvergenceError):
             oracles.qpoch_inf_single(0.5, 0.9999)
+
+    def test_stops_at_the_level_within_the_term_cap(self):
+        # (1e-3; 0.99966) reaches NEGLIGIBLE after about 91.8k factors,
+        # within TERM_CAP + 1, but 1e-18 only after about 101.6k
+        a, b = 1e-3, 0.99966
+        assert qs._count(a, b) <= qs.TERM_CAP + 1 < qs._count(a, b, 1e-18)
+        expect = oracles.qpoch_inf_single(a, b)
+        assert qs._qpoch_inf_single(a, b).hex() == expect.hex()
+        assert qs.qpoch_inf(np.array([a, -a]), b)[0].hex() == expect.hex()
 
     @pytest.mark.parametrize("a", [math.inf, -math.inf, math.nan])
     def test_non_finite_point(self, a):
@@ -121,9 +130,9 @@ class TestSingleBase:
 
     @pytest.mark.parametrize("b", [0.5, 0.9, 0.999])
     def test_points_near_the_float_limit(self, b):
-        # _STOP / |a| underflows to 0.0 past |a| ~ 4e305, and its log once
-        # raised "math domain error"; the loop returns +-inf or does not
-        # terminate there
+        # NEGLIGIBLE / |a| underflows to 0.0 past |a| ~ 1e307, and its log
+        # once raised "math domain error"; the loop returns +-inf or does
+        # not terminate there
         loops = [outcome(lambda x=x: oracles.qpoch_inf_single(x, b)) for x in HUGE_POINTS]
         assert [outcome(lambda x=x: qs._qpoch_inf_single(x, b)) for x in HUGE_POINTS] == loops
         got = qs._qpoch_values(np.array(HUGE_POINTS), b).tolist()
@@ -176,7 +185,7 @@ class TestMultiBase:
         assert [row_outcome(v) for v in got] == [outcome(lambda x=x: oracles.qpoch_inf(x, (b1, b2))) for x in a]
 
     def test_non_terminating_row_among_others(self):
-        # (0.5; 0.9999, 0.01) needs about 414k rows, more than TERM_CAP + 1
+        # (0.5; 0.9999, 0.01) needs about 374k rows, more than TERM_CAP + 1
         a, b1, b2 = [0.5, 1e-17, 0.01**-2], 0.9999, 0.01
         got = qs._qpoch2_rows(np.array(a), b1, b2)
         assert [row_outcome(v) for v in got] == [outcome(lambda x=x: oracles.qpoch_inf(x, (b1, b2))) for x in a]
@@ -206,10 +215,11 @@ class TestManyEntries:
         assert kernel_outcomes(a, b) == [outcome(lambda x=x: oracles.qpoch_inf_single(x, b)) for x in a]
 
     def test_non_terminating_entry_among_many(self):
-        # (0.5; 0.9999) needs about 414k factors, more than TERM_CAP + 1;
-        # the others stop within 500 factors, and 0.5 goes on alone
+        # (0.5; 0.9999) needs about 374k factors, more than TERM_CAP + 1;
+        # the others straddle the stop level and stop within 500 factors,
+        # and 0.5 goes on alone
         b = 0.9999
-        a = [0.5] + np.linspace(1e-19, 1.05e-18, qs._MANY).tolist()
+        a = [0.5] + np.linspace(0.1 * qs.NEGLIGIBLE, 1.05 * qs.NEGLIGIBLE, qs._MANY).tolist()
         got = kernel_outcomes(a, b)
         assert got == [outcome(lambda x=x: oracles.qpoch_inf_single(x, b)) for x in a]
         assert got[0] == ("ConvergenceError", qs._NO_END)
@@ -632,7 +642,7 @@ class TestPairForm:
     @given(pair_forms())
     def test_keeps_exactly_the_factors_that_move_the_value(self, forms):
         form, full, reach = forms
-        keep = np.abs(full.coeffs) * reach >= 2.0**-55
+        keep = np.abs(full.coeffs) * reach >= qs.NEGLIGIBLE
         assert np.array_equal(form.coeffs, full.coeffs[keep])
         assert np.array_equal(form.weights, full.weights[keep])
         dropped = full.coeffs[~keep]
@@ -650,7 +660,7 @@ class TestPairForm:
         form = voa.pair_correlation_factor(ell, params, reach)
         at = 0
         for full in pair_oracle_blocks(ell, params):
-            keep = np.abs(full.coeffs) * reach >= 2.0**-55
+            keep = np.abs(full.coeffs) * reach >= qs.NEGLIGIBLE
             kept = slice(at, at + int(keep.sum()))
             assert np.array_equal(form.coeffs[kept], full.coeffs[keep])
             assert np.array_equal(form.weights[kept], full.weights[keep])
@@ -658,6 +668,14 @@ class TestPairForm:
                 assert np.all(1.0 - full.coeffs[~keep] * x == 1.0)
             at = kept.stop
         assert at == form.coeffs.size and form.reach == reach
+
+    def test_a_reach_whose_first_term_overflows(self):
+        # the pair-q family's first term times 1.7e308 is inf: its first
+        # guess is the capped count, not an OverflowError
+        assert qs._count(math.inf, 0.5) == 2 * qs.TERM_CAP + 2
+        with np.errstate(over="ignore"):
+            form = voa.pair_correlation_factor(3, QParams(0.01, 0.5), 1.7e308)
+        assert form.coeffs.size == 92836
 
     @pytest.mark.parametrize("q, t, ell", [(0.86, 0.68, 3), (0.49, 0.7, 1), (0.9, 0.2, 3)])
     def test_value_refuses_beyond_its_reach(self, q, t, ell):

@@ -426,6 +426,15 @@ def test_argument_shift(ell):
     assert rep.passed, rep.summary_line()
 
 
+def test_argument_shift_needs_no_exchange_constant():
+    # the exchange constant's t^{-ell/2} overflows at t = 1e-20, ell 40,
+    # but the support and shift this identity reads do not
+    with pytest.raises(OverflowError):
+        relations._exchange_constants(40, QParams(0.5, 1e-20))
+    rep = check_argument_shift(40, QParams(0.5, 1e-20))
+    assert rep.passed, rep.summary_line()
+
+
 def test_delta_identity_seeded():
     rep = check_delta_identity(12345, m_values=(1, 2), window=6)
     assert rep.passed, rep.summary_line()

@@ -105,34 +105,48 @@ class TestBuilders:
         assert v.charge == pytest.approx(-3.0 * P.sqrt_beta, rel=1e-14)
 
 
-class TestInvolutions:
-    @pytest.mark.parametrize(
-        "build",
-        [
-            lambda p: build_lambda(+1, p),
-            lambda p: build_lambda(-1, p),
-            lambda p: build_screening(+1, p),
-            lambda p: build_vertex(2, 0, p),
-        ],
-        ids=["lambda+", "lambda-", "screening+", "vertex(3,1)"],
-    )
-    def test_theta_is_involutive(self, build):
-        once = theta_conjugate(build, P)
-        # conjugating the conjugate (built at the theta image) returns the
-        # original data
-        twice = theta_conjugate(
-            lambda p: theta_conjugate(build, p.theta_image()), P.theta_image()
-        )
-        direct = build(P)
-        assert vertex_data_distance(once, once, 2) == 0.0
-        assert vertex_data_distance(twice, direct, ORDER) < 1e-12
+# every builder: Lambda+-, S+-, V_{ell+1,1}, V_{1,k+1}, V_{ell+1,k+1}
+BUILDERS = {
+    "lambda+": lambda p: build_lambda(+1, p),
+    "lambda-": lambda p: build_lambda(-1, p),
+    "screening+": lambda p: build_screening(+1, p),
+    "screening-": lambda p: build_screening(-1, p),
+    "vertex(3,1)": lambda p: build_vertex(2, 0, p),
+    "vertex(1,3)": lambda p: build_vertex(0, 2, p),
+    "vertex(3,2)": lambda p: build_vertex(2, 1, p),
+}
+# at (0.1, 0.4) Lambda+'s h0_base comes back one ulp off through 1/(1/x)
+INVOLUTION_POINTS = [P, QParams(0.49, 0.7), QParams(0.9, 0.2), QParams(0.95, 0.98), QParams(0.1, 0.4)]
 
-    def test_omega_is_involutive(self):
-        build = lambda p: build_screening(+1, p)
-        twice = omega_conjugate(
-            lambda p: omega_conjugate(build, p.omega_image()), P.omega_image()
-        )
-        assert vertex_data_distance(twice, build(P), ORDER) < 1e-12
+
+def _bits(v, order):
+    """The vertex's mode rule on 0 < |n| <= order and its zero-mode
+    fields other than h0_base, as exact bits."""
+    modes = [v.mode_rule(s) for n in range(1, order + 1) for s in (n, -n)]
+    return [x.hex() for x in modes + [v.charge, v.h0_power, v.scalar]]
+
+
+class TestInvolutions:
+    @pytest.mark.parametrize("params", INVOLUTION_POINTS, ids=lambda p: f"{p.q},{p.t}")
+    @pytest.mark.parametrize("build", BUILDERS.values(), ids=BUILDERS.keys())
+    def test_theta_is_involutive(self, build, params):
+        once = theta_conjugate(build, params)
+        # conjugating the conjugate returns the original data up to the
+        # rounding of the doubly inverted parameters
+        twice = theta_conjugate(lambda p: theta_conjugate(build, p), params)
+        assert vertex_data_distance(once, once, 2) == 0.0
+        assert vertex_data_distance(twice, build(params), ORDER) < 1e-12
+
+    @pytest.mark.parametrize("params", INVOLUTION_POINTS, ids=lambda p: f"{p.q},{p.t}")
+    @pytest.mark.parametrize("build", BUILDERS.values(), ids=BUILDERS.keys())
+    def test_omega_is_involutive(self, build, params):
+        # the swap of a swap is the same (q, t), and the signs flip back
+        # exactly: every field keeps its bits but h0_base, which passes
+        # through 1/(1/x), a one-ulp round trip for about one x in eight
+        twice = omega_conjugate(lambda p: omega_conjugate(build, p), params)
+        direct = build(params)
+        assert _bits(twice, ORDER) == _bits(direct, ORDER)
+        assert abs(twice.h0_base - direct.h0_base) <= math.ulp(direct.h0_base)
 
     @pytest.mark.parametrize(
         "params", [QParams(0.49, 0.7), QParams(0.9, 0.2)], ids=lambda p: f"{p.q},{p.t}"
@@ -299,6 +313,15 @@ class TestProductForms:
         assert idx == 1
         with pytest.raises(PoleError):
             form.drop(idx).value(0.5)
+
+    def test_a_near_zero_is_no_zero(self):
+        # |1 - C x| = 2e-11 at x = 0.5, above ZERO_SNAP (1e-13) but below
+        # 1e-9: no zero to drop, and value keeps the factor
+        c = 2.0 * (1.0 + 2e-11)
+        form = ProductForm(np.array([c, 3.0]), np.array([1, -1]))
+        assert 1e-13 < abs(1.0 - c * 0.5) < 1e-9
+        assert form.factor_index_at_zero(0.5) is None
+        assert form.value(0.5) == pytest.approx((1.0 - c * 0.5) / (1.0 - 1.5), rel=1e-12)
 
 
 class TestCurrentData:
