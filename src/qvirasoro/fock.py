@@ -68,13 +68,15 @@ def eta(n: int, params: QParams) -> float:
 # Vertex data
 
 
-@dataclass
+@dataclass(frozen=True)
 class NormalOrderedVertex:
     """Data of :exp( sum_{n!=0} A(n) h_n z^{-n} ): e^{charge Q_h}
     (h0_base z^{h0_power})^{h_0} * scalar.
 
     mode_rule(n) = A(n) for n != 0.  The h_0 factor acts on the incoming
-    momentum first (it stands to the right of e^{charge Q_h}).
+    momentum first (it stands to the right of e^{charge Q_h}).  Frozen,
+    since the checks at one point share a vertex (``relations``): a
+    changed copy is ``dataclasses.replace``'s.
     """
 
     params: QParams
@@ -295,7 +297,11 @@ class PartitionBasis:
     def theta(self, block: np.ndarray, vertex, xi: float, momentum: float):
         """Theta_xi f(w) = f(xi w) on a leading block of the matrix of
         ``vertex`` at ``momentum``: the degree weight xi^{(deg bra - deg ket)
-        + h0_power*momentum}, exactly that block of ``vertex.at_scale(xi)``."""
+        + h0_power*momentum}, exactly that block of ``vertex.at_scale(xi)``.
+        Theta_1 is the identity, so at xi = 1 the block itself is returned,
+        not a copy."""
+        if xi == 1.0:
+            return block
         D = self.max_degree
         shift = vertex.h0_power * momentum
         weights = np.array([xi ** (d + shift) for d in range(-D, D + 1)])

@@ -60,12 +60,25 @@ vertices, the basis and its blocks, the series, product forms and
 tables, so a pole or an overflow anywhere decides that check alone, and
 the report's ``runtime_ms`` covers all of it.  Only argument checks
 come before.
+
+The operator checks at one parameter point share its operator data
+(``_PointData``, one store for the process): the vertices that the
+builders return (Lambda+-, S+-, V), one basis per degree, those
+vertices' factors and every structure series.  The store holds one
+point at a time, and the factors it keeps at most ``qspecial._BUDGET``
+floats, so deep caps keep one vertex's or none.  Every
+shared value is bit for bit what a fresh build gives, so a check's
+record does not depend on which checks ran before it, apart from its
+``runtime_ms``, which leaves out the work that an earlier check at the
+same point did.  The store is not locked: the checks of one store run
+one at a time.
 """
 
 from __future__ import annotations
 
 import math
 import random
+from dataclasses import replace
 from functools import partial
 
 import numpy as np
@@ -84,7 +97,6 @@ from .report import CheckReport, _scan_report, _worst
 from .series import check_delta_comb
 from .voa import (
     StructureFunctionSpec,
-    build_current,
     build_lambda,
     build_screening,
     build_vertex,
@@ -111,22 +123,116 @@ __all__ = [
 
 
 # ---------------------------------------------------------------------------
+# The operator data of the point being checked
+
+
+class _PointData:
+    """The operator data that the checks at one parameter point share.
+
+    It holds one point at a time (``at`` a new point drops it all) and
+    every value it hands out is what a fresh build returns, bit for bit:
+
+    * ``vertex``: the vertex a builder returns for its labels;
+    * ``basis``: one basis per degree, built through ``PartitionBasis`` as
+      this module names it when it is asked for, and keyed by that class;
+    * ``factors``: cre[:, :c] and ann[:c] of a vertex that ``vertex``
+      returned, the first ones built up to ``qspecial._BUDGET`` floats in
+      all.  On a basis of a lower degree and the same corner they are the
+      leading slices cre[:N] and ann[:, :N] of the ones on a higher
+      degree, so only the highest built is kept.  Nothing kept is
+      dropped for a later vertex: dropping the oldest instead took a cold
+      cap-7 ``verify --suite all`` from 71 to 348 minor page faults, its
+      factor pairs each near the budget, for one shared build;
+    * ``series``: each structure series by spec and parameters.  Its
+      coefficient k reads only the log coefficients 1..k
+      (``series.series_exp``), so a shorter one is the leading slice of
+      the longest built.
+
+    What it keeps is read-only: the vertices are frozen, the arrays not
+    writeable."""
+
+    def __init__(self):
+        self.clear()
+
+    def clear(self):
+        self.params = None
+        self._vertices, self._bases, self._series = {}, {}, {}
+        # the ids of the vertices in _vertices, which keeps them alive
+        self._owned = set()
+        # id(vertex) -> (cre, ann)
+        self._factors, self._floats = {}, 0
+
+    def at(self, params: QParams) -> "_PointData":
+        if params != self.params:
+            self.clear()
+            self.params = params
+        return self
+
+    def vertex(self, build, *labels):
+        key = (build, labels)
+        if key not in self._vertices:
+            v = self._vertices[key] = build(*labels, self.params)
+            self._owned.add(id(v))
+        return self._vertices[key]
+
+    def current(self) -> OperatorSum:
+        """The current T = Lambda^+ + Lambda^- (``build_current``) of the
+        shared branches."""
+        return OperatorSum([self.vertex(build_lambda, +1), self.vertex(build_lambda, -1)])
+
+    def basis(self, degree: int) -> PartitionBasis:
+        key = (PartitionBasis, degree)
+        if key not in self._bases:
+            self._bases[key] = PartitionBasis(self.params, degree)
+        return self._bases[key]
+
+    def series(self, spec: StructureFunctionSpec, params: QParams, order: int) -> np.ndarray:
+        g = self._series.get((spec, params))
+        if g is None or len(g) <= order:
+            g = self._series[spec, params] = structure_series(spec, params, order)
+            g.flags.writeable = False
+        return g[: order + 1]
+
+    def factors(self, basis: PartitionBasis, op, c: int):
+        """``basis.factors(op, N, c, N)``, N the size of ``basis``."""
+        n = basis.size
+        if id(op) not in self._owned:
+            return basis.factors(op, n, c, n)
+        kept = self._factors.get(id(op))
+        if kept is not None and kept[0].shape[0] >= n and kept[0].shape[1] == c:
+            return kept[0][:n], kept[1][:, :n]
+        cre, ann = basis.factors(op, n, c, n)
+        size = cre.size + ann.size
+        if kept is not None:
+            self._floats -= kept[0].size + kept[1].size
+            del self._factors[id(op)]
+        if self._floats + size <= qs._BUDGET:
+            cre.flags.writeable = ann.flags.writeable = False
+            self._factors[id(op)] = (cre, ann)
+            self._floats += size
+        return cre, ann
+
+
+_POINT = _PointData()
+
+
+# ---------------------------------------------------------------------------
 # Table assembly
 
 
 def _blocks(basis: PartitionBasis, op, c: int, top: float, left: float):
     """M[:c] at momentum ``top`` and M[:, :c] at momentum ``left`` of a
     vertex or a sum of vertices M, c the size of the corner.  Each
-    vertex's factors cre[:, :c] and ann[:c] are built once and give both
-    blocks, cre[:c] @ ann and cre @ ann[:, :c], each the product that
-    ``application_matrix`` forms for that block alone; a sum adds its
-    terms' blocks in order, from 0."""
+    vertex's factors cre[:, :c] and ann[:c] are built once
+    (``_PointData.factors``) and give both blocks, cre[:c] @ ann and
+    cre @ ann[:, :c], each the product that ``application_matrix`` forms
+    for that block alone; a sum adds its terms' blocks in order, from 0."""
     if isinstance(op, OperatorSum):
         out = (0, 0)
         for v in op.terms:
             out = tuple(a + b for a, b in zip(out, _blocks(basis, v, c, top, left)))
         return out
-    cre, ann = basis.factors(op, basis.size, c, basis.size)
+    cre, ann = _POINT.factors(basis, op, c)
     return (
         op.zero_mode_factor(top) * (cre[:c] @ ann),
         op.zero_mode_factor(left) * (cre @ ann[:, :c]),
@@ -244,7 +350,7 @@ def _operands(params, x, y, terms, degree_cap, reach, momentum):
     (K, c, xi, W).  X's and Y's blocks come from one factor build each
     (``_blocks``), and each distinct W's corner is built once, Y's as the
     slice Y[:, :c][:c]."""
-    basis = PartitionBasis(params, degree_cap + reach)
+    basis = _POINT.at(params).basis(degree_cap + reach)
     c = basis.corner(degree_cap)
     x_left, x_right = _blocks(basis, x, c, momentum + y.momentum_shift(), momentum)
     y_out, y_in = _blocks(basis, y, c, momentum, momentum)
@@ -263,13 +369,15 @@ def _table_pairs(stacks, basis: PartitionBasis, tolerance: float, notes: list):
     """(residual, location) pairs of stacks (labels, lhs, rhs) of corner
     tables, one label per table, the first worst entry of each table over
     max(scale, 1).  A label is the location's prefix, or a function of
-    that entry's flat index that returns the prefix.  When neither the
-    worst residual nor the control, against (1 + 100 tolerance) * rhs,
-    exceeds the tolerance, the tables cannot tell rhs from its scaled
-    copy: a note says so and a NaN at the worst location follows, or,
-    when every table is all zero, at "vacuous from" the first label.
-    Each maximum is taken per table and folded in table order, so a NaN
-    table hides no other from the control and the scale."""
+    that entry's flat index that returns the prefix.  Only two pairs can
+    decide the check (``report._worst``): the first largest residual and
+    the first NaN; only their locations are formatted, the others being
+    "".  When neither the worst residual nor the control, against
+    (1 + 100 tolerance) * rhs, exceeds the tolerance, the tables cannot
+    tell rhs from its scaled copy: a note says so and a NaN at the worst
+    location follows, or, when every table is all zero, at "vacuous from"
+    the first label.  Each maximum is taken per table and folded in table
+    order, so a NaN table hides no other from the control and the scale."""
     found, control, scale, first = [], 0.0, 0.0, ""
     for labels, a, b in stacks:
         n = len(labels)
@@ -277,21 +385,35 @@ def _table_pairs(stacks, basis: PartitionBasis, tolerance: float, notes: list):
         flat = diff.reshape(n, -1)
         # argmax points at the first NaN, if any
         worst = flat.argmax(axis=1)
+        values = flat[np.arange(n), worst].tolist()
         controls = np.abs(a - (1.0 + 100.0 * tolerance) * b).reshape(n, -1).max(axis=1)
         lhs_top = np.abs(a).reshape(n, -1).max(axis=1)
         rhs_top = np.abs(b).reshape(n, -1).max(axis=1)
         for t, label in enumerate(labels):
             k = int(worst[t])
-            if callable(label):
-                label = label(k)
-            i, j = divmod(k, diff.shape[2])
-            first = first or label
-            where = f"{label} bra={basis.states[i]} ket={basis.states[j]}"
-            found.append((float(flat[t, k]), where))
+            if not first:
+                first = label(k) if callable(label) else label
+            found.append((values[t], label, k, diff.shape[2]))
             control = max(control, float(controls[t]))
             scale = max(scale, float(lhs_top[t]), float(rhs_top[t]))
     norm = max(scale, 1.0)
-    pairs = [(m / norm, where) for m, where in found]
+    residuals = [m / norm for m, *_ in found]
+    top, nan, best = None, None, 0.0
+    for i, r in enumerate(residuals):
+        if r > best:
+            top, best = i, r
+        elif nan is None and math.isnan(r):
+            nan = i
+
+    def where(i):
+        if i not in (top, nan):
+            return ""
+        _, label, k, cols = found[i]
+        row, col = divmod(k, cols)
+        prefix = label(k) if callable(label) else label
+        return f"{prefix} bra={basis.states[row]} ket={basis.states[col]}"
+
+    pairs = [(r, where(i)) for i, r in enumerate(residuals)]
     yield from pairs
     residual, loc = _worst(pairs, tolerance)
     control /= norm
@@ -334,10 +456,11 @@ def check_defining_relation(
 
     def pairs():
         D = degree_cap + max_mode
-        basis = PartitionBasis(params, D)
+        point = _POINT.at(params)
+        basis = point.basis(D)
         c = basis.corner(degree_cap)
-        t_out, t_in = _blocks(basis, build_current(params), c, momentum, momentum)
-        f = structure_series(StructureFunctionSpec("current"), params, 2 * D + 2)
+        t_out, t_in = _blocks(basis, point.current(), c, momentum, momentum)
+        f = point.series(StructureFunctionSpec("current"), params, 2 * D + 2)
         p = params.p
 
         def central(n: int) -> float:
@@ -389,16 +512,17 @@ def check_screening_relation(
     notes = []
 
     def pairs():
-        scr = build_screening(sign, params)
+        point = _POINT.at(params)
+        scr = point.vertex(build_screening, sign)
         # S^+ meets Lambda^- under a q-difference, S^- meets Lambda^+ under a t one
         base, other = (params.q, params.t) if sign == +1 else (params.t, params.q)
-        lam = build_lambda(-sign, params)
+        lam = point.vertex(build_lambda, -sign)
         c = base**-0.5
         w = merge_vertices([lam.at_scale(c), scr])
         K = -(1.0 - 1.0 / other)
         terms = [(K, c, 1.0, w), (-K * base, base * c, base, w)]
         yield from _exchange_check(
-            params, build_current(params), scr, _one, 0, terms, degree_cap,
+            params, point.current(), scr, _one, 0, terms, degree_cap,
             ("key", range(-window, window + 1)), momentum, tolerance, notes,
         )
 
@@ -430,18 +554,20 @@ def _exchange_setup(ell: int, params: QParams, variant: str):
     single-branch exchange relation and its two involution images (the
     mirror kernel, of V_{0,ell} at params, is that of V_{ell,0} at the
     omega image)."""
+    point = _POINT.at(params)
     if variant == "plain":
-        x, y, image = build_lambda(+1, params), build_vertex(ell, 0, params), params
+        x, y = point.vertex(build_lambda, +1), point.vertex(build_vertex, ell, 0)
+        image = params
     elif variant == "theta":
-        x = build_lambda(-1, params)
+        x = point.vertex(build_lambda, -1)
         y = theta_conjugate(lambda P: build_vertex(ell, 0, P), params)
         image = params.theta_image()
     elif variant == "mirror":
-        x, y = build_lambda(-1, params), build_vertex(0, ell, params)
+        x, y = point.vertex(build_lambda, -1), point.vertex(build_vertex, 0, ell)
         image = params.omega_image()
     else:
         raise QVirasoroError(f"unknown exchange variant {variant!r}")
-    g = partial(structure_series, StructureFunctionSpec("exchange", ell, 0), image)
+    g = partial(point.series, StructureFunctionSpec("exchange", ell, 0), image)
     return x, y, g, *_exchange_constants(ell, image)
 
 
@@ -476,10 +602,11 @@ def _current_exchange(ell, params, degree_cap, reading, momentum, tolerance, not
     (``_exchange_check``).  Its right-hand side is
     Pi (K_1 delta(c_1 w/z) Theta_{xi_1} V(w) - K_2 delta(c_2 w/z) Theta_{xi_2} V(w)),
     two delta terms with Pi and the sign folded into their constants."""
-    y = build_vertex(ell, 0, params)
-    g = partial(structure_series, StructureFunctionSpec("exchange", ell, 0), params)
+    point = _POINT.at(params)
+    y = point.vertex(build_vertex, ell, 0)
+    g = partial(point.series, StructureFunctionSpec("exchange", ell, 0), params)
     yield from _exchange_check(
-        params, build_current(params), y, g, 2 - ell, _current_deltas(ell, params, y),
+        params, point.current(), y, g, 2 - ell, _current_deltas(ell, params, y),
         degree_cap, reading, momentum, tolerance, notes,
     )
 
@@ -569,11 +696,10 @@ def check_exchange_rewrite(
 
     def pairs():
         order = 40
-        dual = structure_series(
-            StructureFunctionSpec("exchange-dual", ell, 0), params, order
-        )
-        y = build_vertex(ell, 0, params)
-        lam_plus = build_lambda(+1, params)
+        point = _POINT.at(params)
+        dual = point.series(StructureFunctionSpec("exchange-dual", ell, 0), params, order)
+        y = point.vertex(build_vertex, ell, 0)
+        lam_plus = point.vertex(build_lambda, +1)
         phi_plus = contract(y, lam_plus, order)
         prod = np.convolve(dual, phi_plus)[: order + 1]
         # each coefficient's deviation against the size of its convolution sum
@@ -581,7 +707,7 @@ def check_exchange_rewrite(
         res_a = float(np.max(np.abs(prod - _one(order)) / bound))
         notes.append(f"kernel-inverse residual {res_a:.3e}")
         K, c1, _ = _exchange_constants(ell, params)
-        g = partial(structure_series, StructureFunctionSpec("exchange", ell, 0), params)
+        g = partial(point.series, StructureFunctionSpec("exchange", ell, 0), params)
         w = merge_vertices([y, lam_plus.at_scale(c1)])
         pf = current_vertex_factor(ell, params)
         res_c = abs(pf.value(c1))
@@ -646,10 +772,11 @@ def check_composite_exchange(
 
     def pairs():
         q, t = params.q, params.t
-        y = build_vertex(ell, k, params)
-        lam_plus = build_lambda(+1, params)
-        lam_minus = build_lambda(-1, params)
-        g = partial(structure_series, StructureFunctionSpec("exchange", ell, k), params)
+        point = _POINT.at(params)
+        y = point.vertex(build_vertex, ell, k)
+        lam_plus = point.vertex(build_lambda, +1)
+        lam_minus = point.vertex(build_lambda, -1)
+        g = partial(point.series, StructureFunctionSpec("exchange", ell, k), params)
         pref = q ** (k / 2.0) * t ** (-ell / 2.0)
         supports = (
             _composite_term(ell, k, params),
@@ -708,7 +835,7 @@ def check_argument_shift(ell: int, params: QParams, tolerance: float = 1e-10) ->
         v = build_vertex(ell, 0, params)
         lhs = v.at_scale(xi)
         merged = merge_vertices([v, build_lambda(+1, params).at_scale(c)])
-        merged.scalar *= params.p**-0.5
+        merged = replace(merged, scalar=merged.scalar * params.p**-0.5)
         yield vertex_data_distance(lhs, merged, 24), "vertex data"
 
     return _scan_report("argument-shift", pairs(), tolerance)

@@ -472,8 +472,9 @@ def pair_correlation_factor(ell: int, params: QParams, reach: float) -> ProductF
         "alternating",
     )
     # per row, the count of alternating terms that pass: searchsorted on
-    # the bound, then a step across any boundary term it rounded past
-    count = np.searchsorted(-alt, -NEGLIGIBLE / (rows * reach), side="right")
+    # the bound, divided in turn since rows * reach can overflow, then a
+    # step across any boundary term it rounded past
+    count = np.searchsorted(-alt, -NEGLIGIBLE / rows / reach, side="right")
     while True:
         back = (count > 0) & ~kept(rows * alt[np.maximum(count - 1, 0)])
         ahead = (count < alt.size) & kept(rows * alt[np.minimum(count, alt.size - 1)])

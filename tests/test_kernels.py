@@ -11,6 +11,7 @@ import re
 import subprocess
 import sys
 import warnings
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -878,15 +879,32 @@ def test_operator_checks_match_oracle_kernels(monkeypatch, q, t, ell, k):
         return [(r.identity, r.status, r.residual.hex(), r.worst_location) for r in reports]
 
     fast = outcomes()
-    monkeypatch.setattr(PartitionBasis, "application_matrix", oracles.application_matrix)
+    # the second run shares the first one's bases, so count the oracle
+    # kernels' calls: each must run
+    ran = Counter()
+
+    def counted(name, fn):
+        def call(*args):
+            ran[name] += 1
+            return fn(*args)
+
+        return call
+
+    monkeypatch.setattr(
+        PartitionBasis, "application_matrix", counted("apply", oracles.application_matrix)
+    )
     monkeypatch.setattr(
         PartitionBasis,
         "weigh",
-        lambda self, block, w: oracles.weigh(self, block, lambda d: w[..., d + self.max_degree]),
+        counted(
+            "weigh",
+            lambda self, block, w: oracles.weigh(self, block, lambda d: w[..., d + self.max_degree]),
+        ),
     )
-    monkeypatch.setattr(relations, "_blocks", _oracle_blocks)
+    monkeypatch.setattr(relations, "_blocks", counted("blocks", _oracle_blocks))
     assert outcomes() == fast
     assert len(fast) == 10
+    assert set(ran) == {"apply", "weigh", "blocks"}, ran
 
 
 def _ten_outcomes(P, ell, k, cap, window, momentum):

@@ -2,7 +2,7 @@
 
 import math
 import random
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -412,6 +412,54 @@ def test_vacuous_all_zero_tables_name_the_first_table():
     # at degree cap 1 the n = m = 0 table is exactly zero on both sides
     rep = check_defining_relation(QParams(0.5, 0.75), 1, 0)
     assert rep.worst_location == "vacuous from n=0 m=0"
+
+
+def _ten_checks(P, ell, k, modes):
+    """The ten operator checks at cap 4 and window 4, the adjoint shift
+    at ``modes``."""
+    R = relations
+    return [
+        lambda: R.check_defining_relation(P, 4, 4),
+        lambda: R.check_screening_relation(P, +1, 4, 4),
+        lambda: R.check_screening_relation(P, -1, 4, 4),
+        *(lambda v=v: R.check_vertex_exchange(ell, P, v, 4, 4) for v in ("plain", "theta", "mirror")),
+        lambda: R.check_current_vertex_exchange(ell, P, 4, 4),
+        lambda: R.check_adjoint_shift(ell, P, modes, 4),
+        lambda: R.check_exchange_rewrite(ell, P, 4, 4),
+        lambda: R.check_composite_exchange(ell, k, P, 4, 4),
+    ]
+
+
+def _record(report):
+    out = asdict(report)
+    del out["runtime_ms"]
+    out["residual"] = report.residual.hex()
+    return out
+
+
+@pytest.mark.parametrize("modes", [range(-4, 5), range(-2, 3)], ids=["cli-modes", "sweep-modes"])
+@pytest.mark.parametrize("ell, k", [(1, 1), (3, 2)])
+def test_records_do_not_depend_on_check_order(ell, k, modes):
+    # the checks of one point share its vertices, bases, factors and
+    # series: alone, in suite order, in reverse order and in suite order
+    # from each check on (so that the adjoint shift's shorter series and,
+    # at modes -2..2, its lower degree come first once) they give the
+    # same records.  At ell 3, k 2 the vertex and composite exchanges
+    # build degree 9 and the defining and screening relations degree 8
+    P = QParams(0.49, 0.7)
+    checks = _ten_checks(P, ell, k, modes)
+
+    def run(order):
+        relations._POINT.clear()
+        records = {i: _record(checks[i]()) for i in order}
+        return [records[i] for i in sorted(records)]
+
+    alone = [run([i])[0] for i in range(len(checks))]
+    assert len(alone) == 10
+    assert run(range(10)) == alone
+    assert run(reversed(range(10))) == alone
+    for start in range(1, 10):
+        assert run([*range(start, 10), *range(start)]) == alone, start
 
 
 @pytest.mark.parametrize("ell", [1, 2, 3])
