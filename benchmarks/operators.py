@@ -14,6 +14,10 @@ Three sets of runs are pinned:
   1-3 and k 1-2, 192 runs and 3456 checks.  The summary also counts
   their exit statuses.
 
+The pins hold for one BLAS thread: the script sets
+OPENBLAS_NUM_THREADS=1 before numpy loads, since the corner products of
+the ladder's deeper caps sum in another order on more threads.
+
 The script prints the verdict counts of each identity and writes every
 (identity, point, verdict, residual as ``float.hex``, location) to
 ``benchmarks/operator_verdicts.json``.  With ``--compare`` it writes
@@ -31,6 +35,9 @@ import os
 import sys
 from collections import Counter
 from fractions import Fraction
+
+# before numpy loads: the residuals must not depend on the machine's core count
+os.environ["OPENBLAS_NUM_THREADS"] = "1"
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 sys.path.insert(0, os.path.join(os.path.dirname(HERE), "perfbench"))

@@ -51,7 +51,7 @@ from dataclasses import dataclass
 from . import correlators, qspecial, relations
 from .errors import ConfigError, QVirasoroError
 from .qspecial import QParams
-from .report import CheckReport
+from .report import CheckReport, _overflow_text
 
 # key -> (kind, default, help).  Flags, QVIR_ variables and config-file
 # lines are all read through this table by ``_parse_value``; ``list`` is
@@ -441,8 +441,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except (QVirasoroError, ArithmeticError) as exc:
-        # an OverflowError may read as a bare errno pair: name it an overflow
-        text = f"overflow ({exc.args[-1]})" if isinstance(exc, OverflowError) and exc.args else exc
+        text = _overflow_text(exc) if isinstance(exc, OverflowError) else exc
         name = f"{args.function}: " if args.command == "eval" else ""
         print(f"error: {name}{text}", file=sys.stderr)
         return 1

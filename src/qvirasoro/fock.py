@@ -262,6 +262,8 @@ class PartitionBasis:
         self.removals = removal_table(max_degree)
         self.states, self.degrees = self.removals[:2]
         self.size = len(self.states)
+        # the number of states of degree <= d, d = 0..max_degree (``corner``)
+        self._corners = np.cumsum(np.bincount(self.degrees)).tolist()
         modes = range(1, max_degree + 1)
         self.cn = np.array([mode_commutator(n, -n, params) for n in modes])
         # (rows, cols) -> the (index, counts) of ``weigh``
@@ -269,7 +271,7 @@ class PartitionBasis:
 
     def corner(self, cap: int) -> int:
         """Number of states of degree <= cap: they lead the basis."""
-        return int(np.searchsorted(self.degrees, cap, side="right"))
+        return self._corners[min(cap, self.max_degree)] if cap >= 0 else 0
 
     def weigh(self, block: np.ndarray, weights: np.ndarray) -> np.ndarray:
         """Entrywise block * weights[..., (deg bra - deg ket) + max_degree],

@@ -13,8 +13,8 @@ both of its blocks from them, each the same product that
 Y[:, :c][:c].  A check's weights are rows over the degree differences
 -D..D that ``PartitionBasis.weigh`` gathers, the structure series read
 at an integer array of orders (``_coeffs``).  The internal basis reaches
-the largest degree an intermediate state that contributes can have
-(``_exchange_check`` states each reading's), so the corner is exact.
+the largest degree an intermediate state that contributes can have, so
+the corner is exact.
 
 Every table is a key table (``_key_tables``): for blocks (A, B, C, E),
 g_s the structure series (0 for s < 0) and d the degree difference of a
@@ -39,10 +39,23 @@ weighed entry, K_k = A @ (B * g_{k-d}) - (-1)^twist (C * g_{d-k-twist}) @ E.
 The tables of a check are built as stacks, not one per loop step: a run
 of keys (``_runs``) weighs each of B and C once for all of them, as a
 stack of copies, and multiplies the stack in one matmul, each slice of
-which is the product of that table alone.  A run's weighed copies of a
-block hold at most ``qspecial._BUDGET`` floats, and at least one table,
-so a small basis runs every key at once and a large one a key at a time.
-The tables of a stack are compared one by one (``_table_pairs``).
+which is the product of that table alone over the run's intermediate
+states.  A run's weighed copies of a block hold at most
+``qspecial._BUDGET`` floats, and at least one table, so a small basis
+runs every key at once and a large one a key at a time.  The tables of
+a stack are compared one by one (``_table_pairs``).
+
+Each run multiplies only the intermediate states e that its keys reach
+(``_reach``): since g_s = 0 for s < 0, K_k weighs e into its first
+product only if deg e <= deg lambda + k <= cap + max(keys), and into its
+second only if deg e <= deg mu - k - twist <= cap - min(keys) - twist,
+mu being the bra and lambda the ket.  So a run's products read the
+leading rows of B and E and columns of A and C up to those degrees, and
+a check's basis stops at the largest of them over its keys.  Every state
+past a run's reach meets exact-zero weights, so the cut drops only zero
+terms; dgemm may round the shorter sums differently, within their
+rounding bound.  An overflowed block entry past every reach enters no
+product, so it makes no table NaN through 0 * inf.
 
 Every exchange right-hand side is a list of delta terms (K, c, xi, W),
 meaning K delta(c w/z) W(xi w).  The shift operator Theta_xi f(w) =
@@ -269,14 +282,37 @@ def _delta_tables(deltas, keys) -> np.ndarray:
     return sum(np.array([K * s**k for k in keys])[:, None, None] * w for K, s, w in deltas)
 
 
+def _reach(keys, twist) -> tuple[int, int]:
+    """How far past the corner's cap the intermediate states e of the key
+    tables K_k, k in ``keys``, reach, in their first and their second
+    product: (max(keys), -min(keys) - twist).  g_s = 0 for s < 0, so with
+    mu the bra and lambda the ket (both of degree <= cap) K_k weighs e
+    into its first product only if deg e <= deg lambda + k and into its
+    second only if deg e <= deg mu - k - twist.  Every state past the
+    reach meets exact-zero weights: ``_key_tables`` cuts each run's
+    products there, and a check's basis stops at the larger reach of all
+    its keys."""
+    return max(keys), -min(keys) - twist
+
+
 def _key_tables(basis, x_left, y_in, y_out, x_right, g, twist, keys):
     """The stack of key tables K_k, k in ``keys`` (module docstring), of
-    the blocks and series ``g``; one weighed copy is alive at a time."""
+    the blocks and series ``g``; one weighed copy is alive at a time.
+    Each product runs over the intermediate states that its keys reach
+    (``_reach``), the leading ones of the basis, and no further."""
     D = basis.max_degree
     d = np.arange(-D, D + 1)
     k = np.array(keys)[:, None]
-    tables = x_left @ basis.weigh(y_in, _coeffs(g, k - d))
-    tables -= (-1.0) ** twist * (basis.weigh(y_out, _coeffs(g, d - k - twist)) @ x_right)
+    # the corner holds every state of degree <= cap, so its last is of degree cap
+    cap = int(basis.degrees[len(x_left) - 1])
+    n1, n2 = (basis.corner(cap + r) for r in _reach(keys, twist))
+    # weighed whole, then cut: copies of one size in every run let malloc
+    # reuse their memory, where copies cut to each run's reach raised a
+    # cold cap-7 verify's minor faults sevenfold and cap 14's VmHWM by 2 MB
+    tables = x_left[:, :n1] @ basis.weigh(y_in, _coeffs(g, k - d))[:, :n1]
+    tables -= (-1.0) ** twist * (
+        basis.weigh(y_out, _coeffs(g, d - k - twist))[..., :n2] @ x_right[:n2]
+    )
     return tables
 
 
@@ -302,33 +338,37 @@ def _exchange_check(
       docstring), a delta term's K c^n Theta_xi W, and the series runs to
       order 2(degree_cap + s + |twist|).
 
-    Either basis reaches degree_cap + s + max(0, -twist): K_k weighs an
-    intermediate state e into its first product only if
-    deg e <= deg lambda + k, and into its second only if
-    deg e <= deg mu - k - twist; mode n's products bound deg e by
-    deg mu + n and deg lambda - n - twist.  So every state past the reach
-    meets exact-zero weights and the corner is exact.  The orders cover
-    every weight: at shorter ones an overflow no table reads no longer
-    decides some checks at the box edge, and ROADMAP item 10 trims them
-    with those.  The tables run in stacks (``_runs``): one weighed copy
-    of a block per table of the stack and one stacked matmul per
-    product, every table bit for bit what it is alone."""
+    Both readings are key tables, of keys ks or -n - twist, and each run
+    of them (``_runs``) multiplies only the intermediate states its keys
+    reach (``_reach``): up to degree_cap + max(keys) in the first product
+    and degree_cap - min(keys) - twist in the second, mode n's products
+    thus to deg mu + n and deg lambda - n - twist.  Every state past the
+    reach meets exact-zero weights, so the corner is exact, and the basis
+    stops at the largest reach of all the keys, degree_cap + s +
+    max(0, -twist) for the symmetric keys and modes of the checks.  The
+    orders cover every weight: at shorter ones an overflow no table
+    reads no longer decides some checks at the box edge, and ROADMAP
+    item 10 trims them with those.  A run's tables make one stack: one
+    weighed copy of a block per table of the stack and one stacked
+    matmul per product, each table the product of its own operands over
+    the run's intermediate states."""
     kind, labels = reading
     labels = [int(i) for i in labels]
     span = max(abs(i) for i in labels)
+    keys = labels if kind == "key" else [-n - twist for n in labels]
     basis, *blocks, shifted = _operands(
-        params, x, y, terms, degree_cap, span + max(0, -twist), momentum
+        params, x, y, terms, degree_cap, max(_reach(keys, twist)), momentum
     )
     order = 2 * (degree_cap + span + abs(twist))
     if kind == "key":
         D = basis.max_degree
-        gc, keys, sign = g(order + span + 2), labels, 1.0
+        gc, sign = g(order + span + 2), 1.0
         shifted = [
             (K, s, basis.weigh(w, np.array([s**-e for e in range(-D, D + 1)])))
             for K, s, w in shifted
         ]
     else:
-        gc, keys, sign = g(order), [-n - twist for n in labels], -((-1.0) ** twist)
+        gc, sign = g(order), -((-1.0) ** twist)
         blocks = blocks[2:] + blocks[:2]
 
     def stacks():
@@ -455,7 +495,8 @@ def check_defining_relation(
     notes = []
 
     def pairs():
-        D = degree_cap + max_mode
+        # key -n holds minus the z^{-n} mode table: keys -max_mode..max_mode
+        D = degree_cap + max(_reach(range(-max_mode, max_mode + 1), 0))
         point = _POINT.at(params)
         basis = point.basis(D)
         c = basis.corner(degree_cap)
@@ -482,7 +523,7 @@ def check_defining_relation(
         def stacks():
             for modes in _runs(range(-max_mode, max_mode + 1), t_out.size):
                 n = np.array(modes)[:, None, None]
-                tables = -_key_tables(basis, t_out, t_in, t_out, t_in, f, 0, -n.ravel())
+                tables = -_key_tables(basis, t_out, t_in, t_out, t_in, f, 0, [-m for m in modes])
                 # the entries of the modes |m| > max_mode are not compared
                 np.copyto(tables, 0.0, where=abs(e + n) > max_mode)
                 rhs = np.array([central(n) for n in modes])[:, None, None] * ident

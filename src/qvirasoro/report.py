@@ -88,6 +88,21 @@ def _worst(pairs: Iterable[tuple[float, str]], tolerance: float) -> tuple[float,
     return math.nan, nan_loc
 
 
+def _overflow_text(exc: OverflowError) -> str:
+    """An overflow as ``cli.main`` names it: "overflow (...)" around its
+    last argument, the strerror of Python's bare errno pair (errno,
+    strerror) or the message it carries."""
+    return f"overflow ({exc.args[-1]})" if exc.args else "overflow"
+
+
+def _error_text(exc: Exception) -> str:
+    """An undecided error as a record's location names it: by its own
+    message, and Python's bare errno pair of a float overflow, which
+    names nothing, by ``_overflow_text``."""
+    errno_pair = len(exc.args) == 2 and isinstance(exc.args[0], int)
+    return _overflow_text(exc) if isinstance(exc, OverflowError) and errno_pair else str(exc)
+
+
 def _scan_report(identity, pairs, tolerance, notes=()):
     """Report of the (residual, location) pairs a check yields, by the
     rule of the module docstring; ``notes`` is read once the pairs are
@@ -106,7 +121,7 @@ def _scan_report(identity, pairs, tolerance, notes=()):
     residual, loc = _worst(drawn(), tolerance)
     runtime_ms = (time.perf_counter() - t0) * 1e3
     if error is not None and not residual > tolerance:
-        residual, loc = math.nan, str(error)
+        residual, loc = math.nan, _error_text(error)
     if math.isnan(residual):
         status = "inconclusive"
     else:

@@ -83,6 +83,20 @@ class TestExitStatus:
         assert code in (0, 1, 2, 3)
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
+    def test_float_overflow_records_read_as_eval_prints_them(self, capsys):
+        # the exchange checks and argument-shift overflow in Python float
+        # powers here, whose error is errno's bare pair
+        # (34, 'Numerical result out of range'): each record names it as
+        # ``eval`` does
+        _, out, _ = run_cli(
+            capsys, "verify", "--suite", "all", "--q", "1e-20", "--t", "0.5",
+            "--degree", "3", "--window", "2", "--json",
+        )
+        locations = [row["worst_location"] for row in json.loads(out)]
+        named = [loc for loc in locations if loc == "overflow (Numerical result out of range)"]
+        assert len(named) == 7
+        assert not [loc for loc in locations if "(34," in loc]
+
     @pytest.mark.parametrize("ell", ["1", "3"])
     def test_oversized_pair_form_is_inconclusive(self, capsys, ell):
         # the pair form would need over 1e9 factors here: it is refused

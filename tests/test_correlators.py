@@ -405,6 +405,25 @@ class TestVerdictScan:
         assert math.isinf(rep.residual) and rep.worst_location == str(exc)
 
     @pytest.mark.parametrize(
+        "overflow, location",
+        [
+            # Python's float power raises the bare errno pair
+            (lambda: 2.0**10000, "overflow (Numerical result out of range)"),
+            (lambda: math.exp(1000.0), "math range error"),
+        ],
+        ids=["errno", "message"],
+    )
+    def test_float_overflow_is_named_as_eval_names_it(self, overflow, location):
+        # an overflow that carries only errno's pair reads as ``eval``
+        # prints it; one with a message of its own keeps that message
+        def pairs():
+            yield 1e-12, "a"
+            overflow()
+
+        rep = self.scan(pairs())
+        assert (rep.status, rep.worst_location) == ("inconclusive", location)
+
+    @pytest.mark.parametrize(
         "exc", [PoleError("pole"), ConvergenceError("diverges"), OverflowError("big")]
     )
     def test_failure_drawn_before_an_error_is_kept(self, exc):

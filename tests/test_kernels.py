@@ -3,7 +3,9 @@ evaluators and the checks built on them, the pruned pair product form,
 and the operator kernels of ``fock`` and ``relations``, against the
 plain code they replace (``oracles``): every value must be
 bit-identical, and every error the same error, so the comparisons are
-``==`` on the bits."""
+``==`` on the bits.  The one exception is the operator key tables, whose
+products stop at each run's reach: dgemm rounds those shorter sums
+differently, so they are compared within their rounding bound."""
 
 import math
 import os
@@ -938,6 +940,32 @@ class _TwoPerStack(PartitionBasis):
 stack_points = st.one_of(box, st.floats(0.05, 0.95).map(lambda q: (q, q ** (1 / 3))))
 
 
+def _gamma(n: int) -> float:
+    """gamma_n = n u / (1 - n u), u = 2^-53: a sum of n products, each
+    rounded, and its n - 1 additions differ from the exact sum by at most
+    gamma_n times the sum of the products' absolute values."""
+    u = 2.0**-53
+    return n * u / (1 - n * u)
+
+
+def _recorded(table_pairs, tables, stacked):
+    """``table_pairs``, of ``relations`` (given stacks) or of ``oracles``
+    (given (label, lhs, rhs) triples), that first appends each table it
+    compares to ``tables`` as (label text, lhs, rhs)."""
+
+    def call(items, basis, tolerance, notes):
+        items = list(items)
+        triples = (
+            ((label, a[i], b[i]) for labels, a, b in items for i, label in enumerate(labels))
+            if stacked
+            else items
+        )
+        tables.extend((label(0) if callable(label) else label, a, b) for label, a, b in triples)
+        return table_pairs(iter(items), basis, tolerance, notes)
+
+    return call
+
+
 @pytest.mark.parametrize("momentum", [0.0, 0.37])
 @pytest.mark.parametrize("budget", ["one", "two", "default"])
 @settings(max_examples=6, deadline=None)
@@ -949,19 +977,37 @@ stack_points = st.one_of(box, st.floats(0.05, 0.95).map(lambda q: (q, q ** (1 / 
 )
 @example(qt=(0.49, 0.49 ** (1 / 3)), labels=(2, 2), cap=3, window=3)
 def test_stacked_tables_match_one_table_per_step(budget, momentum, qt, labels, cap, window):
-    # the ten checks with their key and mode tables in stacks against the
-    # loops of ``oracles`` that build and compare one table per step: the
-    # exchange skeleton as it was, in both its readings, and the defining
-    # relation's key tables and comparison
+    # the ten checks with their key and mode tables in stacks, each run's
+    # products cut at its keys' reach, against the loops of ``oracles``
+    # that build and compare one table per step over every intermediate
+    # state: the exchange skeleton as it was, in both its readings, and
+    # the defining relation's key tables and comparison.  The same
+    # tables, labels, right-hand sides and statuses, the left-hand tables
+    # within the rounding bound of two computations of K_k: dgemm rounds
+    # a sum of another length differently.  Each inner sum runs over at
+    # most N products of a weighed entry, and the two terms are
+    # subtracted, so each side is within gamma_{N+2} (|A| |B g| +
+    # |C g| |E|) of the exact table; the bound, itself a rounded sum of
+    # nonnegative terms, takes one more
     window = min(window, cap)
     P, (ell, k) = QParams(*qt), labels
-    stacks = []
-    exact = PartitionBasis.weigh
+    stacks, bounds, got_tables, want_tables = [], [], [], []
+    exact, key_tables = PartitionBasis.weigh, relations._key_tables
 
     def recording(self, block, weights):
         if weights.ndim == 2:
             stacks.append(len(weights))
         return exact(self, block, weights)
+
+    def bounded(basis, x_left, y_in, y_out, x_right, g, twist, keys):
+        # |A| |B g| + |C g| |E| over every intermediate state: the oracle's
+        # key tables of the absolute values, the second term's sign turned
+        sign = -((-1.0) ** twist)
+        absolute = oracles.key_tables(
+            basis, abs(x_left), abs(y_in), sign * abs(y_out), abs(x_right), abs(g), twist, keys
+        )
+        bounds.extend(2 * _gamma(basis.size + 3) * absolute)
+        return key_tables(basis, x_left, y_in, y_out, x_right, g, twist, keys)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(PartitionBasis, "weigh", recording)
@@ -969,6 +1015,8 @@ def test_stacked_tables_match_one_table_per_step(budget, momentum, qt, labels, c
         mp.setattr(qs, "_BUDGET", 1 if budget == "one" else qs._BUDGET)
         if budget == "two":
             mp.setattr(relations, "PartitionBasis", _TwoPerStack)
+        mp.setattr(relations, "_key_tables", bounded)
+        mp.setattr(relations, "_table_pairs", _recorded(relations._table_pairs, got_tables, True))
         got = _ten_outcomes(P, ell, k, cap, window, momentum)
     # 2 window + 1 tables a check; at cap 4 and below they fit in one stack
     # of the default budget
@@ -978,8 +1026,14 @@ def test_stacked_tables_match_one_table_per_step(budget, momentum, qt, labels, c
         mp.setattr(relations, "_exchange_check", oracles.exchange_check)
         mp.setattr(relations, "_key_tables", oracles.key_tables)
         mp.setattr(relations, "_table_pairs", oracles.stacked_table_pairs)
+        mp.setattr(oracles, "_table_pairs", _recorded(oracles._table_pairs, want_tables, False))
         want = _ten_outcomes(P, ell, k, cap, window, momentum)
-    assert got == want
+    assert [r[:2] for r in got] == [r[:2] for r in want]
+    assert len(got_tables) == len(want_tables) == len(bounds)
+    for (label, a, b), (want_label, want_a, want_b), bound in zip(got_tables, want_tables, bounds):
+        assert label == want_label
+        assert np.array_equal(b, want_b)
+        assert np.all((a == want_a) | (abs(a - want_a) <= bound)), label
 
 
 @pytest.mark.parametrize("momentum", [0.0, 0.37])
@@ -993,7 +1047,9 @@ def test_mode_tables_are_swapped_key_tables(monkeypatch, qt, ell, overflow, budg
     # both parities) and the defining relation (twist 0) compare are
     # -(-1)^twist times the key tables -n - twist of the swapped blocks:
     # bit for bit the mode formula of ``oracles.mode_tables``, NaN where
-    # an overflowed block entry meets its negative
+    # an overflowed block entry meets a zero weight or its negative.  The
+    # overflow is planted at the vacuum, an intermediate state that every
+    # run reads, since a run's products stop at its keys' reach
     P, twist, cap, modes = QParams(*qt), 2 - ell, 3, range(-3, 4)
     seen, table_pairs, operands = [], relations._table_pairs, relations._operands
 
@@ -1004,7 +1060,7 @@ def test_mode_tables_are_swapped_key_tables(monkeypatch, qt, ell, overflow, budg
 
     def overflowing(*args):
         basis, x_left, y_in, *rest = operands(*args)
-        x_left[0, -1] = y_in[-1, 0] = math.inf
+        x_left[0, 0] = y_in[0, 0] = math.inf
         return basis, x_left, y_in, *rest
 
     monkeypatch.setattr(qs, "_BUDGET", 1 if budget == "one" else qs._BUDGET)

@@ -3,16 +3,19 @@
 import math
 import random
 from dataclasses import asdict, replace
+from functools import partial
 
 import numpy as np
 import pytest
 
+import oracles
+from qvirasoro import qspecial as qs
 from qvirasoro import relations
 from qvirasoro.fock import PartitionBasis
 from qvirasoro.qspecial import QParams
 from qvirasoro.report import _scan_report
 from qvirasoro.series import check_delta_comb
-from qvirasoro.voa import ProductForm
+from qvirasoro.voa import ProductForm, StructureFunctionSpec
 from qvirasoro.relations import (
     check_adjoint_shift,
     check_argument_shift,
@@ -333,7 +336,7 @@ def test_overflowing_momentum_is_inconclusive(check):
 
 
 # name -> (twist of the reversed product, reach of its keys or modes,
-# the check at a degree cap): keys |k| <= 2 or modes -3..3, twists -1..2
+# the check at a degree cap): keys |k| <= 2 or modes -3..3, twists -2..2
 MODES = range(-3, 4)
 TWISTED_CHECKS = {
     "screening": (0, 2, lambda cap: check_screening_relation(P, +1, cap, 2)),
@@ -351,6 +354,8 @@ TWISTED_CHECKS = {
     "composite-exchange-1-1": (2, 2, lambda cap: check_composite_exchange(1, 1, P, cap, 2)),
     "composite-exchange-2-1": (1, 2, lambda cap: check_composite_exchange(2, 1, P, cap, 2)),
     "composite-exchange-3-2": (-1, 2, lambda cap: check_composite_exchange(3, 2, P, cap, 2)),
+    "composite-exchange-3-3": (-2, 2, lambda cap: check_composite_exchange(3, 3, P, cap, 2)),
+    "adjoint-shift-ell4": (-2, 3, lambda cap: check_adjoint_shift(4, P, MODES, cap)),
 }
 
 
@@ -402,6 +407,113 @@ def test_states_past_the_reach_meet_only_zero_weights(monkeypatch, name):
     assert rep.passed, rep.summary_line()
     assert seen and all(D == cap + reach + abs(twist) for D, _ in seen)
     assert all(n > 0 for _, n in seen) == (twist > 0)
+
+
+def _exchange_reading(twist, kind):
+    """The current-vertex exchange at ell 1, read by keys |k| <= 2 or by
+    modes -3..3, under ``twist``: whether it holds does not matter, only
+    which weights its tables meet."""
+
+    def check(cap):
+        y = relations._POINT.at(P).vertex(relations.build_vertex, 1, 0)
+        g = partial(relations._POINT.series, StructureFunctionSpec("exchange", 1, 0), P)
+        labels = range(-2, 3) if kind == "key" else MODES
+        return _scan_report("exchange", relations._exchange_check(
+            P, relations._POINT.current(), y, g, twist, relations._current_deltas(1, P, y),
+            cap, (kind, labels), 0.0, 1e-8, [],
+        ), 1e-8)
+
+    return check
+
+
+# name -> (twist, the check at a degree cap): every operator check, and
+# the exchange skeleton by keys and by modes at twists -2..2
+RUN_REACH_CHECKS = {
+    "defining-relation": (0, lambda cap: check_defining_relation(P, cap, 3)),
+    **{name: (twist, check) for name, (twist, _, check) in TWISTED_CHECKS.items()},
+    **{
+        f"{kind}-twist{twist}": (twist, _exchange_reading(twist, kind))
+        for kind in ("key", "mode")
+        for twist in range(-2, 3)
+    },
+}
+
+
+@pytest.mark.parametrize("budget", ["one", "default"])
+@pytest.mark.parametrize("name", list(RUN_REACH_CHECKS))
+def test_each_run_cuts_only_exact_zero_weights(monkeypatch, name, budget):
+    # each run of keys multiplies only the leading rows of B and columns
+    # of C that its keys reach, the corners it takes: built over the whole
+    # basis, its weighed copies are exactly 0.0 on the rest, and not all
+    # 0.0 at the last degree the cut keeps, where the basis goes on past it
+    twist, check = RUN_REACH_CHECKS[name]
+    key_tables, corner = relations._key_tables, PartitionBasis.corner
+    cuts = []
+
+    def checking(basis, x_left, y_in, y_out, x_right, g, twist, keys):
+        taken = []
+
+        def recording(self, cap):
+            taken.append(corner(self, cap))
+            return taken[-1]
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(PartitionBasis, "corner", recording)
+            tables = key_tables(basis, x_left, y_in, y_out, x_right, g, twist, keys)
+        # the rows of B and the columns of C that the run kept
+        n1, n2 = taken
+        D = basis.max_degree
+        d = np.arange(-D, D + 1)
+        k = np.array(keys)[:, None]
+        b = basis.weigh(y_in, relations._coeffs(g, k - d))
+        c = basis.weigh(y_out, relations._coeffs(g, d - k - twist))
+        for weighed, n in ((b, n1), (np.swapaxes(c, -1, -2), n2)):
+            assert not weighed[:, n:].any()
+            if 0 < n < basis.size:
+                last = basis.corner(int(basis.degrees[n - 1]) - 1)
+                assert weighed[:, last:n].any()
+            cuts.append(n < basis.size)
+        return tables
+
+    monkeypatch.setattr(qs, "_BUDGET", 1 if budget == "one" else qs._BUDGET)
+    monkeypatch.setattr(relations, "_key_tables", checking)
+    check(3)
+    # with every key in one run and no twist, the cut keeps the whole basis
+    assert cuts and any(cuts) == (budget == "one" or twist != 0)
+
+
+PAST_REACH_CHECKS = [name for name, (twist, _) in RUN_REACH_CHECKS.items() if twist]
+
+
+@pytest.mark.parametrize("name", PAST_REACH_CHECKS)
+@pytest.mark.filterwarnings("ignore:invalid value encountered")
+def test_an_overflow_past_every_reach_leaves_the_check_decided(monkeypatch, name):
+    # the last state of the basis lies past every run's reach in the
+    # first product (twist < 0) or the second (twist > 0), of both
+    # readings: an infinity planted in the blocks there meets only
+    # exact-zero weights, so no table reads it and the check's record is
+    # the clean one; the uncut products of ``oracles.key_tables`` made it
+    # 0 * inf = NaN, an inconclusive check
+    twist, check = RUN_REACH_CHECKS[name]
+    cap, operands = 3, relations._operands
+    clean = check(cap)
+
+    def planted(*args):
+        basis, x_left, y_in, y_out, x_right, deltas = operands(*args)
+        if twist > 0:
+            y_out[0, -1] = x_right[-1, 0] = math.inf
+        else:
+            x_left[0, -1] = y_in[-1, 0] = math.inf
+        return basis, x_left, y_in, y_out, x_right, deltas
+
+    monkeypatch.setattr(relations, "_operands", planted)
+    got = check(cap)
+    assert clean.status != "inconclusive", clean.summary_line()
+    assert (got.status, got.residual.hex(), got.worst_location) == (
+        clean.status, clean.residual.hex(), clean.worst_location
+    )
+    monkeypatch.setattr(relations, "_key_tables", oracles.key_tables)
+    assert check(cap).status == "inconclusive"
 
 
 def test_vacuous_all_zero_tables_name_the_first_table():
