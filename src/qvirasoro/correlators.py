@@ -573,11 +573,10 @@ def check_connection_formula(
         # M(0), then M(u) and M(-u) for each sample: the first error in
         # that order is the one a matrix-by-matrix evaluation meets.  A
         # matrix of overflowed brackets holds inf: its NaN products
-        # decide nothing below, so they need no warning
+        # decide nothing below
         signed = [v for u in u_samples for v in (u, -u)]
-        with np.errstate(invalid="ignore"):
-            mats = [_unwrap(m) for m in _connection_matrices([0.0, *signed], cp)]
-            prods = [mats[i] @ mats[i + 1] for i in range(1, len(mats), 2)]
+        mats = [_unwrap(m) for m in _connection_matrices([0.0, *signed], cp)]
+        prods = [mats[i] @ mats[i + 1] for i in range(1, len(mats), 2)]
         for what, dev_mats, tol in (
             ("u=0 identity", mats[:1], _IDENTITY_TOLERANCE),
             ("two-sided inverse", prods, _INVERSE_TOLERANCE),

@@ -55,7 +55,9 @@ a check's basis stops at the largest of them over its keys.  Every state
 past a run's reach meets exact-zero weights, so the cut drops only zero
 terms; dgemm may round the shorter sums differently, within their
 rounding bound.  An overflowed block entry past every reach enters no
-product, so it makes no table NaN through 0 * inf.
+product, so it makes no table NaN through 0 * inf.  The weights index
+g_s up to s = D + r, D the basis degree and r the largest reach of the
+keys, and every structure series is built to that order, no further.
 
 Every exchange right-hand side is a list of delta terms (K, c, xi, W),
 meaning K delta(c w/z) W(xi w).  The shift operator Theta_xi f(w) =
@@ -328,15 +330,13 @@ def _exchange_check(
     by its delta terms (K, c, xi, W), in the corner tables that
     ``reading`` names: ("key", ks), one per key k in ks, or ("mode", ns),
     one per z^{-n} mode n in ns.  ``g`` maps an order to the structure
-    series truncated there (``_one`` for the constant kernel 1).  With s
-    (``span``) the largest |k| or |n|, mu the bra and lambda the ket:
+    series truncated there (``_one`` for the constant kernel 1).  With mu
+    the bra and lambda the ket:
 
     * key k's table is K_k (``_key_tables``), a delta term's
-      K c^k c^{-(deg mu - deg lambda)} Theta_xi W, and the series runs to
-      order 2(degree_cap + s + |twist|) + s + 2;
+      K c^k c^{-(deg mu - deg lambda)} Theta_xi W;
     * mode n's table is sigma K_{-n-twist} of the swapped blocks (module
-      docstring), a delta term's K c^n Theta_xi W, and the series runs to
-      order 2(degree_cap + s + |twist|).
+      docstring), a delta term's K c^n Theta_xi W.
 
     Both readings are key tables, of keys ks or -n - twist, and each run
     of them (``_runs``) multiplies only the intermediate states its keys
@@ -344,31 +344,27 @@ def _exchange_check(
     and degree_cap - min(keys) - twist in the second, mode n's products
     thus to deg mu + n and deg lambda - n - twist.  Every state past the
     reach meets exact-zero weights, so the corner is exact, and the basis
-    stops at the largest reach of all the keys, degree_cap + s +
-    max(0, -twist) for the symmetric keys and modes of the checks.  The
-    orders cover every weight: at shorter ones an overflow no table
-    reads no longer decides some checks at the box edge, and ROADMAP
-    item 10 trims them with those.  A run's tables make one stack: one
-    weighed copy of a block per table of the stack and one stacked
-    matmul per product, each table the product of its own operands over
-    the run's intermediate states."""
+    stops at the largest reach r of all the keys, at degree D = degree_cap
+    + s + max(0, -twist) for the checks' symmetric keys and modes, s the
+    largest |k| or |n|.  The weights index the series up to order D + r,
+    where it ends.  A run's tables make one stack: one weighed copy of a
+    block per table of the stack and one stacked matmul per product, each
+    table the product of its own operands over the run's intermediate
+    states."""
     kind, labels = reading
     labels = [int(i) for i in labels]
-    span = max(abs(i) for i in labels)
     keys = labels if kind == "key" else [-n - twist for n in labels]
-    basis, *blocks, shifted = _operands(
-        params, x, y, terms, degree_cap, max(_reach(keys, twist)), momentum
-    )
-    order = 2 * (degree_cap + span + abs(twist))
+    reach = max(_reach(keys, twist))
+    basis, *blocks, shifted = _operands(params, x, y, terms, degree_cap, reach, momentum)
+    D = basis.max_degree
+    gc, sign = g(D + reach), 1.0
     if kind == "key":
-        D = basis.max_degree
-        gc, sign = g(order + span + 2), 1.0
         shifted = [
             (K, s, basis.weigh(w, np.array([s**-e for e in range(-D, D + 1)])))
             for K, s, w in shifted
         ]
     else:
-        gc, sign = g(order), -((-1.0) ** twist)
+        sign = -((-1.0) ** twist)
         blocks = blocks[2:] + blocks[:2]
 
     def stacks():
@@ -496,12 +492,12 @@ def check_defining_relation(
 
     def pairs():
         # key -n holds minus the z^{-n} mode table: keys -max_mode..max_mode
-        D = degree_cap + max(_reach(range(-max_mode, max_mode + 1), 0))
+        reach = max(_reach(range(-max_mode, max_mode + 1), 0))
         point = _POINT.at(params)
-        basis = point.basis(D)
+        basis = point.basis(degree_cap + reach)
         c = basis.corner(degree_cap)
         t_out, t_in = _blocks(basis, point.current(), c, momentum, momentum)
-        f = point.series(StructureFunctionSpec("current"), params, 2 * D + 2)
+        f = point.series(StructureFunctionSpec("current"), params, basis.max_degree + reach)
         p = params.p
 
         def central(n: int) -> float:
@@ -663,8 +659,8 @@ def _current_deltas(ell: int, params: QParams, v):
     e4 = (ell - 1) * (ell - 2) / (4.0 * ell)
     K1 = p**0.5 * t**-0.5 * q**-e4
     K2 = (-1.0) ** ell * p**-0.5 * t**0.5 * q**e4
-    _, c1, xi1 = _exchange_constants(ell, params)
-    _, c2, xi2 = _exchange_constants(ell, params.theta_image())
+    c1, xi1 = _exchange_support(ell, params)
+    c2, xi2 = _exchange_support(ell, params.theta_image())
     return [(big_pi * K1, c1, xi1, v), (-big_pi * K2, c2, xi2, v)]
 
 
@@ -779,7 +775,7 @@ def _composite_term(ell: int, k: int, params: QParams) -> tuple[float, float]:
     (theta o omega)-image (1/t, 1/q) with the labels swapped; its
     support is p^{1/2} t^{1/(2k)}."""
     q, t = params.q, params.t
-    _, c1, _ = _exchange_constants(ell, params)
+    c1, _ = _exchange_support(ell, params)
     coeff1 = (
         1.0
         / (1.0 - q ** (1.0 / (2 * ell)) * t ** (1.0 / (2 * k)))

@@ -18,6 +18,8 @@ the tolerance, even when a pole, a divergent sum or an overflow
 the check inconclusive, and else a NaN residual, which decides nothing,
 makes it inconclusive (``_worst``).  An operator check, ``connection`` and
 ``delta-identity`` yield a NaN when their negative control cannot fail.
+The pairs are drawn under ``np.errstate(all="ignore")``: the scan
+decides on every inf and NaN, so numpy warns of none.
 """
 
 from __future__ import annotations
@@ -26,6 +28,8 @@ import math
 import time
 from dataclasses import dataclass, field
 from typing import Iterable
+
+import numpy as np
 
 from .errors import ConvergenceError, PoleError
 
@@ -118,7 +122,8 @@ def _scan_report(identity, pairs, tolerance, notes=()):
             error = exc
 
     t0 = time.perf_counter()
-    residual, loc = _worst(drawn(), tolerance)
+    with np.errstate(all="ignore"):
+        residual, loc = _worst(drawn(), tolerance)
     runtime_ms = (time.perf_counter() - t0) * 1e3
     if error is not None and not residual > tolerance:
         residual, loc = math.nan, _error_text(error)

@@ -11,6 +11,7 @@ import pytest
 import oracles
 from qvirasoro import qspecial as qs
 from qvirasoro import relations
+from qvirasoro.errors import QVirasoroError
 from qvirasoro.fock import PartitionBasis
 from qvirasoro.qspecial import QParams
 from qvirasoro.report import _scan_report
@@ -514,6 +515,46 @@ def test_an_overflow_past_every_reach_leaves_the_check_decided(monkeypatch, name
     )
     monkeypatch.setattr(relations, "_key_tables", oracles.key_tables)
     assert check(cap).status == "inconclusive"
+
+
+@pytest.mark.parametrize("budget", ["one", "default"])
+@pytest.mark.parametrize("name", list(RUN_REACH_CHECKS))
+def test_structure_series_end_at_the_order_the_weights_index(monkeypatch, name, budget):
+    # a check weighs degree differences up to its basis degree D, so its
+    # weights index g_s up to D + the largest reach of its keys: every
+    # structure series it reads is asked at that order, and one
+    # coefficient shorter, a run whose keys reach that far is refused
+    twist, check = RUN_REACH_CHECKS[name]
+    key_tables, series = relations._key_tables, relations._PointData.series
+    asked, runs = [], []
+
+    def asking(self, spec, params, order):
+        # exchange-rewrite's dual kernel is a series of its own, at order 40
+        if spec.kind != "exchange-dual":
+            asked.append(order)
+        return series(self, spec, params, order)
+
+    def checking(basis, x_left, y_in, y_out, x_right, g, twist, keys):
+        order = len(g) - 1
+        needed = basis.max_degree + max(relations._reach(keys, twist))
+        runs.append((basis.max_degree, order, list(keys), twist))
+        assert needed <= order
+        if needed == order:
+            with pytest.raises(QVirasoroError, match="structure series too short"):
+                key_tables(basis, x_left, y_in, y_out, x_right, g[:-1], twist, keys)
+        return key_tables(basis, x_left, y_in, y_out, x_right, g, twist, keys)
+
+    monkeypatch.setattr(qs, "_BUDGET", 1 if budget == "one" else qs._BUDGET)
+    monkeypatch.setattr(relations._PointData, "series", asking)
+    monkeypatch.setattr(relations, "_key_tables", checking)
+    check(3)
+    (D,), (twist,) = {r[0] for r in runs}, {r[3] for r in runs}
+    keys = [k for r in runs for k in r[2]]
+    order = D + max(relations._reach(keys, twist))
+    assert {r[1] for r in runs} == {order}
+    # the screening relations read the constant kernel 1 (``_one``)
+    assert set(asked) == (set() if name == "screening" else {order})
+    assert any(D + max(relations._reach(r[2], twist)) == order for r in runs)
 
 
 def test_vacuous_all_zero_tables_name_the_first_table():
