@@ -164,11 +164,19 @@ def _wave(x: float, num: float, den: float) -> float:
 # Two-vertex scalar
 
 
+def _check_positive(**args: float) -> None:
+    """RegimeError naming the first argument that is not positive."""
+    for name, value in args.items():
+        if not value > 0.0:
+            raise RegimeError(f"{name} must be positive, got {value!r}")
+
+
 def two_point(z: float, w: float, cp: CorrelatorParams) -> float:
     """Radial-ordering scalar of two first-kind vertices, evaluated by
     its convergent product form built for reach |w/z| (valid in both
     argument orders and in both orderings of q and t; a pole of the
-    continuation raises PoleError)."""
+    continuation raises PoleError).  Needs z > 0; w may be negative."""
+    _check_positive(z=z)
     x = w / z
     form = pair_correlation_factor(cp.ell, cp.params, abs(x))
     return z ** (cp.ell**2 * cp.params.beta / 2.0) * form.value(x)
@@ -178,6 +186,7 @@ def two_point_reference(z: float, w: float, cp: CorrelatorParams) -> float:
     """Same scalar through the double-base infinite products (requires
     p^2 < 1; independent oracle for the product form).  A one-point call
     of ``_pair_references``."""
+    _check_positive(z=z)
     val = _unwrap(_pair_references([w / z], cp)[0])
     return z ** (cp.ell**2 * cp.params.beta / 2.0) * val
 
@@ -252,6 +261,7 @@ def _lattice_start(branch: str, z: float, w: float, cp: CorrelatorParams) -> tup
     symbols A y1, A y2, B y1 and B y2 of its two waves.  Where a wave is
     a structural zero, its rest returns the next node (y -> Q y, weight
     -> ratio weight)."""
+    _check_positive(z=z, w=w)
     _check_exponents(cp)
     P = cp.params
     Q = cp.Q
@@ -289,6 +299,7 @@ def _closed_start(branch: str, z: float, w: float, cp: CorrelatorParams) -> tupl
     forms the coefficient, then u1, u2 and c, as ``four_point_closed``
     does; where Heine's transformation applies, it returns the node of
     the symbols of c, x, u2 and u1 x."""
+    _check_positive(z=z, w=w)
     P = cp.params
     Q = cp.Q
     a, b = cp.a, cp.b
@@ -423,9 +434,9 @@ def check_two_point(params: QParams, ell: int = 1, tolerance: float = 1e-12) -> 
     with log ref = sum_n rule(n) x^n for the series, summed until
     (x / radius)^n < 1e-17, and a product-form value v <= 0 fails.  Only
     x below 0.9 radius are compared; with none the check is inconclusive.
-    The form is built for reach max |x|, and the oracle's symbols for
-    every compared x come from one kernel call.  (Exponentiating the
-    series and evaluating its polynomial instead loses the digits: at
+    The form is built for reach max |x|; its symbols at every compared x
+    come from one kernel call, the oracle's from another, and rule(n)
+    once per n.  (Exponentiating the series loses the digits: at
     (0.9, 0.2), ell 3, its coefficients reach 7e11.)"""
     cp = CorrelatorParams(params=params, ell=ell)
     x_values = (0.3, 0.55)
@@ -436,18 +447,19 @@ def check_two_point(params: QParams, ell: int = 1, tolerance: float = 1e-12) -> 
             yield math.nan, "no nonzero x"
             return
         radius = 1.0 / float(np.max(np.abs(form.coeffs)))
-        rule = pair_correlation_log_rule(ell, params)
         inside = [x for x in x_values if abs(x) < 0.9 * radius]
         if not inside:
             yield math.nan, f"no x within 0.9 of the series radius {radius:.3g}"
         refs = _pair_references(inside, cp) if params.p < 1.0 else [None] * len(inside)
-        for x, v_ref in zip(inside, refs):
-            v = form.value(x)
+        orders = [_count(1.0, max(abs(x), 1e-300) / radius, 1e-17) - 1 for x in inside]
+        rule = pair_correlation_log_rule(ell, params)
+        coeffs = [rule(n) for n in range(1, max(orders, default=0) + 1)]
+        for x, v, v_ref, order in zip(inside, form.values(inside), refs, orders):
+            v = _unwrap(v)
             if v <= 0.0:
                 yield math.inf, f"x={x} (product form {v:.3e})"
                 return
-            order = _count(1.0, max(abs(x), 1e-300) / radius, 1e-17) - 1
-            terms = np.array([rule(n) * x**n for n in range(1, order + 1)])
+            terms = np.array([c * x**n for n, c in zip(range(1, order + 1), coeffs)])
             logs = {"series": float(terms.sum())}
             if v_ref is not None:
                 v_ref = _unwrap(v_ref)

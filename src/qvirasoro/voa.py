@@ -21,11 +21,11 @@ S^- and V_{1,k+1} as the omega images (q <-> t) of S^+ and V_{k+1,1};
 the constructors' docstrings keep the explicit formulas of both.
 
 Structure functions are handled two ways: as truncated power series
-(exact coefficient arithmetic) and as products of factors (1 - C x)^W
-(valid beyond the series radius, with exact detection of zeros): finite
-for the two vertex factors, a truncated convergent one for the pair
-scalar.  The product form is what makes support evaluation at a
-delta-function lattice point well defined.
+(exact coefficient arithmetic) and as products (valid beyond the series
+radius, with exact detection of zeros): finite ones of factors 1 - C x
+for the two vertex factors, q-Pochhammer symbols for the pair scalar.
+The product form makes support evaluation at a delta-function lattice
+point well defined.
 """
 
 from __future__ import annotations
@@ -38,7 +38,8 @@ import numpy as np
 
 from .errors import ConvergenceError, PoleError, QVirasoroError, RegimeError
 from .fock import NormalOrderedVertex, OperatorSum, eta, merge_vertices, mode_commutator
-from .qspecial import NEGLIGIBLE, ZERO_SNAP, QParams, _count
+from .qspecial import _NO_END, NEGLIGIBLE, ZERO_SNAP, QParams, _attempt, _count
+from .qspecial import _qpoch_values, _unwrap
 from .series import from_log_rule
 
 __all__ = [
@@ -295,62 +296,102 @@ def structure_series(
 #     prod_tuples (1 - (prod_i c_i) x)^(prod_i w_i),
 # which holds wherever the coefficient lattice converges — in particular
 # across the power-series radius, which is what lets a kernel be
-# evaluated *at* a delta-support point.  The vertex factors have finite
-# families only, so their forms are exact finite products of unbounded
-# reach.  The pair scalar has two geometric families; it is built for a
-# reach, the largest |x| it will be evaluated at, and keeps only the
-# tuples with |C| reach >= NEGLIGIBLE, the one level of every q-product
-# (``qspecial``): it has the value of the untruncated product.
+# evaluated *at* a delta-support point.  A form keeps them as ratios of
+# q-Pochhammer symbols (C x; b)_inf / (s C x; b)_inf, evaluated by
+# ``qspecial._qpoch_values`` without materializing a factor and stopped at
+# NEGLIGIBLE, the one level of every q-product.  The vertex factors have
+# finite families only: with b = s = 0 each ratio is one factor 1 - C x,
+# and the form an exact finite product of unbounded reach.  The pair
+# scalar's alternating family is one ratio (b = P^2, s = P) per term of
+# its other families, kept for a reach, the largest |x| it is evaluated
+# at, down to the terms with a factor of |C| reach >= NEGLIGIBLE: it has
+# the value of the untruncated product.
 
-# A pair form of more factors (128 MB of coefficients) is refused
-# before it is allocated.
+# A pair form of more factors (128 MB of them, expanded) is refused unbuilt.
 _MAX_FACTORS = 2**24
 
 
 @dataclass
 class ProductForm:
-    """prod (1 - C_i x)^{W_i} over finitely many factors (weights integer),
-    valid for |x| <= reach."""
+    """prod ((C_i x; base)_inf / (shift C_i x; base)_inf)^{W_i} over
+    finitely many ratios (weights integer), valid for |x| <= reach; with
+    base and shift 0 each ratio is the single factor 1 - C_i x."""
 
     coeffs: np.ndarray
     weights: np.ndarray
     reach: float = math.inf
+    base: float = 0.0
+    shift: float = 0.0
 
     def factor_index_at_zero(self, x: float) -> int | None:
-        """Index of a zero (a factor of positive weight) with
-        |1 - C_i x| < ZERO_SNAP, the factors that ``value`` nets, never of
-        a pole that meets it (None if none)."""
+        """Index of a zero (a ratio of positive weight) whose first factor
+        has |1 - C_i x| < ZERO_SNAP, never of a pole that meets it (None if
+        none): in a finite form, the factor that ``value`` nets and
+        ``drop`` removes."""
         hits = np.nonzero((np.abs(1.0 - self.coeffs * x) < ZERO_SNAP) & (self.weights > 0))[0]
         return int(hits[0]) if hits.size else None
 
     def drop(self, index: int) -> "ProductForm":
-        keep = np.ones(len(self.coeffs), dtype=bool)
-        keep[index] = False
-        return ProductForm(self.coeffs[keep], self.weights[keep], self.reach)
+        keep = np.arange(len(self.coeffs)) != index
+        return ProductForm(self.coeffs[keep], self.weights[keep], self.reach, self.base, self.shift)
 
     def value(self, x: float) -> float:
-        """The product at x, |x| <= reach (RegimeError beyond it).  Factors
-        vanishing at x net their weights: a negative sum is a pole, a
-        positive one a zero, a zero sum drops them.  The log is summed
-        pairwise (numpy's ``sum``), so its rounding is O(log n) eps and
-        the same on every run; it holds two factor-sized float arrays."""
-        if abs(x) > self.reach:
-            raise RegimeError(f"product form built for |x| <= {self.reach!r}, got x={x!r}")
-        g = np.multiply(self.coeffs, -x)
-        g += 1.0
-        lg = np.abs(g)
-        small = lg < ZERO_SNAP
-        if small.any():
-            net = int(self.weights[small].sum())
+        """The product at x: a one-point call of ``values``."""
+        return _unwrap(self.values([x])[0])
+
+    def values(self, xs: list) -> list:
+        """The product at each x of ``xs`` (RegimeError if one is beyond
+        the reach), all symbols from one ``_qpoch_values`` call: per x, the
+        value or the error of the one-point call.  Symbols with a factor
+        within ZERO_SNAP of 0 net their weights: a negative sum is a pole,
+        a positive one a zero, and at a zero sum each is taken without it.
+        The log, sum_i W_i (log|num_i| - log|den_i|), cancels per ratio."""
+        if any(abs(x) > self.reach for x in xs):
+            raise RegimeError(f"product form built for |x| <= {self.reach!r}, got x in {xs!r}")
+        cs = np.concatenate([self.coeffs, self.shift * self.coeffs]) if self.shift else self.coeffs
+        pts = np.multiply.outer(xs, cs)
+        if self.base:
+            syms = _qpoch_values(pts.ravel(), self.base).reshape(pts.shape)
+        else:  # each symbol is its one factor
+            syms = 1.0 - pts
+        return [_attempt(self._value, x, p, s) for x, p, s in zip(xs, pts, syms)]
+
+    def _value(self, x: float, points: np.ndarray, syms: np.ndarray) -> float:
+        """The product from the symbols at ``points``, numerators first;
+        one that vanished or overflowed is redone by ``_log_symbol``."""
+        w = np.concatenate([self.weights, -self.weights]) if self.shift else self.weights
+        lg = np.abs(syms)
+        vanish = (lg == 0.0) if self.base else (lg < ZERO_SNAP)
+        redo = vanish | ~(lg < math.inf)
+        special = bool(redo.any())
+        if special:
+            if self.base and np.isnan(syms).any():
+                raise ConvergenceError(_NO_END)
+            net = int(w[vanish].sum())
             if net < 0:
                 raise PoleError(f"product form has a pole at x={x!r}")
             if net > 0:
                 return 0.0
-            g[small] = lg[small] = 1.0
+            parts = [_log_symbol(a, self.base) for a in points[redo].tolist()]
+            lg[redo] = 1.0
         np.log(lg, out=lg)
+        neg = syms < 0.0
+        if special:
+            lg[redo], neg[redo] = [part[0] for part in parts], [part[1] for part in parts]
+        lg = np.subtract(*lg.reshape(2, -1)) if self.shift else lg
         lg *= self.weights
-        sign = -1.0 if int(self.weights[g < 0.0].sum()) % 2 else 1.0
+        sign = -1.0 if int(w[neg].sum()) % 2 else 1.0
         return sign * math.exp(float(lg.sum()))
+
+
+def _log_symbol(a: float, b: float) -> tuple[float, bool]:
+    """log |(a; b)_inf| without its factors within ZERO_SNAP of 0, a factor
+    at a time (past its stop, where each is 1), and whether it is negative."""
+    if b == 0.0:  # the one factor 1 - a
+        return (0.0, False) if abs(1.0 - a) < ZERO_SNAP else (math.log(abs(1.0 - a)), a > 1.0)
+    f = 1.0 - np.multiply.accumulate(np.r_[a, np.full(_count(abs(a), b), b)])
+    f[np.abs(f) < ZERO_SNAP] = 1.0
+    return float(np.log(np.abs(f)).sum()), bool((f < 0.0).sum() % 2)
 
 
 def current_vertex_factor(ell: int, params: QParams) -> ProductForm:
@@ -400,25 +441,6 @@ def pair_correlation_log_rule(ell: int, params: QParams) -> Callable[[int], floa
     return rule
 
 
-def _kept_prefix(make: Callable, kept: Callable, first: float, ratio: float, cap: int, what: str):
-    """The terms of a decreasing family before the first that ``kept``
-    drops; ``make(n)`` builds its first n terms as the loop over them
-    would.  The family is about ``first`` ratio^j (the term times the
-    reach the bound is tested at), so its first guess is ``_count``'s of
-    the terms that pass, plus one, and a count at which no term drops is
-    doubled.  ConvergenceError (the family ``what`` failed to decay)
-    if its first ``cap`` terms all pass."""
-    n = min(cap, _count(first, ratio) + 1)
-    while True:
-        terms = make(n)
-        drop = ~kept(terms)
-        if drop.any():
-            return terms[: int(np.argmax(drop))]
-        if n == cap:
-            raise ConvergenceError(f"{what} family failed to decay")
-        n = min(cap, 2 * n)
-
-
 def pair_correlation_factor(ell: int, params: QParams, reach: float) -> ProductForm:
     """Product form of the oscillator part of the two-vertex scalar for
     |x| <= reach, convergent past the power-series radius (the
@@ -428,15 +450,15 @@ def pair_correlation_factor(ell: int, params: QParams, reach: float) -> ProductF
     the pair-q family (q^{n/2} - q^{-n/2}) / (q^{n/2l} - q^{-n/2l})^2 =
     -sum_{m>=1} min(m, l) (q^{(m - l/2)/l})^n and the alternating family
     1 / (p^{n/2} + p^{-n/2}) = sum_{j>=0} (-1)^j (P^{j+1/2})^n with
-    P = min(p, 1/p); the factors come in that order, the first family
-    varying slowest, each coefficient the product of its three family
-    terms in that order.  Only factors with |C| reach >= NEGLIGIBLE are
-    built: both infinite families end where no factor of theirs is left,
-    their lengths from the closed-form bound of ``_kept_prefix``, and
-    each (t-half, pair-q) row keeps the prefix of the decreasing
-    alternating family that passes the bound.  A form of more than
-    _MAX_FACTORS factors raises ConvergenceError, naming its count.
-    """
+    P = min(p, 1/p).  A (t-half, pair-q) row of coefficient c and weight
+    w takes the alternating factors (1 - a P^j x)^{(-1)^j w}, a = c P^{1/2},
+    whose product is ((a x; P^2)_inf / (a P x; P^2)_inf)^w (Gasper and
+    Rahman, ch. 1): the form has one ratio of coefficient a per row, the
+    rows in family order, the first family varying slowest.  The pair-q
+    family ends before its first term whose widest row has no factor with
+    |C| reach >= NEGLIGIBLE, where each symbol stops.  A form of more than
+    _MAX_FACTORS such factors raises ConvergenceError, naming the count,
+    which comes from logs (a coefficient times the reach can overflow)."""
     if ell < 1:
         raise QVirasoroError("pair correlation needs a first-kind label >= 1")
     if not 0.0 < params.q < 1.0:
@@ -444,53 +466,19 @@ def pair_correlation_factor(ell: int, params: QParams, reach: float) -> ProductF
     if not 0.0 <= reach < math.inf:
         raise RegimeError(f"pair correlation product needs a finite reach, got {reach!r}")
     q, t, P = params.q, params.t, min(params.p, 1.0 / params.p)
-
-    def kept(c):
-        return c * reach >= NEGLIGIBLE
-
-    half, top = [t**0.5, t**-0.5], max(t**0.5, t**-0.5)
-    # the pair-q terms by Python's own ``**``, the alternating ones by the
-    # loop's running product c *= P, up to the first term each drops
-    pair_q = _kept_prefix(
-        lambda n: np.array([q ** ((m - ell / 2.0) / ell) for m in range(1, n + 1)]),
-        lambda c: kept(top * c * P**0.5),
-        top * P**0.5 * reach * q ** ((1 - ell / 2.0) / ell),
-        q ** (1.0 / ell),
-        200000,
-        "squared geometric",
-    )
-    m = np.arange(1, pair_q.size + 1, dtype=np.int64)
-    rows = np.concatenate([half[0] * pair_q, half[1] * pair_q])
-    row_w = np.concatenate([-np.minimum(m, ell), np.minimum(m, ell)])
-    widest = rows.max(initial=0.0)
-    alt = _kept_prefix(
-        lambda n: np.multiply.accumulate(np.concatenate([[P**0.5], np.full(n - 1, P)])),
-        lambda c: kept(widest * c),
-        widest * P**0.5 * reach,
-        P,
-        100001,
-        "alternating",
-    )
-    # per row, the count of alternating terms that pass: searchsorted on
-    # the bound, divided in turn since rows * reach can overflow, then a
-    # step across any boundary term it rounded past
-    count = np.searchsorted(-alt, -NEGLIGIBLE / rows / reach, side="right")
-    while True:
-        back = (count > 0) & ~kept(rows * alt[np.maximum(count - 1, 0)])
-        ahead = (count < alt.size) & kept(rows * alt[np.minimum(count, alt.size - 1)])
-        if not (back.any() or ahead.any()):
-            break
-        count += ahead.astype(int) - back
-    total = int(count.sum())
-    if total > _MAX_FACTORS:
+    with np.errstate(divide="ignore"):
+        room = math.log(NEGLIGIBLE) - np.log(reach)
+        last = ell / 2.0 + ell * (room - math.log(max(t**0.5, t**-0.5) * P**0.5)) / math.log(q)
+        if last >= 200000:
+            raise ConvergenceError("squared geometric family failed to decay")
+        # the pair-q terms by Python's own ``**``
+        pair_q = np.array([q ** ((m - ell / 2) / ell) for m in range(1, int(max(last, 0)) + 1)])
+        a = np.multiply.outer([t**0.5, t**-0.5], pair_q).ravel() * P**0.5
+        span = (room - np.log(a)) / math.log(P)
+    total = float(np.sum(np.floor(span) + 1.0, where=span >= 0.0))
+    if not total <= _MAX_FACTORS:
         raise ConvergenceError(
-            f"pair form needs {total} factors at reach {reach!r}, more than {_MAX_FACTORS}"
+            f"pair form needs {total:.0f} factors at reach {reach!r}, more than {_MAX_FACTORS}"
         )
-    start = np.cumsum(count) - count
-    j = np.arange(total)
-    j -= np.repeat(start, count)
-    coeffs = np.repeat(rows, count)
-    coeffs *= alt[j]
-    weights = np.repeat(row_w, count)
-    weights *= 1 - 2 * (j & 1)
-    return ProductForm(coeffs, weights, reach)
+    m = np.minimum(np.arange(1, pair_q.size + 1), ell)
+    return ProductForm(a, np.concatenate([-m, m]), reach, P * P, P)

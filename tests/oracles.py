@@ -6,8 +6,8 @@ expansion of vertex exponentials — independently of the library's
 matrix engine, so the results can serve as oracles.  The scalar loops
 (one Python step per factor or term) are the reference the q-product
 and basic-series kernels of ``qvirasoro.qspecial`` must equal bit for
-bit, and the pair scalar's full product form the factors that the
-library's pruned one keeps a part of.  The one-point correlator
+bit, and the pair scalar's full product form, expanded factor by
+factor, the value that the library's symbols of its rows must match.  The one-point correlator
 kernels, the closed four-point form on the loop products and series,
 and the sequential bodies of three correlator checks and of the
 q-special self-check are the reference for the batched evaluators of
@@ -237,7 +237,8 @@ def qpoch_inf(a: float, bases: tuple[float, ...]) -> float:
 
 # The pair scalar's full product form: every factor of the three families
 # down to a term of 1e-22, expanded as a Cartesian product.  The library
-# builds only the factors that can move the value at its reach.
+# keeps the rows that can move the value at its reach, each as a ratio of
+# two q-Pochhammer symbols that are never expanded.
 _CUT = 1e-22
 
 
@@ -287,13 +288,16 @@ def _expand(families: list[list[tuple[int, float]]]):
     return ProductForm(coeffs=coeffs, weights=weights)
 
 
-def pair_correlation_factor(ell: int, params) -> ProductForm:
-    """The pair scalar's product form, truncated at _CUT in both families."""
-    return _expand([
-        _family_half(params.t),
-        _family_pair_q(params.q, ell, _CUT),
-        _family_inv_p_sum(params.p, _CUT),
-    ])
+def pair_correlation_factor(ell: int, params):
+    """The pair scalar's product form, truncated at _CUT in both families,
+    in its order as consecutive forms of a few (t-half, pair-q) rows each:
+    the whole form reaches 25 million factors at (0.98, 0.95), ell 3."""
+    alt = _family_inv_p_sum(params.p, _CUT)
+    pair_q = _family_pair_q(params.q, ell, _CUT)
+    step = max(1, (1 << 20) // len(alt))
+    for h in _family_half(params.t):
+        for i in range(0, len(pair_q), step):
+            yield _expand([[h], pair_q[i : i + step], alt])
 
 
 def basic_series(upper: tuple, lower: tuple, q: float, z: float) -> float:

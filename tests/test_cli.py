@@ -579,6 +579,21 @@ class TestEval:
         else:
             assert (code, out, err) == (0, f"{value():.17g}\n", "")
 
+    @pytest.mark.parametrize("argv, name", [
+        (("two-point", "--z", "-1", "--w", "0.4"), "z"),
+        (("four-point", "--z", "1", "--w", "-0.4"), "w"),
+        (("four-point", "--z", "1", "--w", "-0.4", "--method", "jackson"), "w"),
+        (("four-point", "--z", "-1", "--w", "0.4", "--method", "jackson"), "z"),
+    ])
+    def test_negative_argument_is_an_error_not_a_complex_value(self, capsys, argv, name):
+        # z ** (ell^2 beta / 2) and (z w) ** (L a / 2) of a negative base
+        # are complex: these once printed 0.76790763953881658+0.76...j
+        # and the like, with exit 0
+        code, out, err = run_cli(capsys, "eval", *argv, "--q", "0.49", "--t", "0.7")
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: {argv[0]}: {name} must be positive, got -")
+        assert err.count("\n") == 1
+
     def test_pole_is_runtime_error_not_config(self, capsys):
         code, _, err = run_cli(
             capsys, "eval", "two-point", "--q", "0.49", "--t", "0.7",
@@ -775,6 +790,31 @@ def test_scalar_layer_memory():
     assert proc.returncode == 0, proc.stderr
     peak_mb = int(proc.stderr.split()[-1]) / 1024
     assert peak_mb < 60, f"peak RSS {peak_mb:.0f} MB"
+
+
+@pytest.mark.parametrize("q, t", [(0.98, 0.95), (0.95, 0.98)])
+def test_two_point_corner_memory(q, t):
+    # check_two_point at the grid's largest pair forms, ell 3: about 33 and
+    # 31 MB, where expanding the alternating family factor by factor took
+    # 287 MB for 6,728,003 factors at (0.98, 0.95) and 131 MB for
+    # 2,651,395 at (0.95, 0.98)
+    script = (
+        "import sys\n"
+        "from qvirasoro.correlators import check_two_point\n"
+        "from qvirasoro.qspecial import QParams\n"
+        f"check_two_point(QParams({q}, {t}), 3)\n"
+        + PRINT_PEAK
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        env=_child_env(),
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    peak_mb = int(proc.stderr.split()[-1]) / 1024
+    assert peak_mb < 45, f"peak RSS {peak_mb:.0f} MB"
 
 
 def test_two_point_residual_does_not_depend_on_blas_threads():

@@ -1,6 +1,7 @@
 """Four-point functions, their closed forms, and the connection matrix."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from qvirasoro.errors import ConvergenceError, PoleError, QVirasoroError, Regime
 from qvirasoro import correlators, qspecial
 from qvirasoro.qspecial import QParams
 from qvirasoro.report import _scan_report
-from qvirasoro.voa import ProductForm, pair_correlation_log_rule
+from qvirasoro.voa import pair_correlation_log_rule
 from qvirasoro.correlators import (
     CorrelatorParams,
     check_connection_formula,
@@ -68,6 +69,24 @@ class TestTwoPoint:
             r = two_point_reference(1.0, x, cp)
             assert v == pytest.approx(r, rel=1e-12)
 
+    def test_negative_arguments(self):
+        # a negative w is a valid argument order of the scalar; a negative
+        # or zero z (and, for the four-point functions, w) has no real
+        # prefactor, and the error names it
+        cp = CorrelatorParams(params=P1)
+        v = two_point(1.0, -0.4, cp)
+        assert isinstance(v, float) and v == pytest.approx(two_point_reference(1.0, -0.4, cp), rel=1e-12)
+        for fn in (two_point, two_point_reference):
+            for z in (-1.0, 0.0):
+                with pytest.raises(RegimeError, match="z must be positive"):
+                    fn(z, 0.4, cp)
+        for fn in (four_point_closed, four_point_jackson):
+            for branch in ("plus", "minus"):
+                with pytest.raises(RegimeError, match="w must be positive"):
+                    fn(branch, 1.0, -0.4, cp)
+                with pytest.raises(RegimeError, match="z must be positive"):
+                    fn(branch, -1.0, 0.4, cp)
+
     def test_reference_needs_contractive_double_base(self):
         cp = CorrelatorParams(params=P3)
         with pytest.raises(RegimeError):
@@ -114,12 +133,18 @@ class TestTwoPoint:
         assert math.isinf(rep.residual)
         assert "radius 0.282" in rep.worst_location
 
-    @pytest.mark.parametrize("params, ell", [(P1, 1), (QParams(0.9, 0.2), 3)])
-    def test_checker_fails_on_perturbed_form(self, monkeypatch, params, ell):
+    @pytest.mark.parametrize("defect", ["base", "row"])
+    @pytest.mark.parametrize("params, ell", [(P1, 1), (QParams(0.9, 0.2), 3), (QParams(0.98, 0.95), 3)])
+    def test_checker_fails_on_perturbed_form(self, monkeypatch, params, ell, defect):
+        # the base P^2, or the largest row coefficient (both symbols of
+        # its ratio), off by 1e-9 relative
         form = correlators.pair_correlation_factor(ell, params, 0.55)
-        coeffs = form.coeffs.copy()
-        coeffs[np.argmax(np.abs(coeffs))] *= 1.0 + 1e-9
-        perturbed = ProductForm(coeffs, form.weights)
+        if defect == "base":
+            perturbed = replace(form, base=form.base * (1.0 + 1e-9))
+        else:
+            coeffs = form.coeffs.copy()
+            coeffs[np.argmax(coeffs)] *= 1.0 + 1e-9
+            perturbed = replace(form, coeffs=coeffs)
         monkeypatch.setattr(correlators, "pair_correlation_factor", lambda *_: perturbed)
         rep = check_two_point(params, ell=ell)
         assert rep.status == "fail", rep.summary_line()

@@ -14,6 +14,7 @@ import subprocess
 import sys
 import warnings
 from collections import Counter
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -622,63 +623,146 @@ def test_qspecial_check_in_one_kernel_call_per_base(monkeypatch):
 
 @st.composite
 def pair_forms(draw):
-    """A pair form at a drawn reach, with the full product it prunes."""
+    """A pair form at a drawn reach, with the point it is built at."""
     q, t = draw(st.tuples(st.floats(0.05, 0.9), st.floats(0.05, 0.9)).filter(lambda qt: abs(qt[0] - qt[1]) > 0.05))
     ell, reach = draw(st.integers(1, 3)), draw(st.floats(0.01, 3.0))
     params = QParams(q, t)
-    return voa.pair_correlation_factor(ell, params, reach), oracles.pair_correlation_factor(ell, params), reach
+    return voa.pair_correlation_factor(ell, params, reach), ell, params, reach
 
 
-def pair_oracle_blocks(ell, params):
-    """``oracles.pair_correlation_factor`` in its order, as consecutive
-    forms of a few of its (t-half, pair-q) rows each."""
-    alt = oracles._family_inv_p_sum(params.p, oracles._CUT)
-    pair_q = oracles._family_pair_q(params.q, ell, oracles._CUT)
-    step = max(1, (1 << 20) // len(alt))
-    for h in oracles._family_half(params.t):
-        for i in range(0, len(pair_q), step):
-            yield oracles._expand([[h], pair_q[i : i + step], alt])
+def pair_oracle_log(ell, params, x):
+    """(net weight, log |v|, sign of v, condition) of the full product of
+    ``oracles.pair_correlation_factor`` at x, factor by factor: the net
+    weight of its factors within ZERO_SNAP of 0, v the product of the
+    others, each log by ``log1p`` where C x <= 1/2 and all of them summed
+    in long double, and the largest |C x / (1 - C x)| of those factors,
+    which scales a relative error of a point C x into its log."""
+    net, logs, negative, cond = 0, [], 0, 0.0
+    for full in oracles.pair_correlation_factor(ell, params):
+        cx = full.coeffs * x
+        zero = np.abs(1.0 - cx) < qs.ZERO_SNAP
+        net += int(full.weights[zero].sum())
+        cx[zero] = 0.0
+        lg = np.log1p(-np.minimum(cx, 0.5))
+        big = cx > 0.5
+        lg[big] = np.log(np.abs(1.0 - cx[big]))
+        lg *= full.weights
+        logs.append(np.sum(lg, dtype=np.longdouble))
+        negative += int(full.weights[cx > 1.0].sum())
+        cond = max(cond, float(np.max(np.abs(cx / (1.0 - cx)), initial=0.0)))
+    return net, float(sum(logs)), -1.0 if negative % 2 else 1.0, cond
+
+
+def assert_matches_the_expanded_product(form, ell, params, x):
+    """The form's value at x against the oracle's full product: a pole or
+    a zero where the oracle's vanishing factors net to one, else the same
+    sign and a log within PAIR_BOUND, widened near a vanishing factor."""
+    net, log_ref, sign, cond = pair_oracle_log(ell, params, x)
+    if net < 0:
+        with pytest.raises(PoleError):
+            form.value(x)
+        return
+    v = form.value(x)
+    if net > 0:
+        assert v == 0.0
+        return
+    assert math.copysign(1.0, v) == sign
+    assert abs(math.log(abs(v)) - log_ref) < PAIR_BOUND + POINT_ERROR * cond
+
+
+def full_symbol(a, b):
+    """(a; b)_inf over every factor down to a point below 1e-22, far past
+    the kernel's stop at NEGLIGIBLE."""
+    prod = 1.0
+    while abs(a) >= 1e-22:
+        prod *= 1.0 - a
+        a *= b
+    return prod
+
+
+# |log v - log v_oracle| of the pair form against the oracle's full product.
+# Each symbol is a running product that rounds once per factor: at the
+# corners of the long families the deviation reached 6.4e-13.  The two
+# sides also round each point C x their own way, the form's through up to
+# a few hundred steps of a running product, so a factor near 0 adds up to
+# POINT_ERROR times its |C x / (1 - C x)|: over 2000 drawn forms of the box
+# below, the deviation stayed within 0.37 of this bound.  The planted
+# defects of ``test_planted_defects_exceed_the_bound`` deviate by 1.5e-10
+# or more.
+PAIR_BOUND, POINT_ERROR = 1e-12, 1e-14
 
 
 class TestPairForm:
     @settings(max_examples=30, deadline=None)
     @given(pair_forms())
-    def test_keeps_exactly_the_factors_that_move_the_value(self, forms):
-        form, full, reach = forms
-        keep = np.abs(full.coeffs) * reach >= qs.NEGLIGIBLE
-        assert np.array_equal(form.coeffs, full.coeffs[keep])
-        assert np.array_equal(form.weights, full.weights[keep])
-        dropped = full.coeffs[~keep]
+    @example((voa.pair_correlation_factor(1, QParams(0.75, 0.5), 1.0), 1, QParams(0.75, 0.5), 1.0))
+    @example((voa.pair_correlation_factor(1, QParams(0.5, 0.25), 1.0), 1, QParams(0.5, 0.25), 1.0))
+    def test_value_matches_the_expanded_product(self, forms):
+        form, ell, params, reach = forms
         for x in (reach, -reach):
-            assert np.all(1.0 - dropped * x == 1.0)
-        assert form.reach == reach
+            assert_matches_the_expanded_product(form, ell, params, x)
 
     @pytest.mark.parametrize("reach", [0.55, 1e-3])
     @pytest.mark.parametrize("ell", [1, 2, 3])
     @pytest.mark.parametrize("q, t", [(0.95, 0.98), (0.98, 0.95), (0.98, 0.5)])
-    def test_long_families_keep_exactly_the_factors_that_move_the_value(self, q, t, ell, reach):
+    def test_long_families_match_the_expanded_product(self, q, t, ell, reach):
         # up to 7,686 pair-q and 1,629 alternating terms: the oracle's full
         # form is expanded a few of its rows at a time
         params = QParams(q, t)
         form = voa.pair_correlation_factor(ell, params, reach)
-        at = 0
-        for full in pair_oracle_blocks(ell, params):
-            keep = np.abs(full.coeffs) * reach >= qs.NEGLIGIBLE
-            kept = slice(at, at + int(keep.sum()))
-            assert np.array_equal(form.coeffs[kept], full.coeffs[keep])
-            assert np.array_equal(form.weights[kept], full.weights[keep])
-            for x in (reach, -reach):
-                assert np.all(1.0 - full.coeffs[~keep] * x == 1.0)
-            at = kept.stop
-        assert at == form.coeffs.size and form.reach == reach
+        for x in (reach, -reach):
+            assert_matches_the_expanded_product(form, ell, params, x)
+
+    @pytest.mark.parametrize("q, t, ell, reach", [
+        (0.49, 0.7, 1, 0.55), (0.86, 0.68, 3, 0.55), (0.98, 0.5, 2, 1e-3), (0.3, 0.9, 3, 2.5),
+    ])
+    def test_rows_and_symbols_stop_where_no_factor_moves_the_value(self, q, t, ell, reach):
+        params = QParams(q, t)
+        form = voa.pair_correlation_factor(ell, params, reach)
+        P = min(params.p, 1.0 / params.p)
+        assert (form.base, form.shift, form.reach) == (P * P, P, reach)
+        # one ratio per (t-half, pair-q) row of the oracle's families, the
+        # first family varying slowest, down to the last pair-q term whose
+        # widest row has a factor of size NEGLIGIBLE or more at the reach
+        pair_q = oracles._family_pair_q(q, ell, oracles._CUT)
+        rows = form.coeffs.size // 2
+        widest = max(t**0.5, t**-0.5) * P**0.5
+        assert widest * pair_q[rows - 1][1] * reach >= qs.NEGLIGIBLE > widest * pair_q[rows][1] * reach
+        halves = oracles._family_half(t)
+        want = np.multiply.outer([c for _, c in halves], [c for _, c in pair_q[:rows]]).ravel()
+        assert np.array_equal(form.coeffs, want * P**0.5)
+        want = np.multiply.outer([w for w, _ in halves], [w for w, _ in pair_q[:rows]]).ravel()
+        assert np.array_equal(form.weights, want)
+        # each symbol stops before its first point below NEGLIGIBLE, and
+        # every factor it leaves out is exactly 1.0
+        for x in (reach, -reach):
+            points = np.concatenate([form.coeffs, form.shift * form.coeffs]) * x
+            for a, s in zip(points.tolist(), qs._qpoch_values(points, form.base).tolist()):
+                assert s == full_symbol(a, form.base)
+
+    @pytest.mark.parametrize("q, t, ell", [(0.49, 0.7, 1), (0.86, 0.68, 3), (0.95, 0.98, 1)])
+    def test_planted_defects_exceed_the_bound(self, q, t, ell):
+        # the base P^2, or the largest row coefficient, off by 1e-9 relative
+        params = QParams(q, t)
+        form = voa.pair_correlation_factor(ell, params, 0.55)
+        coeffs = form.coeffs.copy()
+        coeffs[np.argmax(coeffs)] *= 1.0 + 1e-9
+        for bad in (replace(form, base=form.base * (1.0 + 1e-9)), replace(form, coeffs=coeffs)):
+            _, log_ref, _, _ = pair_oracle_log(ell, params, 0.55)
+            assert abs(math.log(abs(bad.value(0.55))) - log_ref) > 100 * PAIR_BOUND
 
     def test_a_reach_whose_first_term_overflows(self):
-        # the pair-q family's first term times 1.7e308 is inf: its first
-        # guess is the capped count, not an OverflowError
-        assert qs._count(math.inf, 0.5) == 2 * qs.TERM_CAP + 2
-        with np.errstate(over="ignore"):
+        # a coefficient times 1.7e308 is inf: the row and factor counts
+        # take their logs apart, so the form is built without an overflow
+        # (its last rows' coefficients are subnormal), and the symbols that
+        # overflow at x = 1.7e308 are summed again in logs, to the value
+        # that the logs of all 92,836 expanded factors gave.  That log,
+        # 510, sums symbol logs of up to 3.2e4, so summing in another
+        # order moves it by about 1e-11
+        with np.errstate(over="raise", invalid="raise"):
             form = voa.pair_correlation_factor(3, QParams(0.01, 0.5), 1.7e308)
-        assert form.coeffs.size == 92836
+        assert form.coeffs.size == 974
+        assert form.value(1.7e308) == pytest.approx(4.2846897843727541e221, rel=1e-9)
 
     @pytest.mark.parametrize("q, t, ell", [(0.86, 0.68, 3), (0.49, 0.7, 1), (0.9, 0.2, 3)])
     def test_value_refuses_beyond_its_reach(self, q, t, ell):

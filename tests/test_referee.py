@@ -15,7 +15,7 @@ from qvirasoro.voa import (
 mp = pytest.importorskip("mpmath")
 mp.mp.dps = 40
 
-SITES = [(0.95, 0.9), (0.95, 0.98), (0.86, 0.68), (0.3, 0.9), (0.7, 0.3)]
+SITES = [(0.95, 0.9), (0.95, 0.98), (0.98, 0.95), (0.86, 0.68), (0.3, 0.9), (0.7, 0.3)]
 
 
 def _half(y, n):
@@ -66,9 +66,10 @@ def _kernel(name, q, t, ell):
     return pair_correlation_factor(ell, params, float(0.55 * radius)), pair_rule, radius
 
 
-# the vertex factors are 2 ell exact factors; the pair form sums the logs
-# of up to millions of factors near the corners (0.95, 0.9) and
-# (0.95, 0.98), so it keeps less
+# the vertex factors are 2 ell exact factors; the pair form multiplies up
+# to hundreds of factors into each of its symbols, over thousands of rows
+# near the corners (0.95, 0.9), (0.95, 0.98) and (0.98, 0.95), so it
+# keeps less
 BOUNDS = {"current": 5e-15, "mirror": 5e-15, "pair": 1e-12}
 
 

@@ -314,6 +314,19 @@ class TestProductForms:
         with pytest.raises(PoleError):
             form.drop(idx).value(0.5)
 
+    def test_a_zero_and_a_pole_of_two_ratios_net_out(self):
+        # ratios ((C x; 1/16)_inf / (C x / 4; 1/16)_inf)^1 at C = 2 and 8,
+        # x = 0.5: the first numerator (1; 1/16)_inf vanishes at its first
+        # factor (weight +1), the second denominator (1; 1/16)_inf too
+        # (weight -1).  They net to 0, so each is taken without its
+        # vanishing factor, and what is left is (4; 1/16)_inf / (1/4; 1/16)_inf
+        form = ProductForm(np.array([2.0, 8.0]), np.array([1, 1]), base=1 / 16, shift=1 / 4)
+        want = qpoch_inf(4.0, 1 / 16) / qpoch_inf(0.25, 1 / 16)
+        assert form.value(0.5) == pytest.approx(want, rel=1e-14)
+        # with the second ratio's weight doubled the pole wins
+        with pytest.raises(PoleError):
+            ProductForm(form.coeffs, np.array([1, 2]), base=1 / 16, shift=1 / 4).value(0.5)
+
     def test_a_near_zero_is_no_zero(self):
         # |1 - C x| = 2e-11 at x = 0.5, above ZERO_SNAP (1e-13) but below
         # 1e-9: no zero to drop, and value keeps the factor
