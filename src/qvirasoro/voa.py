@@ -38,7 +38,7 @@ import numpy as np
 
 from .errors import ConvergenceError, PoleError, QVirasoroError, RegimeError
 from .fock import NormalOrderedVertex, OperatorSum, eta, merge_vertices, mode_commutator
-from .qspecial import _NO_END, NEGLIGIBLE, ZERO_SNAP, QParams, _attempt, _count
+from .qspecial import _NO_END, NEGLIGIBLE, TERM_CAP, ZERO_SNAP, QParams, _attempt, _count
 from .qspecial import _qpoch_values, _unwrap
 from .series import from_log_rule
 
@@ -297,31 +297,39 @@ def structure_series(
 # which holds wherever the coefficient lattice converges — in particular
 # across the power-series radius, which is what lets a kernel be
 # evaluated *at* a delta-support point.  A form keeps them as ratios of
-# q-Pochhammer symbols (C x; b)_inf / (s C x; b)_inf, evaluated by
-# ``qspecial._qpoch_values`` without materializing a factor and stopped at
-# NEGLIGIBLE, the one level of every q-product.  The vertex factors have
-# finite families only: with b = s = 0 each ratio is one factor 1 - C x,
-# and the form an exact finite product of unbounded reach.  The pair
-# scalar's alternating family is one ratio (b = P^2, s = P) per term of
-# its other families, kept for a reach, the largest |x| it is evaluated
-# at, down to the terms with a factor of |C| reach >= NEGLIGIBLE: it has
-# the value of the untruncated product.
-
-# A pair form of more factors (128 MB of them, expanded) is refused unbuilt.
+# q-Pochhammer symbols (C x; s^2)_inf / (s C x; s^2)_inf, stopped at
+# NEGLIGIBLE, the one level of every q-product: with s = 0 (the vertex
+# factors) each is one factor 1 - C x, and the form an exact finite
+# product of unbounded reach; the pair scalar's (s = P) is built for a
+# reach, the largest |x| it is evaluated at, and has the value of the
+# untruncated product there.
+#
+# A pair form of more factors is refused unbuilt: this bounds the
+# symbols' work.  A ratio with a symbol that vanished, underflowed or
+# overflowed is taken in logs, as is every ratio of a base above
+# _LONG_BASE: there the two symbols' chains of points x *= base round
+# apart, by up to 2.4e-12 in check_two_point's log at P = 0.9995 (6.1e-13
+# at P = 0.999, 2.2e-14 at P = 0.99).  Below it a symbol's log stays above
+# -2.47 / -log(base), clear of the subnormals: there _TINY is a safeguard.
 _MAX_FACTORS = 2**24
+_TINY = np.finfo(float).tiny
+_LONG_BASE = 0.99
 
 
 @dataclass
 class ProductForm:
-    """prod ((C_i x; base)_inf / (shift C_i x; base)_inf)^{W_i} over
+    """prod ((C_i x; shift^2)_inf / (shift C_i x; shift^2)_inf)^{W_i} over
     finitely many ratios (weights integer), valid for |x| <= reach; with
-    base and shift 0 each ratio is the single factor 1 - C_i x."""
+    shift 0 each ratio is the single factor 1 - C_i x."""
 
     coeffs: np.ndarray
     weights: np.ndarray
     reach: float = math.inf
-    base: float = 0.0
     shift: float = 0.0
+
+    @property
+    def base(self) -> float:
+        return self.shift * self.shift
 
     def factor_index_at_zero(self, x: float) -> int | None:
         """Index of a zero (a ratio of positive weight) whose first factor
@@ -333,7 +341,7 @@ class ProductForm:
 
     def drop(self, index: int) -> "ProductForm":
         keep = np.arange(len(self.coeffs)) != index
-        return ProductForm(self.coeffs[keep], self.weights[keep], self.reach, self.base, self.shift)
+        return ProductForm(self.coeffs[keep], self.weights[keep], self.reach, self.shift)
 
     def value(self, x: float) -> float:
         """The product at x: a one-point call of ``values``."""
@@ -341,57 +349,74 @@ class ProductForm:
 
     def values(self, xs: list) -> list:
         """The product at each x of ``xs`` (RegimeError if one is beyond
-        the reach), all symbols from one ``_qpoch_values`` call: per x, the
-        value or the error of the one-point call.  Symbols with a factor
-        within ZERO_SNAP of 0 net their weights: a negative sum is a pole,
-        a positive one a zero, and at a zero sum each is taken without it.
+        the reach), all symbols from one ``_qpoch_values`` call (or, above
+        _LONG_BASE, every ratio from ``_log_ratio``): per x, the value or
+        the error of the one-point call.  Factors within ZERO_SNAP of 0 net
+        their ratios' weights: a negative sum is a pole, a positive one a
+        zero, and at a zero sum each is taken without them.
         The log, sum_i W_i (log|num_i| - log|den_i|), cancels per ratio."""
-        if any(abs(x) > self.reach for x in xs):
+        if not all(abs(x) <= self.reach for x in xs):
             raise RegimeError(f"product form built for |x| <= {self.reach!r}, got x in {xs!r}")
         cs = np.concatenate([self.coeffs, self.shift * self.coeffs]) if self.shift else self.coeffs
-        pts = np.multiply.outer(xs, cs)
-        if self.base:
-            syms = _qpoch_values(pts.ravel(), self.base).reshape(pts.shape)
-        else:  # each symbol is its one factor
+        with np.errstate(over="ignore"):  # ``_value`` refuses the x
+            pts = np.multiply.outer(xs, cs)
+        if not self.shift:  # each symbol is its one factor
             syms = 1.0 - pts
+        elif self.base > _LONG_BASE:  # every ratio is taken in logs
+            syms = np.zeros(pts.shape)
+        else:
+            syms = _qpoch_values(pts.ravel(), self.base).reshape(pts.shape)
         return [_attempt(self._value, x, p, s) for x, p, s in zip(xs, pts, syms)]
 
     def _value(self, x: float, points: np.ndarray, syms: np.ndarray) -> float:
-        """The product from the symbols at ``points``, numerators first;
-        one that vanished or overflowed is redone by ``_log_symbol``."""
-        w = np.concatenate([self.weights, -self.weights]) if self.shift else self.weights
+        """The product from the symbols at ``points``, numerators first; a
+        ratio with a symbol that may have a factor within ZERO_SNAP of 0,
+        or that underflowed, overflowed or did not end (NaN), is redone by
+        ``_log_ratio``."""
         lg = np.abs(syms)
-        vanish = (lg == 0.0) if self.base else (lg < ZERO_SNAP)
-        redo = vanish | ~(lg < math.inf)
+        redo = ~((lg >= (_TINY if self.shift else ZERO_SNAP)) & (lg < math.inf))
         special = bool(redo.any())
         if special:
-            if self.base and np.isnan(syms).any():
-                raise ConvergenceError(_NO_END)
-            net = int(w[vanish].sum())
-            if net < 0:
-                raise PoleError(f"product form has a pole at x={x!r}")
-            if net > 0:
-                return 0.0
-            parts = [_log_symbol(a, self.base) for a in points[redo].tolist()]
+            if np.isinf(points).any():
+                raise OverflowError(f"product form point C x overflows at x={x!r}")
             lg[redo] = 1.0
         np.log(lg, out=lg)
         neg = syms < 0.0
-        if special:
-            lg[redo], neg[redo] = [part[0] for part in parts], [part[1] for part in parts]
-        lg = np.subtract(*lg.reshape(2, -1)) if self.shift else lg
+        if self.shift:
+            lg = np.subtract(*lg.reshape(2, -1))
+            neg = np.not_equal(*neg.reshape(2, -1))
+            redo = np.logical_or(*redo.reshape(2, -1))
+        net = 0
+        for i in np.flatnonzero(redo).tolist() if special else ():
+            # with shift 0, each is one factor within ZERO_SNAP of 0
+            part = _log_ratio(float(points[i]), self.shift) if self.shift else (0.0, False, 1)
+            lg[i], neg[i], drop = part
+            net += int(self.weights[i]) * drop
+        if net < 0:
+            raise PoleError(f"product form has a pole at x={x!r}")
+        if net > 0:
+            return 0.0
         lg *= self.weights
-        sign = -1.0 if int(w[neg].sum()) % 2 else 1.0
+        sign = -1.0 if int(self.weights[neg].sum()) % 2 else 1.0
         return sign * math.exp(float(lg.sum()))
 
 
-def _log_symbol(a: float, b: float) -> tuple[float, bool]:
-    """log |(a; b)_inf| without its factors within ZERO_SNAP of 0, a factor
-    at a time (past its stop, where each is 1), and whether it is negative."""
-    if b == 0.0:  # the one factor 1 - a
-        return (0.0, False) if abs(1.0 - a) < ZERO_SNAP else (math.log(abs(1.0 - a)), a > 1.0)
-    f = 1.0 - np.multiply.accumulate(np.r_[a, np.full(_count(abs(a), b), b)])
-    f[np.abs(f) < ZERO_SNAP] = 1.0
-    return float(np.log(np.abs(f)).sum()), bool((f < 0.0).sum() % 2)
+def _log_ratio(a: float, s: float) -> tuple[float, bool, int]:
+    """log |(a; s^2)_inf / (s a; s^2)_inf| without its factors within
+    ZERO_SNAP of 0, its sign, and its zeros less its poles left out.  Both
+    symbols take their points from one chain a s^{2k} (to its first point
+    below NEGLIGIBLE), whose roundings so cancel between them, and each
+    factor's log is its log1p below 1/2."""
+    n = _count(abs(a), s * s)
+    if n > TERM_CAP + 1:
+        raise ConvergenceError(_NO_END)
+    y = np.multiply.accumulate(np.r_[a, np.full(n, s * s)])
+    g = np.stack([y, s * y])
+    zero = np.abs(1.0 - g) < ZERO_SNAP
+    g[zero] = 0.0
+    lg = np.where(g > 0.5, np.log(np.abs(1.0 - g)), np.log1p(-np.minimum(g, 0.5)))
+    net = int(zero[0].sum() - zero[1].sum())
+    return float(np.sum(lg[0] - lg[1])), bool((g > 1.0).sum() % 2), net
 
 
 def current_vertex_factor(ell: int, params: QParams) -> ProductForm:
@@ -481,4 +506,4 @@ def pair_correlation_factor(ell: int, params: QParams, reach: float) -> ProductF
             f"pair form needs {total:.0f} factors at reach {reach!r}, more than {_MAX_FACTORS}"
         )
     m = np.minimum(np.arange(1, pair_q.size + 1), ell)
-    return ProductForm(a, np.concatenate([-m, m]), reach, P * P, P)
+    return ProductForm(a, np.concatenate([-m, m]), reach, P)

@@ -579,6 +579,18 @@ class TestEval:
         else:
             assert (code, out, err) == (0, f"{value():.17g}\n", "")
 
+    def test_an_overflowing_pair_point_is_named(self, capsys):
+        # the largest row coefficient, 1.59, times 1.7e308 is inf: the
+        # product would end, but its point does not exist
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run_cli(
+                capsys, "eval", "two-point", "--q", "0.5", "--t", "0.01", "--z", "1", "--w", "1.7e308", "--ell", "3"
+            )
+        assert not caught, [str(w.message) for w in caught]
+        assert (code, out) == (1, "")
+        assert err == "error: two-point: overflow (product form point C x overflows at x=1.7e+308)\n"
+
     @pytest.mark.parametrize("argv, name", [
         (("two-point", "--z", "-1", "--w", "0.4"), "z"),
         (("four-point", "--z", "1", "--w", "-0.4"), "w"),

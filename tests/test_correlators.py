@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from oracles import four_point_lattice
+from test_kernels import with_base_off
 
 from qvirasoro.errors import ConvergenceError, PoleError, QVirasoroError, RegimeError
 from qvirasoro import correlators, qspecial
@@ -136,11 +137,11 @@ class TestTwoPoint:
     @pytest.mark.parametrize("defect", ["base", "row"])
     @pytest.mark.parametrize("params, ell", [(P1, 1), (QParams(0.9, 0.2), 3), (QParams(0.98, 0.95), 3)])
     def test_checker_fails_on_perturbed_form(self, monkeypatch, params, ell, defect):
-        # the base P^2, or the largest row coefficient (both symbols of
-        # its ratio), off by 1e-9 relative
+        # the base P^2, or the largest row coefficient (both symbols of its
+        # ratio), off by 1e-9 relative
         form = correlators.pair_correlation_factor(ell, params, 0.55)
         if defect == "base":
-            perturbed = replace(form, base=form.base * (1.0 + 1e-9))
+            perturbed = with_base_off(form, 1e-9)
         else:
             coeffs = form.coeffs.copy()
             coeffs[np.argmax(coeffs)] *= 1.0 + 1e-9

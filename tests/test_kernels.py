@@ -670,6 +670,18 @@ def assert_matches_the_expanded_product(form, ell, params, x):
     assert abs(math.log(abs(v)) - log_ref) < PAIR_BOUND + POINT_ERROR * cond
 
 
+def with_base_off(form, rel):
+    """The form with its base P^2, and nothing else, off by ``rel``
+    relative (the form derives the base from its shift P)."""
+
+    class OffBase(voa.ProductForm):
+        @property
+        def base(self):
+            return self.shift * self.shift * (1.0 + rel)
+
+    return OffBase(form.coeffs, form.weights, form.reach, form.shift)
+
+
 def full_symbol(a, b):
     """(a; b)_inf over every factor down to a point below 1e-22, far past
     the kernel's stop at NEGLIGIBLE."""
@@ -747,22 +759,49 @@ class TestPairForm:
         form = voa.pair_correlation_factor(ell, params, 0.55)
         coeffs = form.coeffs.copy()
         coeffs[np.argmax(coeffs)] *= 1.0 + 1e-9
-        for bad in (replace(form, base=form.base * (1.0 + 1e-9)), replace(form, coeffs=coeffs)):
+        for bad in (with_base_off(form, 1e-9), replace(form, coeffs=coeffs)):
             _, log_ref, _, _ = pair_oracle_log(ell, params, 0.55)
             assert abs(math.log(abs(bad.value(0.55))) - log_ref) > 100 * PAIR_BOUND
 
     def test_a_reach_whose_first_term_overflows(self):
         # a coefficient times 1.7e308 is inf: the row and factor counts
         # take their logs apart, so the form is built without an overflow
-        # (its last rows' coefficients are subnormal), and the symbols that
-        # overflow at x = 1.7e308 are summed again in logs, to the value
-        # that the logs of all 92,836 expanded factors gave.  That log,
-        # 510, sums symbol logs of up to 3.2e4, so summing in another
+        # (its last rows' coefficients are subnormal), and the ratios whose
+        # symbols overflow at x = 1.7e308 are summed again in logs, to the
+        # value that the logs of all 92,836 expanded factors gave.  That
+        # log, 510, sums factor logs of up to 700, so summing in another
         # order moves it by about 1e-11
+        assert qs._count(math.inf, 0.5) == 2 * qs.TERM_CAP + 2
         with np.errstate(over="raise", invalid="raise"):
             form = voa.pair_correlation_factor(3, QParams(0.01, 0.5), 1.7e308)
         assert form.coeffs.size == 974
         assert form.value(1.7e308) == pytest.approx(4.2846897843727541e221, rel=1e-9)
+
+    def test_a_point_that_overflows_is_named(self):
+        # the largest row coefficient, 1.59, times 1.7e308 is inf: the
+        # product does end, but its point does not exist
+        form = voa.pair_correlation_factor(3, QParams(0.5, 0.01), 1.7e308)
+        assert float(np.max(form.coeffs)) * 1.7e308 == math.inf
+        with pytest.raises(OverflowError, match="point C x overflows at x=1.7e"):
+            form.value(1.7e308)
+        assert form.values([1.0, 1.7e308])[0] == form.value(1.0)
+
+    @pytest.mark.parametrize("x", [0.6, 0.7, -0.7])
+    def test_a_base_near_one_matches_the_expanded_product(self, x):
+        # P = 0.9994: a symbol's 3e4 factors take |(C x; P^2)_inf| down to
+        # 1e-321 at x = 0.7, a subnormal of 3 digits, and the kernel's two
+        # chains of points y *= P^2 round apart by more than PAIR_BOUND.
+        # The form takes each ratio in logs from one chain instead
+        params = QParams(0.1, 0.10006)
+        assert voa.pair_correlation_factor(1, params, 0.7).base > voa._LONG_BASE
+        assert_matches_the_expanded_product(voa.pair_correlation_factor(1, params, abs(x)), 1, params, x)
+
+    @pytest.mark.parametrize("ell", [1, 2, 3])
+    @pytest.mark.parametrize("q, t", [(0.5, 0.49976), (0.50023, 0.5)])
+    def test_check_two_point_passes_near_p_one(self, q, t, ell):
+        # P = 0.99952 and 0.99954: the product form against the log-series
+        rep = correlators.check_two_point(QParams(q, t), ell)
+        assert rep.status == "pass", rep.summary_line()
 
     @pytest.mark.parametrize("q, t, ell", [(0.86, 0.68, 3), (0.49, 0.7, 1), (0.9, 0.2, 3)])
     def test_value_refuses_beyond_its_reach(self, q, t, ell):
@@ -772,6 +811,8 @@ class TestPairForm:
             form.value(0.3 * (1.0 + 2.0**-52))
         with pytest.raises(RegimeError, match="built for"):
             form.drop(0).value(-0.31)
+        with pytest.raises(RegimeError, match="built for"):
+            form.value(math.nan)
 
     def test_no_reach_no_factors(self):
         form = voa.pair_correlation_factor(2, QParams(0.49, 0.7), 0.0)

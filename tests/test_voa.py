@@ -314,18 +314,23 @@ class TestProductForms:
         with pytest.raises(PoleError):
             form.drop(idx).value(0.5)
 
-    def test_a_zero_and_a_pole_of_two_ratios_net_out(self):
-        # ratios ((C x; 1/16)_inf / (C x / 4; 1/16)_inf)^1 at C = 2 and 8,
-        # x = 0.5: the first numerator (1; 1/16)_inf vanishes at its first
-        # factor (weight +1), the second denominator (1; 1/16)_inf too
+    @pytest.mark.parametrize("s, rel", [(1 / 4, 1e-14), (0.996, 1e-12)])
+    def test_a_zero_and_a_pole_of_two_ratios_net_out(self, s, rel):
+        # ratios ((C x; s^2)_inf / (s C x; s^2)_inf)^1 at C = 2 and 2 / s,
+        # x = 0.5: the first numerator (1; s^2)_inf vanishes at its first
+        # factor (weight +1), the second denominator (1; s^2)_inf too
         # (weight -1).  They net to 0, so each is taken without its
-        # vanishing factor, and what is left is (4; 1/16)_inf / (1/4; 1/16)_inf
-        form = ProductForm(np.array([2.0, 8.0]), np.array([1, 1]), base=1 / 16, shift=1 / 4)
-        want = qpoch_inf(4.0, 1 / 16) / qpoch_inf(0.25, 1 / 16)
-        assert form.value(0.5) == pytest.approx(want, rel=1e-14)
-        # with the second ratio's weight doubled the pole wins
+        # vanishing factor, and what is left is (1/s; s^2)_inf / (s; s^2)_inf.
+        # At s = 0.996 the base is above _LONG_BASE and every ratio is
+        # taken in logs
+        form = ProductForm(np.array([2.0, 2.0 / s]), np.array([1, 1]), shift=s)
+        want = qpoch_inf(1.0 / s, s * s) / qpoch_inf(s, s * s)
+        assert form.value(0.5) == pytest.approx(want, rel=rel)
+        # with the second ratio's weight doubled the pole wins, and alone
+        # the first ratio's zero
         with pytest.raises(PoleError):
-            ProductForm(form.coeffs, np.array([1, 2]), base=1 / 16, shift=1 / 4).value(0.5)
+            ProductForm(form.coeffs, np.array([1, 2]), shift=s).value(0.5)
+        assert ProductForm(form.coeffs[:1], np.array([1]), shift=s).value(0.5) == 0.0
 
     def test_a_near_zero_is_no_zero(self):
         # |1 - C x| = 2e-11 at x = 0.5, above ZERO_SNAP (1e-13) but below
