@@ -49,7 +49,7 @@ import sys
 from dataclasses import dataclass
 
 from . import correlators, qspecial, relations
-from .errors import ConfigError, QVirasoroError
+from .errors import ConfigError, QVirasoroError, RegimeError
 from .qspecial import QParams
 from .report import CheckReport, _overflow_text
 
@@ -94,7 +94,7 @@ class SuiteConfig:
     def __post_init__(self) -> None:
         if not (0.0 < self.q < 1.0 and 0.0 < self.t < 1.0):
             raise ConfigError("q and t must lie strictly between 0 and 1")
-        if abs(self.q - self.t) < 1e-12:
+        if abs(self.q / self.t - 1.0) < 1e-12:
             raise ConfigError("q = t is excluded (the p = 1 degeneration)")
         if self.r is None:
             object.__setattr__(self, "r", self.params.period)
@@ -112,6 +112,10 @@ class SuiteConfig:
             raise ConfigError("degree and window must be non-negative")
         if self.ell < 1 or self.k < 1:
             raise ConfigError("vertex labels need ell, k >= 1")
+        try:
+            qspecial.BracketParams(self.q, self.ell, self.r)
+        except RegimeError as exc:
+            raise ConfigError(f"bracket period r={self.r!r}: {exc}") from None
 
     @property
     def params(self) -> QParams:

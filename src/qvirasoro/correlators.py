@@ -33,9 +33,9 @@ sum or an overflow makes it inconclusive, and so does a NaN residual
 
 The waves and the connection matrices are evaluated in batches
 (``_screening_waves``, ``_connection_matrices``), one kernel call for all
-points of a check, and the four-point values of either method in rounds
-(``_four_point_rows``), one q-product call per round and one series call
-in all.  The public one-point functions are one-row calls of them.  A
+points of a check, and the four-point values of either method
+(``_four_point_rows``) by one q-product call and one series call for
+all rows.  The public one-point functions are one-row calls of them.  A
 batch returns, per row, the value or the error that the one-point call
 gives, bit for bit, and a check raises each row's error where
 evaluating point by point would have met it, so an earlier residual
@@ -257,10 +257,11 @@ def four_point_jackson(
 
 
 def _lattice_start(branch: str, z: float, w: float, cp: CorrelatorParams) -> tuple:
-    """The first node of a lattice row (see ``_four_point_rows``), of the
-    symbols A y1, A y2, B y1 and B y2 of its two waves.  Where a wave is
-    a structural zero, its rest returns the next node (y -> Q y, weight
-    -> ratio weight)."""
+    """A lattice row's start (see ``_four_point_rows``): the symbols A y1,
+    A y2, B y1 and B y2 of the waves at its first node, and its finish.
+    Where a wave is a structural zero, the finish takes the symbols of
+    the next node (y -> Q y, weight -> ratio weight) from a kernel call
+    of its own."""
     _check_positive(z=z, w=w)
     _check_exponents(cp)
     P = cp.params
@@ -281,24 +282,23 @@ def _lattice_start(branch: str, z: float, w: float, cp: CorrelatorParams) -> tup
     else:
         raise QVirasoroError(f"unknown branch {branch!r}")
 
-    def node(weight: float, y1: float, y2: float) -> tuple:
-        def rest(syms: list):
+    def finish(syms: list, weight=weight, y1=y1, y2=y2) -> list:
+        while True:
             f1, f2 = _wave(y1, syms[0], syms[2]), _wave(y2, syms[1], syms[3])
-            if f1 == 0.0 or f2 == 0.0:
-                return node(ratio * weight, Q * y1, Q * y2)
-            return [pref, (1.0 - Q) * weight * f1 * f2, 1.0, B * y1, B * y2, A * y1, A * y2, ratio]
+            if f1 != 0.0 and f2 != 0.0:
+                return [pref, (1.0 - Q) * weight * f1 * f2, 1.0, B * y1, B * y2, A * y1, A * y2, ratio]
+            weight, y1, y2 = ratio * weight, Q * y1, Q * y2
+            syms = _qpoch_values(np.array([A * y1, A * y2, B * y1, B * y2]), Q).tolist()
 
-        return [A * y1, A * y2, B * y1, B * y2], rest
-
-    return node(weight, y1, y2)
+    return [A * y1, A * y2, B * y1, B * y2], finish
 
 
 def _closed_start(branch: str, z: float, w: float, cp: CorrelatorParams) -> tuple:
-    """The first node of a closed row (see ``_four_point_rows``), of the
-    symbols of Q^z for beta_q's three exponents z and of Q.  Its rest
-    forms the coefficient, then u1, u2 and c, as ``four_point_closed``
-    does; where Heine's transformation applies, it returns the node of
-    the symbols of c, x, u2 and u1 x."""
+    """A closed row's start (see ``_four_point_rows``): the symbols of Q^z
+    for beta_q's three exponents z and of Q, then, where Heine's
+    transformation applies, those of c, x, u2 and u1 x; and its finish,
+    which forms the coefficient, then u1, u2 and c, as
+    ``four_point_closed`` does."""
     _check_positive(z=z, w=w)
     P = cp.params
     Q = cp.Q
@@ -311,50 +311,48 @@ def _closed_start(branch: str, z: float, w: float, cp: CorrelatorParams) -> tupl
     za = 2.0 * a - b if branch == "plus" else b
     zs = (za, 1.0 - a, za + (1.0 - a))
     _check_base(Q)
+    # (u1, u2, c), or the error of one that overflows, which the finish
+    # raises after the coefficient's own
+    us = _attempt(lambda: (Q**a, Q**za, Q ** (1.0 + a - b if branch == "plus" else 1.0 - a + b)))
+    heine = type(us) is tuple and not abs(arg) < 1.0 and 0.0 < us[1] < 1.0
 
-    def rest(syms: list):
-        coef = _beta(zs, syms, Q)
+    def finish(syms: list) -> list:
+        coef = _beta(zs, syms[:4], Q)
         if branch == "plus":
             coef = coef * (P.t**0.5 / edge * z) ** (b - 2.0 * a)
-            u1, u2, c = Q**a, Q ** (2.0 * a - b), Q ** (1.0 + a - b)
         else:
             coef = coef * (z * w) ** -a * (P.t**-0.5 * edge * w) ** b
-            u1, u2, c = Q**a, Q**b, Q ** (1.0 - a + b)
-        if abs(arg) < 1.0 or not 0.0 < u2 < 1.0:
+        u1, u2, c = _unwrap(us)
+        if not heine:
             return [pref, coef, 1.0, u1, u2, c, Q, arg]
+        den = _symbol(syms[4]) * _symbol(syms[5])
+        if den == 0.0:
+            raise PoleError(f"Heine transform pole at argument {arg!r}")
+        return [pref, coef, _symbol(syms[6]) * _symbol(syms[7]) / den, c / u2, arg, u1 * arg, Q, u2]
 
-        def heine(syms: list) -> list:
-            den = _symbol(syms[0]) * _symbol(syms[1])
-            if den == 0.0:
-                raise PoleError(f"Heine transform pole at argument {arg!r}")
-            return [pref, coef, _symbol(syms[2]) * _symbol(syms[3]) / den, c / u2, arg, u1 * arg, Q, u2]
-
-        return [c, arg, u2, u1 * arg], heine
-
-    return [Q**x for x in zs] + [Q], rest
+    return [Q**x for x in zs] + [Q] + ([us[2], arg, us[1], us[0] * arg] if heine else []), finish
 
 
 def _four_point_rows(rows: list, cp: CorrelatorParams) -> list:
     """For every (method, branch, z, w) of ``rows``, the value or the error
     of ``four_point_closed`` (method "closed") or ``four_point_jackson``.
 
-    A row is a chain of nodes, tuples (symbol arguments, rest): its start
-    returns the first, and rest, given the symbols' values, takes the
-    one-point steps that follow and returns the next node or the list
-    [prefactor, coefficient, Heine factor, u1, u2, c1, c2, argument].
-    Each round takes every pending node's symbols from one
-    ``_qpoch_values`` call; then one ``_series_rows`` call sums every
-    row.  A Heine-continued closed row takes two rounds, a lattice row
-    one more per structural-zero node, any other row one."""
+    A row's start returns its symbol arguments and its finish, which,
+    given the symbols' values, takes the one-point steps that follow and
+    returns [prefactor, coefficient, Heine factor, u1, u2, c1, c2,
+    argument].  One ``_qpoch_values`` call takes the symbols of every
+    row that started, and one ``_series_rows`` call sums every row; only
+    a lattice row whose first node is a structural zero makes kernel
+    calls of its own."""
     Q = cp.Q
     out = [_attempt(_closed_start if m == "closed" else _lattice_start, *row, cp) for m, *row in rows]
-    while nodes := [i for i, row in enumerate(out) if type(row) is tuple]:
-        syms = _qpoch_values(np.array([x for i in nodes for x in out[i][0]]), Q).tolist()
-        k = 0
-        for i in nodes:
-            args, rest = out[i]
-            out[i] = _attempt(rest, syms[k : k + len(args)])
-            k += len(args)
+    began = [i for i, row in enumerate(out) if not isinstance(row, Exception)]
+    syms = _qpoch_values(np.array([x for i in began for x in out[i][0]]), Q).tolist() if began else []
+    k = 0
+    for i in began:
+        args, finish = out[i]
+        out[i] = _attempt(finish, syms[k : k + len(args)])
+        k += len(args)
     ready = [i for i, row in enumerate(out) if not isinstance(row, Exception)]
     series = np.array([out[i][3:] for i in ready], dtype=float).reshape(-1, 5)
     sums = _series_rows(series[:, :2], series[:, 2:4], Q, series[:, 4])

@@ -139,9 +139,12 @@ def _count(big: float, b: float, level: float = NEGLIGIBLE) -> int:
     guess: a kernel stops an entry by its own test on the computed point,
     and the points past it only shrink, so a chunk past an entry's stop
     multiplies it by factors 1 - x, |x| < NEGLIGIBLE, each exactly 1.0.
-    The logs are taken apart: level / big underflows past big ~ 1e307."""
+    The logs are taken apart: level / big underflows past big ~ 1e307.
+    Base 0 (a base b^2 that underflowed) ends after the first factor."""
     if big < level:
         return 1
+    if b == 0.0:
+        return 2
     return int(min((math.log(level) - math.log(big)) / math.log(b), 2 * TERM_CAP)) + 2
 
 
@@ -585,6 +588,8 @@ class BracketParams:
             raise RegimeError("bracket needs ell >= 1")
         if self.r <= 0:
             raise RegimeError("bracket needs r > 0")
+        if not 0.0 < self.x < 1.0:
+            raise RegimeError(f"bracket needs a nome x = q^(1/(2 r ell)) in (0, 1), got {self.x!r}")
 
     @property
     def x(self) -> float:

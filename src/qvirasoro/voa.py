@@ -444,6 +444,13 @@ def mirror_vertex_factor(k: int, params: QParams) -> ProductForm:
     return ProductForm(form.coeffs, -form.weights)
 
 
+def _alternating_base(params: QParams) -> float:
+    """P = min(p, 1/p), taken as t/q where p = q/t overflows (min(p, 1/p)
+    would then read 0)."""
+    p = params.p
+    return min(p, 1.0 / p) if p < math.inf else params.t / params.q
+
+
 def pair_correlation_log_rule(ell: int, params: QParams) -> Callable[[int], float]:
     """log-coefficients of the oscillator part of the radial-ordering
     scalar of two first-kind vertices:  the scalar is
@@ -456,7 +463,7 @@ def pair_correlation_log_rule(ell: int, params: QParams) -> Callable[[int], floa
     if ell < 1:
         raise QVirasoroError("pair correlation needs a first-kind label >= 1")
     q, t = params.q, params.t
-    P = min(params.p, 1.0 / params.p)
+    P = _alternating_base(params)
     C = q ** (1.0 / ell - 0.5) * t**-0.5 * P**0.5
 
     def rule(n: int) -> float:
@@ -490,7 +497,7 @@ def pair_correlation_factor(ell: int, params: QParams, reach: float) -> ProductF
         raise RegimeError(f"pair correlation product needs 0 < q < 1, got q={params.q}")
     if not 0.0 <= reach < math.inf:
         raise RegimeError(f"pair correlation product needs a finite reach, got {reach!r}")
-    q, t, P = params.q, params.t, min(params.p, 1.0 / params.p)
+    q, t, P = params.q, params.t, _alternating_base(params)
     with np.errstate(divide="ignore"):
         room = math.log(NEGLIGIBLE) - np.log(reach)
         last = ell / 2.0 + ell * (room - math.log(max(t**0.5, t**-0.5) * P**0.5)) / math.log(q)

@@ -73,6 +73,8 @@ class TestExitStatus:
             # the factor products of screening-mirror and the exchanges
             # overflow here into inf and NaN tables
             ("1e-100", "0.5", "1"), ("1e-100", "0.5", "3"), ("0.5", "1e-100", "3"),
+            # P^2 underflows to 0.0 here, and at t = 1e-320 p = q/t overflows
+            ("0.5", "1e-200", "1"), ("0.5", "1e-200", "3"), ("0.5", "1e-320", "3"),
         ],
     )
     @pytest.mark.parametrize("suite", list(SUITES))
@@ -177,12 +179,17 @@ class TestExitStatus:
         ]
         assert "pole" in reports[1].worst_location
 
-    def test_equal_deformation_parameters_are_refused(self, capsys):
-        code, _, err = run_cli(
-            capsys, "verify", "--suite", "qspecial", "--q", "0.5", "--t", "0.5"
-        )
+    @pytest.mark.parametrize("q, t", [("0.5", "0.5"), ("0.3", "0.3000000000001")])
+    def test_equal_deformation_parameters_are_refused(self, capsys, q, t):
+        code, _, err = run_cli(capsys, "verify", "--suite", "qspecial", "--q", q, "--t", t)
         assert code == 3
         assert "q = t is excluded" in err
+
+    def test_close_small_deformation_parameters_are_not_equal(self, capsys):
+        # q - t is below 1e-12 here, but p = q/t is 1e-7
+        code, out, err = run_cli(capsys, "verify", "--suite", "fusion", "--q", "1e-20", "--t", "1e-13")
+        assert (code, err) == (0, "")
+        assert out.startswith("[PASS] fusion")
 
     def test_unknown_suite_lists_names(self, capsys):
         code, _, err = run_cli(capsys, "verify", "--suite", "nonsense")
@@ -231,7 +238,9 @@ class TestExitStatus:
     @pytest.mark.parametrize(
         "key, value",
         [("tol", "nan"), ("tol", "-1"), ("r", "nan"), ("L", "nan"), ("L", "inf"),
-         ("seed", "-1"), ("ell", "0"), ("k", "0")],
+         ("seed", "-1"), ("ell", "0"), ("k", "0"),
+         # the bracket nome q^(1/(2 r ell)) rounds to 1.0, then to 0.0
+         ("r", "1e300"), ("r", "1e-300")],
     )
     def test_bad_value_is_config_error(
         self, capsys, monkeypatch, tmp_path, source, key, value
@@ -557,13 +566,20 @@ class TestEval:
                 ),
             ),
             (("two-point", "--q", "0.01", "--t", "0.5", "--z", "1e-300", "--w", "1e8", "--ell", "3"), None),
+            (
+                ("two-point", "--q", "0.5", "--t", "1e-200", "--z", "1", "--w", "0.3"),
+                lambda: correlators.two_point(1.0, 0.3, correlators.CorrelatorParams(qspecial.QParams(0.5, 1e-200))),
+            ),
+            (("bracket", "--u", "0.5", "--q", "0.5", "--r", "1e-320"), None),
         ],
         ids=["two-point-z0", "four-point-z0", "beta-q-overflow", "gamma-q-overflow",
-             "qpoch-huge", "screening-wave-huge", "two-point-huge-reach", "two-point-huge-pole"],
+             "qpoch-huge", "screening-wave-huge", "two-point-huge-reach", "two-point-huge-pole",
+             "two-point-base-underflow", "bracket-nome-zero"],
     )
     def test_arithmetic_edges_give_no_traceback(self, capsys, argv, value):
         # each once escaped main as a ZeroDivisionError, an OverflowError
-        # or a "math domain error", or printed nan (screening-wave); the
+        # or a "math domain error" (two-point where P^2 underflows, bracket
+        # where its nome rounds to 0.0), or printed nan (screening-wave); the
         # pair form's bound at a reach near the float limit once warned of
         # an overflow in rows * reach
         with warnings.catch_warnings(record=True) as caught:

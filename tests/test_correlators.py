@@ -198,16 +198,24 @@ class TestFourPoint:
         ({("jackson", "plus"), ("closed", "minus")}, "jackson plus"),
         ({("jackson", "minus"), ("closed", "minus")}, "closed minus"),
     ])
-    def test_checker_raises_the_closed_error_of_a_branch_first(self, monkeypatch, failing, where):
-        # all four values come from one batch; the check raises them in
-        # the order of evaluating point by point: per branch closed, then
-        # lattice
+    @pytest.mark.parametrize("stage", ["start", "finish"])
+    def test_checker_raises_the_closed_error_of_a_branch_first(self, monkeypatch, failing, where, stage):
+        # all four values come from one batch, a row failing at its start
+        # or at its finish (after the one symbol call); the check raises
+        # them in the order of evaluating point by point: per branch
+        # closed, then lattice
         for method, name in (("closed", "_closed_start"), ("jackson", "_lattice_start")):
 
             def start(branch, z, w, cp, _real=getattr(correlators, name), _method=method):
-                if (_method, branch) in failing:
+                if (_method, branch) not in failing:
+                    return _real(branch, z, w, cp)
+
+                def finish(syms):
                     raise PoleError(f"{_method} {branch}")
-                return _real(branch, z, w, cp)
+
+                if stage == "start":
+                    finish(None)
+                return _real(branch, z, w, cp)[0], finish
 
             monkeypatch.setattr(correlators, name, start)
         rep = check_four_point(P1)
@@ -349,26 +357,28 @@ class TestConnection:
     @pytest.mark.parametrize("L", [-1, 0])
     def test_overflowing_lattice_wave_ends_the_row(self, monkeypatch, L):
         # the minus row's denominator symbols overflow at its first node:
-        # read as a structural zero, the row once walked 85 nodes (86
-        # rounds) before an OverflowError made the check inconclusive
+        # read as a structural zero, the row once walked 85 nodes (a
+        # kernel call each) before an OverflowError made the check
+        # inconclusive; it ends at the one call
         calls = self.kernel_calls(monkeypatch)
         rep = check_four_point(QParams(0.98, 0.02), 3, L)
         assert rep.status == "inconclusive", rep.summary_line()
-        assert calls.count("_qpoch_values") == 2
+        assert calls.count("_qpoch_values") == 1
 
-    def test_heine_rows_take_a_second_round(self, monkeypatch):
+    def test_heine_rows_share_the_one_call(self, monkeypatch):
         # Q^{1-a} w/z > 1 in both branches, so both closed rows are
-        # continued by Heine's transformation: their beta symbols share
-        # round 1 with the lattice waves, their Heine symbols make round 2
+        # continued by Heine's transformation: their Heine symbols are
+        # known at the start and share the one call with their beta
+        # symbols and the lattice waves
         calls = self.kernel_calls(monkeypatch)
         rep = check_four_point(QParams(0.5, 0.14), ell=1, L=0.1)
         assert rep.passed, rep.summary_line()
-        assert (calls.count("_series_rows"), calls.count("_qpoch_values")) == (1, 2)
+        assert (calls.count("_series_rows"), calls.count("_qpoch_values")) == (1, 1)
 
-    def test_rows_share_each_round(self, monkeypatch):
-        # the Heine row needs 2 rounds, the lattice row at w/z = Q^-2 three
-        # (two structural-zero nodes) and the plain lattice row one: the
-        # Heine symbols share round 2 with the second lattice node
+    def test_rows_share_the_one_call(self, monkeypatch):
+        # the Heine row and the plain lattice row take all their symbols
+        # from the one call; the lattice row at w/z = Q^-2 walks its two
+        # structural-zero nodes in its finish, one kernel call each
         cp = CorrelatorParams(params=P1, ell=1, L=0.5)
         rows = [("closed", "plus", 1.0, 3.0), ("jackson", "minus", 1.0, cp.Q**-2), ("jackson", "plus", 1.0, 0.4)]
         calls = self.kernel_calls(monkeypatch)
