@@ -45,6 +45,7 @@ import io
 import json
 import math
 import os
+import re
 import sys
 from dataclasses import dataclass
 
@@ -390,6 +391,15 @@ def _finite(raw: str) -> float:
 
 
 class _Parser(argparse.ArgumentParser):
+    """An argparse parser whose errors exit 3.  argparse takes an argument
+    that starts with '-' for a value only where it reads like -2 or
+    -0.25; this parser also takes exponent forms such as -2.5e-1 and
+    -1E-1, since no flag of this CLI looks like a number."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+
     def error(self, message):  # noqa: D102 - argparse hook
         self.print_usage(sys.stderr)
         sys.stderr.write(f"{self.prog}: error: {message}\n")

@@ -28,6 +28,12 @@ still gives a Python float.  A kernel over many rows returns, per row,
 the value or the error that a one-row call gives: no row's value
 depends on the other rows of its call, and one row's error stops only
 that row.
+
+Most kernel calls are small (a few entries, a few rows, one chunk), so
+their set-up is kept to what a value needs: per-call and per-row
+scalars (a chunk's powers, each row's largest |c|, the largest point of
+a few entries) are Python floats and lists, and a chunk builds no
+index, test or copy array that no value or stop reads.
 """
 
 from __future__ import annotations
@@ -169,22 +175,35 @@ def _qpoch_values(a: np.ndarray, b: float) -> np.ndarray:
     factors a chunk, and no chunk holds a (width, entries) array.  A
     factor can snap to zero only at a point within ZERO_SNAP of 1, so
     the zero test covers only a chunk's leading factors whose points may
-    still be 1/2 in size, and none where its largest point is below
-    1/2."""
+    still be 1/2 in size, and a chunk where its largest point is below
+    1/2 builds no zero test at all.
+
+    Set-up: the indices of the live entries are built only once an entry
+    is not finite or stops before the others; until then the live
+    entries are all of ``a``.  The first chunk's running product is its
+    factors' own (the loop's starts at 1.0), and a chunk after which no
+    entry goes on ends the call with its products."""
     out = np.full(a.shape, math.nan)
     with np.errstate(all="ignore"):
-        live = np.flatnonzero(np.isfinite(a))
-        x, prod, n = a[live], np.ones(live.size), 0
-        while live.size and n <= TERM_CAP:
-            big = float(np.max(np.abs(x)))
-            many = live.size >= _MANY
-            cap = _STEP_WIDTH if many else _BUDGET // live.size
+        finite = np.isfinite(a)
+        # the indices of the live entries, None while they are all of a
+        live = None if np.count_nonzero(finite) == a.size else np.flatnonzero(finite)
+        x = a.copy() if live is None else a[live]
+        n = 0
+        while x.size and n <= TERM_CAP:
+            # Python's max is the cheaper on a few entries
+            big = max(map(abs, x.tolist())) if x.size <= 64 else float(np.max(np.abs(x)))
+            many = x.size >= _MANY
+            cap = _STEP_WIDTH if many else _BUDGET // x.size
             width = max(1, min(_count(big, b), cap, TERM_CAP + 1 - n))
             # the factors whose points may still be 1/2 in size
             lead = min(width, _count(big, b, 0.5)) if big >= 0.5 else 0
-            snap = np.zeros(live.size, dtype=bool)
             if many:
-                f = np.empty(live.size)
+                if not n:
+                    prod = np.ones(x.size)
+                if lead:
+                    snap = np.zeros(x.size, dtype=bool)
+                f = np.empty(x.size)
                 for j in range(width):
                     np.subtract(1.0, x, out=f)
                     if j < lead:
@@ -192,22 +211,39 @@ def _qpoch_values(a: np.ndarray, b: float) -> np.ndarray:
                     prod *= f
                     x *= b
             else:
-                pts = np.empty((width + 1, live.size))
+                pts = np.empty((width + 1, x.size))
                 pts[0] = x
                 pts[1:] = b
                 np.multiply.accumulate(pts, axis=0, out=pts)
-                x = pts[-1].copy()
+                x = pts[-1]
                 f = np.subtract(1.0, pts[:-1], out=pts[:-1])
                 if lead:
                     snap = (np.abs(f[:lead]) < ZERO_SNAP).any(axis=0)
-                f[0] *= prod
+                if n:  # the first chunk's running product is all ones
+                    f[0] *= prod
                 prod = np.multiply.reduce(f, axis=0)
-            going = ~snap & (np.abs(x) >= NEGLIGIBLE)
+            going = np.abs(x) >= NEGLIGIBLE
+            if lead:
+                going &= ~snap
+                prod[snap] = 0.0
+            n += width
+            kept = np.count_nonzero(going)
+            if kept == x.size:
+                continue
+            if not kept:  # every live entry stops here
+                if live is None:
+                    return prod
+                out[live] = prod
+                return out
             done = ~going
-            out[live[done]] = np.where(snap[done], 0.0, prod[done])
-            live, x, prod, n = live[going], x[going], prod[going], n + width
-    out[live] = math.nan  # still going after TERM_CAP + 1 factors
-    return out
+            if live is None:
+                out[done] = prod[done]
+                live = np.flatnonzero(going)
+            else:
+                out[live[done]] = prod[done]
+                live = live[going]
+            x, prod = x[going], prod[going]
+    return out  # NaN where an entry is still going after TERM_CAP + 1 factors
 
 
 def _symbol(value: float) -> float:
@@ -391,73 +427,103 @@ def _series_rows(upper: np.ndarray, lower: np.ndarray, q: float, z: np.ndarray) 
     only where its point c q^n is near 1, so the pole and zero test
     covers only the leading terms of a chunk with max|c| q^n >= 1/2 (the
     powers fall with n), and none where max|c| q^start is below 1/2.
+
+    Set-up: each live row's index and largest |c| are Python lists, and
+    a chunk's powers a Python list, on which the leading terms are
+    counted.  A chunk's terms (after the sum and the term carried in)
+    fill one array and its partial sums a second; the ratio of the
+    factor products goes straight into the terms, never into a factor
+    row that the zero test still reads.  One ``argmax`` finds each row's
+    first event, one gather its sum and next term there, and only the
+    rows that ended pass through Python; the live arrays are compacted
+    only when some rows end and others go on.
     """
     rows, k = upper.shape
     if not (0 < q < 1):
         return [RegimeError(f"basic series needs base in (0,1), got {q}")] * rows
     out: list = [None] * rows
-    # coef[i, r] is parameter i of row r, upper parameters first
+    # coef[i, r] is parameter i of live row r, upper parameters first
     coef = np.concatenate([upper, lower], axis=1).T[:, :, None]
-    # per row, the largest |c| of its parameters (fmax passes over NaN)
-    cmax = np.fmax.reduce(np.abs(coef[:, :, 0]), axis=0, initial=0.0)
-    live = np.arange(rows)
-    total, term, small = np.zeros(rows), np.ones(rows), np.zeros(rows, dtype=int)
-    start, size = 0, _first_chunk(z)
+    zcol = z[:, None]
+    # per live row, its index and its largest |c| (fmax passes over NaN)
+    live = list(range(rows))
+    cmax = np.fmax.reduce(np.abs(coef[:, :, 0]), axis=0, initial=0.0).tolist()
+    # each live row's sum through the term before the chunk, that term,
+    # and whether the two steps before the chunk met small terms
+    total, term, tail = 0.0, 1.0, False
+    start, size = 0, _first_chunk(z.tolist())
     with np.errstate(all="ignore"):
-        while live.size and start < TERM_CAP:
-            stop = min(start + size, start + max(1, _BUDGET // live.size), TERM_CAP)
-            powers = np.array([q**n for n in range(start, stop)])
+        while live and start < TERM_CAP:
+            stop = min(start + size, start + max(1, _BUDGET // len(live)), TERM_CAP)
+            powers = [q**n for n in range(start, stop)]
             # f[i, r] holds the factors 1 - c_i q^n of row r
-            f = 1.0 - coef[:, live] * powers
-            terms = np.empty((live.size, stop - start + 1))
-            terms[:, 0] = term
-            np.multiply(_prod(f[:k]) / _prod(f[k:]), z[live, None], out=terms[:, 1:])
-            np.multiply.accumulate(terms, axis=1, out=terms)
-            # totals[:, i] is the sum through term start + i, nxt[:, i] the term after it
-            totals = np.concatenate((total[:, None], terms[:, :-1]), axis=1)
-            np.add.accumulate(totals, axis=1, out=totals)
-            totals, nxt = totals[:, 1:], terms[:, 1:]
+            f = coef * np.array(powers)
+            np.subtract(1.0, f, out=f)
+            # terms[:, i] is term start + i, from the term before the chunk;
+            # sums[:, i] the sum through term start + i, nxt[:, i] the term after it
+            terms = np.empty((len(live), stop - start + 2))
+            terms[:, 0], terms[:, 1] = total, term
+            np.divide(_prod(f[:k]), _prod(f[k:]), out=terms[:, 2:])
+            terms[:, 2:] *= zcol
+            np.multiply.accumulate(terms[:, 1:], axis=1, out=terms[:, 1:])
+            sums, nxt = np.add.accumulate(terms[:, :-1], axis=1)[:, 1:], terms[:, 2:]
             mag = np.abs(nxt)
-            div = ~(mag <= 1e100)  # also NaN and inf
             # seen[:, i + 2] marks a small term at step start + i; the two
-            # columns before it carry the run of small terms into the chunk
-            seen = np.empty((live.size, nxt.shape[1] + 2), dtype=bool)
-            seen[:, 0], seen[:, 1] = small >= 2, small >= 1
-            np.less_equal(mag, REL_TOL * np.maximum(np.abs(totals), 1e-300), out=seen[:, 2:])
-            event = div | (seen[:, :-2] & seen[:, 1:-1] & seen[:, 2:])
+            # columns before it carry the two steps before the chunk
+            seen = np.empty(terms.shape, dtype=bool)
+            seen[:, :2] = tail
+            small = np.abs(sums)
+            np.maximum(small, 1e-300, out=small)
+            small *= REL_TOL
+            np.less_equal(mag, small, out=seen[:, 2:])
+            event = seen[:, :-2] & seen[:, 1:-1]
+            event &= seen[:, 2:]
+            event |= ~(mag <= 1e100)  # divergence, also NaN and inf
             # the leading terms, where a point c q^n may still be 1/2 in size
-            lead = int(np.count_nonzero(powers * cmax[live].max() >= 0.5))
+            big, lead = max(cmax), 0
+            while lead < len(powers) and powers[lead] * big >= 0.5:
+                lead += 1
             if lead:
                 snap = np.abs(f[:, :, :lead]) < ZERO_SNAP
                 pole, zero = snap[k:].any(axis=0), snap[:k].any(axis=0)
                 event[:, :lead] |= pole | zero
-            ended = event.any(axis=1)
-            for j in np.flatnonzero(ended).tolist():
-                i = int(np.argmax(event[j]))
+            # each row's first event, its sum and the term after it there
+            first = event.argmax(axis=1)
+            at = (np.arange(len(live)), first)
+            ended = event[at]
+            ends = ended.nonzero()[0].tolist()
+            if ends:
+                firsts, sums_at, nxt_at = first.tolist(), sums[at].tolist(), nxt[at].tolist()
+            for j in ends:
+                i = firsts[j]
                 if i < lead and pole[j, i]:
                     out[live[j]] = PoleError(f"lower-parameter pole at term {start + i}")
                 elif i < lead and zero[j, i]:
-                    out[live[j]] = float(totals[j, i])  # terminating series
-                elif div[j, i]:
+                    out[live[j]] = sums_at[j]  # terminating series
+                elif not abs(nxt_at[j]) <= 1e100:
                     out[live[j]] = ConvergenceError("basic series diverges")
                 else:
-                    out[live[j]] = float(totals[j, i] + nxt[j, i])
-            going = ~ended
-            live, total, term = live[going], totals[going, -1], terms[going, -1]
-            small = seen[going, -1] * (1 + seen[going, -2])
+                    out[live[j]] = sums_at[j] + nxt_at[j]
+            if len(ends) == len(live):
+                break
+            total, term, tail = sums[:, -1], terms[:, -1], seen[:, -2:]
+            if ends:
+                going = ~ended
+                keep = going.nonzero()[0].tolist()
+                live, cmax = [live[j] for j in keep], [cmax[j] for j in keep]
+                coef, zcol = coef[:, going], zcol[going]
+                total, term, tail = total[going], term[going], tail[going]
             start, size = stop, 2 * size
-    for r in live.tolist():
-        out[r] = ConvergenceError(f"basic series did not converge within {TERM_CAP} terms")
-    return out
+    unsummed = f"basic series did not converge within {TERM_CAP} terms"
+    return [ConvergenceError(unsummed) if v is None else v for v in out]
 
 
-def _first_chunk(z: np.ndarray) -> int:
-    """Terms in the first chunk of ``_series_rows`` over the arguments z:
-    the count at which the largest |z| below 1 falls to REL_TOL as a
-    power, plus a few for the run of small terms that ends a row, and
-    at least 64."""
-    size = np.abs(z)
-    big = float(size[size < 1.0].max(initial=0.0))
+def _first_chunk(z) -> int:
+    """Terms in the first chunk of ``_series_rows`` over the arguments z
+    (any sequence of floats): the count at which the largest |z| below 1
+    falls to REL_TOL as a power, plus a few for the run of small terms
+    that ends a row, and at least 64."""
+    big = max((abs(v) for v in z if abs(v) < 1.0), default=0.0)
     return 64 if big == 0.0 else max(64, _count(1.0, big, REL_TOL) + 2)
 
 

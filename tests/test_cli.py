@@ -425,6 +425,19 @@ class TestPrecedence:
         assert out == ""
         assert "expected 'key = value'" in err
 
+    def test_negative_value_with_an_exponent(self, capsys, monkeypatch):
+        # argparse reads -2.5e-1 after a flag as an unknown option unless
+        # the parser knows it for a number
+        runs = [("--L", "-2.5e-1"), ("--L=-2.5e-1",), ("--L", "-0.25")]
+        got = [run_cli(capsys, "verify", "--suite", "four-point", "--json", *flag) for flag in runs]
+        monkeypatch.setenv("QVIR_L", "-2.5e-1")
+        got.append(run_cli(capsys, "verify", "--suite", "four-point", "--json"))
+        first_code, first_out, _ = got[0]
+        assert json.loads(first_out)[0]["params"]["L"] == -0.25
+        for code, out, err in got:
+            assert (code, err) == (first_code, "")
+            assert strip_runtime(json.loads(out)) == strip_runtime(json.loads(first_out))
+
     def test_unknown_environment_variable(self, capsys, monkeypatch):
         monkeypatch.setenv("QVIR_THREADS", "2")
         code, _, err = run_cli(capsys, "verify", "--suite", "qspecial")
@@ -499,6 +512,20 @@ class TestEval:
         out = capsys.readouterr()
         assert out.out == ""
         assert "expected a finite number" in out.err
+
+    @pytest.mark.parametrize(
+        "argv, flag, exponent, decimal",
+        [
+            (("bracket", "--q", "0.49", "--r", "2"), "--u", "-2e-1", "-0.2"),
+            (("phi21", "--a", "0.3", "--b", "0.5", "--c", "0.8", "--q", "0.5"), "--z", "-1E-1", "-0.1"),
+        ],
+        ids=["bracket", "phi21"],
+    )
+    def test_negative_value_with_an_exponent(self, capsys, argv, flag, exponent, decimal):
+        # the exponent form once exited 3 with "expected one argument"
+        got = run_cli(capsys, "eval", *argv, flag, exponent)
+        assert got == run_cli(capsys, "eval", *argv, flag, decimal)
+        assert got[0] == 0 and got[2] == ""
 
     def test_negative_qpoch_length_is_config_error(self, capsys):
         code, out, err = run_cli(

@@ -132,6 +132,16 @@ class TestSingleBase:
         with pytest.raises(ConvergenceError):
             qs._qpoch_inf_single(np.array([0.3, a]), 0.5)
 
+    @pytest.mark.parametrize("budget", ["default", "one"])
+    def test_non_finite_entries_among_a_few(self, monkeypatch, budget):
+        # a call of a few entries, some not finite: each finite entry
+        # gives the loop's value, a structural zero (b^-3) and a point
+        # within rounding of one (b^-40) among them
+        monkeypatch.setattr(qs, "_BUDGET", 1 if budget == "one" else qs._BUDGET)
+        b = 0.5
+        a = [0.3, math.inf, -0.7, math.nan, b**-3, 1e308, 0.0, -0.0, -math.inf, b**-40 * (1 + 1e-15), 5e-324]
+        assert kernel_outcomes(a, b) == [outcome(lambda x=x: oracles.qpoch_inf_single(x, b)) for x in a]
+
     @pytest.mark.parametrize("b", [0.5, 0.9, 0.999])
     def test_points_near_the_float_limit(self, b):
         # NEGLIGIBLE / |a| underflows to 0.0 past |a| ~ 1e307, and its log
@@ -406,6 +416,18 @@ class TestSeriesRows:
             assert row_outcome(value) == expect
         kinds = [row_outcome(v)[0] for v in got]
         assert kinds == ["value", "PoleError"] * 5 + ["PoleError", "ConvergenceError"]
+
+    def test_zero_test_with_one_upper_parameter(self):
+        # with one upper parameter its factor row is the numerator itself:
+        # the zero test must read the factors, not the ratio, where a
+        # factor is within ZERO_SNAP of 0 over a small lower factor
+        q = 0.5
+        rows = [([q**-5 * (1 + 5e-14)], [(1 - 1e-3) * q**-5], 0.3), ([0.3], [0.7], 0.3)]
+        got = series_rows(q, 1, 1, rows)
+        for (upper, lower, z), value in zip(rows, got):
+            expect = outcome(lambda: oracles.basic_series(tuple(upper), tuple(lower), q, z))
+            assert row_outcome(value) == expect
+        assert got[0] == 1.4281701225662102
 
     def test_base_outside_the_box_errs_in_every_row(self):
         got = qs._series_rows(np.zeros((2, 1)), np.zeros((2, 0)), 1.5, np.zeros(2))
