@@ -59,7 +59,6 @@ from .qspecial import (
     _beta,
     _check_base,
     _count,
-    _qpoch2_rows,
     _qpoch_values,
     _series_rows,
     _symbol,
@@ -67,13 +66,12 @@ from .qspecial import (
     bracket,
 )
 from .report import _UNDECIDED, CheckReport, _scan_report
-from .voa import pair_correlation_factor, pair_correlation_log_rule
+from .voa import build_vertex, contraction_log_rule, pair_correlation_factor, pair_correlation_log_rule
 
 __all__ = [
     "CorrelatorParams",
     "screening_wave",
     "two_point",
-    "two_point_reference",
     "four_point_closed",
     "four_point_jackson",
     "connection_matrix",
@@ -180,46 +178,6 @@ def two_point(z: float, w: float, cp: CorrelatorParams) -> float:
     x = w / z
     form = pair_correlation_factor(cp.ell, cp.params, abs(x))
     return z ** (cp.ell**2 * cp.params.beta / 2.0) * form.value(x)
-
-
-def two_point_reference(z: float, w: float, cp: CorrelatorParams) -> float:
-    """Same scalar through the double-base infinite products (requires
-    p^2 < 1; independent oracle for the product form).  A one-point call
-    of ``_pair_references``."""
-    _check_positive(z=z)
-    val = _unwrap(_pair_references([w / z], cp)[0])
-    return z ** (cp.ell**2 * cp.params.beta / 2.0) * val
-
-
-def _pair_references(xs: list, cp: CorrelatorParams) -> list:
-    """The double-base product of ``two_point_reference(1, x, cp)`` for
-    each x of ``xs``: prod_{j=1..ell} of (e x / t, p e x; p^2, Q)_inf over
-    (e x, p e x / t; p^2, Q)_inf with e = q^{j/ell}, all 4 ell symbols per
-    point from one ``_qpoch2_rows`` call; per point, the value or the
-    error that the one-point call raises."""
-    P = cp.params
-    p, Q = P.p, cp.Q
-    if not (0 < p * p < 1):
-        raise RegimeError("reference evaluation needs p^2 < 1")
-    _check_base(Q)
-    es = [P.q ** (j / cp.ell) for j in range(1, cp.ell + 1)]
-    args = [y for x in xs for e in es for y in (e / P.t * x, p * e * x, e * x, p * e / P.t * x)]
-    syms = _qpoch2_rows(np.array(args, dtype=float), p * p, Q)
-    out = []
-    for i in range(len(xs)):
-        val = 1.0
-        for k in range(4 * len(es) * i, 4 * len(es) * (i + 1), 4):
-            four = syms[k : k + 4]
-            err = [s for s in four if isinstance(s, Exception)]
-            if err:
-                val = err[0]
-                break
-            if four[2] * four[3] == 0.0:
-                val = PoleError("reference product hit a pole")
-                break
-            val *= four[0] * four[1] / (four[2] * four[3])
-        out.append(val)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -425,18 +383,27 @@ def _connection_matrices(us: list, cp: CorrelatorParams) -> list:
 
 
 def check_two_point(params: QParams, ell: int = 1, tolerance: float = 1e-12) -> CheckReport:
-    """Product form against the log-series it resums (always) and the
-    double-base product oracle (when p^2 < 1) at x = 0.3 and 0.55,
-    compared in the log domain: the residual is
-    |log v - log ref| / max(1, sum_n |rule(n) x^n|)
-    with log ref = sum_n rule(n) x^n for the series, summed until
-    (x / radius)^n < 1e-17, and a product-form value v <= 0 fails.  Only
-    x below 0.9 radius are compared; with none the check is inconclusive.
-    The form is built for reach max |x|; its symbols at every compared x
-    come from one kernel call, the oracle's from another, and rule(n)
-    once per n.  (Exponentiating the series loses the digits: at
-    (0.9, 0.2), ell 3, its coefficients reach 7e11.)"""
-    cp = CorrelatorParams(params=params, ell=ell)
+    """One chain of derivations at x = 0.3 and 0.55, each link a leg:
+
+    * series: the product form against the log-series it resums,
+      |log v - sum_n rule(n) x^n| / scale, the series summed until
+      (x / radius)^n < 1e-17, and a product-form value v <= 0 fails;
+    * vertex: the log rule against the vacuum contraction of two copies
+      of V = build_vertex(ell, 0), contraction_log_rule(V, V)(n) =
+      A(n) A(-n) c_n, as |sum_n (vertex(n) - rule(n)) x^n| / scale over
+      n = 1 ... the series order.  It stops at the first n whose vertex
+      coefficient reads 0.0 (p = q/t overflowed, or A(n) A(-n)
+      underflowed) or is not finite, or whose powers overflow; a leg
+      that compares no coefficient yields nothing, and the check rests
+      on its series leg.
+
+    The scale is max(1, sum_n |rule(n) x^n|).  Only x below 0.9 radius
+    are compared; with none the check is inconclusive.  The form is
+    built for reach max |x|, its symbols at every compared x come from
+    one kernel call, and each rule is read once per n.  (Exponentiating
+    the series loses the digits: at (0.9, 0.2), ell 3, its coefficients
+    reach 7e11.)"""
+    CorrelatorParams(params=params, ell=ell)  # refuses ell < 1 before the scan
     x_values = (0.3, 0.55)
 
     def pairs():
@@ -448,23 +415,33 @@ def check_two_point(params: QParams, ell: int = 1, tolerance: float = 1e-12) -> 
         inside = [x for x in x_values if abs(x) < 0.9 * radius]
         if not inside:
             yield math.nan, f"no x within 0.9 of the series radius {radius:.3g}"
-        refs = _pair_references(inside, cp) if params.p < 1.0 else [None] * len(inside)
         orders = [_count(1.0, max(abs(x), 1e-300) / radius, 1e-17) - 1 for x in inside]
         rule = pair_correlation_log_rule(ell, params)
-        coeffs = [rule(n) for n in range(1, max(orders, default=0) + 1)]
-        for x, v, v_ref, order in zip(inside, form.values(inside), refs, orders):
+        coeffs = np.array([rule(n) for n in range(1, max(orders, default=0) + 1)])
+        vertex = build_vertex(ell, 0, params)
+        contraction = contraction_log_rule(vertex, vertex)
+        gaps = []
+        for n, c in enumerate(coeffs.tolist(), 1):
+            try:
+                a = contraction(n)
+            except OverflowError:
+                break
+            if a == 0.0 or not math.isfinite(a):
+                break
+            gaps.append(a - c)
+        for x, v, order in zip(inside, form.values(inside), orders):
             v = _unwrap(v)
             if v <= 0.0:
                 yield math.inf, f"x={x} (product form {v:.3e})"
                 return
-            terms = np.array([c * x**n for n, c in zip(range(1, order + 1), coeffs)])
-            logs = {"series": float(terms.sum())}
-            if v_ref is not None:
-                v_ref = _unwrap(v_ref)
-                logs["double-base product"] = math.log(v_ref) if v_ref > 0 else math.inf
-            for name, log_ref in logs.items():
-                d = abs(math.log(v) - log_ref) / max(1.0, float(np.abs(terms).sum()))
-                yield d, f"x={x} ({name})"
+            powers = np.array([x**n for n in range(1, order + 1)])
+            terms = coeffs[:order] * powers
+            scale = max(1.0, float(np.abs(terms).sum()))
+            yield abs(math.log(v) - float(terms.sum())) / scale, f"x={x} (series)"
+            k = min(order, len(gaps))
+            if k:
+                d = abs(float((np.array(gaps[:k]) * powers[:k]).sum()))
+                yield d / scale, f"x={x} (vertex)"
 
     return _scan_report("two-point", pairs(), tolerance)
 

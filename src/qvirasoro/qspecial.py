@@ -1,6 +1,6 @@
 """Scalar q-special functions.
 
-Pochhammer symbols (finite and infinite, one or two bases), the
+Pochhammer symbols (finite and infinite), the
 q-gamma / q-beta ladder, the multiplicative theta function, one basic
 hypergeometric series kernel (``_series_rows``: phi21 and
 ``basic_series`` are one-row calls of it, and the four-point values of
@@ -254,78 +254,22 @@ def _symbol(value: float) -> float:
     return value
 
 
-def _qpoch_inf_single(a, b: float):
-    """(a; b)_inf for a float ``a`` (a Python float back), or entrywise for
-    an array of ``a``; ConvergenceError if any entry's loop would raise."""
+def qpoch_inf(a, b: float):
+    """Infinite symbol (a; b)_inf, base b in (0, 1): a Python float for a
+    float ``a``, or entrywise for an array of points, all from one kernel
+    call.  A factor within ZERO_SNAP of zero makes the product an exact
+    0.0 (structural zero); ConvergenceError if any entry's loop would
+    not terminate."""
+    _check_base(b)
     vals = _qpoch_values(np.asarray(a, dtype=float).ravel(), b)
     if np.isnan(vals).any():
         raise ConvergenceError(_NO_END)
     return float(vals[0]) if np.ndim(a) == 0 else vals.reshape(np.shape(a))
 
 
-def qpoch_inf(a, *bases: float):
-    """Infinite symbol (a; b)_inf or (a; b1, b2)_inf.
-
-    The double-base symbol is the product over all lattice points
-    prod (1 - a * b1^{n1} b2^{n2}), n_i >= 0.  The bases must lie in
-    (0, 1); more than two bases raise ValueError.  A factor within
-    ZERO_SNAP of zero makes the whole product an exact 0.0 (structural
-    zero).  With one base, ``a`` may be an array of points: the symbols
-    then come entrywise from one kernel call.  The double-base symbol is
-    a one-row call of ``_qpoch2_rows``.
-    """
-    if not 1 <= len(bases) <= 2:
-        raise ValueError(f"need one or two bases, got {len(bases)}")
-    for b in bases:
-        _check_base(b)
-    if len(bases) == 1:
-        return _qpoch_inf_single(a, bases[0])
-    return _unwrap(_qpoch2_rows(np.array([a], dtype=float), *bases)[0])
-
-
 def _check_base(b: float) -> None:
     if not (0 < b < 1):
         raise RegimeError(f"infinite product needs bases in (0,1), got {b}")
-
-
-def _qpoch2_rows(a: np.ndarray, b1: float, b2: float) -> list:
-    """(a_i; b1, b2)_inf for every entry of the 1-D float array ``a``: per
-    entry, the value or the ConvergenceError of the loop over the rows
-    a_i b1^k, which multiplies in (a_i b1^k; b2)_inf row by row and
-    returns 0.0 as soon as its partial product is 0.0, before a later
-    row could make it 0 * inf = NaN.
-
-    An entry's rows run up to the one before its first point below
-    NEGLIGIBLE, or over its first TERM_CAP + 1 points if there are more (then
-    it does not terminate).  The rows of all entries come from one
-    ``multiply.accumulate`` along [a_i, b1, b1, ...], their symbols from
-    one ``_qpoch_values`` call, and the partial products from one
-    ``multiply.accumulate`` per entry, padded with exact 1.0 factors."""
-    out: list = [ConvergenceError(_NO_END) for _ in range(a.size)]
-    live = np.flatnonzero(np.isfinite(a))
-    if not live.size:
-        return out
-    n = np.array([min(_count(abs(x), b1), TERM_CAP + 1) for x in a[live].tolist()])
-    pts = np.empty((live.size, int(n.max()) + 1))
-    pts[:, 0] = a[live]
-    pts[:, 1:] = b1
-    np.multiply.accumulate(pts, axis=1, out=pts)
-    below = (np.abs(pts[:, 1:]) < NEGLIGIBLE) & (np.arange(pts.shape[1] - 1) < n[:, None])
-    ends = below.any(axis=1)
-    rows = np.where(ends, np.argmax(below, axis=1) + 1, n)
-    used = np.arange(pts.shape[1] - 1) < rows[:, None]
-    syms = np.ones(used.shape)
-    syms[used] = _qpoch_values(pts[:, :-1][used], b2)
-    with np.errstate(all="ignore"):
-        partial = np.multiply.accumulate(syms, axis=1)
-    zero = (partial == 0.0).any(axis=1)
-    failed = np.isnan(syms).any(axis=1) | ~ends
-    for i, r in enumerate(live.tolist()):
-        if zero[i]:
-            out[r] = 0.0
-        elif not failed[i]:
-            out[r] = float(partial[i, -1])
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -396,7 +340,9 @@ def basic_series(upper: tuple, lower: tuple, q: float, z: float) -> float:
 
     Terminates early if an upper factor hits a structural zero
     (terminating series); raises PoleError if a lower factor does.
-    Needs |z| < 1 unless the series terminates.  A one-row call of
+    Needs |z| < 1 unless the series terminates: a row with |z| >= 1
+    and no terminating upper factor raises ConvergenceError("basic
+    series diverges") before any term is summed.  A one-row call of
     ``_series_rows``, raising the error that kernel returns for the
     row; callers with many series of one shape and base hand them to
     the kernel at once.
@@ -420,10 +366,13 @@ def _series_rows(upper: np.ndarray, lower: np.ndarray, q: float, z: np.ndarray) 
     R rows still running: the factors 1 - c q^n of a chunk, their
     ratios, the terms by ``multiply.accumulate`` and the partial sums by
     ``add.accumulate``, along each row and in the loop's order, so a
-    chunk boundary changes no value.  A row stops at its first event, in
-    the precedence of one term's step: a lower pole, a terminating upper
-    factor, divergence, the third small term in a row (the run carrying
-    over from the chunk before).  A factor 1 - c q^n can snap to zero
+    chunk boundary changes no value.  A row with |z| >= 1 whose upper
+    parameters do not terminate (``_terminates``) diverges and is
+    refused before the first chunk.  Every other row stops at its first
+    event, in the precedence of one term's step: a lower pole, a
+    terminating upper factor, divergence, the third small term in a row
+    (the run carrying over from the chunk before).  A factor 1 - c q^n
+    can snap to zero
     only where its point c q^n is near 1, so the pole and zero test
     covers only the leading terms of a chunk with max|c| q^n >= 1/2 (the
     powers fall with n), and none where max|c| q^start is below 1/2.
@@ -442,11 +391,17 @@ def _series_rows(upper: np.ndarray, lower: np.ndarray, q: float, z: np.ndarray) 
     if not (0 < q < 1):
         return [RegimeError(f"basic series needs base in (0,1), got {q}")] * rows
     out: list = [None] * rows
+    # a non-terminating row outside the unit disc diverges: refused unsummed
+    for i in np.flatnonzero(np.abs(z) >= 1.0).tolist():
+        if not any(_terminates(c, q) for c in upper[i].tolist()):
+            out[i] = ConvergenceError("basic series diverges")
+    live = [i for i, v in enumerate(out) if v is None]
+    if len(live) < rows:
+        upper, lower, z = upper[live], lower[live], z[live]
     # coef[i, r] is parameter i of live row r, upper parameters first
     coef = np.concatenate([upper, lower], axis=1).T[:, :, None]
     zcol = z[:, None]
     # per live row, its index and its largest |c| (fmax passes over NaN)
-    live = list(range(rows))
     cmax = np.fmax.reduce(np.abs(coef[:, :, 0]), axis=0, initial=0.0).tolist()
     # each live row's sum through the term before the chunk, that term,
     # and whether the two steps before the chunk met small terms
@@ -516,6 +471,18 @@ def _series_rows(upper: np.ndarray, lower: np.ndarray, q: float, z: np.ndarray) 
             start, size = stop, 2 * size
     unsummed = f"basic series did not converge within {TERM_CAP} terms"
     return [ConvergenceError(unsummed) if v is None else v for v in out]
+
+
+def _terminates(c: float, q: float) -> bool:
+    """Whether an upper parameter c ends the series: some factor
+    1 - c q^n, 0 <= n < TERM_CAP, snaps to zero (is within ZERO_SNAP of
+    0), as the kernel forms it.  Only a finite c > 0 has a point c q^n
+    near 1, at n near log(c) / -log(q); the factors on either side of
+    that n are tested."""
+    if not 0.0 < c < math.inf:
+        return False
+    n = int(math.log(c) / -math.log(q))
+    return any(abs(1.0 - c * q**m) < ZERO_SNAP for m in range(max(0, n - 1), min(n + 3, TERM_CAP)))
 
 
 def _first_chunk(z) -> int:

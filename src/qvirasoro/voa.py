@@ -49,6 +49,7 @@ __all__ = [
     "build_vertex",
     "theta_conjugate",
     "omega_conjugate",
+    "contraction_log_rule",
     "contract",
     "StructureFunctionSpec",
     "structure_log_rule",
@@ -202,19 +203,22 @@ def _image(build: Builder, image: QParams, params: QParams, zero_sign: float) ->
 # Contraction of two vertices
 
 
+def contraction_log_rule(x: NormalOrderedVertex, y: NormalOrderedVertex) -> Callable[[int], float]:
+    """log-series coefficient rule of the ordered product X(var1) Y(var2):
+    rule(n) = A_X(n) A_Y(-n) c_n, with c_n = [h_n, h_-n], the coefficient
+    of r^n, r = var2/var1, in the log of its normal-ordering factor."""
+    params = x.params
+    return lambda n: x.mode_rule(n) * y.mode_rule(-n) * mode_commutator(n, -n, params)
+
+
 def contract(x: NormalOrderedVertex, y: NormalOrderedVertex, order: int) -> np.ndarray:
     """Coefficients 0..order of the oscillator part of the normal-ordering
     factor of the ordered product X(var1) Y(var2): the series
-    exp(sum_{n>0} A_X(n) A_Y(-n) c_n r^n) in r = var2/var1.  The zero
-    modes contribute the further factors B_X^{alpha_Y/2} and
+    exp(sum_{n>0} contraction_log_rule(x, y)(n) r^n) in r = var2/var1.
+    The zero modes contribute the further factors B_X^{alpha_Y/2} and
     var1^{h0power_X * alpha_Y / 2}.
     """
-    params = x.params
-
-    def log_coeff(n: int) -> float:
-        return x.mode_rule(n) * y.mode_rule(-n) * mode_commutator(n, -n, params)
-
-    return from_log_rule(log_coeff, order)
+    return from_log_rule(contraction_log_rule(x, y), order)
 
 
 # ---------------------------------------------------------------------------

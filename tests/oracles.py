@@ -215,26 +215,6 @@ def qpoch_inf_single(a: float, b: float) -> float:
             raise ConvergenceError("infinite Pochhammer did not terminate")
 
 
-def qpoch_inf(a: float, bases: tuple[float, ...]) -> float:
-    """(a; b1, ..., bk)_inf, one row a b1^i per step."""
-    if len(bases) == 1:
-        return qpoch_inf_single(a, bases[0])
-    b = bases[0]
-    prod = 1.0
-    x = a
-    n = 0
-    while True:
-        prod *= qpoch_inf(x, bases[1:])
-        if prod == 0.0:
-            return 0.0
-        x *= b
-        n += 1
-        if abs(x) < NEGLIGIBLE:
-            return prod
-        if n > TERM_CAP:
-            raise ConvergenceError("infinite Pochhammer did not terminate")
-
-
 # The pair scalar's full product form: every factor of the three families
 # down to a term of 1e-22, expanded as a Cartesian product.  The library
 # keeps the rows that can move the value at its reach, each as a ratio of
@@ -300,8 +280,24 @@ def pair_correlation_factor(ell: int, params):
             yield _expand([[h], pair_q[i : i + step], alt])
 
 
+def _terminates(a: float, q: float) -> bool:
+    """Whether a factor 1 - a q^n, 0 <= n < TERM_CAP, snaps to zero, one
+    factor per step until the point a q^n is below 1/2 in size."""
+    for n in range(TERM_CAP):
+        x = a * q**n
+        if abs(1.0 - x) < ZERO_SNAP:
+            return True
+        if not abs(x) >= 0.5:
+            return False
+    return False
+
+
 def basic_series(upper: tuple, lower: tuple, q: float, z: float) -> float:
-    """sum_n prod_i (u_i;q)_n / prod_j (l_j;q)_n z^n, one term per step."""
+    """sum_n prod_i (u_i;q)_n / prod_j (l_j;q)_n z^n, one term per step;
+    a series with |z| >= 1 and no terminating upper parameter diverges
+    and is refused before its first term."""
+    if abs(z) >= 1.0 and not any(_terminates(a, q) for a in upper):
+        raise ConvergenceError("basic series diverges")
     total = 0.0
     term = 1.0
     small = 0
@@ -348,21 +344,6 @@ def screening_wave(x, cp):
     if den == 0.0:
         raise PoleError(f"screening wave pole at x={x!r}")
     return num / den
-
-
-def pair_reference(x, cp):
-    """The double-base product of ``two_point_reference(1, x, cp)``."""
-    P = cp.params
-    p, Q = P.p, cp.Q
-    val = 1.0
-    for j in range(1, cp.ell + 1):
-        e = P.q ** (j / cp.ell)
-        num = qpoch_inf(e / P.t * x, (p * p, Q)) * qpoch_inf(p * e * x, (p * p, Q))
-        den = qpoch_inf(e * x, (p * p, Q)) * qpoch_inf(p * e / P.t * x, (p * p, Q))
-        if den == 0.0:
-            raise PoleError("reference product hit a pole")
-        val *= num / den
-    return val
 
 
 def four_point_jackson(branch, z, w, cp):

@@ -598,17 +598,23 @@ class TestEval:
                 lambda: correlators.two_point(1.0, 0.3, correlators.CorrelatorParams(qspecial.QParams(0.5, 1e-200))),
             ),
             (("bracket", "--u", "0.5", "--q", "0.5", "--r", "1e-320"), None),
+            (
+                ("phi21", "--a", "0.001", "--b", "9.654893846056325", "--c", "93.21697517861628",
+                 "--q", "0.9655", "--z", "13.12"),
+                None,
+            ),
         ],
         ids=["two-point-z0", "four-point-z0", "beta-q-overflow", "gamma-q-overflow",
              "qpoch-huge", "screening-wave-huge", "two-point-huge-reach", "two-point-huge-pole",
-             "two-point-base-underflow", "bracket-nome-zero"],
+             "two-point-base-underflow", "bracket-nome-zero", "phi21-divergent"],
     )
     def test_arithmetic_edges_give_no_traceback(self, capsys, argv, value):
         # each once escaped main as a ZeroDivisionError, an OverflowError
         # or a "math domain error" (two-point where P^2 underflows, bracket
-        # where its nome rounds to 0.0), or printed nan (screening-wave); the
-        # pair form's bound at a reach near the float limit once warned of
-        # an overflow in rows * reach
+        # where its nome rounds to 0.0), or printed nan (screening-wave) or
+        # a divergent series' partial sum (phi21 at z = 13.12); the pair
+        # form's bound at a reach near the float limit once warned of an
+        # overflow in rows * reach
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             code, out, err = run_cli(capsys, "eval", *argv)

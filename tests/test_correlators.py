@@ -25,12 +25,10 @@ from qvirasoro.correlators import (
     four_point_jackson,
     screening_wave,
     two_point,
-    two_point_reference,
 )
 
 P1 = QParams(0.49, 0.7)  # beta = 1/2, p = 0.7
 P2 = QParams(0.4, 0.9)  # small beta, p < 1
-P3 = QParams(0.7, 0.3)  # p > 1: reference product unavailable
 
 
 class TestParams:
@@ -54,21 +52,23 @@ class TestParams:
 
 
 class TestTwoPoint:
-    @pytest.mark.parametrize("params", [P1, P2], ids=["p<1", "small-beta"])
-    @pytest.mark.parametrize("ell", [1, 2])
-    def test_product_vs_series_and_reference(self, params, ell):
-        cp = CorrelatorParams(params=params, ell=ell)
-        form = correlators.pair_correlation_factor(ell, params, 0.3)
+    @staticmethod
+    def series_log(params, ell, x):
+        """The log-series of the pair scalar at x, summed as
+        check_two_point sums it."""
+        form = correlators.pair_correlation_factor(ell, params, abs(x))
         radius = 1.0 / float(np.max(np.abs(form.coeffs)))
         rule = pair_correlation_log_rule(ell, params)
+        order = 1 + int(math.log(1e-17) / math.log(abs(x) / radius))
+        return sum(rule(n) * x**n for n in range(1, order + 1))
+
+    @pytest.mark.parametrize("params", [P1, P2], ids=["p<1", "small-beta"])
+    @pytest.mark.parametrize("ell", [1, 2])
+    def test_product_vs_series(self, params, ell):
+        cp = CorrelatorParams(params=params, ell=ell)
         for x in (0.15, 0.3):
             v = two_point(1.0, x, cp)
-            # the log-series summed as check_two_point sums it
-            order = 1 + int(math.log(1e-17) / math.log(x / radius))
-            s = sum(rule(n) * x**n for n in range(1, order + 1))
-            assert math.log(v) == pytest.approx(s, rel=1e-12)
-            r = two_point_reference(1.0, x, cp)
-            assert v == pytest.approx(r, rel=1e-12)
+            assert math.log(v) == pytest.approx(self.series_log(params, ell, x), rel=1e-12)
 
     def test_negative_arguments(self):
         # a negative w is a valid argument order of the scalar; a negative
@@ -76,22 +76,16 @@ class TestTwoPoint:
         # prefactor, and the error names it
         cp = CorrelatorParams(params=P1)
         v = two_point(1.0, -0.4, cp)
-        assert isinstance(v, float) and v == pytest.approx(two_point_reference(1.0, -0.4, cp), rel=1e-12)
-        for fn in (two_point, two_point_reference):
-            for z in (-1.0, 0.0):
-                with pytest.raises(RegimeError, match="z must be positive"):
-                    fn(z, 0.4, cp)
+        assert isinstance(v, float) and math.log(v) == pytest.approx(self.series_log(P1, 1, -0.4), rel=1e-12)
+        for z in (-1.0, 0.0):
+            with pytest.raises(RegimeError, match="z must be positive"):
+                two_point(z, 0.4, cp)
         for fn in (four_point_closed, four_point_jackson):
             for branch in ("plus", "minus"):
                 with pytest.raises(RegimeError, match="w must be positive"):
                     fn(branch, 1.0, -0.4, cp)
                 with pytest.raises(RegimeError, match="z must be positive"):
                     fn(branch, -1.0, 0.4, cp)
-
-    def test_reference_needs_contractive_double_base(self):
-        cp = CorrelatorParams(params=P3)
-        with pytest.raises(RegimeError):
-            two_point_reference(1.0, 0.3, cp)
 
     def test_swap_ratio_finite_nonzero(self):
         cp = CorrelatorParams(params=P1)
@@ -149,6 +143,29 @@ class TestTwoPoint:
         monkeypatch.setattr(correlators, "pair_correlation_factor", lambda *_: perturbed)
         rep = check_two_point(params, ell=ell)
         assert rep.status == "fail", rep.summary_line()
+
+    @pytest.mark.parametrize("ell", [1, 2, 3])
+    @pytest.mark.parametrize("params", [P1, QParams(0.7, 0.3), P2], ids=["0.49-0.7", "0.7-0.3", "0.4-0.9"])
+    def test_checker_fails_on_planted_mode_rule(self, monkeypatch, params, ell):
+        # V's mode rule at n = 1 off by 1e-9 relative: the vertex leg
+        # reads 2.8e-11 to 8.5e-10 at these points, where the series leg,
+        # blind to the vertex data, still passes
+        def planted(ell, k, params, _real=correlators.build_vertex):
+            v = _real(ell, k, params)
+            return replace(v, mode_rule=lambda n, _r=v.mode_rule: _r(n) * (1.0 + 1e-9) if n == 1 else _r(n))
+
+        monkeypatch.setattr(correlators, "build_vertex", planted)
+        rep = check_two_point(params, ell=ell)
+        assert rep.status == "fail", rep.summary_line()
+        assert rep.worst_location.endswith("(vertex)")
+
+    @pytest.mark.parametrize("t, ell", [(1e-200, 1), (1e-200, 3), (1e-320, 3)])
+    def test_checker_at_the_box_edge(self, t, ell):
+        # p = q/t is 5e199 or overflows to inf: the vertex data's
+        # coefficients overflow from n = 4 or read exactly 0.0 at n = 1,
+        # and the vertex leg stops there (at 1e-320 it compares nothing)
+        rep = check_two_point(QParams(0.5, t), ell=ell)
+        assert rep.status == "pass", rep.summary_line()
 
 
 class TestScreeningWave:
@@ -481,8 +498,8 @@ class TestVerdictScan:
             # (1 - Q)^{1 - z} overflowed inside Gamma_q; now both branches
             # are infinite and their difference is NaN
             (lambda: check_four_point(QParams(0.98, 0.1), 2, -3.0), "branch=plus"),
-            # the double-base reference product hits a pole
-            (lambda: check_two_point(QParams(0.95, 0.98), 2), "pole"),
+            # the pair form would need 4224508171 factors, and is refused
+            (lambda: check_two_point(QParams(0.999, 0.999999), 3), "pair form needs 4224508171 factors"),
         ],
         ids=["connection", "four-point", "two-point"],
     )

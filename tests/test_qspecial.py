@@ -70,14 +70,6 @@ class TestPochhammer:
         assert qpoch_inf(1.0, 0.5) == 0.0
         assert qpoch_inf(0.5**-3, 0.5) == 0.0
 
-    def test_double_base_matches_nested_product(self):
-        a, q1, q2 = 0.41, 0.55, 0.35
-        direct = 1.0
-        for i in range(80):
-            for j in range(80):
-                direct *= 1.0 - a * q1**i * q2**j
-        assert qpoch_inf(a, q1, q2) == pytest.approx(direct, rel=1e-13)
-
     def test_base_outside_unit_interval_rejected(self):
         with pytest.raises(RegimeError):
             qpoch_inf(0.3, 1.1)
