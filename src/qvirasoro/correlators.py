@@ -114,6 +114,20 @@ class CorrelatorParams:
     def Q(self) -> float:
         return self.params.q ** (1.0 / self.ell)
 
+    @cached_property
+    def edge(self) -> float:
+        return self.params.q ** (1.0 / (2.0 * self.ell))
+
+    # the screening wave's coefficients A = t^{1/2} q^{1/(2 ell)} and
+    # B = t^{-1/2} q^{1/(2 ell)}
+    @cached_property
+    def A(self) -> float:
+        return self.params.t**0.5 * self.edge
+
+    @cached_property
+    def B(self) -> float:
+        return self.params.t**-0.5 * self.edge
+
 
 # ---------------------------------------------------------------------------
 # Scalar radial-ordering data
@@ -134,9 +148,7 @@ def _screening_waves(xs: list, cp: CorrelatorParams) -> list:
     """``screening_wave(x, cp)`` for each x of ``xs``, all symbols from one
     ``_qpoch_values`` call (whose entries do not depend on each other):
     per point, the value or the error that the one-point call raises."""
-    P = cp.params
-    edge = P.q ** (1.0 / (2.0 * cp.ell))
-    A, B = P.t**0.5 * edge, P.t**-0.5 * edge
+    A, B = cp.A, cp.B
     syms = _qpoch_values(np.array([A * x for x in xs] + [B * x for x in xs]), cp.Q).tolist()
     return [_attempt(_wave, x, num, den) for x, num, den in zip(xs, syms, syms[len(xs) :])]
 
@@ -222,10 +234,7 @@ def _lattice_start(branch: str, z: float, w: float, cp: CorrelatorParams) -> tup
     of its own."""
     _check_positive(z=z, w=w)
     _check_exponents(cp)
-    P = cp.params
-    Q = cp.Q
-    edge = P.q ** (1.0 / (2.0 * cp.ell))
-    A, B = P.t**0.5 * edge, P.t**-0.5 * edge
+    Q, A, B = cp.Q, cp.A, cp.B
     pref = (z * w) ** (cp.L * cp.a / 2.0)
     if branch == "plus":
         mu = A * z / Q
@@ -261,7 +270,6 @@ def _closed_start(branch: str, z: float, w: float, cp: CorrelatorParams) -> tupl
     P = cp.params
     Q = cp.Q
     a, b = cp.a, cp.b
-    edge = P.q ** (1.0 / (2.0 * cp.ell))
     pref = (z * w) ** (cp.L * a / 2.0)
     arg = Q ** (1.0 - a) * w / z
     if branch not in ("plus", "minus"):
@@ -277,9 +285,9 @@ def _closed_start(branch: str, z: float, w: float, cp: CorrelatorParams) -> tupl
     def finish(syms: list) -> list:
         coef = _beta(zs, syms[:4], Q)
         if branch == "plus":
-            coef = coef * (P.t**0.5 / edge * z) ** (b - 2.0 * a)
+            coef = coef * (P.t**0.5 / cp.edge * z) ** (b - 2.0 * a)
         else:
-            coef = coef * (z * w) ** -a * (P.t**-0.5 * edge * w) ** b
+            coef = coef * (z * w) ** -a * (cp.B * w) ** b
         u1, u2, c = _unwrap(us)
         if not heine:
             return [pref, coef, 1.0, u1, u2, c, Q, arg]

@@ -11,30 +11,18 @@ factor, the value that the library's symbols of its rows must match.  The one-po
 kernels, the closed four-point form on the loop products and series,
 and the sequential bodies of three correlator checks and of the
 q-special self-check are the reference for the batched evaluators of
-``qvirasoro.correlators`` and ``relations.check_qspecial``, and
-the per-pair operator kernels at the end the reference for
-``fock.removal_table``, ``PartitionBasis.application_matrix``, ``weigh``
-and the shared blocks of ``relations._operands``.  The defining relation
-compared one (n, m) stripe table at a time, each stripe selected from
-its mode table as the check selects the window, is the reference for
-``relations.check_defining_relation``, which compares each mode table
-once: where the worst entry ties, or a table holds a NaN, the two
-partitions may name different entries.  The exchange skeleton, built
-and compared one key or mode table per loop step, is the reference for
-the stacked tables of ``relations``.
+``qvirasoro.correlators`` and ``relations.check_qspecial``.  The operator
+tables have no float copy here: ``referee`` decides them exactly.
 """
 
 from __future__ import annotations
 
 import math
-from functools import partial
-from itertools import combinations_with_replacement
 
 import numpy as np
 
 from qvirasoro.errors import ConvergenceError, PoleError, QVirasoroError
 from qvirasoro.qspecial import NEGLIGIBLE, REL_TOL, TERM_CAP, ZERO_SNAP
-from qvirasoro.report import _worst
 from qvirasoro.voa import ProductForm
 
 
@@ -555,255 +543,3 @@ def check_qspecial(tolerance=1e-12):
         yield abs(val - 1.0), "jackson unit"
 
     return _scan_report("qspecial", pairs(), tolerance)
-
-
-# ---------------------------------------------------------------------------
-# The operator kernels as they were before the power tables, the shared
-# factor builds and the weight vectors of ``qvirasoro.fock``: one ``**``
-# per (pair, mode), one build per block, weights from a callable.
-
-
-def removal_table(max_degree):
-    """``fock.removal_table`` as it was first built: each state's
-    sub-multisets found by comparing its multiplicities with those of
-    every state, O(N^2 D)."""
-    from qvirasoro.fock import RemovalTable, partitions_of
-
-    states = tuple(
-        lam for d in range(max_degree + 1) for lam in sorted(partitions_of(d))
-    )
-    mult = np.array(
-        [np.bincount(lam, minlength=max_degree + 1)[1:] for lam in states],
-        dtype=np.int8,
-    )
-    contained = [np.flatnonzero((mult <= m).all(axis=1)) for m in mult]
-    sup = np.repeat(np.arange(len(states)), [len(c) for c in contained])
-    sub = np.concatenate(contained)
-    radix = np.cumprod([1] + [max_degree // n + 1 for n in range(1, max_degree)])
-    key = mult @ radix[:max_degree]
-    order = np.argsort(key)
-    kind = order[np.searchsorted(key[order], key[sup] - key[sub])]
-    f = np.array([math.factorial(j) for j in range(max_degree + 1)], dtype=float)
-    per_state = f[mult].prod(axis=1)
-    fact = per_state[kind]
-    binom = per_state[sup] / fact / per_state[sub]
-    degrees = mult @ np.arange(1, max_degree + 1)
-    return RemovalTable(states, degrees, mult, sup, sub, kind, binom, fact)
-
-
-def removal_pairs(basis):
-    """(sup, sub, take, binom, fact) over every (state, sub-multiset)
-    pair of the basis, ``take`` the multiplicities removed, each product
-    formed per pair."""
-    mult = basis.removals.mult
-    D = basis.max_degree
-    contained = [np.flatnonzero((mult <= m).all(axis=1)) for m in mult]
-    sup = np.repeat(np.arange(len(mult)), [len(c) for c in contained])
-    sub = np.concatenate(contained)
-    take = mult[sup] - mult[sub]
-    f = np.array([math.factorial(j) for j in range(D + 1)], dtype=float)
-    fact = f[take].prod(axis=1)
-    binom = f[mult[sup]].prod(axis=1) / fact / f[mult[sub]].prod(axis=1)
-    return sup, sub, take, binom, fact
-
-
-def application_matrix(basis, vertex, momentum, rows=None, cols=None):
-    """Leading block M[:rows, :cols] of the matrix of ``vertex``, with
-    prod_n x_n^{take_n} formed once per pair."""
-    rows = basis.size if rows is None else rows
-    cols = basis.size if cols is None else cols
-    m = min(rows, cols)
-    sup, sub, take, binom, fact = removal_pairs(basis)
-    modes = range(1, basis.max_degree + 1)
-    a = np.array([vertex.mode_rule(n) for n in modes]) * basis.cn
-    b = np.array([vertex.mode_rule(-n) for n in modes])
-    i = np.flatnonzero(sub[: np.searchsorted(sup, cols)] < m)
-    j = np.flatnonzero(sub[: np.searchsorted(sup, rows)] < m)
-    ann = np.zeros((m, cols))
-    cre = np.zeros((rows, m))
-    ann[sub[i], sup[i]] = binom[i] * np.prod(a ** take[i], axis=1)
-    cre[sup[j], sub[j]] = np.prod(b ** take[j], axis=1) / fact[j]
-    return vertex.zero_mode_factor(momentum) * (cre @ ann)
-
-
-def app(basis, op, momentum, rows=None, cols=None):
-    """Leading block of the matrix of a vertex or of a sum of vertices."""
-    if hasattr(op, "terms"):
-        return sum(application_matrix(basis, v, momentum, rows, cols) for v in op.terms)
-    return application_matrix(basis, op, momentum, rows, cols)
-
-
-def weigh(basis, block, weight):
-    """Entrywise block * weight(deg bra - deg ket), the weights gathered
-    through an int64 index array.  A weight that is a row of K values
-    gives a stack of K weighted copies (K blocks, each its own value)."""
-    D = basis.max_degree
-    w = np.moveaxis(np.array([weight(d) for d in range(-D, D + 1)]), 0, -1)
-    rows, cols = block.shape[-2:]
-    return block * w[..., basis.degrees[:rows, None] - basis.degrees[None, :cols] + D]
-
-
-# ---------------------------------------------------------------------------
-# The operator tables as they were before ``relations`` stacked them: one
-# table per key or z^{-n} mode, each built and compared in its own loop
-# step, with the kernel's coefficients read as a slice.
-
-
-def _kernel(g, lo, hi):
-    """The coefficients g_lo, ..., g_hi of a structure series, zero for
-    s < 0."""
-    if hi >= len(g):
-        raise QVirasoroError("structure series too short for window")
-    out = np.zeros(hi - lo + 1)
-    out[max(-lo, 0) :] = g[max(lo, 0) : max(hi + 1, 0)]
-    return out
-
-
-def _mode_table(basis, x_left, y_in, y_out, x_right, g, n, twist=0):
-    """Corner table of the z^{-n} mode of the exchange combination: the
-    first term is weighted by g_s at s = n + (deg mu - deg nu), the second
-    by g_s at s = -(deg nu - deg lambda) - n - twist."""
-    D = basis.max_degree
-    # g_s at s = d + n and at s = -d - n - twist for d = -D, ..., D
-    up = basis.weigh(x_left, _kernel(g, n - D, n + D))
-    down = basis.weigh(x_right, _kernel(g, -D - n - twist, D - n - twist)[::-1])
-    return up @ y_in - (-1.0) ** twist * (y_out @ down)
-
-
-def _key_table(basis, x_left, y_in, y_out, x_right, g, twist, k):
-    """Corner table of key k of the exchange combination: the first term
-    is weighted by g_s at s = k - (deg nu - deg lambda), the second by
-    g_s at s = (deg mu - deg nu) - k - twist."""
-    D = basis.max_degree
-    # g_s at s = k - d and at s = d - k - twist for d = -D, ..., D
-    up = basis.weigh(y_in, _kernel(g, k - D, k + D)[::-1])
-    down = basis.weigh(y_out, _kernel(g, -D - k - twist, D - k - twist))
-    return x_left @ up - (-1.0) ** twist * (down @ x_right)
-
-
-def _table_pairs(triples, basis, tolerance, notes):
-    """(residual, location) pairs of (label, lhs, rhs) triples of corner
-    tables, one table at a time, the running control and scale folded
-    with Python ``max``."""
-    found, control, scale, first = [], 0.0, 0.0, ""
-    for label, a, b in triples:
-        diff = np.abs(a - b)
-        # argmax points at the first NaN, if any
-        k = int(diff.argmax())
-        if callable(label):
-            label = label(k)
-        i, j = divmod(k, diff.shape[1])
-        first = first or label
-        where = f"{label} bra={basis.states[i]} ket={basis.states[j]}"
-        found.append((float(diff[i, j]), where))
-        control = max(control, float(np.abs(a - (1.0 + 100.0 * tolerance) * b).max()))
-        scale = max(scale, float(np.abs(a).max()), float(np.abs(b).max()))
-    norm = max(scale, 1.0)
-    pairs = [(m / norm, where) for m, where in found]
-    yield from pairs
-    residual, loc = _worst(pairs, tolerance)
-    control /= norm
-    if residual <= tolerance and control <= tolerance:
-        notes.append(
-            f"vacuous: residual {residual:.3e}, scale {scale:.3e}, control {control:.3e}"
-        )
-        yield math.nan, loc or f"vacuous from {first}"
-
-
-def mode_tables(basis, x_left, y_in, y_out, x_right, g, modes, twist=0):
-    """The stack of z^{-n} mode tables, n in ``modes``, one
-    ``_mode_table`` per mode."""
-    return np.stack([_mode_table(basis, x_left, y_in, y_out, x_right, g, n, twist) for n in modes])
-
-
-def key_tables(basis, x_left, y_in, y_out, x_right, g, twist, keys):
-    """``relations._key_tables`` as one ``_key_table`` per key."""
-    return np.stack([_key_table(basis, x_left, y_in, y_out, x_right, g, twist, k) for k in keys])
-
-
-def stacked_table_pairs(stacks, basis, tolerance, notes):
-    """``relations._table_pairs`` as ``_table_pairs`` over the tables of
-    the stacks, one at a time."""
-    triples = ((label, a[i], b[i]) for labels, a, b in stacks for i, label in enumerate(labels))
-    return _table_pairs(triples, basis, tolerance, notes)
-
-
-def exchange_check(params, x, y, g, twist, terms, degree_cap, reading, momentum, tolerance, notes):
-    """``relations._exchange_check`` with one table per key, or per mode
-    by the mode formula of ``_mode_table``."""
-    from qvirasoro import relations as R
-
-    kind, labels = reading
-    labels = [int(i) for i in labels]
-    span = max(abs(i) for i in labels)
-    basis, *blocks, shifted = R._operands(
-        params, x, y, terms, degree_cap, span + max(0, -twist), momentum
-    )
-    D = basis.max_degree
-    order = 2 * (degree_cap + span + abs(twist))
-    if kind == "key":
-        gc = g(order + span + 2)
-        deltas = [
-            (K, s, basis.weigh(w, np.array([s**-d for d in range(-D, D + 1)]))) for K, s, w in shifted
-        ]
-        table = partial(_key_table, basis, *blocks, gc, twist)
-    else:
-        gc, deltas = g(order), shifted
-        table = partial(_mode_table, basis, *blocks, gc, twist=twist)
-
-    def triples():
-        for i in labels:
-            yield f"{kind}={i}", table(i), sum(K * s**i * w for K, s, w in deltas)
-
-    yield from _table_pairs(triples(), basis, tolerance, notes)
-
-
-def stripe_tables(params, degree_cap, max_mode, momentum):
-    """The basis and the (label, lhs, rhs) tables of
-    ``relations.check_defining_relation`` as it was: each z^{-n} mode
-    table cut into one table per m, the stripe of degree differences
-    deg mu - deg lambda = -(n + m), each selected on its own."""
-    from qvirasoro import relations as R
-    from qvirasoro.fock import PartitionBasis
-    from qvirasoro.voa import StructureFunctionSpec, build_current, structure_series
-
-    D = degree_cap + max_mode
-    basis = PartitionBasis(params, D)
-    c = basis.corner(degree_cap)
-    t_out, t_in = R._blocks(basis, build_current(params), c, momentum, momentum)
-    f = structure_series(StructureFunctionSpec("current"), params, 2 * D + 2)
-    q, t, p = params.q, params.t, params.p
-    eta1 = (q**0.5 - q**-0.5) * (t**0.5 - t**-0.5)
-
-    def central(n):
-        if n == 0:
-            return 0.0
-        if n < 0:
-            return -central(-n)
-        return -eta1 * p ** (0.5 - n) * sum(p**i for i in range(2 * n))
-
-    ident = np.eye(c)
-    deg = basis.degrees[:c]
-    e = deg[:, None] - deg[None, :]
-
-    def triples():
-        for n in range(-max_mode, max_mode + 1):
-            both = _mode_table(basis, t_out, t_in, t_out, t_in, f, n)
-            for m in range(-max_mode, max_mode + 1):
-                # the stripe's own entries, every other entry 0
-                acc = np.where(e == -(n + m), both, 0.0)
-                rhs = central(n) * ident if n + m == 0 else 0.0 * ident
-                yield f"n={n} m={m}", acc, rhs
-
-    return basis, triples()
-
-
-def check_defining_relation(params, degree_cap=5, max_mode=3, momentum=0.0, tolerance=1e-8):
-    """``relations.check_defining_relation`` with each stripe table
-    compared on its own (``stripe_tables``)."""
-    from qvirasoro import relations as R
-
-    basis, triples = stripe_tables(params, degree_cap, max_mode, momentum)
-    notes = []
-    pairs = _table_pairs(triples, basis, tolerance, notes)
-    return R._scan_report("defining-relation", pairs, tolerance, notes)

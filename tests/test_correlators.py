@@ -10,7 +10,7 @@ from oracles import four_point_lattice
 from test_kernels import with_base_off
 
 from qvirasoro.errors import ConvergenceError, PoleError, QVirasoroError, RegimeError
-from qvirasoro import correlators, qspecial
+from qvirasoro import correlators, qspecial, voa
 from qvirasoro.qspecial import QParams
 from qvirasoro.report import _scan_report
 from qvirasoro.voa import pair_correlation_log_rule
@@ -155,6 +155,19 @@ class TestTwoPoint:
             return replace(v, mode_rule=lambda n, _r=v.mode_rule: _r(n) * (1.0 + 1e-9) if n == 1 else _r(n))
 
         monkeypatch.setattr(correlators, "build_vertex", planted)
+        rep = check_two_point(params, ell=ell)
+        assert rep.status == "fail", rep.summary_line()
+        assert rep.worst_location.endswith("(vertex)")
+
+    @pytest.mark.parametrize("ell", [1, 2, 3])
+    @pytest.mark.parametrize("params", [P1, QParams(0.7, 0.3), P2], ids=["0.49-0.7", "0.7-0.3", "0.4-0.9"])
+    def test_checker_fails_on_planted_alternating_base(self, monkeypatch, params, ell):
+        # P = min(p, 1/p) off by 1e-9 relative in the log rule and the pair
+        # form: the series leg still agrees, and the vertex leg reads
+        # 1.2e-11 to 4.7e-10 at these points.  P -> 1/P is no defect, since
+        # C^n / (1 + P^n) = c_0^n / (P^{n/2} + P^{-n/2}) is symmetric under it
+        base = voa._alternating_base
+        monkeypatch.setattr(voa, "_alternating_base", lambda params: base(params) * (1.0 + 1e-9))
         rep = check_two_point(params, ell=ell)
         assert rep.status == "fail", rep.summary_line()
         assert rep.worst_location.endswith("(vertex)")

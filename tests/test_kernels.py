@@ -1,19 +1,17 @@
 """The q-product and basic-series kernels, the batched correlator
-evaluators and the checks built on them, the pruned pair product form,
-and the operator kernels of ``fock`` and ``relations``, against the
-plain code they replace (``oracles``): every value must be
+evaluators and the checks built on them and the pruned pair product form,
+against the plain code they replace (``oracles``): every value must be
 bit-identical, and every error the same error, so the comparisons are
-``==`` on the bits.  The one exception is the operator key tables, whose
-products stop at each run's reach: dgemm rounds those shorter sums
-differently, so they are compared within their rounding bound."""
+``==`` on the bits.  The operator kernels of ``fock`` and ``relations``
+are tested against themselves (``referee`` decides their mathematics)."""
 
 import math
 import os
+import pickle
 import re
 import subprocess
 import sys
 import warnings
-from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 
@@ -23,14 +21,15 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
+import referee
 from qvirasoro import correlators
 from qvirasoro import qspecial as qs
 from qvirasoro import relations, voa
 from qvirasoro.correlators import CorrelatorParams
 from qvirasoro.errors import ConvergenceError, PoleError, RegimeError
-from qvirasoro.fock import PartitionBasis, merge_vertices, removal_table
+from qvirasoro.fock import PartitionBasis, removal_table
 from qvirasoro.qspecial import QParams
-from qvirasoro.voa import build_current, build_lambda, build_screening, build_vertex
+from qvirasoro.voa import build_current, build_vertex
 
 FAST = settings(max_examples=100, deadline=None)
 
@@ -796,89 +795,7 @@ class TestPairForm:
 
 
 # ---------------------------------------------------------------------------
-# Operator kernels
-
-
-box = st.tuples(st.floats(0.02, 0.98), st.floats(0.02, 0.98)).filter(
-    lambda qt: abs(qt[0] - qt[1]) > 1e-3
-)
-VERTICES = {
-    "lambda+": lambda P, ell, k: build_lambda(+1, P),
-    "lambda-": lambda P, ell, k: build_lambda(-1, P),
-    "screening+": lambda P, ell, k: build_screening(+1, P),
-    "screening-": lambda P, ell, k: build_screening(-1, P),
-    "vertex": lambda P, ell, k: build_vertex(ell, k, P),
-}
-
-
-@st.composite
-def vertices(draw, params):
-    """A vertex of the paper, at a drawn argument scale or at scale 1."""
-    make = VERTICES[draw(st.sampled_from(sorted(VERTICES)))]
-    v = make(params, draw(st.integers(1, 3)), draw(st.integers(0, 2)))
-    if draw(st.booleans()):
-        v = v.at_scale(draw(st.floats(0.3, 3.0)))
-    return v
-
-
-class TestOperatorKernels:
-    @FAST
-    @given(box, st.integers(0, 10), st.floats(-2.0, 2.0), st.data())
-    def test_application_matrix_matches_oracle(self, qt, degree, momentum, data):
-        params = QParams(*qt)
-        basis = PartitionBasis(params, degree)
-        vertex = data.draw(vertices(params))
-        n = basis.size
-        rows = data.draw(st.one_of(st.none(), st.integers(1, n)))
-        cols = data.draw(st.one_of(st.none(), st.integers(1, n)))
-        got = basis.application_matrix(vertex, momentum, rows, cols)
-        want = oracles.application_matrix(basis, vertex, momentum, rows, cols)
-        assert got.shape == want.shape
-        assert np.array_equal(got, want)
-
-    @FAST
-    @given(st.integers(0, 10), st.data())
-    def test_weigh_matches_oracle(self, degree, data):
-        basis = PartitionBasis(QParams(0.49, 0.7), degree)
-        D, n = degree, basis.size
-        # one row of weights, or a stack of K rows
-        stack = data.draw(st.sampled_from([(), (1,), (3,)]))
-        size = math.prod(stack) * (2 * D + 1)
-        weights = np.array(data.draw(st.lists(st.floats(-1e3, 1e3), min_size=size, max_size=size)))
-        weights = weights.reshape(stack + (2 * D + 1,))
-        for _ in range(2):  # the second call reads the cached index
-            rows, cols = data.draw(st.integers(1, n)), data.draw(st.integers(1, n))
-            block = np.random.default_rng(rows * n + cols).standard_normal((rows, cols))
-            want = oracles.weigh(basis, block, lambda d: weights[..., d + D])
-            assert want.shape == stack + (rows, cols)
-            assert np.array_equal(basis.weigh(block, weights), want)
-            # a stack of K blocks, each weighed by its own row
-            blocks = np.broadcast_to(block, want.shape) * 1.5
-            assert np.array_equal(basis.weigh(blocks, weights), oracles.weigh(basis, blocks, lambda d: weights[..., d + D]))
-
-    @FAST
-    @given(box, st.integers(1, 4), st.integers(0, 3), st.floats(-2.0, 2.0), st.data())
-    def test_shared_blocks_match_separate_builds(self, qt, cap, reach, momentum, data):
-        # one factor build per vertex gives X[:c], X[:, :c], Y[:c], Y[:, :c]
-        # and every Theta_xi W[:c, :c] as the separate builds did
-        params = QParams(*qt)
-        x = data.draw(st.one_of(st.just(build_current(params)), vertices(params)))
-        y = data.draw(vertices(params))
-        w = merge_vertices([y, build_lambda(+1, params).at_scale(0.8)])
-        terms = [(1.5, 0.7, 0.9, y), (-0.5, 1.3, 1.1, w), (2.0, 0.6, 1.0, w)]
-        basis, x_left, y_in, y_out, x_right, deltas = relations._operands(
-            params, x, y, terms, cap, reach, momentum
-        )
-        c = basis.corner(cap)
-        shift = y.momentum_shift()
-        assert np.array_equal(x_left, oracles.app(basis, x, momentum + shift, rows=c))
-        assert np.array_equal(x_right, oracles.app(basis, x, momentum, cols=c))
-        assert np.array_equal(y_out, oracles.app(basis, y, momentum, rows=c))
-        assert np.array_equal(y_in, oracles.app(basis, y, momentum, cols=c))
-        for (K, s, got), (K0, s0, xi, v) in zip(deltas, terms):
-            corner = oracles.app(basis, v, momentum, c, c)
-            want = oracles.weigh(basis, corner, lambda d: xi ** (d + v.h0_power * momentum))
-            assert (K, s) == (K0, s0) and np.array_equal(got, want)
+# Operator kernels against themselves
 
 
 def same_bytes(a, b):
@@ -887,43 +804,11 @@ def same_bytes(a, b):
     return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
-REMOVAL_FIELDS = ("degrees", "mult", "sup", "sub", "kind", "binom", "fact")
-
-
-def test_removal_table_matches_oracle():
-    for degree in range(21):
-        got, want = removal_table(degree), oracles.removal_table(degree)
-        assert got.states == want.states
-        for name in REMOVAL_FIELDS:
-            assert same_bytes(getattr(got, name), getattr(want, name)), (degree, name)
-
-
-# Builds the removal tables in the order of its arguments, then checks each
-# against the oracle and, as the leading part of it, against every larger
-# one (its states, their degrees and multiplicities, and the pairs that
-# remove from them), bit for bit.
+# builds the removal tables of its arguments' degrees in order, in a fresh cache
 BUILD_ORDER_SCRIPT = """
-import sys
-import numpy as np
-import oracles
-from test_kernels import REMOVAL_FIELDS, same_bytes
+import pickle, sys
 from qvirasoro.fock import removal_table
-
-tables = {d: removal_table(d) for d in map(int, sys.argv[1:])}
-for d, got in tables.items():
-    want = oracles.removal_table(d)
-    assert got.states == want.states, d
-    for name in REMOVAL_FIELDS:
-        assert same_bytes(getattr(got, name), getattr(want, name)), (d, name)
-    n = len(got.states)
-    for big_degree, big in tables.items():
-        if big_degree > d:
-            k = np.searchsorted(big.sup, n)
-            assert big.states[:n] == got.states, (d, big_degree)
-            assert same_bytes(big.degrees[:n], got.degrees), (d, big_degree)
-            assert same_bytes(big.mult[:n, :d], got.mult), (d, big_degree)
-            for name in REMOVAL_FIELDS[2:]:
-                assert same_bytes(getattr(big, name)[:k], getattr(got, name)), (d, big_degree, name)
+sys.stdout.buffer.write(pickle.dumps([tuple(removal_table(int(d))) for d in sys.argv[1:]]))
 """
 
 
@@ -931,102 +816,27 @@ for d, got in tables.items():
     "order", [(16, 13, 11, 7, 0), (7, 0, 16, 2, 13, 11, 12)], ids=["descending", "shuffled"]
 )
 def test_removal_tables_in_any_build_order(order):
-    # the tables of all degrees share process-wide caches, so each build
-    # order starts from empty ones in a fresh interpreter
-    tests = Path(__file__).resolve().parent
-    env = dict(os.environ)
-    path = [str(tests.parent / "src"), str(tests), env.get("PYTHONPATH")]
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, path))
+    # each table built in ``order`` is this process's, bit for bit, and the
+    # leading part of every larger one (states, degrees, multiplicities, pairs)
+    path = os.pathsep.join(filter(None, [str(Path(__file__).parents[1] / "src"), os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
     proc = subprocess.run(
-        [sys.executable, "-c", BUILD_ORDER_SCRIPT, *map(str, order)],
-        capture_output=True,
-        text=True,
-        env=env,
-        timeout=300,
+        [sys.executable, "-c", BUILD_ORDER_SCRIPT, *map(str, order)], capture_output=True, env=env, timeout=300
     )
     assert proc.returncode == 0, proc.stderr
-
-
-def _operator_checks(P, ell, k):
-    """The ten operator checks of a sweep point, at cap 4 and window 4."""
-    R = relations
-    return [
-        lambda: R.check_defining_relation(P, degree_cap=4, max_mode=4),
-        lambda: R.check_screening_relation(P, +1, 4, 4),
-        lambda: R.check_screening_relation(P, -1, 4, 4),
-        *(lambda v=v: R.check_vertex_exchange(ell, P, v, 4, 4) for v in ("plain", "theta", "mirror")),
-        lambda: R.check_current_vertex_exchange(ell, P, 4, 4),
-        lambda: R.check_adjoint_shift(ell, P, degree_cap=4),
-        lambda: R.check_exchange_rewrite(ell, P, 4, 4),
-        lambda: R.check_composite_exchange(ell, k, P, 4, 4),
-    ]
-
-
-def _oracle_blocks(basis, op, c, top, left):
-    return oracles.app(basis, op, top, rows=c), oracles.app(basis, op, left, cols=c)
-
-
-@pytest.mark.parametrize(
-    "q, t, ell, k", [(0.7, 0.3, 1, 1), (0.4, 0.9, 2, 2), (0.86, 0.23, 3, 1)]
-)
-def test_operator_checks_match_oracle_kernels(monkeypatch, q, t, ell, k):
-    # every residual and location of the ten checks is the same with the
-    # oracle kernels patched in: separate builds, weights from callables
-    P = QParams(q, t)
-
-    def outcomes():
-        reports = [check() for check in _operator_checks(P, ell, k)]
-        return [(r.identity, r.status, r.residual.hex(), r.worst_location) for r in reports]
-
-    fast = outcomes()
-    # the second run shares the first one's bases, so count the oracle
-    # kernels' calls: each must run
-    ran = Counter()
-
-    def counted(name, fn):
-        def call(*args):
-            ran[name] += 1
-            return fn(*args)
-
-        return call
-
-    monkeypatch.setattr(
-        PartitionBasis, "application_matrix", counted("apply", oracles.application_matrix)
-    )
-    monkeypatch.setattr(
-        PartitionBasis,
-        "weigh",
-        counted(
-            "weigh",
-            lambda self, block, w: oracles.weigh(self, block, lambda d: w[..., d + self.max_degree]),
-        ),
-    )
-    monkeypatch.setattr(relations, "_blocks", counted("blocks", _oracle_blocks))
-    assert outcomes() == fast
-    assert len(fast) == 10
-    assert set(ran) == {"apply", "weigh", "blocks"}, ran
-
-
-def _ten_outcomes(P, ell, k, cap, window, momentum):
-    """The ten operator checks at one point, as (identity, status,
-    residual bits, location, notes)."""
-    R = relations
-    reports = [
-        R.check_defining_relation(P, cap, window, momentum),
-        R.check_screening_relation(P, +1, cap, window, momentum),
-        R.check_screening_relation(P, -1, cap, window, momentum),
-        *(R.check_vertex_exchange(ell, P, v, cap, window, momentum) for v in ("plain", "theta", "mirror")),
-        R.check_current_vertex_exchange(ell, P, cap, window, momentum),
-        R.check_adjoint_shift(ell, P, range(-window, window + 1), cap, momentum),
-        R.check_exchange_rewrite(ell, P, cap, window, momentum),
-        R.check_composite_exchange(ell, k, P, cap, window, momentum),
-    ]
-    return [(r.identity, r.status, r.residual.hex(), r.worst_location, r.notes) for r in reports]
+    for d, (states, *fields) in zip(order, pickle.loads(proc.stdout)):
+        want = removal_table(d)
+        assert states == want.states and all(map(same_bytes, fields, want[1:])), d
+        n = len(states)
+        for big in (removal_table(b) for b in order if b > d):
+            k = np.searchsorted(big.sup, n)
+            assert big.states[:n] == want.states, d
+            assert same_bytes(big.degrees[:n], want.degrees) and same_bytes(big.mult[:n, :d], want.mult), d
+            assert all(same_bytes(a[:k], b) for a, b in zip(big[3:], want[3:])), d
 
 
 class _TwoPerStack(PartitionBasis):
-    """A basis that sets the table budget to two of its corner tables
-    (c x N floats each) when its corner is taken."""
+    """A basis that sets the table budget to two corner tables when its corner is taken."""
 
     def corner(self, cap):
         c = super().corner(cap)
@@ -1035,37 +845,13 @@ class _TwoPerStack(PartitionBasis):
 
 
 # points of the box and of the degenerate line t = q^{1/3}
-stack_points = st.one_of(box, st.floats(0.05, 0.95).map(lambda q: (q, q ** (1 / 3))))
-
-
-def _gamma(n: int) -> float:
-    """gamma_n = n u / (1 - n u), u = 2^-53: a sum of n products, each
-    rounded, and its n - 1 additions differ from the exact sum by at most
-    gamma_n times the sum of the products' absolute values."""
-    u = 2.0**-53
-    return n * u / (1 - n * u)
-
-
-def _recorded(table_pairs, tables, stacked):
-    """``table_pairs``, of ``relations`` (given stacks) or of ``oracles``
-    (given (label, lhs, rhs) triples), that first appends each table it
-    compares to ``tables`` as (label text, lhs, rhs)."""
-
-    def call(items, basis, tolerance, notes):
-        items = list(items)
-        triples = (
-            ((label, a[i], b[i]) for labels, a, b in items for i, label in enumerate(labels))
-            if stacked
-            else items
-        )
-        tables.extend((label(0) if callable(label) else label, a, b) for label, a, b in triples)
-        return table_pairs(iter(items), basis, tolerance, notes)
-
-    return call
+stack_points = st.one_of(
+    st.tuples(st.floats(0.02, 0.98), st.floats(0.02, 0.98)).filter(lambda qt: abs(qt[0] - qt[1]) > 1e-3),
+    st.floats(0.05, 0.95).map(lambda q: (q, q ** (1 / 3))),
+)
 
 
 @pytest.mark.parametrize("momentum", [0.0, 0.37])
-@pytest.mark.parametrize("budget", ["one", "two", "default"])
 @settings(max_examples=6, deadline=None)
 @given(
     qt=stack_points,
@@ -1074,64 +860,64 @@ def _recorded(table_pairs, tables, stacked):
     window=st.integers(0, 4),
 )
 @example(qt=(0.49, 0.49 ** (1 / 3)), labels=(2, 2), cap=3, window=3)
-def test_stacked_tables_match_one_table_per_step(budget, momentum, qt, labels, cap, window):
-    # the ten checks with their key and mode tables in stacks, each run's
-    # products cut at its keys' reach, against the loops of ``oracles``
-    # that build and compare one table per step over every intermediate
-    # state: the exchange skeleton as it was, in both its readings, and
-    # the defining relation's key tables and comparison.  The same
-    # tables, labels, right-hand sides and statuses, the left-hand tables
-    # within the rounding bound of two computations of K_k: dgemm rounds
-    # a sum of another length differently.  Each inner sum runs over at
-    # most N products of a weighed entry, and the two terms are
-    # subtracted, so each side is within gamma_{N+2} (|A| |B g| +
-    # |C g| |E|) of the exact table; the bound, itself a rounded sum of
-    # nonnegative terms, takes one more
-    window = min(window, cap)
-    P, (ell, k) = QParams(*qt), labels
-    stacks, bounds, got_tables, want_tables = [], [], [], []
-    exact, key_tables = PartitionBasis.weigh, relations._key_tables
+def test_records_do_not_depend_on_the_stack_size(momentum, qt, labels, cap, window):
+    # all 2 window + 1 tables of a check in a stack (the default budget, at
+    # cap 4 and below), two or one give the same statuses, labels and right
+    # sides, and left sides within rounding: each run's products stop at its
+    # own keys' reach, and dgemm rounds a sum of another length differently.
+    # A table is within gamma_{N+2} (|A| |B g| + |C g| |E|) of the exact one,
+    # gamma_n = n u / (1 - n u), u = 2^-53, and that bound within one more
+    window, P, (ell, k) = min(window, cap), QParams(*qt), labels
+    key_tables, table_pairs, runs = relations._key_tables, relations._table_pairs, {}
+    for budget in ("default", "one", "two"):
+        stacks, tables, bounds = [], [], []
 
-    def recording(self, block, weights):
-        if weights.ndim == 2:
-            stacks.append(len(weights))
-        return exact(self, block, weights)
+        def bounded(basis, x_left, y_in, y_out, x_right, g, twist, keys):
+            stacks.append(len(keys))
+            # the key tables of the absolute values, the second term's sign turned
+            sign = -((-1.0) ** twist)
+            absolute = key_tables(basis, abs(x_left), abs(y_in), sign * abs(y_out), abs(x_right), abs(g), twist, keys)
+            n = basis.size + 3
+            bounds.extend(2 * n * 2.0**-53 / (1 - n * 2.0**-53) * absolute)
+            return key_tables(basis, x_left, y_in, y_out, x_right, g, twist, keys)
 
-    def bounded(basis, x_left, y_in, y_out, x_right, g, twist, keys):
-        # |A| |B g| + |C g| |E| over every intermediate state: the oracle's
-        # key tables of the absolute values, the second term's sign turned
-        sign = -((-1.0) ** twist)
-        absolute = oracles.key_tables(
-            basis, abs(x_left), abs(y_in), sign * abs(y_out), abs(x_right), abs(g), twist, keys
-        )
-        bounds.extend(2 * _gamma(basis.size + 3) * absolute)
-        return key_tables(basis, x_left, y_in, y_out, x_right, g, twist, keys)
+        def recorded(items, basis, tolerance, notes):
+            items = list(items)
+            tables.extend((label(0) if callable(label) else label, *ab) for s in items for label, *ab in zip(*s))
+            return table_pairs(iter(items), basis, tolerance, notes)
 
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(PartitionBasis, "weigh", recording)
-        # set here so that the context restores it, whoever changes it
-        mp.setattr(qs, "_BUDGET", 1 if budget == "one" else qs._BUDGET)
-        if budget == "two":
-            mp.setattr(relations, "PartitionBasis", _TwoPerStack)
-        mp.setattr(relations, "_key_tables", bounded)
-        mp.setattr(relations, "_table_pairs", _recorded(relations._table_pairs, got_tables, True))
-        got = _ten_outcomes(P, ell, k, cap, window, momentum)
-    # 2 window + 1 tables a check; at cap 4 and below they fit in one stack
-    # of the default budget
-    sizes = {"one": {1}, "two": {1, 2} if window else {1}, "default": {2 * window + 1}}[budget]
-    assert set(stacks) == sizes
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(relations, "_exchange_check", oracles.exchange_check)
-        mp.setattr(relations, "_key_tables", oracles.key_tables)
-        mp.setattr(relations, "_table_pairs", oracles.stacked_table_pairs)
-        mp.setattr(oracles, "_table_pairs", _recorded(oracles._table_pairs, want_tables, False))
-        want = _ten_outcomes(P, ell, k, cap, window, momentum)
-    assert [r[:2] for r in got] == [r[:2] for r in want]
-    assert len(got_tables) == len(want_tables) == len(bounds)
-    for (label, a, b), (want_label, want_a, want_b), bound in zip(got_tables, want_tables, bounds):
-        assert label == want_label
-        assert np.array_equal(b, want_b)
-        assert np.all((a == want_a) | (abs(a - want_a) <= bound)), label
+        with pytest.MonkeyPatch.context() as mp:
+            # set here so that the context restores it, whoever changes it
+            mp.setattr(qs, "_BUDGET", 1 if budget == "one" else qs._BUDGET)
+            if budget == "two":
+                mp.setattr(relations, "PartitionBasis", _TwoPerStack)
+            mp.setattr(relations, "_key_tables", bounded)
+            mp.setattr(relations, "_table_pairs", recorded)
+            relations._POINT.clear()
+            checks = referee.library_checks(P, ell, k, cap, window, momentum)
+            runs[budget] = [check().status for check in checks.values()], set(stacks), tables, bounds
+    sizes = {"default": {2 * window + 1}, "one": {1}, "two": {1, 2} if window else {1}}
+    assert {budget: run[1] for budget, run in runs.items()} == sizes
+    want, _, want_tables, want_bounds = runs["default"]
+    for got, _, tables, bounds in (runs["one"], runs["two"]):
+        assert got == want and len(tables) == len(want_tables) == len(bounds)
+        for (label, a, b), (want_label, want_a, want_b), bound, want_bound in zip(
+            tables, want_tables, bounds, want_bounds
+        ):
+            assert label == want_label and np.array_equal(b, want_b)
+            assert np.all((a == want_a) | (abs(a - want_a) <= bound + want_bound)), label
+
+
+def _mode_tables(basis, x_left, y_in, y_out, x_right, g, modes, twist=0):
+    """The z^{-n} mode tables (X[:c] g_{d+n}) Y[:, :c] - (-1)^twist Y[:c]
+    (X[:, :c] g_{-d-n-twist}), each product over every intermediate state."""
+    D = basis.max_degree
+    d = np.arange(-D, D + 1)
+    return np.stack([
+        basis.weigh(x_left, relations._coeffs(g, d + n)) @ y_in
+        - (-1.0) ** twist * (y_out @ basis.weigh(x_right, relations._coeffs(g, -d - n - twist)))
+        for n in modes
+    ])
 
 
 @pytest.mark.parametrize("momentum", [0.0, 0.37])
@@ -1144,8 +930,8 @@ def test_mode_tables_are_swapped_key_tables(monkeypatch, qt, ell, overflow, budg
     # the z^{-n} mode tables that the adjoint shift (twist 2 - ell, so
     # both parities) and the defining relation (twist 0) compare are
     # -(-1)^twist times the key tables -n - twist of the swapped blocks:
-    # bit for bit the mode formula of ``oracles.mode_tables``, NaN where
-    # an overflowed block entry meets a zero weight or its negative.  The
+    # bit for bit the mode formula (``_mode_tables``), NaN where an
+    # overflowed block entry meets a zero weight or its negative.  The
     # overflow is planted at the vacuum, an intermediate state that every
     # run reads, since a run's products stop at its keys' reach
     P, twist, cap, modes = QParams(*qt), 2 - ell, 3, range(-3, 4)
@@ -1175,7 +961,7 @@ def test_mode_tables_are_swapped_key_tables(monkeypatch, qt, ell, overflow, budg
         P, build_current(P), y, relations._current_deltas(ell, P, y), cap, 3 + max(0, -twist), momentum
     )
     g = voa.structure_series(voa.StructureFunctionSpec("exchange", ell, 0), P, 2 * (cap + 3 + abs(twist)))
-    want = oracles.mode_tables(basis, *blocks, g, modes, twist)
+    want = _mode_tables(basis, *blocks, g, modes, twist)
     got = np.concatenate([lhs for _, lhs, _ in adjoint])
     assert np.array_equal(got, want, equal_nan=True)
     assert np.isnan(got).any() == overflow
@@ -1184,7 +970,7 @@ def test_mode_tables_are_swapped_key_tables(monkeypatch, qt, ell, overflow, budg
     c = basis.corner(cap)
     t_out, t_in = relations._blocks(basis, build_current(P), c, momentum, momentum)
     f = voa.structure_series(voa.StructureFunctionSpec("current"), P, 2 * basis.max_degree + 2)
-    want = oracles.mode_tables(basis, t_out, t_in, t_out, t_in, f, modes)
+    want = _mode_tables(basis, t_out, t_in, t_out, t_in, f, modes)
     # the entries of |m| > 3 are set to 0, m = -(deg mu - deg lambda) - n
     deg = basis.degrees[:c]
     e = deg[:, None] - deg[None, :]
@@ -1197,24 +983,6 @@ def _verdict(rep):
     return rep.status, rep.residual.hex(), rep.worst_location, rep.notes
 
 
-def _outcome(rep):
-    """The verdict without the location."""
-    return rep.status, rep.residual.hex(), rep.notes
-
-
-def _stripe_entries(params, cap, max_mode, momentum):
-    """|lhs - rhs| of every entry that the stripe tables of
-    ``oracles.stripe_tables`` compare, by the location that names it."""
-    basis, triples = oracles.stripe_tables(params, cap, max_mode, momentum)
-    out = {}
-    for label, a, b in triples:
-        n, m = map(int, re.findall(r"-?\d+", label))
-        deg = basis.degrees[: len(a)]
-        for i, j in np.argwhere(deg[:, None] - deg[None, :] == -(n + m)):
-            out[f"{label} bra={basis.states[i]} ket={basis.states[j]}"] = abs(a[i, j] - b[i, j])
-    return out
-
-
 def _window_m(rep, max_mode):
     """Check that the m a defining-relation report names, if any, lies in
     the window."""
@@ -1223,60 +991,10 @@ def _window_m(rep, max_mode):
 
 
 class TestDefiningRelation:
-    """One comparison per mode table against the per-(n, m) stripe tables
-    of ``oracles.check_defining_relation``: the stripes partition the
-    table's window, so every status, residual and note is the same, and
-    the location too where the worst entry is unique.  At a tie each
-    names its first worst entry, so the mode table may name another m;
-    the named entry must attain the worst |lhs - rhs|, and every name an
-    m in the window."""
-
-    @staticmethod
-    def assert_matches_stripes(params, cap, max_mode, momentum):
-        got = relations.check_defining_relation(params, cap, max_mode, momentum)
-        want = oracles.check_defining_relation(params, cap, max_mode, momentum)
-        assert _outcome(got) == _outcome(want)
-        _window_m(got, max_mode)
-        entries = _stripe_entries(params, cap, max_mode, momentum)
-        worst = max(entries.values())
-        ties = [where for where, d in entries.items() if d == worst]
-        if len(ties) == 1 or not got.worst_location:
-            # an empty location: no residual exceeds an exact 0
-            assert got.worst_location == want.worst_location
-        else:
-            # "vacuous from" names the prefix n, m of an all-zero check
-            named = got.worst_location.removeprefix("vacuous from ")
-            assert any(where == named or where.startswith(named + " bra=") for where in ties)
-        return got
-
-    @settings(max_examples=60, deadline=None)
-    @given(box, st.integers(0, 6), st.data())
-    def test_matches_stripe_tables(self, qt, cap, data):
-        params = QParams(*qt)
-        max_mode = data.draw(st.integers(0, cap))
-        momentum = data.draw(st.one_of(st.just(0.0), st.floats(-2.0, 2.0)))
-        self.assert_matches_stripes(params, cap, max_mode, momentum)
-
-    @pytest.mark.parametrize(
-        "q, t, cap, max_mode, momentum",
-        [
-            (0.7, 0.3, 4, 2, 0.37),
-            (0.4, 0.9, 5, 3, 0.37),
-            (0.7, 0.3, 3, 0, 0.0),  # vacuous: n = m = 0 alone
-            (0.4, 0.9, 6, 0, 0.37),
-            # on the degenerate lines t = q^e the worst entry ties across
-            # m within one mode table
-            (0.49, 0.49 ** (1 / 3), 1, 1, 0.37),
-            (0.49, 0.49 ** (1 / 3), 2, 2, 0.0),
-            (0.64, 0.64 ** (1 / 3), 2, 2, 0.0),
-            (0.64, 0.64 ** (1 / 3), 5, 5, 0.37),
-        ],
-    )
-    def test_matches_stripe_tables_at(self, q, t, cap, max_mode, momentum):
-        got = self.assert_matches_stripes(QParams(q, t), cap, max_mode, momentum)
-        if max_mode == 0:
-            assert got.status == "inconclusive"
-            assert any("vacuous" in note for note in got.notes)
+    """The defining relation's m window: each z^{-n} mode table holds every
+    m and compares only its entries of |m| <= max_mode, so a location names
+    an m in the window and a non-finite entry outside it changes nothing;
+    within it, the rules of ``relations._table_pairs``."""
 
     # entries (deg bra - deg ket, value) written into the n = 1 mode table
     # at cap 3 and max_mode 2, where the window holds deg differences -3..1
@@ -1291,32 +1009,21 @@ class TestDefiningRelation:
 
     def poison(self, monkeypatch, entries):
         """Write ``entries[n]``, a list of (deg difference, value), into
-        the z^{-n} mode tables: the oracle's single tables, and the slices
-        of the library's stacks of key tables, of which key -n holds minus
-        the z^{-n} mode table."""
+        the z^{-n} mode tables: the slices of the library's stacks of key
+        tables, of which key -n holds minus the z^{-n} mode table."""
+        stacked = relations._key_tables
 
-        def write(basis, table, n, sign):
-            deg = basis.degrees[: table.shape[0]]
-            diff = deg[:, None] - deg[None, :]
-            for e, value in entries.get(n, ()):
-                i, j = np.argwhere(diff == e)[0]
-                table[i, j] = sign * value
-
-        stacked, single = relations._key_tables, oracles._mode_table
-
-        def poisoned_stack(basis, *args):
+        def poisoned(basis, *args):
             tables = stacked(basis, *args)
             for table, k in zip(tables, args[-1]):
-                write(basis, table, -k, -1.0)
+                deg = basis.degrees[: table.shape[0]]
+                diff = deg[:, None] - deg[None, :]
+                for e, value in entries.get(-k, ()):
+                    i, j = np.argwhere(diff == e)[0]
+                    table[i, j] = -value
             return tables
 
-        def poisoned_single(basis, *args):
-            table = single(basis, *args)
-            write(basis, table, args[-1], 1.0)  # n
-            return table
-
-        monkeypatch.setattr(relations, "_key_tables", poisoned_stack)
-        monkeypatch.setattr(oracles, "_mode_table", poisoned_single)
+        monkeypatch.setattr(relations, "_key_tables", poisoned)
 
     @staticmethod
     def location(params, n, e):
@@ -1332,7 +1039,9 @@ class TestDefiningRelation:
     def test_non_finite_mode_table(self, monkeypatch, case, tolerance):
         # with tolerance 1e-30 the finite tables fail, unless an infinite
         # entry in the window makes the scale infinite and every residual 0
-        # or NaN; an entry outside the window is not compared
+        # or NaN; an entry outside the window is not compared.  A NaN hides
+        # its whole table, its inf too, from the scale and the control, and
+        # an inconclusive check names the NaN
         P = QParams(0.7, 0.3)
         clean = relations.check_defining_relation(P, 3, 2, tolerance=tolerance)
         entries = self.NON_FINITE[case]
@@ -1340,22 +1049,8 @@ class TestDefiningRelation:
         got = relations.check_defining_relation(P, 3, 2, tolerance=tolerance)
         _window_m(got, 2)
         nan = [e for e, value in entries if math.isnan(value)]
-        if nan:
-            # a NaN hides its whole table, its inf too, from the scale and
-            # the control (``_table_pairs``), where in the stripes it hides
-            # its own stripe: their reference is a NaN in every stripe of
-            # the n = 1 table, and an inconclusive check names the NaN
-            monkeypatch.undo()
-            self.poison(monkeypatch, {1: [(e, math.nan) for e in range(-3, 2)]})
-            want = oracles.check_defining_relation(P, 3, 2, tolerance=tolerance)
-            assert _outcome(got) == _outcome(want)
-            if got.status == "inconclusive":
-                assert got.worst_location == self.location(P, 1, nan[0])
-            else:
-                assert got.worst_location == want.worst_location
-        else:
-            want = oracles.check_defining_relation(P, 3, 2, tolerance=tolerance)
-            assert _verdict(got) == _verdict(want)
+        if nan and got.status == "inconclusive":
+            assert got.worst_location == self.location(P, 1, nan[0])
         if case == "inf outside the window":
             assert _verdict(got) == _verdict(clean)
         else:
@@ -1370,14 +1065,12 @@ class TestDefiningRelation:
         clean = relations.check_defining_relation(P, 3, 2, tolerance=1e-30)
         self.poison(monkeypatch, {-1: [(-2, math.inf)], 1: [(2, math.inf)]})
         got = relations.check_defining_relation(P, 3, 2, tolerance=1e-30)
-        want = oracles.check_defining_relation(P, 3, 2, tolerance=1e-30)
-        assert _verdict(got) == _verdict(want) == _verdict(clean)
+        assert _verdict(got) == _verdict(clean)
         assert got.status == "fail"
         # both in the window: the scale is infinite
         monkeypatch.undo()
         self.poison(monkeypatch, {-1: [(2, math.inf)], 1: [(-2, math.inf)]})
         got = relations.check_defining_relation(P, 3, 2, tolerance=1e-30)
-        assert _verdict(got) == _verdict(oracles.check_defining_relation(P, 3, 2, tolerance=1e-30))
         assert got.status == "inconclusive"
 
     @pytest.mark.parametrize("case", ["inf in the window", "inf outside the window", "inf in and outside the window"])

@@ -8,7 +8,7 @@ from functools import partial
 import numpy as np
 import pytest
 
-import oracles
+import referee
 from qvirasoro import qspecial as qs
 from qvirasoro import relations
 from qvirasoro.errors import QVirasoroError
@@ -170,13 +170,9 @@ def test_composite_second_term_is_the_image(q, t, ell, k):
 
 
 LARGE_TABLE_CHECKS = {
-    "screening": lambda: check_screening_relation(P_LARGE, +1, 4, 4),
-    "vertex-exchange": lambda: check_vertex_exchange(3, P_LARGE, "plain", 4, 4),
-    "vertex-exchange-theta": lambda: check_vertex_exchange(3, P_LARGE, "theta", 4, 4),
-    "current-vertex-exchange": lambda: check_current_vertex_exchange(3, P_LARGE, 4, 4),
-    "adjoint-shift": lambda: check_adjoint_shift(3, P_LARGE, degree_cap=4),
-    "exchange-rewrite": lambda: check_exchange_rewrite(3, P_LARGE, 4, 4),
-    "composite-exchange": lambda: check_composite_exchange(3, 2, P_LARGE, 4, 4),
+    name: check
+    for name, check in referee.library_checks(P_LARGE, 3, 2, 4, 4, modes=range(-2, 3)).items()
+    if name not in ("defining-relation", "screening-mirror", "vertex-exchange-mirror")
 }
 
 
@@ -270,18 +266,7 @@ def test_perturbed_delta_constant_fails(monkeypatch, check, ell):
     assert rep.status == "fail", rep.summary_line()
 
 
-OPERATOR_CHECKS_AT_CAP_6 = {
-    "defining-relation": lambda: check_defining_relation(P, 6, 3),
-    "screening": lambda: check_screening_relation(P, +1, 6, 3),
-    "screening-mirror": lambda: check_screening_relation(P, -1, 6, 3),
-    "vertex-exchange": lambda: check_vertex_exchange(2, P, "plain", 6, 3),
-    "vertex-exchange-theta": lambda: check_vertex_exchange(2, P, "theta", 6, 3),
-    "vertex-exchange-mirror": lambda: check_vertex_exchange(2, P, "mirror", 6, 3),
-    "current-vertex-exchange": lambda: check_current_vertex_exchange(2, P, 6, 3),
-    "adjoint-shift": lambda: check_adjoint_shift(2, P, degree_cap=6),
-    "exchange-rewrite": lambda: check_exchange_rewrite(2, P, 6, 3),
-    "composite-exchange": lambda: check_composite_exchange(2, 1, P, 6, 3),
-}
+OPERATOR_CHECKS_AT_CAP_6 = referee.library_checks(P, 2, 1, 6, 3, modes=range(-2, 3))
 
 
 @pytest.mark.parametrize("name", list(OPERATOR_CHECKS_AT_CAP_6))
@@ -336,27 +321,27 @@ def test_overflowing_momentum_is_inconclusive(check):
     assert rep.status == "inconclusive", rep.summary_line()
 
 
+def _at_cap(name, ell, k, window):
+    """The record ``name`` of ``referee.library_checks`` at P, by degree cap."""
+    return lambda cap: referee.library_checks(P, ell, k, cap, window)[name]()
+
+
 # name -> (twist of the reversed product, reach of its keys or modes,
 # the check at a degree cap): keys |k| <= 2 or modes -3..3, twists -2..2
 MODES = range(-3, 4)
 TWISTED_CHECKS = {
-    "screening": (0, 2, lambda cap: check_screening_relation(P, +1, cap, 2)),
-    "vertex-exchange-ell1": (1, 2, lambda cap: check_vertex_exchange(1, P, "plain", cap, 2)),
-    "vertex-exchange-ell2": (0, 2, lambda cap: check_vertex_exchange(2, P, "plain", cap, 2)),
-    "vertex-exchange-ell3": (-1, 2, lambda cap: check_vertex_exchange(3, P, "plain", cap, 2)),
-    "vertex-exchange-theta-ell1": (1, 2, lambda cap: check_vertex_exchange(1, P, "theta", cap, 2)),
-    "vertex-exchange-mirror-ell3": (-1, 2, lambda cap: check_vertex_exchange(3, P, "mirror", cap, 2)),
-    "current-vertex-exchange-ell1": (1, 2, lambda cap: check_current_vertex_exchange(1, P, cap, 2)),
-    "current-vertex-exchange-ell3": (-1, 2, lambda cap: check_current_vertex_exchange(3, P, cap, 2)),
-    "exchange-rewrite-ell1": (1, 2, lambda cap: check_exchange_rewrite(1, P, cap, 2)),
-    "adjoint-shift-ell1": (1, 3, lambda cap: check_adjoint_shift(1, P, MODES, cap)),
-    "adjoint-shift-ell2": (0, 3, lambda cap: check_adjoint_shift(2, P, MODES, cap)),
-    "adjoint-shift-ell3": (-1, 3, lambda cap: check_adjoint_shift(3, P, MODES, cap)),
-    "composite-exchange-1-1": (2, 2, lambda cap: check_composite_exchange(1, 1, P, cap, 2)),
-    "composite-exchange-2-1": (1, 2, lambda cap: check_composite_exchange(2, 1, P, cap, 2)),
-    "composite-exchange-3-2": (-1, 2, lambda cap: check_composite_exchange(3, 2, P, cap, 2)),
-    "composite-exchange-3-3": (-2, 2, lambda cap: check_composite_exchange(3, 3, P, cap, 2)),
-    "adjoint-shift-ell4": (-2, 3, lambda cap: check_adjoint_shift(4, P, MODES, cap)),
+    f"{name}{tag}": (twist, window, _at_cap(name, ell, k, window))
+    for name, tag, ell, k, window, twist in [
+        ("screening", "", 1, 1, 2, 0),
+        *(("vertex-exchange", f"-ell{ell}", ell, 1, 2, 2 - ell) for ell in (1, 2, 3)),
+        ("vertex-exchange-theta", "-ell1", 1, 1, 2, 1),
+        ("vertex-exchange-mirror", "-ell3", 3, 1, 2, -1),
+        *(("current-vertex-exchange", f"-ell{ell}", ell, 1, 2, 2 - ell) for ell in (1, 3)),
+        ("exchange-rewrite", "-ell1", 1, 1, 2, 1),
+        *(("adjoint-shift", f"-ell{ell}", ell, 1, 3, 2 - ell) for ell in (1, 2, 3)),
+        *(("composite-exchange", f"-{ell}-{k}", ell, k, 2, 4 - ell - k) for ell, k in ((1, 1), (2, 1), (3, 2), (3, 3))),
+        ("adjoint-shift", "-ell4", 4, 1, 3, -2),
+    ]
 }
 
 
@@ -430,7 +415,7 @@ def _exchange_reading(twist, kind):
 # name -> (twist, the check at a degree cap): every operator check, and
 # the exchange skeleton by keys and by modes at twists -2..2
 RUN_REACH_CHECKS = {
-    "defining-relation": (0, lambda cap: check_defining_relation(P, cap, 3)),
+    "defining-relation": (0, _at_cap("defining-relation", 1, 1, 3)),
     **{name: (twist, check) for name, (twist, _, check) in TWISTED_CHECKS.items()},
     **{
         f"{kind}-twist{twist}": (twist, _exchange_reading(twist, kind))
@@ -493,8 +478,7 @@ def test_an_overflow_past_every_reach_leaves_the_check_decided(monkeypatch, name
     # first product (twist < 0) or the second (twist > 0), of both
     # readings: an infinity planted in the blocks there meets only
     # exact-zero weights, so no table reads it and the check's record is
-    # the clean one; the uncut products of ``oracles.key_tables`` made it
-    # 0 * inf = NaN, an inconclusive check
+    # the clean one
     twist, check = RUN_REACH_CHECKS[name]
     cap, operands = 3, relations._operands
     clean = check(cap)
@@ -513,8 +497,6 @@ def test_an_overflow_past_every_reach_leaves_the_check_decided(monkeypatch, name
     assert (got.status, got.residual.hex(), got.worst_location) == (
         clean.status, clean.residual.hex(), clean.worst_location
     )
-    monkeypatch.setattr(relations, "_key_tables", oracles.key_tables)
-    assert check(cap).status == "inconclusive"
 
 
 @pytest.mark.parametrize("budget", ["one", "default"])
@@ -567,22 +549,6 @@ def test_vacuous_all_zero_tables_name_the_first_table():
     assert rep.worst_location == "vacuous from n=0 m=0"
 
 
-def _ten_checks(P, ell, k, modes):
-    """The ten operator checks at cap 4 and window 4, the adjoint shift
-    at ``modes``."""
-    R = relations
-    return [
-        lambda: R.check_defining_relation(P, 4, 4),
-        lambda: R.check_screening_relation(P, +1, 4, 4),
-        lambda: R.check_screening_relation(P, -1, 4, 4),
-        *(lambda v=v: R.check_vertex_exchange(ell, P, v, 4, 4) for v in ("plain", "theta", "mirror")),
-        lambda: R.check_current_vertex_exchange(ell, P, 4, 4),
-        lambda: R.check_adjoint_shift(ell, P, modes, 4),
-        lambda: R.check_exchange_rewrite(ell, P, 4, 4),
-        lambda: R.check_composite_exchange(ell, k, P, 4, 4),
-    ]
-
-
 def _record(report):
     out = asdict(report)
     del out["runtime_ms"]
@@ -600,7 +566,7 @@ def test_records_do_not_depend_on_check_order(ell, k, modes):
     # same records.  At ell 3, k 2 the vertex and composite exchanges
     # build degree 9 and the defining and screening relations degree 8
     P = QParams(0.49, 0.7)
-    checks = _ten_checks(P, ell, k, modes)
+    checks = list(referee.library_checks(P, ell, k, 4, 4, modes=modes).values())
 
     def run(order):
         relations._POINT.clear()
