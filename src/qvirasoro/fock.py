@@ -91,13 +91,19 @@ class NormalOrderedVertex:
 
         Folds xi into the data: A(n) -> A(n) xi^{-n} and
         h0_base -> h0_base * xi^{h0_power}; the formal variable stays z.
+        An overflow of xi^{-n} is named with n.
         """
         rule = self.mode_rule
-        return replace(
-            self,
-            mode_rule=lambda n, _r=rule, _x=xi: _r(n) * _x ** (-n),
-            h0_base=self.h0_base * xi**self.h0_power,
-        )
+
+        def mode_rule(n: int) -> float:
+            a = rule(n)
+            try:
+                return a * xi ** (-n)
+            except OverflowError:
+                msg = f"overflow of scale power xi^(-n) at n={n}, xi={xi!r}"
+                raise OverflowError(msg) from None
+
+        return replace(self, mode_rule=mode_rule, h0_base=self.h0_base * xi**self.h0_power)
 
     def momentum_shift(self) -> float:
         return self.charge / 2.0

@@ -799,10 +799,13 @@ def check_composite_exchange(
 ) -> CheckReport:
     """Plus branch against the composite vertex V_{ell+1,k+1}: the
     weighted exchange combination equals two delta-localized products
-    of the vertex with the full current, four delta terms in all: at each
+    of the vertex with the full current, up to four delta terms: at each
     support c_i, :V Lambda^+(c_i w): and :V Lambda^-(c_i w): weighted by
     the minus-branch transfer weight, the product-form value of the two
-    elementary factors (computed, not assumed zero)."""
+    elementary factors (computed, not assumed zero).  A minus-branch
+    term of weight exactly 0 is not built: the weight is the support
+    zero that ``ProductForm.value`` nets, so its table is exactly zero
+    and every residual keeps its bits without it."""
     if ell < 1 or k < 1:
         raise QVirasoroError("composite exchange needs both labels positive")
     notes = []
@@ -826,6 +829,8 @@ def check_composite_exchange(
             d_minus = f_ell.value(c_i) * f_k.value(c_i)
             minus_weights.append(d_minus)
             for weight, lam in ((1.0, lam_plus), (d_minus, lam_minus)):
+                if weight == 0.0:
+                    continue
                 w = merge_vertices([y, lam.at_scale(c_i)])
                 deltas.append((pref * coeff_i * weight, c_i, 1.0, w))
         notes.append(

@@ -257,7 +257,12 @@ def _exchange_log_first(n: int, ell: int, params: QParams) -> float:
 def _exchange_dual_log_first(n: int, ell: int, params: QParams) -> float:
     q, p = params.q, params.p
     h = n / 2.0
-    d = q ** (n / (2.0 * ell)) - q ** (-n / (2.0 * ell))
+    try:
+        d = q ** (n / (2.0 * ell)) - q ** (-n / (2.0 * ell))
+    except OverflowError:
+        raise OverflowError(
+            f"overflow of exchange-dual log rule's q^(-n/(2 ell)) at n={n}, ell={ell}"
+        ) from None
     return -(p**-h) * eta(n, params) / (d * (p**h + p**-h)) / n
 
 

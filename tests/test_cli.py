@@ -93,23 +93,22 @@ class TestExitStatus:
 
     def test_float_overflow_records_read_as_eval_prints_them(self, capsys):
         # argument-shift and exchange-rewrite overflow here in Python float
-        # powers that they read, and the error is errno's bare pair
-        # (34, 'Numerical result out of range'): each record names it as
-        # ``eval`` does.  The other exchange checks build their structure
-        # series only to the orders that their weights read, so no such
-        # overflow stops them
+        # powers that they read: each record names the power and its n, not
+        # errno's bare pair (34, 'Numerical result out of range').  The
+        # other exchange checks build their structure series only to the
+        # orders that their weights read, so no such overflow stops them
         _, out, _ = run_cli(
             capsys, "verify", "--suite", "all", "--q", "1e-20", "--t", "0.5",
             "--degree", "3", "--window", "2", "--json",
         )
         rows = json.loads(out)
-        locations = [row["worst_location"] for row in rows]
-        named = [
-            row["identity"] for row in rows
-            if row["worst_location"] == "overflow (Numerical result out of range)"
-        ]
-        assert sorted(named) == ["argument-shift", "exchange-rewrite"]
-        assert not [loc for loc in locations if "(34," in loc]
+        locations = {row["identity"]: row["worst_location"] for row in rows}
+        assert locations["argument-shift"] == "overflow of scale power xi^(-n) at n=-16, xi=1e+20"
+        assert locations["exchange-rewrite"] == (
+            "overflow of exchange-dual log rule's q^(-n/(2 ell)) at n=31, ell=1"
+        )
+        assert not [loc for loc in locations.values() if "Numerical result" in loc]
+        assert not [loc for loc in locations.values() if "(34," in loc]
 
     @pytest.mark.parametrize("ell", ["1", "3"])
     def test_oversized_pair_form_is_inconclusive(self, capsys, ell):

@@ -169,6 +169,67 @@ def test_composite_second_term_is_the_image(q, t, ell, k):
     assert coeff2 == pytest.approx(explicit, rel=1e-14, abs=0)
 
 
+def _counting_w_corners(monkeypatch) -> list:
+    """Record each ``application_matrix`` call: the operator checks build
+    only their delta terms' W corners with it, X and Y from factors."""
+    calls = []
+    exact = PartitionBasis.application_matrix
+
+    def counted(self, *args, **kwargs):
+        calls.append(args[0])
+        return exact(self, *args, **kwargs)
+
+    monkeypatch.setattr(PartitionBasis, "application_matrix", counted)
+    return calls
+
+
+class _NeverZero(float):
+    """A weight that compares unequal to 0.0, so that the composite check
+    builds its term, and keeps that through products."""
+
+    __hash__ = float.__hash__
+
+    def __eq__(self, other):
+        return False
+
+    def __mul__(self, other):
+        return _NeverZero(float(self) * other)
+
+    __rmul__ = __mul__
+
+
+def test_composite_skips_only_exact_zero_minus_terms(monkeypatch):
+    # at a generic point both minus-branch weights are the support zero
+    # that the product form nets: only the two plus terms' W corners are
+    # built, and the record is bit for bit the one with all four terms
+    P = QParams(0.43, 0.71)
+    calls = _counting_w_corners(monkeypatch)
+    skipped = check_composite_exchange(2, 1, P, degree_cap=4, window=4)
+    assert len(calls) == 2
+    assert "minus-branch support weights -0.000e+00, 0.000e+00" in skipped.notes
+    assert skipped.passed, skipped.summary_line()
+
+    exact = ProductForm.value
+    monkeypatch.setattr(ProductForm, "value", lambda self, x: _NeverZero(exact(self, x)))
+    calls.clear()
+    forced = check_composite_exchange(2, 1, P, degree_cap=4, window=4)
+    assert len(calls) == 4
+    assert _record(skipped) == _record(forced)
+
+
+def test_composite_builds_a_nonzero_minus_term(monkeypatch):
+    # on the degenerate line t = q^2 the second support's minus weight is
+    # -0.49, not zero: its term is built (three W corners), and the
+    # record is the pinned FAIL of ROADMAP item 10
+    calls = _counting_w_corners(monkeypatch)
+    rep = check_composite_exchange(2, 2, QParams(0.49, 0.2401), degree_cap=3, window=3)
+    assert len(calls) == 3
+    assert rep.notes == ["minus-branch support weights -0.000e+00, -4.900e-01"]
+    assert rep.status == "fail"
+    assert f"{rep.residual:.3e}" == "9.685e-02"
+    assert rep.worst_location == "key=2 bra=(3,) ket=(3,)"
+
+
 LARGE_TABLE_CHECKS = {
     name: check
     for name, check in referee.library_checks(P_LARGE, 3, 2, 4, 4, modes=range(-2, 3)).items()
